@@ -16,12 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .cohomology import (
-    cell_multivectors,
-    cohomology_table,
-    invariant_cohomology,
-    resonances,
-)
+from .cohomology import cell_multivectors, cohomology_table, resonances
 from .expressions import ExpressionError, format_multivector, parse_multivector
 from .multivector import modular_vector_field, schouten_bracket
 from .registry import KINDS, Algebra, jacobi_defect, linear_poisson, structure_constants
@@ -151,33 +146,11 @@ def _parse_q_filter(text):
     return tuple(sorted(out))
 
 
-def _collect_cells(algebra, dmax, invariant):
-    pi = linear_poisson(algebra)
-    if invariant:
-        cells = {}
-        for q in range(4):
-            for d in range(dmax + 1):
-                cells[(q, d)] = invariant_cohomology(pi, q, d)
-        totals = {
-            q: sum(cells[(q, d)].dim_h for d in range(dmax + 1)) for q in range(4)
-        }
-        top = [
-            sum(cells[(q, d)].dim_h for q in range(4))
-            for d in range(max(dmax - 2, 0), dmax + 1)
-        ]
-        stable = dmax >= 2 and not any(top)
-        return cells, totals, stable
-    table = cohomology_table(pi, dmax)
-    cells = {key: table.cell(*key) for key in
-             ((q, d) for q in range(4) for d in range(dmax + 1))}
-    return cells, table.totals, table.stable
-
-
-def _table_document(algebra, dmax, cells, totals, stable, q_filter):
+def _table_document(algebra, table, q_filter):
     doc_cells = []
     for q in q_filter:
-        for d in range(dmax + 1):
-            cell = cells[(q, d)]
+        for d in range(table.dmax + 1):
+            cell = table.cell(q, d)
             doc_cells.append({
                 "q": q,
                 "d": d,
@@ -192,10 +165,10 @@ def _table_document(algebra, dmax, cells, totals, stable, q_filter):
     return {
         "algebra": algebra.name,
         "tau": _tau_str(algebra.tau),
-        "dmax": dmax,
+        "dmax": table.dmax,
         "cells": doc_cells,
-        "totals": {str(q): totals[q] for q in range(4)},
-        "stable": stable,
+        "totals": {str(q): table.total(q) for q in range(4)},
+        "stable": table.stable,
     }
 
 
@@ -256,8 +229,8 @@ def _run_table(args, invariant):
     if args.dmax < 0:
         raise ValueError("dmax must be nonnegative")
     q_filter = _parse_q_filter(args.q)
-    cells, totals, stable = _collect_cells(algebra, args.dmax, invariant)
-    doc = _table_document(algebra, args.dmax, cells, totals, stable, q_filter)
+    table = cohomology_table(linear_poisson(algebra), args.dmax, invariant)
+    doc = _table_document(algebra, table, q_filter)
     if args.format == "json":
         text = json.dumps(doc, indent=2) + "\n"
     elif args.format == "csv":

@@ -1,7 +1,12 @@
 """Cohomology of the graded complexes: ranks, dimensions, representatives.
 
 Each (q, d) cell is closed under the differential of a linear bivector, so
-its cohomology is kernel-modulo-image of two finite exact matrices.
+its cohomology is kernel-modulo-image of two finite exact matrices.  One
+routine reduces a whole coefficient degree d from its differentials, each
+built once; the rotation-invariant subcomplex goes through the same routine
+with the differentials restricted to the invariant sub-bases
+(`cohomology_table(pi, dmax, invariant=True)`).
+
 Representatives are canonical: the kernel is put in reduced echelon form,
 the rows whose leading coordinate is not a pivot of the image echelon are
 kept and reduced against the image, then scaled to coprime integers.  Two
@@ -54,8 +59,64 @@ def _cell_from_columns(q, d, dim, out_columns, in_columns):
         reduced = linalg.reduce_against(in_pivots, in_echelon, row)
         reps.append(linalg.integer_normalize(reduced))
     cell = CohomologyCell(q, d, dim, rank_out, len(in_pivots), reps)
-    assert cell.dim_h == len(reps)
+    if cell.dim_h != len(reps):
+        raise RuntimeError(
+            "cell (%d, %d): dim H is %d but %d representatives were found"
+            % (q, d, cell.dim_h, len(reps))
+        )
     return cell
+
+
+def _restrict(columns, source_vectors, target_vectors):
+    """Matrix of a map restricted to invariant sub-bases on both sides."""
+    out = []
+    for vec in source_vectors:
+        image = linalg.matvec(columns, vec)
+        coeffs = linalg.solve_combination(target_vectors, image)
+        if coeffs is None:
+            raise ValueError("operator does not preserve the invariant subspace")
+        out.append(coeffs)
+    return out
+
+
+def _check_cochain_degree(q):
+    if q not in (0, 1, 2, 3):
+        raise ValueError("cochain degree must be 0..3, got %r" % (q,))
+
+
+def _check_rotation_invariant(pi):
+    if not schouten_bracket(rotation_field(), pi).is_zero():
+        raise ValueError("bivector is not rotation invariant")
+
+
+def _degree_cells(pi, d, invariant):
+    """The cells q = 0..3 of coefficient degree d.
+
+    Each differential out of degree d is built once and shared by the two
+    cells it touches.  On the invariant subcomplex it is restricted once to
+    the invariant sub-bases, and representatives are mapped back to ambient
+    (q, d) coordinates.
+    """
+    if invariant:
+        vectors = [invariant_basis(q, d)[1] for q in range(4)]
+        columns = [
+            _restrict(differential_matrix(pi, q, d).columns, vectors[q], vectors[q + 1])
+            for q in range(3)
+        ]
+        columns.append([{} for _ in vectors[3]])
+    else:
+        columns = [differential_matrix(pi, q, d).columns for q in range(4)]
+    cells = [
+        _cell_from_columns(q, d, len(columns[q]), columns[q], columns[q - 1] if q else [])
+        for q in range(4)
+    ]
+    if invariant:
+        for cell, vecs in zip(cells, vectors):
+            cell.representatives = [
+                linalg.integer_normalize(linalg.matvec(vecs, rep))
+                for rep in cell.representatives
+            ]
+    return cells
 
 
 def cohomology_cell(pi, q, d):
@@ -64,9 +125,20 @@ def cohomology_cell(pi, q, d):
     Representatives are returned as coordinate vectors; use
     `cell_multivectors` or the table interface for multivector form.
     """
-    out_cell = differential_matrix(pi, q, d)
-    in_columns = differential_matrix(pi, q - 1, d).columns if q > 0 else []
-    return _cell_from_columns(q, d, len(out_cell.source), out_cell.columns, in_columns)
+    _check_cochain_degree(q)
+    return _degree_cells(pi, d, invariant=False)[q]
+
+
+def invariant_cohomology(pi, q, d):
+    """Cohomology of the rotation-invariant subcomplex at (q, d).
+
+    Only defined when the bivector itself is rotation invariant; anything
+    else is rejected since the subspaces would not form a complex.
+    Representatives come back in ambient (q, d) coordinates.
+    """
+    _check_cochain_degree(q)
+    _check_rotation_invariant(pi)
+    return _degree_cells(pi, d, invariant=True)[q]
 
 
 def cell_multivectors(cell):
@@ -109,73 +181,19 @@ class CohomologyTable:
         )
 
 
-def cohomology_table(pi, dmax):
+def cohomology_table(pi, dmax, invariant=False):
     """Cohomology of every (q, d) cell with d <= dmax.
 
-    Differential matrices are computed once per cell and shared between the
-    rank-out and rank-in sides.
+    With invariant=True the table is that of the rotation-invariant
+    subcomplex, which needs a rotation-invariant bivector.
     """
+    if invariant:
+        _check_rotation_invariant(pi)
     cells = {}
     for d in range(dmax + 1):
-        mats = [differential_matrix(pi, q, d) for q in range(4)]
-        for q in range(4):
-            in_columns = mats[q - 1].columns if q > 0 else []
-            cells[(q, d)] = _cell_from_columns(
-                q, d, len(mats[q].source), mats[q].columns, in_columns
-            )
+        for cell in _degree_cells(pi, d, invariant):
+            cells[(cell.q, d)] = cell
     return CohomologyTable(dmax, cells)
-
-
-def _restrict(columns, source_vectors, target_vectors):
-    """Matrix of a map restricted to invariant sub-bases on both sides."""
-    out = []
-    for vec in source_vectors:
-        image = linalg.matvec(columns, vec)
-        coeffs = linalg.solve_combination(target_vectors, image)
-        if coeffs is None:
-            raise ValueError("operator does not preserve the invariant subspace")
-        out.append(coeffs)
-    return out
-
-
-def invariant_cohomology(pi, q, d):
-    """Cohomology of the rotation-invariant subcomplex at (q, d).
-
-    Only defined when the bivector itself is rotation invariant; anything
-    else is rejected since the subspaces would not form a complex.
-    Representatives come back in ambient (q, d) coordinates.
-    """
-    if not schouten_bracket(rotation_field(), pi).is_zero():
-        raise ValueError("bivector is not rotation invariant")
-    vectors = {}
-    for qq in (q - 1, q, q + 1):
-        if 0 <= qq <= 3:
-            _, vectors[qq] = invariant_basis(qq, d)
-    out_columns = (
-        _restrict(differential_matrix(pi, q, d).columns, vectors[q], vectors[q + 1])
-        if q < 3
-        else [{} for _ in vectors[q]]
-    )
-    in_columns = (
-        _restrict(differential_matrix(pi, q - 1, d).columns, vectors[q - 1], vectors[q])
-        if q > 0
-        else []
-    )
-    cell = _cell_from_columns(q, d, len(vectors[q]), out_columns, in_columns)
-    # map representatives from sub-basis coordinates back to the ambient basis
-    ambient = []
-    for rep in cell.representatives:
-        coords = {}
-        for j, factor in rep.items():
-            for i, c in vectors[q][j].items():
-                val = coords.get(i, Fraction(0)) + factor * c
-                if val:
-                    coords[i] = val
-                elif i in coords:
-                    del coords[i]
-        ambient.append(linalg.integer_normalize(coords))
-    cell.representatives = ambient
-    return cell
 
 
 def coboundary_witness(pi, target):

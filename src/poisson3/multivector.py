@@ -523,11 +523,6 @@ def lie_bracket(a, b):
     return MultiVector(1, comps)
 
 
-def partial_derivative(value, var):
-    """Partial derivative of a Polynomial or MultiVector."""
-    return value.diff(var)
-
-
 def divergence(field):
     """Divergence of a vector field.
 

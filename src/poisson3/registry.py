@@ -97,15 +97,6 @@ class Algebra:
         self.name = name
         self.tau = tau
 
-    def is_hyperbolic(self):
-        return self.name == "book" and self.tau < 0
-
-    def hyperbolic_pq(self):
-        """(p, q) with tau = -p/q in lowest terms; p <= q by the range check."""
-        if not self.is_hyperbolic():
-            raise ValueError("%r is not in the hyperbolic regime" % (self,))
-        return (-self.tau).numerator, (-self.tau).denominator
-
     def __eq__(self, other):
         if not isinstance(other, Algebra):
             return NotImplemented

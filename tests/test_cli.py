@@ -1,6 +1,7 @@
 """Command line front end: verbs, formats, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -10,6 +11,7 @@ import jsonschema
 import pytest
 
 from poisson3 import FIXTURE_IDS, Report
+from poisson3 import cohomology as cohomology_module
 from poisson3.cli import TABLE_SCHEMA, main
 
 
@@ -113,11 +115,58 @@ def test_invariant_cohomology_verb(capsys):
     assert "q=0 d=2: y^2 + x^2" in out
 
 
+def test_invariant_table_builds_each_basis_and_differential_once(capsys, monkeypatch):
+    bases = {}
+    differentials = {}
+
+    def counting(fn, counts, key):
+        def wrapper(*args):
+            k = key(*args)
+            counts[k] = counts.get(k, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cohomology_module, "invariant_basis", counting(
+        cohomology_module.invariant_basis, bases, lambda q, d: (q, d)))
+    monkeypatch.setattr(cohomology_module, "differential_matrix", counting(
+        cohomology_module.differential_matrix, differentials, lambda pi, q, d: (q, d)))
+    code, _, _ = run(capsys, "invariant-cohomology", "--algebra", "euclidean",
+                     "--dmax", "4", "--format", "json")
+    assert code == 0
+    assert bases == {(q, d): 1 for q in range(4) for d in range(5)}
+    assert set(differentials) >= {(q, d) for q in range(3) for d in range(5)}
+    assert set(differentials.values()) == {1}
+
+
 def test_invariant_cohomology_rejects_non_invariant(capsys):
     code, out, err = run(capsys, "invariant-cohomology", "--algebra", "aff_x_r",
                          "--dmax", "2")
     assert code == 2
     assert "not rotation invariant" in err
+
+
+# sha256 of stdout as first recorded; table output must stay byte-identical
+# whenever the reduction behind it is reorganised
+GOLDEN_TABLES = [
+    (("invariant-cohomology", "--algebra", "euclidean", "--dmax", "6", "--format", "text"),
+     "f819f65afff15a91984282fb18c02a9cfeb115c83f917d1662328584ca06608a"),
+    (("invariant-cohomology", "--algebra", "euclidean", "--dmax", "6", "--format", "json"),
+     "1b68e9dc38605e3df4e4b9b16491442b38dfa7ab45639224d9a81d718ac7fabf"),
+    (("invariant-cohomology", "--algebra", "euclidean", "--dmax", "6", "--format", "csv"),
+     "61b6d58a18bf1ab766551bc015e24fe76051f09a3c832b26402b8a6f50e6308c"),
+    (("invariant-cohomology", "--algebra", "heisenberg", "--dmax", "4", "--format", "json"),
+     "e1bd9bc84a55e08d3b10edce8ded9295eb6828836bb91364dfc68bf1d91f22e3"),
+    (("cohomology", "--algebra", "heisenberg", "--dmax", "6", "--format", "json"),
+     "a6209695b2132b4b6b7d5fb0f176ec90d0efca135989466c771abfe6643421b9"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_TABLES,
+                         ids=[" ".join(argv) for argv, _ in GOLDEN_TABLES])
+def test_table_output_matches_recorded_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_table_output_is_deterministic(capsys):

@@ -20,6 +20,7 @@ from poisson3 import (
     poisson_differential,
     resonances,
 )
+from poisson3 import cohomology as cohomology_module
 from poisson3.linalg import rank
 
 BOOK1 = Algebra("book", Fraction(1))
@@ -87,6 +88,28 @@ def test_cell_representatives_are_cocycles_mod_image():
             # independent mod the image
             assert rank(in_cols + list(cell.representatives)) == \
                 cell.rank_in + cell.dim_h
+
+
+@pytest.mark.parametrize("q", [-1, 4])
+def test_cell_rejects_out_of_range_cochain_degree(q):
+    pi = linear_poisson("euclidean")
+    with pytest.raises(ValueError, match="cochain degree"):
+        cohomology_cell(pi, q, 1)
+    with pytest.raises(ValueError, match="cochain degree"):
+        invariant_cohomology(pi, q, 1)
+
+
+def test_inconsistent_cell_raises_runtime_error(monkeypatch):
+    # the dim H / representative count check must survive python -O
+    kernel_basis = cohomology_module.linalg.kernel_basis
+
+    def wrong_rank(columns, ncols):
+        rank_out, basis = kernel_basis(columns, ncols)
+        return rank_out + 1, basis
+
+    monkeypatch.setattr(cohomology_module.linalg, "kernel_basis", wrong_rank)
+    with pytest.raises(RuntimeError, match=r"cell \(0, 1\)"):
+        cohomology_cell(linear_poisson("heisenberg"), 0, 1)
 
 
 def test_cells_are_deterministic():
@@ -168,12 +191,28 @@ def test_invariant_cohomology_examples():
     assert cell_multivectors(euler) == [mv("x*dx + y*dy")]
 
 
+def _cell_fields(cell):
+    return (cell.q, cell.d, cell.dim_cochains, cell.rank_out, cell.rank_in,
+            cell.dim_h, cell.representatives)
+
+
 def test_invariant_cohomology_matches_full_for_euclidean():
     pi = linear_poisson("euclidean")
     table = cohomology_table(pi, 5)
     for q in range(4):
         for d in range(6):
             assert invariant_cohomology(pi, q, d).dim_h == table.dim_h(q, d)
+
+
+@pytest.mark.parametrize("algebra", [
+    "euclidean", "so3", "heisenberg", Algebra("spiral", Fraction(1)),
+], ids=["euclidean", "so3", "heisenberg", "spiral_tau_1"])
+def test_invariant_table_matches_single_cells(algebra):
+    pi = linear_poisson(algebra)
+    table = cohomology_table(pi, 6, invariant=True)
+    assert sorted(table.cells) == [(q, d) for q in range(4) for d in range(7)]
+    for (q, d), cell in table.cells.items():
+        assert _cell_fields(cell) == _cell_fields(invariant_cohomology(pi, q, d))
 
 
 def test_invariant_cohomology_accepts_heisenberg():
@@ -186,6 +225,8 @@ def test_invariant_cohomology_accepts_heisenberg():
 def test_invariant_cohomology_rejects_non_invariant_bivector():
     with pytest.raises(ValueError, match="not rotation invariant"):
         invariant_cohomology(linear_poisson("aff_x_r"), 1, 1)
+    with pytest.raises(ValueError, match="not rotation invariant"):
+        cohomology_table(linear_poisson("aff_x_r"), 2, invariant=True)
 
 
 # ---------------------------------------------------------------- witnesses

@@ -3,14 +3,17 @@
 Each (q, d) cell is closed under the differential of a linear bivector, so
 its cohomology is kernel-modulo-image of two finite exact matrices.  One
 routine reduces a whole coefficient degree d from its differentials, each
-built once; the rotation-invariant subcomplex goes through the same routine
-with the differentials restricted to the invariant sub-bases
+built once and reduced once (`linalg.kernel_and_image`): one elimination
+gives a differential's rank, its kernel in reduced echelon form, and the
+independent columns whose echelon is the next cell's image.  The
+rotation-invariant subcomplex goes through the same routine with the
+differentials restricted to the invariant sub-bases
 (`cohomology_table(pi, dmax, invariant=True)`).
 
-Representatives are canonical: the kernel is put in reduced echelon form,
-the rows whose leading coordinate is not a pivot of the image echelon are
-kept and reduced against the image, then scaled to coprime integers.  Two
-runs over the same input produce byte-identical output.
+Representatives are canonical: the kernel rows whose leading coordinate is
+not a pivot of the image echelon are kept and reduced against the image,
+then scaled to coprime integers.  Two runs over the same input produce
+byte-identical output.
 """
 
 from fractions import Fraction
@@ -46,11 +49,9 @@ class CohomologyCell:
         return "CohomologyCell(q=%d, d=%d, dim_h=%d)" % (self.q, self.d, self.dim_h)
 
 
-def _cell_from_columns(q, d, dim, out_columns, in_columns):
-    """Reduce one cell given the outgoing and incoming differential columns."""
-    rank_out, kernel = linalg.kernel_basis(out_columns, dim)
-    in_pivots, in_echelon = linalg.rref(in_columns)
-    ker_pivots, ker_echelon = linalg.rref(kernel)
+def _cell(q, d, dim, reduction, in_pivots, in_echelon):
+    """One cell from its outgoing reduction and the incoming image echelon."""
+    rank_out, ker_pivots, ker_echelon, _ = reduction
     reps = []
     image_pivots = set(in_pivots)
     for pivot, row in zip(ker_pivots, ker_echelon):
@@ -68,12 +69,22 @@ def _cell_from_columns(q, d, dim, out_columns, in_columns):
 
 
 def _restrict(columns, source_vectors, target_vectors):
-    """Matrix of a map restricted to invariant sub-bases on both sides."""
+    """Matrix of a map restricted to invariant sub-bases on both sides.
+
+    The target vectors come from `kernel_basis`, so each is the only one
+    that is nonzero at its highest coordinate: an image's coefficients are
+    read off those coordinates, then checked by mapping them back.
+    """
+    tops = [(max(vec), vec[max(vec)]) for vec in target_vectors]
     out = []
     for vec in source_vectors:
         image = linalg.matvec(columns, vec)
-        coeffs = linalg.solve_combination(target_vectors, image)
-        if coeffs is None:
+        coeffs = {}
+        for k, (top, lead) in enumerate(tops):
+            value = image.get(top)
+            if value:
+                coeffs[k] = value / lead
+        if linalg.matvec(target_vectors, coeffs) != image:
             raise ValueError("operator does not preserve the invariant subspace")
         out.append(coeffs)
     return out
@@ -92,10 +103,12 @@ def _check_rotation_invariant(pi):
 def _degree_cells(pi, d, invariant):
     """The cells q = 0..3 of coefficient degree d.
 
-    Each differential out of degree d is built once and shared by the two
-    cells it touches.  On the invariant subcomplex it is restricted once to
-    the invariant sub-bases, and representatives are mapped back to ambient
-    (q, d) coordinates.
+    Each differential out of degree d is built once and reduced once: that
+    reduction gives cell q its rank and reduced kernel, and cell q + 1 the
+    independent columns whose echelon is its image.  On the invariant
+    subcomplex each differential is first restricted to the invariant
+    sub-bases, and representatives are mapped back to ambient (q, d)
+    coordinates.
     """
     if invariant:
         vectors = [invariant_basis(q, d)[1] for q in range(4)]
@@ -106,10 +119,13 @@ def _degree_cells(pi, d, invariant):
         columns.append([{} for _ in vectors[3]])
     else:
         columns = [differential_matrix(pi, q, d).columns for q in range(4)]
-    cells = [
-        _cell_from_columns(q, d, len(columns[q]), columns[q], columns[q - 1] if q else [])
-        for q in range(4)
-    ]
+    cells = []
+    in_pivots, in_echelon = [], []
+    for q, cols in enumerate(columns):
+        reduction = linalg.kernel_and_image(cols)
+        cells.append(_cell(q, d, len(cols), reduction, in_pivots, in_echelon))
+        if q < 3:
+            in_pivots, in_echelon = linalg.rref(reduction[3])
     if invariant:
         for cell, vecs in zip(cells, vectors):
             cell.representatives = [

@@ -4,56 +4,87 @@ Vectors are dicts {index: nonzero Fraction}; matrices are lists of such
 column dicts.  Everything reduces to one canonical routine: reduced row
 echelon form, whose output is unique for a given row space, so ranks,
 kernels, and cohomology representatives downstream are deterministic.
+
+The elimination itself is fraction-free: rows are scaled to integers, kept
+primitive by their gcd, and divided by their pivot only when the echelon is
+returned.  `kernel_and_image` gets the rank, the reduced kernel and a basis
+of the image of a map from one such elimination.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _clean(vec):
     return {i: c for i, c in vec.items() if c}
 
 
+def _integer_row(row):
+    """Row scaled by the lcm of its denominators, as {index: nonzero int}."""
+    scale = lcm(*(c.denominator for c in row.values()))
+    return {i: c.numerator * (scale // c.denominator) for i, c in row.items() if c}
+
+
+def _primitive(row):
+    """Divide an integer row by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g == 1:
+        return row
+    return {i: c // g for i, c in row.items()}
+
+
+def _eliminate(row, pivot_row, col):
+    """Primitive integer combination of row and pivot_row that is 0 at col."""
+    a = pivot_row[col]
+    b = row[col]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    if a != 1:
+        row = {i: a * c for i, c in row.items()}
+    for i, c in pivot_row.items():
+        val = row.get(i, 0) - b * c
+        if val:
+            row[i] = val
+        else:
+            del row[i]
+    return _primitive(row)
+
+
 def rref(rows):
     """Reduced row echelon form of a list of sparse row vectors.
 
     Returns (pivots, echelon_rows) where pivots[r] is the leading index of
-    echelon_rows[r], in increasing order.  Zero rows are dropped.
+    echelon_rows[r], in increasing order.  Zero rows are dropped.  Each row
+    is inserted as integers and reduced against the pivots already found;
+    back-substitution runs from the last pivot down, and every row is
+    divided by its pivot entry at the end.
     """
-    work = [_clean(dict(r)) for r in rows]
-    work = [r for r in work if r]
-    pivots = []
+    table = {}
+    for row in rows:
+        row = _integer_row(row)
+        while row:
+            col = min(row)
+            pivot_row = table.get(col)
+            if pivot_row is None:
+                if row[col] < 0:
+                    row = {i: -c for i, c in row.items()}
+                table[col] = _primitive(row)
+                break
+            row = _eliminate(row, pivot_row, col)
+    pivots = sorted(table)
     echelon = []
-    while work:
-        col = min(min(r) for r in work)
-        pick = next(i for i, r in enumerate(work) if min(r) == col)
-        row = work.pop(pick)
-        inv = Fraction(1) / row[col]
-        row = {i: c * inv for i, c in row.items()}
-        for other in work:
-            factor = other.get(col)
-            if factor:
-                for i, c in row.items():
-                    val = other.get(i, Fraction(0)) - factor * c
-                    if val:
-                        other[i] = val
-                    elif i in other:
-                        del other[i]
-        work = [r for r in work if r]
-        # clear the new pivot column in the rows already placed
-        for placed in echelon:
-            factor = placed.get(col)
-            if factor:
-                for i, c in row.items():
-                    val = placed.get(i, Fraction(0)) - factor * c
-                    if val:
-                        placed[i] = val
-                    elif i in placed:
-                        del placed[i]
-        pivots.append(col)
-        echelon.append(row)
-    order = sorted(range(len(pivots)), key=lambda r: pivots[r])
-    return [pivots[r] for r in order], [echelon[r] for r in order]
+    for col in reversed(pivots):
+        row = table[col]
+        # the rows of the later pivots are already reduced, so clearing one
+        # of their pivots puts nothing back at another
+        for other in [i for i in row if i != col and i in table]:
+            row = _eliminate(row, table[other], other)
+        table[col] = row
+        lead = row[col]
+        echelon.append({i: Fraction(c, lead) for i, c in row.items()})
+    echelon.reverse()
+    return pivots, echelon
 
 
 def reduce_against(pivots, echelon, vec):
@@ -101,6 +132,35 @@ def kernel_basis(columns, ncols):
                 vec[pivot] = -coeff
         basis.append(integer_normalize(vec))
     return len(pivots), basis
+
+
+def kernel_and_image(columns):
+    """Rank, reduced kernel and image basis of a matrix from one `rref`.
+
+    The rows are reduced with column j placed at n-1-j, so each echelon row
+    leads at its highest original column.  The kernel then comes out in
+    reduced echelon form: one vector per free column j, 1 at j and the
+    negated row entries at the pivot columns, which all lie above j.  The
+    pivot columns themselves are independent and span the image.
+
+    Returns (rank, kernel_pivots, kernel_echelon, image_columns).
+    """
+    last = len(columns) - 1
+    rows = {}
+    for j, col in enumerate(columns):
+        for i, c in col.items():
+            rows.setdefault(i, {})[last - j] = c
+    pivots, echelon = rref(rows.values())
+    pivot_columns = sorted(last - p for p in pivots)
+    kernel = {j: {j: Fraction(1)} for j in range(len(columns))}
+    for j in pivot_columns:
+        del kernel[j]
+    for pivot, row in zip(pivots, echelon):
+        for k, c in row.items():
+            if k != pivot:
+                kernel[last - k][last - pivot] = -c
+    return (len(pivots), list(kernel), list(kernel.values()),
+            [columns[j] for j in pivot_columns])
 
 
 def integer_normalize(vec):

@@ -44,3 +44,35 @@ def random_multivector(rng, degree, max_coeff_degree):
 
 def random_point(rng):
     return tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3))
+
+
+def reference_rref(rows):
+    """Plain Fraction Gauss-Jordan elimination, an oracle for `linalg.rref`.
+
+    Returns (pivots, echelon_rows) in the same form: pivots increasing, each
+    row scaled to 1 at its pivot, zero rows dropped.
+    """
+    work = [{i: Fraction(c) for i, c in r.items() if c} for r in rows]
+    work = [r for r in work if r]
+    pivots = []
+    echelon = []
+    while work:
+        col = min(min(r) for r in work)
+        pick = next(i for i, r in enumerate(work) if min(r) == col)
+        row = work.pop(pick)
+        inv = Fraction(1) / row[col]
+        row = {i: c * inv for i, c in row.items()}
+        for other in work + echelon:
+            factor = other.get(col)
+            if factor:
+                for i, c in row.items():
+                    val = other.get(i, Fraction(0)) - factor * c
+                    if val:
+                        other[i] = val
+                    elif i in other:
+                        del other[i]
+        work = [r for r in work if r]
+        pivots.append(col)
+        echelon.append(row)
+    order = sorted(range(len(pivots)), key=lambda r: pivots[r])
+    return [pivots[r] for r in order], [echelon[r] for r in order]

@@ -158,6 +158,10 @@ GOLDEN_TABLES = [
      "e1bd9bc84a55e08d3b10edce8ded9295eb6828836bb91364dfc68bf1d91f22e3"),
     (("cohomology", "--algebra", "heisenberg", "--dmax", "6", "--format", "json"),
      "a6209695b2132b4b6b7d5fb0f176ec90d0efca135989466c771abfe6643421b9"),
+    (("cohomology", "--algebra", "book", "--tau", "-2/3", "--dmax", "8", "--format", "json"),
+     "0d54492f8d4ac53bfade0be8aeafb4ff8db4b96d466df7b6c27bc104564b4597"),
+    (("cohomology", "--algebra", "sl2", "--dmax", "6", "--format", "json"),
+     "faae01f5e195e762fed0a8464718713c40e4057539aa36ca984dae7d0cd98e87"),
 ]
 
 

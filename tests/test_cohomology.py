@@ -14,6 +14,7 @@ from poisson3 import (
     cohomology_cell,
     cohomology_table,
     differential_matrix,
+    invariant_basis,
     invariant_cohomology,
     linear_poisson,
     parse_multivector,
@@ -21,6 +22,7 @@ from poisson3 import (
     resonances,
 )
 from poisson3 import cohomology as cohomology_module
+from poisson3 import linalg
 from poisson3.linalg import rank
 
 BOOK1 = Algebra("book", Fraction(1))
@@ -101,15 +103,43 @@ def test_cell_rejects_out_of_range_cochain_degree(q):
 
 def test_inconsistent_cell_raises_runtime_error(monkeypatch):
     # the dim H / representative count check must survive python -O
-    kernel_basis = cohomology_module.linalg.kernel_basis
+    kernel_and_image = cohomology_module.linalg.kernel_and_image
 
-    def wrong_rank(columns, ncols):
-        rank_out, basis = kernel_basis(columns, ncols)
-        return rank_out + 1, basis
+    def wrong_rank(columns):
+        rank_out, *rest = kernel_and_image(columns)
+        return (rank_out + 1, *rest)
 
-    monkeypatch.setattr(cohomology_module.linalg, "kernel_basis", wrong_rank)
+    monkeypatch.setattr(cohomology_module.linalg, "kernel_and_image", wrong_rank)
     with pytest.raises(RuntimeError, match=r"cell \(0, 1\)"):
         cohomology_cell(linear_poisson("heisenberg"), 0, 1)
+
+
+@pytest.mark.parametrize("algebra", ["sl2", Algebra("book", Fraction(-2, 3))],
+                         ids=["sl2", "book_-2/3"])
+def test_one_reduction_gives_kernel_and_image_echelons(algebra):
+    pi = linear_poisson(algebra)
+    for d in range(7):
+        for q in range(4):
+            columns = differential_matrix(pi, q, d).columns
+            rank_out, ker_pivots, ker_echelon, image = linalg.kernel_and_image(columns)
+            assert rank_out == len(image)
+            assert (ker_pivots, ker_echelon) == linalg.rref(
+                linalg.kernel_basis(columns, len(columns))[1])
+            assert linalg.rref(image) == linalg.rref(columns)
+
+
+def test_each_degree_makes_seven_rref_calls(monkeypatch):
+    # four differentials reduced once each, plus the image echelons of d_0..d_2
+    calls = []
+    rref = linalg.rref
+
+    def counting(rows):
+        calls.append(1)
+        return rref(rows)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    cohomology_table(linear_poisson("heisenberg"), 3)
+    assert len(calls) == 28
 
 
 def test_cells_are_deterministic():
@@ -227,6 +257,17 @@ def test_invariant_cohomology_rejects_non_invariant_bivector():
         invariant_cohomology(linear_poisson("aff_x_r"), 1, 1)
     with pytest.raises(ValueError, match="not rotation invariant"):
         cohomology_table(linear_poisson("aff_x_r"), 2, invariant=True)
+
+
+def test_restriction_to_invariant_bases_solves_each_image():
+    for q in range(3):
+        source, target = invariant_basis(q, 3)[1], invariant_basis(q + 1, 3)[1]
+        columns = differential_matrix(linear_poisson("euclidean"), q, 3).columns
+        assert cohomology_module._restrict(columns, source, target) == [
+            linalg.solve_combination(target, linalg.matvec(columns, vec)) for vec in source]
+    columns = differential_matrix(linear_poisson("aff_x_r"), 1, 2).columns
+    with pytest.raises(ValueError, match="does not preserve the invariant subspace"):
+        cohomology_module._restrict(columns, invariant_basis(1, 2)[1], invariant_basis(2, 2)[1])
 
 
 # ---------------------------------------------------------------- witnesses

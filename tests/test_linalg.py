@@ -3,9 +3,12 @@
 import random
 from fractions import Fraction
 
+from helpers import reference_rref
+
 from poisson3.linalg import (
     compose,
     integer_normalize,
+    kernel_and_image,
     kernel_basis,
     matvec,
     rank,
@@ -144,6 +147,54 @@ def test_rref_is_idempotent_and_canonical():
             # pivot column cleared everywhere else
             for other in echelon:
                 assert other is row or p not in other
+
+
+def _random_rows(rng, nrows, ncols):
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for j in range(ncols):
+            if rng.random() < 0.5:
+                row[j] = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5, 7, 12)))
+        rows.append(row)
+    return rows
+
+
+def test_rref_matches_reference_oracle():
+    rng = random.Random(113)
+    cases = [[], [{}], [{0: Fraction(0)}, {}]]
+    for _ in range(150):
+        rows = _random_rows(rng, rng.randint(1, 7), rng.randint(1, 8))
+        extra = rng.random()
+        if rows and extra < 0.3:
+            rows.append(dict(rng.choice(rows)))  # duplicate row
+        elif rows and extra < 0.6:
+            rows.append({j: -c for j, c in rng.choice(rows).items()})  # negated row
+        if rng.random() < 0.3:
+            rows.insert(rng.randrange(len(rows) + 1), {})  # zero row
+        rows.append({rng.randint(0, 8): Fraction(-rng.randint(1, 9), rng.randint(1, 4)),
+                     9: Fraction(rng.randint(-3, 3))})  # negative lead
+        rng.shuffle(rows)
+        cases.append(rows)
+    for rows in cases:
+        snapshot = [dict(row) for row in rows]
+        pivots, echelon = rref(rows)
+        assert rows == snapshot
+        assert (pivots, echelon) == reference_rref(rows)
+        assert all(type(c) is Fraction for row in echelon for c in row.values())
+
+
+def test_kernel_and_image_agrees_with_separate_reductions():
+    rng = random.Random(127)
+    for _ in range(80):
+        columns = _random_rows(rng, rng.randint(0, 7), rng.randint(1, 6))
+        if columns and rng.random() < 0.3:
+            columns.append(dict(rng.choice(columns)))
+        rk, ker_pivots, ker_echelon, image = kernel_and_image(columns)
+        assert rk == rank(columns) == len(image)
+        assert (ker_pivots, ker_echelon) == rref(kernel_basis(columns, len(columns))[1])
+        assert rref(image) == rref(columns)
+        assert all(any(col is c for c in columns) for col in image)
 
 
 def test_compose_matches_manual_product():

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .cohomology import cell_multivectors, cohomology_table, resonances
-from .expressions import ExpressionError, format_multivector, parse_multivector
+from .expressions import format_multivector, parse_multivector
 from .multivector import modular_vector_field, schouten_bracket
 from .registry import KINDS, Algebra, jacobi_defect, linear_poisson, structure_constants
 from .verification import FIXTURE_IDS, modular_class_check, verify
@@ -73,7 +73,7 @@ def build_parser():
 
     def add_algebra_opts(p):
         p.add_argument("--algebra", required=True, choices=KINDS)
-        p.add_argument("--tau", default=None,
+        p.add_argument("--tau", default=None, type=_rational,
                        help="rational parameter p/q for book and spiral")
 
     def add_output_opts(p):
@@ -93,7 +93,7 @@ def build_parser():
         p = sub.add_parser(verb, help=blurb)
         add_algebra_opts(p)
         p.add_argument("--dmax", type=int, required=True)
-        p.add_argument("--q", default=None,
+        p.add_argument("--q", default="0,1,2,3", type=_cochain_degrees,
                        help="comma separated cochain degrees to include, e.g. 1,2")
         add_output_opts(p)
 
@@ -114,8 +114,8 @@ def build_parser():
     add_algebra_opts(p)
 
     p = sub.add_parser("resonances", help="integer pairs (i, j) with i + tau*j = c")
-    p.add_argument("--tau", required=True)
-    p.add_argument("--c", required=True)
+    p.add_argument("--tau", required=True, type=_rational)
+    p.add_argument("--c", required=True, type=_rational)
     p.add_argument("--dmax", type=int, required=True)
 
     p = sub.add_parser("jacobi", help="self-bracket [pi, pi] for a registry kind")
@@ -124,26 +124,31 @@ def build_parser():
     return parser
 
 
+def _rational(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            "expected a rational number p/q, got %r" % (text,)) from None
+
+
+def _cochain_degrees(text):
+    try:
+        degrees = {int(piece) for piece in text.split(",")}
+    except ValueError:
+        degrees = None
+    if degrees is None or not degrees <= {0, 1, 2, 3}:
+        raise argparse.ArgumentTypeError(
+            "expected comma separated cochain degrees 0..3, got %r" % (text,))
+    return tuple(sorted(degrees))
+
+
 def _algebra(args):
-    tau = None if args.tau is None else Fraction(args.tau)
-    return Algebra(args.algebra, tau)
+    return Algebra(args.algebra, args.tau)
 
 
 def _tau_str(tau):
     return None if tau is None else str(tau)
-
-
-def _parse_q_filter(text):
-    if text is None:
-        return (0, 1, 2, 3)
-    out = []
-    for piece in text.split(","):
-        q = int(piece)
-        if not 0 <= q <= 3:
-            raise ValueError("cochain degree must be 0..3, got %d" % (q,))
-        if q not in out:
-            out.append(q)
-    return tuple(sorted(out))
 
 
 def _table_document(algebra, table, q_filter):
@@ -228,9 +233,8 @@ def _run_table(args, invariant):
     algebra = _algebra(args)
     if args.dmax < 0:
         raise ValueError("dmax must be nonnegative")
-    q_filter = _parse_q_filter(args.q)
     table = cohomology_table(linear_poisson(algebra), args.dmax, invariant)
-    doc = _table_document(algebra, table, q_filter)
+    doc = _table_document(algebra, table, args.q)
     if args.format == "json":
         text = json.dumps(doc, indent=2) + "\n"
     elif args.format == "csv":
@@ -336,7 +340,7 @@ def _run_modular(args):
 def _run_resonances(args):
     if args.dmax < 0:
         raise ValueError("dmax must be nonnegative")
-    pairs = resonances(Fraction(args.tau), Fraction(args.c), args.dmax)
+    pairs = resonances(args.tau, args.c, args.dmax)
     if pairs:
         text = " ".join("(%d,%d)" % pair for pair in pairs)
     else:
@@ -397,13 +401,8 @@ def main(argv=None):
         return 2 if exc.code else 0
     try:
         return _HANDLERS[args.verb](args)
-    except (ExpressionError,) as exc:
-        sys.stderr.write("error: %s\n" % (exc,))
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
-        sys.stderr.write("error: %s\n" % (exc,))
-        return 2
-    except OSError as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
+        # ExpressionError is a ValueError
         sys.stderr.write("error: %s\n" % (exc,))
         return 2
 

@@ -218,7 +218,7 @@ def invariant_basis(q, d):
     coordinate vectors spanning the kernel of the rotation Lie derivative.
     """
     cell = rotation_matrix(q, d)
-    _, vectors = linalg.kernel_basis(cell.columns, len(cell.source))
+    _, vectors = linalg.kernel_basis(cell.columns)
     return cell.source, vectors
 
 

@@ -8,7 +8,8 @@ kernels, and cohomology representatives downstream are deterministic.
 The elimination itself is fraction-free: rows are scaled to integers, kept
 primitive by their gcd, and divided by their pivot only when the echelon is
 returned.  `kernel_and_image` gets the rank, the reduced kernel and a basis
-of the image of a map from one such elimination.
+of the image of a map from one such elimination; kernel bases and solves
+are read off that same routine.
 """
 
 from fractions import Fraction
@@ -108,35 +109,26 @@ def rank(columns):
     return len(pivots)
 
 
-def kernel_basis(columns, ncols):
+def kernel_basis(columns):
     """Canonical basis of {v : sum_j v[j] columns[j] = 0}.
 
-    Built from the reduced echelon form of the rows of the matrix, one vector
-    per free column, normalized to coprime integers with positive leading
-    entry.  (rank, basis) is returned; rank + len(basis) == ncols.
+    The kernel of `kernel_and_image` run on the columns in reverse order,
+    which reduces the rows in their own column order: one vector per free
+    column, the only basis vector nonzero at its highest coordinate, scaled
+    to coprime integers with positive leading entry.  (rank, basis) is
+    returned; rank + len(basis) == len(columns).
     """
-    rows = {}
-    for j, col in enumerate(columns):
-        for i, c in col.items():
-            rows.setdefault(i, {})[j] = c
-    pivots, echelon = rref(rows.values())
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = {free: Fraction(1)}
-        for pivot, row in zip(pivots, echelon):
-            coeff = row.get(free)
-            if coeff:
-                vec[pivot] = -coeff
-        basis.append(integer_normalize(vec))
-    return len(pivots), basis
+    last = len(columns) - 1
+    rk, _, kernel, _ = kernel_and_image(columns[::-1])
+    basis = [integer_normalize({last - j: c for j, c in vec.items()})
+             for vec in reversed(kernel)]
+    return rk, basis
 
 
 def kernel_and_image(columns):
     """Rank, reduced kernel and image basis of a matrix from one `rref`.
 
+    This is where columns become rows and a kernel is read off an echelon.
     The rows are reduced with column j placed at n-1-j, so each echelon row
     leads at its highest original column.  The kernel then comes out in
     reduced echelon form: one vector per free column j, 1 at j and the
@@ -164,20 +156,12 @@ def kernel_and_image(columns):
 
 
 def integer_normalize(vec):
-    """Scale to coprime integer entries with a positive leading coefficient."""
+    """Scale to coprime integer entries, positive at the lowest index."""
     if not vec:
         return {}
-    lead = min(vec)
-    denom_lcm = 1
-    for c in vec.values():
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    scaled = {i: c * denom_lcm for i, c in vec.items()}
-    num_gcd = 0
-    for c in scaled.values():
-        num_gcd = gcd(num_gcd, abs(c.numerator))
-    sign = -1 if scaled[lead] < 0 else 1
-    factor = Fraction(sign, num_gcd) if num_gcd else Fraction(sign)
-    return {i: c * factor for i, c in scaled.items()}
+    row = _primitive(_integer_row(vec))
+    sign = -1 if row[min(row)] < 0 else 1
+    return {i: Fraction(sign * c) for i, c in row.items()}
 
 
 def matvec(columns, vec):
@@ -203,23 +187,14 @@ def compose(outer_columns, inner_columns):
 def solve_combination(columns, target):
     """Coefficients expressing target as a combination of columns, or None.
 
-    When the columns are linearly independent the solution is unique.
+    `kernel_and_image` of the target followed by the columns in reverse
+    order reduces the rows [columns | target]: the target lies in the span
+    exactly when its column is free, and the kernel vector led there,
+    negated, holds the coefficients (zero at the free columns).  When the
+    columns are linearly independent the solution is unique.
     """
-    rows = {}
-    for j, col in enumerate(columns):
-        for i, c in col.items():
-            rows.setdefault(i, {})[j] = c
-    rhs_col = len(columns)
-    for i, c in target.items():
-        if c:
-            rows.setdefault(i, {})[rhs_col] = c
-    pivots, echelon = rref(rows.values())
-    coeffs = {}
-    for pivot, row in zip(pivots, echelon):
-        if pivot == rhs_col:
-            return None  # inconsistent system
-        value = row.get(rhs_col)
-        if value:
-            coeffs[pivot] = value
-    # back-substitution is already done by rref; free columns get zero
-    return coeffs
+    last = len(columns)
+    _, kernel_pivots, kernel, _ = kernel_and_image([target, *columns[::-1]])
+    if not kernel_pivots or kernel_pivots[0]:
+        return None  # inconsistent system
+    return {last - j: -c for j, c in kernel[0].items() if j}

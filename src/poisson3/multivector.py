@@ -247,10 +247,6 @@ class Polynomial:
             return len(degrees) <= 1
         return degrees <= {degree}
 
-    def sorted_terms(self):
-        """Terms with the leading monomial first."""
-        return sorted(self.terms.items(), key=lambda item: monomial_key(item[0]), reverse=True)
-
     def __repr__(self):
         return "Polynomial(%r)" % (self.terms,)
 
@@ -421,7 +417,9 @@ class MultiVector:
             if not poly:
                 continue
             q, idx, sign = _FROM_SUBSET[subset]
-            assert q == degree
+            if q != degree:
+                raise RuntimeError(
+                    "symbol subset %r has degree %d, expected %d" % (subset, q, degree))
             data[idx] = poly if sign == 1 else -poly
         return cls(degree, data)
 

@@ -14,7 +14,7 @@ import json
 
 from . import linalg
 from .cohomology import cohomology_table, coboundary_witness
-from .complexes import GradedBasis, differential_matrix
+from .complexes import GradedBasis, differential_matrix, poisson_differential
 from .expressions import parse_multivector, format_multivector
 from .multivector import (
     MultiVector,
@@ -297,13 +297,12 @@ class Report:
 
 def _check_generators(pi, table, q, d, exprs, mismatches):
     basis = GradedBasis(q, d)
-    out_cell = differential_matrix(pi, q, d)
-    image = list(differential_matrix(pi, q - 1, d).columns) if q > 0 else []
     cell = table.cell(q, d)
     coords = []
     for text in exprs:
-        vec = basis.decompose(parse_multivector(text))
-        if out_cell.apply(vec):
+        generator = parse_multivector(text)
+        vec = basis.decompose(generator)
+        if not poisson_differential(pi, generator).is_zero():
             mismatches.append(
                 "generator %r at (q=%d, d=%d) is not closed" % (text, q, d))
             return
@@ -313,14 +312,18 @@ def _check_generators(pi, table, q, d, exprs, mismatches):
             "generator count at (q=%d, d=%d): fixture lists %d, dim H is %d"
             % (q, d, len(coords), cell.dim_h))
         return
-    base = cell.rank_in
-    if linalg.rank(image + coords) != base + len(coords):
+    image = list(differential_matrix(pi, q - 1, d).columns) if q > 0 else []
+    pivots, echelon = linalg.rref(image + coords)
+    if len(pivots) != cell.rank_in + len(coords):
         mismatches.append(
             "generators at (q=%d, d=%d) are dependent modulo exact terms"
             % (q, d))
         return
-    stacked = image + coords + list(cell.representatives)
-    if linalg.rank(stacked) != base + cell.dim_h:
+    # as many independent generators as classes: the spans agree exactly
+    # when every representative lies in the span of the generators and the
+    # exact terms
+    if any(linalg.reduce_against(pivots, echelon, rep)
+           for rep in cell.representatives):
         mismatches.append(
             "generator span at (q=%d, d=%d) differs from computed classes"
             % (q, d))

@@ -290,6 +290,20 @@ def test_bad_tau_is_domain_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv, option, value", [
+    (("cohomology", "--algebra", "book", "--tau", "1/0", "--dmax", "2"), "--tau", "1/0"),
+    (("show", "--algebra", "spiral", "--tau", "half"), "--tau", "half"),
+    (("resonances", "--tau", "1", "--c", "1/0", "--dmax", "3"), "--c", "1/0"),
+    (("cohomology", "--algebra", "heisenberg", "--dmax", "2", "--q", "a"), "--q", "a"),
+    (("cohomology", "--algebra", "heisenberg", "--dmax", "2", "--q", "1,4"), "--q", "1,4"),
+], ids=["tau_zero_denominator", "tau_word", "c_zero_denominator", "q_word", "q_range"])
+def test_malformed_option_names_the_option(capsys, argv, option, value):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "error: argument %s:" % option in err
+    assert repr(value) in err
+
+
 def test_parse_error_reports_position(capsys):
     code, _, err = run(capsys, "schouten", "x ++ y", "z")
     assert code == 2

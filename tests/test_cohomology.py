@@ -124,7 +124,7 @@ def test_one_reduction_gives_kernel_and_image_echelons(algebra):
             rank_out, ker_pivots, ker_echelon, image = linalg.kernel_and_image(columns)
             assert rank_out == len(image)
             assert (ker_pivots, ker_echelon) == linalg.rref(
-                linalg.kernel_basis(columns, len(columns))[1])
+                linalg.kernel_basis(columns)[1])
             assert linalg.rref(image) == linalg.rref(columns)
 
 

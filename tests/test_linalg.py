@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 from helpers import reference_rref
 
@@ -37,14 +38,14 @@ def _det2(m):
 def test_identity_matrix():
     cols = _columns_from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert rank(cols) == 3
-    rk, kern = kernel_basis(cols, 3)
+    rk, kern = kernel_basis(cols)
     assert rk == 3 and kern == []
 
 
 def test_zero_matrix_four_by_five():
     cols = [{} for _ in range(5)]
     assert rank(cols) == 0
-    rk, kern = kernel_basis(cols, 5)
+    rk, kern = kernel_basis(cols)
     assert rk == 0
     assert len(kern) == 5
     assert kern == [{j: Fraction(1)} for j in range(5)]
@@ -52,7 +53,7 @@ def test_zero_matrix_four_by_five():
 
 def test_rank_one_matrix_with_kernel():
     cols = _columns_from_rows([[1, 2], [2, 4]])
-    rk, kern = kernel_basis(cols, 2)
+    rk, kern = kernel_basis(cols)
     assert rk == 1
     assert len(kern) == 1
     # kernel spanned by (2, -1), integer normalized with positive leading entry
@@ -81,7 +82,7 @@ def test_kernel_vectors_annihilate_matrix():
                 if rng.random() < 0.4:
                     col[i] = Fraction(rng.randint(-5, 5))
             cols.append({i: v for i, v in col.items() if v})
-        rk, kern = kernel_basis(cols, ncols)
+        rk, kern = kernel_basis(cols)
         # rank-nullity over an exact field
         assert rk + len(kern) == ncols
         assert rk == rank(cols)
@@ -192,9 +193,72 @@ def test_kernel_and_image_agrees_with_separate_reductions():
             columns.append(dict(rng.choice(columns)))
         rk, ker_pivots, ker_echelon, image = kernel_and_image(columns)
         assert rk == rank(columns) == len(image)
-        assert (ker_pivots, ker_echelon) == rref(kernel_basis(columns, len(columns))[1])
+        assert (ker_pivots, ker_echelon) == rref(kernel_basis(columns)[1])
         assert rref(image) == rref(columns)
         assert all(any(col is c for c in columns) for col in image)
+
+
+def _reference_kernel(columns):
+    """Kernel basis read off `reference_rref` of the rows, one per free column,
+    scaled to coprime integers with a positive lowest entry."""
+    rows = [{j: col[i] for j, col in enumerate(columns) if col.get(i)}
+            for i in sorted({i for col in columns for i in col})]
+    pivots, echelon = reference_rref(rows)
+    basis = []
+    for free in range(len(columns)):
+        if free in pivots:
+            continue
+        vec = {free: Fraction(1)}
+        vec.update({p: -row[free] for p, row in zip(pivots, echelon) if row.get(free)})
+        scale = lcm(*(c.denominator for c in vec.values()))
+        ints = {i: c * scale for i, c in vec.items()}
+        g = gcd(*(int(c) for c in ints.values()))
+        sign = 1 if ints[min(ints)] > 0 else -1
+        basis.append({i: c * sign / g for i, c in ints.items()})
+    return len(pivots), basis
+
+
+def _dependent_columns(rng):
+    """Random rational columns with zero, duplicate and combined columns."""
+    columns = _random_rows(rng, rng.randint(1, 6), rng.randint(0, 6))
+    for _ in range(rng.randint(0, 3)):
+        pick = rng.random()
+        if pick < 0.3:
+            columns.append({})
+        elif columns and pick < 0.6:
+            columns.append(dict(rng.choice(columns)))
+        elif columns:
+            a, b = rng.choice(columns), rng.choice(columns)
+            columns.append(matvec([a, b], {0: Fraction(2), 1: Fraction(-1, 3)}))
+    rng.shuffle(columns)
+    return columns
+
+
+def test_kernel_basis_matches_reference_oracle():
+    rng = random.Random(131)
+    cases = [[], [{}], [{} for _ in range(4)]]
+    cases += [_dependent_columns(rng) for _ in range(150)]
+    for columns in cases:
+        assert kernel_basis(columns) == _reference_kernel(columns)
+
+
+def test_solve_combination_on_dependent_columns():
+    rng = random.Random(137)
+    for _ in range(150):
+        columns = _dependent_columns(rng)
+        if rng.random() < 0.5:
+            coeffs = {j: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                      for j in range(len(columns))}
+            target = matvec(columns, coeffs)
+        else:
+            target = _random_rows(rng, 1, 7)[0]
+        combo = solve_combination(columns, target)
+        rank_before = len(reference_rref(columns)[0])
+        rank_after = len(reference_rref(columns + [target])[0])
+        assert (combo is None) == (rank_after > rank_before)
+        if combo is not None:
+            assert matvec(columns, combo) == target
+            assert all(c for c in combo.values())
 
 
 def test_compose_matches_manual_product():

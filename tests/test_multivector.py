@@ -260,3 +260,9 @@ def test_multivector_evaluation_random():
         lhs = (a + b).evaluate(pt)
         rhs = tuple(x + y for x, y in zip(a.evaluate(pt), b.evaluate(pt)))
         assert tuple(lhs) == rhs
+
+
+def test_symbol_subset_of_wrong_degree_raises_runtime_error():
+    # the degree check must survive python -O
+    with pytest.raises(RuntimeError, match="expected 1"):
+        MultiVector._from_xi(1, {(0, 1): X})

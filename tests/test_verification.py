@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from poisson3 import verification
+from poisson3.complexes import GradedBasis
 from poisson3 import (
     Algebra,
     FIXTURE_IDS,
     MultiVector,
     Polynomial,
     available_ids,
+    cohomology_table,
     deformation_identity_check,
     expected_modular_field,
     expected_table,
@@ -142,6 +145,47 @@ def test_verify_rejects_out_of_range_dmax():
         verify("hyperbolic_2_3", expect.dmax_min - 1)
     with pytest.raises(ValueError, match="must lie in"):
         verify("hyperbolic_2_3", expect.dmax_table + 1)
+
+
+def _patch_heisenberg_generators(monkeypatch, exprs):
+    """Serve the heisenberg fixture with the (q=1, d=1) generators replaced."""
+    raw = load_fixture("heisenberg")
+    for entry in raw["generators"]:
+        if (entry["q"], entry["d"]) == (1, 1):
+            entry["exprs"] = exprs
+    monkeypatch.setattr(verification, "load_fixture", lambda fixture_id: raw)
+
+
+@pytest.mark.parametrize("exprs, mismatch", [
+    (["x*dx + z*dz", "x*dz", "x*dx - y*dy", "y*dx"],
+     "generator 'x*dz' at (q=1, d=1) is not closed"),
+    (["x*dx + z*dz", "x*dy", "x*dx - y*dy"],
+     "generator count at (q=1, d=1): fixture lists 3, dim H is 4"),
+    (["x*dx + z*dz", "x*dy", "x*dx - y*dy", "x*dy + x*dx - y*dy"],
+     "generators at (q=1, d=1) are dependent modulo exact terms"),
+], ids=["not_closed", "count", "dependent"])
+def test_verify_reports_bad_generators(monkeypatch, exprs, mismatch):
+    _patch_heisenberg_generators(monkeypatch, exprs)
+    report = verify("heisenberg", 4)
+    assert not report.passed
+    assert report.mismatches == (mismatch,)
+    assert "  MISMATCH " + mismatch in report.lines()
+
+
+def test_verify_reports_span_of_corrupted_representative(monkeypatch):
+    # a representative that is not even closed cannot lie in the span of the
+    # generators and the exact terms
+    def corrupted_table(pi, dmax):
+        table = cohomology_table(pi, dmax)
+        cell = table.cell(1, 1)
+        cell.representatives = [GradedBasis(1, 1).decompose(mv("x*dz"))] + \
+            cell.representatives[1:]
+        return table
+
+    monkeypatch.setattr(verification, "cohomology_table", corrupted_table)
+    report = verify("heisenberg", 4)
+    assert report.mismatches == (
+        "generator span at (q=1, d=1) differs from computed classes",)
 
 
 # ---------------------------------------------------------------- deformation

@@ -22,6 +22,11 @@ from .multivector import modular_vector_field, schouten_bracket
 from .registry import KINDS, Algebra, jacobi_defect, linear_poisson, structure_constants
 from .verification import FIXTURE_IDS, modular_class_check, verify
 
+# most cochains the full table of a --dmax may span; that count is
+# sum over q and d <= dmax of binom(3, q) (d+1)(d+2)/2 = 8 binom(dmax+3, 3),
+# which first exceeds the budget at dmax 89
+COCHAIN_BUDGET = 1_000_000
+
 # schema for the JSON table documents emitted by cohomology verbs
 TABLE_SCHEMA = {
     "type": "object",
@@ -229,10 +234,19 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
+def _check_budget(dmax):
+    cochains = 4 * (dmax + 1) * (dmax + 2) * (dmax + 3) // 3
+    if cochains > COCHAIN_BUDGET:
+        raise ValueError(
+            "dmax %d spans %d cochains, over the budget of %d"
+            % (dmax, cochains, COCHAIN_BUDGET))
+
+
 def _run_table(args, invariant):
     algebra = _algebra(args)
     if args.dmax < 0:
         raise ValueError("dmax must be nonnegative")
+    _check_budget(args.dmax)
     table = cohomology_table(linear_poisson(algebra), args.dmax, invariant)
     doc = _table_document(algebra, table, args.q)
     if args.format == "json":
@@ -246,6 +260,7 @@ def _run_table(args, invariant):
 
 
 def _run_verify(args):
+    _check_budget(args.dmax)
     report = verify(args.fixture_id, args.dmax)
     if args.format == "json":
         doc = {

@@ -6,15 +6,24 @@ multivector degree q and coefficient degree d the span of basis cochains
 a map between neighbouring q at fixed d.  This module enumerates those bases
 and builds the exact matrices of the differential and of Lie-derivative
 operators; the cohomology module reduces them.
+
+The matrices are read off a closed-form stencil of the linear operator
+(`linear_operator_matrix`): no bracket is computed per column.
+`operator_matrix`, one Schouten bracket per column, is kept as the
+independent route the stencil is tested against.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .multivector import (
     MultiVector,
     NCOMP,
     Polynomial,
+    _FROM_SUBSET,
+    _TO_SUBSET,
+    _merge_subsets,
     monomial_key,
     schouten_bracket,
 )
@@ -142,6 +151,95 @@ def operator_matrix(operator, q, d):
     return OperatorCell(source, target, columns)
 
 
+def _right_derivatives(subset):
+    """(symbol, remaining subset, sign) for each symbol of an odd monomial."""
+    last = len(subset) - 1
+    return [(i, subset[:pos] + subset[pos + 1:], -1 if (last - pos) % 2 else 1)
+            for pos, i in enumerate(subset)]
+
+
+def _stencil(operator, q):
+    """Closed form of V -> [operator, V] on the degree-q components.
+
+    The operator is a sum of terms c x_k xi_S over anticommuting symbols,
+    and [A, B] = A*B - (-1)^((a-1)(b-1)) B*A with A*B as in `multivector`.
+    On B = x^m xi_T, the A*B part strips xi_i from S and differentiates
+    x^m, a term at x^(m + e_k - e_i) with coefficient linear in m_i; the B*A
+    part strips xi_i from T and differentiates x_k, a constant at x^m when
+    i == k.  Summed per (target component, monomial shift), each coefficient
+    is an affine form a . m + b.
+
+    Returns ({source idx: [(target idx, shift, (ax, ay, az, b))]}, den): the
+    forms are integers over the common denominator den.  Raises DegreeError
+    unless every coefficient of the operator is homogeneous linear.
+    """
+    terms = []
+    for idx, poly in operator.components.items():
+        subset, sign = _TO_SUBSET[(operator.degree, idx)]
+        for mono, coeff in poly.terms.items():
+            if sum(mono) != 1:
+                raise DegreeError(
+                    "operator coefficient monomial %r is not linear" % (mono,))
+            terms.append((subset, mono.index(1), sign * coeff))
+    b_sign = 1 if (operator.degree - 1) * (q - 1) % 2 else -1
+    forms = {}  # (source idx, target idx, shift) -> [ax, ay, az, b]
+
+    def add(idx, left, right, coeff, shift, slot):
+        merged = _merge_subsets(left, right)
+        if merged is not None:
+            subset, merge_sign = merged
+            _, target_idx, target_sign = _FROM_SUBSET[subset]
+            form = forms.setdefault((idx, target_idx, shift), [0, 0, 0, 0])
+            form[slot] += merge_sign * target_sign * coeff
+
+    for idx in range(NCOMP[q]):
+        source, source_sign = _TO_SUBSET[(q, idx)]
+        for subset, k, c in terms:
+            c *= source_sign
+            for i, rest, sign in _right_derivatives(subset):  # A*B
+                add(idx, rest, source, sign * c, tuple((j == k) - (j == i) for j in range(3)), i)
+            for i, rest, sign in _right_derivatives(source):  # B*A
+                if i == k:
+                    add(idx, rest, subset, b_sign * sign * c, (0, 0, 0), 3)
+    den = lcm(*(Fraction(v).denominator for form in forms.values() for v in form))
+    table = {idx: [] for idx in range(NCOMP[q])}
+    for (idx, target_idx, shift), form in forms.items():
+        if any(form):
+            table[idx].append((target_idx, shift, tuple(int(v * den) for v in form)))
+    return table, den
+
+
+def linear_operator_matrix(operator, q, d):
+    """Matrix of V -> [operator, V] on the (q, d) basis, for a linear operator.
+
+    The same matrix as `operator_matrix`, read off `_stencil`: the column of
+    x^m xi_idx holds a . m + b over den at row x^(m + shift) xi_target for
+    each stencil entry, skipped where that value is 0 (which includes every
+    shift that would lower a zero exponent).  Raises DegreeError unless the
+    operator's coefficients are all homogeneous linear; the zero operator is.
+    """
+    source = GradedBasis(q, d)
+    out_q = q + operator.degree - 1
+    if not 0 <= out_q <= 3:
+        raise ValueError("operator maps degree %d outside 0..3" % (q,))
+    target = GradedBasis(out_q, d)
+    table, den = _stencil(operator, q)
+    rows = target._index
+    values = {}
+    columns = []
+    for idx, (mx, my, mz) in source.elements:
+        col = {}
+        for target_idx, (sx, sy, sz), (ax, ay, az, b) in table[idx]:
+            c = ax * mx + ay * my + az * mz + b
+            if c:
+                value = values.get(c)
+                if value is None:
+                    value = values[c] = Fraction(c, den)
+                col[rows[(target_idx, (mx + sx, my + sy, mz + sz))]] = value
+        columns.append(col)
+    return OperatorCell(source, target, columns)
+
+
 def differential_matrix(pi, q, d):
     """Matrix of the complex differential [pi, .] : (q, d) -> (q+1, d).
 
@@ -153,7 +251,7 @@ def differential_matrix(pi, q, d):
     source = GradedBasis(q, d)
     if q == 3:
         return OperatorCell(source, GradedBasis(3, d), [{} for _ in range(len(source))])
-    return operator_matrix(pi, q, d)
+    return linear_operator_matrix(pi, q, d)
 
 
 def poisson_differential(pi, value):
@@ -208,7 +306,7 @@ def rotation_field():
 
 def rotation_matrix(q, d):
     """Matrix of the Lie derivative along the rotation field on (q, d)."""
-    return operator_matrix(rotation_field(), q, d)
+    return linear_operator_matrix(rotation_field(), q, d)
 
 
 def invariant_basis(q, d):

@@ -103,12 +103,6 @@ def reduce_against(pivots, echelon, vec):
     return _clean(out)
 
 
-def rank(columns):
-    """Rank of a matrix given as a list of sparse columns."""
-    pivots, _ = rref(columns)
-    return len(pivots)
-
-
 def kernel_basis(columns):
     """Canonical basis of {v : sum_j v[j] columns[j] = 0}.
 
@@ -177,11 +171,6 @@ def matvec(columns, vec):
             elif i in out:
                 del out[i]
     return out
-
-
-def compose(outer_columns, inner_columns):
-    """Columns of outer @ inner (columns of inner mapped through outer)."""
-    return [matvec(outer_columns, col) for col in inner_columns]
 
 
 def solve_combination(columns, target):

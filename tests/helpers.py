@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from poisson3 import MultiVector, Polynomial
+from poisson3.linalg import matvec, rref
 
 
 def random_polynomial(rng, max_degree, terms=3):
@@ -40,6 +41,17 @@ def random_multivector(rng, degree, max_coeff_degree):
     if degree == 2:
         return MultiVector.bivector(*comps)
     return MultiVector.trivector(comps[0])
+
+
+def rank(columns):
+    """Rank of a matrix given as a list of sparse columns."""
+    pivots, _ = rref(columns)
+    return len(pivots)
+
+
+def compose(outer_columns, inner_columns):
+    """Columns of outer @ inner (columns of inner mapped through outer)."""
+    return [matvec(outer_columns, col) for col in inner_columns]
 
 
 def random_point(rng):

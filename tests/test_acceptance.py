@@ -10,7 +10,7 @@ import json
 import random
 from fractions import Fraction
 
-from helpers import random_multivector
+from helpers import compose, random_multivector, rank
 from poisson3 import (
     Algebra,
     GradedBasis,
@@ -33,7 +33,6 @@ from poisson3 import (
 )
 from poisson3 import expected_table, load_fixture
 from poisson3.cli import main as cli_main
-from poisson3.linalg import compose, rank
 from poisson3.verification import FIXTURE_IDS
 
 F = Fraction

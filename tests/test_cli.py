@@ -233,6 +233,34 @@ def test_verify_rejects_out_of_range_dmax(capsys):
     assert "must lie in" in err
 
 
+BUDGET_VERBS = [
+    ("cohomology", "cohomology_table", ["--algebra", "abelian"]),
+    ("invariant-cohomology", "cohomology_table", ["--algebra", "euclidean"]),
+    ("verify", "verify", ["--id", "heisenberg"]),
+]
+
+
+@pytest.mark.parametrize("verb, engine, opts", BUDGET_VERBS, ids=[v[0] for v in BUDGET_VERBS])
+def test_dmax_past_the_cochain_budget_is_rejected(capsys, monkeypatch, verb, engine, opts):
+    import poisson3.cli as cli_mod
+
+    reached = []
+
+    def stub(source, dmax, *rest):
+        reached.append(dmax)
+        raise ValueError("stopped before the engine ran")
+
+    monkeypatch.setattr(cli_mod, engine, stub)
+    code, out, err = run(capsys, verb, *opts, "--dmax", "88")
+    # 8 * binom(91, 3) = 971,880 cochains: within the budget, so the engine is called
+    assert (code, reached, out) == (2, [88], "")
+    assert "stopped before the engine ran" in err
+
+    code, out, err = run(capsys, verb, *opts, "--dmax", "89")
+    assert (code, reached, out) == (2, [88], "")
+    assert err == "error: dmax 89 spans 1004640 cochains, over the budget of 1000000\n"
+
+
 # ---------------------------------------------------------------- small verbs
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import rank
 from poisson3 import (
     Algebra,
     GradedBasis,
@@ -23,7 +24,6 @@ from poisson3 import (
 )
 from poisson3 import cohomology as cohomology_module
 from poisson3 import linalg
-from poisson3.linalg import rank
 
 BOOK1 = Algebra("book", Fraction(1))
 

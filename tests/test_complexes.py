@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_multivector
+from helpers import compose, random_multivector, rank
 from poisson3 import (
     Algebra,
     DegreeError,
@@ -13,10 +13,13 @@ from poisson3 import (
     KINDS,
     MultiVector,
     Polynomial,
+    StructureConstants,
     closed_form_differential,
+    cohomology_table,
     differential_matrix,
     invariant_basis,
     invariant_multivectors,
+    jacobi_defect,
     linear_poisson,
     monomials,
     operator_matrix,
@@ -24,9 +27,10 @@ from poisson3 import (
     poisson_differential,
     rotation_field,
     schouten_bracket,
+    structure_constants,
 )
-from poisson3.complexes import rotation_matrix
-from poisson3.linalg import compose, rank
+from poisson3 import complexes
+from poisson3.complexes import linear_operator_matrix, rotation_matrix
 
 ALGEBRAS = tuple(
     Algebra(kind, Fraction(1, 2)) if kind in ("book", "spiral") else Algebra(kind)
@@ -130,6 +134,127 @@ def test_differential_requires_linear_bivector():
         differential_matrix(mv("x*dx"), 0, 1)
     with pytest.raises(DegreeError):
         differential_matrix(mv("z^2*dx^dy"), 0, 1)
+    # rejected up front, even where every bracket vanishes (a constant
+    # bivector on the constants)
+    for text in ("dx^dy", "x*dy^dz + z^2*dx^dy"):
+        for d in (0, 1):
+            for q in range(3):
+                with pytest.raises(DegreeError):
+                    differential_matrix(mv(text), q, d)
+
+
+def test_zero_operator_counts_as_linear():
+    for degree in range(4):
+        for q in range(4):
+            if 0 <= q + degree - 1 <= 3:
+                cell = linear_operator_matrix(MultiVector.zero(degree), q, 2)
+                assert cell.ncols == len(GradedBasis(q, 2))
+                assert all(col == {} for col in cell.columns)
+    with pytest.raises(ValueError):
+        linear_operator_matrix(rotation_field(), 0, -1)
+    with pytest.raises(ValueError):
+        linear_operator_matrix(MultiVector.zero(3), 2, 1)
+
+
+def _conjugated(constants, rng):
+    """Constants of the same algebra in the basis f_a = sum_i P[i][a] e_i.
+
+    P is a random product of integer shears, sign flips and swaps, so it lies
+    in GL3(Z) and the new constants are integer combinations of the old.
+    """
+    p = [[int(i == j) for j in range(3)] for i in range(3)]
+    for _ in range(6):
+        i, j = rng.sample(range(3), 2)
+        move = rng.choice(("shear", "flip", "swap"))
+        for row in p:
+            if move == "shear":
+                row[j] += rng.choice((-2, -1, 1, 2)) * row[i]
+            elif move == "flip":
+                row[j] = -row[j]
+            else:
+                row[i], row[j] = row[j], row[i]
+    det = sum(p[0][j] * (p[1][(j + 1) % 3] * p[2][(j + 2) % 3]
+                         - p[1][(j + 2) % 3] * p[2][(j + 1) % 3]) for j in range(3))
+    # inverse through the adjugate; det is +-1
+    inverse = [[Fraction(p[(j + 1) % 3][(i + 1) % 3] * p[(j + 2) % 3][(i + 2) % 3]
+                         - p[(j + 1) % 3][(i + 2) % 3] * p[(j + 2) % 3][(i + 1) % 3], det)
+                for j in range(3)] for i in range(3)]
+    assert all(sum(p[i][k] * inverse[k][j] for k in range(3)) == (i == j)
+               for i in range(3) for j in range(3))
+    entries = {}
+    for a in range(3):
+        for b in range(a + 1, 3):
+            for c in range(3):
+                entries[(a, b, c)] = sum(
+                    inverse[c][k] * p[i][a] * p[j][b] * constants.get(i, j, k)
+                    for i in range(3) for j in range(3) for k in range(3))
+    return StructureConstants(entries)
+
+
+def _random_linear_operator(rng, degree):
+    comps = []
+    for _ in range(3):
+        poly = Polynomial.zero()
+        for k in rng.sample(range(3), rng.randint(0, 3)):
+            coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+            poly = poly + Polynomial.monomial(tuple(int(j == k) for j in range(3)), coeff)
+        comps.append(poly)
+    return MultiVector(degree, comps[:(1, 3, 3, 1)[degree]])
+
+
+def _assert_same_columns(ours, oracle):
+    assert ours.source.elements == oracle.source.elements
+    assert ours.target.elements == oracle.target.elements
+    assert ours.columns == oracle.columns
+    assert all(type(value) is Fraction for col in ours.columns for value in col.values())
+
+
+def test_stencil_matches_bracket_oracle():
+    rng = random.Random(233)
+    bivectors = [linear_poisson(alg) for alg in ALGEBRAS]
+    for _ in range(3):
+        book = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(9, 15))
+        spiral = Fraction(rng.randint(1, 15), rng.randint(1, 9))
+        bivectors.append(linear_poisson(Algebra("book", book)))
+        bivectors.append(linear_poisson(Algebra("spiral", spiral)))
+    for alg in ALGEBRAS:
+        conjugated = _conjugated(structure_constants(alg), rng)
+        assert jacobi_defect(conjugated).is_zero()
+        bivectors.append(linear_poisson(conjugated))
+    for pi in bivectors:
+        for d in range(9):
+            for q in range(3):
+                _assert_same_columns(differential_matrix(pi, q, d), operator_matrix(pi, q, d))
+            assert all(col == {} for col in differential_matrix(pi, 3, d).columns)
+    for d in range(9):
+        for q in range(4):
+            _assert_same_columns(rotation_matrix(q, d), operator_matrix(rotation_field(), q, d))
+    for degree in range(4):
+        for _ in range(3):
+            operator = _random_linear_operator(rng, degree)
+            for q in range(4):
+                if 0 <= q + degree - 1 <= 3:
+                    for d in range(9):
+                        _assert_same_columns(linear_operator_matrix(operator, q, d),
+                                             operator_matrix(operator, q, d))
+
+
+def test_tables_build_no_bracket_per_column(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a.degree, b.degree))
+        return schouten_bracket(a, b)
+
+    monkeypatch.setattr(complexes, "schouten_bracket", counting)
+    pi = linear_poisson("euclidean")
+    full = cohomology_table(pi, 4)
+    invariant = cohomology_table(pi, 4, invariant=True)
+    assert calls == []
+    assert len(full.cells) == len(invariant.cells) == 20
+    # the counter does see the bracket route
+    operator_matrix(pi, 1, 1)
+    assert len(calls) == len(GradedBasis(1, 1))
 
 
 def test_differential_squares_to_zero_small():

@@ -4,15 +4,13 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from helpers import reference_rref
+from helpers import compose, rank, reference_rref
 
 from poisson3.linalg import (
-    compose,
     integer_normalize,
     kernel_and_image,
     kernel_basis,
     matvec,
-    rank,
     reduce_against,
     rref,
     solve_combination,

@@ -10,13 +10,15 @@ rotation-invariant subcomplex goes through the same routine with the
 differentials restricted to the invariant sub-bases
 (`cohomology_table(pi, dmax, invariant=True)`).
 
-Representatives are canonical: the kernel rows whose leading coordinate is
-not a pivot of the image echelon are kept and reduced against the image,
-then scaled to coprime integers.  Two runs over the same input produce
+The matrices are integer throughout.  Representatives are canonical: the
+kernel rows whose leading coordinate is not a pivot of the image echelon
+are kept and reduced against the image, then scaled to coprime integers and
+published as Fractions.  Two runs over the same input produce
 byte-identical output.
 """
 
 from fractions import Fraction
+from math import ceil, floor, lcm
 
 from . import linalg
 from .complexes import (
@@ -52,13 +54,9 @@ class CohomologyCell:
 def _cell(q, d, dim, reduction, in_pivots, in_echelon):
     """One cell from its outgoing reduction and the incoming image echelon."""
     rank_out, ker_pivots, ker_echelon, _ = reduction
-    reps = []
     image_pivots = set(in_pivots)
-    for pivot, row in zip(ker_pivots, ker_echelon):
-        if pivot in image_pivots:
-            continue
-        reduced = linalg.reduce_against(in_pivots, in_echelon, row)
-        reps.append(linalg.integer_normalize(reduced))
+    reps = [linalg.reduce_against(in_pivots, in_echelon, row)
+            for pivot, row in zip(ker_pivots, ker_echelon) if pivot not in image_pivots]
     cell = CohomologyCell(q, d, dim, rank_out, len(in_pivots), reps)
     if cell.dim_h != len(reps):
         raise RuntimeError(
@@ -73,9 +71,11 @@ def _restrict(columns, source_vectors, target_vectors):
 
     The target vectors come from `kernel_basis`, so each is the only one
     that is nonzero at its highest coordinate: an image's coefficients are
-    read off those coordinates, then checked by mapping them back.
+    read off those coordinates, then checked by mapping them back, all
+    scaled by the lcm of the entries there, which keeps them integer.
     """
     tops = [(max(vec), vec[max(vec)]) for vec in target_vectors]
+    scale = lcm(*(lead for _, lead in tops))
     out = []
     for vec in source_vectors:
         image = linalg.matvec(columns, vec)
@@ -83,8 +83,8 @@ def _restrict(columns, source_vectors, target_vectors):
         for k, (top, lead) in enumerate(tops):
             value = image.get(top)
             if value:
-                coeffs[k] = value / lead
-        if linalg.matvec(target_vectors, coeffs) != image:
+                coeffs[k] = value * (scale // lead)
+        if linalg.matvec(target_vectors, coeffs) != {i: scale * c for i, c in image.items()}:
             raise ValueError("operator does not preserve the invariant subspace")
         out.append(coeffs)
     return out
@@ -108,7 +108,7 @@ def _degree_cells(pi, d, invariant):
     independent columns whose echelon is its image.  On the invariant
     subcomplex each differential is first restricted to the invariant
     sub-bases, and representatives are mapped back to ambient (q, d)
-    coordinates.
+    coordinates; only then is each one normalised and boxed into Fractions.
     """
     if invariant:
         vectors = [invariant_basis(q, d)[1] for q in range(4)]
@@ -126,12 +126,14 @@ def _degree_cells(pi, d, invariant):
         cells.append(_cell(q, d, len(cols), reduction, in_pivots, in_echelon))
         if q < 3:
             in_pivots, in_echelon = linalg.rref(reduction[3])
-    if invariant:
-        for cell, vecs in zip(cells, vectors):
-            cell.representatives = [
-                linalg.integer_normalize(linalg.matvec(vecs, rep))
-                for rep in cell.representatives
-            ]
+    for q, cell in enumerate(cells):
+        reps = cell.representatives
+        if invariant:
+            reps = [linalg.matvec(vectors[q], rep) for rep in reps]
+        cell.representatives = [
+            {i: Fraction(c) for i, c in linalg.integer_normalize(rep).items()}
+            for rep in reps
+        ]
     return cells
 
 
@@ -227,23 +229,35 @@ def coboundary_witness(pi, target):
         return None
     cell = differential_matrix(pi, target.degree - 1, d)
     coords = cell.target.decompose(target)
-    combo = linalg.solve_combination(cell.columns, coords)
+    # the columns are den * d: columns * y = scale * target means d(y den / scale) = target
+    scale = lcm(*(c.denominator for c in coords.values()))
+    combo = linalg.solve_combination(cell.columns, {i: int(c * scale) for i, c in coords.items()})
     if combo is None:
         return None
-    return cell.source.reconstruct(combo)
+    return cell.source.reconstruct({j: c * cell.den / scale for j, c in combo.items()})
 
 
 def resonances(tau, c, dmax):
     """Exponent pairs (i, j) with i + tau*j == c and i + j <= dmax.
 
     i, j are nonnegative integers; pairs are listed by increasing j.  For
-    each j there is at most one i, so the enumeration is immediate.
+    each j there is at most one i, c - tau*j, which is an integer only on
+    one residue class of j modulo the denominator of tau; the bounds i >= 0
+    and i + j <= dmax are linear in j and confine it to an interval, so only
+    the pairs themselves are visited.
     """
     tau = Fraction(tau)
     c = Fraction(c)
-    out = []
-    for j in range(dmax + 1):
-        i = c - tau * j
-        if i.denominator == 1 and i >= 0 and i + j <= dmax:
-            out.append((int(i), j))
-    return out
+    p, q = tau.numerator, tau.denominator
+    if (c * q).denominator != 1:
+        return []
+    lo, hi = 0, dmax
+    for slope, bound in ((tau, c), (1 - tau, dmax - c)):  # slope * j <= bound
+        if slope > 0:
+            hi = min(hi, floor(bound / slope))
+        elif slope < 0:
+            lo = max(lo, ceil(bound / slope))
+        elif bound < 0:
+            return []
+    lo += (int(c * q) * pow(p, -1, q) - lo) % q
+    return [(int(c - tau * j), j) for j in range(lo, hi + 1, q)]

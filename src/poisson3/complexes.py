@@ -110,25 +110,19 @@ class GradedBasis:
 
 
 class OperatorCell:
-    """Matrix of a graded operator on one (q, d) cochain space."""
+    """Matrix of a graded operator on one (q, d) cochain space.
 
-    __slots__ = ("source", "target", "columns")
+    The matrix is columns / den: int columns for the stencil-built cells,
+    Fraction columns and den 1 for the `operator_matrix` oracle.
+    """
 
-    def __init__(self, source, target, columns):
+    __slots__ = ("source", "target", "columns", "den")
+
+    def __init__(self, source, target, columns, den):
         self.source = source
         self.target = target
         self.columns = columns
-
-    @property
-    def nrows(self):
-        return len(self.target)
-
-    @property
-    def ncols(self):
-        return len(self.source)
-
-    def apply(self, coords):
-        return linalg.matvec(self.columns, coords)
+        self.den = den
 
 
 def operator_matrix(operator, q, d):
@@ -148,7 +142,7 @@ def operator_matrix(operator, q, d):
     for position in range(len(source)):
         image = schouten_bracket(operator, source.multivector(position))
         columns.append(target.decompose(image))
-    return OperatorCell(source, target, columns)
+    return OperatorCell(source, target, columns, den=1)
 
 
 def _right_derivatives(subset):
@@ -213,10 +207,11 @@ def linear_operator_matrix(operator, q, d):
     """Matrix of V -> [operator, V] on the (q, d) basis, for a linear operator.
 
     The same matrix as `operator_matrix`, read off `_stencil`: the column of
-    x^m xi_idx holds a . m + b over den at row x^(m + shift) xi_target for
-    each stencil entry, skipped where that value is 0 (which includes every
-    shift that would lower a zero exponent).  Raises DegreeError unless the
-    operator's coefficients are all homogeneous linear; the zero operator is.
+    x^m xi_idx holds the int a . m + b (over the cell's den) at row
+    x^(m + shift) xi_target for each stencil entry, skipped where that value
+    is 0 (which includes every shift that would lower a zero exponent).
+    Raises DegreeError unless the operator's coefficients are all
+    homogeneous linear; the zero operator is.
     """
     source = GradedBasis(q, d)
     out_q = q + operator.degree - 1
@@ -225,19 +220,15 @@ def linear_operator_matrix(operator, q, d):
     target = GradedBasis(out_q, d)
     table, den = _stencil(operator, q)
     rows = target._index
-    values = {}
     columns = []
     for idx, (mx, my, mz) in source.elements:
         col = {}
         for target_idx, (sx, sy, sz), (ax, ay, az, b) in table[idx]:
             c = ax * mx + ay * my + az * mz + b
             if c:
-                value = values.get(c)
-                if value is None:
-                    value = values[c] = Fraction(c, den)
-                col[rows[(target_idx, (mx + sx, my + sy, mz + sz))]] = value
+                col[rows[(target_idx, (mx + sx, my + sy, mz + sz))]] = c
         columns.append(col)
-    return OperatorCell(source, target, columns)
+    return OperatorCell(source, target, columns, den)
 
 
 def differential_matrix(pi, q, d):
@@ -250,7 +241,7 @@ def differential_matrix(pi, q, d):
         raise ValueError("differential needs a bivector, got degree %d" % (pi.degree,))
     source = GradedBasis(q, d)
     if q == 3:
-        return OperatorCell(source, GradedBasis(3, d), [{} for _ in range(len(source))])
+        return OperatorCell(source, GradedBasis(3, d), [{} for _ in range(len(source))], den=1)
     return linear_operator_matrix(pi, q, d)
 
 
@@ -313,7 +304,7 @@ def invariant_basis(q, d):
     """Canonical basis of the rotation-invariant subspace of (q, d).
 
     Returns (basis, vectors): the ambient GradedBasis and a list of sparse
-    coordinate vectors spanning the kernel of the rotation Lie derivative.
+    int vectors spanning the kernel of the rotation Lie derivative.
     """
     cell = rotation_matrix(q, d)
     _, vectors = linalg.kernel_basis(cell.columns)

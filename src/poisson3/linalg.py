@@ -1,29 +1,19 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over the integers.
 
-Vectors are dicts {index: nonzero Fraction}; matrices are lists of such
-column dicts.  Everything reduces to one canonical routine: reduced row
-echelon form, whose output is unique for a given row space, so ranks,
-kernels, and cohomology representatives downstream are deterministic.
-
-The elimination itself is fraction-free: rows are scaled to integers, kept
-primitive by their gcd, and divided by their pivot only when the echelon is
-returned.  `kernel_and_image` gets the rank, the reduced kernel and a basis
-of the image of a map from one such elimination; kernel bases and solves
-are read off that same routine.
+Vectors are dicts {index: nonzero int}; matrices are lists of such column
+dicts (rational data enters scaled by a common denominator, which changes
+no rank, kernel or span).  Everything reduces to one canonical routine,
+fraction-free elimination whose rows are primitive, positive at their
+pivot and zero at the other pivots: a form as unique as the reduced row
+echelon form, so ranks, kernels, and cohomology representatives downstream
+are deterministic.  `kernel_and_image` gets the rank, the reduced kernel and
+a basis of the image of a map from one such elimination; kernel bases and
+solves are read off that same routine.  Only `solve_combination` returns
+Fractions.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-
-
-def _clean(vec):
-    return {i: c for i, c in vec.items() if c}
-
-
-def _integer_row(row):
-    """Row scaled by the lcm of its denominators, as {index: nonzero int}."""
-    scale = lcm(*(c.denominator for c in row.values()))
-    return {i: c.numerator * (scale // c.denominator) for i, c in row.items() if c}
 
 
 def _primitive(row):
@@ -53,17 +43,17 @@ def _eliminate(row, pivot_row, col):
 
 
 def rref(rows):
-    """Reduced row echelon form of a list of sparse row vectors.
+    """Integer reduced row echelon form of a list of sparse integer rows.
 
     Returns (pivots, echelon_rows) where pivots[r] is the leading index of
-    echelon_rows[r], in increasing order.  Zero rows are dropped.  Each row
-    is inserted as integers and reduced against the pivots already found;
-    back-substitution runs from the last pivot down, and every row is
-    divided by its pivot entry at the end.
+    echelon_rows[r], in increasing order; each row is primitive, positive at
+    its pivot and zero at the other pivots.  Zero rows are dropped.  Each
+    row is copied and reduced against the pivots already found;
+    back-substitution runs from the last pivot down.
     """
     table = {}
     for row in rows:
-        row = _integer_row(row)
+        row = {i: c for i, c in row.items() if c}
         while row:
             col = min(row)
             pivot_row = table.get(col)
@@ -82,25 +72,18 @@ def rref(rows):
         for other in [i for i in row if i != col and i in table]:
             row = _eliminate(row, table[other], other)
         table[col] = row
-        lead = row[col]
-        echelon.append({i: Fraction(c, lead) for i, c in row.items()})
+        echelon.append(row)
     echelon.reverse()
     return pivots, echelon
 
 
 def reduce_against(pivots, echelon, vec):
-    """Subtract echelon rows to zero out the pivot coordinates of vec."""
-    out = dict(vec)
-    for pivot, row in zip(pivots, echelon):
-        factor = out.get(pivot)
-        if factor:
-            for i, c in row.items():
-                val = out.get(i, Fraction(0)) - factor * c
-                if val:
-                    out[i] = val
-                elif i in out:
-                    del out[i]
-    return _clean(out)
+    """Primitive multiple of vec with the pivot coordinates eliminated, {} on the span."""
+    row = {i: c for i, c in vec.items() if c}
+    for pivot, pivot_row in zip(pivots, echelon):
+        if pivot in row:
+            row = _eliminate(row, pivot_row, pivot)
+    return _primitive(row)
 
 
 def kernel_basis(columns):
@@ -108,9 +91,9 @@ def kernel_basis(columns):
 
     The kernel of `kernel_and_image` run on the columns in reverse order,
     which reduces the rows in their own column order: one vector per free
-    column, the only basis vector nonzero at its highest coordinate, scaled
-    to coprime integers with positive leading entry.  (rank, basis) is
-    returned; rank + len(basis) == len(columns).
+    column, the only basis vector nonzero at its highest coordinate, as
+    coprime ints with positive leading entry.  (rank, basis) is returned;
+    rank + len(basis) == len(columns).
     """
     last = len(columns) - 1
     rk, _, kernel, _ = kernel_and_image(columns[::-1])
@@ -124,8 +107,9 @@ def kernel_and_image(columns):
 
     This is where columns become rows and a kernel is read off an echelon.
     The rows are reduced with column j placed at n-1-j, so each echelon row
-    leads at its highest original column.  The kernel then comes out in
-    reduced echelon form: one vector per free column j, 1 at j and the
+    leads at its highest original column.  The kernel then comes out in the
+    echelon form of `rref`: one vector per free column j, led at j by the
+    lcm of the pivot entries of the rows that touch j, with the scaled and
     negated row entries at the pivot columns, which all lie above j.  The
     pivot columns themselves are independent and span the image.
 
@@ -138,24 +122,30 @@ def kernel_and_image(columns):
             rows.setdefault(i, {})[last - j] = c
     pivots, echelon = rref(rows.values())
     pivot_columns = sorted(last - p for p in pivots)
-    kernel = {j: {j: Fraction(1)} for j in range(len(columns))}
+    entries = {j: [] for j in range(len(columns))}
     for j in pivot_columns:
-        del kernel[j]
+        del entries[j]
     for pivot, row in zip(pivots, echelon):
         for k, c in row.items():
             if k != pivot:
-                kernel[last - k][last - pivot] = -c
-    return (len(pivots), list(kernel), list(kernel.values()),
+                entries[last - k].append((last - pivot, -c, row[pivot]))
+    kernel = []
+    for j, terms in entries.items():
+        scale = lcm(*(lead for _, _, lead in terms))
+        kernel.append(_primitive({j: scale, **{i: c * (scale // lead) for i, c, lead in terms}}))
+    return (len(pivots), list(entries), kernel,
             [columns[j] for j in pivot_columns])
 
 
 def integer_normalize(vec):
-    """Scale to coprime integer entries, positive at the lowest index."""
+    """Scale a rational vector to coprime ints, positive at the lowest index."""
     if not vec:
         return {}
-    row = _primitive(_integer_row(vec))
+    scale = lcm(*(c.denominator for c in vec.values()))
+    row = _primitive({i: c.numerator * (scale // c.denominator)
+                      for i, c in vec.items() if c})
     sign = -1 if row[min(row)] < 0 else 1
-    return {i: Fraction(sign * c) for i, c in row.items()}
+    return {i: sign * c for i, c in row.items()}
 
 
 def matvec(columns, vec):
@@ -165,7 +155,7 @@ def matvec(columns, vec):
         if not factor:
             continue
         for i, c in columns[j].items():
-            val = out.get(i, Fraction(0)) + factor * c
+            val = out.get(i, 0) + factor * c
             if val:
                 out[i] = val
             elif i in out:
@@ -179,11 +169,13 @@ def solve_combination(columns, target):
     `kernel_and_image` of the target followed by the columns in reverse
     order reduces the rows [columns | target]: the target lies in the span
     exactly when its column is free, and the kernel vector led there,
-    negated, holds the coefficients (zero at the free columns).  When the
-    columns are linearly independent the solution is unique.
+    negated and divided by its lead, holds the coefficients as Fractions
+    (zero at the free columns).  When the columns are linearly independent
+    the solution is unique.
     """
     last = len(columns)
     _, kernel_pivots, kernel, _ = kernel_and_image([target, *columns[::-1]])
     if not kernel_pivots or kernel_pivots[0]:
         return None  # inconsistent system
-    return {last - j: -c for j, c in kernel[0].items() if j}
+    lead = kernel[0][0]
+    return {last - j: Fraction(-c, lead) for j, c in kernel[0].items() if j}

@@ -306,7 +306,7 @@ def _check_generators(pi, table, q, d, exprs, mismatches):
             mismatches.append(
                 "generator %r at (q=%d, d=%d) is not closed" % (text, q, d))
             return
-        coords.append(vec)
+        coords.append(linalg.integer_normalize(vec))
     if len(coords) != cell.dim_h:
         mismatches.append(
             "generator count at (q=%d, d=%d): fixture lists %d, dim H is %d"
@@ -322,7 +322,7 @@ def _check_generators(pi, table, q, d, exprs, mismatches):
     # as many independent generators as classes: the spans agree exactly
     # when every representative lies in the span of the generators and the
     # exact terms
-    if any(linalg.reduce_against(pivots, echelon, rep)
+    if any(linalg.reduce_against(pivots, echelon, linalg.integer_normalize(rep))
            for rep in cell.representatives):
         mismatches.append(
             "generator span at (q=%d, d=%d) differs from computed classes"

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: seeded random tensors over Q."""
 
 from fractions import Fraction
+from math import lcm
 
 from poisson3 import MultiVector, Polynomial
 from poisson3.linalg import matvec, rref
@@ -43,9 +44,30 @@ def random_multivector(rng, degree, max_coeff_degree):
     return MultiVector.trivector(comps[0])
 
 
+def integer_rows(rows):
+    """Each rational row times the lcm of its denominators: the same row space."""
+    out = []
+    for row in rows:
+        scale = lcm(*(Fraction(c).denominator for c in row.values()))
+        out.append({i: int(c * scale) for i, c in row.items()})
+    return out
+
+
+def integer_matrix(columns):
+    """A rational matrix times one lcm of all its denominators: the same kernel,
+    and the same solutions when a target is scaled with it."""
+    scale = lcm(*(Fraction(c).denominator for col in columns for c in col.values()))
+    return [{i: int(c * scale) for i, c in col.items()} for col in columns]
+
+
+def exact_columns(cell):
+    """The rational matrix of an OperatorCell: its columns over its den."""
+    return [{i: Fraction(c, cell.den) for i, c in col.items()} for col in cell.columns]
+
+
 def rank(columns):
-    """Rank of a matrix given as a list of sparse columns."""
-    pivots, _ = rref(columns)
+    """Rank of a matrix given as a list of sparse rational columns."""
+    pivots, _ = rref(integer_rows(columns))
     return len(pivots)
 
 

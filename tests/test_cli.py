@@ -162,6 +162,13 @@ GOLDEN_TABLES = [
      "0d54492f8d4ac53bfade0be8aeafb4ff8db4b96d466df7b6c27bc104564b4597"),
     (("cohomology", "--algebra", "sl2", "--dmax", "6", "--format", "json"),
      "faae01f5e195e762fed0a8464718713c40e4057539aa36ca984dae7d0cd98e87"),
+    (("cohomology", "--algebra", "spiral", "--tau", "5/2", "--dmax", "8", "--format", "json"),
+     "531923d97a26c1b748374e68541aeb5a19936ec86d7fbfa90611e8618070fac6"),
+    (("invariant-cohomology", "--algebra", "spiral", "--tau", "1", "--dmax", "8",
+      "--format", "json"),
+     "c1c9393a8c4a6ed0df00eadd24a8a8f9e6c5d6a740a8d5d45bed9100c2cc99bd"),
+    (("invariant-cohomology", "--algebra", "so3", "--dmax", "8", "--format", "json"),
+     "1f08ee5d66724b79b7e00e64260fceed0328498c12179969827cece3cdeeafbd"),
 ]
 
 
@@ -296,6 +303,11 @@ def test_resonances_verb_bytes(capsys):
                        "--dmax", "5")
     assert code == 0
     assert out == "none\n"
+    # the bounds confine j, so a huge --dmax costs nothing extra
+    code, out, _ = run(capsys, "resonances", "--tau", "1/2", "--c", "1",
+                       "--dmax", str(10**12))
+    assert code == 0
+    assert out == "(1,0) (0,2)\n"
 
 
 def test_jacobi_verb(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rank
+from helpers import exact_columns, rank
 from poisson3 import (
     Algebra,
     GradedBasis,
@@ -86,7 +86,7 @@ def test_cell_representatives_are_cocycles_mod_image():
             out = differential_matrix(pi, q, d)
             in_cols = differential_matrix(pi, q - 1, d).columns if q else []
             for rep in cell.representatives:
-                assert out.apply(rep) == {}
+                assert linalg.matvec(exact_columns(out), rep) == {}
             # independent mod the image
             assert rank(in_cols + list(cell.representatives)) == \
                 cell.rank_in + cell.dim_h
@@ -287,6 +287,45 @@ def test_coboundary_witness_negative_on_genuine_class():
     assert coboundary_witness(linear_poisson("heisenberg"), mv("y*dx")) is None
 
 
+DENOMINATOR_ALGEBRAS = [Algebra("book", Fraction(-2, 3)), Algebra("book", Fraction(-3, 7)),
+                        Algebra("spiral", Fraction(5, 2))]
+
+
+@pytest.mark.parametrize("algebra", DENOMINATOR_ALGEBRAS,
+                         ids=["book_-2/3", "book_-3/7", "spiral_5/2"])
+def test_coboundary_witness_round_trip_with_denominators(algebra):
+    # the differential is an integer matrix over den > 1
+    pi = linear_poisson(algebra)
+    assert differential_matrix(pi, 0, 1).den > 1
+    rng = random.Random(317)
+    for _ in range(12):
+        q = rng.randint(0, 2)
+        basis = GradedBasis(q, rng.randint(0, 4))
+        value = basis.reconstruct({
+            rng.randrange(len(basis)): Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+            for _ in range(3)})
+        target = poisson_differential(pi, value)
+        witness = coboundary_witness(pi, target)
+        assert poisson_differential(pi, witness) == target
+        assert all(type(c) is Fraction
+                   for poly in witness.components.values() for c in poly.terms.values())
+    # a genuine class is no coboundary
+    cell = cohomology_cell(pi, 2, 1)
+    assert cell.dim_h == 1
+    assert coboundary_witness(pi, cell_multivectors(cell)[0]) is None
+
+
+def test_representatives_are_published_as_fractions():
+    tables = [cohomology_table(linear_poisson(alg), 4) for alg in DENOMINATOR_ALGEBRAS]
+    tables.append(cohomology_table(linear_poisson("euclidean"), 4, invariant=True))
+    tables.append(cohomology_table(linear_poisson(Algebra("spiral", Fraction(1))), 4,
+                                   invariant=True))
+    for table in tables:
+        values = [c for cell in table.cells.values() for rep in cell.representatives
+                  for c in rep.values()]
+        assert values and all(type(c) is Fraction for c in values)
+
+
 def test_coboundary_witness_edge_cases():
     pi = linear_poisson("heisenberg")
     zero = coboundary_witness(pi, MultiVector.zero(2))
@@ -323,6 +362,27 @@ def test_resonance_pairs_satisfy_defining_equation():
         for (i, j) in pairs:
             assert i >= 0 and j >= 0 and i + j <= dmax
             assert Fraction(i) + tau * j == c
+
+
+def _resonances_by_every_j(tau, c, dmax):
+    """The plain loop over every j <= dmax, an oracle for `resonances`."""
+    out = []
+    for j in range(dmax + 1):
+        i = c - tau * j
+        if i.denominator == 1 and i >= 0 and i + j <= dmax:
+            out.append((int(i), j))
+    return out
+
+
+def test_resonances_match_the_loop_over_every_j():
+    rng = random.Random(313)
+    for _ in range(400):
+        tau = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        c = Fraction(rng.randint(-6, 40), rng.choice((1, 1, 1, 2, 3, 7)))
+        dmax = rng.randint(-1, 60)
+        pairs = resonances(tau, c, dmax)
+        assert pairs == _resonances_by_every_j(tau, c, dmax), (tau, c, dmax)
+        assert all(type(i) is int and type(j) is int for i, j in pairs)
 
 
 def test_resonances_predict_extra_second_cohomology():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import compose, random_multivector, rank
+from helpers import compose, exact_columns, random_multivector, rank
 from poisson3 import (
     Algebra,
     DegreeError,
@@ -31,6 +31,7 @@ from poisson3 import (
 )
 from poisson3 import complexes
 from poisson3.complexes import linear_operator_matrix, rotation_matrix
+from poisson3.linalg import matvec
 
 ALGEBRAS = tuple(
     Algebra(kind, Fraction(1, 2)) if kind in ("book", "spiral") else Algebra(kind)
@@ -103,11 +104,11 @@ def test_decompose_degree_errors():
 def test_heisenberg_differential_on_linear_functions():
     pi = linear_poisson("heisenberg")
     cell = differential_matrix(pi, 0, 1)
-    assert cell.ncols == 3 and cell.nrows == 9
+    assert len(cell.source) == 3 and len(cell.target) == 9
     images = {}
-    for pos in range(cell.ncols):
+    for pos in range(len(cell.source)):
         idx, mono = cell.source.elements[pos]
-        image = cell.target.reconstruct(cell.apply({pos: Fraction(1)}))
+        image = cell.target.reconstruct(matvec(exact_columns(cell), {pos: Fraction(1)}))
         images[mono] = image
     assert images[(0, 0, 1)].is_zero()  # z is a casimir
     assert images[(0, 1, 0)] == mv("z*dx")
@@ -125,7 +126,7 @@ def test_abelian_differential_is_zero():
 def test_top_degree_differential_is_zero_map():
     pi = linear_poisson("so3")
     cell = differential_matrix(pi, 3, 2)
-    assert cell.ncols == len(GradedBasis(3, 2))
+    assert len(cell.source) == len(GradedBasis(3, 2))
     assert all(col == {} for col in cell.columns)
 
 
@@ -148,7 +149,7 @@ def test_zero_operator_counts_as_linear():
         for q in range(4):
             if 0 <= q + degree - 1 <= 3:
                 cell = linear_operator_matrix(MultiVector.zero(degree), q, 2)
-                assert cell.ncols == len(GradedBasis(q, 2))
+                assert len(cell.source) == len(GradedBasis(q, 2))
                 assert all(col == {} for col in cell.columns)
     with pytest.raises(ValueError):
         linear_operator_matrix(rotation_field(), 0, -1)
@@ -205,8 +206,8 @@ def _random_linear_operator(rng, degree):
 def _assert_same_columns(ours, oracle):
     assert ours.source.elements == oracle.source.elements
     assert ours.target.elements == oracle.target.elements
-    assert ours.columns == oracle.columns
-    assert all(type(value) is Fraction for col in ours.columns for value in col.values())
+    assert exact_columns(ours) == oracle.columns
+    assert all(type(value) is int for col in ours.columns for value in col.values())
 
 
 def test_stencil_matches_bracket_oracle():
@@ -278,7 +279,8 @@ def test_matrix_route_matches_direct_bracket():
                   for _ in range(3)}
         value = basis.reconstruct(coords)
         cell = differential_matrix(pi, q, d)
-        via_matrix = cell.target.reconstruct(cell.apply(basis.decompose(value)))
+        via_matrix = cell.target.reconstruct(
+            matvec(exact_columns(cell), basis.decompose(value)))
         assert via_matrix == schouten_bracket(pi, value)
 
 
@@ -370,5 +372,5 @@ def test_operator_matrix_of_rotation_matches_bracket():
         coords = {rng.randrange(len(basis)): Fraction(rng.randint(-3, 3))
                   for _ in range(3)}
         value = basis.reconstruct(coords)
-        image = cell.target.reconstruct(cell.apply(basis.decompose(value)))
+        image = cell.target.reconstruct(matvec(exact_columns(cell), basis.decompose(value)))
         assert image == schouten_bracket(rotation_field(), value)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from helpers import compose, rank, reference_rref
+from helpers import compose, integer_matrix, integer_rows, rank, reference_rref
 
 from poisson3.linalg import (
     integer_normalize,
@@ -24,9 +24,15 @@ def _columns_from_rows(rows):
         col = {}
         for i, row in enumerate(rows):
             if row[j]:
-                col[i] = Fraction(row[j])
+                col[i] = row[j]
         cols.append(col)
     return cols
+
+
+def _solve(columns, target):
+    """`solve_combination` on rational data, scaled to integers by one lcm."""
+    *columns, target = integer_matrix([*columns, target])
+    return solve_combination(columns, target)
 
 
 def _det2(m):
@@ -80,7 +86,7 @@ def test_kernel_vectors_annihilate_matrix():
                 if rng.random() < 0.4:
                     col[i] = Fraction(rng.randint(-5, 5))
             cols.append({i: v for i, v in col.items() if v})
-        rk, kern = kernel_basis(cols)
+        rk, kern = kernel_basis(integer_matrix(cols))
         # rank-nullity over an exact field
         assert rk + len(kern) == ncols
         assert rk == rank(cols)
@@ -91,11 +97,12 @@ def test_kernel_vectors_annihilate_matrix():
 def test_solve_combination_positive_and_negative():
     cols = _columns_from_rows([[1, 0], [0, 1], [1, 1]])
     target = {0: Fraction(2), 1: Fraction(-3), 2: Fraction(-1)}
-    combo = solve_combination(cols, target)
+    combo = _solve(cols, target)
     assert combo == {0: Fraction(2), 1: Fraction(-3)}
-    assert solve_combination(cols, {0: Fraction(1), 2: Fraction(5)}) is None
+    assert all(type(c) is Fraction for c in combo.values())
+    assert _solve(cols, {0: Fraction(1), 2: Fraction(5)}) is None
     # zero target always solvable by the empty combination
-    assert solve_combination(cols, {}) == {}
+    assert _solve(cols, {}) == {}
 
 
 def test_solve_combination_reconstructs_random_images():
@@ -111,7 +118,7 @@ def test_solve_combination_reconstructs_random_images():
             for i, v in cols[j].items():
                 target[i] = target.get(i, Fraction(0)) + c * v
         target = {i: v for i, v in target.items() if v}
-        combo = solve_combination(cols, target)
+        combo = _solve(cols, target)
         assert combo is not None
         rebuilt = {}
         for j, c in combo.items():
@@ -127,6 +134,8 @@ def test_integer_normalize():
     vec = {1: Fraction(-1, 2), 2: Fraction(3, 2)}
     assert integer_normalize(vec) == {1: Fraction(1), 2: Fraction(-3)}
     assert integer_normalize({}) == {}
+    assert integer_normalize({3: -4, 5: 6}) == {3: 2, 5: -3}
+    assert all(type(c) is int for c in integer_normalize(vec).values())
 
 
 def test_rref_is_idempotent_and_canonical():
@@ -134,15 +143,16 @@ def test_rref_is_idempotent_and_canonical():
     for _ in range(20):
         rows = [{j: Fraction(rng.randint(-3, 3)) for j in range(4)
                  if rng.random() < 0.7} for _ in range(3)]
-        rows = [{j: v for j, v in r.items() if v} for r in rows]
+        rows = integer_rows([{j: v for j, v in r.items() if v} for r in rows])
         pivots, echelon = rref(rows)
         again_pivots, again = rref(echelon)
         assert again == echelon and again_pivots == pivots
         assert len(pivots) == len(echelon)
-        # pivot columns are strictly increasing and pivot entries are 1
+        # pivot columns are strictly increasing, pivot entries positive and
+        # each row primitive
         assert pivots == sorted(set(pivots))
         for p, row in zip(pivots, echelon):
-            assert row[p] == 1
+            assert row[p] > 0 and gcd(*row.values()) == 1
             # pivot column cleared everywhere else
             for other in echelon:
                 assert other is row or p not in other
@@ -176,11 +186,16 @@ def test_rref_matches_reference_oracle():
         rng.shuffle(rows)
         cases.append(rows)
     for rows in cases:
-        snapshot = [dict(row) for row in rows]
-        pivots, echelon = rref(rows)
-        assert rows == snapshot
-        assert (pivots, echelon) == reference_rref(rows)
-        assert all(type(c) is Fraction for row in echelon for c in row.values())
+        ints = integer_rows(rows)
+        snapshot = [dict(row) for row in ints]
+        pivots, echelon = rref(ints)
+        assert ints == snapshot
+        assert all(type(c) is int for row in echelon for c in row.values())
+        for p, row in zip(pivots, echelon):
+            assert row[p] > 0 and gcd(*row.values()) == 1
+        scaled = [{i: Fraction(c, row[p]) for i, c in row.items()}
+                  for p, row in zip(pivots, echelon)]
+        assert (pivots, scaled) == reference_rref(rows)
 
 
 def test_kernel_and_image_agrees_with_separate_reductions():
@@ -189,6 +204,7 @@ def test_kernel_and_image_agrees_with_separate_reductions():
         columns = _random_rows(rng, rng.randint(0, 7), rng.randint(1, 6))
         if columns and rng.random() < 0.3:
             columns.append(dict(rng.choice(columns)))
+        columns = integer_matrix(columns)
         rk, ker_pivots, ker_echelon, image = kernel_and_image(columns)
         assert rk == rank(columns) == len(image)
         assert (ker_pivots, ker_echelon) == rref(kernel_basis(columns)[1])
@@ -237,7 +253,7 @@ def test_kernel_basis_matches_reference_oracle():
     cases = [[], [{}], [{} for _ in range(4)]]
     cases += [_dependent_columns(rng) for _ in range(150)]
     for columns in cases:
-        assert kernel_basis(columns) == _reference_kernel(columns)
+        assert kernel_basis(integer_matrix(columns)) == _reference_kernel(columns)
 
 
 def test_solve_combination_on_dependent_columns():
@@ -250,7 +266,7 @@ def test_solve_combination_on_dependent_columns():
             target = matvec(columns, coeffs)
         else:
             target = _random_rows(rng, 1, 7)[0]
-        combo = solve_combination(columns, target)
+        combo = _solve(columns, target)
         rank_before = len(reference_rref(columns)[0])
         rank_after = len(reference_rref(columns + [target])[0])
         assert (combo is None) == (rank_after > rank_before)
@@ -268,9 +284,11 @@ def test_compose_matches_manual_product():
 
 
 def test_reduce_against_reports_membership():
-    rows = [{0: Fraction(1)}, {1: Fraction(1)}]
+    rows = integer_rows([{0: Fraction(1)}, {1: Fraction(1)}])
     pivots, echelon = rref(rows)
-    inside = reduce_against(pivots, echelon, {0: Fraction(3), 1: Fraction(-2)})
+    inside = reduce_against(pivots, echelon, {0: 3, 1: -2})
     assert inside == {}
-    outside = reduce_against(pivots[:1], echelon[:1], {1: Fraction(1)})
+    outside = reduce_against(pivots[:1], echelon[:1], {1: 1})
     assert outside == {1: Fraction(1)}
+    # a primitive multiple of what is left
+    assert reduce_against(pivots[:1], echelon[:1], {0: 2, 1: 4}) == {1: 1}

@@ -16,15 +16,15 @@ import json
 import sys
 from fractions import Fraction
 
-from .cohomology import cell_multivectors, cohomology_table, resonances
+from .cohomology import cell_multivectors, cohomology_table, resonance_range, resonances
 from .expressions import format_multivector, parse_multivector
 from .multivector import modular_vector_field, schouten_bracket
 from .registry import KINDS, Algebra, jacobi_defect, linear_poisson, structure_constants
 from .verification import FIXTURE_IDS, modular_class_check, verify
 
-# most cochains the full table of a --dmax may span; that count is
-# sum over q and d <= dmax of binom(3, q) (d+1)(d+2)/2 = 8 binom(dmax+3, 3),
-# which first exceeds the budget at dmax 89
+# most cochains the full table of a --dmax may span, and most pairs `resonances`
+# prints; the cochains number sum over q and d <= dmax of binom(3, q) (d+1)(d+2)/2
+# = 8 binom(dmax+3, 3), which first exceeds the budget at dmax 89
 COCHAIN_BUDGET = 1_000_000
 
 # schema for the JSON table documents emitted by cohomology verbs
@@ -355,6 +355,10 @@ def _run_modular(args):
 def _run_resonances(args):
     if args.dmax < 0:
         raise ValueError("dmax must be nonnegative")
+    count = len(resonance_range(args.tau, args.c, args.dmax))
+    if count > COCHAIN_BUDGET:
+        raise ValueError("dmax %d gives %d resonance pairs, over the budget of %d"
+                         % (args.dmax, count, COCHAIN_BUDGET))
     pairs = resonances(args.tau, args.c, args.dmax)
     if pairs:
         text = " ".join("(%d,%d)" % pair for pair in pairs)

@@ -237,20 +237,19 @@ def coboundary_witness(pi, target):
     return cell.source.reconstruct({j: c * cell.den / scale for j, c in combo.items()})
 
 
-def resonances(tau, c, dmax):
-    """Exponent pairs (i, j) with i + tau*j == c and i + j <= dmax.
+def resonance_range(tau, c, dmax):
+    """The j of the pairs of `resonances(tau, c, dmax)`, as a range.
 
-    i, j are nonnegative integers; pairs are listed by increasing j.  For
-    each j there is at most one i, c - tau*j, which is an integer only on
+    For each j there is at most one i, c - tau*j, which is an integer only on
     one residue class of j modulo the denominator of tau; the bounds i >= 0
-    and i + j <= dmax are linear in j and confine it to an interval, so only
-    the pairs themselves are visited.
+    and i + j <= dmax are linear in j and confine it to an interval.  Its
+    len() counts the pairs before any is built.
     """
     tau = Fraction(tau)
     c = Fraction(c)
     p, q = tau.numerator, tau.denominator
     if (c * q).denominator != 1:
-        return []
+        return range(0)
     lo, hi = 0, dmax
     for slope, bound in ((tau, c), (1 - tau, dmax - c)):  # slope * j <= bound
         if slope > 0:
@@ -258,6 +257,16 @@ def resonances(tau, c, dmax):
         elif slope < 0:
             lo = max(lo, ceil(bound / slope))
         elif bound < 0:
-            return []
+            return range(0)
     lo += (int(c * q) * pow(p, -1, q) - lo) % q
-    return [(int(c - tau * j), j) for j in range(lo, hi + 1, q)]
+    return range(lo, hi + 1, q)
+
+
+def resonances(tau, c, dmax):
+    """Exponent pairs (i, j) with i + tau*j == c and i + j <= dmax.
+
+    i, j are nonnegative integers; pairs are listed by increasing j, which
+    runs over `resonance_range`, so only the pairs themselves are visited.
+    """
+    tau, c = Fraction(tau), Fraction(c)
+    return [(int(c - tau * j), j) for j in resonance_range(tau, c, dmax)]

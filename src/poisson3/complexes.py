@@ -7,13 +7,12 @@ a map between neighbouring q at fixed d.  This module enumerates those bases
 and builds the exact matrices of the differential and of Lie-derivative
 operators; the cohomology module reduces them.
 
-The matrices are read off a closed-form stencil of the linear operator
-(`linear_operator_matrix`): no bracket is computed per column.
-`operator_matrix`, one Schouten bracket per column, is kept as the
+The matrices are read off closed forms: the monomial order, each basis
+position and an integer stencil of the linear operator, with no bracket per
+column.  `operator_matrix`, one Schouten bracket per column, is kept as the
 independent route the stencil is tested against.
 """
 
-from fractions import Fraction
 from math import lcm
 
 from . import linalg
@@ -24,7 +23,7 @@ from .multivector import (
     _FROM_SUBSET,
     _TO_SUBSET,
     _merge_subsets,
-    monomial_key,
+    _right_derivatives,
     schouten_bracket,
 )
 
@@ -34,26 +33,24 @@ class DegreeError(ValueError):
 
 
 def monomials(degree):
-    """Exponent triples of total degree d, leading monomial first."""
-    if degree < 0:
-        return []
-    out = []
-    for i in range(degree + 1):
-        for j in range(degree + 1 - i):
-            out.append((i, j, degree - i - j))
-    out.sort(key=monomial_key, reverse=True)
-    return out
+    """Exponent triples (i, j, k) of total degree d, leading monomial first.
+
+    Leading first is `monomial_key` descending: the z exponent k runs from d
+    down to 0 and, within it, the y exponent j from d - k down to 0.
+    """
+    return [(degree - k - j, j, k)
+            for k in range(degree, -1, -1) for j in range(degree - k, -1, -1)]
 
 
 class GradedBasis:
     """Ordered basis of the (q, d) cochain space.
 
     Elements are (component index, monomial) pairs, ordered by monomial
-    (leading first) and then by component index; size is
+    (leading first, as in `monomials`) and then by component index; size is
     binom(3, q) * (d+1)(d+2)/2.
     """
 
-    __slots__ = ("q", "d", "elements", "_index")
+    __slots__ = ("q", "d", "elements")
 
     def __init__(self, q, d):
         if q not in (0, 1, 2, 3):
@@ -65,7 +62,6 @@ class GradedBasis:
         self.elements = [
             (idx, mono) for mono in monomials(d) for idx in range(NCOMP[q])
         ]
-        self._index = {elem: pos for pos, elem in enumerate(self.elements)}
 
     def __len__(self):
         return len(self.elements)
@@ -74,7 +70,16 @@ class GradedBasis:
         return iter(self.elements)
 
     def position(self, idx, mono):
-        return self._index[(idx, mono)]
+        """Index of x^mono xi_idx: ((d - k)(d - k + 1)/2 + i) * binom(3, q) + idx.
+
+        Raises KeyError outside the basis: idx out of range, a negative
+        exponent or a total degree other than d.
+        """
+        i, j, k = mono
+        if not (0 <= idx < NCOMP[self.q] and min(mono) >= 0 and i + j + k == self.d):
+            raise KeyError((idx, mono))
+        s = self.d - k
+        return (s * (s + 1) // 2 + i) * NCOMP[self.q] + idx
 
     def multivector(self, position):
         idx, mono = self.elements[position]
@@ -97,7 +102,7 @@ class GradedBasis:
                     raise DegreeError(
                         "monomial %r has degree %d, expected %d" % (mono, sum(mono), self.d)
                     )
-                coords[self._index[(idx, mono)]] = coeff
+                coords[self.position(idx, mono)] = coeff
         return coords
 
     def reconstruct(self, coords):
@@ -145,13 +150,6 @@ def operator_matrix(operator, q, d):
     return OperatorCell(source, target, columns, den=1)
 
 
-def _right_derivatives(subset):
-    """(symbol, remaining subset, sign) for each symbol of an odd monomial."""
-    last = len(subset) - 1
-    return [(i, subset[:pos] + subset[pos + 1:], -1 if (last - pos) % 2 else 1)
-            for pos, i in enumerate(subset)]
-
-
 def _stencil(operator, q):
     """Closed form of V -> [operator, V] on the degree-q components.
 
@@ -163,18 +161,21 @@ def _stencil(operator, q):
     i == k.  Summed per (target component, monomial shift), each coefficient
     is an affine form a . m + b.
 
-    Returns ({source idx: [(target idx, shift, (ax, ay, az, b))]}, den): the
-    forms are integers over the common denominator den.  Raises DegreeError
-    unless every coefficient of the operator is homogeneous linear.
+    Returns ({source idx: [(target idx, shift, (ax, ay, az, b))]}, den): den
+    is the lcm of the operator's coefficient denominators and the forms are
+    ints over it.  Raises DegreeError unless every coefficient of the
+    operator is homogeneous linear.
     """
-    terms = []
+    den = lcm(*(c.denominator for poly in operator.components.values()
+                for c in poly.terms.values()))
+    terms = []  # (symbol subset, k, int coefficient of x_k xi_subset)
     for idx, poly in operator.components.items():
         subset, sign = _TO_SUBSET[(operator.degree, idx)]
         for mono, coeff in poly.terms.items():
             if sum(mono) != 1:
                 raise DegreeError(
                     "operator coefficient monomial %r is not linear" % (mono,))
-            terms.append((subset, mono.index(1), sign * coeff))
+            terms.append((subset, mono.index(1), sign * coeff.numerator * den // coeff.denominator))
     b_sign = 1 if (operator.degree - 1) * (q - 1) % 2 else -1
     forms = {}  # (source idx, target idx, shift) -> [ax, ay, az, b]
 
@@ -195,11 +196,10 @@ def _stencil(operator, q):
             for i, rest, sign in _right_derivatives(source):  # B*A
                 if i == k:
                     add(idx, rest, subset, b_sign * sign * c, (0, 0, 0), 3)
-    den = lcm(*(Fraction(v).denominator for form in forms.values() for v in form))
     table = {idx: [] for idx in range(NCOMP[q])}
     for (idx, target_idx, shift), form in forms.items():
         if any(form):
-            table[idx].append((target_idx, shift, tuple(int(v * den) for v in form)))
+            table[idx].append((target_idx, shift, tuple(form)))
     return table, den
 
 
@@ -219,14 +219,14 @@ def linear_operator_matrix(operator, q, d):
         raise ValueError("operator maps degree %d outside 0..3" % (q,))
     target = GradedBasis(out_q, d)
     table, den = _stencil(operator, q)
-    rows = target._index
+    row = target.position
     columns = []
     for idx, (mx, my, mz) in source.elements:
         col = {}
         for target_idx, (sx, sy, sz), (ax, ay, az, b) in table[idx]:
             c = ax * mx + ay * my + az * mz + b
             if c:
-                col[rows[(target_idx, (mx + sx, my + sy, mz + sz))]] = c
+                col[row(target_idx, (mx + sx, my + sy, mz + sz))] = c
         columns.append(col)
     return OperatorCell(source, target, columns, den)
 
@@ -239,9 +239,9 @@ def differential_matrix(pi, q, d):
     """
     if pi.degree != 2:
         raise ValueError("differential needs a bivector, got degree %d" % (pi.degree,))
-    source = GradedBasis(q, d)
     if q == 3:
-        return OperatorCell(source, GradedBasis(3, d), [{} for _ in range(len(source))], den=1)
+        basis = GradedBasis(3, d)
+        return OperatorCell(basis, basis, [{} for _ in range(len(basis))], den=1)
     return linear_operator_matrix(pi, q, d)
 
 

@@ -20,7 +20,7 @@ round-trips exactly.
 
 from fractions import Fraction
 
-from .multivector import MultiVector, Polynomial, monomial_key
+from .multivector import MultiVector, Polynomial, _TO_SUBSET, monomial_key, wedge
 
 _GEN_NAMES = ("dx", "dy", "dz")
 _VARS = ("x", "y", "z")
@@ -169,21 +169,11 @@ class _Parser:
 
 
 def _wedge_term(poly, gens):
-    """Multivector poly * (gens[0] ^ gens[1] ^ ...) with the sorting sign."""
-    degree = len(gens)
-    if len(set(gens)) != degree:
-        return MultiVector.zero(degree)
-    order = sorted(gens)
-    inversions = sum(1 for i in range(degree) for j in range(i + 1, degree) if gens[i] > gens[j])
-    signed = -poly if inversions % 2 else poly
-    subset = tuple(order)
-    # ascending subsets map to components: see the basis table in multivector
-    if degree == 1:
-        return MultiVector(1, {subset[0]: signed})
-    if degree == 2:
-        idx, sign = {(1, 2): (0, 1), (0, 2): (1, -1), (0, 1): (2, 1)}[subset]
-        return MultiVector(2, {idx: signed if sign == 1 else -signed})
-    return MultiVector(3, {0: signed})
+    """Multivector poly * (gens[0] ^ gens[1] ^ ...)."""
+    value = MultiVector.scalar(poly)
+    for gen in gens:
+        value = wedge(value, MultiVector.basis(1, gen))
+    return value
 
 
 def parse_multivector(text):
@@ -197,19 +187,6 @@ def parse_multivector(text):
     if not text or not text.strip():
         raise ExpressionError("empty expression")
     return _Parser(text).parse()
-
-
-# component -> (ascending generator list, sign) for printing
-_PRINT_BASIS = {
-    (0, 0): ((), 1),
-    (1, 0): ((0,), 1),
-    (1, 1): ((1,), 1),
-    (1, 2): ((2,), 1),
-    (2, 0): ((1, 2), 1),
-    (2, 1): ((0, 2), -1),
-    (2, 2): ((0, 1), 1),
-    (3, 0): ((0, 1, 2), 1),
-}
 
 
 def _render_term(coeff, mono, gens):
@@ -233,7 +210,7 @@ def format_multivector(value):
     """
     entries = []
     for idx, poly in value.components.items():
-        gens, sign = _PRINT_BASIS[(value.degree, idx)]
+        gens, sign = _TO_SUBSET[(value.degree, idx)]
         for mono, coeff in poly.terms.items():
             entries.append((mono, idx, coeff * sign, gens))
     if not entries:

@@ -457,13 +457,17 @@ def wedge(a, b):
     return MultiVector._from_xi(a.degree + b.degree, out)
 
 
+def _right_derivatives(subset):
+    """(symbol, remaining subset, sign) for each symbol of an odd monomial."""
+    last = len(subset) - 1
+    return [(i, subset[:pos] + subset[pos + 1:], -1 if (last - pos) % 2 else 1)
+            for pos, i in enumerate(subset)]
+
+
 def _interior_sum(p_terms, q_terms, out):
     # out accumulates sum_i (right strip of symbol i from P) ^ (d/dx_i Q)
     for sp, fp in p_terms:
-        for pos, i in enumerate(sp):
-            # right derivative: sign counts symbols after i in the subset
-            strip_sign = -1 if (len(sp) - pos - 1) % 2 else 1
-            stripped = sp[:pos] + sp[pos + 1:]
+        for i, stripped, strip_sign in _right_derivatives(sp):
             for sq, fq in q_terms:
                 dq = fq.diff(i)
                 if not dq:

@@ -12,7 +12,7 @@ negative range being the hyperbolic regime) and `spiral` (tau > 0).
 
 from fractions import Fraction
 
-from .multivector import MultiVector, Polynomial
+from .multivector import MultiVector, Polynomial, _FROM_SUBSET
 
 KINDS = (
     "abelian",
@@ -151,12 +151,9 @@ def linear_poisson(source):
     """
     if isinstance(source, (str, Algebra)):
         source = structure_constants(source)
-    # dx_i^dx_j for i<j sits in the stored basis as: (0,1) -> comp 2,
-    # (0,2) -> -comp 1, (1,2) -> comp 0
-    comp_of_pair = {(0, 1): (2, 1), (0, 2): (1, -1), (1, 2): (0, 1)}
     comps = {0: Polynomial.zero(), 1: Polynomial.zero(), 2: Polynomial.zero()}
     for (i, j, k), value in source.c.items():
-        idx, sign = comp_of_pair[(i, j)]
+        _, idx, sign = _FROM_SUBSET[(i, j)]
         comps[idx] = comps[idx] + Polynomial.monomial(tuple(1 if m == k else 0 for m in range(3)), sign * value)
     return MultiVector(2, {i: p for i, p in comps.items() if p})
 

@@ -15,7 +15,7 @@ import json
 from . import linalg
 from .cohomology import cohomology_table, coboundary_witness
 from .complexes import GradedBasis, differential_matrix, poisson_differential
-from .expressions import parse_multivector, format_multivector
+from .expressions import parse_multivector
 from .multivector import (
     MultiVector,
     Polynomial,

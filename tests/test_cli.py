@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 from poisson3 import FIXTURE_IDS, Report
+from poisson3 import cli
 from poisson3 import cohomology as cohomology_module
 from poisson3.cli import TABLE_SCHEMA, main
 
@@ -308,6 +309,22 @@ def test_resonances_verb_bytes(capsys):
                        "--dmax", str(10**12))
     assert code == 0
     assert out == "(1,0) (0,2)\n"
+
+
+def test_resonances_verb_refuses_too_many_pairs(capsys, monkeypatch):
+    # tau 0, c 1 resonates at every j < dmax: the count is read off the range
+    # of j, so the refusal comes before any pair is built
+    code, out, err = run(capsys, "resonances", "--tau", "0", "--c", "1",
+                         "--dmax", str(10**12))
+    assert code == 2 and out == ""
+    assert "1000000000000 resonance pairs" in err
+    # at most the budget is printed
+    monkeypatch.setattr(cli, "COCHAIN_BUDGET", 5)
+    code, out, _ = run(capsys, "resonances", "--tau", "0", "--c", "1", "--dmax", "5")
+    assert code == 0 and out == "(1,0) (1,1) (1,2) (1,3) (1,4)\n"
+    code, out, err = run(capsys, "resonances", "--tau", "0", "--c", "1", "--dmax", "6")
+    assert code == 2 and out == ""
+    assert "6 resonance pairs, over the budget of 5" in err
 
 
 def test_jacobi_verb(capsys):

@@ -24,6 +24,7 @@ from poisson3 import (
 )
 from poisson3 import cohomology as cohomology_module
 from poisson3 import linalg
+from poisson3.cohomology import resonance_range
 
 BOOK1 = Algebra("book", Fraction(1))
 
@@ -383,6 +384,17 @@ def test_resonances_match_the_loop_over_every_j():
         pairs = resonances(tau, c, dmax)
         assert pairs == _resonances_by_every_j(tau, c, dmax), (tau, c, dmax)
         assert all(type(i) is int and type(j) is int for i, j in pairs)
+
+
+def test_resonance_range_counts_the_pairs():
+    rng = random.Random(317)
+    for _ in range(200):
+        tau = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        c = Fraction(rng.randint(-6, 40), rng.choice((1, 1, 1, 2, 3, 7)))
+        dmax = rng.randint(-1, 60)
+        pairs = _resonances_by_every_j(tau, c, dmax)
+        assert list(resonance_range(tau, c, dmax)) == [j for _, j in pairs]
+    assert len(resonance_range(0, 1, 10**12)) == 10**12
 
 
 def test_resonances_predict_extra_second_cohomology():

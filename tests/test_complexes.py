@@ -1,7 +1,9 @@
 """Graded cochain bases, differential matrices, and the invariant subcomplex."""
 
+import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -30,7 +32,8 @@ from poisson3 import (
     structure_constants,
 )
 from poisson3 import complexes
-from poisson3.complexes import linear_operator_matrix, rotation_matrix
+from poisson3.complexes import _stencil, linear_operator_matrix, rotation_matrix
+from poisson3.multivector import NCOMP, monomial_key
 from poisson3.linalg import matvec
 
 ALGEBRAS = tuple(
@@ -68,6 +71,31 @@ def test_basis_order_is_deterministic():
     assert first[0] == (0, (0, 0, 2))
     assert first[1] == (1, (0, 0, 2))
     assert first[2] == (2, (0, 0, 2))
+
+
+def test_monomials_enumerate_the_sorted_order():
+    for d in range(16):
+        triples = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+        assert monomials(d) == sorted(triples, key=monomial_key, reverse=True)
+
+
+def test_position_is_the_index_of_the_element():
+    for q in range(4):
+        for d in range(13):
+            basis = GradedBasis(q, d)
+            for pos, element in enumerate(basis.elements):
+                assert basis.position(*element) == pos
+
+
+def test_position_rejects_elements_outside_the_basis():
+    for q in range(4):
+        basis = GradedBasis(q, 2)
+        for idx, mono in ((NCOMP[q], (1, 1, 0)), (-1, (1, 1, 0)), (0, (3, -1, 0)),
+                          (0, (1, 1, 1)), (0, (1, 0, 0))):
+            with pytest.raises(KeyError):
+                basis.position(idx, mono)
+    with pytest.raises(DegreeError):
+        GradedBasis(2, 2).decompose(mv("x*y^2*dx^dy"))
 
 
 def test_basis_rejects_bad_degrees():
@@ -238,6 +266,38 @@ def test_stencil_matches_bracket_oracle():
                     for d in range(9):
                         _assert_same_columns(linear_operator_matrix(operator, q, d),
                                              operator_matrix(operator, q, d))
+
+
+def test_stencil_is_integer_over_the_operator_denominators():
+    rng = random.Random(239)
+    operators = [linear_poisson(alg) for alg in ALGEBRAS] + [rotation_field()]
+    operators += [_random_linear_operator(rng, degree) for degree in range(4) for _ in range(3)]
+    for operator in operators:
+        den = lcm(*(c.denominator for poly in operator.components.values()
+                    for c in poly.terms.values()))
+        for q in range(4):
+            table, stencil_den = _stencil(operator, q)
+            assert stencil_den == den
+            assert all(type(v) is int
+                       for entries in table.values() for _, _, form in entries for v in form)
+
+
+# sha256 of (kind, q, d, den, sorted columns) for d <= 4, recorded before the
+# stencil, the monomial order and the basis positions became closed forms
+DIFFERENTIALS_SHA256 = "ccb353009fc496e50944ba8598fb095079ba3d2692473b2e81e0bb58a8daa3a3"
+
+
+def test_differential_matrices_are_pinned():
+    taus = {"book": Fraction(-3, 7), "spiral": Fraction(5, 2)}
+    digest = hashlib.sha256()
+    for kind in KINDS:
+        pi = linear_poisson(Algebra(kind, taus.get(kind)))
+        for q in range(4):
+            for d in range(5):
+                cell = differential_matrix(pi, q, d)
+                digest.update(repr((kind, q, d, cell.den,
+                                    [sorted(col.items()) for col in cell.columns])).encode())
+    assert digest.hexdigest() == DIFFERENTIALS_SHA256
 
 
 def test_tables_build_no_bracket_per_column(monkeypatch):

@@ -69,22 +69,17 @@ def _cell(q, d, dim, reduction, in_pivots, in_echelon):
 def _restrict(columns, source_vectors, target_vectors):
     """Matrix of a map restricted to invariant sub-bases on both sides.
 
-    The target vectors come from `kernel_basis`, so each is the only one
-    that is nonzero at its highest coordinate: an image's coefficients are
-    read off those coordinates, then checked by mapping them back, all
-    scaled by the lcm of the entries there, which keeps them integer.
+    Each target vector from `invariant_basis` is the only one that is
+    nonzero at its highest coordinate, where its entry is +-1: an image's
+    coefficients are read off those coordinates, then checked by mapping
+    them back.
     """
     tops = [(max(vec), vec[max(vec)]) for vec in target_vectors]
-    scale = lcm(*(lead for _, lead in tops))
     out = []
     for vec in source_vectors:
         image = linalg.matvec(columns, vec)
-        coeffs = {}
-        for k, (top, lead) in enumerate(tops):
-            value = image.get(top)
-            if value:
-                coeffs[k] = value * (scale // lead)
-        if linalg.matvec(target_vectors, coeffs) != {i: scale * c for i, c in image.items()}:
+        coeffs = {k: image[top] * lead for k, (top, lead) in enumerate(tops) if top in image}
+        if linalg.matvec(target_vectors, coeffs) != image:
             raise ValueError("operator does not preserve the invariant subspace")
         out.append(coeffs)
     return out
@@ -110,15 +105,10 @@ def _degree_cells(pi, d, invariant):
     sub-bases, and representatives are mapped back to ambient (q, d)
     coordinates; only then is each one normalised and boxed into Fractions.
     """
+    columns = [differential_matrix(pi, q, d).columns for q in range(4)]
     if invariant:
-        vectors = [invariant_basis(q, d)[1] for q in range(4)]
-        columns = [
-            _restrict(differential_matrix(pi, q, d).columns, vectors[q], vectors[q + 1])
-            for q in range(3)
-        ]
-        columns.append([{} for _ in vectors[3]])
-    else:
-        columns = [differential_matrix(pi, q, d).columns for q in range(4)]
+        vectors = [invariant_basis(q, d)[1] for q in range(4)] + [[]]  # d_3 maps to 0
+        columns = [_restrict(cols, vectors[q], vectors[q + 1]) for q, cols in enumerate(columns)]
     cells = []
     in_pivots, in_echelon = [], []
     for q, cols in enumerate(columns):
@@ -205,6 +195,8 @@ def cohomology_table(pi, dmax, invariant=False):
     With invariant=True the table is that of the rotation-invariant
     subcomplex, which needs a rotation-invariant bivector.
     """
+    if dmax < 0:
+        raise ValueError("dmax must be nonnegative, got %r" % (dmax,))
     if invariant:
         _check_rotation_invariant(pi)
     cells = {}

@@ -7,15 +7,15 @@ a map between neighbouring q at fixed d.  This module enumerates those bases
 and builds the exact matrices of the differential and of Lie-derivative
 operators; the cohomology module reduces them.
 
-The matrices are read off closed forms: the monomial order, each basis
-position and an integer stencil of the linear operator, with no bracket per
-column.  `operator_matrix`, one Schouten bracket per column, is kept as the
-independent route the stencil is tested against.
+Matrices and invariant sub-bases are read off closed forms (monomial order,
+basis positions, an integer stencil of the operator, invariant generators)
+with no bracket or elimination.  `operator_matrix`, a Schouten bracket per
+column, is kept as the independent route the stencil is tested against.
 """
 
-from math import lcm
+from math import comb, lcm
 
-from . import linalg
+from .linalg import integer_normalize
 from .multivector import (
     MultiVector,
     NCOMP,
@@ -25,6 +25,7 @@ from .multivector import (
     _merge_subsets,
     _right_derivatives,
     schouten_bracket,
+    wedge,
 )
 
 
@@ -295,20 +296,41 @@ def rotation_field():
     )
 
 
-def rotation_matrix(q, d):
-    """Matrix of the Lie derivative along the rotation field on (q, d)."""
-    return linear_operator_matrix(rotation_field(), q, d)
+def _invariant_generators():
+    """Terms (idx, exponents, int coefficient) of the generators of each q."""
+    euler = MultiVector.vector(Polynomial.variable("x"), Polynomial.variable("y"), Polynomial.zero())
+    rotation, dz = rotation_field(), MultiVector.basis(1, 2)
+    return tuple([[(idx, mono, int(c)) for idx, poly in g.components.items()
+                   for mono, c in poly.terms.items()] for g in generators]
+                 for generators in ([MultiVector.basis(0, 0)], [euler, rotation, dz],
+                                    [MultiVector.basis(2, 2), wedge(euler, dz), wedge(rotation, dz)],
+                                    [MultiVector.basis(3, 0)]))
+
+
+_INVARIANT_GENERATORS = _invariant_generators()
 
 
 def invariant_basis(q, d):
     """Canonical basis of the rotation-invariant subspace of (q, d).
 
     Returns (basis, vectors): the ambient GradedBasis and a list of sparse
-    int vectors spanning the kernel of the rotation Lie derivative.
+    int vectors spanning the kernel of the rotation Lie derivative, which is
+    free over Q[x^2 + y^2, z] on 1; E = x dx + y dy, R = `rotation_field`,
+    dz; dx^dy, E^dz, R^dz; dx^dy^dz.  The vectors are the products
+    (x^2 + y^2)^a z^b g of degree d, each +-1 at its top coordinate (listed
+    first), where no other is nonzero: sorted by it, they are the reduced
+    kernel basis an elimination would give.
     """
-    cell = rotation_matrix(q, d)
-    _, vectors = linalg.kernel_basis(cell.columns)
-    return cell.source, vectors
+    basis = GradedBasis(q, d)
+    vectors = []
+    for terms in _INVARIANT_GENERATORS[q]:
+        e = sum(terms[0][1])
+        for a in range((d - e) // 2 + 1):
+            entries = sorted(
+                (basis.position(idx, (i + 2 * t, j + 2 * (a - t), k + d - e - 2 * a)), c * comb(a, t))
+                for idx, (i, j, k), c in terms for t in range(a + 1))
+            vectors.append(integer_normalize(dict(entries[-1:] + entries[:-1])))
+    return basis, sorted(vectors, key=max)
 
 
 def invariant_multivectors(q, d):

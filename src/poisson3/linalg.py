@@ -7,9 +7,8 @@ fraction-free elimination whose rows are primitive, positive at their
 pivot and zero at the other pivots: a form as unique as the reduced row
 echelon form, so ranks, kernels, and cohomology representatives downstream
 are deterministic.  `kernel_and_image` gets the rank, the reduced kernel and
-a basis of the image of a map from one such elimination; kernel bases and
-solves are read off that same routine.  Only `solve_combination` returns
-Fractions.
+a basis of the image of a map from one such elimination; solves are read
+off that same routine.  Only `solve_combination` returns Fractions.
 """
 
 from fractions import Fraction
@@ -84,22 +83,6 @@ def reduce_against(pivots, echelon, vec):
         if pivot in row:
             row = _eliminate(row, pivot_row, pivot)
     return _primitive(row)
-
-
-def kernel_basis(columns):
-    """Canonical basis of {v : sum_j v[j] columns[j] = 0}.
-
-    The kernel of `kernel_and_image` run on the columns in reverse order,
-    which reduces the rows in their own column order: one vector per free
-    column, the only basis vector nonzero at its highest coordinate, as
-    coprime ints with positive leading entry.  (rank, basis) is returned;
-    rank + len(basis) == len(columns).
-    """
-    last = len(columns) - 1
-    rk, _, kernel, _ = kernel_and_image(columns[::-1])
-    basis = [integer_normalize({last - j: c for j, c in vec.items()})
-             for vec in reversed(kernel)]
-    return rk, basis
 
 
 def kernel_and_image(columns):

@@ -3,8 +3,9 @@
 from fractions import Fraction
 from math import lcm
 
-from poisson3 import MultiVector, Polynomial
-from poisson3.linalg import matvec, rref
+from poisson3 import MultiVector, Polynomial, rotation_field
+from poisson3.complexes import linear_operator_matrix
+from poisson3.linalg import integer_normalize, kernel_and_image, matvec, rref
 
 
 def random_polynomial(rng, max_degree, terms=3):
@@ -74,6 +75,27 @@ def rank(columns):
 def compose(outer_columns, inner_columns):
     """Columns of outer @ inner (columns of inner mapped through outer)."""
     return [matvec(outer_columns, col) for col in inner_columns]
+
+
+def kernel_basis(columns):
+    """Canonical basis of {v : sum_j v[j] columns[j] = 0}.
+
+    The kernel of `kernel_and_image` run on the columns in reverse order,
+    which reduces the rows in their own column order: one vector per free
+    column, the only basis vector nonzero at its highest coordinate, as
+    coprime ints with positive leading entry.  (rank, basis) is returned;
+    rank + len(basis) == len(columns).
+    """
+    last = len(columns) - 1
+    rk, _, kernel, _ = kernel_and_image(columns[::-1])
+    basis = [integer_normalize({last - j: c for j, c in vec.items()})
+             for vec in reversed(kernel)]
+    return rk, basis
+
+
+def rotation_matrix(q, d):
+    """Matrix of the Lie derivative along the rotation field on (q, d)."""
+    return linear_operator_matrix(rotation_field(), q, d)
 
 
 def random_point(rng):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import exact_columns, rank
+from helpers import exact_columns, kernel_basis, rank
 from poisson3 import (
     Algebra,
     GradedBasis,
@@ -125,7 +125,7 @@ def test_one_reduction_gives_kernel_and_image_echelons(algebra):
             rank_out, ker_pivots, ker_echelon, image = linalg.kernel_and_image(columns)
             assert rank_out == len(image)
             assert (ker_pivots, ker_echelon) == linalg.rref(
-                linalg.kernel_basis(columns)[1])
+                kernel_basis(columns)[1])
             assert linalg.rref(image) == linalg.rref(columns)
 
 
@@ -140,6 +140,10 @@ def test_each_degree_makes_seven_rref_calls(monkeypatch):
 
     monkeypatch.setattr(linalg, "rref", counting)
     cohomology_table(linear_poisson("heisenberg"), 3)
+    assert len(calls) == 28
+    # the invariant table restricts the same differentials: no elimination of its own
+    calls.clear()
+    cohomology_table(linear_poisson("euclidean"), 3, invariant=True)
     assert len(calls) == 28
 
 
@@ -258,6 +262,12 @@ def test_invariant_cohomology_rejects_non_invariant_bivector():
         invariant_cohomology(linear_poisson("aff_x_r"), 1, 1)
     with pytest.raises(ValueError, match="not rotation invariant"):
         cohomology_table(linear_poisson("aff_x_r"), 2, invariant=True)
+
+
+@pytest.mark.parametrize("invariant", [False, True])
+def test_table_rejects_negative_dmax(invariant):
+    with pytest.raises(ValueError, match="dmax must be nonnegative, got -1"):
+        cohomology_table(linear_poisson("aff_x_r"), -1, invariant=invariant)
 
 
 def test_restriction_to_invariant_bases_solves_each_image():

@@ -7,7 +7,8 @@ from math import lcm
 
 import pytest
 
-from helpers import compose, exact_columns, random_multivector, rank
+from helpers import (
+    compose, exact_columns, kernel_basis, random_multivector, rank, rotation_matrix)
 from poisson3 import (
     Algebra,
     DegreeError,
@@ -32,7 +33,7 @@ from poisson3 import (
     structure_constants,
 )
 from poisson3 import complexes
-from poisson3.complexes import _stencil, linear_operator_matrix, rotation_matrix
+from poisson3.complexes import _stencil, linear_operator_matrix
 from poisson3.multivector import NCOMP, monomial_key
 from poisson3.linalg import matvec
 
@@ -405,6 +406,22 @@ def test_invariant_basis_examples():
     top = invariant_multivectors(3, 0)
     assert len(top) == 1
     assert top[0] == mv("dx^dy^dz")
+
+
+def test_invariant_basis_is_the_reduced_kernel_of_the_rotation():
+    # the closed-form products equal the eliminated kernel, entry order included
+    for q in range(4):
+        for d in range(25):
+            _, vectors = invariant_basis(q, d)
+            _, kernel = kernel_basis(rotation_matrix(q, d).columns)
+            assert [list(vec.items()) for vec in vectors] == [list(vec.items()) for vec in kernel]
+            assert all(vec[max(vec)] in (1, -1) for vec in vectors)
+
+
+@pytest.mark.parametrize("q, d", [(-1, 2), (4, 2), (0, -1)])
+def test_invariant_basis_rejects_a_bad_cell(q, d):
+    with pytest.raises(ValueError):
+        invariant_basis(q, d)
 
 
 def test_invariant_multivectors_are_killed_by_rotation():

@@ -4,12 +4,11 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from helpers import compose, integer_matrix, integer_rows, rank, reference_rref
+from helpers import compose, integer_matrix, integer_rows, kernel_basis, rank, reference_rref
 
 from poisson3.linalg import (
     integer_normalize,
     kernel_and_image,
-    kernel_basis,
     matvec,
     reduce_against,
     rref,

@@ -53,3 +53,40 @@ def test_no_unused_imports():
         for line, name in _unused_imports(ast.parse(path.read_text(), str(path)))
     ]
     assert found == []
+
+
+def _unreferenced_functions(trees, exported):
+    """(module, name) of each public module-level function the package never reads.
+
+    A name counts as read where it appears as a name or an attribute in any
+    module; a function listed in the package's __all__ is public API.
+    """
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.name not in read | exported)
+
+
+def test_dead_helper_rule_flags_only_unread_functions():
+    trees = {"a": ast.parse("def f(): pass\ndef g(): pass\ndef _h(): pass\n"
+                            "def api(): pass\n"),
+             "b": ast.parse("from a import g\nimport a\na.f()\ng()\n")}
+    assert _unreferenced_functions(trees, {"api"}) == []
+    trees["b"] = ast.parse("from a import g\n")
+    assert _unreferenced_functions(trees, {"api"}) == [("a", "f"), ("a", "g")]
+
+
+def test_no_dead_public_functions():
+    import poisson3
+
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert _unreferenced_functions(trees, set(poisson3.__all__)) == []

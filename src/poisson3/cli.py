@@ -81,8 +81,8 @@ def build_parser():
         p.add_argument("--tau", default=None, type=_rational,
                        help="rational parameter p/q for book and spiral")
 
-    def add_output_opts(p):
-        p.add_argument("--format", default="text", choices=("text", "json", "csv"))
+    def add_output_opts(p, formats=("text", "json", "csv")):
+        p.add_argument("--format", default="text", choices=formats)
         p.add_argument("--out", default=None, metavar="FILE",
                        help="write output to FILE instead of stdout")
 
@@ -105,7 +105,7 @@ def build_parser():
     p = sub.add_parser("verify", help="check engine output against a fixture")
     p.add_argument("--id", required=True, choices=FIXTURE_IDS, dest="fixture_id")
     p.add_argument("--dmax", type=int, required=True)
-    add_output_opts(p)
+    add_output_opts(p, ("text", "json"))
 
     p = sub.add_parser("schouten", help="bracket of two multivector expressions")
     p.add_argument("first")
@@ -244,8 +244,6 @@ def _check_budget(dmax):
 
 def _run_table(args, invariant):
     algebra = _algebra(args)
-    if args.dmax < 0:
-        raise ValueError("dmax must be nonnegative")
     _check_budget(args.dmax)
     table = cohomology_table(linear_poisson(algebra), args.dmax, invariant)
     doc = _table_document(algebra, table, args.q)
@@ -305,18 +303,21 @@ def _run_show(args):
     if not pairs:
         lines.append("  (all brackets vanish)")
     for i, j in pairs:
-        terms = []
+        text = ""
         for k in range(3):
             value = constants.get(i, j, k)
             if not value:
                 continue
+            if text:  # the sign of a later term goes in its separator
+                text += " - " if value < 0 else " + "
+                value = abs(value)
             if value == 1:
-                terms.append("e%d" % (k + 1,))
+                text += "e%d" % (k + 1,)
             elif value == -1:
-                terms.append("-e%d" % (k + 1,))
+                text += "-e%d" % (k + 1,)
             else:
-                terms.append("%s e%d" % (value, k + 1))
-        lines.append("  [e%d, e%d] = %s" % (i + 1, j + 1, " + ".join(terms)))
+                text += "%s e%d" % (value, k + 1)
+        lines.append("  [e%d, e%d] = %s" % (i + 1, j + 1, text))
     pi = linear_poisson(algebra)
     lines.append("poisson structure: %s" % format_multivector(pi))
     lines.append("modular field: %s" % format_multivector(modular_vector_field(pi)))
@@ -353,8 +354,6 @@ def _run_modular(args):
 
 
 def _run_resonances(args):
-    if args.dmax < 0:
-        raise ValueError("dmax must be nonnegative")
     count = len(resonance_range(args.tau, args.c, args.dmax))
     if count > COCHAIN_BUDGET:
         raise ValueError("dmax %d gives %d resonance pairs, over the budget of %d"

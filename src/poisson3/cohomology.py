@@ -237,6 +237,8 @@ def resonance_range(tau, c, dmax):
     and i + j <= dmax are linear in j and confine it to an interval.  Its
     len() counts the pairs before any is built.
     """
+    if dmax < 0:
+        raise ValueError("dmax must be nonnegative, got %r" % (dmax,))
     tau = Fraction(tau)
     c = Fraction(c)
     p, q = tau.numerator, tau.denominator

@@ -82,10 +82,6 @@ class GradedBasis:
         s = self.d - k
         return (s * (s + 1) // 2 + i) * NCOMP[self.q] + idx
 
-    def multivector(self, position):
-        idx, mono = self.elements[position]
-        return MultiVector(self.q, {idx: Polynomial.monomial(mono)})
-
     def decompose(self, value):
         """Coordinates of a multivector in this basis (sparse dict).
 
@@ -107,9 +103,14 @@ class GradedBasis:
         return coords
 
     def reconstruct(self, coords):
-        """Multivector with the given sparse coordinates."""
+        """Multivector with the given sparse coordinates.
+
+        Raises KeyError for a position outside 0..len - 1.
+        """
         comps = {}
         for position, coeff in coords.items():
+            if not 0 <= position < len(self.elements):
+                raise KeyError(position)
             idx, mono = self.elements[position]
             comps.setdefault(idx, {})[mono] = coeff
         return MultiVector(self.q, {idx: Polynomial(terms) for idx, terms in comps.items()})
@@ -146,7 +147,7 @@ def operator_matrix(operator, q, d):
     target = GradedBasis(out_q, d)
     columns = []
     for position in range(len(source)):
-        image = schouten_bracket(operator, source.multivector(position))
+        image = schouten_bracket(operator, source.reconstruct({position: 1}))
         columns.append(target.decompose(image))
     return OperatorCell(source, target, columns, den=1)
 
@@ -250,8 +251,6 @@ def poisson_differential(pi, value):
     """The differential applied to one multivector: [pi, value]."""
     if pi.degree != 2:
         raise ValueError("differential needs a bivector, got degree %d" % (pi.degree,))
-    if value.degree == 3:
-        return MultiVector.zero(3)
     return schouten_bracket(pi, value)
 
 

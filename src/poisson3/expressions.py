@@ -18,12 +18,16 @@ with the sign normalized, unit coefficients dropped.  parse(format(v))
 round-trips exactly.
 """
 
+import re
 from fractions import Fraction
 
-from .multivector import MultiVector, Polynomial, _TO_SUBSET, monomial_key, wedge
+from .multivector import VAR_NAMES, MultiVector, Polynomial, _TO_SUBSET, monomial_key, wedge
 
-_GEN_NAMES = ("dx", "dy", "dz")
-_VARS = ("x", "y", "z")
+# whitespace, then one group per token kind; "bad" catches any other character
+_TOKEN = re.compile(r"\s+|(?P<int>\d+)|d(?P<gen>[xyz])|(?P<var>[xyz])|(?P<op>[-+*^/])|(?P<bad>.)")
+
+# the "^int", "/int" or "^gen"s a factor may carry: (link, operand kind)
+_OPERAND = {"int": ("/", "int"), "var": ("^", "int"), "gen": ("^", "gen")}
 
 
 class ExpressionError(ValueError):
@@ -36,144 +40,48 @@ class ExpressionError(ValueError):
         self.position = position
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in "+-*^/":
-            tokens.append((ch, None, pos))
-            pos += 1
-            continue
-        if ch.isdigit():
-            start = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            tokens.append(("int", int(text[start:pos]), start))
-            continue
-        if ch == "d":
-            if pos + 1 < n and text[pos + 1] in "xyz":
-                tokens.append(("gen", "xyz".index(text[pos + 1]), pos))
-                pos += 2
-                continue
-            raise ExpressionError("expected dx, dy or dz", pos)
-        if ch in "xyz":
-            tokens.append(("var", "xyz".index(ch), pos))
-            pos += 1
-            continue
-        raise ExpressionError("unexpected character %r" % (ch,), pos)
-    tokens.append(("end", None, n))
-    return tokens
+def _term(tokens, at, sign):
+    """Read the product of factors at tokens[at], times sign.
 
-
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.at = 0
-
-    def peek(self):
-        return self.tokens[self.at]
-
-    def take(self, kind=None):
-        token = self.tokens[self.at]
-        if kind is not None and token[0] != kind:
-            raise ExpressionError("expected %s" % (kind,), token[2])
-        self.at += 1
-        return token
-
-    def parse(self):
-        terms = []
-        sign = 1
-        kind, _, _ = self.peek()
-        if kind in "+-":
-            sign = -1 if kind == "-" else 1
-            self.take()
-        terms.append(self.term(sign))
-        while True:
-            kind, _, pos = self.peek()
-            if kind == "end":
-                break
-            if kind not in "+-":
-                raise ExpressionError("expected + or - between terms", pos)
-            self.take()
-            terms.append(self.term(-1 if kind == "-" else 1))
-        degrees = {wedge_len for (wedge_len, _) in terms}
-        if len(degrees) > 1:
-            raise ExpressionError(
-                "mixed cochain degrees %s in one expression" % (sorted(degrees),)
-            )
-        degree = degrees.pop()
-        total = MultiVector.zero(degree)
-        for _, value in terms:
-            total = total + value
-        return total
-
-    def term(self, sign):
-        coeff = Fraction(sign)
-        exponents = [0, 0, 0]
-        wedge = None
-        while True:
-            coeff, exponents, wedge = self.factor(coeff, exponents, wedge)
-            kind, _, _ = self.peek()
-            if kind != "*":
-                break
-            self.take()
-        wedge_len = len(wedge) if wedge is not None else 0
-        if wedge_len > 3:
-            raise ExpressionError("wedge block longer than 3 generators")
-        mono = Polynomial.monomial(tuple(exponents), coeff)
-        if wedge_len == 0:
-            return 0, MultiVector.scalar(mono)
-        value = _wedge_term(mono, wedge)
-        return wedge_len, value
-
-    def factor(self, coeff, exponents, wedge):
-        kind, value, pos = self.peek()
-        if kind == "int":
-            self.take()
-            nxt, denom, dpos = self.peek()
-            if nxt == "/":
-                self.take()
-                _, denom, dpos = self.take("int")
-                if denom == 0:
-                    raise ExpressionError("zero denominator", dpos)
-                coeff = coeff * Fraction(value, denom)
-            else:
-                coeff = coeff * value
-            return coeff, exponents, wedge
-        if kind == "var":
-            self.take()
-            power = 1
-            if self.peek()[0] == "^":
-                self.take()
-                _, power, _ = self.take("int")
-            exponents = list(exponents)
-            exponents[value] += power
-            return coeff, exponents, wedge
+    Returns the index after it and its value, a multivector whose degree is
+    the length of its wedge block.
+    """
+    coeff = Fraction(sign)
+    exponents = [0, 0, 0]
+    gens = []
+    while True:
+        kind, value, pos = tokens[at]
+        if kind == "gen" and gens:
+            raise ExpressionError("at most one wedge block per term", pos)
+        if kind not in _OPERAND:
+            raise ExpressionError("expected a factor", pos)
+        # an int takes one "/int", a variable one "^int", a generator any "^gen"s
+        link, want = _OPERAND[kind]
+        operands = [value]
+        at += 1
+        while tokens[at][0] == link and (kind == "gen" or len(operands) == 1):
+            got, operand, pos = tokens[at + 1]
+            if got != want:
+                raise ExpressionError("expected %s" % (want,), pos)
+            operands.append(operand)
+            at += 2
         if kind == "gen":
-            if wedge is not None:
-                raise ExpressionError("at most one wedge block per term", pos)
-            wedge = [value]
-            self.take()
-            while self.peek()[0] == "^":
-                self.take()
-                _, gen, _ = self.take("gen")
-                wedge.append(gen)
-            return coeff, exponents, wedge
-        raise ExpressionError("expected a factor", pos)
-
-
-def _wedge_term(poly, gens):
-    """Multivector poly * (gens[0] ^ gens[1] ^ ...)."""
-    value = MultiVector.scalar(poly)
+            gens = operands
+        elif kind == "var":
+            exponents[value] += operands[-1] if len(operands) == 2 else 1
+        elif len(operands) == 2 and operands[1] == 0:  # pos is the denominator's
+            raise ExpressionError("zero denominator", pos)
+        else:
+            coeff *= Fraction(*operands)
+        if tokens[at][0] != "*":
+            break
+        at += 1
+    if len(gens) > 3:
+        raise ExpressionError("wedge block longer than 3 generators")
+    value = MultiVector.scalar(Polynomial.monomial(tuple(exponents), coeff))
     for gen in gens:
         value = wedge(value, MultiVector.basis(1, gen))
-    return value
+    return at, value
 
 
 def parse_multivector(text):
@@ -186,7 +94,35 @@ def parse_multivector(text):
     """
     if not text or not text.strip():
         raise ExpressionError("empty expression")
-    return _Parser(text).parse()
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        kind, pos = match.lastgroup, match.start()
+        if kind is None:
+            continue
+        lexeme = match[kind]
+        if kind == "bad":
+            if lexeme == "d":
+                raise ExpressionError("expected dx, dy or dz", pos)
+            raise ExpressionError("unexpected character %r" % (lexeme,), pos)
+        if kind == "op":
+            tokens.append((lexeme, None, pos))
+        else:
+            tokens.append((kind, int(lexeme) if kind == "int" else VAR_NAMES.index(lexeme), pos))
+    tokens.append(("end", None, len(text)))
+    terms = []
+    at = 0
+    while not terms or tokens[at][0] != "end":
+        kind, _, pos = tokens[at]
+        if kind in ("+", "-"):
+            at += 1
+        elif terms:
+            raise ExpressionError("expected + or - between terms", pos)
+        at, value = _term(tokens, at, -1 if kind == "-" else 1)
+        terms.append(value)
+    degrees = sorted({value.degree for value in terms})
+    if len(degrees) > 1:
+        raise ExpressionError("mixed cochain degrees %s in one expression" % (degrees,))
+    return sum(terms, MultiVector.zero(degrees[0]))
 
 
 def _render_term(coeff, mono, gens):
@@ -196,9 +132,9 @@ def _render_term(coeff, mono, gens):
     for axis, power in enumerate(mono):
         if power == 0:
             continue
-        parts.append(_VARS[axis] if power == 1 else "%s^%d" % (_VARS[axis], power))
+        parts.append(VAR_NAMES[axis] if power == 1 else "%s^%d" % (VAR_NAMES[axis], power))
     if gens:
-        parts.append("^".join(_GEN_NAMES[g] for g in gens))
+        parts.append("^".join("d" + VAR_NAMES[g] for g in gens))
     return "*".join(parts)
 
 

@@ -135,12 +135,6 @@ class Polynomial:
             return NotImplemented
         return self.terms == other.terms
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    __hash__ = None
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other)
@@ -321,12 +315,6 @@ class MultiVector:
         if self.is_zero() and other.is_zero():
             return True
         return self.degree == other.degree and self.components == other.components
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    __hash__ = None
 
     def _check_degree(self, other):
         if self.is_zero():

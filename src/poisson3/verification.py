@@ -402,14 +402,6 @@ def _substitute_radial(profile):
     return out
 
 
-def _radial_derivative(profile):
-    out = Polynomial.zero()
-    for mono, coeff in profile.terms.items():
-        if mono[0]:
-            out = out + Polynomial.monomial((mono[0] - 1, 0, 0), coeff * mono[0])
-    return out
-
-
 def deformation_identity_check(family, first, second):
     """Bracket a deformed structure with itself and compare the closed form.
 
@@ -454,7 +446,7 @@ def deformation_identity_check(family, first, second):
         _require_vars(first, {0}, "the radial profile")
         _require_vars(second, {2}, "g")
         f_of_u = _substitute_radial(first)
-        fprime = _substitute_radial(_radial_derivative(first))
+        fprime = _substitute_radial(first.diff(0))
         u = (Polynomial.variable(0) ** 2) + (Polynomial.variable(1) ** 2)
         x, y = Polynomial.variable(0), Polynomial.variable(1)
         rotation = MultiVector.vector(y * Fraction(-1), x, Polynomial.zero())

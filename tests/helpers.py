@@ -1,9 +1,12 @@
 """Shared helpers for the test suite: seeded random tensors over Q."""
 
+import json
+import random
 from fractions import Fraction
+from importlib import resources
 from math import lcm
 
-from poisson3 import MultiVector, Polynomial, rotation_field
+from poisson3 import MultiVector, Polynomial, format_multivector, rotation_field
 from poisson3.complexes import linear_operator_matrix
 from poisson3.linalg import integer_normalize, kernel_and_image, matvec, rref
 
@@ -132,3 +135,27 @@ def reference_rref(rows):
         echelon.append(row)
     order = sorted(range(len(pivots)), key=lambda r: pivots[r])
     return [pivots[r] for r in order], [echelon[r] for r in order]
+
+
+def expression_corpus():
+    """Inputs for the parser's golden test, in a fixed order.
+
+    Every fixture expression, 300 canonical random multivectors, then 20,000
+    short strings over the grammar's alphabet and a few characters outside it.
+    """
+    corpus = []
+    fixtures = resources.files("poisson3") / "fixtures"
+    for entry in sorted(fixtures.iterdir(), key=lambda path: path.name):
+        if not entry.name.endswith(".json"):
+            continue
+        raw = json.loads(entry.read_text())
+        for generator in raw["generators"]:
+            corpus.extend(generator["exprs"])
+        corpus.extend(check["expr"] for check in raw["checks"]["exact"])
+    rng = random.Random(2024)
+    for _ in range(300):
+        corpus.append(format_multivector(random_multivector(rng, rng.randint(0, 3), 5)))
+    alphabet = "xyzd+-*^/ 0123w()"
+    for _ in range(20000):
+        corpus.append("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8))))
+    return corpus

@@ -42,6 +42,41 @@ def test_show_book(capsys):
     assert "modular field: -4/3*dz" in out
 
 
+# sha256 of `show` stdout as first recorded
+GOLDEN_SHOW = [
+    (("abelian",), "b05054aa08148fae3036e86342e2e0a82cbc4556dd1490b8f5cfcf117d105830"),
+    (("heisenberg",), "960bf819b998d309b1b0add2786418892ef6cd1bbccd216bd84690f00688e165"),
+    (("aff_x_r",), "09a32964251d10b1fda91d7e7e25156b94eef4b834b719942fb2fc2c103c7c34"),
+    (("euclidean",), "7ce0c9eba7f669b2e0df6fca3677e580ba0c3c3e219d48e394628abe76d3b478"),
+    (("semi_open_book",), "4edc5c45052dbf72b9f725b76cbb4e377492861f0de900f625ec42a3b67348b0"),
+    (("sl2",), "cda204cee6a4d7a8c6718738b3c1a706638f8b8bc9c749bf468b01080a006599"),
+    (("so3",), "5d2911f4f5af8da215b271348c104ae4058b2b784a9830da849dde6ebd9c2767"),
+    (("book", "--tau", "1/3"), "5b7fab0dac1c9bb623406834a31de93c793e94e85995138c5448601c40da0e22"),
+    (("book", "--tau", "-2/3"), "8cf5b0aaf17697632ef2417400579ccafa7bd61718f8fd5b35d354e88115ffa6"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_SHOW,
+                         ids=[" ".join(argv) for argv, _ in GOLDEN_SHOW])
+def test_show_output_matches_recorded_digest(capsys, argv, digest):
+    code, out, _ = run(capsys, "show", "--algebra", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_show_writes_a_later_negative_term_with_a_minus(capsys):
+    code, out, _ = run(capsys, "show", "--algebra", "spiral", "--tau", "1/2")
+    assert code == 0
+    assert out == (
+        "algebra: spiral\n"
+        "tau: 1/2\n"
+        "nonzero brackets:\n"
+        "  [e1, e3] = 1/2 e1 - e2\n"
+        "  [e2, e3] = e1 + 1/2 e2\n"
+        "poisson structure: 1/2*y*dy^dz - y*dx^dz + x*dy^dz + 1/2*x*dx^dz\n"
+        "modular field: -1*dz\n")
+
+
 def test_show_requires_tau_for_parametric_kinds(capsys):
     code, out, err = run(capsys, "show", "--algebra", "book")
     assert code == 2
@@ -359,6 +394,24 @@ def test_malformed_option_names_the_option(capsys, argv, option, value):
     assert code == 2 and out == ""
     assert "error: argument %s:" % option in err
     assert repr(value) in err
+
+
+def test_verify_has_no_csv_format(capsys):
+    code, out, err = run(capsys, "verify", "--id", "heisenberg", "--dmax", "2",
+                         "--format", "csv")
+    assert code == 2 and out == ""
+    assert "error: argument --format:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("cohomology", "--algebra", "heisenberg", "--dmax", "-1"),
+    ("invariant-cohomology", "--algebra", "euclidean", "--dmax", "-1"),
+    ("resonances", "--tau", "1", "--c", "1", "--dmax", "-1"),
+], ids=lambda argv: argv[0])
+def test_negative_dmax_is_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "error: dmax must be nonnegative, got -1" in err
 
 
 def test_parse_error_reports_position(capsys):

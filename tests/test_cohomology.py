@@ -391,6 +391,10 @@ def test_resonances_match_the_loop_over_every_j():
         tau = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
         c = Fraction(rng.randint(-6, 40), rng.choice((1, 1, 1, 2, 3, 7)))
         dmax = rng.randint(-1, 60)
+        if dmax < 0:
+            with pytest.raises(ValueError, match="dmax must be nonnegative, got -1"):
+                resonances(tau, c, dmax)
+            continue
         pairs = resonances(tau, c, dmax)
         assert pairs == _resonances_by_every_j(tau, c, dmax), (tau, c, dmax)
         assert all(type(i) is int and type(j) is int for i, j in pairs)
@@ -402,6 +406,10 @@ def test_resonance_range_counts_the_pairs():
         tau = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
         c = Fraction(rng.randint(-6, 40), rng.choice((1, 1, 1, 2, 3, 7)))
         dmax = rng.randint(-1, 60)
+        if dmax < 0:
+            with pytest.raises(ValueError, match="dmax must be nonnegative, got -1"):
+                resonance_range(tau, c, dmax)
+            continue
         pairs = _resonances_by_every_j(tau, c, dmax)
         assert list(resonance_range(tau, c, dmax)) == [j for _, j in pairs]
     assert len(resonance_range(0, 1, 10**12)) == 10**12

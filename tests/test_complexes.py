@@ -99,6 +99,16 @@ def test_position_rejects_elements_outside_the_basis():
         GradedBasis(2, 2).decompose(mv("x*y^2*dx^dy"))
 
 
+def test_reconstruct_rejects_positions_outside_the_basis():
+    for q in range(4):
+        basis = GradedBasis(q, 1)
+        last = len(basis) - 1
+        assert basis.decompose(basis.reconstruct({last: 1})) == {last: 1}
+        for position in (-1, len(basis)):
+            with pytest.raises(KeyError):
+                basis.reconstruct({position: 1})
+
+
 def test_basis_rejects_bad_degrees():
     with pytest.raises(ValueError):
         GradedBasis(4, 0)

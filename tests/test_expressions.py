@@ -1,11 +1,12 @@
 """Round-trip tests for the multivector expression grammar and printer."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import random_multivector
+from helpers import expression_corpus, random_multivector
 from poisson3 import (
     ExpressionError,
     MultiVector,
@@ -83,6 +84,9 @@ def test_parse_errors_carry_positions():
         parse_multivector("w")
     with pytest.raises(ExpressionError, match="position 2"):
         parse_multivector("x**2")
+    # a digit to str.isdigit, but not a decimal one
+    with pytest.raises(ExpressionError, match="unexpected character '²' .at position 2"):
+        parse_multivector("x^²")
 
 
 def test_parse_rejects_mixed_degrees():
@@ -105,3 +109,19 @@ def test_parse_rejects_structural_misuse():
 
 def test_expression_error_is_a_value_error():
     assert issubclass(ExpressionError, ValueError)
+
+
+def test_parser_matches_its_golden_corpus():
+    # every outcome over 20,390 strings: value or exception, message, position
+    outcomes = []
+    for text in expression_corpus():
+        try:
+            value = parse_multivector(text)
+        except Exception as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+        else:
+            outcomes.append(("ok", value.degree, format_multivector(value)))
+    assert len(outcomes) == 20390
+    assert sum(outcome[0] == "ok" for outcome in outcomes) == 1906
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "d79e4e82481affa0be51cc75d8c7cf99cefa8e85360b8bc9c455e9b10fcbf289"

@@ -27,7 +27,7 @@ from .complexes import (
     invariant_basis,
     rotation_field,
 )
-from .multivector import MultiVector, schouten_bracket
+from .multivector import MultiVector, rational, schouten_bracket
 
 
 class CohomologyCell:
@@ -239,8 +239,7 @@ def resonance_range(tau, c, dmax):
     """
     if dmax < 0:
         raise ValueError("dmax must be nonnegative, got %r" % (dmax,))
-    tau = Fraction(tau)
-    c = Fraction(c)
+    tau, c = rational(tau), rational(c)
     p, q = tau.numerator, tau.denominator
     if (c * q).denominator != 1:
         return range(0)
@@ -262,5 +261,5 @@ def resonances(tau, c, dmax):
     i, j are nonnegative integers; pairs are listed by increasing j, which
     runs over `resonance_range`, so only the pairs themselves are visited.
     """
-    tau, c = Fraction(tau), Fraction(c)
+    tau, c = rational(tau), rational(c)
     return [(int(c - tau * j), j) for j in resonance_range(tau, c, dmax)]

@@ -13,24 +13,18 @@ with no bracket or elimination.  `operator_matrix`, a Schouten bracket per
 column, is kept as the independent route the stencil is tested against.
 """
 
-from math import comb, lcm
+from math import comb
 
 from .linalg import integer_normalize
 from .multivector import (
+    DegreeError,
     MultiVector,
     NCOMP,
     Polynomial,
-    _FROM_SUBSET,
-    _TO_SUBSET,
-    _merge_subsets,
-    _right_derivatives,
+    linear_stencil,
     schouten_bracket,
     wedge,
 )
-
-
-class DegreeError(ValueError):
-    """An operator failed to preserve the coefficient grading."""
 
 
 def monomials(degree):
@@ -152,64 +146,11 @@ def operator_matrix(operator, q, d):
     return OperatorCell(source, target, columns, den=1)
 
 
-def _stencil(operator, q):
-    """Closed form of V -> [operator, V] on the degree-q components.
-
-    The operator is a sum of terms c x_k xi_S over anticommuting symbols,
-    and [A, B] = A*B - (-1)^((a-1)(b-1)) B*A with A*B as in `multivector`.
-    On B = x^m xi_T, the A*B part strips xi_i from S and differentiates
-    x^m, a term at x^(m + e_k - e_i) with coefficient linear in m_i; the B*A
-    part strips xi_i from T and differentiates x_k, a constant at x^m when
-    i == k.  Summed per (target component, monomial shift), each coefficient
-    is an affine form a . m + b.
-
-    Returns ({source idx: [(target idx, shift, (ax, ay, az, b))]}, den): den
-    is the lcm of the operator's coefficient denominators and the forms are
-    ints over it.  Raises DegreeError unless every coefficient of the
-    operator is homogeneous linear.
-    """
-    den = lcm(*(c.denominator for poly in operator.components.values()
-                for c in poly.terms.values()))
-    terms = []  # (symbol subset, k, int coefficient of x_k xi_subset)
-    for idx, poly in operator.components.items():
-        subset, sign = _TO_SUBSET[(operator.degree, idx)]
-        for mono, coeff in poly.terms.items():
-            if sum(mono) != 1:
-                raise DegreeError(
-                    "operator coefficient monomial %r is not linear" % (mono,))
-            terms.append((subset, mono.index(1), sign * coeff.numerator * den // coeff.denominator))
-    b_sign = 1 if (operator.degree - 1) * (q - 1) % 2 else -1
-    forms = {}  # (source idx, target idx, shift) -> [ax, ay, az, b]
-
-    def add(idx, left, right, coeff, shift, slot):
-        merged = _merge_subsets(left, right)
-        if merged is not None:
-            subset, merge_sign = merged
-            _, target_idx, target_sign = _FROM_SUBSET[subset]
-            form = forms.setdefault((idx, target_idx, shift), [0, 0, 0, 0])
-            form[slot] += merge_sign * target_sign * coeff
-
-    for idx in range(NCOMP[q]):
-        source, source_sign = _TO_SUBSET[(q, idx)]
-        for subset, k, c in terms:
-            c *= source_sign
-            for i, rest, sign in _right_derivatives(subset):  # A*B
-                add(idx, rest, source, sign * c, tuple((j == k) - (j == i) for j in range(3)), i)
-            for i, rest, sign in _right_derivatives(source):  # B*A
-                if i == k:
-                    add(idx, rest, subset, b_sign * sign * c, (0, 0, 0), 3)
-    table = {idx: [] for idx in range(NCOMP[q])}
-    for (idx, target_idx, shift), form in forms.items():
-        if any(form):
-            table[idx].append((target_idx, shift, tuple(form)))
-    return table, den
-
-
 def linear_operator_matrix(operator, q, d):
     """Matrix of V -> [operator, V] on the (q, d) basis, for a linear operator.
 
-    The same matrix as `operator_matrix`, read off `_stencil`: the column of
-    x^m xi_idx holds the int a . m + b (over the cell's den) at row
+    The same matrix as `operator_matrix`, read off `linear_stencil`: the
+    column of x^m xi_idx holds the int a . m + b (over the cell's den) at row
     x^(m + shift) xi_target for each stencil entry, skipped where that value
     is 0 (which includes every shift that would lower a zero exponent).
     Raises DegreeError unless the operator's coefficients are all
@@ -220,7 +161,7 @@ def linear_operator_matrix(operator, q, d):
     if not 0 <= out_q <= 3:
         raise ValueError("operator maps degree %d outside 0..3" % (q,))
     target = GradedBasis(out_q, d)
-    table, den = _stencil(operator, q)
+    table, den = linear_stencil(operator, q)
     row = target.position
     columns = []
     for idx, (mx, my, mz) in source.elements:
@@ -297,13 +238,13 @@ def rotation_field():
 
 def _invariant_generators():
     """Terms (idx, exponents, int coefficient) of the generators of each q."""
-    euler = MultiVector.vector(Polynomial.variable("x"), Polynomial.variable("y"), Polynomial.zero())
-    rotation, dz = rotation_field(), MultiVector.basis(1, 2)
+    dx, dy, dz = (MultiVector.basis(1, axis) for axis in range(3))
+    euler, rotation = dx * Polynomial.variable("x") + dy * Polynomial.variable("y"), rotation_field()
     return tuple([[(idx, mono, int(c)) for idx, poly in g.components.items()
                    for mono, c in poly.terms.items()] for g in generators]
-                 for generators in ([MultiVector.basis(0, 0)], [euler, rotation, dz],
-                                    [MultiVector.basis(2, 2), wedge(euler, dz), wedge(rotation, dz)],
-                                    [MultiVector.basis(3, 0)]))
+                 for generators in ([MultiVector.scalar(1)], [euler, rotation, dz],
+                                    [wedge(dx, dy), wedge(euler, dz), wedge(rotation, dz)],
+                                    [wedge(wedge(dx, dy), dz)]))
 
 
 _INVARIANT_GENERATORS = _invariant_generators()

@@ -21,7 +21,7 @@ round-trips exactly.
 import re
 from fractions import Fraction
 
-from .multivector import VAR_NAMES, MultiVector, Polynomial, _TO_SUBSET, monomial_key, wedge
+from .multivector import VAR_NAMES, MultiVector, Polynomial, monomial_key, wedge
 
 # whitespace, then one group per token kind; "bad" catches any other character
 _TOKEN = re.compile(r"\s+|(?P<int>\d+)|d(?P<gen>[xyz])|(?P<var>[xyz])|(?P<op>[-+*^/])|(?P<bad>.)")
@@ -106,8 +106,14 @@ def parse_multivector(text):
             raise ExpressionError("unexpected character %r" % (lexeme,), pos)
         if kind == "op":
             tokens.append((lexeme, None, pos))
+        elif kind != "int":
+            tokens.append((kind, VAR_NAMES.index(lexeme), pos))
         else:
-            tokens.append((kind, int(lexeme) if kind == "int" else VAR_NAMES.index(lexeme), pos))
+            try:
+                tokens.append((kind, int(lexeme), pos))
+            except ValueError:  # past the interpreter's int string limit
+                raise ExpressionError(
+                    "integer literal of %d digits is too long" % (len(lexeme),), pos) from None
     tokens.append(("end", None, len(text)))
     terms = []
     at = 0
@@ -145,10 +151,9 @@ def format_multivector(value):
     '0'
     """
     entries = []
-    for idx, poly in value.components.items():
-        gens, sign = _TO_SUBSET[(value.degree, idx)]
+    for idx, gens, poly in value.wedge_terms():
         for mono, coeff in poly.terms.items():
-            entries.append((mono, idx, coeff * sign, gens))
+            entries.append((mono, idx, coeff, gens))
     if not entries:
         return "0"
     entries.sort(key=lambda e: (tuple(-k for k in monomial_key(e[0])), e[1]))

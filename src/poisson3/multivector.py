@@ -18,10 +18,16 @@ dx, dy, dz become anticommuting symbols, and
 
 With this convention the bracket of two vector fields is the usual Lie
 bracket and [P, f] for a bivector P is the Hamiltonian field pairing used
-throughout the package.
+throughout the package.  `linear_stencil` is the same bracket specialised to
+an operator with linear coefficients, in closed form.
+
+This module is the only one that maps component indices to wedge generators
+and signs; other modules build fields with `wedge` or the expression syntax
+and read them through `MultiVector.wedge_terms`.
 """
 
 from fractions import Fraction
+from math import lcm
 
 VAR_NAMES = ("x", "y", "z")
 VAR_INDEX = {"x": 0, "y": 1, "z": 2}
@@ -42,7 +48,16 @@ _FROM_SUBSET = {subset: (q, idx, sign) for (q, idx), (subset, sign) in _TO_SUBSE
 NCOMP = (1, 3, 3, 1)
 
 
-def _as_fraction(value):
+class DegreeError(ValueError):
+    """An operator failed to preserve the coefficient grading."""
+
+
+def rational(value):
+    """value as an exact Fraction: an int, a Fraction or a str.
+
+    Anything else, a float included, raises TypeError: a float is a binary
+    approximation and would silently change the exact answer.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -89,10 +104,13 @@ class Polynomial:
         data = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = _as_fraction(coeff)
+                coeff = rational(coeff)
                 if not coeff:
                     continue
-                mono = (int(mono[0]), int(mono[1]), int(mono[2]))
+                exponents = (int(mono[0]), int(mono[1]), int(mono[2]))
+                if exponents != tuple(mono):
+                    raise ValueError("non-integral exponent in %r" % (mono,))
+                mono = exponents
                 if min(mono) < 0:
                     raise ValueError("negative exponent in %r" % (mono,))
                 data[mono] = data.get(mono, Fraction(0)) + coeff
@@ -110,7 +128,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value):
-        return cls({(0, 0, 0): _as_fraction(value)})
+        return cls({(0, 0, 0): rational(value)})
 
     @classmethod
     def variable(cls, var):
@@ -170,7 +188,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            coeff = _as_fraction(other)
+            coeff = rational(other)
             if not coeff:
                 return Polynomial.zero()
             out = Polynomial.__new__(Polynomial)
@@ -223,7 +241,7 @@ class Polynomial:
 
     def evaluate(self, point):
         """Value at a rational point (x, y, z)."""
-        px, py, pz = (_as_fraction(c) for c in point)
+        px, py, pz = (rational(c) for c in point)
         total = Fraction(0)
         for (i, j, k), coeff in self.terms.items():
             total += coeff * px**i * py**j * pz**k
@@ -390,12 +408,17 @@ class MultiVector:
     def is_coefficient_homogeneous(self, degree):
         return all(poly.is_homogeneous(degree) for poly in self.components.values())
 
-    def _xi_terms(self):
-        """[(symbol subset, Polynomial)] with basis-conversion signs folded in."""
+    def wedge_terms(self):
+        """[(component index, generators, Polynomial)], one per component.
+
+        generators is the ascending tuple of axes (0, 1, 2 for dx, dy, dz)
+        of the wedge product, and the Polynomial is its coefficient, the
+        component's sign folded in: dz^dx reads as -(dx^dz).
+        """
         out = []
         for idx, poly in self.components.items():
             subset, sign = _TO_SUBSET[(self.degree, idx)]
-            out.append((subset, poly if sign == 1 else -poly))
+            out.append((idx, subset, poly if sign == 1 else -poly))
         return out
 
     @classmethod
@@ -434,8 +457,8 @@ def wedge(a, b):
     if a.degree + b.degree > 3:
         return MultiVector.zero(3)
     out = {}
-    for sa, pa in a._xi_terms():
-        for sb, pb in b._xi_terms():
+    for _, sa, pa in a.wedge_terms():
+        for _, sb, pb in b.wedge_terms():
             merged = _merge_subsets(sa, sb)
             if merged is None:
                 continue
@@ -454,9 +477,9 @@ def _right_derivatives(subset):
 
 def _interior_sum(p_terms, q_terms, out):
     # out accumulates sum_i (right strip of symbol i from P) ^ (d/dx_i Q)
-    for sp, fp in p_terms:
+    for _, sp, fp in p_terms:
         for i, stripped, strip_sign in _right_derivatives(sp):
-            for sq, fq in q_terms:
+            for _, sq, fq in q_terms:
                 dq = fq.diff(i)
                 if not dq:
                     continue
@@ -480,8 +503,8 @@ def schouten_bracket(a, b):
     if a.degree + b.degree - 1 > 3:
         # every 4-vector on a 3-dimensional space vanishes
         return MultiVector.zero(3)
-    a_terms = a._xi_terms()
-    b_terms = b._xi_terms()
+    a_terms = a.wedge_terms()
+    b_terms = b.wedge_terms()
     out = {}
     _interior_sum(a_terms, b_terms, out)
     if ((a.degree - 1) * (b.degree - 1)) % 2:
@@ -492,6 +515,59 @@ def schouten_bracket(a, b):
         for subset, poly in flipped.items():
             out[subset] = out.get(subset, Polynomial.zero()) - poly
     return MultiVector._from_xi(a.degree + b.degree - 1, out)
+
+
+def linear_stencil(operator, q):
+    """Closed form of V -> [operator, V] on the degree-q components.
+
+    The operator is a sum of terms c x_k xi_S over anticommuting symbols,
+    and [A, B] = A*B - (-1)^((a-1)(b-1)) B*A with A*B as above.
+    On B = x^m xi_T, the A*B part strips xi_i from S and differentiates
+    x^m, a term at x^(m + e_k - e_i) with coefficient linear in m_i; the B*A
+    part strips xi_i from T and differentiates x_k, a constant at x^m when
+    i == k.  Summed per (target component, monomial shift), each coefficient
+    is an affine form a . m + b.
+
+    Returns ({source idx: [(target idx, shift, (ax, ay, az, b))]}, den): den
+    is the lcm of the operator's coefficient denominators and the forms are
+    ints over it.  Raises DegreeError unless every coefficient of the
+    operator is homogeneous linear.
+    """
+    den = lcm(*(c.denominator for poly in operator.components.values()
+                for c in poly.terms.values()))
+    terms = []  # (symbol subset, k, int coefficient of x_k xi_subset)
+    for idx, poly in operator.components.items():
+        subset, sign = _TO_SUBSET[(operator.degree, idx)]
+        for mono, coeff in poly.terms.items():
+            if sum(mono) != 1:
+                raise DegreeError(
+                    "operator coefficient monomial %r is not linear" % (mono,))
+            terms.append((subset, mono.index(1), sign * coeff.numerator * den // coeff.denominator))
+    b_sign = 1 if (operator.degree - 1) * (q - 1) % 2 else -1
+    forms = {}  # (source idx, target idx, shift) -> [ax, ay, az, b]
+
+    def add(idx, left, right, coeff, shift, slot):
+        merged = _merge_subsets(left, right)
+        if merged is not None:
+            subset, merge_sign = merged
+            _, target_idx, target_sign = _FROM_SUBSET[subset]
+            form = forms.setdefault((idx, target_idx, shift), [0, 0, 0, 0])
+            form[slot] += merge_sign * target_sign * coeff
+
+    for idx in range(NCOMP[q]):
+        source, source_sign = _TO_SUBSET[(q, idx)]
+        for subset, k, c in terms:
+            c *= source_sign
+            for i, rest, sign in _right_derivatives(subset):  # A*B
+                add(idx, rest, source, sign * c, tuple((j == k) - (j == i) for j in range(3)), i)
+            for i, rest, sign in _right_derivatives(source):  # B*A
+                if i == k:
+                    add(idx, rest, subset, b_sign * sign * c, (0, 0, 0), 3)
+    table = {idx: [] for idx in range(NCOMP[q])}
+    for (idx, target_idx, shift), form in forms.items():
+        if any(form):
+            table[idx].append((target_idx, shift, tuple(form)))
+    return table, den
 
 
 def lie_bracket(a, b):

@@ -12,7 +12,7 @@ negative range being the hyperbolic regime) and `spiral` (tau > 0).
 
 from fractions import Fraction
 
-from .multivector import MultiVector, Polynomial, _FROM_SUBSET
+from .multivector import MultiVector, Polynomial, rational, schouten_bracket, wedge
 
 KINDS = (
     "abelian",
@@ -42,7 +42,7 @@ class StructureConstants:
         for (i, j, k), value in entries.items():
             if not (0 <= i < j <= 2 and 0 <= k <= 2):
                 raise ValueError("bad structure constant index %r" % ((i, j, k),))
-            value = Fraction(value)
+            value = rational(value)
             if value:
                 self.c[(i, j, k)] = value
 
@@ -87,7 +87,7 @@ class Algebra:
         if name in _PARAMETRIC:
             if tau is None:
                 raise ValueError("algebra %r needs a tau parameter" % (name,))
-            tau = Fraction(tau)
+            tau = rational(tau)
             if name == "book" and not 0 < abs(tau) <= 1:
                 raise ValueError("book parameter must satisfy 0 < |tau| <= 1, got %s" % (tau,))
             if name == "spiral" and tau <= 0:
@@ -139,23 +139,24 @@ def structure_constants(algebra):
     if name == "so3":
         # [e1,e2] = e3, [e2,e3] = e1, [e3,e1] = e2
         return StructureConstants({(0, 1, 2): 1, (1, 2, 0): 1, (0, 2, 1): -1})
-    raise AssertionError(name)
+    raise ValueError("unknown algebra %r" % (name,))
 
 
 def linear_poisson(source):
     """Linear bivector of an Algebra or StructureConstants.
 
-    >>> linear_poisson("heisenberg") == MultiVector.bivector(
-    ...     Polynomial.zero(), Polynomial.zero(), Polynomial.variable("z"))
+    >>> dx, dy = MultiVector.basis(1, 0), MultiVector.basis(1, 1)
+    >>> linear_poisson("heisenberg") == wedge(dx, dy) * Polynomial.variable("z")
     True
     """
     if isinstance(source, (str, Algebra)):
         source = structure_constants(source)
-    comps = {0: Polynomial.zero(), 1: Polynomial.zero(), 2: Polynomial.zero()}
+    dx = [MultiVector.basis(1, axis) for axis in range(3)]
+    pi = MultiVector.zero(2)
     for (i, j, k), value in source.c.items():
-        _, idx, sign = _FROM_SUBSET[(i, j)]
-        comps[idx] = comps[idx] + Polynomial.monomial(tuple(1 if m == k else 0 for m in range(3)), sign * value)
-    return MultiVector(2, {i: p for i, p in comps.items() if p})
+        pi = pi + wedge(dx[i], dx[j]) * (Polynomial.variable(k) * value)
+    # components in index order, as the stencil reads them: it steers elimination time
+    return MultiVector(2, dict(sorted(pi.components.items())))
 
 
 def jacobi_defect(source):
@@ -164,7 +165,5 @@ def jacobi_defect(source):
     A trivector with linear coefficient measuring the failure of the Jacobi
     identity for the given constants.
     """
-    from .multivector import schouten_bracket
-
     pi = linear_poisson(source)
     return schouten_bracket(pi, pi)

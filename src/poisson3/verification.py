@@ -16,13 +16,7 @@ from . import linalg
 from .cohomology import cohomology_table, coboundary_witness
 from .complexes import GradedBasis, differential_matrix, poisson_differential
 from .expressions import parse_multivector
-from .multivector import (
-    MultiVector,
-    Polynomial,
-    modular_vector_field,
-    schouten_bracket,
-    wedge,
-)
+from .multivector import MultiVector, Polynomial, modular_vector_field, schouten_bracket
 from .registry import Algebra, linear_poisson
 
 FIXTURE_IDS = (
@@ -417,28 +411,23 @@ def deformation_identity_check(family, first, second):
     Returns DeformationCheck(deformed, bracket, closed_form, residual); the
     identity holds exactly when residual is zero.
     """
-    if isinstance(first, MultiVector):
-        if first.degree != 0:
-            raise ValueError("deformation data must be functions")
-        first = first.component(0)
-    if isinstance(second, MultiVector):
-        if second.degree != 0:
-            raise ValueError("deformation data must be functions")
-        second = second.component(0)
-    top = MultiVector.trivector(Polynomial.one())
+    data = []
+    for value in (first, second):
+        if isinstance(value, MultiVector):
+            if value.degree != 0:
+                raise ValueError("deformation data must be functions")
+            value = value.component(0)
+        data.append(value)
+    first, second = data
+    top = parse_multivector("dx^dy^dz")
     if family == "heisenberg":
         _require_vars(first, {0, 1}, "g1")
         _require_vars(second, {0, 1}, "g2")
         if first.terms.get((0, 0, 0)) or second.terms.get((0, 0, 0)):
             raise ValueError("deformation data must vanish at the origin")
-        base = MultiVector.bivector(
-            Polynomial.zero(), Polynomial.zero(), Polynomial.variable(2))
-        hamiltonian = MultiVector.vector(
-            Polynomial.zero(), Polynomial.zero(),
-            first + Polynomial.variable(2) * second)
-        plane = MultiVector.bivector(
-            Polynomial.zero(), Polynomial.zero(), Polynomial.one())
-        deformed = base + schouten_bracket(hamiltonian, plane)
+        hamiltonian = parse_multivector("dz") * (first + Polynomial.variable(2) * second)
+        deformed = (parse_multivector("z*dx^dy")
+                    + schouten_bracket(hamiltonian, parse_multivector("dx^dy")))
         closed = top * (
             (first.diff(0) * second.diff(1)
              - second.diff(0) * first.diff(1)) * Fraction(2))
@@ -448,15 +437,9 @@ def deformation_identity_check(family, first, second):
         f_of_u = _substitute_radial(first)
         fprime = _substitute_radial(first.diff(0))
         u = (Polynomial.variable(0) ** 2) + (Polynomial.variable(1) ** 2)
-        x, y = Polynomial.variable(0), Polynomial.variable(1)
-        rotation = MultiVector.vector(y * Fraction(-1), x, Polynomial.zero())
-        radial = MultiVector.vector(x, y, Polynomial.zero())
-        dz = MultiVector.basis(1, 2)
-        deformed = (
-            wedge(rotation, dz)
-            + wedge(radial, dz) * f_of_u
-            + MultiVector.bivector(
-                Polynomial.zero(), Polynomial.zero(), second))
+        deformed = (parse_multivector("-y*dx^dz + x*dy^dz")
+                    + parse_multivector("x*dx^dz + y*dy^dz") * f_of_u
+                    + parse_multivector("dx^dy") * second)
         closed = top * ((f_of_u + u * fprime) * second * Fraction(4))
     else:
         raise ValueError("unknown deformation family %r" % (family,))

@@ -418,6 +418,10 @@ def test_parse_error_reports_position(capsys):
     code, _, err = run(capsys, "schouten", "x ++ y", "z")
     assert code == 2
     assert "position" in err
+    # past Python's 4,300-digit int string limit
+    code, out, err = run(capsys, "schouten", "x^" + "9" * 4400, "z")
+    assert code == 2 and out == ""
+    assert "integer literal of 4400 digits is too long (at position 2)" in err
 
 
 def test_help_exits_zero(capsys):

@@ -359,6 +359,15 @@ def test_resonance_examples():
     assert resonances(Fraction(3, 5), Fraction(1, 7), 5) == []
 
 
+def test_resonances_reject_inexact_inputs():
+    for tau, c in ((0.1, 1), (Fraction(1, 2), 0.5)):
+        with pytest.raises(TypeError, match="expected a rational scalar"):
+            resonances(tau, c, 5)
+        with pytest.raises(TypeError, match="expected a rational scalar"):
+            resonance_range(tau, c, 5)
+    assert resonances("1/2", "1", 10) == resonances(Fraction(1, 2), 1, 10) == [(1, 0), (0, 2)]
+
+
 def test_resonance_pairs_satisfy_defining_equation():
     rng = random.Random(311)
     for _ in range(40):

@@ -32,9 +32,9 @@ from poisson3 import (
     schouten_bracket,
     structure_constants,
 )
-from poisson3 import complexes
-from poisson3.complexes import _stencil, linear_operator_matrix
-from poisson3.multivector import NCOMP, monomial_key
+from poisson3 import complexes, multivector
+from poisson3.complexes import linear_operator_matrix
+from poisson3.multivector import NCOMP, linear_stencil, monomial_key
 from poisson3.linalg import matvec
 
 ALGEBRAS = tuple(
@@ -181,6 +181,8 @@ def test_differential_requires_linear_bivector():
             for q in range(3):
                 with pytest.raises(DegreeError):
                     differential_matrix(mv(text), q, d)
+    # raised by the stencil in multivector, re-exported unchanged
+    assert DegreeError is complexes.DegreeError is multivector.DegreeError
 
 
 def test_zero_operator_counts_as_linear():
@@ -287,7 +289,7 @@ def test_stencil_is_integer_over_the_operator_denominators():
         den = lcm(*(c.denominator for poly in operator.components.values()
                     for c in poly.terms.values()))
         for q in range(4):
-            table, stencil_den = _stencil(operator, q)
+            table, stencil_den = linear_stencil(operator, q)
             assert stencil_den == den
             assert all(type(v) is int
                        for entries in table.values() for _, _, form in entries for v in form)

@@ -87,6 +87,12 @@ def test_parse_errors_carry_positions():
     # a digit to str.isdigit, but not a decimal one
     with pytest.raises(ExpressionError, match="unexpected character '²' .at position 2"):
         parse_multivector("x^²")
+    # int() converts at most 4,300 digits
+    with pytest.raises(ExpressionError, match="5000 digits is too long .at position 0"):
+        parse_multivector("1" * 5000)
+    with pytest.raises(ExpressionError, match="4400 digits is too long .at position 2"):
+        parse_multivector("x^" + "9" * 4400)
+    assert parse_multivector("1" * 4300) == MultiVector.scalar(int("1" * 4300))
 
 
 def test_parse_rejects_mixed_degrees():

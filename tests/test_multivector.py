@@ -47,6 +47,16 @@ def test_polynomial_exact_fractions():
     assert (p - p).is_zero()
 
 
+def test_polynomial_rejects_inexact_scalars_and_exponents():
+    with pytest.raises(TypeError, match="expected a rational scalar, got 0.5"):
+        Polynomial.constant(0.5)
+    with pytest.raises(ValueError, match="non-integral exponent"):
+        Polynomial({(1.5, 0, 0): 1})
+    with pytest.raises(ValueError, match="non-integral exponent"):
+        Polynomial.monomial((0.5, 0, 0))
+    assert Polynomial({(2, 0, 0): "1/2"}) == X * X * Fraction(1, 2)
+
+
 def test_polynomial_evaluation_is_ring_homomorphism():
     rng = random.Random(11)
     for _ in range(25):

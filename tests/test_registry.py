@@ -191,3 +191,24 @@ def test_structure_constants_reject_bad_keys():
         StructureConstants({(1, 0, 2): Fraction(1)})
     with pytest.raises(ValueError):
         StructureConstants({(0, 3, 2): Fraction(1)})
+
+
+def test_inexact_inputs_are_rejected():
+    # the float -2/3 is a binary approximation, and its table differs
+    with pytest.raises(TypeError, match="expected a rational scalar"):
+        Algebra("book", -2 / 3)
+    with pytest.raises(TypeError):
+        Algebra("spiral", 0.5)
+    with pytest.raises(TypeError):
+        StructureConstants({(0, 1, 2): 0.1})
+    # int, Fraction and str stay exact
+    assert Algebra("book", "-2/3") == Algebra("book", Fraction(-2, 3))
+    assert Algebra("spiral", 1).tau == 1
+    assert StructureConstants({(0, 1, 2): "1/2"}) == StructureConstants({(0, 1, 2): HALF})
+
+
+def test_structure_constants_reject_an_unknown_kind():
+    algebra = Algebra("so3")
+    algebra.name = "so4"
+    with pytest.raises(ValueError, match="unknown algebra 'so4'"):
+        structure_constants(algebra)

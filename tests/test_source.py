@@ -90,3 +90,42 @@ def test_no_dead_public_functions():
 
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     assert _unreferenced_functions(trees, set(poisson3.__all__)) == []
+
+
+def _private_imports(tree, package="poisson3"):
+    """(line, name) of each _-prefixed name taken from another package module.
+
+    That is a name imported from a package module (relative or absolute), or
+    an attribute read off a package module the tree imported whole.
+    """
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == package):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append((node.lineno, alias.name))
+                elif node.module is None or node.module == package:
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_private_import_rule_flags_only_foreign_private_names():
+    tree = ast.parse("from .a import _x, y\nfrom poisson3.b import _z as w\n"
+                     "from os import _exit\nfrom . import c\nfrom poisson3 import d\n"
+                     "c._p(); c.q(); d._r; y._s; self._t\n")
+    assert _private_imports(tree) == [(1, "_x"), (2, "_z"), (6, "_p"), (6, "_r")]
+
+
+def test_no_private_imports():
+    # only multivector knows the wedge-sign convention (_TO_SUBSET and its kin)
+    found = [
+        "%s:%d %s" % (path.name, line, name)
+        for path in SOURCES
+        for line, name in _private_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []

@@ -1,7 +1,12 @@
 """Fixture oracles, verification reports, deformation and modular checks."""
 
+import json
+import pathlib
 import random
+import runpy
+import sys
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -53,6 +58,17 @@ def test_every_fixture_matches_its_oracle():
             for d in range(expect.dmax_table + 1):
                 assert expect.dim(q, d) == grid.get(q, {}).get(d, 0), (
                     fixture_id, q, d)
+
+
+def test_shipped_fixtures_are_what_the_tool_writes(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/
+    tool = runpy.run_path(str(
+        pathlib.Path(__file__).resolve().parent.parent / "tools" / "make_fixtures.py"))
+    assert set(tool["FIXTURES"]) == set(FIXTURE_IDS)
+    shipped = resources.files("poisson3") / "fixtures"
+    for fixture_id in FIXTURE_IDS:
+        written = json.dumps(tool["build_fixture"](fixture_id), indent=2, sort_keys=True) + "\n"
+        assert written == (shipped / (fixture_id + ".json")).read_text(), fixture_id
 
 
 def test_fixture_raw_schema():

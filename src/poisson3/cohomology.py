@@ -10,6 +10,13 @@ rotation-invariant subcomplex goes through the same routine with the
 differentials restricted to the invariant sub-bases
 (`cohomology_table(pi, dmax, invariant=True)`).
 
+Most cells are acyclic, and those need no exact elimination.  Each
+differential is first reduced modulo the constant prime `linalg.PRIME`; the
+rank mod p is at most the rank over Q, and d o d = 0 gives dim H >= 0.  So a
+cell whose dim H mod p is 0 is proved acyclic, with both ranks exact and no
+representative.  Every other cell is reduced exactly.  Nothing here is
+probabilistic: an unlucky prime only sends a cell down the exact path.
+
 The matrices are integer throughout.  Representatives are canonical: the
 kernel rows whose leading coordinate is not a pivot of the image echelon
 are kept and reduced against the image, then scaled to coprime integers and
@@ -98,7 +105,11 @@ def _check_rotation_invariant(pi):
 def _degree_cells(pi, d, invariant):
     """The cells q = 0..3 of coefficient degree d.
 
-    Each differential out of degree d is built once and reduced once: that
+    Each differential out of degree d is built once and reduced mod p once.
+    When its rank mod p leaves cell q no room for a class, the cell is
+    certified acyclic and the columns independent mod p, which are
+    independent over Q and as many as the exact rank, are cell q + 1's
+    image.  Otherwise the differential is also reduced exactly: that
     reduction gives cell q its rank and reduced kernel, and cell q + 1 the
     independent columns whose echelon is its image.  On the invariant
     subcomplex each differential is first restricted to the invariant
@@ -110,12 +121,22 @@ def _degree_cells(pi, d, invariant):
         vectors = [invariant_basis(q, d)[1] for q in range(4)] + [[]]  # d_3 maps to 0
         columns = [_restrict(cols, vectors[q], vectors[q + 1]) for q, cols in enumerate(columns)]
     cells = []
-    in_pivots, in_echelon = [], []
+    image = []  # independent columns of d_{q-1}, as many as its exact rank
     for q, cols in enumerate(columns):
+        independent = linalg.independent_columns_mod_p(cols)
+        if len(cols) == len(independent) + len(image):
+            # rank_p <= rank_Q and dim H >= 0: both ranks are exact, H = 0
+            cells.append(CohomologyCell(q, d, len(cols), len(independent), len(image), []))
+            image = [cols[j] for j in independent]
+            continue
         reduction = linalg.kernel_and_image(cols)
+        if reduction[0] < len(independent):
+            raise RuntimeError(
+                "cell (%d, %d): exact rank %d is below the rank %d mod p"
+                % (q, d, reduction[0], len(independent)))
+        in_pivots, in_echelon = linalg.rref(image) if q else ([], [])
         cells.append(_cell(q, d, len(cols), reduction, in_pivots, in_echelon))
-        if q < 3:
-            in_pivots, in_echelon = linalg.rref(reduction[3])
+        image = reduction[3]
     for q, cell in enumerate(cells):
         reps = cell.representatives
         if invariant:

@@ -19,6 +19,7 @@ round-trips exactly.
 """
 
 import re
+import sys
 from fractions import Fraction
 
 from .multivector import VAR_NAMES, MultiVector, Polynomial, monomial_key, wedge
@@ -134,7 +135,12 @@ def parse_multivector(text):
 def _render_term(coeff, mono, gens):
     parts = []
     if coeff != 1 or (not any(mono) and not gens):
-        parts.append(str(coeff))
+        try:
+            parts.append(str(coeff))
+        except ValueError:  # past the interpreter's int string limit
+            raise ValueError(
+                "a coefficient has more than %d digits, the limit for printing an integer"
+                % (sys.get_int_max_str_digits(),)) from None
     for axis, power in enumerate(mono):
         if power == 0:
             continue

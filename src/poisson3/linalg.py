@@ -2,17 +2,26 @@
 
 Vectors are dicts {index: nonzero int}; matrices are lists of such column
 dicts (rational data enters scaled by a common denominator, which changes
-no rank, kernel or span).  Everything reduces to one canonical routine,
-fraction-free elimination whose rows are primitive, positive at their
-pivot and zero at the other pivots: a form as unique as the reduced row
-echelon form, so ranks, kernels, and cohomology representatives downstream
-are deterministic.  `kernel_and_image` gets the rank, the reduced kernel and
-a basis of the image of a map from one such elimination; solves are read
-off that same routine.  Only `solve_combination` returns Fractions.
+no rank, kernel or span).  Every exact result comes from one canonical
+routine, fraction-free elimination whose rows are primitive, positive at
+their pivot and zero at the other pivots: a form as unique as the reduced
+row echelon form, so ranks, kernels, and cohomology representatives
+downstream are deterministic.  `kernel_and_image` gets the rank, the
+reduced kernel and a basis of the image of a map from one such elimination;
+solves are read off that same routine.  Only `solve_combination` returns
+Fractions.
+
+`independent_columns_mod_p` runs the same elimination in word-size
+arithmetic on the entries reduced modulo `PRIME`, a constant rather than an
+option.  Its rank mod p is a lower bound for the rank over Q (a minor that is
+nonzero mod p is a nonzero integer), so the columns it returns are
+independent over Q too: enough to certify a rank that cannot be larger.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+
+PRIME = 2**30 - 35  # below 2**30: each residue is one CPython digit, the fast path
 
 
 def _primitive(row):
@@ -85,11 +94,54 @@ def reduce_against(pivots, echelon, vec):
     return _primitive(row)
 
 
+def _rows(columns):
+    """The rows of a matrix given by its columns, column j placed at n-1-j.
+
+    This is the only place where columns become rows.
+    """
+    last = len(columns) - 1
+    rows = {}
+    for j, col in enumerate(columns):
+        for i, c in col.items():
+            rows.setdefault(i, {})[last - j] = c
+    return rows.values()
+
+
+def independent_columns_mod_p(columns):
+    """Indices of a maximal set of columns independent modulo `PRIME`.
+
+    The rows are laid out and eliminated as in `kernel_and_image` (lowest
+    remaining index first), with entries reduced mod p and each pivot row
+    scaled to 1 at its pivot.  The count is the rank mod p, at most the rank
+    over Q, and the returned columns are independent over Q as well.
+    """
+    p = PRIME
+    last = len(columns) - 1
+    table = {}
+    for row in _rows(columns):
+        row = {i: c % p for i, c in row.items() if c % p}
+        while row:
+            col = min(row)
+            pivot_row = table.get(col)
+            if pivot_row is None:
+                inverse = pow(row[col], -1, p)
+                table[col] = {i: c * inverse % p for i, c in row.items()}
+                break
+            b = row[col]
+            for i, c in pivot_row.items():
+                val = (row.get(i, 0) - b * c) % p
+                if val:
+                    row[i] = val
+                else:
+                    del row[i]
+    return sorted(last - k for k in table)
+
+
 def kernel_and_image(columns):
     """Rank, reduced kernel and image basis of a matrix from one `rref`.
 
-    This is where columns become rows and a kernel is read off an echelon.
-    The rows are reduced with column j placed at n-1-j, so each echelon row
+    This is where a kernel is read off an echelon.  The rows are reduced
+    with column j placed at n-1-j (`_rows`), so each echelon row
     leads at its highest original column.  The kernel then comes out in the
     echelon form of `rref`: one vector per free column j, led at j by the
     lcm of the pivot entries of the rows that touch j, with the scaled and
@@ -99,11 +151,7 @@ def kernel_and_image(columns):
     Returns (rank, kernel_pivots, kernel_echelon, image_columns).
     """
     last = len(columns) - 1
-    rows = {}
-    for j, col in enumerate(columns):
-        for i, c in col.items():
-            rows.setdefault(i, {})[last - j] = c
-    pivots, echelon = rref(rows.values())
+    pivots, echelon = rref(_rows(columns))
     pivot_columns = sorted(last - p for p in pivots)
     entries = {j: [] for j in range(len(columns))}
     for j in pivot_columns:

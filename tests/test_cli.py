@@ -424,6 +424,15 @@ def test_parse_error_reports_position(capsys):
     assert "integer literal of 4400 digits is too long (at position 2)" in err
 
 
+def test_output_past_the_int_digit_limit_is_domain_error(capsys):
+    # each factor parses (2,200 digits), their product has 4,400
+    nines = "9" * 2200
+    code, out, err = run(capsys, "schouten", nines + "*" + nines + "*x*dx", "x")
+    assert code == 2 and out == ""
+    assert err == "error: a coefficient has more than 4300 digits, the limit for printing" \
+        " an integer\n"
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import exact_columns, kernel_basis, rank
 from poisson3 import (
+    KINDS,
     Algebra,
     GradedBasis,
     MultiVector,
@@ -129,22 +130,72 @@ def test_one_reduction_gives_kernel_and_image_echelons(algebra):
             assert linalg.rref(image) == linalg.rref(columns)
 
 
-def test_each_degree_makes_seven_rref_calls(monkeypatch):
-    # four differentials reduced once each, plus the image echelons of d_0..d_2
-    calls = []
-    rref = linalg.rref
+def _count_calls(monkeypatch, *names):
+    """Patch the named `linalg` routines to count their calls; returns the counts."""
+    calls = dict.fromkeys(names, 0)
 
-    def counting(rows):
-        calls.append(1)
-        return rref(rows)
+    def counting(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
 
-    monkeypatch.setattr(linalg, "rref", counting)
-    cohomology_table(linear_poisson("heisenberg"), 3)
-    assert len(calls) == 28
+    for name in names:
+        monkeypatch.setattr(linalg, name, counting(name, getattr(linalg, name)))
+    return calls
+
+
+def test_each_degree_makes_at_most_seven_rref_calls(monkeypatch):
+    # four differentials reduced once each, plus the image echelons of d_0..d_2;
+    # a cell certified acyclic mod p needs neither its reduction nor its echelon
+    calls = _count_calls(monkeypatch, "rref", "kernel_and_image")
+    cohomology_table(linear_poisson("heisenberg"), 3)  # no acyclic cell
+    assert calls == {"rref": 28, "kernel_and_image": 16}
     # the invariant table restricts the same differentials: no elimination of its own
-    calls.clear()
+    calls.update(rref=0, kernel_and_image=0)
     cohomology_table(linear_poisson("euclidean"), 3, invariant=True)
-    assert len(calls) == 28
+    assert calls["rref"] == 26
+    for kind in ("sl2", "so3"):  # exact work only in q = 0, 3 of d = 0, 2, the Casimir classes
+        calls.update(rref=0, kernel_and_image=0)
+        cohomology_table(linear_poisson(kind), 3)
+        assert calls == {"rref": 6, "kernel_and_image": 4}
+
+
+REGISTRY_ALGEBRAS = [Algebra(kind, {"book": Fraction(-2, 3), "spiral": Fraction(5, 2)}.get(kind))
+                     for kind in KINDS] + [Algebra("book", Fraction(1, 3))]
+
+
+def _table_fields(tables):
+    return [[_cell_fields(table.cells[key]) for key in sorted(table.cells)] for table in tables]
+
+
+@pytest.mark.parametrize("prime, exact_reductions", [(2, 266), (3, 254), (5, 228)])
+def test_a_small_prime_only_sends_cells_down_the_exact_path(monkeypatch, prime,
+                                                            exact_reductions):
+    calls = _count_calls(monkeypatch, "kernel_and_image")
+    pis = [linear_poisson(algebra) for algebra in REGISTRY_ALGEBRAS]
+    expected = _table_fields(cohomology_table(pi, 8) for pi in pis)
+    assert calls["kernel_and_image"] == 173
+    monkeypatch.setattr(linalg, "PRIME", prime)
+    calls["kernel_and_image"] = 0
+    assert _table_fields(cohomology_table(pi, 8) for pi in pis) == expected
+    assert calls["kernel_and_image"] == exact_reductions
+
+
+def test_exact_rank_below_the_modular_rank_raises(monkeypatch):
+    # a rank mod p can never exceed the rank over Q; the guard must survive python -O
+    independent_columns_mod_p = linalg.independent_columns_mod_p
+
+    def over_reporting(columns):
+        independent = independent_columns_mod_p(columns)
+        if len(columns) == 9:  # d_1 at degree 1, a cell with dim H = 4
+            independent.append(max(set(range(len(columns))) - set(independent)))
+        return independent
+
+    monkeypatch.setattr(linalg, "independent_columns_mod_p", over_reporting)
+    message = r"cell \(1, 1\): exact rank 3 is below the rank 4 mod p"
+    with pytest.raises(RuntimeError, match=message):
+        cohomology_table(linear_poisson("heisenberg"), 1)
 
 
 def test_cells_are_deterministic():

@@ -6,7 +6,9 @@ from math import gcd, lcm
 
 from helpers import compose, integer_matrix, integer_rows, kernel_basis, rank, reference_rref
 
+from poisson3 import linalg
 from poisson3.linalg import (
+    independent_columns_mod_p,
     integer_normalize,
     kernel_and_image,
     matvec,
@@ -209,6 +211,38 @@ def test_kernel_and_image_agrees_with_separate_reductions():
         assert (ker_pivots, ker_echelon) == rref(kernel_basis(columns)[1])
         assert rref(image) == rref(columns)
         assert all(any(col is c for c in columns) for col in image)
+
+
+def test_columns_independent_mod_p_have_the_exact_rank():
+    rng = random.Random(131)
+    for _ in range(120):
+        columns = _random_rows(rng, rng.randint(0, 9), rng.randint(1, 8))
+        if columns and rng.random() < 0.3:
+            columns.append(dict(rng.choice(columns)))
+        columns = integer_matrix(columns)
+        independent = independent_columns_mod_p(columns)
+        assert independent == sorted(set(independent))
+        assert len(independent) == kernel_and_image(columns)[0]
+        assert rank([columns[j] for j in independent]) == len(independent)
+
+
+def test_rank_drop_mod_the_prime_returns_fewer_columns(monkeypatch):
+    # det [[1, 1], [1, 4]] = 3: rank 2 over Q, rank 1 mod 3
+    columns = _columns_from_rows([[1, 1, 0], [1, 4, 0], [0, 0, 7]])
+    assert independent_columns_mod_p(columns) == [0, 1, 2]
+    monkeypatch.setattr(linalg, "PRIME", 3)
+    independent = independent_columns_mod_p(columns)
+    assert len(independent) == 2 < kernel_and_image(columns)[0]
+    assert rank([columns[j] for j in independent]) == 2
+    monkeypatch.setattr(linalg, "PRIME", 7)
+    assert independent_columns_mod_p(columns) == [0, 1]
+
+
+def test_the_modulus_is_a_word_size_prime():
+    # a composite modulus would make pow(c, -1, p) raise on some entries
+    p = linalg.PRIME
+    assert 2 < p < 2**30
+    assert all(p % k for k in range(2, int(p**0.5) + 1))
 
 
 def _reference_kernel(columns):

@@ -41,11 +41,13 @@ class GradedBasis:
     """Ordered basis of the (q, d) cochain space.
 
     Elements are (component index, monomial) pairs, ordered by monomial
-    (leading first, as in `monomials`) and then by component index; size is
-    binom(3, q) * (d+1)(d+2)/2.
+    (leading first, as in `monomials`) and then by component index; the size
+    binom(3, q) * (d+1)(d+2)/2 is a closed form.  The element list is built on
+    first use of `elements`, iteration or `reconstruct`, so a basis that only
+    sizes a matrix or maps positions never builds it.
     """
 
-    __slots__ = ("q", "d", "elements")
+    __slots__ = ("q", "d", "_elements")
 
     def __init__(self, q, d):
         if q not in (0, 1, 2, 3):
@@ -54,12 +56,18 @@ class GradedBasis:
             raise ValueError("coefficient degree must be >= 0, got %r" % (d,))
         self.q = q
         self.d = d
-        self.elements = [
-            (idx, mono) for mono in monomials(d) for idx in range(NCOMP[q])
-        ]
+        self._elements = None
+
+    @property
+    def elements(self):
+        if self._elements is None:
+            self._elements = [
+                (idx, mono) for mono in monomials(self.d) for idx in range(NCOMP[self.q])
+            ]
+        return self._elements
 
     def __len__(self):
-        return len(self.elements)
+        return NCOMP[self.q] * (self.d + 1) * (self.d + 2) // 2
 
     def __iter__(self):
         return iter(self.elements)
@@ -103,7 +111,7 @@ class GradedBasis:
         """
         comps = {}
         for position, coeff in coords.items():
-            if not 0 <= position < len(self.elements):
+            if not 0 <= position < len(self):
                 raise KeyError(position)
             idx, mono = self.elements[position]
             comps.setdefault(idx, {})[mono] = coeff
@@ -146,14 +154,35 @@ def operator_matrix(operator, q, d):
     return OperatorCell(source, target, columns, den=1)
 
 
+def _check_stencil(table, out_q):
+    """Raise ValueError if a kept stencil entry could leave the target basis.
+
+    An entry (t, shift, form) stays in the degree-out_q basis at every
+    source monomial when component t exists there, the shift sums to 0 (the
+    total degree is kept) and each axis a it lowers is lowered by one and
+    carries the form c m_a, with no other axis and no constant: the value
+    is then 0, and the entry skipped, wherever m_a = 0.
+    """
+    for idx, entries in table.items():
+        for t, shift, form in entries:
+            if not (0 <= t < NCOMP[out_q] and sum(shift) == 0 and all(
+                    shift[a] == -1 and not any(form[:a] + form[a + 1:])
+                    for a in range(3) if shift[a] < 0)):
+                raise ValueError("stencil entry %r of component %d leaves the degree-%d basis"
+                                 % ((t, shift, form), idx, out_q))
+
+
 def linear_operator_matrix(operator, q, d):
     """Matrix of V -> [operator, V] on the (q, d) basis, for a linear operator.
 
     The same matrix as `operator_matrix`, read off `linear_stencil`: the
     column of x^m xi_idx holds the int a . m + b (over the cell's den) at row
-    x^(m + shift) xi_target for each stencil entry, skipped where that value
-    is 0 (which includes every shift that would lower a zero exponent).
-    Raises DegreeError unless the operator's coefficients are all
+    x^(m + shift) xi_t for each stencil entry (t, shift, (a, b)), skipped
+    where that value is 0.  With s = d - m_z and T(s) = s(s + 1)/2, that row
+    is (T(s - shift_z) + m_x + shift_x) * binom(3, out_q) + t, the position
+    of x^(m + shift) xi_t in the target basis.  `_check_stencil` makes sure
+    once per entry, before any column, that every kept entry lands in that
+    basis.  Raises DegreeError unless the operator's coefficients are all
     homogeneous linear; the zero operator is.
     """
     source = GradedBasis(q, d)
@@ -162,15 +191,22 @@ def linear_operator_matrix(operator, q, d):
         raise ValueError("operator maps degree %d outside 0..3" % (q,))
     target = GradedBasis(out_q, d)
     table, den = linear_stencil(operator, q)
-    row = target.position
+    _check_stencil(table, out_q)
+    ncomp = NCOMP[out_q]
+    stencil = [table[idx] for idx in range(NCOMP[q])]
     columns = []
-    for idx, (mx, my, mz) in source.elements:
-        col = {}
-        for target_idx, (sx, sy, sz), (ax, ay, az, b) in table[idx]:
-            c = ax * mx + ay * my + az * mz + b
-            if c:
-                col[row(target_idx, (mx + sx, my + sy, mz + sz))] = c
-        columns.append(col)
+    for s in range(d + 1):  # the source monomials in basis order: z^(d - s), then x^i
+        mz = d - s
+        for mx in range(s + 1):
+            my = s - mx
+            for entries in stencil:
+                col = {}
+                for t, (sx, _, sz), (ax, ay, az, b) in entries:
+                    c = ax * mx + ay * my + az * mz + b
+                    if c:
+                        r = s - sz
+                        col[(r * (r + 1) // 2 + mx + sx) * ncomp + t] = c
+                columns.append(col)
     return OperatorCell(source, target, columns, den)
 
 

@@ -13,7 +13,8 @@ Fractions.
 
 `independent_columns_mod_p` runs the same elimination in word-size
 arithmetic on the entries reduced modulo `PRIME`, a constant rather than an
-option.  Its rank mod p is a lower bound for the rank over Q (a minor that is
+option, on the shorter side of the matrix: its columns or its rows.  Its
+rank mod p is a lower bound for the rank over Q (a minor that is
 nonzero mod p is a nonzero integer), so the columns it returns are
 independent over Q too: enough to certify a rank that cannot be larger.
 """
@@ -107,34 +108,54 @@ def _rows(columns):
     return rows.values()
 
 
-def independent_columns_mod_p(columns):
-    """Indices of a maximal set of columns independent modulo `PRIME`.
+def _echelon_mod_p(vectors, leading):
+    """{pivot: k} for the vectors k independent mod `PRIME` of those before them.
 
-    The rows are laid out and eliminated as in `kernel_and_image` (lowest
-    remaining index first), with entries reduced mod p and each pivot row
-    scaled to 1 at its pivot.  The count is the rank mod p, at most the rank
-    over Q, and the returned columns are independent over Q as well.
+    Entries are reduced mod p, and each vector is reduced at its `leading`
+    (min or max) index first: every pivot vector is scaled to 1 at its
+    pivot, and `leading` of its other indices lies beyond it.
     """
     p = PRIME
-    last = len(columns) - 1
     table = {}
-    for row in _rows(columns):
-        row = {i: c % p for i, c in row.items() if c % p}
-        while row:
-            col = min(row)
-            pivot_row = table.get(col)
-            if pivot_row is None:
-                inverse = pow(row[col], -1, p)
-                table[col] = {i: c * inverse % p for i, c in row.items()}
+    found = {}
+    for k, vec in enumerate(vectors):
+        vec = {i: c % p for i, c in vec.items() if c % p}
+        while vec:
+            col = leading(vec)
+            pivot_vec = table.get(col)
+            if pivot_vec is None:
+                inverse = pow(vec[col], -1, p)
+                table[col] = {i: c * inverse % p for i, c in vec.items()}
+                found[col] = k
                 break
-            b = row[col]
-            for i, c in pivot_row.items():
-                val = (row.get(i, 0) - b * c) % p
+            b = vec[col]
+            for i, c in pivot_vec.items():
+                val = (vec.get(i, 0) - b * c) % p
                 if val:
-                    row[i] = val
+                    vec[i] = val
                 else:
-                    del row[i]
-    return sorted(last - k for k in table)
+                    del vec[i]
+    return found
+
+
+def independent_columns_mod_p(columns):
+    """Sorted indices of a maximal set of columns independent modulo `PRIME`.
+
+    Column j is kept when it is independent mod p of the columns after it:
+    the pivot columns of the rows laid out as in `kernel_and_image` (column
+    j at n-1-j) and eliminated lowest index first.  That set is reached from
+    the shorter side.  With no more nonzero columns than nonzero rows (d_0
+    and d_1, and any zero matrix) the columns themselves are reduced, last
+    first; which row each is reduced at first changes no kept column, and
+    the highest fills in least on the differentials.  Otherwise (d_2) the
+    rows from `_rows` are reduced, and their pivots give the columns.  The
+    count is the rank mod p, at most the rank over Q, and the returned
+    columns are independent over Q as well.
+    """
+    last = len(columns) - 1
+    if sum(map(bool, columns)) <= len(set().union(*columns)):
+        return sorted(last - k for k in _echelon_mod_p(columns[::-1], max).values())
+    return sorted(last - pivot for pivot in _echelon_mod_p(_rows(columns), min))
 
 
 def kernel_and_image(columns):

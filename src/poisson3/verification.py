@@ -77,9 +77,11 @@ def _aff_grid(dmax):
 
 
 def _euclidean_grid(dmax):
-    # With u = x^2 + y^2:  H0: f(u).  H1: f(u) dz (even) and f(u) E (odd)
-    # where E = x dx + y dy.  H2: f(u) dxdy (even) plus f(u) E^dz and
-    # f(u) z dxdy (odd).  H3: f(u) top (even) and f(u) z top (odd).
+    # With u = x^2 + y^2 and E = x dx + y dy:  H0: u^(d/2) (even d).
+    # H1: u^(d/2) dz (even) and u^((d-1)/2) E (odd).  H2: z^d dx^dy in every
+    # degree, plus x^d dx^dz (odd).  H3: z^d dx^dy^dz in every degree.
+    # u dx^dy and u dx^dy^dz are exact, so H2 and H3 are not f(u) times
+    # their degree-0 classes.
     grid = _empty_grid()
     for d in range(dmax + 1):
         grid[1][d] = 1

@@ -16,14 +16,17 @@ from poisson3 import (
     cohomology_cell,
     cohomology_table,
     differential_matrix,
+    format_multivector,
     invariant_basis,
     invariant_cohomology,
     linear_poisson,
+    monomials,
     parse_multivector,
     poisson_differential,
     resonances,
 )
 from poisson3 import cohomology as cohomology_module
+from poisson3 import complexes as complexes_module
 from poisson3 import linalg
 from poisson3.cohomology import resonance_range
 
@@ -159,6 +162,20 @@ def test_each_degree_makes_at_most_seven_rref_calls(monkeypatch):
         calls.update(rref=0, kernel_and_image=0)
         cohomology_table(linear_poisson(kind), 3)
         assert calls == {"rref": 6, "kernel_and_image": 4}
+
+
+def test_rows_are_laid_out_only_for_d2_and_exact_reductions(monkeypatch):
+    # the mod-p pass reduces the columns of d_0 and d_1, no more than their
+    # nonzero rows, and of the zero map d_3; only d_2 has its rows laid out
+    calls = _count_calls(monkeypatch, "_rows", "kernel_and_image")
+    listed = []
+    monkeypatch.setattr(complexes_module, "monomials",
+                        lambda d: listed.append(d) or monomials(d))
+    cohomology_table(linear_poisson("sl2"), 8)
+    # sl2 is unimodular, so d_2 is zero in degree 0: its rows are laid out in
+    # degrees 1..8, next to the 10 exact reductions
+    assert calls == {"_rows": 8 + 10, "kernel_and_image": 10}
+    assert listed == []  # no basis element list is built
 
 
 REGISTRY_ALGEBRAS = [Algebra(kind, {"book": Fraction(-2, 3), "spiral": Fraction(5, 2)}.get(kind))
@@ -347,6 +364,33 @@ def test_coboundary_witness_negative_on_genuine_class():
     pi = linear_poisson(BOOK1)
     assert coboundary_witness(pi, mv("y*dy^dz")) is None
     assert coboundary_witness(linear_poisson("heisenberg"), mv("y*dx")) is None
+
+
+def test_euclidean_classes_are_the_families_of_its_oracle_grid():
+    # the families named beside `_euclidean_grid`, for d <= 6
+    pi = linear_poisson("euclidean")
+    table = cohomology_table(pi, 6)
+    u = mv("x^2 + y^2").component(0)
+    for d in range(7):
+        f = u ** (d // 2)
+        families = {0: [], 1: [], 2: [mv("z^%d*dx^dy" % d)], 3: [mv("z^%d*dx^dy^dz" % d)]}
+        if d % 2 == 0:
+            families[0].append(mv("1") * f)
+            families[1].append(mv("dz") * f)
+        else:
+            families[1].append(mv("x*dx + y*dy") * f)
+            families[2].append(mv("x^%d*dx^dz" % d))
+        for q, members in families.items():
+            for member in members:
+                assert coboundary_witness(pi, member) is None
+            # closed, independent modulo the image and as many as dim H
+            assert len(members) == table.dim_h(q, d)
+            assert _spans_same_classes(pi, table.cell(q, d),
+                                       [format_multivector(m) for m in members])
+    for text in ("dx^dy", "dx^dy^dz"):
+        target = mv(text) * u
+        witness = coboundary_witness(pi, target)
+        assert witness is not None and poisson_differential(pi, witness) == target
 
 
 DENOMINATOR_ALGEBRAS = [Algebra("book", Fraction(-2, 3)), Algebra("book", Fraction(-3, 7)),

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -196,6 +197,37 @@ def test_zero_operator_counts_as_linear():
         linear_operator_matrix(rotation_field(), 0, -1)
     with pytest.raises(ValueError):
         linear_operator_matrix(MultiVector.zero(3), 2, 1)
+
+
+@pytest.mark.parametrize("entry", [
+    (0, (-1, 1, 0), (1, 0, 0, 2)),   # lowers x, with a constant term
+    (0, (-1, 1, 0), (1, 1, 0, 0)),   # lowers x, with a form on y
+    (0, (0, 0, -1), (0, 1, 0, 0)),   # lowers z, with a form on y only
+    (1, (-2, 1, 1), (5, 0, 0, 0)),   # lowers x by two
+    (2, (1, 0, 0), (1, 0, 0, 0)),    # raises the total degree
+    (3, (0, 0, 0), (0, 0, 0, 1)),    # no component 3 in degree 1
+])
+def test_stencil_entries_that_leave_the_basis_are_rejected(monkeypatch, entry):
+    good = (1, (0, 1, -1), (0, 0, 4, 0))  # lowers z with a form on z alone
+    monkeypatch.setattr(complexes, "linear_stencil", lambda operator, q: ({0: [good, entry]}, 1))
+    pi = linear_poisson("sl2")
+    with pytest.raises(ValueError, match=re.escape(repr(entry))):
+        linear_operator_matrix(pi, 0, 2)
+    monkeypatch.setattr(complexes, "linear_stencil", lambda operator, q: ({0: [good]}, 1))
+    cell = linear_operator_matrix(pi, 0, 2)
+    assert matvec(cell.columns, {cell.source.position(0, (0, 0, 2)): 1}) == {
+        cell.target.position(1, (0, 1, 1)): 8}
+
+
+def test_differentials_leave_the_basis_elements_unbuilt():
+    pi = linear_poisson("sl2")
+    for q in range(4):
+        for d in range(9):
+            cell = differential_matrix(pi, q, d)
+            assert cell.source._elements is None and cell.target._elements is None
+            assert len(cell.columns) == len(cell.source)
+            assert len(cell.source) == len(cell.source.elements)
+            assert len(cell.target) == len(cell.target.elements)
 
 
 def _conjugated(constants, rng):

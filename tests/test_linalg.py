@@ -226,6 +226,44 @@ def test_columns_independent_mod_p_have_the_exact_rank():
         assert rank([columns[j] for j in independent]) == len(independent)
 
 
+def _random_integer_columns(rng, nrows, ncols):
+    """Seeded sparse integer columns, with some repeated or negated."""
+    columns = []
+    for _ in range(ncols):
+        if columns and rng.random() < 0.3:
+            sign = rng.choice((1, -1))
+            columns.append({i: sign * c for i, c in rng.choice(columns).items()})
+        else:
+            columns.append({i: rng.randint(-9, 9) for i in range(nrows) if rng.random() < 0.4})
+    return [{i: c for i, c in col.items() if c} for col in columns]
+
+
+def test_both_sides_of_the_modular_elimination(monkeypatch):
+    # tall: no more nonzero columns than nonzero rows, the columns are reduced;
+    # wide: the rows are laid out by `_rows` and reduced
+    rows_calls = []
+    layout = linalg._rows
+    monkeypatch.setattr(linalg, "_rows", lambda columns: rows_calls.append(1) or layout(columns))
+    rng = random.Random(137)
+    seen = set()
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        columns = _random_integer_columns(rng, nrows, ncols)
+        nonzero_rows = len(set().union(*columns))
+        wide = sum(map(bool, columns)) > nonzero_rows
+        seen.add(wide)
+        del rows_calls[:]
+        independent = independent_columns_mod_p(columns)
+        assert len(rows_calls) == wide
+        assert independent == sorted(set(independent))
+        assert len(independent) == kernel_and_image(columns)[0]
+        assert rank([columns[j] for j in independent]) == len(independent)
+        # column j is kept exactly when it is independent of the columns after it
+        assert independent == [j for j in range(len(columns))
+                               if rank(columns[j:]) > rank(columns[j + 1:])]
+    assert seen == {False, True}
+
+
 def test_rank_drop_mod_the_prime_returns_fewer_columns(monkeypatch):
     # det [[1, 1], [1, 4]] = 3: rank 2 over Q, rank 1 mod 3
     columns = _columns_from_rows([[1, 1, 0], [1, 4, 0], [0, 0, 7]])
@@ -236,6 +274,13 @@ def test_rank_drop_mod_the_prime_returns_fewer_columns(monkeypatch):
     assert rank([columns[j] for j in independent]) == 2
     monkeypatch.setattr(linalg, "PRIME", 7)
     assert independent_columns_mod_p(columns) == [0, 1]
+    # wide, so the rows are reduced: every 2x2 minor is a multiple of 3
+    wide = _columns_from_rows([[1, 1, 2, 3], [1, 4, 2, 0]])
+    assert independent_columns_mod_p(wide) == [2, 3]
+    monkeypatch.setattr(linalg, "PRIME", 3)
+    assert independent_columns_mod_p(wide) == [2]
+    assert kernel_and_image(wide)[0] == 2
+    assert rank([wide[2]]) == 1
 
 
 def test_the_modulus_is_a_word_size_prime():

@@ -147,10 +147,11 @@ def independent_columns_mod_p(columns):
     the shorter side.  With no more nonzero columns than nonzero rows (d_0
     and d_1, and any zero matrix) the columns themselves are reduced, last
     first; which row each is reduced at first changes no kept column, and
-    the highest fills in least on the differentials.  Otherwise (d_2) the
-    rows from `_rows` are reduced, and their pivots give the columns.  The
-    count is the rank mod p, at most the rank over Q, and the returned
-    columns are independent over Q as well.
+    the highest fills in least on the differentials.  Otherwise (d_2, where
+    most columns would reduce to zero) the rows from `_rows` are reduced,
+    and their pivots give the columns.  The count is the rank mod p, at
+    most the rank over Q, and the returned columns are independent over Q
+    as well.
     """
     last = len(columns) - 1
     if sum(map(bool, columns)) <= len(set().union(*columns)):

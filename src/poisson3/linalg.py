@@ -12,11 +12,13 @@ solves are read off that same routine.  Only `solve_combination` returns
 Fractions.
 
 `independent_columns_mod_p` runs the same elimination in word-size
-arithmetic on the entries reduced modulo `PRIME`, a constant rather than an
-option, on the shorter side of the matrix: its columns or its rows.  Its
-rank mod p is a lower bound for the rank over Q (a minor that is
-nonzero mod p is a nonzero integer), so the columns it returns are
-independent over Q too: enough to certify a rank that cannot be larger.
+arithmetic modulo `PRIME`, a constant rather than an option, on the shorter
+side of the matrix: its columns or its rows.  It reduces an entry mod p
+only where it is read, normalises a pivot the first time another vector is
+reduced against it, and never writes the input vectors.  Its rank mod p is
+a lower bound for the rank over Q (a minor that is nonzero mod p is a
+nonzero integer), so the columns it returns are independent over Q too:
+enough to certify a rank that cannot be larger.
 """
 
 from fractions import Fraction
@@ -111,24 +113,40 @@ def _rows(columns):
 def _echelon_mod_p(vectors, leading):
     """{pivot: k} for the vectors k independent mod `PRIME` of those before them.
 
-    Entries are reduced mod p, and each vector is reduced at its `leading`
-    (min or max) index first: every pivot vector is scaled to 1 at its
-    pivot, and `leading` of its other indices lies beyond it.
+    Each vector is reduced at its `leading` (min or max) index first, where
+    an entry that is 0 mod p is dropped; `leading` of a pivot vector's other
+    indices lies beyond its pivot.  Only arithmetic that is used is paid
+    for: a vector that lands on an unused pivot is stored as it is, and a
+    pivot vector is reduced mod p and scaled to 1 at its pivot the first
+    time another vector is reduced against it.  A vector is copied just
+    before its first write, so the input vectors are never written.
     """
     p = PRIME
-    table = {}
+    table = {}  # pivot -> vector reduced mod p, 1 at the pivot
+    stored = {}  # pivot -> vector as it landed, until first used
     found = {}
     for k, vec in enumerate(vectors):
-        vec = {i: c % p for i, c in vec.items() if c % p}
+        copied = False
         while vec:
             col = leading(vec)
-            pivot_vec = table.get(col)
-            if pivot_vec is None:
-                inverse = pow(vec[col], -1, p)
-                table[col] = {i: c * inverse % p for i, c in vec.items()}
-                found[col] = k
-                break
-            b = vec[col]
+            b = vec[col] % p
+            if b:
+                pivot_vec = table.get(col)
+                if pivot_vec is None:
+                    pivot_vec = stored.pop(col, None)
+                    if pivot_vec is None:
+                        stored[col] = vec
+                        found[col] = k
+                        break
+                    inverse = pow(pivot_vec[col], -1, p)
+                    table[col] = pivot_vec = {
+                        i: r for i, c in pivot_vec.items() if (r := c * inverse % p)}
+            if not copied:
+                vec = dict(vec)
+                copied = True
+            if not b:
+                del vec[col]
+                continue
             for i, c in pivot_vec.items():
                 val = (vec.get(i, 0) - b * c) % p
                 if val:
@@ -191,12 +209,15 @@ def kernel_and_image(columns):
 
 
 def integer_normalize(vec):
-    """Scale a rational vector to coprime ints, positive at the lowest index."""
-    if not vec:
-        return {}
+    """Scale a rational vector to coprime ints, positive at the lowest index.
+
+    A vector with no nonzero entry gives {}.
+    """
     scale = lcm(*(c.denominator for c in vec.values()))
-    row = _primitive({i: c.numerator * (scale // c.denominator)
-                      for i, c in vec.items() if c})
+    row = {i: c.numerator * (scale // c.denominator) for i, c in vec.items() if c}
+    if not row:
+        return {}
+    row = _primitive(row)
     sign = -1 if row[min(row)] < 0 else 1
     return {i: sign * c for i, c in row.items()}
 

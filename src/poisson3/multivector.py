@@ -27,6 +27,7 @@ and read them through `MultiVector.wedge_terms`.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 VAR_NAMES = ("x", "y", "z")
@@ -532,18 +533,29 @@ def linear_stencil(operator, q):
     is the lcm of the operator's coefficient denominators and the forms are
     ints over it.  Raises DegreeError unless every coefficient of the
     operator is homogeneous linear.
+
+    The stencil depends only on the operator's degree, its exact terms in
+    their order (which fixes the order of the entries) and q, so it is
+    derived once for each and memoised, the last 16 of them: the returned
+    table is shared between callers and must not be written.
     """
-    den = lcm(*(c.denominator for poly in operator.components.values()
-                for c in poly.terms.values()))
+    return _stencil(operator.degree, q, tuple(
+        (idx, mono, coeff) for idx, poly in operator.components.items()
+        for mono, coeff in poly.terms.items()))
+
+
+@lru_cache(maxsize=16)  # a table needs three: q = 0, 1, 2 of its bivector
+def _stencil(degree, q, operator_terms):
+    """`linear_stencil` of the operator of that degree with the (idx, mono, coeff) terms."""
+    den = lcm(*(coeff.denominator for _, _, coeff in operator_terms))
     terms = []  # (symbol subset, k, int coefficient of x_k xi_subset)
-    for idx, poly in operator.components.items():
-        subset, sign = _TO_SUBSET[(operator.degree, idx)]
-        for mono, coeff in poly.terms.items():
-            if sum(mono) != 1:
-                raise DegreeError(
-                    "operator coefficient monomial %r is not linear" % (mono,))
-            terms.append((subset, mono.index(1), sign * coeff.numerator * den // coeff.denominator))
-    b_sign = 1 if (operator.degree - 1) * (q - 1) % 2 else -1
+    for idx, mono, coeff in operator_terms:
+        subset, sign = _TO_SUBSET[(degree, idx)]
+        if sum(mono) != 1:
+            raise DegreeError(
+                "operator coefficient monomial %r is not linear" % (mono,))
+        terms.append((subset, mono.index(1), sign * coeff.numerator * den // coeff.denominator))
+    b_sign = 1 if (degree - 1) * (q - 1) % 2 else -1
     forms = {}  # (source idx, target idx, shift) -> [ax, ay, az, b]
 
     def add(idx, left, right, coeff, shift, slot):

@@ -28,6 +28,7 @@ from poisson3 import (
 from poisson3 import cohomology as cohomology_module
 from poisson3 import complexes as complexes_module
 from poisson3 import linalg
+from poisson3 import multivector as multivector_module
 from poisson3.cohomology import resonance_range
 
 BOOK1 = Algebra("book", Fraction(1))
@@ -176,6 +177,19 @@ def test_rows_are_laid_out_only_for_d2_and_exact_reductions(monkeypatch):
     # degrees 1..8, next to the 10 exact reductions
     assert calls == {"_rows": 8 + 10, "kernel_and_image": 10}
     assert listed == []  # no basis element list is built
+
+
+def test_a_table_derives_each_stencil_once():
+    # d_0, d_1 and d_2 of every degree read three stencils (d_3 is zero);
+    # the memo is keyed by the bivector's terms, so a second object of the
+    # same bivector derives none
+    stencils = multivector_module._stencil
+    stencils.cache_clear()
+    cohomology_table(linear_poisson("sl2"), 8)
+    derived = stencils.cache_info()
+    assert (derived.misses, derived.currsize) == (3, 3)
+    cohomology_table(linear_poisson("sl2"), 8)
+    assert stencils.cache_info().misses == 3
 
 
 REGISTRY_ALGEBRAS = [Algebra(kind, {"book": Fraction(-2, 3), "spiral": Fraction(5, 2)}.get(kind))

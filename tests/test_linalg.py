@@ -1,5 +1,6 @@
 """Exact rational rank / kernel / solve routines on sparse columns."""
 
+import copy
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -135,6 +136,8 @@ def test_integer_normalize():
     vec = {1: Fraction(-1, 2), 2: Fraction(3, 2)}
     assert integer_normalize(vec) == {1: Fraction(1), 2: Fraction(-3)}
     assert integer_normalize({}) == {}
+    assert integer_normalize({0: Fraction(0)}) == {}
+    assert integer_normalize({1: 0, 4: Fraction(0, 7)}) == {}
     assert integer_normalize({3: -4, 5: 6}) == {3: 2, 5: -3}
     assert all(type(c) is int for c in integer_normalize(vec).values())
 
@@ -220,18 +223,33 @@ def test_columns_independent_mod_p_have_the_exact_rank(monkeypatch):
     layout = linalg._rows
     monkeypatch.setattr(linalg, "_rows", lambda columns: rows_calls.append(1) or layout(columns))
     rng = random.Random(131)
+    shift_rng = random.Random(137)  # a stream of its own, so the matrices stay the same
     seen = set()
+    flips = 0
     for _ in range(120):
-        columns = _random_rows(rng, rng.randint(0, 9), rng.randint(1, 8))
+        ncols, nrows = rng.randint(0, 9), rng.randint(1, 8)
+        columns = _random_rows(rng, ncols, nrows)
         if columns and rng.random() < 0.3:
             sign = rng.choice((1, -1))
             columns.append({i: sign * c for i, c in rng.choice(columns).items()})
         columns = integer_matrix(columns)
         wide = sum(map(bool, columns)) > len(set().union(*columns))
         seen.add(wide)
+        snapshot = copy.deepcopy(columns)
         del rows_calls[:]
         independent = independent_columns_mod_p(columns)
+        assert columns == snapshot
         assert len(rows_calls) == wide
+        # entries shifted by multiples of p, and new entries of +-p where there
+        # were none, are the same matrix mod p; they may change the side reduced
+        shifted = [{i: c + linalg.PRIME * shift_rng.randint(-2, 2) for i, c in col.items()}
+                   for col in columns]
+        for col in shifted:
+            for i in range(nrows):
+                if i not in col and shift_rng.random() < 0.3:
+                    col[i] = shift_rng.choice((1, -1)) * linalg.PRIME
+        assert independent_columns_mod_p(shifted) == independent
+        flips += (sum(map(bool, shifted)) > len(set().union(*shifted))) != wide
         assert independent == sorted(set(independent))
         assert len(independent) == kernel_and_image(columns)[0]
         assert rank([columns[j] for j in independent]) == len(independent)
@@ -239,6 +257,7 @@ def test_columns_independent_mod_p_have_the_exact_rank(monkeypatch):
         assert independent == [j for j in range(len(columns))
                                if rank(columns[j:]) > rank(columns[j + 1:])]
     assert seen == {False, True}
+    assert flips
 
 
 def test_rank_drop_mod_the_prime_returns_fewer_columns(monkeypatch):

@@ -11,11 +11,13 @@ differentials restricted to the invariant sub-bases
 (`cohomology_table(pi, dmax, invariant=True)`).
 
 Most cells are acyclic, and those need no exact elimination.  Each
-differential is first reduced modulo the constant prime `linalg.PRIME`; the
-rank mod p is at most the rank over Q, and d o d = 0 gives dim H >= 0.  So a
-cell whose dim H mod p is 0 is proved acyclic, with both ranks exact and no
-representative.  Every other cell is reduced exactly.  Nothing here is
-probabilistic: an unlucky prime only sends a cell down the exact path.
+differential is first reduced modulo the constant prime `linalg.PRIME`,
+skipping the columns at the previous pass's pivot rows: as d o d = 0, the
+others carry the whole rank mod p.  That rank is at most the rank over Q,
+and d o d = 0 gives dim H >= 0.  So a cell whose dim H mod p is 0 is proved
+acyclic, with both ranks exact and no representative.  Every other cell is
+reduced exactly.  Nothing here is probabilistic: an unlucky prime only
+sends a cell down the exact path.
 
 The matrices are integer throughout.  Representatives are canonical: the
 kernel rows whose leading coordinate is not a pivot of the image echelon
@@ -58,13 +60,12 @@ class CohomologyCell:
         return "CohomologyCell(q=%d, d=%d, dim_h=%d)" % (self.q, self.d, self.dim_h)
 
 
-def _cell(q, d, dim, reduction, in_pivots, in_echelon):
-    """One cell from its outgoing reduction and the incoming image echelon."""
+def _cell(q, d, dim, reduction, echelon):
+    """One cell from its outgoing reduction and the incoming image echelon {pivot: row}."""
     rank_out, ker_pivots, ker_echelon, _ = reduction
-    image_pivots = set(in_pivots)
-    reps = [linalg.reduce_against(in_pivots, in_echelon, row)
-            for pivot, row in zip(ker_pivots, ker_echelon) if pivot not in image_pivots]
-    cell = CohomologyCell(q, d, dim, rank_out, len(in_pivots), reps)
+    reps = [linalg.reduce_against(echelon, row)
+            for pivot, row in zip(ker_pivots, ker_echelon) if pivot not in echelon]
+    cell = CohomologyCell(q, d, dim, rank_out, len(echelon), reps)
     if cell.dim_h != len(reps):
         raise RuntimeError(
             "cell (%d, %d): dim H is %d but %d representatives were found"
@@ -122,8 +123,9 @@ def _degree_cells(pi, d, invariant):
         columns = [_restrict(cols, vectors[q], vectors[q + 1]) for q, cols in enumerate(columns)]
     cells = []
     image = []  # independent columns of d_{q-1}, as many as its exact rank
+    skip = set()  # rows at which d_{q-1}'s mod-p pass found its pivots
     for q, cols in enumerate(columns):
-        independent = linalg.independent_columns_mod_p(cols)
+        independent, skip = linalg.independent_columns_mod_p(cols, skip)
         if len(cols) == len(independent) + len(image):
             # rank_p <= rank_Q and dim H >= 0: both ranks are exact, H = 0
             cells.append(CohomologyCell(q, d, len(cols), len(independent), len(image), []))
@@ -134,8 +136,8 @@ def _degree_cells(pi, d, invariant):
             raise RuntimeError(
                 "cell (%d, %d): exact rank %d is below the rank %d mod p"
                 % (q, d, reduction[0], len(independent)))
-        in_pivots, in_echelon = linalg.rref(image) if q else ([], [])
-        cells.append(_cell(q, d, len(cols), reduction, in_pivots, in_echelon))
+        echelon = dict(zip(*linalg.rref(image))) if q else {}
+        cells.append(_cell(q, d, len(cols), reduction, echelon))
         image = reduction[3]
     for q, cell in enumerate(cells):
         reps = cell.representatives

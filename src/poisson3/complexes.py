@@ -154,6 +154,9 @@ def operator_matrix(operator, q, d):
     return OperatorCell(source, target, columns, den=1)
 
 
+_CHECKED = {}  # out_q -> the last stencil table `_check_stencil` passed
+
+
 def _check_stencil(table, out_q):
     """Raise ValueError if a kept stencil entry could leave the target basis.
 
@@ -161,8 +164,11 @@ def _check_stencil(table, out_q):
     source monomial when component t exists there, the shift sums to 0 (the
     total degree is kept) and each axis a it lowers is lowered by one and
     carries the form c m_a, with no other axis and no constant: the value
-    is then 0, and the entry skipped, wherever m_a = 0.
+    is then 0, and the entry skipped, wherever m_a = 0.  Stencils are never
+    written, so the last table passed for each out_q is not checked again.
     """
+    if _CHECKED.get(out_q) is table:
+        return
     for idx, entries in table.items():
         for t, shift, form in entries:
             if not (0 <= t < NCOMP[out_q] and sum(shift) == 0 and all(
@@ -170,6 +176,7 @@ def _check_stencil(table, out_q):
                     for a in range(3) if shift[a] < 0)):
                 raise ValueError("stencil entry %r of component %d leaves the degree-%d basis"
                                  % ((t, shift, form), idx, out_q))
+    _CHECKED[out_q] = table
 
 
 def linear_operator_matrix(operator, q, d):
@@ -181,7 +188,7 @@ def linear_operator_matrix(operator, q, d):
     where that value is 0.  With s = d - m_z and T(s) = s(s + 1)/2, that row
     is (T(s - shift_z) + m_x + shift_x) * binom(3, out_q) + t, the position
     of x^(m + shift) xi_t in the target basis.  `_check_stencil` makes sure
-    once per entry, before any column, that every kept entry lands in that
+    once per stencil, before any column, that every kept entry lands in that
     basis.  Raises DegreeError unless the operator's coefficients are all
     homogeneous linear; the zero operator is.
     """

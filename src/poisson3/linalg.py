@@ -12,13 +12,13 @@ solves are read off that same routine.  Only `solve_combination` returns
 Fractions.
 
 `independent_columns_mod_p` runs the same elimination in word-size
-arithmetic modulo `PRIME`, a constant rather than an option, on the shorter
-side of the matrix: its columns or its rows.  It reduces an entry mod p
-only where it is read, normalises a pivot the first time another vector is
-reduced against it, and never writes the input vectors.  Its rank mod p is
-a lower bound for the rank over Q (a minor that is nonzero mod p is a
-nonzero integer), so the columns it returns are independent over Q too:
-enough to certify a rank that cannot be larger.
+arithmetic modulo `PRIME`, a constant rather than an option, on the columns
+of a map of a complex but those at the pivot rows of the previous map's
+pass.  It reduces an entry mod p only where it is read, normalises a pivot
+the first time another vector is reduced against it, and never writes the
+input vectors.  Its rank mod p is a lower bound for the rank over Q (a minor
+that is nonzero mod p is a nonzero integer), so the columns it returns are
+independent over Q too: enough to certify a rank that cannot be larger.
 """
 
 from fractions import Fraction
@@ -88,12 +88,15 @@ def rref(rows):
     return pivots, echelon
 
 
-def reduce_against(pivots, echelon, vec):
-    """Primitive multiple of vec with the pivot coordinates eliminated, {} on the span."""
+def reduce_against(table, vec):
+    """Primitive multiple of vec with the pivots of `table` eliminated, {} on the span.
+
+    `table` is {pivot: row} from `rref`; each row is zero at the other
+    pivots, so only the pivots vec holds are visited.
+    """
     row = {i: c for i, c in vec.items() if c}
-    for pivot, pivot_row in zip(pivots, echelon):
-        if pivot in row:
-            row = _eliminate(row, pivot_row, pivot)
+    for pivot in [i for i in row if i in table]:
+        row = _eliminate(row, table[pivot], pivot)
     return _primitive(row)
 
 
@@ -110,16 +113,16 @@ def _rows(columns):
     return rows.values()
 
 
-def _echelon_mod_p(vectors, leading):
+def _echelon_mod_p(vectors):
     """{pivot: k} for the vectors k independent mod `PRIME` of those before them.
 
-    Each vector is reduced at its `leading` (min or max) index first, where
-    an entry that is 0 mod p is dropped; `leading` of a pivot vector's other
-    indices lies beyond its pivot.  Only arithmetic that is used is paid
-    for: a vector that lands on an unused pivot is stored as it is, and a
-    pivot vector is reduced mod p and scaled to 1 at its pivot the first
-    time another vector is reduced against it.  A vector is copied just
-    before its first write, so the input vectors are never written.
+    Each vector is reduced at its highest index first, where an entry that
+    is 0 mod p is dropped, so a pivot vector is 0 above its pivot.  Only
+    arithmetic that is used is paid for: a vector that lands on an unused
+    pivot is stored as it is, and a pivot vector is reduced mod p and scaled
+    to 1 at its pivot the first time another vector is reduced against it.
+    A vector is copied just before its first write, so the input vectors
+    are never written.
     """
     p = PRIME
     table = {}  # pivot -> vector reduced mod p, 1 at the pivot
@@ -128,7 +131,7 @@ def _echelon_mod_p(vectors, leading):
     for k, vec in enumerate(vectors):
         copied = False
         while vec:
-            col = leading(vec)
+            col = max(vec)
             b = vec[col] % p
             if b:
                 pivot_vec = table.get(col)
@@ -156,25 +159,21 @@ def _echelon_mod_p(vectors, leading):
     return found
 
 
-def independent_columns_mod_p(columns):
-    """Sorted indices of a maximal set of columns independent modulo `PRIME`.
+def independent_columns_mod_p(columns, skip):
+    """Columns outside `skip` independent modulo `PRIME`, and the rows they lead at.
 
-    Column j is kept when it is independent mod p of the columns after it:
-    the pivot columns of the rows laid out as in `kernel_and_image` (column
-    j at n-1-j) and eliminated lowest index first.  That set is reached from
-    the shorter side.  With no more nonzero columns than nonzero rows (d_0
-    and d_1, and any zero matrix) the columns themselves are reduced, last
-    first; which row each is reduced at first changes no kept column, and
-    the highest fills in least on the differentials.  Otherwise (d_2, where
-    most columns would reduce to zero) the rows from `_rows` are reduced,
-    and their pivots give the columns.  The count is the rank mod p, at
-    most the rank over Q, and the returned columns are independent over Q
-    as well.
+    The columns j not in `skip` are reduced last first.  Returns (kept,
+    pivot_rows): the sorted indices of those independent mod p of the later
+    ones, and the set of rows at which their reduced vectors lead.  The
+    kept columns are independent over Q as well.  When `skip` is the
+    pivot_rows of a matrix A and this matrix times A is 0, A's reduced
+    vectors and the unit vectors e_j, j not in `skip`, form a triangular
+    basis on whose first part this matrix is 0: the columns outside `skip`
+    then carry its whole image, and their count is its full rank mod p.
     """
-    last = len(columns) - 1
-    if sum(map(bool, columns)) <= len(set().union(*columns)):
-        return sorted(last - k for k in _echelon_mod_p(columns[::-1], max).values())
-    return sorted(last - pivot for pivot in _echelon_mod_p(_rows(columns), min))
+    order = [j for j in range(len(columns) - 1, -1, -1) if j not in skip]
+    found = _echelon_mod_p([columns[j] for j in order])
+    return sorted(order[k] for k in found.values()), set(found)
 
 
 def kernel_and_image(columns):

@@ -44,9 +44,7 @@ def _empty_grid():
 
 
 def _xy_monomials(degree):
-    """Exponent pairs (a, b) with x^a y^b of the given total degree."""
-    if degree < 0:
-        return []
+    """Exponent pairs (a, b) with x^a y^b of the given total degree (none if negative)."""
     return [(a, degree - a) for a in range(degree + 1)]
 
 
@@ -97,9 +95,7 @@ def _euclidean_grid(dmax):
 def _book_tau_1_grid(dmax):
     # H0: constants.  H1: dz, then y dx, x dy, y dy in degree one.
     # H2: the same three degree-one fields wedged with dz.
-    grid = _empty_grid()
-    grid[0][0] = 1
-    grid[1][0] = 1
+    grid = _book_generic_grid(dmax)
     if dmax >= 1:
         grid[1][1] = 3
         grid[2][1] = 3
@@ -109,12 +105,7 @@ def _book_tau_1_grid(dmax):
 def _book_tau_1_3_grid(dmax):
     # Generic book classes plus the y^3 dx family that closes up exactly
     # when three times the second weight equals the first.
-    grid = _empty_grid()
-    grid[0][0] = 1
-    grid[1][0] = 1
-    if dmax >= 1:
-        grid[1][1] = 1
-        grid[2][1] = 1
+    grid = _book_generic_grid(dmax)
     if dmax >= 3:
         grid[1][3] = 1
         grid[2][3] = 1
@@ -309,8 +300,8 @@ def _check_generators(pi, table, q, d, exprs, mismatches):
             % (q, d, len(coords), cell.dim_h))
         return
     image = list(differential_matrix(pi, q - 1, d).columns) if q > 0 else []
-    pivots, echelon = linalg.rref(image + coords)
-    if len(pivots) != cell.rank_in + len(coords):
+    echelon = dict(zip(*linalg.rref(image + coords)))
+    if len(echelon) != cell.rank_in + len(coords):
         mismatches.append(
             "generators at (q=%d, d=%d) are dependent modulo exact terms"
             % (q, d))
@@ -318,7 +309,7 @@ def _check_generators(pi, table, q, d, exprs, mismatches):
     # as many independent generators as classes: the spans agree exactly
     # when every representative lies in the span of the generators and the
     # exact terms
-    if any(linalg.reduce_against(pivots, echelon, linalg.integer_normalize(rep))
+    if any(linalg.reduce_against(echelon, linalg.integer_normalize(rep))
            for rep in cell.representatives):
         mismatches.append(
             "generator span at (q=%d, d=%d) differs from computed classes"

@@ -24,6 +24,8 @@ from poisson3 import (
     parse_multivector,
     poisson_differential,
     resonances,
+    rotation_field,
+    schouten_bracket,
 )
 from poisson3 import cohomology as cohomology_module
 from poisson3 import complexes as complexes_module
@@ -165,17 +167,15 @@ def test_each_degree_makes_at_most_seven_rref_calls(monkeypatch):
         assert calls == {"rref": 6, "kernel_and_image": 4}
 
 
-def test_rows_are_laid_out_only_for_d2_and_exact_reductions(monkeypatch):
-    # the mod-p pass reduces the columns of d_0 and d_1, no more than their
-    # nonzero rows, and of the zero map d_3; only d_2 has its rows laid out
+def test_rows_are_laid_out_only_for_exact_reductions(monkeypatch):
+    # the mod-p pass reduces the columns of every differential; only an exact
+    # reduction lays out rows
     calls = _count_calls(monkeypatch, "_rows", "kernel_and_image")
     listed = []
     monkeypatch.setattr(complexes_module, "monomials",
                         lambda d: listed.append(d) or monomials(d))
     cohomology_table(linear_poisson("sl2"), 8)
-    # sl2 is unimodular, so d_2 is zero in degree 0: its rows are laid out in
-    # degrees 1..8, next to the 10 exact reductions
-    assert calls == {"_rows": 8 + 10, "kernel_and_image": 10}
+    assert calls == {"_rows": 10, "kernel_and_image": 10}
     assert listed == []  # no basis element list is built
 
 
@@ -213,15 +213,47 @@ def test_a_small_prime_only_sends_cells_down_the_exact_path(monkeypatch, prime,
     assert calls["kernel_and_image"] == exact_reductions
 
 
+def test_the_mod_p_pass_skips_the_pivot_rows_of_the_incoming_differential(monkeypatch):
+    # each pass skips the rows at which the previous one found its pivots; it
+    # keeps columns independent over Q, as many as the rank mod p of the whole
+    # matrix, so it certifies the cells the whole matrix would, also where the
+    # previous rank mod p is below the exact one
+    passes = []
+    restricted = linalg.independent_columns_mod_p
+
+    def recording(columns, skip):
+        kept, pivot_rows = restricted(columns, skip)
+        passes.append((columns, skip, kept, pivot_rows))
+        return kept, pivot_rows
+
+    monkeypatch.setattr(linalg, "independent_columns_mod_p", recording)
+    skipped = 0
+    for prime in (linalg.PRIME, 2, 3, 5):
+        monkeypatch.setattr(linalg, "PRIME", prime)
+        for algebra in REGISTRY_ALGEBRAS:
+            pi = linear_poisson(algebra)
+            rotation_invariant = schouten_bracket(rotation_field(), pi).is_zero()
+            for invariant in (False, True)[:1 + rotation_invariant]:
+                del passes[:]
+                cohomology_table(pi, 12, invariant)
+                for n, (columns, skip, kept, pivot_rows) in enumerate(passes):
+                    assert skip == (passes[n - 1][3] if n % 4 else set())
+                    assert not skip & set(kept)
+                    assert rank([columns[j] for j in kept]) == len(kept) == len(pivot_rows)
+                    assert len(kept) == len(restricted(columns, set())[0])
+                    skipped += sum(map(bool, (columns[j] for j in skip)))
+    assert skipped
+
+
 def test_exact_rank_below_the_modular_rank_raises(monkeypatch):
     # a rank mod p can never exceed the rank over Q; the guard must survive python -O
     independent_columns_mod_p = linalg.independent_columns_mod_p
 
-    def over_reporting(columns):
-        independent = independent_columns_mod_p(columns)
+    def over_reporting(columns, skip):
+        independent, pivot_rows = independent_columns_mod_p(columns, skip)
         if len(columns) == 9:  # d_1 at degree 1, a cell with dim H = 4
-            independent.append(max(set(range(len(columns))) - set(independent)))
-        return independent
+            independent.append(max(set(range(len(columns))) - set(independent) - skip))
+        return independent, pivot_rows
 
     monkeypatch.setattr(linalg, "independent_columns_mod_p", over_reporting)
     message = r"cell \(1, 1\): exact rank 3 is below the rank 4 mod p"

@@ -219,6 +219,32 @@ def test_stencil_entries_that_leave_the_basis_are_rejected(monkeypatch, entry):
         cell.target.position(1, (0, 1, 1)): 8}
 
 
+def test_a_stencil_table_is_checked_once(monkeypatch):
+    class Table(dict):
+        checks = 0  # `_check_stencil` walks the items, the build reads the keys
+
+        def items(self):
+            Table.checks += 1
+            return super().items()
+
+    good = (1, (0, 1, -1), (0, 0, 4, 0))
+    table = Table({0: [good]})
+    monkeypatch.setattr(complexes, "linear_stencil", lambda operator, q: (table, 1))
+    pi = linear_poisson("sl2")
+    for d in range(5):
+        linear_operator_matrix(pi, 0, d)
+    assert Table.checks == 1
+    table = Table({0: [good]})  # an equal table, but another object
+    linear_operator_matrix(pi, 0, 2)
+    assert Table.checks == 2
+    # a table that fails is not remembered
+    table = Table({0: [good, (2, (1, 0, 0), (1, 0, 0, 0))]})
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            linear_operator_matrix(pi, 0, 2)
+    assert Table.checks == 4
+
+
 def test_differentials_leave_the_basis_elements_unbuilt():
     pi = linear_poisson("sl2")
     for q in range(4):

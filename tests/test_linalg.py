@@ -216,16 +216,18 @@ def test_kernel_and_image_agrees_with_separate_reductions():
         assert all(any(col is c for c in columns) for col in image)
 
 
-def test_columns_independent_mod_p_have_the_exact_rank(monkeypatch):
-    # tall matrices (no more nonzero columns than nonzero rows) have their
-    # columns reduced; wide ones have their rows laid out by `_rows`
-    rows_calls = []
-    layout = linalg._rows
-    monkeypatch.setattr(linalg, "_rows", lambda columns: rows_calls.append(1) or layout(columns))
+def _leading_rows(columns):
+    """Rows r at which some vector of the columns' span leads (is last nonzero)."""
+    def rank_from(r):
+        return rank([{i: c for i, c in col.items() if i >= r} for col in columns])
+
+    return {r for r in set().union(*columns) if rank_from(r) > rank_from(r + 1)}
+
+
+def test_columns_independent_mod_p_have_the_exact_rank():
     rng = random.Random(131)
     shift_rng = random.Random(137)  # a stream of its own, so the matrices stay the same
-    seen = set()
-    flips = 0
+    skip_rng = random.Random(139)  # and another one for the skipped columns
     for _ in range(120):
         ncols, nrows = rng.randint(0, 9), rng.randint(1, 8)
         columns = _random_rows(rng, ncols, nrows)
@@ -233,48 +235,80 @@ def test_columns_independent_mod_p_have_the_exact_rank(monkeypatch):
             sign = rng.choice((1, -1))
             columns.append({i: sign * c for i, c in rng.choice(columns).items()})
         columns = integer_matrix(columns)
-        wide = sum(map(bool, columns)) > len(set().union(*columns))
-        seen.add(wide)
         snapshot = copy.deepcopy(columns)
-        del rows_calls[:]
-        independent = independent_columns_mod_p(columns)
+        independent, pivot_rows = independent_columns_mod_p(columns, set())
         assert columns == snapshot
-        assert len(rows_calls) == wide
         # entries shifted by multiples of p, and new entries of +-p where there
-        # were none, are the same matrix mod p; they may change the side reduced
+        # were none, are the same matrix mod p
         shifted = [{i: c + linalg.PRIME * shift_rng.randint(-2, 2) for i, c in col.items()}
                    for col in columns]
         for col in shifted:
             for i in range(nrows):
                 if i not in col and shift_rng.random() < 0.3:
                     col[i] = shift_rng.choice((1, -1)) * linalg.PRIME
-        assert independent_columns_mod_p(shifted) == independent
-        flips += (sum(map(bool, shifted)) > len(set().union(*shifted))) != wide
-        assert independent == sorted(set(independent))
+        assert independent_columns_mod_p(shifted, set()) == (independent, pivot_rows)
         assert len(independent) == kernel_and_image(columns)[0]
-        assert rank([columns[j] for j in independent]) == len(independent)
-        # column j is kept exactly when it is independent of the columns after it
-        assert independent == [j for j in range(len(columns))
-                               if rank(columns[j:]) > rank(columns[j + 1:])]
-    assert seen == {False, True}
-    assert flips
+        # with any skip, the columns outside it are reduced as if the others
+        # were not there: column j is kept exactly when it is independent of
+        # the later columns outside the skip
+        skip = {j for j in range(len(columns)) if skip_rng.random() < 0.4}
+        for skip in (set(), skip):
+            kept, pivot_rows = independent_columns_mod_p(columns, skip)
+            assert columns == snapshot
+            outside = [j for j in range(len(columns)) if j not in skip]
+            rest = [columns[j] for j in outside]
+            assert kept == [j for n, j in enumerate(outside)
+                            if rank(rest[n:]) > rank(rest[n + 1:])]
+            assert not skip & set(kept)
+            assert rank([columns[j] for j in kept]) == len(kept) == len(pivot_rows)
+            assert pivot_rows == _leading_rows(rest)
+
+
+def test_skipping_the_pivot_rows_of_the_incoming_map_keeps_the_rank():
+    # outer . inner = 0: the columns of outer outside the rows at which inner's
+    # pass leads have all of outer's image
+    rng = random.Random(149)
+    dropped = 0
+    for _ in range(60):
+        nrows = rng.randint(1, 8)
+        inner = integer_matrix(_random_rows(rng, rng.randint(0, 6), nrows))
+        transposed = [{j: col[i] for j, col in enumerate(inner) if i in col}
+                      for i in range(nrows)]
+        _, left_kernel = kernel_basis(transposed)
+        outer_rows = [{} for _ in range(rng.randint(0, 5))]
+        for row in outer_rows:
+            for vec in left_kernel:
+                factor = rng.randint(-3, 3)
+                for i, c in vec.items():
+                    row[i] = row.get(i, 0) + factor * c
+        outer = [{r: row[i] for r, row in enumerate(outer_rows) if row.get(i)}
+                 for i in range(nrows)]
+        assert not any(compose(outer, inner))
+        kept_inner, skip = independent_columns_mod_p(inner, set())
+        assert len(skip) == len(kept_inner) == rank(inner)
+        kept, _ = independent_columns_mod_p(outer, skip)
+        assert not skip & set(kept)
+        assert len(kept) == len(independent_columns_mod_p(outer, set())[0]) == rank(outer)
+        assert rank([outer[j] for j in kept]) == len(kept)
+        dropped += sum(map(bool, (outer[j] for j in skip)))
+    assert dropped  # nonzero columns were skipped
 
 
 def test_rank_drop_mod_the_prime_returns_fewer_columns(monkeypatch):
     # det [[1, 1], [1, 4]] = 3: rank 2 over Q, rank 1 mod 3
     columns = _columns_from_rows([[1, 1, 0], [1, 4, 0], [0, 0, 7]])
-    assert independent_columns_mod_p(columns) == [0, 1, 2]
+    assert independent_columns_mod_p(columns, set()) == ([0, 1, 2], {0, 1, 2})
     monkeypatch.setattr(linalg, "PRIME", 3)
-    independent = independent_columns_mod_p(columns)
-    assert len(independent) == 2 < kernel_and_image(columns)[0]
+    independent, pivot_rows = independent_columns_mod_p(columns, set())
+    assert len(independent) == len(pivot_rows) == 2 < kernel_and_image(columns)[0]
     assert rank([columns[j] for j in independent]) == 2
     monkeypatch.setattr(linalg, "PRIME", 7)
-    assert independent_columns_mod_p(columns) == [0, 1]
-    # wide, so the rows are reduced: every 2x2 minor is a multiple of 3
+    assert independent_columns_mod_p(columns, set()) == ([0, 1], {0, 1})
+    # more columns than rows: every 2x2 minor is a multiple of 3
     wide = _columns_from_rows([[1, 1, 2, 3], [1, 4, 2, 0]])
-    assert independent_columns_mod_p(wide) == [2, 3]
+    assert independent_columns_mod_p(wide, set()) == ([2, 3], {0, 1})
     monkeypatch.setattr(linalg, "PRIME", 3)
-    assert independent_columns_mod_p(wide) == [2]
+    assert independent_columns_mod_p(wide, set()) == ([2], {1})
     assert kernel_and_image(wide)[0] == 2
     assert rank([wide[2]]) == 1
 
@@ -359,10 +393,27 @@ def test_compose_matches_manual_product():
 
 def test_reduce_against_reports_membership():
     rows = integer_rows([{0: Fraction(1)}, {1: Fraction(1)}])
-    pivots, echelon = rref(rows)
-    inside = reduce_against(pivots, echelon, {0: 3, 1: -2})
+    table = dict(zip(*rref(rows)))
+    inside = reduce_against(table, {0: 3, 1: -2})
     assert inside == {}
-    outside = reduce_against(pivots[:1], echelon[:1], {1: 1})
+    outside = reduce_against({0: table[0]}, {1: 1})
     assert outside == {1: Fraction(1)}
     # a primitive multiple of what is left
-    assert reduce_against(pivots[:1], echelon[:1], {0: 2, 1: 4}) == {1: 1}
+    assert reduce_against({0: table[0]}, {0: 2, 1: 4}) == {1: 1}
+
+
+def test_reduce_against_visits_only_the_pivots_the_vector_holds():
+    # the same vector as eliminating at every pivot in increasing order
+    def every_pivot(pivots, echelon, vec):
+        row = {i: c for i, c in vec.items() if c}
+        for pivot, pivot_row in zip(pivots, echelon):
+            if pivot in row:
+                row = linalg._eliminate(row, pivot_row, pivot)
+        return linalg._primitive(row)
+
+    rng = random.Random(151)
+    for _ in range(80):
+        pivots, echelon = rref(integer_rows(_random_rows(rng, rng.randint(0, 6), 8)))
+        table = dict(zip(pivots, echelon))
+        for vec in integer_rows(_random_rows(rng, 3, 8)):
+            assert reduce_against(table, vec) == every_pivot(pivots, echelon, vec)

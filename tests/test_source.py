@@ -129,3 +129,33 @@ def test_no_private_imports():
         for line, name in _private_imports(ast.parse(path.read_text(), str(path)))
     ]
     assert found == []
+
+
+def _callers(trees, name):
+    """(module, top-level definition) of each call of `name`, bare or as an attribute.
+
+    A call outside any definition is listed under None.
+    """
+    return sorted(
+        (module, getattr(top, "name", None))
+        for module, tree in trees.items()
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)))
+
+
+def test_single_caller_rule_flags_a_second_caller():
+    trees = {"a": ast.parse("def _f(): pass\ndef g():\n    return _f()\n"),
+             "b": ast.parse("import a\nh = a._f\n")}
+    assert _callers(trees, "_f") == [("a", "g")]
+    trees["b"] = ast.parse("import a\nclass C:\n    def m(self):\n        a._f()\n")
+    assert _callers(trees, "_f") == [("a", "g"), ("b", "C")]
+
+
+def test_rows_and_the_mod_p_echelon_have_one_caller_each():
+    # `_rows` is the only place columns become rows, for an exact reduction;
+    # the mod-p pass reduces columns alone
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert _callers(trees, "_rows") == [("linalg.py", "kernel_and_image")]
+    assert _callers(trees, "_echelon_mod_p") == [("linalg.py", "independent_columns_mod_p")]

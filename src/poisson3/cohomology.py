@@ -20,10 +20,10 @@ reduced exactly.  Nothing here is probabilistic: an unlucky prime only
 sends a cell down the exact path.
 
 The matrices are integer throughout.  Representatives are canonical: the
-kernel rows whose leading coordinate is not a pivot of the image echelon
-are kept and reduced against the image, then scaled to coprime integers and
-published as Fractions.  Two runs over the same input produce
-byte-identical output.
+kernel rows whose leading coordinate is not a pivot of the image echelon,
+the only ones read off the reduction, are reduced against the image, then
+scaled to coprime integers and published as Fractions.  Two runs over the
+same input produce byte-identical output.
 """
 
 from fractions import Fraction
@@ -61,10 +61,13 @@ class CohomologyCell:
 
 
 def _cell(q, d, dim, reduction, echelon):
-    """One cell from its outgoing reduction and the incoming image echelon {pivot: row}."""
-    rank_out, ker_pivots, ker_echelon, _ = reduction
-    reps = [linalg.reduce_against(echelon, row)
-            for pivot, row in zip(ker_pivots, ker_echelon) if pivot not in echelon]
+    """One cell from its outgoing reduction and the incoming image echelon {pivot: row}.
+
+    The reduction holds only the kernel rows led outside the echelon's
+    pivots, one per class.
+    """
+    rank_out, _, ker_echelon, _ = reduction
+    reps = [linalg.reduce_against(echelon, row) for row in ker_echelon]
     cell = CohomologyCell(q, d, dim, rank_out, len(echelon), reps)
     if cell.dim_h != len(reps):
         raise RuntimeError(
@@ -110,8 +113,11 @@ def _degree_cells(pi, d, invariant):
     When its rank mod p leaves cell q no room for a class, the cell is
     certified acyclic and the columns independent mod p, which are
     independent over Q and as many as the exact rank, are cell q + 1's
-    image.  Otherwise the differential is also reduced exactly: that
-    reduction gives cell q its rank and reduced kernel, and cell q + 1 the
+    image.  Otherwise the incoming image's echelon is built first, and the
+    differential is reduced exactly: that reduction gives cell q its rank,
+    the kernel rows led outside the image's pivots (the image lies in the
+    kernel, so its pivots are kernel pivots, and the rows led at the other
+    ones, one per class, are all that is read off), and cell q + 1 the
     independent columns whose echelon is its image.  On the invariant
     subcomplex each differential is first restricted to the invariant
     sub-bases, and representatives are mapped back to ambient (q, d)
@@ -131,12 +137,12 @@ def _degree_cells(pi, d, invariant):
             cells.append(CohomologyCell(q, d, len(cols), len(independent), len(image), []))
             image = [cols[j] for j in independent]
             continue
-        reduction = linalg.kernel_and_image(cols)
+        echelon = dict(zip(*linalg.rref(image))) if q else {}
+        reduction = linalg.kernel_and_image(cols, echelon)
         if reduction[0] < len(independent):
             raise RuntimeError(
                 "cell (%d, %d): exact rank %d is below the rank %d mod p"
                 % (q, d, reduction[0], len(independent)))
-        echelon = dict(zip(*linalg.rref(image))) if q else {}
         cells.append(_cell(q, d, len(cols), reduction, echelon))
         image = reduction[3]
     for q, cell in enumerate(cells):

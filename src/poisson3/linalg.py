@@ -6,10 +6,14 @@ no rank, kernel or span).  Every exact result comes from one canonical
 routine, fraction-free elimination whose rows are primitive, positive at
 their pivot and zero at the other pivots: a form as unique as the reduced
 row echelon form, so ranks, kernels, and cohomology representatives
-downstream are deterministic.  `kernel_and_image` gets the rank, the
-reduced kernel and a basis of the image of a map from one such elimination;
-solves are read off that same routine.  Only `solve_combination` returns
-Fractions.
+downstream are deterministic.  Because the form is unique, the elimination
+does only the work it must: a row that lands with one entry is the pivot
+{col: 1}, and eliminating against it is a delete; a row is made primitive
+once when it lands and once after its back-substitution, not at every
+step.  `kernel_and_image` gets the rank, the reduced kernel and a basis of
+the image of a map from one such elimination, and reads off only the
+kernel vectors its caller asks for; solves are read off that same routine.
+Only `solve_combination` returns Fractions.
 
 `independent_columns_mod_p` runs the same elimination in word-size
 arithmetic modulo `PRIME`, a constant rather than an option, on the columns
@@ -36,7 +40,18 @@ def _primitive(row):
 
 
 def _eliminate(row, pivot_row, col):
-    """Primitive integer combination of row and pivot_row that is 0 at col."""
+    """An integer combination of row and pivot_row that is 0 at col, not made primitive.
+
+    `row` is written in place, so the caller must own it.  A one-entry
+    pivot row is e_col, and eliminating against it is a delete.  Otherwise
+    row is scaled by a = pivot_row[col] / gcd(pivot_row[col], row[col]),
+    which is positive since pivot rows are positive at their pivot: the
+    result is a positive multiple of the row that a gcd at every step would
+    give, so one gcd of the finished row gives the same row.
+    """
+    if len(pivot_row) == 1:
+        del row[col]
+        return row
     a = pivot_row[col]
     b = row[col]
     g = gcd(a, b)
@@ -50,7 +65,7 @@ def _eliminate(row, pivot_row, col):
             row[i] = val
         else:
             del row[i]
-    return _primitive(row)
+    return row
 
 
 def rref(rows):
@@ -59,8 +74,12 @@ def rref(rows):
     Returns (pivots, echelon_rows) where pivots[r] is the leading index of
     echelon_rows[r], in increasing order; each row is primitive, positive at
     its pivot and zero at the other pivots.  Zero rows are dropped.  Each
-    row is copied and reduced against the pivots already found;
-    back-substitution runs from the last pivot down.
+    row is copied and reduced against the pivots already found, with no
+    gcd until it lands on a new pivot: then it is made primitive and
+    positive there, and a row that lands with one entry is stored as
+    {pivot: 1} with no arithmetic at all.  Back-substitution runs from the
+    last pivot down, and each row is made primitive once, after its last
+    step.  Such a form is unique, so no order of these steps changes it.
     """
     table = {}
     for row in rows:
@@ -69,6 +88,9 @@ def rref(rows):
             col = min(row)
             pivot_row = table.get(col)
             if pivot_row is None:
+                if len(row) == 1:
+                    table[col] = {col: 1}
+                    break
                 if row[col] < 0:
                     row = {i: -c for i, c in row.items()}
                 table[col] = _primitive(row)
@@ -80,9 +102,11 @@ def rref(rows):
         row = table[col]
         # the rows of the later pivots are already reduced, so clearing one
         # of their pivots puts nothing back at another
-        for other in [i for i in row if i != col and i in table]:
-            row = _eliminate(row, table[other], other)
-        table[col] = row
+        others = [i for i in row if i != col and i in table]
+        if others:
+            for other in others:
+                row = _eliminate(row, table[other], other)
+            table[col] = row = _primitive(row)
         echelon.append(row)
     echelon.reverse()
     return pivots, echelon
@@ -92,7 +116,8 @@ def reduce_against(table, vec):
     """Primitive multiple of vec with the pivots of `table` eliminated, {} on the span.
 
     `table` is {pivot: row} from `rref`; each row is zero at the other
-    pivots, so only the pivots vec holds are visited.
+    pivots, so only the pivots vec holds are visited.  vec is copied before
+    `_eliminate` writes it, and the table is only read.
     """
     row = {i: c for i, c in vec.items() if c}
     for pivot in [i for i in row if i in table]:
@@ -176,7 +201,7 @@ def independent_columns_mod_p(columns, skip):
     return sorted(order[k] for k in found.values()), set(found)
 
 
-def kernel_and_image(columns):
+def kernel_and_image(columns, skip=()):
     """Rank, reduced kernel and image basis of a matrix from one `rref`.
 
     This is where a kernel is read off an echelon.  The rows are reduced
@@ -184,21 +209,25 @@ def kernel_and_image(columns):
     leads at its highest original column.  The kernel then comes out in the
     echelon form of `rref`: one vector per free column j, led at j by the
     lcm of the pivot entries of the rows that touch j, with the scaled and
-    negated row entries at the pivot columns, which all lie above j.  The
+    negated row entries at the pivot columns, which all lie above j.  Only
+    the vectors led at free columns outside `skip` are read off, so a
+    caller that needs some of the kernel pays for no other vector.  The
     pivot columns themselves are independent and span the image.
 
-    Returns (rank, kernel_pivots, kernel_echelon, image_columns).
+    Returns (rank, kernel_pivots, kernel_echelon, image_columns), the
+    kernel restricted to the free columns outside `skip`.
     """
     last = len(columns) - 1
     pivots, echelon = rref(_rows(columns))
     pivot_columns = sorted(last - p for p in pivots)
-    entries = {j: [] for j in range(len(columns))}
-    for j in pivot_columns:
-        del entries[j]
+    bound = set(pivot_columns)
+    entries = {j: [] for j in range(len(columns)) if j not in bound and j not in skip}
     for pivot, row in zip(pivots, echelon):
+        lead = row[pivot]
         for k, c in row.items():
-            if k != pivot:
-                entries[last - k].append((last - pivot, -c, row[pivot]))
+            terms = entries.get(last - k)  # None at the pivot itself
+            if terms is not None:
+                terms.append((last - pivot, -c, lead))
     kernel = []
     for j, terms in entries.items():
         scale = lcm(*(lead for _, _, lead in terms))
@@ -243,12 +272,12 @@ def solve_combination(columns, target):
     order reduces the rows [columns | target]: the target lies in the span
     exactly when its column is free, and the kernel vector led there,
     negated and divided by its lead, holds the coefficients as Fractions
-    (zero at the free columns).  When the columns are linearly independent
-    the solution is unique.
+    (zero at the free columns).  No other kernel vector is read off.  When
+    the columns are linearly independent the solution is unique.
     """
     last = len(columns)
-    _, kernel_pivots, kernel, _ = kernel_and_image([target, *columns[::-1]])
-    if not kernel_pivots or kernel_pivots[0]:
+    _, kernel_pivots, kernel, _ = kernel_and_image([target, *columns[::-1]], range(1, last + 1))
+    if not kernel_pivots:
         return None  # inconsistent system
     lead = kernel[0][0]
     return {last - j: Fraction(-c, lead) for j, c in kernel[0].items() if j}

@@ -113,8 +113,8 @@ def test_inconsistent_cell_raises_runtime_error(monkeypatch):
     # the dim H / representative count check must survive python -O
     kernel_and_image = cohomology_module.linalg.kernel_and_image
 
-    def wrong_rank(columns):
-        rank_out, *rest = kernel_and_image(columns)
+    def wrong_rank(columns, skip=()):
+        rank_out, *rest = kernel_and_image(columns, skip)
         return (rank_out + 1, *rest)
 
     monkeypatch.setattr(cohomology_module.linalg, "kernel_and_image", wrong_rank)
@@ -165,6 +165,14 @@ def test_each_degree_makes_at_most_seven_rref_calls(monkeypatch):
         calls.update(rref=0, kernel_and_image=0)
         cohomology_table(linear_poisson(kind), 3)
         assert calls == {"rref": 6, "kernel_and_image": 4}
+
+
+def test_each_stored_row_is_made_primitive_once(monkeypatch):
+    # one gcd when a row lands on a new pivot and one after its
+    # back-substitution, none per elimination step (1,002 calls at one per step)
+    calls = _count_calls(monkeypatch, "_primitive")
+    cohomology_table(linear_poisson("sl2"), 8)
+    assert calls == {"_primitive": 234}
 
 
 def test_rows_are_laid_out_only_for_exact_reductions(monkeypatch):

@@ -190,16 +190,70 @@ def test_rref_matches_reference_oracle():
         rng.shuffle(rows)
         cases.append(rows)
     for rows in cases:
-        ints = integer_rows(rows)
-        snapshot = [dict(row) for row in ints]
-        pivots, echelon = rref(ints)
-        assert ints == snapshot
-        assert all(type(c) is int for row in echelon for c in row.values())
-        for p, row in zip(pivots, echelon):
-            assert row[p] > 0 and gcd(*row.values()) == 1
-        scaled = [{i: Fraction(c, row[p]) for i, c in row.items()}
-                  for p, row in zip(pivots, echelon)]
-        assert (pivots, scaled) == reference_rref(rows)
+        _assert_rref_matches_oracle(rows)
+
+
+def _assert_rref_matches_oracle(rows):
+    """`rref` of the rows scaled to integers is `reference_rref` of the rows
+    up to the scale of each echelon row, and writes no input row."""
+    ints = integer_rows(rows)
+    snapshot = [dict(row) for row in ints]
+    pivots, echelon = rref(ints)
+    assert ints == snapshot
+    assert all(type(c) is int for row in echelon for c in row.values())
+    for p, row in zip(pivots, echelon):
+        assert row[p] > 0 and gcd(*row.values()) == 1
+    scaled = [{i: Fraction(c, row[p]) for i, c in row.items()}
+              for p, row in zip(pivots, echelon)]
+    assert (pivots, scaled) == reference_rref(rows)
+
+
+def _sparse_rows(rng, nrows, ncols):
+    """Integer rows of one to three entries, most of them a single entry."""
+    rows = []
+    for _ in range(nrows):
+        size = min(rng.choice((1, 1, 1, 2, 3)), ncols)
+        rows.append({j: rng.choice((-1, 1)) * rng.randint(1, 6)
+                     for j in rng.sample(range(ncols), size)})
+    return rows
+
+
+def test_rref_matches_reference_oracle_on_single_entry_rows():
+    rng = random.Random(163)
+    cases = [
+        [{2: -3}, {0: 4}, {2: 5}],  # one-entry rows, one of them twice
+        # a one-entry row after rows that hold its column: they lose it
+        [{0: 2, 3: 5}, {1: 3, 3: -1}, {3: -4}],
+        # a row with one entry left after its first step, then none after
+        # its second, and one left on a new pivot after its third
+        [{0: 1, 1: 1}, {0: 1, 1: 1, 2: 3}, {2: 2}, {0: 2, 1: 2, 2: 6, 4: -9}],
+        [{2: 5, 4: 1}, {0: 1, 1: 1}, {0: -2, 1: -2, 2: 3}],
+    ]
+    for _ in range(150):
+        rows = _sparse_rows(rng, rng.randint(1, 9), rng.randint(1, 7))
+        if rng.random() < 0.5:  # a row that is one entry off another row
+            row = dict(rng.choice(rows))
+            row[rng.randrange(8)] = rng.randint(1, 4)
+            rows.append(row)
+        rng.shuffle(rows)
+        cases.append(rows)
+    for rows in cases:
+        _assert_rref_matches_oracle(rows)
+
+
+def test_reduce_against_writes_neither_its_vector_nor_its_table():
+    # single-entry pivot rows are eliminated by deleting in place, so any
+    # row that is written must be one `reduce_against` copied
+    rng = random.Random(173)
+    for _ in range(80):
+        pivots, echelon = rref(_sparse_rows(rng, rng.randint(1, 6), 7))
+        table = dict(zip(pivots, echelon))
+        table_snapshot = copy.deepcopy(table)
+        for vec in _sparse_rows(rng, 4, 7):
+            vec_snapshot = dict(vec)
+            reduced = reduce_against(table, vec)
+            assert vec == vec_snapshot and table == table_snapshot
+            assert not set(reduced) & set(table)
 
 
 def test_kernel_and_image_agrees_with_separate_reductions():
@@ -214,6 +268,27 @@ def test_kernel_and_image_agrees_with_separate_reductions():
         assert (ker_pivots, ker_echelon) == rref(kernel_basis(columns)[1])
         assert rref(image) == rref(columns)
         assert all(any(col is c for c in columns) for col in image)
+
+
+def test_kernel_and_image_reads_off_only_the_kernel_outside_skip():
+    rng = random.Random(167)
+    skip_rng = random.Random(179)  # a stream of its own for the skips
+    for _ in range(80):
+        columns = _random_rows(rng, rng.randint(0, 7), rng.randint(1, 6))
+        if columns and rng.random() < 0.3:
+            columns.append(dict(rng.choice(columns)))
+        columns = integer_matrix(columns)
+        rk, ker_pivots, ker_echelon, image = kernel_and_image(columns)
+        # pivot columns, free columns and indices out of range
+        skip = {j for j in range(-2, len(columns) + 3) if skip_rng.random() < 0.4}
+        for chosen in (skip, range(len(columns)), dict.fromkeys(skip)):
+            snapshot = copy.deepcopy(columns)
+            rk_skip, pivots_skip, echelon_skip, image_skip = kernel_and_image(columns, chosen)
+            assert columns == snapshot
+            assert rk_skip == rk
+            assert all(a is b for a, b in zip(image_skip, image, strict=True))
+            assert list(zip(pivots_skip, echelon_skip)) == [
+                (p, vec) for p, vec in zip(ker_pivots, ker_echelon) if p not in chosen]
 
 
 def _leading_rows(columns):

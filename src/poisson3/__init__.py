@@ -32,9 +32,7 @@ from .complexes import (
     closed_form_differential,
     differential_matrix,
     invariant_basis,
-    invariant_multivectors,
     monomials,
-    operator_matrix,
     poisson_differential,
     rotation_field,
 )
@@ -59,7 +57,6 @@ from .verification import (
     FIXTURE_IDS,
     ModularCheck,
     Report,
-    available_ids,
     deformation_identity_check,
     expected_modular_field,
     expected_table,
@@ -92,9 +89,7 @@ __all__ = [
     "closed_form_differential",
     "differential_matrix",
     "invariant_basis",
-    "invariant_multivectors",
     "monomials",
-    "operator_matrix",
     "poisson_differential",
     "rotation_field",
     "CohomologyCell",
@@ -113,7 +108,6 @@ __all__ = [
     "FIXTURE_IDS",
     "ModularCheck",
     "Report",
-    "available_ids",
     "deformation_identity_check",
     "expected_modular_field",
     "expected_table",

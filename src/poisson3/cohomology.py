@@ -8,7 +8,8 @@ gives a differential's rank, its kernel in reduced echelon form, and the
 independent columns whose echelon is the next cell's image.  The
 rotation-invariant subcomplex goes through the same routine with the
 differentials restricted to the invariant sub-bases
-(`cohomology_table(pi, dmax, invariant=True)`).
+(`cohomology_table(pi, dmax, invariant=True)`).  A bivector with
+[pi, pi] != 0 has no complex, as d o d != 0, and is rejected.
 
 Most cells are acyclic, and those need no exact elimination.  Each
 differential is first reduced modulo the constant prime `linalg.PRIME`,
@@ -34,6 +35,7 @@ from .complexes import (
     GradedBasis,
     differential_matrix,
     invariant_basis,
+    linear_operator_matrix,
     rotation_field,
 )
 from .multivector import MultiVector, rational, schouten_bracket
@@ -106,6 +108,19 @@ def _check_rotation_invariant(pi):
         raise ValueError("bivector is not rotation invariant")
 
 
+def _check_poisson(pi):
+    """Raise ValueError unless [pi, pi] = 0, which d o d = 0 needs.
+
+    [pi, pi] is [pi, .] on the (2, 1) cell applied to pi's coordinates.  A
+    bivector whose coefficients are not linear fails in the stencil, and
+    anything but a bivector is left to `differential_matrix` to reject.
+    """
+    if pi.degree == 2:
+        cell = linear_operator_matrix(pi, 2, 1)
+        if linalg.matvec(cell.columns, cell.source.decompose(pi)):
+            raise ValueError("bivector is not Poisson: [pi, pi] is not 0")
+
+
 def _degree_cells(pi, d, invariant):
     """The cells q = 0..3 of coefficient degree d.
 
@@ -163,6 +178,7 @@ def cohomology_cell(pi, q, d):
     `cell_multivectors` or the table interface for multivector form.
     """
     _check_cochain_degree(q)
+    _check_poisson(pi)
     return _degree_cells(pi, d, invariant=False)[q]
 
 
@@ -175,6 +191,7 @@ def invariant_cohomology(pi, q, d):
     """
     _check_cochain_degree(q)
     _check_rotation_invariant(pi)
+    _check_poisson(pi)
     return _degree_cells(pi, d, invariant=True)[q]
 
 
@@ -228,6 +245,7 @@ def cohomology_table(pi, dmax, invariant=False):
         raise ValueError("dmax must be nonnegative, got %r" % (dmax,))
     if invariant:
         _check_rotation_invariant(pi)
+    _check_poisson(pi)
     cells = {}
     for d in range(dmax + 1):
         for cell in _degree_cells(pi, d, invariant):

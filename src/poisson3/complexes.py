@@ -9,8 +9,8 @@ operators; the cohomology module reduces them.
 
 Matrices and invariant sub-bases are read off closed forms (monomial order,
 basis positions, an integer stencil of the operator, invariant generators)
-with no bracket or elimination.  `operator_matrix`, a Schouten bracket per
-column, is kept as the independent route the stencil is tested against.
+with no bracket or elimination.  The tests hold the independent route the
+stencil is checked against, a Schouten bracket per column.
 """
 
 from math import comb
@@ -121,8 +121,7 @@ class GradedBasis:
 class OperatorCell:
     """Matrix of a graded operator on one (q, d) cochain space.
 
-    The matrix is columns / den: int columns for the stencil-built cells,
-    Fraction columns and den 1 for the `operator_matrix` oracle.
+    The matrix is columns / den, with int columns.
     """
 
     __slots__ = ("source", "target", "columns", "den")
@@ -134,63 +133,18 @@ class OperatorCell:
         self.den = den
 
 
-def operator_matrix(operator, q, d):
-    """Matrix of V -> [operator, V] on the (q, d) basis.
-
-    The bracket lowers the total coefficient degree by one, so the operator
-    preserves the grading exactly when its own coefficients are homogeneous
-    linear.  Any violation surfaces as a DegreeError when an image is
-    decomposed in the target basis.
-    """
-    source = GradedBasis(q, d)
-    out_q = q + operator.degree - 1
-    if not 0 <= out_q <= 3:
-        raise ValueError("operator maps degree %d outside 0..3" % (q,))
-    target = GradedBasis(out_q, d)
-    columns = []
-    for position in range(len(source)):
-        image = schouten_bracket(operator, source.reconstruct({position: 1}))
-        columns.append(target.decompose(image))
-    return OperatorCell(source, target, columns, den=1)
-
-
-_CHECKED = {}  # out_q -> the last stencil table `_check_stencil` passed
-
-
-def _check_stencil(table, out_q):
-    """Raise ValueError if a kept stencil entry could leave the target basis.
-
-    An entry (t, shift, form) stays in the degree-out_q basis at every
-    source monomial when component t exists there, the shift sums to 0 (the
-    total degree is kept) and each axis a it lowers is lowered by one and
-    carries the form c m_a, with no other axis and no constant: the value
-    is then 0, and the entry skipped, wherever m_a = 0.  Stencils are never
-    written, so the last table passed for each out_q is not checked again.
-    """
-    if _CHECKED.get(out_q) is table:
-        return
-    for idx, entries in table.items():
-        for t, shift, form in entries:
-            if not (0 <= t < NCOMP[out_q] and sum(shift) == 0 and all(
-                    shift[a] == -1 and not any(form[:a] + form[a + 1:])
-                    for a in range(3) if shift[a] < 0)):
-                raise ValueError("stencil entry %r of component %d leaves the degree-%d basis"
-                                 % ((t, shift, form), idx, out_q))
-    _CHECKED[out_q] = table
-
-
 def linear_operator_matrix(operator, q, d):
     """Matrix of V -> [operator, V] on the (q, d) basis, for a linear operator.
 
-    The same matrix as `operator_matrix`, read off `linear_stencil`: the
-    column of x^m xi_idx holds the int a . m + b (over the cell's den) at row
-    x^(m + shift) xi_t for each stencil entry (t, shift, (a, b)), skipped
-    where that value is 0.  With s = d - m_z and T(s) = s(s + 1)/2, that row
-    is (T(s - shift_z) + m_x + shift_x) * binom(3, out_q) + t, the position
-    of x^(m + shift) xi_t in the target basis.  `_check_stencil` makes sure
-    once per stencil, before any column, that every kept entry lands in that
-    basis.  Raises DegreeError unless the operator's coefficients are all
-    homogeneous linear; the zero operator is.
+    Read off `linear_stencil`: the column of x^m xi_idx holds the int
+    a . m + b (over the cell's den) at row x^(m + shift) xi_t for each
+    stencil entry (t, shift, (a, b)), skipped where that value is 0.  With
+    s = d - m_z and T(s) = s(s + 1)/2, that row is
+    (T(s - shift_z) + m_x + shift_x) * binom(3, out_q) + t, the position of
+    x^(m + shift) xi_t in the target basis; the stencil was checked, when it
+    was derived, to keep every such entry in that basis.  Raises DegreeError
+    unless the operator's coefficients are all homogeneous linear; the zero
+    operator is.
     """
     source = GradedBasis(q, d)
     out_q = q + operator.degree - 1
@@ -198,7 +152,6 @@ def linear_operator_matrix(operator, q, d):
         raise ValueError("operator maps degree %d outside 0..3" % (q,))
     target = GradedBasis(out_q, d)
     table, den = linear_stencil(operator, q)
-    _check_stencil(table, out_q)
     ncomp = NCOMP[out_q]
     stencil = [table[idx] for idx in range(NCOMP[q])]
     columns = []
@@ -315,8 +268,3 @@ def invariant_basis(q, d):
             vectors.append(integer_normalize(dict(entries[-1:] + entries[:-1])))
     return basis, sorted(vectors, key=max)
 
-
-def invariant_multivectors(q, d):
-    """The invariant sub-basis as multivectors."""
-    basis, vectors = invariant_basis(q, d)
-    return [basis.reconstruct(v) for v in vectors]

@@ -532,12 +532,14 @@ def linear_stencil(operator, q):
     Returns ({source idx: [(target idx, shift, (ax, ay, az, b))]}, den): den
     is the lcm of the operator's coefficient denominators and the forms are
     ints over it.  Raises DegreeError unless every coefficient of the
-    operator is homogeneous linear.
+    operator is homogeneous linear.  Every entry is checked by
+    `_check_stencil` to stay in the target basis.
 
     The stencil depends only on the operator's degree, its exact terms in
     their order (which fixes the order of the entries) and q, so it is
-    derived once for each and memoised, the last 16 of them: the returned
-    table is shared between callers and must not be written.
+    derived and checked once for each and memoised, the last 16 of them (a
+    derivation that raises is not memoised): the returned table is shared
+    between callers and must not be written.
     """
     return _stencil(operator.degree, q, tuple(
         (idx, mono, coeff) for idx, poly in operator.components.items()
@@ -579,7 +581,27 @@ def _stencil(degree, q, operator_terms):
     for (idx, target_idx, shift), form in forms.items():
         if any(form):
             table[idx].append((target_idx, shift, tuple(form)))
+    _check_stencil(table, q + degree - 1)
     return table, den
+
+
+def _check_stencil(table, out_q):
+    """Raise ValueError if a stencil entry could leave the degree-out_q basis.
+
+    An entry (t, shift, form) stays in the degree-out_q basis at every
+    source monomial when component t exists there, the shift sums to 0 (the
+    total degree is kept) and each axis a it lowers is lowered by one and
+    carries the form c m_a, with no other axis and no constant: the value
+    is then 0, and the entry skipped, wherever m_a = 0.  A table whose
+    out_q lies outside 0..3 must be empty: the bracket is 0 there.
+    """
+    for idx, entries in table.items():
+        for t, shift, form in entries:
+            if not (0 <= out_q <= 3 and 0 <= t < NCOMP[out_q] and sum(shift) == 0 and all(
+                    shift[a] == -1 and not any(form[:a] + form[a + 1:])
+                    for a in range(3) if shift[a] < 0)):
+                raise ValueError("stencil entry %r of component %d leaves the degree-%d basis"
+                                 % ((t, shift, form), idx, out_q))
 
 
 def lie_bracket(a, b):

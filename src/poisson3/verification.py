@@ -226,11 +226,6 @@ class Expectation:
         return Algebra(self.algebra, self.tau)
 
 
-def available_ids():
-    """Fixture ids shipped with the package, in classification order."""
-    return FIXTURE_IDS
-
-
 def load_fixture(fixture_id):
     """Raw JSON dict for one fixture id."""
     if fixture_id not in FIXTURE_IDS:

@@ -6,7 +6,9 @@ from fractions import Fraction
 from importlib import resources
 from math import lcm
 
-from poisson3 import MultiVector, Polynomial, format_multivector, rotation_field
+from poisson3 import (
+    GradedBasis, MultiVector, OperatorCell, Polynomial, format_multivector, invariant_basis,
+    rotation_field, schouten_bracket)
 from poisson3.complexes import linear_operator_matrix
 from poisson3.linalg import integer_normalize, kernel_and_image, matvec, rref
 
@@ -99,6 +101,34 @@ def kernel_basis(columns):
 def rotation_matrix(q, d):
     """Matrix of the Lie derivative along the rotation field on (q, d)."""
     return linear_operator_matrix(rotation_field(), q, d)
+
+
+def operator_matrix(operator, q, d):
+    """Matrix of V -> [operator, V] on the (q, d) basis, one Schouten bracket per column.
+
+    The independent route `linear_operator_matrix` is checked against: its
+    columns are Fractions and its den is 1.  The bracket lowers the total
+    coefficient degree by one, so the operator preserves the grading exactly
+    when its own coefficients are homogeneous linear.  Any violation
+    surfaces as a DegreeError when an image is decomposed in the target
+    basis.
+    """
+    source = GradedBasis(q, d)
+    out_q = q + operator.degree - 1
+    if not 0 <= out_q <= 3:
+        raise ValueError("operator maps degree %d outside 0..3" % (q,))
+    target = GradedBasis(out_q, d)
+    columns = []
+    for position in range(len(source)):
+        image = schouten_bracket(operator, source.reconstruct({position: 1}))
+        columns.append(target.decompose(image))
+    return OperatorCell(source, target, columns, den=1)
+
+
+def invariant_multivectors(q, d):
+    """The rotation-invariant sub-basis of (q, d) as multivectors."""
+    basis, vectors = invariant_basis(q, d)
+    return [basis.reconstruct(v) for v in vectors]
 
 
 def random_point(rng):

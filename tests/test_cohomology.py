@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import exact_columns, kernel_basis, rank
+from helpers import exact_columns, invariant_multivectors, kernel_basis, rank
 from poisson3 import (
     KINDS,
     Algebra,
     GradedBasis,
     MultiVector,
+    Polynomial,
     cell_multivectors,
     coboundary_witness,
     cohomology_cell,
@@ -390,6 +391,41 @@ def test_invariant_cohomology_rejects_non_invariant_bivector():
 def test_table_rejects_negative_dmax(invariant):
     with pytest.raises(ValueError, match="dmax must be nonnegative, got -1"):
         cohomology_table(linear_poisson("aff_x_r"), -1, invariant=invariant)
+
+
+def test_a_bivector_that_is_not_poisson_is_rejected():
+    # d o d = 0 needs [pi, pi] = 0; such a bivector used to come back as a
+    # table, or to fail inside a cell with a RuntimeError
+    rng = random.Random(5)
+    axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    samples = [mv("x*dy^dz + y*dx^dy")]
+    samples += [MultiVector.bivector(*(Polynomial({e: rng.randint(-2, 2) for e in axes})
+                                       for _ in range(3))) for _ in range(200)]
+    samples += [sum((value * rng.randint(-2, 2) for value in invariant_multivectors(2, 1)),
+                    MultiVector.zero(2)) for _ in range(50)]  # z dx^dy, E^dz, R^dz
+    rejected = {False: 0, True: 0}
+    for pi in samples:
+        if schouten_bracket(pi, pi).is_zero():
+            assert cohomology_table(pi, 2).dim_h(0, 0) == 1
+            continue
+        invariant = schouten_bracket(rotation_field(), pi).is_zero()
+        rejected[invariant] += 1
+        for call in (lambda: cohomology_table(pi, 3), lambda: cohomology_cell(pi, 2, 0)):
+            with pytest.raises(ValueError, match=r"bivector is not Poisson: \[pi, pi\] is not 0"):
+                call()
+        for call in (lambda: invariant_cohomology(pi, 1, 1),
+                     lambda: cohomology_table(pi, 3, invariant=True)):
+            with pytest.raises(ValueError, match="bivector is not "
+                               + ("Poisson" if invariant else "rotation invariant")):
+                call()
+    assert rejected[False] > 100 and rejected[True] > 10
+    for algebra in REGISTRY_ALGEBRAS:
+        pi = linear_poisson(algebra)
+        cohomology_table(pi, 1)
+        cohomology_cell(pi, 2, 1)
+        if schouten_bracket(rotation_field(), pi).is_zero():
+            invariant_cohomology(pi, 2, 1)
+            cohomology_table(pi, 1, invariant=True)
 
 
 def test_restriction_to_invariant_bases_solves_each_image():

@@ -9,7 +9,8 @@ from math import lcm
 import pytest
 
 from helpers import (
-    compose, exact_columns, kernel_basis, random_multivector, rank, rotation_matrix)
+    compose, exact_columns, invariant_multivectors, kernel_basis, operator_matrix,
+    random_multivector, rank, rotation_matrix)
 from poisson3 import (
     Algebra,
     DegreeError,
@@ -22,11 +23,9 @@ from poisson3 import (
     cohomology_table,
     differential_matrix,
     invariant_basis,
-    invariant_multivectors,
     jacobi_defect,
     linear_poisson,
     monomials,
-    operator_matrix,
     parse_multivector,
     poisson_differential,
     rotation_field,
@@ -209,40 +208,69 @@ def test_zero_operator_counts_as_linear():
 ])
 def test_stencil_entries_that_leave_the_basis_are_rejected(monkeypatch, entry):
     good = (1, (0, 1, -1), (0, 0, 4, 0))  # lowers z with a form on z alone
-    monkeypatch.setattr(complexes, "linear_stencil", lambda operator, q: ({0: [good, entry]}, 1))
-    pi = linear_poisson("sl2")
     with pytest.raises(ValueError, match=re.escape(repr(entry))):
-        linear_operator_matrix(pi, 0, 2)
+        multivector._check_stencil({0: [good, entry]}, 1)
+    multivector._check_stencil({0: [good]}, 1)
     monkeypatch.setattr(complexes, "linear_stencil", lambda operator, q: ({0: [good]}, 1))
+    pi = linear_poisson("sl2")
     cell = linear_operator_matrix(pi, 0, 2)
     assert matvec(cell.columns, {cell.source.position(0, (0, 0, 2)): 1}) == {
         cell.target.position(1, (0, 1, 1)): 8}
 
 
-def test_a_stencil_table_is_checked_once(monkeypatch):
-    class Table(dict):
-        checks = 0  # `_check_stencil` walks the items, the build reads the keys
+def test_a_stencil_for_no_degree_must_be_empty():
+    # [A, B] has degree deg A + deg B - 1, which can fall outside 0..3, where
+    # the bracket is 0
+    for out_q in (-1, 4):
+        multivector._check_stencil({0: [], 1: []}, out_q)
+        with pytest.raises(ValueError, match="degree-%d basis" % out_q):
+            multivector._check_stencil({0: [(0, (0, 0, 0), (0, 0, 0, 1))]}, out_q)
 
-        def items(self):
-            Table.checks += 1
-            return super().items()
 
-    good = (1, (0, 1, -1), (0, 0, 4, 0))
-    table = Table({0: [good]})
-    monkeypatch.setattr(complexes, "linear_stencil", lambda operator, q: (table, 1))
+@pytest.fixture
+def cleared_stencils():
+    multivector._stencil.cache_clear()
+    yield multivector._stencil
+    multivector._stencil.cache_clear()
+
+
+def test_a_stencil_table_is_checked_once(monkeypatch, cleared_stencils):
+    checked = []  # the checked tables, matched below to the (degree, q) they were derived for
+    check = multivector._check_stencil
+    monkeypatch.setattr(multivector, "_check_stencil",
+                        lambda table, out_q: checked.append(table) or check(table, out_q))
     pi = linear_poisson("sl2")
-    for d in range(5):
-        linear_operator_matrix(pi, 0, d)
-    assert Table.checks == 1
-    table = Table({0: [good]})  # an equal table, but another object
-    linear_operator_matrix(pi, 0, 2)
-    assert Table.checks == 2
-    # a table that fails is not remembered
-    table = Table({0: [good, (2, (1, 0, 0), (1, 0, 0, 0))]})
     for _ in range(2):
-        with pytest.raises(ValueError):
+        cohomology_table(pi, 4)
+        for q in range(4):
+            for d in range(3):
+                rotation_matrix(q, d)
+    derived = {(operator.degree, q): linear_stencil(operator, q)[0]
+               for operator, qs in ((pi, range(3)), (rotation_field(), range(4))) for q in qs}
+    assert cleared_stencils.cache_info().misses == len(derived) == len(checked)
+    assert {key: sum(table is seen for seen in checked) for key, table in derived.items()} == {
+        key: 1 for key in derived}
+
+
+def test_a_stencil_that_fails_its_check_is_checked_again(monkeypatch, cleared_stencils):
+    checked = []
+    check = multivector._check_stencil
+
+    def rejecting(table, out_q):
+        checked.append(out_q)
+        raise ValueError("rejected")
+
+    monkeypatch.setattr(multivector, "_check_stencil", rejecting)
+    pi = linear_poisson("sl2")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="rejected"):
             linear_operator_matrix(pi, 0, 2)
-    assert Table.checks == 4
+    assert checked == [1, 1] and cleared_stencils.cache_info().currsize == 0
+    monkeypatch.setattr(multivector, "_check_stencil",
+                        lambda table, out_q: checked.append(out_q) or check(table, out_q))
+    for d in range(3):
+        linear_operator_matrix(pi, 0, d)
+    assert checked == [1, 1, 1]
 
 
 def test_differentials_leave_the_basis_elements_unbuilt():
@@ -385,8 +413,8 @@ def test_tables_build_no_bracket_per_column(monkeypatch):
     assert calls == []
     assert len(full.cells) == len(invariant.cells) == 20
     # the counter does see the bracket route
-    operator_matrix(pi, 1, 1)
-    assert len(calls) == len(GradedBasis(1, 1))
+    complexes.poisson_differential(pi, mv("x*dz"))
+    assert calls == [(2, 1)]
 
 
 def test_differential_squares_to_zero_small():

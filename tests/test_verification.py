@@ -17,7 +17,6 @@ from poisson3 import (
     FIXTURE_IDS,
     MultiVector,
     Polynomial,
-    available_ids,
     cohomology_table,
     deformation_identity_check,
     expected_modular_field,
@@ -42,7 +41,6 @@ def mv(text):
 
 
 def test_fixture_ids_are_stable():
-    assert available_ids() == FIXTURE_IDS
     assert len(FIXTURE_IDS) == 12
     assert FIXTURE_IDS[0] == "heisenberg"
     assert "hyperbolic_2_3" in FIXTURE_IDS

@@ -5,7 +5,7 @@ its cohomology is kernel-modulo-image of two finite exact matrices.  One
 routine reduces a whole coefficient degree d from its differentials, each
 built once and reduced once (`linalg.kernel_and_image`): one elimination
 gives a differential's rank, its kernel in reduced echelon form, and the
-independent columns whose echelon is the next cell's image.  The
+pivots of its image's echelon, all the next cell needs of its image.  The
 rotation-invariant subcomplex goes through the same routine with the
 differentials restricted to the invariant sub-bases
 (`cohomology_table(pi, dmax, invariant=True)`).  A bivector with
@@ -20,11 +20,14 @@ acyclic, with both ranks exact and no representative.  Every other cell is
 reduced exactly.  Nothing here is probabilistic: an unlucky prime only
 sends a cell down the exact path.
 
-The matrices are integer throughout.  Representatives are canonical: the
-kernel rows whose leading coordinate is not a pivot of the image echelon,
-the only ones read off the reduction, are reduced against the image, then
-scaled to coprime integers and published as Fractions.  Two runs over the
-same input produce byte-identical output.
+The matrices are integer throughout.  Representatives are canonical: they
+are the kernel rows whose leading coordinate is not a pivot of the image's
+echelon, the only ones read off the reduction, scaled to coprime integers
+and published as Fractions.  They are already reduced against the image:
+the kernel row led at a free column j of d_q is nonzero only at j and at
+d_q's pivot columns, and the image's pivots are free columns of d_q other
+than j (the image lies in the kernel, as d o d = 0), so no image row could
+change it.  Two runs over the same input produce byte-identical output.
 """
 
 from fractions import Fraction
@@ -62,15 +65,15 @@ class CohomologyCell:
         return "CohomologyCell(q=%d, d=%d, dim_h=%d)" % (self.q, self.d, self.dim_h)
 
 
-def _cell(q, d, dim, reduction, echelon):
-    """One cell from its outgoing reduction and the incoming image echelon {pivot: row}.
+def _cell(q, d, dim, reduction, rank_in):
+    """One cell from its outgoing reduction and the rank of the incoming differential.
 
-    The reduction holds only the kernel rows led outside the echelon's
-    pivots, one per class.
+    The reduction holds only the kernel rows led outside the incoming
+    image's pivots, one per class, and those rows are its representatives
+    as they are: each is zero at every pivot of the image.
     """
-    rank_out, _, ker_echelon, _ = reduction
-    reps = [linalg.reduce_against(echelon, row) for row in ker_echelon]
-    cell = CohomologyCell(q, d, dim, rank_out, len(echelon), reps)
+    rank_out, _, reps, _ = reduction
+    cell = CohomologyCell(q, d, dim, rank_out, rank_in, reps)
     if cell.dim_h != len(reps):
         raise RuntimeError(
             "cell (%d, %d): dim H is %d but %d representatives were found"
@@ -125,41 +128,44 @@ def _degree_cells(pi, d, invariant):
     """The cells q = 0..3 of coefficient degree d.
 
     Each differential out of degree d is built once and reduced mod p once.
-    When its rank mod p leaves cell q no room for a class, the cell is
-    certified acyclic and the columns independent mod p, which are
-    independent over Q and as many as the exact rank, are cell q + 1's
-    image.  Otherwise the incoming image's echelon is built first, and the
-    differential is reduced exactly: that reduction gives cell q its rank,
-    the kernel rows led outside the image's pivots (the image lies in the
+    Each cell passes the next (rank_in, pivots): d_q's exact rank and the
+    pivots of its image's echelon.  When the rank mod p of d_q leaves cell
+    q no room for a class, the cell is certified acyclic, and the columns
+    independent mod p, which are independent over Q and as many as the
+    exact rank, span cell q + 1's image: their `rref` gives its pivots, and
+    only when cell q + 1 is reduced exactly.  Otherwise d_q is reduced
+    exactly, and that one reduction gives cell q its rank and the kernel
+    rows led outside the incoming image's pivots (the image lies in the
     kernel, so its pivots are kernel pivots, and the rows led at the other
-    ones, one per class, are all that is read off), and cell q + 1 the
-    independent columns whose echelon is its image.  On the invariant
-    subcomplex each differential is first restricted to the invariant
-    sub-bases, and representatives are mapped back to ambient (q, d)
-    coordinates; only then is each one normalised and boxed into Fractions.
+    ones, one per class, are all that is read off), and cell q + 1 its
+    pivots.  On the invariant subcomplex each differential is first
+    restricted to the invariant sub-bases, and representatives are mapped
+    back to ambient (q, d) coordinates; only then is each one normalised
+    and boxed into Fractions.
     """
     columns = [differential_matrix(pi, q, d).columns for q in range(4)]
     if invariant:
         vectors = [invariant_basis(q, d)[1] for q in range(4)] + [[]]  # d_3 maps to 0
         columns = [_restrict(cols, vectors[q], vectors[q + 1]) for q, cols in enumerate(columns)]
     cells = []
-    image = []  # independent columns of d_{q-1}, as many as its exact rank
+    rank_in, pivots = 0, set()  # d_{q-1}'s rank and image pivots, None until needed
     skip = set()  # rows at which d_{q-1}'s mod-p pass found its pivots
     for q, cols in enumerate(columns):
         independent, skip = linalg.independent_columns_mod_p(cols, skip)
-        if len(cols) == len(independent) + len(image):
+        if len(cols) == len(independent) + rank_in:
             # rank_p <= rank_Q and dim H >= 0: both ranks are exact, H = 0
-            cells.append(CohomologyCell(q, d, len(cols), len(independent), len(image), []))
-            image = [cols[j] for j in independent]
+            cells.append(CohomologyCell(q, d, len(cols), len(independent), rank_in, []))
+            rank_in, pivots, image = len(independent), None, [cols[j] for j in independent]
             continue
-        echelon = dict(zip(*linalg.rref(image))) if q else {}
-        reduction = linalg.kernel_and_image(cols, echelon)
+        if pivots is None:  # d_{q-1} was certified: `image` spans its image
+            pivots = set(linalg.rref(image)[0])
+        reduction = linalg.kernel_and_image(cols, pivots)
         if reduction[0] < len(independent):
             raise RuntimeError(
                 "cell (%d, %d): exact rank %d is below the rank %d mod p"
                 % (q, d, reduction[0], len(independent)))
-        cells.append(_cell(q, d, len(cols), reduction, echelon))
-        image = reduction[3]
+        cells.append(_cell(q, d, len(cols), reduction, rank_in))
+        rank_in, pivots = reduction[0], reduction[3]
     for q, cell in enumerate(cells):
         reps = cell.representatives
         if invariant:

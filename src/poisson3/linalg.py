@@ -10,10 +10,11 @@ downstream are deterministic.  Because the form is unique, the elimination
 does only the work it must: a row that lands with one entry is the pivot
 {col: 1}, and eliminating against it is a delete; a row is made primitive
 once when it lands and once after its back-substitution, not at every
-step.  `kernel_and_image` gets the rank, the reduced kernel and a basis of
-the image of a map from one such elimination, and reads off only the
-kernel vectors its caller asks for; solves are read off that same routine.
-Only `solve_combination` returns Fractions.
+step.  `kernel_and_image` gets the rank, the reduced kernel and the pivots
+of the image's echelon (the rows `rref` reports as `landed`) of a map from
+one such elimination, and reads off only the kernel vectors its caller
+asks for; solves are read off that same routine.  Only
+`solve_combination` returns Fractions.
 
 `independent_columns_mod_p` runs the same elimination in word-size
 arithmetic modulo `PRIME`, a constant rather than an option, on the columns
@@ -68,7 +69,7 @@ def _eliminate(row, pivot_row, col):
     return row
 
 
-def rref(rows):
+def rref(rows, landed=None):
     """Integer reduced row echelon form of a list of sparse integer rows.
 
     Returns (pivots, echelon_rows) where pivots[r] is the leading index of
@@ -80,14 +81,21 @@ def rref(rows):
     {pivot: 1} with no arithmetic at all.  Back-substitution runs from the
     last pivot down, and each row is made primitive once, after its last
     step.  Such a form is unique, so no order of these steps changes it.
+
+    The rows are inserted in the order given, and the table spans the rows
+    inserted so far, so a row lands on a new pivot exactly when it is
+    independent of the rows before it.  When `landed` is a list, the
+    position of each such row is appended to it, in order.
     """
     table = {}
-    for row in rows:
+    for k, row in enumerate(rows):
         row = {i: c for i, c in row.items() if c}
         while row:
             col = min(row)
             pivot_row = table.get(col)
             if pivot_row is None:
+                if landed is not None:
+                    landed.append(k)
                 if len(row) == 1:
                     table[col] = {col: 1}
                     break
@@ -126,16 +134,19 @@ def reduce_against(table, vec):
 
 
 def _rows(columns):
-    """The rows of a matrix given by its columns, column j placed at n-1-j.
+    """The nonzero rows of a matrix given by its columns, column j placed at n-1-j.
 
-    This is the only place where columns become rows.
+    Returns (index, rows): the row indices in ascending order and the rows
+    in that order, so that `rref` inserts row index[k] k-th.  This is the
+    only place where columns become rows.
     """
     last = len(columns) - 1
     rows = {}
     for j, col in enumerate(columns):
         for i, c in col.items():
             rows.setdefault(i, {})[last - j] = c
-    return rows.values()
+    index = sorted(rows)
+    return index, [rows[i] for i in index]
 
 
 def _echelon_mod_p(vectors):
@@ -202,7 +213,7 @@ def independent_columns_mod_p(columns, skip):
 
 
 def kernel_and_image(columns, skip=()):
-    """Rank, reduced kernel and image basis of a matrix from one `rref`.
+    """Rank, reduced kernel and the image's pivots of a matrix from one `rref`.
 
     This is where a kernel is read off an echelon.  The rows are reduced
     with column j placed at n-1-j (`_rows`), so each echelon row
@@ -211,16 +222,21 @@ def kernel_and_image(columns, skip=()):
     lcm of the pivot entries of the rows that touch j, with the scaled and
     negated row entries at the pivot columns, which all lie above j.  Only
     the vectors led at free columns outside `skip` are read off, so a
-    caller that needs some of the kernel pays for no other vector.  The
-    pivot columns themselves are independent and span the image.
+    caller that needs some of the kernel pays for no other vector.
 
-    Returns (rank, kernel_pivots, kernel_echelon, image_columns), the
-    kernel restricted to the free columns outside `skip`.
+    The rows go in by ascending row index, so those that land on a new
+    pivot, independent of the rows before them, are the pivots of the
+    image's echelon as `rref` of the image columns would give them.
+
+    Returns (rank, kernel_pivots, kernel_echelon, image_pivots), the
+    kernel restricted to the free columns outside `skip`, and the image's
+    pivots as a set of row indices.
     """
     last = len(columns) - 1
-    pivots, echelon = rref(_rows(columns))
-    pivot_columns = sorted(last - p for p in pivots)
-    bound = set(pivot_columns)
+    index, rows = _rows(columns)
+    landed = []
+    pivots, echelon = rref(rows, landed)
+    bound = {last - p for p in pivots}
     entries = {j: [] for j in range(len(columns)) if j not in bound and j not in skip}
     for pivot, row in zip(pivots, echelon):
         lead = row[pivot]
@@ -232,8 +248,7 @@ def kernel_and_image(columns, skip=()):
     for j, terms in entries.items():
         scale = lcm(*(lead for _, _, lead in terms))
         kernel.append(_primitive({j: scale, **{i: c * (scale // lead) for i, c, lead in terms}}))
-    return (len(pivots), list(entries), kernel,
-            [columns[j] for j in pivot_columns])
+    return len(pivots), list(entries), kernel, {index[k] for k in landed}
 
 
 def integer_normalize(vec):

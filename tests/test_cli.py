@@ -319,6 +319,16 @@ def test_dpi_verb(capsys):
     assert out == "-1*y*dx + x*dy\n"
 
 
+def test_an_expression_that_starts_with_a_minus_follows_a_double_dash(capsys):
+    # without "--" argparse reads "-x" as an option
+    code, out, _ = run(capsys, "dpi", "--algebra", "so3", "--", "-x")
+    assert code == 0
+    assert out == "z*dy - y*dz\n"
+    code, out, _ = run(capsys, "schouten", "--", "-x*dy", "x*dz")
+    assert code == 0
+    assert out == "0\n"
+
+
 def test_modular_verb(capsys):
     code, out, _ = run(capsys, "modular", "--algebra", "aff_x_r")
     assert code == 0

@@ -65,23 +65,6 @@ class CohomologyCell:
         return "CohomologyCell(q=%d, d=%d, dim_h=%d)" % (self.q, self.d, self.dim_h)
 
 
-def _cell(q, d, dim, reduction, rank_in):
-    """One cell from its outgoing reduction and the rank of the incoming differential.
-
-    The reduction holds only the kernel rows led outside the incoming
-    image's pivots, one per class, and those rows are its representatives
-    as they are: each is zero at every pivot of the image.
-    """
-    rank_out, _, reps, _ = reduction
-    cell = CohomologyCell(q, d, dim, rank_out, rank_in, reps)
-    if cell.dim_h != len(reps):
-        raise RuntimeError(
-            "cell (%d, %d): dim H is %d but %d representatives were found"
-            % (q, d, cell.dim_h, len(reps))
-        )
-    return cell
-
-
 def _restrict(columns, source_vectors, target_vectors):
     """Matrix of a map restricted to invariant sub-bases on both sides.
 
@@ -159,21 +142,22 @@ def _degree_cells(pi, d, invariant):
             continue
         if pivots is None:  # d_{q-1} was certified: `image` spans its image
             pivots = set(linalg.rref(image)[0])
-        reduction = linalg.kernel_and_image(cols, pivots)
-        if reduction[0] < len(independent):
+        rank, _, kernel, image_pivots = linalg.kernel_and_image(cols, pivots)
+        if rank < len(independent):
             raise RuntimeError(
                 "cell (%d, %d): exact rank %d is below the rank %d mod p"
-                % (q, d, reduction[0], len(independent)))
-        cells.append(_cell(q, d, len(cols), reduction, rank_in))
-        rank_in, pivots = reduction[0], reduction[3]
-    for q, cell in enumerate(cells):
-        reps = cell.representatives
+                % (q, d, rank, len(independent)))
+        dim_h = len(cols) - rank - rank_in
+        if dim_h != len(kernel):  # one kernel row per class, each zero at the image's pivots
+            raise RuntimeError(
+                "cell (%d, %d): dim H is %d but %d representatives were found"
+                % (q, d, dim_h, len(kernel)))
         if invariant:
-            reps = [linalg.matvec(vectors[q], rep) for rep in reps]
-        cell.representatives = [
-            {i: Fraction(c) for i, c in linalg.integer_normalize(rep).items()}
-            for rep in reps
-        ]
+            kernel = [linalg.matvec(vectors[q], rep) for rep in kernel]
+        reps = [{i: Fraction(c) for i, c in linalg.integer_normalize(rep).items()}
+                for rep in kernel]
+        cells.append(CohomologyCell(q, d, len(cols), rank, rank_in, reps))
+        rank_in, pivots = rank, image_pivots
     return cells
 
 

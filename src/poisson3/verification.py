@@ -11,6 +11,7 @@ from collections import namedtuple
 from fractions import Fraction
 from importlib import resources
 import json
+from math import comb
 
 from . import linalg
 from .cohomology import cohomology_table, coboundary_witness
@@ -92,36 +93,29 @@ def _euclidean_grid(dmax):
     return grid
 
 
-def _book_tau_1_grid(dmax):
-    # H0: constants.  H1: dz, then y dx, x dy, y dy in degree one.
-    # H2: the same three degree-one fields wedged with dz.
-    grid = _book_generic_grid(dmax)
-    if dmax >= 1:
-        grid[1][1] = 3
-        grid[2][1] = 3
-    return grid
-
-
-def _book_tau_1_3_grid(dmax):
-    # Generic book classes plus the y^3 dx family that closes up exactly
-    # when three times the second weight equals the first.
-    grid = _book_generic_grid(dmax)
-    if dmax >= 3:
-        grid[1][3] = 1
-        grid[2][3] = 1
-    return grid
-
-
-def _book_generic_grid(dmax):
-    # Shared by the non-resonant book structure, the repeated-eigenvalue
-    # structure, and the focus-type structure: constants, dz, one weight
-    # field in degree one, and its wedge with dz.
+def _generic_grid(dmax):
+    # Shared by the book structure at a generic tau > 0, the repeated-
+    # eigenvalue structure and the focus-type structure: constants, dz, one
+    # weight field in degree one, and its wedge with dz.
     grid = _empty_grid()
     grid[0][0] = 1
     grid[1][0] = 1
     if dmax >= 1:
         grid[1][1] = 1
         grid[2][1] = 1
+    return grid
+
+
+def _book_grid(tau, dmax):
+    # tau = -p/q: the hyperbolic grid below.  0 < tau <= 1: the generic grid
+    # (1, dz, y dy and y dy^dz), plus y^n dx and y^n dx^dz, which close up
+    # exactly when n tau = 1, and at tau = 1 also x dy and x dy^dz.
+    if tau < 0:
+        return _hyperbolic_grid(-tau.numerator, tau.denominator, dmax)
+    grid = _generic_grid(dmax)
+    n = tau.denominator
+    if tau.numerator == 1 and n <= dmax:
+        grid[1][n] = grid[2][n] = 3 if n == 1 else 1
     return grid
 
 
@@ -159,33 +153,40 @@ def _casimir_grid(dmax):
     return grid
 
 
-_ORACLES = {
+def _abelian_grid(dmax):
+    # Every differential vanishes: H is the whole cochain space, the q-vectors
+    # with coefficients of degree d.
+    return {q: {d: comb(3, q) * comb(d + 2, 2) for d in range(dmax + 1)} for q in range(4)}
+
+
+# the kinds without a parameter, and spiral, whose grid does not depend on tau
+_GRIDS = {
+    "abelian": _abelian_grid,
     "heisenberg": _heisenberg_grid,
     "aff_x_r": _aff_grid,
     "euclidean": _euclidean_grid,
-    "open_book_tau_1": _book_tau_1_grid,
-    "open_book_tau_1_3": _book_tau_1_3_grid,
-    "open_book_tau_3_5": _book_generic_grid,
-    "hyperbolic_2_3": lambda dmax: _hyperbolic_grid(2, 3, dmax),
-    "hyperbolic_1_1": lambda dmax: _hyperbolic_grid(1, 1, dmax),
-    "semi_open_book": _book_generic_grid,
-    "spiral": _book_generic_grid,
-    "so3_vanishing": _casimir_grid,
-    "sl2_vanishing": _casimir_grid,
+    "semi_open_book": _generic_grid,
+    "spiral": _generic_grid,
+    "so3": _casimir_grid,
+    "sl2": _casimir_grid,
 }
 
 
-def oracle_dimension_grid(fixture_id, dmax):
+def oracle_dimension_grid(algebra, dmax):
     """Expected dim H^q in each coefficient degree, keyed {q: {d: dim}}.
 
-    Zero entries are omitted.  The grid is produced by enumerating the
-    closed-form generator families for the structure named by fixture_id.
+    `algebra` is an `Algebra`, or a fixture id, which stands for the algebra
+    and tau its fixture records.  Zero entries are omitted.  The grid is
+    produced by enumerating the closed-form generator families of the
+    algebra's kind, at its tau for book: no bracket and no elimination.
     """
-    if fixture_id not in _ORACLES:
-        raise ValueError("unknown fixture id %r" % (fixture_id,))
+    if isinstance(algebra, str):
+        algebra = expected_table(algebra).make_algebra()
     if dmax < 0:
         raise ValueError("dmax must be nonnegative, got %r" % (dmax,))
-    return _ORACLES[fixture_id](dmax)
+    if algebra.name == "book":
+        return _book_grid(algebra.tau, dmax)
+    return _GRIDS[algebra.name](dmax)
 
 
 # ---------------------------------------------------------------------------

@@ -544,6 +544,31 @@ def test_euclidean_classes_are_the_families_of_its_oracle_grid():
         assert witness is not None and poisson_differential(pi, witness) == target
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_book_classes_are_the_families_of_its_oracle_grid(n):
+    # the families named beside `_book_grid` at tau = 1/n, for d <= 6
+    pi = linear_poisson(Algebra("book", Fraction(1, n)))
+    table = cohomology_table(pi, 6)
+    for d in range(7):
+        families = {q: [] for q in range(4)}
+        if d == 0:
+            families[0].append("1")
+            families[1].append("dz")
+        if d == 1:
+            families[1].append("y*dy")
+            families[2].append("y*dy^dz")
+        if d == n:
+            families[1].append("y^%d*dx" % n)
+            families[2].append("y^%d*dx^dz" % n)
+        if d == n == 1:
+            families[1].append("x*dy")
+            families[2].append("x*dy^dz")
+        for q, members in families.items():
+            # closed, independent modulo the image and as many as dim H
+            assert len(members) == table.dim_h(q, d), (q, d)
+            assert _spans_same_classes(pi, table.cell(q, d), members)
+
+
 DENOMINATOR_ALGEBRAS = [Algebra("book", Fraction(-2, 3)), Algebra("book", Fraction(-3, 7)),
                         Algebra("spiral", Fraction(5, 2))]
 

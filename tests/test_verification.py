@@ -15,6 +15,7 @@ from poisson3.complexes import GradedBasis
 from poisson3 import (
     Algebra,
     FIXTURE_IDS,
+    KINDS,
     MultiVector,
     Polynomial,
     cohomology_table,
@@ -128,6 +129,49 @@ def test_hyperbolic_oracle_patterns():
     assert grid[0] == {0: 1, 2: 1, 4: 1}
     assert grid[2] == {0: 1, 1: 2, 2: 1, 3: 2, 4: 1, 5: 2}
     assert grid[3] == {d: 1 for d in range(6)}
+
+
+def test_oracle_grid_takes_an_algebra_or_a_fixture_id():
+    for fixture_id in FIXTURE_IDS:
+        algebra = expected_table(fixture_id).make_algebra()
+        assert oracle_dimension_grid(fixture_id, 9) == oracle_dimension_grid(algebra, 9)
+        for key in (fixture_id, algebra):
+            with pytest.raises(ValueError, match="dmax must be nonnegative"):
+                oracle_dimension_grid(key, -1)
+    with pytest.raises(ValueError, match="unknown fixture id"):
+        oracle_dimension_grid("nosuch", 4)
+    grid = oracle_dimension_grid(Algebra("abelian"), 6)
+    assert grid == {q: {d: len(GradedBasis(q, d)) for d in range(7)} for q in range(4)}
+    assert oracle_dimension_grid(Algebra("book", Fraction(1, 4)), 6)[1] == {0: 1, 1: 1, 4: 1}
+    # the resonant family at d = n is in the grid exactly when n <= dmax
+    assert oracle_dimension_grid(Algebra("book", Fraction(1, 6)), 6)[2] == {1: 1, 6: 1}
+    assert oracle_dimension_grid(Algebra("book", Fraction(1, 6)), 5)[2] == {1: 1}
+
+
+def _oracle_algebras():
+    """Every kind: book at every reduced tau = a/b with 0 < |a| <= b <= 10,
+    spiral at 8 seeded tau, and the kinds without a parameter."""
+    algebras = [Algebra(kind) for kind in KINDS if kind not in ("book", "spiral")]
+    for b in range(1, 11):
+        for a in range(1, b + 1):
+            if Fraction(a, b).denominator == b:
+                algebras += [Algebra("book", Fraction(a, b)), Algebra("book", Fraction(-a, b))]
+    rng = random.Random(181)
+    algebras += [Algebra("spiral", Fraction(rng.randint(1, 30), rng.randint(1, 12)))
+                 for _ in range(8)]
+    return algebras
+
+
+def test_every_kind_and_tau_matches_its_oracle_grid():
+    dmax = 14
+    algebras = _oracle_algebras()
+    assert len(algebras) == len(KINDS) - 2 + 2 * 32 + 8
+    for algebra in algebras:
+        table = cohomology_table(linear_poisson(algebra), dmax)
+        grid = oracle_dimension_grid(algebra, dmax)
+        for q in range(4):
+            for d in range(dmax + 1):
+                assert table.dim_h(q, d) == grid.get(q, {}).get(d, 0), (algebra, q, d)
 
 
 # ---------------------------------------------------------------- verify

@@ -175,7 +175,7 @@ def build_fixture(fixture_id):
     kind, tau, model, dmax_min, generators, exact = FIXTURES[fixture_id]
     algebra = Algebra(kind, None if tau is None else tau)
     pi = linear_poisson(algebra)
-    grid = oracle_dimension_grid(fixture_id, DMAX_TABLE)
+    grid = oracle_dimension_grid(algebra, DMAX_TABLE)
 
     for q, d, exprs in generators:
         assert d <= DMAX_TABLE

@@ -48,6 +48,7 @@ from .cohomology import (
 )
 from .expressions import (
     ExpressionError,
+    format_coordinates,
     format_multivector,
     parse_multivector,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "invariant_cohomology",
     "resonances",
     "ExpressionError",
+    "format_coordinates",
     "format_multivector",
     "parse_multivector",
     "DeformationCheck",

@@ -16,8 +16,9 @@ import json
 import sys
 from fractions import Fraction
 
-from .cohomology import cell_multivectors, cohomology_table, resonance_range, resonances
-from .expressions import format_multivector, parse_multivector
+from .cohomology import cohomology_table, resonance_range, resonances
+from .complexes import GradedBasis
+from .expressions import format_coordinates, format_multivector, parse_multivector
 from .multivector import modular_vector_field, schouten_bracket
 from .registry import KINDS, Algebra, jacobi_defect, linear_poisson, structure_constants
 from .verification import FIXTURE_IDS, modular_class_check, verify
@@ -168,9 +169,7 @@ def _table_document(algebra, table, q_filter):
                 "rank_in": cell.rank_in,
                 "rank_out": cell.rank_out,
                 "dim_h": cell.dim_h,
-                "representatives": [
-                    format_multivector(rep) for rep in cell_multivectors(cell)
-                ],
+                "representatives": format_coordinates(GradedBasis(q, d), cell.representatives),
             })
     return {
         "algebra": algebra.name,

@@ -22,8 +22,11 @@ sends a cell down the exact path.
 
 The matrices are integer throughout.  Representatives are canonical: they
 are the kernel rows whose leading coordinate is not a pivot of the image's
-echelon, the only ones read off the reduction, scaled to coprime integers
-and published as Fractions.  They are already reduced against the image:
+echelon, the only ones read off the reduction.  `kernel_and_image` gives
+each one in canonical form, coprime integers positive at its lowest index,
+its free column, and it is published as Fractions with no normalisation of
+its own; only the invariant path normalises, once a row is mapped back to
+ambient coordinates.  They are already reduced against the image:
 the kernel row led at a free column j of d_q is nonzero only at j and at
 d_q's pivot columns, and the image's pivots are free columns of d_q other
 than j (the image lies in the kernel, as d o d = 0), so no image row could
@@ -121,10 +124,12 @@ def _degree_cells(pi, d, invariant):
     rows led outside the incoming image's pivots (the image lies in the
     kernel, so its pivots are kernel pivots, and the rows led at the other
     ones, one per class, are all that is read off), and cell q + 1 its
-    pivots.  On the invariant subcomplex each differential is first
-    restricted to the invariant sub-bases, and representatives are mapped
-    back to ambient (q, d) coordinates; only then is each one normalised
-    and boxed into Fractions.
+    pivots.  The kernel rows come out of `kernel_and_image` primitive and
+    positive at their free column, so on the full complex they are boxed
+    into Fractions as they are.  On the invariant subcomplex each
+    differential is first restricted to the invariant sub-bases, and
+    representatives are mapped back to ambient (q, d) coordinates, where
+    each one is normalised again before it is boxed.
     """
     columns = [differential_matrix(pi, q, d).columns for q in range(4)]
     if invariant:
@@ -152,10 +157,9 @@ def _degree_cells(pi, d, invariant):
             raise RuntimeError(
                 "cell (%d, %d): dim H is %d but %d representatives were found"
                 % (q, d, dim_h, len(kernel)))
-        if invariant:
-            kernel = [linalg.matvec(vectors[q], rep) for rep in kernel]
-        reps = [{i: Fraction(c) for i, c in linalg.integer_normalize(rep).items()}
-                for rep in kernel]
+        if invariant:  # back to ambient coordinates, where the canonical form is redone
+            kernel = [linalg.integer_normalize(linalg.matvec(vectors[q], rep)) for rep in kernel]
+        reps = [{i: Fraction(c) for i, c in rep.items()} for rep in kernel]
         cells.append(CohomologyCell(q, d, len(cols), rank, rank_in, reps))
         rank_in, pivots = rank, image_pivots
     return cells

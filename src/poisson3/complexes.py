@@ -13,7 +13,7 @@ with no bracket or elimination.  The tests hold the independent route the
 stencil is checked against, a Schouten bracket per column.
 """
 
-from math import comb
+from math import comb, isqrt
 
 from .linalg import integer_normalize
 from .multivector import (
@@ -42,9 +42,10 @@ class GradedBasis:
 
     Elements are (component index, monomial) pairs, ordered by monomial
     (leading first, as in `monomials`) and then by component index; the size
-    binom(3, q) * (d+1)(d+2)/2 is a closed form.  The element list is built on
-    first use of `elements`, iteration or `reconstruct`, so a basis that only
-    sizes a matrix or maps positions never builds it.
+    binom(3, q) * (d+1)(d+2)/2, `position` and its inverse `element` are
+    closed forms.  The element list is built on first use of `elements` or
+    iteration, so a basis that sizes a matrix, maps positions or rebuilds a
+    multivector never builds it.
     """
 
     __slots__ = ("q", "d", "_elements")
@@ -84,6 +85,20 @@ class GradedBasis:
         s = self.d - k
         return (s * (s + 1) // 2 + i) * NCOMP[self.q] + idx
 
+    def element(self, position):
+        """(component index, monomial) at a position, the inverse of `position`.
+
+        With r = position // binom(3, q) = T(s) + i, where T(s) = s(s + 1)/2
+        and s = d - k, s is the largest integer with T(s) <= r.  Raises
+        KeyError for a position outside 0..len - 1.
+        """
+        if not 0 <= position < len(self):
+            raise KeyError(position)
+        r, idx = divmod(position, NCOMP[self.q])
+        s = (isqrt(8 * r + 1) - 1) // 2
+        i = r - s * (s + 1) // 2
+        return idx, (i, s - i, self.d - s)
+
     def decompose(self, value):
         """Coordinates of a multivector in this basis (sparse dict).
 
@@ -111,9 +126,7 @@ class GradedBasis:
         """
         comps = {}
         for position, coeff in coords.items():
-            if not 0 <= position < len(self):
-                raise KeyError(position)
-            idx, mono = self.elements[position]
+            idx, mono = self.element(position)
             comps.setdefault(idx, {})[mono] = coeff
         return MultiVector(self.q, {idx: Polynomial(terms) for idx, terms in comps.items()})
 

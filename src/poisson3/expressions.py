@@ -14,15 +14,30 @@ At most one wedge block per term, and all terms of an expression must have
 the same wedge length (no mixed cochain degrees).  The formatter emits a
 canonical form: terms sorted by leading monomial (graded, z before y before
 x) then by wedge component, fractions reduced, wedge generators ascending
-with the sign normalized, unit coefficients dropped.  parse(format(v))
+with the sign normalized, unit coefficients dropped except a leading -1,
+which prints as "-1*" (`format_multivector(parse_multivector("-x*dx"))` is
+"-1*x*dx"; the published tables pin these bytes).  parse(format(v))
 round-trips exactly.
+
+One term joiner prints every expression, from two entry points:
+`format_multivector` for a multivector and `format_coordinates` for
+coordinate vectors over a `GradedBasis`, whose ascending positions are
+already the print order.
 """
 
 import re
 import sys
 from fractions import Fraction
 
-from .multivector import VAR_NAMES, MultiVector, Polynomial, monomial_key, wedge
+from .multivector import (
+    NCOMP,
+    VAR_NAMES,
+    MultiVector,
+    Polynomial,
+    component_wedge,
+    monomial_key,
+    wedge,
+)
 
 # whitespace, then one group per token kind; "bad" catches any other character
 _TOKEN = re.compile(r"\s+|(?P<int>\d+)|d(?P<gen>[xyz])|(?P<var>[xyz])|(?P<op>[-+*^/])|(?P<bad>.)")
@@ -150,6 +165,20 @@ def _render_term(coeff, mono, gens):
     return "*".join(parts)
 
 
+def _join_terms(terms):
+    """Text of (monomial, coefficient, generators) terms given in print order."""
+    if not terms:
+        return "0"
+    mono, coeff, gens = terms[0]
+    pieces = [_render_term(coeff, mono, gens)]
+    for mono, coeff, gens in terms[1:]:
+        if coeff > 0:
+            pieces.append(" + " + _render_term(coeff, mono, gens))
+        else:
+            pieces.append(" - " + _render_term(-coeff, mono, gens))
+    return "".join(pieces)
+
+
 def format_multivector(value):
     """Canonical text form; parse_multivector round-trips it exactly.
 
@@ -160,13 +189,30 @@ def format_multivector(value):
     for idx, gens, poly in value.wedge_terms():
         for mono, coeff in poly.terms.items():
             entries.append((mono, idx, coeff, gens))
-    if not entries:
-        return "0"
     entries.sort(key=lambda e: (tuple(-k for k in monomial_key(e[0])), e[1]))
-    pieces = [_render_term(entries[0][2], entries[0][0], entries[0][3])]
-    for mono, _, coeff, gens in entries[1:]:
-        if coeff > 0:
-            pieces.append(" + " + _render_term(coeff, mono, gens))
-        else:
-            pieces.append(" - " + _render_term(-coeff, mono, gens))
-    return "".join(pieces)
+    return _join_terms([(mono, coeff, gens) for mono, _, coeff, gens in entries])
+
+
+def format_coordinates(basis, vectors):
+    """The canonical text of each coordinate vector over a GradedBasis.
+
+    Each string is `format_multivector(basis.reconstruct(vec))`, printed
+    with no multivector: the basis lists the leading monomial first and
+    then the component, the print order, so the terms are the nonzero
+    coordinates by ascending position.  Raises KeyError for a position
+    outside 0..len - 1.
+    """
+    if not vectors:  # most cells of a table have no class
+        return []
+    wedges = [component_wedge(basis.q, idx) for idx in range(NCOMP[basis.q])]
+    out = []
+    for vec in vectors:
+        terms = []
+        for position in sorted(vec):
+            idx, mono = basis.element(position)
+            gens, sign = wedges[idx]
+            coeff = vec[position]
+            if coeff:
+                terms.append((mono, coeff if sign == 1 else -coeff, gens))
+        out.append(_join_terms(terms))
+    return out

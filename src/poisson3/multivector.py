@@ -23,7 +23,7 @@ an operator with linear coefficients, in closed form.
 
 This module is the only one that maps component indices to wedge generators
 and signs; other modules build fields with `wedge` or the expression syntax
-and read them through `MultiVector.wedge_terms`.
+and read them through `component_wedge` or `MultiVector.wedge_terms`.
 """
 
 from fractions import Fraction
@@ -47,6 +47,15 @@ _TO_SUBSET = {
 _FROM_SUBSET = {subset: (q, idx, sign) for (q, idx), (subset, sign) in _TO_SUBSET.items()}
 
 NCOMP = (1, 3, 3, 1)
+
+
+def component_wedge(degree, idx):
+    """(generators, sign) of component idx of the basis of that degree.
+
+    generators is the ascending tuple of axes (0, 1, 2 for dx, dy, dz), and
+    the component is sign times their wedge: dz^dx is -(dx^dz).
+    """
+    return _TO_SUBSET[(degree, idx)]
 
 
 class DegreeError(ValueError):
@@ -418,7 +427,7 @@ class MultiVector:
         """
         out = []
         for idx, poly in self.components.items():
-            subset, sign = _TO_SUBSET[(self.degree, idx)]
+            subset, sign = component_wedge(self.degree, idx)
             out.append((idx, subset, poly if sign == 1 else -poly))
         return out
 

@@ -4,6 +4,8 @@ import csv
 import hashlib
 import io
 import json
+import pathlib
+import runpy
 import subprocess
 import sys
 
@@ -465,3 +467,23 @@ def test_console_script_round_trip():
     assert res.returncode == 0
     doc = json.loads(res.stdout)
     assert doc["totals"] == {"0": 1, "1": 2, "2": 1, "3": 0}
+
+
+def test_the_digest_tool_prints_a_line_per_command(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/
+    tool = runpy.run_path(str(
+        pathlib.Path(__file__).resolve().parent.parent / "tools" / "cli_digests.py"))
+    assert tool["main"](["--dmax", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    commands = tool["commands"](2)
+    # 14 algebras, 4 invariant kinds, 12 fixtures
+    assert len(lines) == len(commands) == 14 * 3 + 4 * 3 + 12 * 2 + 14 * 2
+    for line, argv in zip(lines, commands):
+        sha, size, status, command = line.split(" ", 3)
+        assert (len(sha), status, command) == (64, "0", " ".join(argv))
+        assert int(size) > 0
+    argv = ["cohomology", "--algebra", "book", "--tau", "-2/3", "--dmax", "2", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "%s %d 0 %s" % (hashlib.sha256(out.encode()).hexdigest(), len(out.encode()),
+                           " ".join(argv)) in lines

@@ -17,6 +17,7 @@ from poisson3 import (
     cohomology_cell,
     cohomology_table,
     differential_matrix,
+    format_coordinates,
     format_multivector,
     invariant_basis,
     invariant_cohomology,
@@ -174,9 +175,10 @@ def test_each_exact_cell_makes_one_rref_call_plus_one_after_a_certified_cell(mon
 def test_each_stored_row_is_made_primitive_once(monkeypatch):
     # one gcd when a row lands on a new pivot and one after its
     # back-substitution, none per elimination step (the table makes 670 steps)
+    # and none for the 10 representatives, which come out primitive
     calls = _count_calls(monkeypatch, "_primitive")
     cohomology_table(linear_poisson("sl2"), 8)
-    assert calls == {"_primitive": 200}
+    assert calls == {"_primitive": 190}
 
 
 def test_rows_are_laid_out_only_for_exact_reductions(monkeypatch):
@@ -296,13 +298,17 @@ def _free_columns(columns):
     return set(range(len(columns))) - {last - k for k in pivots}
 
 
-@pytest.mark.parametrize("algebra, invariant", [
+# every registry table, and the invariant tables of the rotation-invariant kinds
+FULL_AND_INVARIANT_TABLES = pytest.mark.parametrize("algebra, invariant", [
     *((algebra, False) for algebra in REGISTRY_ALGEBRAS),
     *((algebra, True) for algebra in ("euclidean", "so3", "heisenberg",
                                       Algebra("spiral", Fraction(1)))),
 ], ids=[*(a.name if a.tau is None else "%s_%s" % (a.name, a.tau) for a in REGISTRY_ALGEBRAS),
         "euclidean_invariant", "so3_invariant", "heisenberg_invariant",
         "spiral_1_invariant"])
+
+
+@FULL_AND_INVARIANT_TABLES
 def test_representatives_need_no_reduction_against_the_incoming_image(algebra, invariant):
     # the image of d_{q-1} lies in the kernel of d_q, so its echelon's pivots
     # are free columns of d_q; a kernel row led at another free column is
@@ -329,6 +335,40 @@ def test_representatives_need_no_reduction_against_the_incoming_image(algebra, i
                 assert linalg.integer_normalize(reduced) == rep
                 checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("algebra", REGISTRY_ALGEBRAS,
+                         ids=lambda a: a.name if a.tau is None else "%s_%s" % (a.name, a.tau))
+def test_representatives_are_the_canonical_kernel_rows_led_at_their_free_column(algebra):
+    # the engine publishes kernel rows as they come out of `kernel_and_image`,
+    # with no normalisation of its own: each is the kernel row led at its
+    # lowest index, a free column of d_q, and already primitive and positive there
+    pi = linear_poisson(algebra)
+    table = cohomology_table(pi, 8)
+    checked = 0
+    for d in range(9):
+        for q in range(4):
+            _, pivots, echelon, _ = linalg.kernel_and_image(differential_matrix(pi, q, d).columns)
+            kernel = dict(zip(pivots, echelon))
+            for rep in table.cell(q, d).representatives:
+                assert all(type(c) is Fraction and c.denominator == 1 for c in rep.values())
+                assert linalg.integer_normalize(rep) == rep
+                assert kernel[min(rep)] == rep
+                checked += 1
+    assert checked
+
+
+@FULL_AND_INVARIANT_TABLES
+def test_representatives_print_from_their_coordinates_as_from_their_multivectors(
+        algebra, invariant):
+    # the tables print each representative straight from its coordinates
+    table = cohomology_table(linear_poisson(algebra), 8, invariant)
+    printed = 0
+    for (q, d), cell in sorted(table.cells.items()):
+        expected = [format_multivector(v) for v in cell_multivectors(cell)]
+        assert format_coordinates(GradedBasis(q, d), cell.representatives) == expected
+        printed += len(expected)
+    assert printed
 
 
 def test_cells_are_deterministic():

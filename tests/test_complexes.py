@@ -86,6 +86,7 @@ def test_position_is_the_index_of_the_element():
             basis = GradedBasis(q, d)
             for pos, element in enumerate(basis.elements):
                 assert basis.position(*element) == pos
+                assert basis.element(pos) == element
 
 
 def test_position_rejects_elements_outside_the_basis():
@@ -107,6 +108,8 @@ def test_reconstruct_rejects_positions_outside_the_basis():
         for position in (-1, len(basis)):
             with pytest.raises(KeyError):
                 basis.reconstruct({position: 1})
+            with pytest.raises(KeyError):
+                basis.element(position)
 
 
 def test_basis_rejects_bad_degrees():

@@ -9,9 +9,12 @@ import pytest
 from helpers import expression_corpus, random_multivector
 from poisson3 import (
     ExpressionError,
+    GradedBasis,
     MultiVector,
     Polynomial,
+    format_coordinates,
     format_multivector,
+    monomials,
     parse_multivector,
     wedge,
 )
@@ -70,6 +73,44 @@ def test_round_trip_on_random_multivectors():
         assert again == value
         # canonical text is a fixed point of the round trip
         assert format_multivector(again) == text
+
+
+def test_format_coordinates_examples():
+    # x*dx is position 6 of the (1, 1) basis: monomials z, y, x, each times dx, dy, dz
+    assert format_coordinates(GradedBasis(1, 1), [{6: Fraction(-1)}, {}, {6: 0, 0: 2}]) == [
+        "-1*x*dx", "0", "2*z*dx"]
+    # the dz^dx component prints as -(dx^dz), and a leading -1 keeps its "-1*"
+    assert format_coordinates(GradedBasis(2, 0), [{1: Fraction(1)}]) == ["-1*dx^dz"]
+    assert format_coordinates(GradedBasis(0, 2), []) == []
+    for position in (-1, 6):
+        with pytest.raises(KeyError):
+            format_coordinates(GradedBasis(0, 2), [{position: Fraction(1)}])
+
+
+def test_format_coordinates_prints_what_format_multivector_prints():
+    # random vectors at every (q, d <= 4) that hold every component, with
+    # negative and non-integer coefficients and, for some, a leading -1
+    rng = random.Random(409)
+    leading_minus_one = dz_dx = 0
+    for q in range(4):
+        for d in range(5):
+            basis = GradedBasis(q, d)
+            ncomp = len(basis) // len(monomials(d))
+            vectors = []
+            for trial in range(12):
+                positions = {rng.randrange(len(monomials(d))) * ncomp + idx
+                             for idx in range(ncomp)}
+                positions |= set(rng.sample(range(len(basis)), rng.randint(0, len(basis) // 2)))
+                vec = {p: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 3, 7)))
+                       for p in positions}
+                if trial % 3 == 0:
+                    vec[min(vec)] = Fraction(-1)
+                vectors.append(vec)
+            printed = format_coordinates(basis, vectors)
+            assert printed == [format_multivector(basis.reconstruct(v)) for v in vectors]
+            leading_minus_one += sum(text.startswith("-1*") for text in printed)
+            dz_dx += sum("dx^dz" in text for text in printed)
+    assert leading_minus_one and dz_dx
 
 
 def test_round_trip_preserves_exact_fractions():

@@ -305,6 +305,24 @@ def test_kernel_and_image_reads_off_only_the_kernel_outside_skip():
                 (p, vec) for p, vec in zip(ker_pivots, ker_echelon) if p not in chosen]
 
 
+def test_kernel_rows_come_out_canonical_and_led_at_their_free_column():
+    # what lets the engine publish kernel rows with no normalisation of its own
+    rng = random.Random(191)
+    checked = 0
+    for _ in range(150):
+        columns = _random_rows(rng, rng.randint(0, 7), rng.randint(1, 7))
+        if columns and rng.random() < 0.4:
+            columns.append(dict(rng.choice(columns)))
+        columns = integer_matrix(columns)
+        _, ker_pivots, ker_echelon, _ = kernel_and_image(columns)
+        for free, vec in zip(ker_pivots, ker_echelon):
+            assert all(type(c) is int for c in vec.values())
+            assert integer_normalize(vec) == vec
+            assert min(vec) == free
+            checked += 1
+    assert checked
+
+
 def _leading_rows(columns):
     """Rows r at which some vector of the columns' span leads (is last nonzero)."""
     def rank_from(r):

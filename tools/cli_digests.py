@@ -1,0 +1,84 @@
+"""Print one digest line for each of a fixed list of CLI commands.
+
+Each command runs in-process through `poisson3.cli.main`.  Its line holds
+the sha256 of what it wrote to stdout, the byte count, the exit status and
+the argv.  Run it at two commits and diff the output: equal lines mean the
+change kept every byte these commands print.
+
+The commands are:
+  - `cohomology` as text, JSON and CSV for every kind, book and spiral at
+    each tau of `TAUS`;
+  - `invariant-cohomology` as text, JSON and CSV for the kinds of
+    `INVARIANT`;
+  - `verify` as text and JSON for every fixture, at the dmax moved into
+    the fixture's [dmax_min, dmax_table];
+  - `show` and `jacobi` for every kind and tau.
+
+Run from the repository root:  python tools/cli_digests.py [--dmax N]
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from poisson3 import cli
+from poisson3.registry import KINDS
+from poisson3.verification import FIXTURE_IDS, expected_table
+
+# the taus of the fixtures and of the tests' registry tables
+TAUS = {"book": ("1", "1/3", "3/5", "-2/3", "-1"), "spiral": ("1", "5/2")}
+
+# the rotation-invariant kinds, as --algebra/--tau arguments
+INVARIANT = (["--algebra", "euclidean"], ["--algebra", "so3"],
+             ["--algebra", "heisenberg"], ["--algebra", "spiral", "--tau", "1"])
+
+
+def algebras():
+    """The --algebra/--tau arguments of every kind, at each of its TAUS."""
+    for kind in KINDS:
+        for tau in TAUS.get(kind, (None,)):
+            yield ["--algebra", kind] + ([] if tau is None else ["--tau", tau])
+
+
+def commands(dmax):
+    """The argv of every command, in print order."""
+    table = ["--dmax", str(dmax), "--format"]
+    out = [["cohomology", *algebra, *table, fmt]
+           for algebra in algebras() for fmt in ("text", "json", "csv")]
+    out += [["invariant-cohomology", *algebra, *table, fmt]
+            for algebra in INVARIANT for fmt in ("text", "json", "csv")]
+    for fixture_id in FIXTURE_IDS:
+        fixture = expected_table(fixture_id)
+        within = min(max(dmax, fixture.dmax_min), fixture.dmax_table)
+        out += [["verify", "--id", fixture_id, "--dmax", str(within), "--format", fmt]
+                for fmt in ("text", "json")]
+    out += [[verb, *algebra] for algebra in algebras() for verb in ("show", "jacobi")]
+    return out
+
+
+def digest_line(argv):
+    """sha256, byte count and exit status of one command's stdout, then its argv."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        status = cli.main(argv)
+    data = stdout.getvalue().encode()
+    return "%s %d %d %s" % (hashlib.sha256(data).hexdigest(), len(data), status, " ".join(argv))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--dmax", type=int, default=10,
+                        help="coefficient degree of the table and verify commands (default 10)")
+    args = parser.parse_args(argv)
+    for command in commands(args.dmax):
+        print(digest_line(command))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

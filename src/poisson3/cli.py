@@ -408,12 +408,17 @@ def _fuse_numeric_options(argv):
     return out
 
 
+_PARSER = None  # built by the first `main` call of the process, then reused
+
+
 def main(argv=None):
+    global _PARSER
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(_fuse_numeric_options(list(argv)))
+        args = _PARSER.parse_args(_fuse_numeric_options(list(argv)))
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -7,7 +7,8 @@ built once and reduced once (`linalg.kernel_and_image`): one elimination
 gives a differential's rank, its kernel in reduced echelon form, and the
 pivots of its image's echelon, all the next cell needs of its image.  The
 rotation-invariant subcomplex goes through the same routine with the
-differentials restricted to the invariant sub-bases
+differentials restricted to the invariant sub-bases, each built only at
+the columns its invariant vectors touch
 (`cohomology_table(pi, dmax, invariant=True)`).  A bivector with
 [pi, pi] != 0 has no complex, as d o d != 0, and is rejected.
 
@@ -39,6 +40,7 @@ from math import ceil, floor, lcm
 from . import linalg
 from .complexes import (
     GradedBasis,
+    differential_columns,
     differential_matrix,
     invariant_basis,
     linear_operator_matrix,
@@ -71,10 +73,11 @@ class CohomologyCell:
 def _restrict(columns, source_vectors, target_vectors):
     """Matrix of a map restricted to invariant sub-bases on both sides.
 
-    Each target vector from `invariant_basis` is the only one that is
-    nonzero at its highest coordinate, where its entry is +-1: an image's
-    coefficients are read off those coordinates, then checked by mapping
-    them back.
+    `columns` maps each position in the source vectors' support to its
+    column.  Each target vector from `invariant_basis` is the only one that
+    is nonzero at its highest coordinate, where its entry is +-1: an
+    image's coefficients are read off those coordinates, then checked by
+    mapping them back.
     """
     tops = [(max(vec), vec[max(vec)]) for vec in target_vectors]
     out = []
@@ -126,15 +129,19 @@ def _degree_cells(pi, d, invariant):
     ones, one per class, are all that is read off), and cell q + 1 its
     pivots.  The kernel rows come out of `kernel_and_image` primitive and
     positive at their free column, so on the full complex they are boxed
-    into Fractions as they are.  On the invariant subcomplex each
-    differential is first restricted to the invariant sub-bases, and
-    representatives are mapped back to ambient (q, d) coordinates, where
-    each one is normalised again before it is boxed.
+    into Fractions as they are.  On the invariant subcomplex each of
+    d_0..d_2 is built at its source vectors' support only and restricted
+    to the invariant sub-bases, d_3 is 0 there, and representatives are
+    mapped back to ambient (q, d) coordinates, where each one is
+    normalised again before it is boxed.
     """
-    columns = [differential_matrix(pi, q, d).columns for q in range(4)]
     if invariant:
-        vectors = [invariant_basis(q, d)[1] for q in range(4)] + [[]]  # d_3 maps to 0
-        columns = [_restrict(cols, vectors[q], vectors[q + 1]) for q, cols in enumerate(columns)]
+        vectors = [invariant_basis(q, d)[1] for q in range(4)]
+        columns = [_restrict(differential_columns(pi, q, d, {j for v in vectors[q] for j in v}),
+                             vectors[q], vectors[q + 1]) for q in range(3)]
+        columns.append([{} for _ in vectors[3]])  # d_3 = 0
+    else:
+        columns = [differential_matrix(pi, q, d).columns for q in range(4)]
     cells = []
     rank_in, pivots = 0, set()  # d_{q-1}'s rank and image pivots, None until needed
     skip = set()  # rows at which d_{q-1}'s mod-p pass found its pivots

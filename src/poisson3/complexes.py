@@ -9,13 +9,14 @@ operators; the cohomology module reduces them.
 
 Matrices and invariant sub-bases are read off closed forms (monomial order,
 basis positions, an integer stencil of the operator, invariant generators)
-with no bracket or elimination.  The tests hold the independent route the
-stencil is checked against, a Schouten bracket per column.
+with no bracket or elimination; a subspace that needs only some columns of
+a differential builds only those, in the same loop.  The tests hold the
+independent route the stencil is checked against, a Schouten bracket per
+column.
 """
 
 from math import comb, isqrt
 
-from .linalg import integer_normalize
 from .multivector import (
     DegreeError,
     MultiVector,
@@ -149,13 +150,7 @@ class OperatorCell:
 def linear_operator_matrix(operator, q, d):
     """Matrix of V -> [operator, V] on the (q, d) basis, for a linear operator.
 
-    Read off `linear_stencil`: the column of x^m xi_idx holds the int
-    a . m + b (over the cell's den) at row x^(m + shift) xi_t for each
-    stencil entry (t, shift, (a, b)), skipped where that value is 0.  With
-    s = d - m_z and T(s) = s(s + 1)/2, that row is
-    (T(s - shift_z) + m_x + shift_x) * binom(3, out_q) + t, the position of
-    x^(m + shift) xi_t in the target basis; the stencil was checked, when it
-    was derived, to keep every such entry in that basis.  Raises DegreeError
+    Read off `linear_stencil` by `_stencil_columns`.  Raises DegreeError
     unless the operator's coefficients are all homogeneous linear; the zero
     operator is.
     """
@@ -163,16 +158,35 @@ def linear_operator_matrix(operator, q, d):
     out_q = q + operator.degree - 1
     if not 0 <= out_q <= 3:
         raise ValueError("operator maps degree %d outside 0..3" % (q,))
-    target = GradedBasis(out_q, d)
     table, den = linear_stencil(operator, q)
+    return OperatorCell(source, GradedBasis(out_q, d),
+                        _stencil_columns(table, q, d, out_q, None), den)
+
+
+def _stencil_columns(table, q, d, out_q, support):
+    """The columns of a stencil's (q, d) matrix, at the source positions in
+    `support` only (all of them when it is None), in basis order.
+
+    The column of x^m xi_idx holds the int a . m + b (over the stencil's
+    den) at row x^(m + shift) xi_t for each stencil entry (t, shift,
+    (a, b)), skipped where that value is 0.  With s = d - m_z and
+    T(s) = s(s + 1)/2, that row is (T(s - shift_z) + m_x + shift_x) *
+    binom(3, out_q) + t, the position of x^(m + shift) xi_t in the target
+    basis; the stencil was checked, when it was derived, to keep every such
+    entry in that basis.
+    """
     ncomp = NCOMP[out_q]
     stencil = [table[idx] for idx in range(NCOMP[q])]
     columns = []
+    position = -1
     for s in range(d + 1):  # the source monomials in basis order: z^(d - s), then x^i
         mz = d - s
         for mx in range(s + 1):
             my = s - mx
             for entries in stencil:
+                position += 1
+                if support is not None and position not in support:
+                    continue
                 col = {}
                 for t, (sx, _, sz), (ax, ay, az, b) in entries:
                     c = ax * mx + ay * my + az * mz + b
@@ -180,7 +194,12 @@ def linear_operator_matrix(operator, q, d):
                         r = s - sz
                         col[(r * (r + 1) // 2 + mx + sx) * ncomp + t] = c
                 columns.append(col)
-    return OperatorCell(source, target, columns, den)
+    return columns
+
+
+def _check_bivector(pi):
+    if pi.degree != 2:
+        raise ValueError("differential needs a bivector, got degree %d" % (pi.degree,))
 
 
 def differential_matrix(pi, q, d):
@@ -189,18 +208,31 @@ def differential_matrix(pi, q, d):
     For q = 3 the target space is taken at degree 3 with zero columns, so
     chaining q and q+1 stays uniform for the rank bookkeeping upstream.
     """
-    if pi.degree != 2:
-        raise ValueError("differential needs a bivector, got degree %d" % (pi.degree,))
+    _check_bivector(pi)
     if q == 3:
         basis = GradedBasis(3, d)
         return OperatorCell(basis, basis, [{} for _ in range(len(basis))], den=1)
     return linear_operator_matrix(pi, q, d)
 
 
+def differential_columns(pi, q, d, support):
+    """The columns of `differential_matrix(pi, q, d)`, q <= 2, at the source
+    positions in the set `support` only, keyed by position.
+
+    No other column is built: a subcomplex whose vectors touch few
+    coordinates pays only for those.  Raises KeyError for a position
+    outside the (q, d) basis.
+    """
+    _check_bivector(pi)
+    columns = _stencil_columns(linear_stencil(pi, q)[0], q, d, q + 1, support)
+    if len(columns) != len(support):
+        raise KeyError(sorted(support))
+    return dict(zip(sorted(support), columns))
+
+
 def poisson_differential(pi, value):
     """The differential applied to one multivector: [pi, value]."""
-    if pi.degree != 2:
-        raise ValueError("differential needs a bivector, got degree %d" % (pi.degree,))
+    _check_bivector(pi)
     return schouten_bracket(pi, value)
 
 
@@ -268,16 +300,24 @@ def invariant_basis(q, d):
     dz; dx^dy, E^dz, R^dz; dx^dy^dz.  The vectors are the products
     (x^2 + y^2)^a z^b g of degree d, each +-1 at its top coordinate (listed
     first), where no other is nonzero: sorted by it, they are the reduced
-    kernel basis an elimination would give.
+    kernel basis an elimination would give.  Each entry sits at the closed
+    form of `GradedBasis.position`.  The generators' coefficients are +-1
+    and comb(a, 0) is 1, so each vector is already primitive; only its sign
+    is fixed, to make it positive at its lowest coordinate.
     """
     basis = GradedBasis(q, d)
+    ncomp = NCOMP[q]
     vectors = []
     for terms in _INVARIANT_GENERATORS[q]:
         e = sum(terms[0][1])
         for a in range((d - e) // 2 + 1):
-            entries = sorted(
-                (basis.position(idx, (i + 2 * t, j + 2 * (a - t), k + d - e - 2 * a)), c * comb(a, t))
-                for idx, (i, j, k), c in terms for t in range(a + 1))
-            vectors.append(integer_normalize(dict(entries[-1:] + entries[:-1])))
-    return basis, sorted(vectors, key=max)
-
+            entries = []
+            for idx, (i, _, k), c in terms:
+                s = e - k + 2 * a  # d less the z exponent k + d - e - 2a of the product
+                entries += [((s * (s + 1) // 2 + i + 2 * t) * ncomp + idx, c * comb(a, t))
+                            for t in range(a + 1)]
+            entries.sort()
+            sign = -1 if entries[0][1] < 0 else 1
+            top = entries.pop()
+            vectors.append((top[0], {j: sign * c for j, c in [top] + entries}))
+    return basis, [vec for _, vec in sorted(vectors)]

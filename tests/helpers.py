@@ -5,10 +5,12 @@ import random
 from fractions import Fraction
 from importlib import resources
 from math import lcm
+from unittest import mock
 
 from poisson3 import (
-    GradedBasis, MultiVector, OperatorCell, Polynomial, format_multivector, invariant_basis,
-    rotation_field, schouten_bracket)
+    GradedBasis, MultiVector, OperatorCell, Polynomial, StructureConstants, cohomology_table,
+    differential_matrix, format_multivector, invariant_basis, rotation_field, schouten_bracket)
+from poisson3 import cohomology
 from poisson3.complexes import linear_operator_matrix
 from poisson3.linalg import integer_normalize, kernel_and_image, matvec, rref
 
@@ -123,6 +125,50 @@ def operator_matrix(operator, q, d):
         image = schouten_bracket(operator, source.reconstruct({position: 1}))
         columns.append(target.decompose(image))
     return OperatorCell(source, target, columns, den=1)
+
+
+def conjugated_constants(constants, rng):
+    """Constants of the same algebra in the basis f_a = sum_i P[i][a] e_i.
+
+    P is a random product of integer shears, sign flips and swaps, so it lies
+    in GL3(Z) and the new constants are integer combinations of the old.
+    """
+    p = [[int(i == j) for j in range(3)] for i in range(3)]
+    for _ in range(6):
+        i, j = rng.sample(range(3), 2)
+        move = rng.choice(("shear", "flip", "swap"))
+        for row in p:
+            if move == "shear":
+                row[j] += rng.choice((-2, -1, 1, 2)) * row[i]
+            elif move == "flip":
+                row[j] = -row[j]
+            else:
+                row[i], row[j] = row[j], row[i]
+    det = sum(p[0][j] * (p[1][(j + 1) % 3] * p[2][(j + 2) % 3]
+                         - p[1][(j + 2) % 3] * p[2][(j + 1) % 3]) for j in range(3))
+    # inverse through the adjugate; det is +-1
+    inverse = [[Fraction(p[(j + 1) % 3][(i + 1) % 3] * p[(j + 2) % 3][(i + 2) % 3]
+                         - p[(j + 1) % 3][(i + 2) % 3] * p[(j + 2) % 3][(i + 1) % 3], det)
+                for j in range(3)] for i in range(3)]
+    assert all(sum(p[i][k] * inverse[k][j] for k in range(3)) == (i == j)
+               for i in range(3) for j in range(3))
+    entries = {}
+    for a in range(3):
+        for b in range(a + 1, 3):
+            for c in range(3):
+                entries[(a, b, c)] = sum(
+                    inverse[c][k] * p[i][a] * p[j][b] * constants.get(i, j, k)
+                    for i in range(3) for j in range(3) for k in range(3))
+    return StructureConstants(entries)
+
+
+def full_build_invariant_table(pi, dmax):
+    """`cohomology_table(pi, dmax, invariant=True)` by the route the engine
+    took before it built only the supported columns: every column of each
+    d_q, then `_restrict` to the invariant sub-bases."""
+    with mock.patch.object(cohomology, "differential_columns",
+                           lambda pi, q, d, support: differential_matrix(pi, q, d).columns):
+        return cohomology_table(pi, dmax, invariant=True)
 
 
 def invariant_multivectors(q, d):

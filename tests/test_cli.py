@@ -166,14 +166,18 @@ def test_invariant_table_builds_each_basis_and_differential_once(capsys, monkeyp
 
     monkeypatch.setattr(cohomology_module, "invariant_basis", counting(
         cohomology_module.invariant_basis, bases, lambda q, d: (q, d)))
+    monkeypatch.setattr(cohomology_module, "differential_columns", counting(
+        cohomology_module.differential_columns, differentials, lambda pi, q, d, support: (q, d)))
+    full = {}
     monkeypatch.setattr(cohomology_module, "differential_matrix", counting(
-        cohomology_module.differential_matrix, differentials, lambda pi, q, d: (q, d)))
+        cohomology_module.differential_matrix, full, lambda pi, q, d: (q, d)))
     code, _, _ = run(capsys, "invariant-cohomology", "--algebra", "euclidean",
                      "--dmax", "4", "--format", "json")
     assert code == 0
     assert bases == {(q, d): 1 for q in range(4) for d in range(5)}
-    assert set(differentials) >= {(q, d) for q in range(3) for d in range(5)}
-    assert set(differentials.values()) == {1}
+    # d_0..d_2 each restricted once to its support; d_3 is 0 and not built
+    assert differentials == {(q, d): 1 for q in range(3) for d in range(5)}
+    assert full == {}
 
 
 def test_invariant_cohomology_rejects_non_invariant(capsys):
@@ -385,6 +389,25 @@ def test_jacobi_verb(capsys):
 
 def test_unknown_verb_is_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 2
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(None) or build())
+    commands = [("cohomology", "--algebra", "nosuch", "--dmax", "2"), ("list",),
+                ("cohomology", "--algebra", "heisenberg", "--dmax", "3", "--format", "json")]
+    first_calls = []
+    for argv in commands:  # each as the first call of its process
+        monkeypatch.setattr(cli, "_PARSER", None)
+        first_calls.append(run(capsys, *argv))
+    assert len(builds) == 3
+    code, out, err = first_calls[0]
+    assert code == 2 and out == "" and "invalid choice: 'nosuch'" in err
+    assert [code for code, _, _ in first_calls[1:]] == [0, 0]
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert [run(capsys, *argv) for argv in commands] == first_calls
+    assert len(builds) == 4
 
 
 def test_bad_tau_is_domain_error(capsys):

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import exact_columns, invariant_multivectors, kernel_basis, rank, reference_rref
+from helpers import (
+    conjugated_constants, exact_columns, full_build_invariant_table, invariant_multivectors,
+    kernel_basis, rank, reference_rref)
 from poisson3 import (
     KINDS,
     Algebra,
@@ -23,11 +25,13 @@ from poisson3 import (
     invariant_cohomology,
     linear_poisson,
     monomials,
+    oracle_dimension_grid,
     parse_multivector,
     poisson_differential,
     resonances,
     rotation_field,
     schouten_bracket,
+    structure_constants,
 )
 from poisson3 import cohomology as cohomology_module
 from poisson3 import complexes as complexes_module
@@ -527,6 +531,60 @@ def test_a_bivector_that_is_not_poisson_is_rejected():
         if schouten_bracket(rotation_field(), pi).is_zero():
             invariant_cohomology(pi, 2, 1)
             cohomology_table(pi, 1, invariant=True)
+
+
+def _rotation_invariant_bivectors():
+    """Euclidean, so3, heisenberg, and spiral at tau = 1 and 3 seeded tau."""
+    rng = random.Random(421)
+    taus = [Fraction(1)] + [Fraction(rng.randint(1, 15), rng.randint(1, 9)) for _ in range(3)]
+    return [linear_poisson(kind) for kind in ("euclidean", "so3", "heisenberg")] + [
+        linear_poisson(Algebra("spiral", tau)) for tau in taus]
+
+
+def test_support_columns_are_the_full_build_at_the_support():
+    rng = random.Random(422)
+    for pi in _rotation_invariant_bivectors():
+        for d in range(13):
+            for q in range(3):
+                full = differential_matrix(pi, q, d).columns
+                support = {j for vec in invariant_basis(q, d)[1] for j in vec}
+                some = set(rng.sample(range(len(full)), rng.randint(0, len(full))))
+                for positions in (support, some):
+                    built = complexes_module.differential_columns(pi, q, d, positions)
+                    assert list(built) == sorted(positions)  # no other column is built
+                    assert built == {j: full[j] for j in positions}
+    with pytest.raises(KeyError):
+        complexes_module.differential_columns(linear_poisson("so3"), 1, 2, {0, 18})
+    with pytest.raises(ValueError, match="differential needs a bivector"):
+        complexes_module.differential_columns(rotation_field(), 1, 2, {0})
+
+
+def test_support_only_invariant_tables_match_the_full_build():
+    for pi in _rotation_invariant_bivectors():
+        table = cohomology_table(pi, 12, invariant=True)
+        oracle = full_build_invariant_table(pi, 12)
+        assert table.cells.keys() == oracle.cells.keys()
+        for key, cell in table.cells.items():
+            assert _cell_fields(cell) == _cell_fields(oracle.cells[key])
+
+
+def test_conjugated_constants_keep_the_oracle_grid():
+    # a GL3(Z) change of basis of the Lie algebra changes every matrix but
+    # no dimension: each kind's table must still match its oracle grid
+    rng = random.Random(423)
+    dmax = 8
+    moved = 0
+    for kind in KINDS:
+        tau = {"book": Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(9, 15)),
+               "spiral": Fraction(rng.randint(1, 15), rng.randint(1, 9))}.get(kind)
+        algebra = Algebra(kind, tau)
+        constants = conjugated_constants(structure_constants(algebra), rng)
+        moved += linear_poisson(constants) != linear_poisson(algebra)
+        table = cohomology_table(linear_poisson(constants), dmax)
+        grid = oracle_dimension_grid(algebra, dmax)
+        assert {key: cell.dim_h for key, cell in table.cells.items()} == {
+            (q, d): grid.get(q, {}).get(d, 0) for q in range(4) for d in range(dmax + 1)}, algebra
+    assert moved >= len(KINDS) - 1  # the abelian bivector is 0 in every basis
 
 
 def test_restriction_to_invariant_bases_solves_each_image():

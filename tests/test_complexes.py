@@ -9,8 +9,8 @@ from math import lcm
 import pytest
 
 from helpers import (
-    compose, exact_columns, invariant_multivectors, kernel_basis, operator_matrix,
-    random_multivector, rank, rotation_matrix)
+    compose, conjugated_constants, exact_columns, invariant_multivectors, kernel_basis,
+    operator_matrix, random_multivector, rank, rotation_matrix)
 from poisson3 import (
     Algebra,
     DegreeError,
@@ -18,7 +18,6 @@ from poisson3 import (
     KINDS,
     MultiVector,
     Polynomial,
-    StructureConstants,
     closed_form_differential,
     cohomology_table,
     differential_matrix,
@@ -287,41 +286,6 @@ def test_differentials_leave_the_basis_elements_unbuilt():
             assert len(cell.target) == len(cell.target.elements)
 
 
-def _conjugated(constants, rng):
-    """Constants of the same algebra in the basis f_a = sum_i P[i][a] e_i.
-
-    P is a random product of integer shears, sign flips and swaps, so it lies
-    in GL3(Z) and the new constants are integer combinations of the old.
-    """
-    p = [[int(i == j) for j in range(3)] for i in range(3)]
-    for _ in range(6):
-        i, j = rng.sample(range(3), 2)
-        move = rng.choice(("shear", "flip", "swap"))
-        for row in p:
-            if move == "shear":
-                row[j] += rng.choice((-2, -1, 1, 2)) * row[i]
-            elif move == "flip":
-                row[j] = -row[j]
-            else:
-                row[i], row[j] = row[j], row[i]
-    det = sum(p[0][j] * (p[1][(j + 1) % 3] * p[2][(j + 2) % 3]
-                         - p[1][(j + 2) % 3] * p[2][(j + 1) % 3]) for j in range(3))
-    # inverse through the adjugate; det is +-1
-    inverse = [[Fraction(p[(j + 1) % 3][(i + 1) % 3] * p[(j + 2) % 3][(i + 2) % 3]
-                         - p[(j + 1) % 3][(i + 2) % 3] * p[(j + 2) % 3][(i + 1) % 3], det)
-                for j in range(3)] for i in range(3)]
-    assert all(sum(p[i][k] * inverse[k][j] for k in range(3)) == (i == j)
-               for i in range(3) for j in range(3))
-    entries = {}
-    for a in range(3):
-        for b in range(a + 1, 3):
-            for c in range(3):
-                entries[(a, b, c)] = sum(
-                    inverse[c][k] * p[i][a] * p[j][b] * constants.get(i, j, k)
-                    for i in range(3) for j in range(3) for k in range(3))
-    return StructureConstants(entries)
-
-
 def _random_linear_operator(rng, degree):
     comps = []
     for _ in range(3):
@@ -349,7 +313,7 @@ def test_stencil_matches_bracket_oracle():
         bivectors.append(linear_poisson(Algebra("book", book)))
         bivectors.append(linear_poisson(Algebra("spiral", spiral)))
     for alg in ALGEBRAS:
-        conjugated = _conjugated(structure_constants(alg), rng)
+        conjugated = conjugated_constants(structure_constants(alg), rng)
         assert jacobi_defect(conjugated).is_zero()
         bivectors.append(linear_poisson(conjugated))
     for pi in bivectors:

@@ -5,7 +5,8 @@ its cohomology is kernel-modulo-image of two finite exact matrices.  One
 routine reduces a whole coefficient degree d from its differentials, each
 built once and reduced once (`linalg.kernel_and_image`): one elimination
 gives a differential's rank, its kernel in reduced echelon form, and the
-pivots of its image's echelon, all the next cell needs of its image.  The
+pivots of its image's echelon, all the next cell needs of its image.  A
+single cell reduces only the differentials up to its own.  The
 rotation-invariant subcomplex goes through the same routine with the
 differentials restricted to the invariant sub-bases, each built only at
 the columns its invariant vectors touch
@@ -17,8 +18,10 @@ differential is first reduced modulo the constant prime `linalg.PRIME`,
 skipping the columns at the previous pass's pivot rows: as d o d = 0, the
 others carry the whole rank mod p.  That rank is at most the rank over Q,
 and d o d = 0 gives dim H >= 0.  So a cell whose dim H mod p is 0 is proved
-acyclic, with both ranks exact and no representative.  Every other cell is
-reduced exactly.  Nothing here is probabilistic: an unlucky prime only
+acyclic, with both ranks exact and no representative.  A pass stops as
+soon as it can no longer prove that, and every cell it does not prove is
+reduced exactly, without the columns at the incoming image's pivots,
+which are free.  Nothing here is probabilistic: an unlucky prime only
 sends a cell down the exact path.
 
 The matrices are integer throughout.  Representatives are canonical: they
@@ -113,48 +116,60 @@ def _check_poisson(pi):
             raise ValueError("bivector is not Poisson: [pi, pi] is not 0")
 
 
-def _degree_cells(pi, d, invariant):
-    """The cells q = 0..3 of coefficient degree d.
+def _degree_cells(pi, d, invariant, top=3):
+    """The cells q = 0..top of coefficient degree d.
 
-    Each differential out of degree d is built once and reduced mod p once.
-    Each cell passes the next (rank_in, pivots): d_q's exact rank and the
-    pivots of its image's echelon.  When the rank mod p of d_q leaves cell
-    q no room for a class, the cell is certified acyclic, and the columns
-    independent mod p, which are independent over Q and as many as the
-    exact rank, span cell q + 1's image: their `rref` gives its pivots, and
-    only when cell q + 1 is reduced exactly.  Otherwise d_q is reduced
-    exactly, and that one reduction gives cell q its rank and the kernel
-    rows led outside the incoming image's pivots (the image lies in the
-    kernel, so its pivots are kernel pivots, and the rows led at the other
-    ones, one per class, are all that is read off), and cell q + 1 its
-    pivots.  The kernel rows come out of `kernel_and_image` primitive and
-    positive at their free column, so on the full complex they are boxed
-    into Fractions as they are.  On the invariant subcomplex each of
-    d_0..d_2 is built at its source vectors' support only and restricted
-    to the invariant sub-bases, d_3 is 0 there, and representatives are
-    mapped back to ambient (q, d) coordinates, where each one is
-    normalised again before it is boxed.
+    Each differential out of degree d up to d_top is built once and
+    reduced mod p once.  Each cell passes the next (rank_in, pivots): d_q's
+    exact rank and the pivots of its image's echelon.  When the rank mod p
+    of d_q leaves cell q no room for a class, the cell is certified
+    acyclic, and the columns independent mod p, which are independent over
+    Q and as many as the exact rank, span cell q + 1's image: their `rref`
+    gives its pivots, and only when cell q + 1 is reduced exactly.  A pass
+    stops once its dependent columns outnumber rank_in minus the columns it
+    skips, as it can then certify nothing, and the next pass skips the
+    exact image pivots in place of its pivot rows.  d_0's pass runs to the
+    end unless it is the last: its pivot rows are the skip that keeps d_1's
+    pass, the largest, small.
+
+    Otherwise d_q is reduced exactly, and that one reduction gives cell q
+    its rank and the kernel rows led outside the incoming image's pivots,
+    and cell q + 1 its pivots.  The image lies in the kernel, so its
+    pivots are free columns of d_q: their columns are emptied before the
+    reduction, which changes no rank, pivot, kernel row read off or row
+    that lands, and the rows led at the other free columns, one per class,
+    are all that is read off.  The kernel rows come out of
+    `kernel_and_image` primitive and positive at their free column, so on
+    the full complex they are boxed into Fractions as they are.  On the
+    invariant subcomplex each of d_0..d_2 is built at its source vectors'
+    support only and restricted to the invariant sub-bases, d_3 is 0
+    there, and representatives are mapped back to ambient (q, d)
+    coordinates, where each one is normalised again before it is boxed.
     """
     if invariant:
-        vectors = [invariant_basis(q, d)[1] for q in range(4)]
+        vectors = [invariant_basis(q, d)[1] for q in range(min(top + 2, 4))]
         columns = [_restrict(differential_columns(pi, q, d, {j for v in vectors[q] for j in v}),
-                             vectors[q], vectors[q + 1]) for q in range(3)]
-        columns.append([{} for _ in vectors[3]])  # d_3 = 0
+                             vectors[q], vectors[q + 1]) for q in range(min(top + 1, 3))]
+        if top == 3:
+            columns.append([{} for _ in vectors[3]])  # d_3 = 0
     else:
-        columns = [differential_matrix(pi, q, d).columns for q in range(4)]
+        columns = [differential_matrix(pi, q, d).columns for q in range(top + 1)]
     cells = []
     rank_in, pivots = 0, set()  # d_{q-1}'s rank and image pivots, None until needed
-    skip = set()  # rows at which d_{q-1}'s mod-p pass found its pivots
+    skip = set()  # columns of d_q that carry none of its image
     for q, cols in enumerate(columns):
-        independent, skip = linalg.independent_columns_mod_p(cols, skip)
+        spare = rank_in - len(skip) if q or not top else None  # None: run to the end
+        independent, pass_pivots = linalg.independent_columns_mod_p(cols, skip, spare)
         if len(cols) == len(independent) + rank_in:
             # rank_p <= rank_Q and dim H >= 0: both ranks are exact, H = 0
             cells.append(CohomologyCell(q, d, len(cols), len(independent), rank_in, []))
-            rank_in, pivots, image = len(independent), None, [cols[j] for j in independent]
+            rank_in, pivots, skip = len(independent), None, pass_pivots
+            image = [cols[j] for j in independent]
             continue
         if pivots is None:  # d_{q-1} was certified: `image` spans its image
             pivots = set(linalg.rref(image)[0])
-        rank, _, kernel, image_pivots = linalg.kernel_and_image(cols, pivots)
+        rank, _, kernel, image_pivots = linalg.kernel_and_image(  # the pivots' columns are free
+            [{} if j in pivots else col for j, col in enumerate(cols)], pivots)
         if rank < len(independent):
             raise RuntimeError(
                 "cell (%d, %d): exact rank %d is below the rank %d mod p"
@@ -169,6 +184,7 @@ def _degree_cells(pi, d, invariant):
         reps = [{i: Fraction(c) for i, c in rep.items()} for rep in kernel]
         cells.append(CohomologyCell(q, d, len(cols), rank, rank_in, reps))
         rank_in, pivots = rank, image_pivots
+        skip = image_pivots if pass_pivots is None else pass_pivots
     return cells
 
 
@@ -180,7 +196,7 @@ def cohomology_cell(pi, q, d):
     """
     _check_cochain_degree(q)
     _check_poisson(pi)
-    return _degree_cells(pi, d, invariant=False)[q]
+    return _degree_cells(pi, d, False, q)[q]
 
 
 def invariant_cohomology(pi, q, d):
@@ -193,7 +209,7 @@ def invariant_cohomology(pi, q, d):
     _check_cochain_degree(q)
     _check_rotation_invariant(pi)
     _check_poisson(pi)
-    return _degree_cells(pi, d, invariant=True)[q]
+    return _degree_cells(pi, d, True, q)[q]
 
 
 def cell_multivectors(cell):

@@ -19,11 +19,13 @@ asks for; solves are read off that same routine.  Only
 `independent_columns_mod_p` runs the same elimination in word-size
 arithmetic modulo `PRIME`, a constant rather than an option, on the columns
 of a map of a complex but those at the pivot rows of the previous map's
-pass.  It reduces an entry mod p only where it is read, normalises a pivot
-the first time another vector is reduced against it, and never writes the
-input vectors.  Its rank mod p is a lower bound for the rank over Q (a minor
-that is nonzero mod p is a nonzero integer), so the columns it returns are
-independent over Q too: enough to certify a rank that cannot be larger.
+pass, or at its image's exact pivots.  It reduces an entry mod p only where
+it is read, normalises a pivot the first time another vector is reduced
+against it, never writes the input vectors, and stops once more columns
+than its caller can spare are dependent.  Its rank mod p is a lower bound
+for the rank over Q (a minor that is nonzero mod p is a nonzero integer),
+so the columns it returns are independent over Q too: enough to certify a
+rank that cannot be larger.
 """
 
 from fractions import Fraction
@@ -149,7 +151,7 @@ def _rows(columns):
     return index, [rows[i] for i in index]
 
 
-def _echelon_mod_p(vectors):
+def _echelon_mod_p(vectors, spare):
     """{pivot: k} for the vectors k independent mod `PRIME` of those before them.
 
     Each vector is reduced at its highest index first, where an entry that
@@ -158,7 +160,9 @@ def _echelon_mod_p(vectors):
     pivot is stored as it is, and a pivot vector is reduced mod p and scaled
     to 1 at its pivot the first time another vector is reduced against it.
     A vector is copied just before its first write, so the input vectors
-    are never written.
+    are never written.  Once more than `spare` vectors have reduced to 0,
+    the pass stops: it returns (found, False), found holding the vectors
+    before the one that stopped it, and (found, True) after the last vector.
     """
     p = PRIME
     table = {}  # pivot -> vector reduced mod p, 1 at the pivot
@@ -192,10 +196,14 @@ def _echelon_mod_p(vectors):
                     vec[i] = val
                 else:
                     del vec[i]
-    return found
+        else:  # reduced to 0
+            spare -= 1
+            if spare < 0:
+                return found, False
+    return found, True
 
 
-def independent_columns_mod_p(columns, skip):
+def independent_columns_mod_p(columns, skip, spare=None):
     """Columns outside `skip` independent modulo `PRIME`, and the rows they lead at.
 
     The columns j not in `skip` are reduced last first.  Returns (kept,
@@ -206,10 +214,17 @@ def independent_columns_mod_p(columns, skip):
     vectors and the unit vectors e_j, j not in `skip`, form a triangular
     basis on whose first part this matrix is 0: the columns outside `skip`
     then carry its whole image, and their count is its full rank mod p.
+    The same holds when `skip` holds the rows at which A's image echelon
+    leads, over Q and so for all but unlucky primes.
+
+    With `spare` a count, the pass stops at the first dependent column
+    past `spare`: kept holds the columns found before it, still
+    independent over Q, and pivot_rows is None.
     """
     order = [j for j in range(len(columns) - 1, -1, -1) if j not in skip]
-    found = _echelon_mod_p([columns[j] for j in order])
-    return sorted(order[k] for k in found.values()), set(found)
+    found, whole = _echelon_mod_p([columns[j] for j in order],
+                                  len(order) if spare is None else spare)
+    return sorted(order[k] for k in found.values()), set(found) if whole else None
 
 
 def kernel_and_image(columns, skip=()):
@@ -226,7 +241,9 @@ def kernel_and_image(columns, skip=()):
 
     The rows go in by ascending row index, so those that land on a new
     pivot, independent of the rows before them, are the pivots of the
-    image's echelon as `rref` of the image columns would give them.
+    image's echelon as `rref` of the image columns would give them.  A
+    free column is in the span of the columns after it, so emptying it
+    changes none of this: a caller may leave out columns it knows to be free.
 
     Returns (rank, kernel_pivots, kernel_echelon, image_pivots), the
     kernel restricted to the free columns outside `skip`, and the image's

@@ -218,9 +218,14 @@ def _table_fields(tables):
     return [[_cell_fields(table.cells[key]) for key in sorted(table.cells)] for table in tables]
 
 
-@pytest.mark.parametrize("prime, exact_reductions", [(2, 266), (3, 254), (5, 228)])
+@pytest.mark.parametrize("prime, exact_reductions", [(2, 272), (3, 264), (5, 239)])
 def test_a_small_prime_only_sends_cells_down_the_exact_path(monkeypatch, prime,
                                                             exact_reductions):
+    # a pass that stops hands the next one the exact image's pivots to skip,
+    # not pivot rows of its own; modulo a small prime the columns outside
+    # those can hold less than the whole rank (an image vector's leading
+    # entry may be a multiple of p), so a few more cells go exact than the
+    # 266, 254 and 228 of passes that all run to the end, none at PRIME
     calls = _count_calls(monkeypatch, "kernel_and_image")
     pis = [linear_poisson(algebra) for algebra in REGISTRY_ALGEBRAS]
     expected = _table_fields(cohomology_table(pi, 8) for pi in pis)
@@ -231,22 +236,32 @@ def test_a_small_prime_only_sends_cells_down_the_exact_path(monkeypatch, prime,
     assert calls["kernel_and_image"] == exact_reductions
 
 
-def test_the_mod_p_pass_skips_the_pivot_rows_of_the_incoming_differential(monkeypatch):
-    # each pass skips the rows at which the previous one found its pivots; it
-    # keeps columns independent over Q, as many as the rank mod p of the whole
-    # matrix, so it certifies the cells the whole matrix would, also where the
-    # previous rank mod p is below the exact one
+def _recorded_passes(monkeypatch):
+    """Record each mod-p pass as (columns, skip, spare, kept, pivot_rows)."""
     passes = []
     restricted = linalg.independent_columns_mod_p
 
-    def recording(columns, skip):
-        kept, pivot_rows = restricted(columns, skip)
-        passes.append((columns, skip, kept, pivot_rows))
+    def recording(columns, skip, spare=None):
+        kept, pivot_rows = restricted(columns, skip, spare)
+        passes.append((columns, skip, spare, kept, pivot_rows))
         return kept, pivot_rows
 
     monkeypatch.setattr(linalg, "independent_columns_mod_p", recording)
-    skipped = 0
-    for prime in (linalg.PRIME, 2, 3, 5):
+    return passes
+
+
+def test_the_mod_p_pass_skips_the_pivot_rows_of_the_incoming_differential(monkeypatch):
+    # each pass skips the rows at which the previous one found its pivots, or,
+    # after a pass that stopped, the exact pivots of the previous image; it
+    # keeps columns independent over Q.  d_0's pass runs to the end and keeps
+    # the rank mod p of the whole matrix, and so does every pass that skips
+    # pivot rows of a pass; a later pass stops at the first dependent column
+    # past rank_in - |skip|, where its whole run could not certify the cell
+    restricted = linalg.independent_columns_mod_p
+    passes = _recorded_passes(monkeypatch)
+    skipped = stopped = after_stop = 0
+    word_prime = linalg.PRIME
+    for prime in (word_prime, 2, 3, 5):
         monkeypatch.setattr(linalg, "PRIME", prime)
         for algebra in REGISTRY_ALGEBRAS:
             pi = linear_poisson(algebra)
@@ -254,29 +269,229 @@ def test_the_mod_p_pass_skips_the_pivot_rows_of_the_incoming_differential(monkey
             for invariant in (False, True)[:1 + rotation_invariant]:
                 del passes[:]
                 cohomology_table(pi, 12, invariant)
-                for n, (columns, skip, kept, pivot_rows) in enumerate(passes):
-                    assert skip == (passes[n - 1][3] if n % 4 else set())
+                for n, (columns, skip, spare, kept, pivot_rows) in enumerate(passes):
+                    incoming = passes[n - 1] if n % 4 else None
+                    rank_in = linalg.kernel_and_image(incoming[0])[0] if incoming else 0
+                    whole = restricted(columns, set())[0]
+                    if incoming is None:
+                        assert (skip, spare) == (set(), None)
+                        assert pivot_rows is not None
+                    else:
+                        assert spare == rank_in - len(skip)
+                    if incoming is None or incoming[4] is not None:
+                        assert skip == (incoming[4] if incoming else set())
+                    else:
+                        assert skip == set(linalg.rref(incoming[0])[0])
+                        if prime == word_prime:
+                            assert len(restricted(columns, skip)[0]) == len(whole)
+                        after_stop += 1
                     assert not skip & set(kept)
-                    assert rank([columns[j] for j in kept]) == len(kept) == len(pivot_rows)
-                    assert len(kept) == len(restricted(columns, set())[0])
+                    assert rank([columns[j] for j in kept]) == len(kept)
+                    full, full_rows = restricted(columns, skip)
+                    if pivot_rows is None:
+                        order = [j for j in range(len(columns) - 1, -1, -1) if j not in skip]
+                        stop = [j for j in order if j not in full][spare]
+                        assert kept == [j for j in full if j > stop]
+                        assert len(full) + rank_in < len(columns)
+                        stopped += 1
+                    else:
+                        assert (kept, pivot_rows) == (full, full_rows)
+                        assert len(kept) == len(pivot_rows)
+                        if incoming is None or incoming[4] is not None:
+                            assert len(kept) == len(whole)
                     skipped += sum(map(bool, (columns[j] for j in skip)))
-    assert skipped
+    assert skipped and stopped and after_stop
 
 
 def test_exact_rank_below_the_modular_rank_raises(monkeypatch):
-    # a rank mod p can never exceed the rank over Q; the guard must survive python -O
+    # a rank mod p can never exceed the rank over Q; the guard must survive
+    # python -O, and holds the columns a stopped pass kept to it
     independent_columns_mod_p = linalg.independent_columns_mod_p
 
-    def over_reporting(columns, skip):
-        independent, pivot_rows = independent_columns_mod_p(columns, skip)
+    def over_reporting(columns, skip, spare=None):
+        kept, pivot_rows = independent_columns_mod_p(columns, skip, spare)
         if len(columns) == 9:  # d_1 at degree 1, a cell with dim H = 4
-            independent.append(max(set(range(len(columns))) - set(independent) - skip))
-        return independent, pivot_rows
+            assert (kept, pivot_rows) == ([8], None)  # stopped at its first dependent column
+            others = [j for j in range(len(columns)) if j not in skip and j not in kept]
+            kept = sorted(kept + others[:3])
+        return kept, pivot_rows
 
     monkeypatch.setattr(linalg, "independent_columns_mod_p", over_reporting)
     message = r"cell \(1, 1\): exact rank 3 is below the rank 4 mod p"
     with pytest.raises(RuntimeError, match=message):
         cohomology_table(linear_poisson("heisenberg"), 1)
+
+
+def _exact_reductions(monkeypatch, pi, dmax):
+    """The exact reductions of `cohomology_table(pi, dmax)`.
+
+    Each is (q, d, whole, columns, skip, result, nnz): d_q as built, the
+    columns and skip handed to `kernel_and_image`, what it returned and the
+    nonzeros it sent into `rref`.  The columns outside skip are d_q's own
+    column objects, which finds d_q.
+    """
+    built, calls = [], []
+    build, kernel_and_image, rref = (
+        cohomology_module.differential_matrix, linalg.kernel_and_image, linalg.rref)
+    inside = []
+
+    def building(pi, q, d):
+        cell = build(pi, q, d)
+        built.append((q, d, cell.columns))
+        return cell
+
+    def reducing(columns, skip=()):
+        inside.append(0)
+        result = kernel_and_image(columns, skip)
+        calls.append((columns, skip, result, inside.pop()))
+        return result
+
+    def counting(rows, landed=None):
+        if inside:
+            inside[-1] += sum(map(len, rows))
+        return rref(rows, landed)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology_module, "differential_matrix", building)
+        patch.setattr(linalg, "kernel_and_image", reducing)
+        patch.setattr(linalg, "rref", counting)
+        cohomology_table(pi, dmax)
+    reductions = []
+    for columns, skip, result, nnz in calls:
+        (q, d, whole), = [(q, d, whole) for q, d, whole in built if len(whole) == len(columns)
+                          and all(columns[j] is whole[j] for j in range(len(whole))
+                                  if j not in skip)]
+        reductions.append((q, d, whole, columns, skip, result, nnz))
+    return reductions
+
+
+def _seeded_algebras(seed):
+    """Every registry kind, book and spiral at a seeded rational tau."""
+    rng = random.Random(seed)
+    book = Fraction(rng.randint(1, 9), rng.randint(9, 15)) * rng.choice((1, -1))
+    spiral = Fraction(rng.randint(1, 30), rng.randint(1, 12))
+    return [Algebra(kind, {"book": book, "spiral": spiral}.get(kind)) for kind in KINDS]
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_the_incoming_pivot_columns_change_no_exact_reduction(monkeypatch, seed):
+    # the incoming image's pivots are free columns of d_q: emptying them
+    # changes no rank, kernel row read off or image pivot
+    checked = emptied = 0
+    for algebra in _seeded_algebras(seed):
+        pi = linear_poisson(algebra)
+        for q, d, whole, columns, skip, result, _ in _exact_reductions(monkeypatch, pi, 10):
+            incoming = differential_matrix(pi, q - 1, d).columns if q else []
+            assert skip == set(linalg.rref(incoming)[0])
+            assert skip <= _free_columns(whole)
+            assert all(columns[j] == {} for j in skip)
+            assert linalg.kernel_and_image(whole, skip) == result
+            checked += 1
+            emptied += sum(map(bool, (whole[j] for j in skip)))
+    assert checked and emptied
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_solves_and_witnesses_still_find_every_coboundary(seed):
+    # `solve_combination` skips columns it does not read off, which are not
+    # free: it still finds every coboundary, and no class is one
+    rng = random.Random(seed)
+    for algebra in _seeded_algebras(seed):
+        pi = linear_poisson(algebra)
+        table = cohomology_table(pi, 5)
+        for d in range(6):
+            for q in range(1, 4):
+                cell = differential_matrix(pi, q - 1, d)
+                vec = {j: rng.randint(-3, 3) for j in rng.sample(range(len(cell.columns)),
+                                                                 min(3, len(cell.columns)))}
+                target = linalg.matvec(cell.columns, vec)
+                combo = linalg.solve_combination(cell.columns, target)
+                assert combo is not None
+                assert linalg.matvec(cell.columns, combo) == target
+                value = cell.source.reconstruct({j: Fraction(c) for j, c in vec.items()})
+                image = poisson_differential(pi, value)
+                witness = coboundary_witness(pi, image)
+                assert poisson_differential(pi, witness) == image
+                for rep in cell_multivectors(table.cell(q, d)):
+                    assert coboundary_witness(pi, rep) is None
+
+
+def test_euclidean_sends_fewer_nonzeros_into_rref(monkeypatch):
+    # every exact reduction of d_q leaves out the columns at the incoming
+    # image's pivots: 6,090 nonzeros of the whole differentials, 4,598 sent
+    reductions = _exact_reductions(monkeypatch, linear_poisson("euclidean"), 12)
+    assert len(reductions) == 46
+    whole = sum(len(col) for _, _, whole, *_ in reductions for col in whole)
+    sent = sum(nnz for *_, nnz in reductions)
+    assert sum(len(col) for _, _, _, columns, *_ in reductions for col in columns) == sent
+    assert (whole, sent) == (6090, 4598)
+
+
+def test_no_pass_after_d_0_reads_past_its_first_dependent_column(monkeypatch):
+    # every heisenberg cell keeps a class, and each pass after d_0 skips as
+    # many columns as rank_in: it stops at its first dependent column, and
+    # reads 507 columns where passes run to the end read 2,027
+    echelon = linalg._echelon_mod_p
+    reads = []
+
+    def counting(vectors, spare):
+        read = []
+        found, whole = echelon((read.append(vec) or vec for vec in vectors), spare)
+        reads.append((len(vectors), len(read), len(found), whole))
+        return found, whole
+
+    monkeypatch.setattr(linalg, "_echelon_mod_p", counting)
+    passes = _recorded_passes(monkeypatch)
+    cohomology_table(linear_poisson("heisenberg"), 12)
+    assert len(reads) == len(passes) == 52
+    for n, ((size, read, found, whole), (*_, spare, _, _)) in enumerate(zip(reads, passes)):
+        if n % 4:
+            assert spare == 0
+            assert read == (found if whole else found + 1)
+        else:
+            assert (spare, read, whole) == (None, size, True)
+    assert (sum(r[0] for r in reads), sum(r[1] for r in reads)) == (2027, 507)
+
+
+@pytest.mark.parametrize("algebra", REGISTRY_ALGEBRAS,
+                         ids=lambda a: a.name if a.tau is None else "%s_%s" % (a.name, a.tau))
+def test_single_cells_are_the_cells_of_the_table(algebra):
+    # a single cell reduces only d_0..d_q, and its last pass may stop early
+    pi = linear_poisson(algebra)
+    tables = {False: cohomology_table(pi, 6)}
+    if schouten_bracket(rotation_field(), pi).is_zero():
+        tables[True] = cohomology_table(pi, 6, invariant=True)
+    for invariant, table in tables.items():
+        single = invariant_cohomology if invariant else cohomology_cell
+        for (q, d), cell in table.cells.items():
+            assert _cell_fields(single(pi, q, d)) == _cell_fields(cell)
+
+
+def test_a_single_cell_reduces_only_the_differentials_up_to_its_own(monkeypatch):
+    built = []
+    build = cohomology_module.differential_matrix
+    monkeypatch.setattr(cohomology_module, "differential_matrix",
+                        lambda pi, q, d: built.append(q) or build(pi, q, d))
+    calls = _count_calls(monkeypatch, "kernel_and_image")
+    passes = _recorded_passes(monkeypatch)
+    pi = linear_poisson("heisenberg")
+    # d_0 alone, and its pass stops at its first dependent column (the Casimir z^5)
+    cell = cohomology_cell(pi, 0, 5)
+    assert (built, len(passes), calls["kernel_and_image"]) == ([0], 1, 1)
+    assert passes[0][2] == 0 and passes[0][4] is None
+    assert cell.dim_h == 1
+    del built[:], passes[:]
+    cohomology_cell(pi, 2, 5)
+    assert built == [0, 1, 2] and len(passes) == 3
+    # the invariant subcomplex builds d_0..d_q at their support
+    restricted = []
+    columns = cohomology_module.differential_columns
+    monkeypatch.setattr(cohomology_module, "differential_columns",
+                        lambda pi, q, d, support: restricted.append(q) or columns(pi, q, d,
+                                                                                  support))
+    del passes[:]
+    invariant_cohomology(pi, 1, 5)
+    assert restricted == [0, 1] and len(passes) == 2
 
 
 def _invariant_coordinates(vectors, vec):

@@ -369,13 +369,23 @@ def test_columns_independent_mod_p_have_the_exact_rank():
             assert not skip & set(kept)
             assert rank([columns[j] for j in kept]) == len(kept) == len(pivot_rows)
             assert pivot_rows == _leading_rows(rest)
+            # with `spare`, the pass stops at the first dependent column past
+            # it and keeps only the columns found before that one
+            dependent = [j for j in reversed(outside) if j not in kept]
+            for spare in range(len(dependent) + 2):
+                stopped = independent_columns_mod_p(columns, skip, spare)
+                assert columns == snapshot
+                if spare < len(dependent):
+                    assert stopped == ([j for j in kept if j > dependent[spare]], None)
+                else:
+                    assert stopped == (kept, pivot_rows)
 
 
 def test_skipping_the_pivot_rows_of_the_incoming_map_keeps_the_rank():
     # outer . inner = 0: the columns of outer outside the rows at which inner's
     # pass leads have all of outer's image
     rng = random.Random(149)
-    dropped = 0
+    dropped = dropped_exact = 0
     for _ in range(60):
         nrows = rng.randint(1, 8)
         inner = integer_matrix(_random_rows(rng, rng.randint(0, 6), nrows))
@@ -398,7 +408,16 @@ def test_skipping_the_pivot_rows_of_the_incoming_map_keeps_the_rank():
         assert len(kept) == len(independent_columns_mod_p(outer, set())[0]) == rank(outer)
         assert rank([outer[j] for j in kept]) == len(kept)
         dropped += sum(map(bool, (outer[j] for j in skip)))
-    assert dropped  # nonzero columns were skipped
+        # so do the columns outside the rows at which inner's image echelon
+        # leads, over Q and so for all but unlucky primes
+        image_pivots = set(rref(inner)[0])
+        assert len(image_pivots) == rank(inner)
+        kept, _ = independent_columns_mod_p(outer, image_pivots)
+        assert not image_pivots & set(kept)
+        assert len(kept) == rank([outer[j] for j in range(nrows) if j not in image_pivots])
+        assert len(kept) == rank(outer)
+        dropped_exact += sum(map(bool, (outer[j] for j in image_pivots)))
+    assert dropped and dropped_exact  # nonzero columns were skipped
 
 
 def test_rank_drop_mod_the_prime_returns_fewer_columns(monkeypatch):
@@ -409,6 +428,9 @@ def test_rank_drop_mod_the_prime_returns_fewer_columns(monkeypatch):
     independent, pivot_rows = independent_columns_mod_p(columns, set())
     assert len(independent) == len(pivot_rows) == 2 < kernel_and_image(columns)[0]
     assert rank([columns[j] for j in independent]) == 2
+    # column 0 is dependent mod 3: a pass with no spare column stops there
+    assert independent_columns_mod_p(columns, set(), 0) == (independent, None)
+    assert independent_columns_mod_p(columns, set(), 1) == (independent, pivot_rows)
     monkeypatch.setattr(linalg, "PRIME", 7)
     assert independent_columns_mod_p(columns, set()) == ([0, 1], {0, 1})
     # more columns than rows: every 2x2 minor is a multiple of 3
@@ -416,6 +438,9 @@ def test_rank_drop_mod_the_prime_returns_fewer_columns(monkeypatch):
     assert independent_columns_mod_p(wide, set()) == ([2, 3], {0, 1})
     monkeypatch.setattr(linalg, "PRIME", 3)
     assert independent_columns_mod_p(wide, set()) == ([2], {1})
+    # columns 3, 1 and 0 are dependent mod 3, in that order
+    assert [independent_columns_mod_p(wide, set(), spare) for spare in range(4)] == [
+        ([], None), ([2], None), ([2], None), ([2], {1})]
     assert kernel_and_image(wide)[0] == 2
     assert rank([wide[2]]) == 1
 

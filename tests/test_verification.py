@@ -148,6 +148,27 @@ def test_oracle_grid_takes_an_algebra_or_a_fixture_id():
     assert oracle_dimension_grid(Algebra("book", Fraction(1, 6)), 5)[2] == {1: 1}
 
 
+def test_oracle_grids_satisfy_the_euler_identity():
+    # sum_q (-1)^q binom(3, q) = 0, so the alternating sum of dim C^{q,d}
+    # vanishes in every degree, and with it that of dim H^{q,d}; no engine
+    # is involved.  Book at every tau = +-a/b, 0 < a <= b <= 7 (36 values),
+    # spiral at tau = 1 and 5/2, each other kind, and every frozen fixture
+    dmax = 40
+    taus = {Fraction(a, b) for b in range(1, 8) for a in range(1, b + 1)}
+    algebras = [Algebra(kind) for kind in KINDS if kind not in ("book", "spiral")]
+    algebras += [Algebra("book", sign * tau) for tau in sorted(taus) for sign in (1, -1)]
+    algebras += [Algebra("spiral", Fraction(1)), Algebra("spiral", Fraction(5, 2))]
+    assert len(algebras) == len(KINDS) - 2 + 36 + 2
+    grids = [(algebra, oracle_dimension_grid(algebra, dmax), dmax) for algebra in algebras]
+    for fixture_id in FIXTURE_IDS:
+        expect = expected_table(fixture_id)
+        grids.append((fixture_id, expect.dims, expect.dmax_table))
+    for algebra, dims, top in grids:
+        for d in range(top + 1):
+            euler = sum((-1) ** q * dims.get(q, {}).get(d, 0) for q in range(4))
+            assert euler == 0, (algebra, d)
+
+
 def _oracle_algebras():
     """Every kind: book at every reduced tau = a/b with 0 < |a| <= b <= 10,
     spiral at 8 seeded tau, and the kinds without a parameter."""

@@ -6,10 +6,10 @@ routine reduces a whole coefficient degree d from its differentials, each
 built once and reduced once (`linalg.kernel_and_image`): one elimination
 gives a differential's rank, its kernel in reduced echelon form, and the
 pivots of its image's echelon, all the next cell needs of its image.  A
-single cell reduces only the differentials up to its own.  The
-rotation-invariant subcomplex goes through the same routine with the
-differentials restricted to the invariant sub-bases, each built only at
-the columns its invariant vectors touch
+single cell is read off the four cells of its degree, as a table builds
+them.  The rotation-invariant subcomplex goes through the same routine
+with the differentials restricted to the invariant sub-bases, each built
+only at the columns its invariant vectors touch
 (`cohomology_table(pi, dmax, invariant=True)`).  A bivector with
 [pi, pi] != 0 has no complex, as d o d != 0, and is rejected.
 
@@ -116,21 +116,20 @@ def _check_poisson(pi):
             raise ValueError("bivector is not Poisson: [pi, pi] is not 0")
 
 
-def _degree_cells(pi, d, invariant, top=3):
-    """The cells q = 0..top of coefficient degree d.
+def _degree_cells(pi, d, invariant):
+    """The cells q = 0..3 of coefficient degree d.
 
-    Each differential out of degree d up to d_top is built once and
-    reduced mod p once.  Each cell passes the next (rank_in, pivots): d_q's
-    exact rank and the pivots of its image's echelon.  When the rank mod p
-    of d_q leaves cell q no room for a class, the cell is certified
-    acyclic, and the columns independent mod p, which are independent over
-    Q and as many as the exact rank, span cell q + 1's image: their `rref`
-    gives its pivots, and only when cell q + 1 is reduced exactly.  A pass
-    stops once its dependent columns outnumber rank_in minus the columns it
-    skips, as it can then certify nothing, and the next pass skips the
-    exact image pivots in place of its pivot rows.  d_0's pass runs to the
-    end unless it is the last: its pivot rows are the skip that keeps d_1's
-    pass, the largest, small.
+    Each differential out of degree d is built once and reduced mod p once.
+    Each cell passes the next (rank_in, pivots): d_q's exact rank and the
+    pivots of its image's echelon.  When the rank mod p of d_q leaves cell
+    q no room for a class, the cell is certified acyclic, and the columns
+    independent mod p, which are independent over Q and as many as the
+    exact rank, span cell q + 1's image: their `rref` gives its pivots, and
+    only when cell q + 1 is reduced exactly.  After d_0 a pass stops once
+    its dependent columns outnumber rank_in minus the columns it skips, as
+    it can then certify nothing, and the next pass skips the exact image
+    pivots in place of its pivot rows.  d_0's pass runs to the end: its
+    pivot rows are the skip that keeps d_1's pass, the largest, small.
 
     Otherwise d_q is reduced exactly, and that one reduction gives cell q
     its rank and the kernel rows led outside the incoming image's pivots,
@@ -147,18 +146,17 @@ def _degree_cells(pi, d, invariant, top=3):
     coordinates, where each one is normalised again before it is boxed.
     """
     if invariant:
-        vectors = [invariant_basis(q, d)[1] for q in range(min(top + 2, 4))]
+        vectors = [invariant_basis(q, d)[1] for q in range(4)]
         columns = [_restrict(differential_columns(pi, q, d, {j for v in vectors[q] for j in v}),
-                             vectors[q], vectors[q + 1]) for q in range(min(top + 1, 3))]
-        if top == 3:
-            columns.append([{} for _ in vectors[3]])  # d_3 = 0
+                             vectors[q], vectors[q + 1]) for q in range(3)]
+        columns.append([{} for _ in vectors[3]])  # d_3 = 0
     else:
-        columns = [differential_matrix(pi, q, d).columns for q in range(top + 1)]
+        columns = [differential_matrix(pi, q, d).columns for q in range(4)]
     cells = []
     rank_in, pivots = 0, set()  # d_{q-1}'s rank and image pivots, None until needed
     skip = set()  # columns of d_q that carry none of its image
     for q, cols in enumerate(columns):
-        spare = rank_in - len(skip) if q or not top else None  # None: run to the end
+        spare = rank_in - len(skip) if q else None  # None: run to the end
         independent, pass_pivots = linalg.independent_columns_mod_p(cols, skip, spare)
         if len(cols) == len(independent) + rank_in:
             # rank_p <= rank_Q and dim H >= 0: both ranks are exact, H = 0
@@ -196,7 +194,7 @@ def cohomology_cell(pi, q, d):
     """
     _check_cochain_degree(q)
     _check_poisson(pi)
-    return _degree_cells(pi, d, False, q)[q]
+    return _degree_cells(pi, d, False)[q]
 
 
 def invariant_cohomology(pi, q, d):
@@ -209,7 +207,7 @@ def invariant_cohomology(pi, q, d):
     _check_cochain_degree(q)
     _check_rotation_invariant(pi)
     _check_poisson(pi)
-    return _degree_cells(pi, d, True, q)[q]
+    return _degree_cells(pi, d, True)[q]
 
 
 def cell_multivectors(cell):

@@ -44,12 +44,11 @@ class GradedBasis:
     Elements are (component index, monomial) pairs, ordered by monomial
     (leading first, as in `monomials`) and then by component index; the size
     binom(3, q) * (d+1)(d+2)/2, `position` and its inverse `element` are
-    closed forms.  The element list is built on first use of `elements` or
-    iteration, so a basis that sizes a matrix, maps positions or rebuilds a
-    multivector never builds it.
+    closed forms.  `elements` and iteration enumerate `monomials(d)` on each
+    call and keep nothing.
     """
 
-    __slots__ = ("q", "d", "_elements")
+    __slots__ = ("q", "d")
 
     def __init__(self, q, d):
         if q not in (0, 1, 2, 3):
@@ -58,21 +57,16 @@ class GradedBasis:
             raise ValueError("coefficient degree must be >= 0, got %r" % (d,))
         self.q = q
         self.d = d
-        self._elements = None
 
     @property
     def elements(self):
-        if self._elements is None:
-            self._elements = [
-                (idx, mono) for mono in monomials(self.d) for idx in range(NCOMP[self.q])
-            ]
-        return self._elements
+        return list(self)
 
     def __len__(self):
         return NCOMP[self.q] * (self.d + 1) * (self.d + 2) // 2
 
     def __iter__(self):
-        return iter(self.elements)
+        return ((idx, mono) for mono in monomials(self.d) for idx in range(NCOMP[self.q]))
 
     def position(self, idx, mono):
         """Index of x^mono xi_idx: ((d - k)(d - k + 1)/2 + i) * binom(3, q) + idx.

@@ -28,17 +28,6 @@ def random_polynomial(rng, max_degree, terms=3):
     return poly
 
 
-def random_homogeneous_polynomial(rng, degree):
-    """Random polynomial whose monomials all have total degree == degree."""
-    poly = Polynomial.zero()
-    for _ in range(3):
-        i = rng.randint(0, degree)
-        j = rng.randint(0, degree - i)
-        k = degree - i - j
-        poly = poly + Polynomial.monomial((i, j, k), Fraction(rng.randint(-3, 3)))
-    return poly
-
-
 def random_multivector(rng, degree, max_coeff_degree):
     """Random multivector of the given exterior degree."""
     ncomp = {0: 1, 1: 3, 2: 3, 3: 1}[degree]

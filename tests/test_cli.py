@@ -493,20 +493,25 @@ def test_console_script_round_trip():
 
 
 def test_the_digest_tool_prints_a_line_per_command(monkeypatch, capsys):
+    # the lines must equal the recorded ones: a change that moves printed
+    # bytes re-records tests/cli_digests_dmax8.txt with
+    # `python tools/cli_digests.py --dmax 8` and names the moved lines
+    root = pathlib.Path(__file__).resolve().parent.parent
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/
-    tool = runpy.run_path(str(
-        pathlib.Path(__file__).resolve().parent.parent / "tools" / "cli_digests.py"))
-    assert tool["main"](["--dmax", "2"]) == 0
+    tool = runpy.run_path(str(root / "tools" / "cli_digests.py"))
+    assert tool["main"](["--dmax", "8"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    commands = tool["commands"](2)
+    commands = tool["commands"](8)
     # 14 algebras, 4 invariant kinds, 12 fixtures
     assert len(lines) == len(commands) == 14 * 3 + 4 * 3 + 12 * 2 + 14 * 2
     for line, argv in zip(lines, commands):
         sha, size, status, command = line.split(" ", 3)
         assert (len(sha), status, command) == (64, "0", " ".join(argv))
         assert int(size) > 0
-    argv = ["cohomology", "--algebra", "book", "--tau", "-2/3", "--dmax", "2", "--format", "json"]
+    argv = ["cohomology", "--algebra", "book", "--tau", "-2/3", "--dmax", "8", "--format", "json"]
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert "%s %d 0 %s" % (hashlib.sha256(out.encode()).hexdigest(), len(out.encode()),
                            " ".join(argv)) in lines
+    recorded = (root / "tests" / "cli_digests_dmax8.txt").read_text().splitlines()
+    assert lines == recorded

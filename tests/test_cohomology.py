@@ -456,7 +456,7 @@ def test_no_pass_after_d_0_reads_past_its_first_dependent_column(monkeypatch):
 @pytest.mark.parametrize("algebra", REGISTRY_ALGEBRAS,
                          ids=lambda a: a.name if a.tau is None else "%s_%s" % (a.name, a.tau))
 def test_single_cells_are_the_cells_of_the_table(algebra):
-    # a single cell reduces only d_0..d_q, and its last pass may stop early
+    # a single cell is read off the cells of its degree
     pi = linear_poisson(algebra)
     tables = {False: cohomology_table(pi, 6)}
     if schouten_bracket(rotation_field(), pi).is_zero():
@@ -467,31 +467,30 @@ def test_single_cells_are_the_cells_of_the_table(algebra):
             assert _cell_fields(single(pi, q, d)) == _cell_fields(cell)
 
 
-def test_a_single_cell_reduces_only_the_differentials_up_to_its_own(monkeypatch):
-    built = []
-    build = cohomology_module.differential_matrix
-    monkeypatch.setattr(cohomology_module, "differential_matrix",
-                        lambda pi, q, d: built.append(q) or build(pi, q, d))
+@pytest.mark.parametrize("algebra", REGISTRY_ALGEBRAS,
+                         ids=lambda a: a.name if a.tau is None else "%s_%s" % (a.name, a.tau))
+def test_a_single_cell_reduces_its_whole_degree_as_the_table_does(monkeypatch, algebra):
+    # every cell of degree d, on its own, makes the four mod-p passes and the
+    # exact reductions that the table makes at d; d_0's pass runs to the end
     calls = _count_calls(monkeypatch, "kernel_and_image")
     passes = _recorded_passes(monkeypatch)
-    pi = linear_poisson("heisenberg")
-    # d_0 alone, and its pass stops at its first dependent column (the Casimir z^5)
-    cell = cohomology_cell(pi, 0, 5)
-    assert (built, len(passes), calls["kernel_and_image"]) == ([0], 1, 1)
-    assert passes[0][2] == 0 and passes[0][4] is None
-    assert cell.dim_h == 1
-    del built[:], passes[:]
-    cohomology_cell(pi, 2, 5)
-    assert built == [0, 1, 2] and len(passes) == 3
-    # the invariant subcomplex builds d_0..d_q at their support
-    restricted = []
-    columns = cohomology_module.differential_columns
-    monkeypatch.setattr(cohomology_module, "differential_columns",
-                        lambda pi, q, d, support: restricted.append(q) or columns(pi, q, d,
-                                                                                  support))
-    del passes[:]
-    invariant_cohomology(pi, 1, 5)
-    assert restricted == [0, 1] and len(passes) == 2
+    pi = linear_poisson(algebra)
+    d = 5
+    for invariant in (False, True)[:1 + schouten_bracket(rotation_field(), pi).is_zero()]:
+        single = invariant_cohomology if invariant else cohomology_cell
+        calls["kernel_and_image"] = 0
+        cohomology_table(pi, d - 1, invariant)
+        below = calls["kernel_and_image"]  # the reductions of degrees 0..d - 1
+        calls["kernel_and_image"] = 0
+        del passes[:]
+        cohomology_table(pi, d, invariant)
+        assert len(passes) == 4 * (d + 1) and passes[-4][2] is None
+        expected = (passes[-4:], calls["kernel_and_image"] - below)
+        for q in range(4):
+            del passes[:]
+            calls["kernel_and_image"] = 0
+            single(pi, q, d)
+            assert (passes, calls["kernel_and_image"]) == expected
 
 
 def _invariant_coordinates(vectors, vec):

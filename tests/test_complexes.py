@@ -275,15 +275,22 @@ def test_a_stencil_that_fails_its_check_is_checked_again(monkeypatch, cleared_st
     assert checked == [1, 1, 1]
 
 
-def test_differentials_leave_the_basis_elements_unbuilt():
+def test_differentials_leave_the_basis_elements_unbuilt(monkeypatch):
+    # a differential is sized and filled by closed forms: no build enumerates
+    # the basis elements, which come from `monomials`
+    listed = []
+    monkeypatch.setattr(complexes, "monomials", lambda d: listed.append(d) or monomials(d))
     pi = linear_poisson("sl2")
-    for q in range(4):
-        for d in range(9):
-            cell = differential_matrix(pi, q, d)
-            assert cell.source._elements is None and cell.target._elements is None
-            assert len(cell.columns) == len(cell.source)
-            assert len(cell.source) == len(cell.source.elements)
-            assert len(cell.target) == len(cell.target.elements)
+    cells = [differential_matrix(pi, q, d) for q in range(4) for d in range(9)]
+    cells += [linear_operator_matrix(rotation_field(), q, 5) for q in range(4)]
+    columns = [complexes.differential_columns(pi, q, 5, {0, 7}) for q in range(3)]
+    assert listed == []
+    for cell in cells:
+        assert len(cell.columns) == len(cell.source)
+        assert len(cell.source) == len(cell.source.elements)
+        assert len(cell.target) == len(cell.target.elements)
+    assert [sorted(cols) for cols in columns] == [[0, 7]] * 3
+    assert listed  # `elements` enumerates the monomials on demand
 
 
 def _random_linear_operator(rng, degree):

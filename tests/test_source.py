@@ -5,6 +5,7 @@ import pathlib
 
 SOURCES = sorted(
     (pathlib.Path(__file__).resolve().parent.parent / "src" / "poisson3").rglob("*.py"))
+TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
 def test_no_assert_statements():
@@ -56,10 +57,11 @@ def test_no_unused_imports():
 
 
 def _unreferenced_functions(trees, exported):
-    """(module, name) of each public module-level function the package never reads.
+    """(module, name) of each public module-level function the modules never read.
 
     A name counts as read where it appears as a name or an attribute in any
-    module; a function listed in the package's __all__ is public API.
+    module; a function listed in `exported` is public API, and pytest calls
+    each test_ function by its name.
     """
     read = set()
     for tree in trees.values():
@@ -72,7 +74,7 @@ def _unreferenced_functions(trees, exported):
         (module, node.name)
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith(("_", "test_"))
         and node.name not in read | exported)
 
 
@@ -83,6 +85,10 @@ def test_dead_helper_rule_flags_only_unread_functions():
     assert _unreferenced_functions(trees, {"api"}) == []
     trees["b"] = ast.parse("from a import g\n")
     assert _unreferenced_functions(trees, {"api"}) == [("a", "f"), ("a", "g")]
+    # a test helper counts as read only where a test module reads it
+    trees = {"helpers": ast.parse("def used(): pass\ndef unused(): pass\n"),
+             "test_c": ast.parse("from helpers import used\ndef test_x():\n    used()\n")}
+    assert _unreferenced_functions(trees, set()) == [("helpers", "unused")]
 
 
 def test_no_dead_public_functions():
@@ -90,6 +96,12 @@ def test_no_dead_public_functions():
 
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     assert _unreferenced_functions(trees, set(poisson3.__all__)) == []
+
+
+def test_no_dead_test_helpers():
+    assert any(path.name == "helpers.py" for path in TESTS)
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in TESTS}
+    assert _unreferenced_functions(trees, set()) == []
 
 
 def _private_imports(tree, package="poisson3"):

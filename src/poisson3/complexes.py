@@ -44,8 +44,7 @@ class GradedBasis:
     Elements are (component index, monomial) pairs, ordered by monomial
     (leading first, as in `monomials`) and then by component index; the size
     binom(3, q) * (d+1)(d+2)/2, `position` and its inverse `element` are
-    closed forms.  `elements` and iteration enumerate `monomials(d)` on each
-    call and keep nothing.
+    closed forms, and no element list is built or kept.
     """
 
     __slots__ = ("q", "d")
@@ -58,15 +57,8 @@ class GradedBasis:
         self.q = q
         self.d = d
 
-    @property
-    def elements(self):
-        return list(self)
-
     def __len__(self):
         return NCOMP[self.q] * (self.d + 1) * (self.d + 2) // 2
-
-    def __iter__(self):
-        return ((idx, mono) for mono in monomials(self.d) for idx in range(NCOMP[self.q]))
 
     def position(self, idx, mono):
         """Index of x^mono xi_idx: ((d - k)(d - k + 1)/2 + i) * binom(3, q) + idx.

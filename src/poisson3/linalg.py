@@ -7,14 +7,17 @@ routine, fraction-free elimination whose rows are primitive, positive at
 their pivot and zero at the other pivots: a form as unique as the reduced
 row echelon form, so ranks, kernels, and cohomology representatives
 downstream are deterministic.  Because the form is unique, the elimination
-does only the work it must: a row that lands with one entry is the pivot
-{col: 1}, and eliminating against it is a delete; a row is made primitive
-once when it lands and once after its back-substitution, not at every
-step.  `kernel_and_image` gets the rank, the reduced kernel and the pivots
-of the image's echelon (the rows `rref` reports as `landed`) of a map from
-one such elimination, and reads off only the kernel vectors its caller
-asks for; solves are read off that same routine.  Only
-`solve_combination` returns Fractions.
+does only the work it must.  Most rows of a differential hold one entry: such
+a row at a new pivot is the pivot row {col: 1}, one at a pivot whose row is
+{col: 1} is dropped, and neither is copied, reduced or back-substituted;
+eliminating against a {col: 1} row is a delete.  Every other row is copied
+just before its first write, so the input rows are never written, and is
+made primitive once when it lands and once after its back-substitution,
+not at every step.  `kernel_and_image` gets the rank, the reduced kernel
+and the pivots of the image's echelon (the rows `rref` reports as
+`landed`) of a map from one such elimination, and reads off only the
+kernel vectors its caller asks for; solves are read off that same
+routine.  Only `solve_combination` returns Fractions.
 
 `independent_columns_mod_p` runs the same elimination in word-size
 arithmetic modulo `PRIME`, a constant rather than an option, on the columns
@@ -76,13 +79,18 @@ def rref(rows, landed=None):
 
     Returns (pivots, echelon_rows) where pivots[r] is the leading index of
     echelon_rows[r], in increasing order; each row is primitive, positive at
-    its pivot and zero at the other pivots.  Zero rows are dropped.  Each
-    row is copied and reduced against the pivots already found, with no
-    gcd until it lands on a new pivot: then it is made primitive and
-    positive there, and a row that lands with one entry is stored as
-    {pivot: 1} with no arithmetic at all.  Back-substitution runs from the
-    last pivot down, and each row is made primitive once, after its last
-    step.  Such a form is unique, so no order of these steps changes it.
+    its pivot and zero at the other pivots.  Zero rows and zero entries
+    are dropped.  A row with one nonzero entry, at col, takes no loop: it
+    is stored as {col: 1} when col is a new pivot and dropped when col's
+    pivot row is {col: 1}.  Any other row is copied, just before its first
+    write, and reduced against the pivots already found, with no gcd until
+    it lands on a new pivot: then it is made primitive and positive there,
+    and a row that lands with one entry is stored as {pivot: 1}.  The input
+    rows are never written, and no echelon row is one of them.
+    Back-substitution runs from the last pivot down, passes over the
+    {pivot: 1} rows, which hold no other pivot, and makes each other row
+    primitive once, after its last step.  Such a form is unique, so no
+    order of these steps changes it.
 
     The rows are inserted in the order given, and the table spans the rows
     inserted so far, so a row lands on a new pivot exactly when it is
@@ -91,7 +99,19 @@ def rref(rows, landed=None):
     """
     table = {}
     for k, row in enumerate(rows):
-        row = {i: c for i, c in row.items() if c}
+        if len(row) == 1:
+            [col] = row
+            if not row[col]:
+                continue
+            pivot_row = table.get(col)
+            if pivot_row is None:
+                table[col] = {col: 1}
+                if landed is not None:
+                    landed.append(k)
+                continue
+            if len(pivot_row) == 1:
+                continue
+        row = {i: c for i, c in row.items() if c}  # just before the first write
         while row:
             col = min(row)
             pivot_row = table.get(col)
@@ -110,10 +130,10 @@ def rref(rows, landed=None):
     echelon = []
     for col in reversed(pivots):
         row = table[col]
-        # the rows of the later pivots are already reduced, so clearing one
-        # of their pivots puts nothing back at another
-        others = [i for i in row if i != col and i in table]
-        if others:
+        # a {col: 1} row holds no other pivot; the rows of the later pivots
+        # are already reduced, so clearing one of their pivots puts nothing
+        # back at another
+        if len(row) > 1 and (others := [i for i in row if i != col and i in table]):
             for other in others:
                 row = _eliminate(row, table[other], other)
             table[col] = row = _primitive(row)
@@ -145,8 +165,13 @@ def _rows(columns):
     last = len(columns) - 1
     rows = {}
     for j, col in enumerate(columns):
+        k = last - j
         for i, c in col.items():
-            rows.setdefault(i, {})[last - j] = c
+            row = rows.get(i)
+            if row is None:
+                rows[i] = {k: c}
+            else:
+                row[k] = c
     index = sorted(rows)
     return index, [rows[i] for i in index]
 
@@ -235,7 +260,8 @@ def kernel_and_image(columns, skip=()):
     leads at its highest original column.  The kernel then comes out in the
     echelon form of `rref`: one vector per free column j, led at j by the
     lcm of the pivot entries of the rows that touch j, with the scaled and
-    negated row entries at the pivot columns, which all lie above j.  Only
+    negated row entries at the pivot columns, which all lie above j; a
+    {pivot: 1} row touches no free column and is passed over.  Only
     the vectors led at free columns outside `skip` are read off, so a
     caller that needs some of the kernel pays for no other vector.
 
@@ -256,6 +282,8 @@ def kernel_and_image(columns, skip=()):
     bound = {last - p for p in pivots}
     entries = {j: [] for j in range(len(columns)) if j not in bound and j not in skip}
     for pivot, row in zip(pivots, echelon):
+        if len(row) == 1:  # {pivot: 1} touches no free column
+            continue
         lead = row[pivot]
         for k, c in row.items():
             terms = entries.get(last - k)  # None at the pivot itself

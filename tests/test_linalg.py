@@ -218,6 +218,36 @@ def _sparse_rows(rng, nrows, ncols):
     return rows
 
 
+def _edge_rows(rng):
+    """Sparse rows after a first row of several entries, with one-entry rows
+    at its lead, one-entry rows that hold 0 and empty rows put in at random.
+
+    The first row lands with all its entries, so a one-entry row at its lead
+    meets a pivot row of several entries.
+    """
+    ncols = rng.randint(1, 7)
+    rows = _sparse_rows(rng, rng.randint(0, 6), ncols)
+    lead = rng.randrange(ncols)
+    rows = [{lead: rng.choice((-1, 1)) * rng.randint(1, 6),
+             rng.randint(lead + 1, ncols): rng.randint(1, 6)}, *rows]
+    for _ in range(rng.randint(1, 3)):
+        rows.insert(rng.randint(1, len(rows)), {lead: rng.choice((-1, 1)) * rng.randint(1, 6)})
+    for _ in range(rng.randint(1, 3)):
+        rows.insert(rng.randint(0, len(rows)), {rng.randrange(ncols + 1): 0})
+    for _ in range(rng.randint(0, 2)):
+        rows.insert(rng.randint(0, len(rows)), {})
+    return rows
+
+
+EDGE_ROWS = [
+    [{3: 0}], [{3: 0}, {3: 2}], [{3: 2}, {3: 0}, {}],  # 0 never lands, at any pivot
+    [{}, {0: 1}, {}],
+    # a one-entry row whose pivot row has several entries is eliminated: it
+    # leaves what the pivot row holds past the pivot
+    [{0: 2, 3: 5}, {0: 4}], [{0: 2, 3: 5}, {0: -3}, {3: 1}], [{1: -2, 2: 3}, {0: 0}, {1: 6}],
+]
+
+
 def test_rref_matches_reference_oracle_on_single_entry_rows():
     rng = random.Random(163)
     cases = [
@@ -237,8 +267,17 @@ def test_rref_matches_reference_oracle_on_single_entry_rows():
             rows.append(row)
         rng.shuffle(rows)
         cases.append(rows)
-    for rows in cases:
+    edge_rng = random.Random(193)  # a stream of its own for the edge rows
+    cases += [_edge_rows(edge_rng) for _ in range(150)]
+    for rows in EDGE_ROWS + cases:
         _assert_rref_matches_oracle(rows)
+
+
+def _assert_landed_rows_raise_the_prefix_rank(rows, prefix_rank):
+    landed = []
+    assert rref(rows, landed) == rref(rows)
+    assert landed == [k for k in range(len(rows))
+                      if prefix_rank(rows[:k + 1]) > prefix_rank(rows[:k])]
 
 
 def test_rref_reports_the_rows_that_raise_the_prefix_rank():
@@ -250,9 +289,12 @@ def test_rref_reports_the_rows_that_raise_the_prefix_rank():
         for _ in range(rng.randint(0, 3)):  # repeated and zero rows
             extra = dict(rng.choice(rows)) if rows and rng.random() < 0.6 else {}
             rows.insert(rng.randrange(len(rows) + 1), extra)
-        landed = []
-        assert rref(rows, landed) == rref(rows)
-        assert landed == [k for k in range(len(rows)) if rank(rows[:k + 1]) > rank(rows[:k])]
+        _assert_landed_rows_raise_the_prefix_rank(rows, rank)
+    # one-entry rows that hold 0 or meet a pivot row of several entries, and
+    # empty rows, ranked by the oracle
+    edge_rng = random.Random(197)
+    for rows in EDGE_ROWS + [_edge_rows(edge_rng) for _ in range(150)]:
+        _assert_landed_rows_raise_the_prefix_rank(rows, lambda rows: len(reference_rref(rows)[0]))
 
 
 def test_reduce_against_writes_neither_its_vector_nor_its_table():
@@ -303,6 +345,31 @@ def test_kernel_and_image_reads_off_only_the_kernel_outside_skip():
             assert image_skip == image
             assert list(zip(pivots_skip, echelon_skip)) == [
                 (p, vec) for p, vec in zip(ker_pivots, ker_echelon) if p not in chosen]
+
+
+def test_kernel_and_image_on_columns_of_mostly_one_entry():
+    # the shape of a differential: most rows and columns hold one entry, so
+    # most echelon rows are {pivot: 1} and are passed over in the read-off
+    rng = random.Random(199)
+    skip_rng = random.Random(211)  # a stream of its own for the skips
+    for _ in range(120):
+        columns = _sparse_rows(rng, rng.randint(1, 9), rng.randint(1, 7))
+        for _ in range(rng.randint(0, 3)):  # empty and repeated columns
+            extra = dict(rng.choice(columns)) if rng.random() < 0.5 else {}
+            columns.insert(rng.randrange(len(columns) + 1), extra)
+        snapshot = copy.deepcopy(columns)
+        rk, ker_pivots, ker_echelon, image = kernel_and_image(columns)
+        assert columns == snapshot
+        assert (ker_pivots, ker_echelon) == rref(kernel_basis(columns)[1])
+        assert kernel_basis(columns) == _reference_kernel(columns)
+        assert rk == len(image)
+        assert image == set(rref(columns)[0]) == set(reference_rref(columns)[0])
+        skip = {j for j in range(len(columns)) if skip_rng.random() < 0.4}
+        rk_skip, pivots_skip, echelon_skip, image_skip = kernel_and_image(columns, skip)
+        assert columns == snapshot
+        assert (rk_skip, image_skip) == (rk, image)
+        assert list(zip(pivots_skip, echelon_skip)) == [
+            (p, vec) for p, vec in zip(ker_pivots, ker_echelon) if p not in skip]
 
 
 def test_kernel_rows_come_out_canonical_and_led_at_their_free_column():

@@ -2,16 +2,16 @@
 
 Each (q, d) cell is closed under the differential of a linear bivector, so
 its cohomology is kernel-modulo-image of two finite exact matrices.  One
-routine reduces a whole coefficient degree d from its differentials, each
-built once and reduced once (`linalg.kernel_and_image`): one elimination
-gives a differential's rank, its kernel in reduced echelon form, and the
-pivots of its image's echelon, all the next cell needs of its image.  A
-single cell is read off the four cells of its degree, as a table builds
-them.  The rotation-invariant subcomplex goes through the same routine
-with the differentials restricted to the invariant sub-bases, each built
-only at the columns its invariant vectors touch
-(`cohomology_table(pi, dmax, invariant=True)`).  A bivector with
-[pi, pi] != 0 has no complex, as d o d != 0, and is rejected.
+loop reduces a whole coefficient degree d from its differentials, each an
+`OperatorCell` built only as far as it is read and reduced at most once
+(`linalg.kernel_and_image_of_rows`): one elimination gives a
+differential's rank, its kernel in reduced echelon form, and the pivots of
+its image's echelon, all the next cell needs of its image.  A single cell
+is read off the four cells of its degree, as a table builds them.  The
+rotation-invariant subcomplex goes through the same loop, each of
+d_0..d_2 built only at the columns its invariant vectors touch and
+restricted to the invariant sub-bases.  A bivector with [pi, pi] != 0
+has no complex, as d o d != 0, and is rejected.
 
 Most cells are acyclic, and those need no exact elimination.  Each
 differential is first reduced modulo the constant prime `linalg.PRIME`,
@@ -26,15 +26,15 @@ sends a cell down the exact path.
 
 The matrices are integer throughout.  Representatives are canonical: they
 are the kernel rows whose leading coordinate is not a pivot of the image's
-echelon, the only ones read off the reduction.  `kernel_and_image` gives
-each one in canonical form, coprime integers positive at its lowest index,
-its free column, and it is published as Fractions with no normalisation of
-its own; only the invariant path normalises, once a row is mapped back to
-ambient coordinates.  They are already reduced against the image:
-the kernel row led at a free column j of d_q is nonzero only at j and at
-d_q's pivot columns, and the image's pivots are free columns of d_q other
-than j (the image lies in the kernel, as d o d = 0), so no image row could
-change it.  Two runs over the same input produce byte-identical output.
+echelon, the only ones read off the reduction, which gives each one as
+coprime integers positive at its lowest index, its free column.  It is
+published as Fractions with no normalisation of its own; only the
+invariant path normalises, once a row is mapped back to ambient
+coordinates.  They are already reduced against the image: the kernel row
+led at a free column j of d_q is nonzero only at j and at d_q's pivot
+columns, and the image's pivots are free columns of d_q other than j (the
+image lies in the kernel, as d o d = 0), so no image row could change it.
+Two runs over the same input produce byte-identical output.
 """
 
 from fractions import Fraction
@@ -43,6 +43,7 @@ from math import ceil, floor, lcm
 from . import linalg
 from .complexes import (
     GradedBasis,
+    OperatorCell,
     differential_columns,
     differential_matrix,
     invariant_basis,
@@ -119,60 +120,62 @@ def _check_poisson(pi):
 def _degree_cells(pi, d, invariant):
     """The cells q = 0..3 of coefficient degree d.
 
-    Each differential out of degree d is built once and reduced mod p once.
-    Each cell passes the next (rank_in, pivots): d_q's exact rank and the
-    pivots of its image's echelon.  When the rank mod p of d_q leaves cell
-    q no room for a class, the cell is certified acyclic, and the columns
-    independent mod p, which are independent over Q and as many as the
-    exact rank, span cell q + 1's image: their `rref` gives its pivots, and
-    only when cell q + 1 is reduced exactly.  After d_0 a pass stops once
-    its dependent columns outnumber rank_in minus the columns it skips, as
-    it can then certify nothing, and the next pass skips the exact image
-    pivots in place of its pivot rows.  d_0's pass runs to the end: its
-    pivot rows are the skip that keeps d_1's pass, the largest, small.
+    Each differential out of degree d is reduced mod p once, by a pass that
+    builds only the columns it reads.  Each cell passes the next (rank_in,
+    pivots): d_q's exact rank and the pivots of its image's echelon.  When
+    the rank mod p of d_q leaves cell q no room for a class, the cell is
+    certified acyclic, and the columns the pass kept, which are independent
+    over Q and as many as the exact rank, span cell q + 1's image: their
+    `rref` gives its pivots, and only when cell q + 1 is reduced exactly.
+    After d_0 a pass stops once its dependent columns outnumber rank_in
+    minus the columns it skips, as it can then certify nothing, and the next
+    pass skips the exact image pivots in place of its pivot rows.  d_0's
+    pass runs to the end: its pivot rows are the skip that keeps d_1's pass,
+    the largest, small.
 
     Otherwise d_q is reduced exactly, and that one reduction gives cell q
     its rank and the kernel rows led outside the incoming image's pivots,
     and cell q + 1 its pivots.  The image lies in the kernel, so its
-    pivots are free columns of d_q: their columns are emptied before the
-    reduction, which changes no rank, pivot, kernel row read off or row
-    that lands, and the rows led at the other free columns, one per class,
-    are all that is read off.  The kernel rows come out of
-    `kernel_and_image` primitive and positive at their free column, so on
+    pivots are free columns of d_q: they are left out of the rows d_q lays
+    out for the reduction (`OperatorCell.rows`), which changes no rank,
+    pivot, kernel row read off or row that lands, and the rows led at the
+    other free columns, one per class, are all that is read off.  The
+    kernel rows come out primitive and positive at their free column, so on
     the full complex they are boxed into Fractions as they are.  On the
-    invariant subcomplex each of d_0..d_2 is built at its source vectors'
-    support only and restricted to the invariant sub-bases, d_3 is 0
-    there, and representatives are mapped back to ambient (q, d)
-    coordinates, where each one is normalised again before it is boxed.
+    invariant subcomplex (d_3 is 0 there) they are mapped back to ambient
+    (q, d) coordinates and normalised again before they are boxed.
     """
     if invariant:
         vectors = [invariant_basis(q, d)[1] for q in range(4)]
-        columns = [_restrict(differential_columns(pi, q, d, {j for v in vectors[q] for j in v}),
-                             vectors[q], vectors[q + 1]) for q in range(3)]
-        columns.append([{} for _ in vectors[3]])  # d_3 = 0
+        matrices = [OperatorCell(None, None, _restrict(
+            differential_columns(pi, q, d, {j for v in vectors[q] for j in v}),
+            vectors[q], vectors[q + 1]), 1) for q in range(3)]
+        matrices.append(OperatorCell(None, None, [{} for _ in vectors[3]], 1))  # d_3 = 0
     else:
-        columns = [differential_matrix(pi, q, d).columns for q in range(4)]
+        matrices = [differential_matrix(pi, q, d) for q in range(4)]
     cells = []
     rank_in, pivots = 0, set()  # d_{q-1}'s rank and image pivots, None until needed
     skip = set()  # columns of d_q that carry none of its image
-    for q, cols in enumerate(columns):
+    for q, matrix in enumerate(matrices):
+        size = len(matrix)
         spare = rank_in - len(skip) if q else None  # None: run to the end
-        independent, pass_pivots = linalg.independent_columns_mod_p(cols, skip, spare)
-        if len(cols) == len(independent) + rank_in:
+        independent, pass_pivots = linalg.independent_columns_mod_p(
+            matrix.columns_from_last(skip), spare)
+        if size == len(independent) + rank_in:
             # rank_p <= rank_Q and dim H >= 0: both ranks are exact, H = 0
-            cells.append(CohomologyCell(q, d, len(cols), len(independent), rank_in, []))
+            cells.append(CohomologyCell(q, d, size, len(independent), rank_in, []))
             rank_in, pivots, skip = len(independent), None, pass_pivots
-            image = [cols[j] for j in independent]
+            image = list(independent.values())
             continue
         if pivots is None:  # d_{q-1} was certified: `image` spans its image
             pivots = set(linalg.rref(image)[0])
-        rank, _, kernel, image_pivots = linalg.kernel_and_image(  # the pivots' columns are free
-            [{} if j in pivots else col for j, col in enumerate(cols)], pivots)
+        rank, _, kernel, image_pivots = linalg.kernel_and_image_of_rows(  # the pivots' columns
+            size, matrix.rows(pivots), pivots)  # are free, and left out
         if rank < len(independent):
             raise RuntimeError(
                 "cell (%d, %d): exact rank %d is below the rank %d mod p"
                 % (q, d, rank, len(independent)))
-        dim_h = len(cols) - rank - rank_in
+        dim_h = size - rank - rank_in
         if dim_h != len(kernel):  # one kernel row per class, each zero at the image's pivots
             raise RuntimeError(
                 "cell (%d, %d): dim H is %d but %d representatives were found"
@@ -180,7 +183,7 @@ def _degree_cells(pi, d, invariant):
         if invariant:  # back to ambient coordinates, where the canonical form is redone
             kernel = [linalg.integer_normalize(linalg.matvec(vectors[q], rep)) for rep in kernel]
         reps = [{i: Fraction(c) for i, c in rep.items()} for rep in kernel]
-        cells.append(CohomologyCell(q, d, len(cols), rank, rank_in, reps))
+        cells.append(CohomologyCell(q, d, size, rank, rank_in, reps))
         rank_in, pivots = rank, image_pivots
         skip = image_pivots if pass_pivots is None else pass_pivots
     return cells

@@ -9,10 +9,12 @@ operators; the cohomology module reduces them.
 
 Matrices and invariant sub-bases are read off closed forms (monomial order,
 basis positions, an integer stencil of the operator, invariant generators)
-with no bracket or elimination; a subspace that needs only some columns of
-a differential builds only those, in the same loop.  The tests hold the
-independent route the stencil is checked against, a Schouten bracket per
-column.
+with no bracket or elimination.  A matrix is built only as it is read
+(`OperatorCell`): a mod-p pass builds the columns it reads, an exact
+reduction gets its rows straight from the stencil, and a subspace that
+needs only some columns of a differential builds only those.  The tests
+hold the independent route the stencil is checked against, a Schouten
+bracket per column.
 """
 
 from math import comb, isqrt
@@ -121,22 +123,101 @@ class GradedBasis:
 class OperatorCell:
     """Matrix of a graded operator on one (q, d) cochain space.
 
-    The matrix is columns / den, with int columns.
+    The matrix is columns / den, with int columns.  A cell read off the
+    stencil of a linear operator builds only what is read, as its reader
+    reads it: all `columns` on the first read, `columns_from_last(skip)` one
+    at a time, or `rows(free)` with no column built.  A cell made with a
+    list of columns reads it the same ways; on other bases its source and
+    target are None.
     """
 
-    __slots__ = ("source", "target", "columns", "den")
+    __slots__ = ("source", "target", "den", "_columns", "_stencil")
 
-    def __init__(self, source, target, columns, den):
-        self.source = source
-        self.target = target
-        self.columns = columns
-        self.den = den
+    def __init__(self, source, target, columns, den, stencil=None):
+        self.source, self.target, self.den = source, target, den
+        self._columns = columns
+        self._stencil = stencil  # the entries of each source component, or None
+
+    def __len__(self):
+        return len(self.source) if self._columns is None else len(self._columns)
+
+    @property
+    def columns(self):
+        if self._columns is None:
+            self._columns = [col for _, col in self._built(1, ())]
+        return self._columns
+
+    def columns_from_last(self, skip=()):
+        """(j, column j) for each position j not in `skip`, last first, built as read."""
+        if self._stencil is None:
+            return ((j, self._columns[j]) for j in range(len(self) - 1, -1, -1) if j not in skip)
+        return self._built(-1, skip)
+
+    def rows(self, free=()):
+        """(index, rows): the nonzero rows of the columns not in `free`, column
+        j placed at n-1-j, by ascending row index, as `linalg.kernel_and_image`
+        lays out the columns with those in `free` emptied.  No column is built."""
+        last = len(self) - 1
+        rows = {}
+        if self._stencil is None:
+            for j, col in enumerate(self._columns):
+                if j not in free:
+                    for i, c in col.items():
+                        rows.setdefault(i, {})[last - j] = c
+        else:  # `_built`'s arithmetic, each entry written into its row
+            d, ncomp, j = self.source.d, NCOMP[self.target.q], -1
+            for s in range(d + 1):
+                mz = d - s
+                for mx in range(s + 1):
+                    my = s - mx
+                    for entries in self._stencil:
+                        j += 1
+                        if j in free:
+                            continue
+                        k = last - j
+                        for t, (sx, _, sz), (ax, ay, az, b) in entries:
+                            if c := ax * mx + ay * my + az * mz + b:
+                                r = s - sz
+                                i = (r * (r + 1) // 2 + mx + sx) * ncomp + t
+                                if (row := rows.get(i)) is None:
+                                    rows[i] = {k: c}
+                                else:
+                                    row[k] = c
+        index = sorted(rows)
+        return index, [rows[i] for i in index]
+
+    def _built(self, step, skip, keep=None):
+        """(j, column j) for each source position j not in `skip` (and in
+        `keep` if given), built as read: in basis order for step 1, last
+        first for step -1.  Position j = (T(s) + m_x) * binom(3, q) + idx
+        holds x^m xi_idx, with s = d - m_z and T(s) = s(s + 1)/2.  For each
+        stencil entry (t, shift, (a, b)) of idx its column holds a . m + b,
+        if not 0, at x^(m + shift) xi_t: row (T(s - shift_z) + m_x +
+        shift_x) * binom(3, out_q) + t, in the target basis, as the stencil
+        was checked to keep it when derived.
+        """
+        d, ncomp, stencil = self.source.d, NCOMP[self.target.q], self._stencil[::step]
+        j = -1 if step > 0 else len(self)
+        for s in range(d + 1)[::step]:
+            mz = d - s
+            for mx in range(s + 1)[::step]:
+                my = s - mx
+                for entries in stencil:
+                    j += step
+                    if j in skip or keep is not None and j not in keep:
+                        continue
+                    col = {}
+                    for t, (sx, _, sz), (ax, ay, az, b) in entries:
+                        if c := ax * mx + ay * my + az * mz + b:
+                            r = s - sz
+                            col[(r * (r + 1) // 2 + mx + sx) * ncomp + t] = c
+                    yield j, col
 
 
 def linear_operator_matrix(operator, q, d):
     """Matrix of V -> [operator, V] on the (q, d) basis, for a linear operator.
 
-    Read off `linear_stencil` by `_stencil_columns`.  Raises DegreeError
+    Read off `linear_stencil` as the cell is read.  Raises DegreeError
     unless the operator's coefficients are all homogeneous linear; the zero
     operator is.
     """
@@ -145,42 +226,8 @@ def linear_operator_matrix(operator, q, d):
     if not 0 <= out_q <= 3:
         raise ValueError("operator maps degree %d outside 0..3" % (q,))
     table, den = linear_stencil(operator, q)
-    return OperatorCell(source, GradedBasis(out_q, d),
-                        _stencil_columns(table, q, d, out_q, None), den)
-
-
-def _stencil_columns(table, q, d, out_q, support):
-    """The columns of a stencil's (q, d) matrix, at the source positions in
-    `support` only (all of them when it is None), in basis order.
-
-    The column of x^m xi_idx holds the int a . m + b (over the stencil's
-    den) at row x^(m + shift) xi_t for each stencil entry (t, shift,
-    (a, b)), skipped where that value is 0.  With s = d - m_z and
-    T(s) = s(s + 1)/2, that row is (T(s - shift_z) + m_x + shift_x) *
-    binom(3, out_q) + t, the position of x^(m + shift) xi_t in the target
-    basis; the stencil was checked, when it was derived, to keep every such
-    entry in that basis.
-    """
-    ncomp = NCOMP[out_q]
-    stencil = [table[idx] for idx in range(NCOMP[q])]
-    columns = []
-    position = -1
-    for s in range(d + 1):  # the source monomials in basis order: z^(d - s), then x^i
-        mz = d - s
-        for mx in range(s + 1):
-            my = s - mx
-            for entries in stencil:
-                position += 1
-                if support is not None and position not in support:
-                    continue
-                col = {}
-                for t, (sx, _, sz), (ax, ay, az, b) in entries:
-                    c = ax * mx + ay * my + az * mz + b
-                    if c:
-                        r = s - sz
-                        col[(r * (r + 1) // 2 + mx + sx) * ncomp + t] = c
-                columns.append(col)
-    return columns
+    return OperatorCell(source, GradedBasis(out_q, d), None, den,
+                        [table[idx] for idx in range(NCOMP[q])])
 
 
 def _check_bivector(pi):
@@ -191,29 +238,27 @@ def _check_bivector(pi):
 def differential_matrix(pi, q, d):
     """Matrix of the complex differential [pi, .] : (q, d) -> (q+1, d).
 
-    For q = 3 the target space is taken at degree 3 with zero columns, so
-    chaining q and q+1 stays uniform for the rank bookkeeping upstream.
+    For q = 3 the target space is taken at degree 3 and the stencil is
+    empty, so every column is zero and chaining q and q+1 stays uniform
+    for the rank bookkeeping upstream.
     """
     _check_bivector(pi)
     if q == 3:
         basis = GradedBasis(3, d)
-        return OperatorCell(basis, basis, [{} for _ in range(len(basis))], den=1)
+        return OperatorCell(basis, basis, None, 1, [[]])
     return linear_operator_matrix(pi, q, d)
 
 
 def differential_columns(pi, q, d, support):
     """The columns of `differential_matrix(pi, q, d)`, q <= 2, at the source
-    positions in the set `support` only, keyed by position.
-
-    No other column is built: a subcomplex whose vectors touch few
-    coordinates pays only for those.  Raises KeyError for a position
-    outside the (q, d) basis.
+    positions in the set `support` only, keyed by position; no other is
+    built.  Raises KeyError for a position outside the (q, d) basis.
     """
     _check_bivector(pi)
-    columns = _stencil_columns(linear_stencil(pi, q)[0], q, d, q + 1, support)
+    columns = dict(linear_operator_matrix(pi, q, d)._built(1, (), support))
     if len(columns) != len(support):
         raise KeyError(sorted(support))
-    return dict(zip(sorted(support), columns))
+    return columns
 
 
 def poisson_differential(pi, value):

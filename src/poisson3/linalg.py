@@ -6,33 +6,24 @@ no rank, kernel or span).  Every exact result comes from one canonical
 routine, fraction-free elimination whose rows are primitive, positive at
 their pivot and zero at the other pivots: a form as unique as the reduced
 row echelon form, so ranks, kernels, and cohomology representatives
-downstream are deterministic.  Because the form is unique, the elimination
-does only the work it must.  Most rows of a differential hold one entry: such
-a row at a new pivot is the pivot row {col: 1}, one at a pivot whose row is
-{col: 1} is dropped, and neither is copied, reduced or back-substituted;
-eliminating against a {col: 1} row is a delete.  Every other row is copied
-just before its first write, so the input rows are never written, and is
-made primitive once when it lands and once after its back-substitution,
-not at every step.  `kernel_and_image` gets the rank, the reduced kernel
-and the pivots of the image's echelon (the rows `rref` reports as
-`landed`) of a map from one such elimination, and reads off only the
-kernel vectors its caller asks for; solves are read off that same
-routine.  Only `solve_combination` returns Fractions.
+downstream are deterministic, and the elimination does only the work it
+must (`rref`).  `kernel_and_image_of_rows` gets the rank, the reduced
+kernel and the pivots of the image's echelon of a map laid out as rows
+from one such elimination, and reads off only the kernel vectors its
+caller asks for; solves are read off that same routine.  Only
+`solve_combination` returns Fractions.
 
 `independent_columns_mod_p` runs the same elimination in word-size
-arithmetic modulo `PRIME`, a constant rather than an option, on the columns
-of a map of a complex but those at the pivot rows of the previous map's
-pass, or at its image's exact pivots.  It reduces an entry mod p only where
-it is read, normalises a pivot the first time another vector is reduced
-against it, never writes the input vectors, and stops once more columns
-than its caller can spare are dependent.  Its rank mod p is a lower bound
-for the rank over Q (a minor that is nonzero mod p is a nonzero integer),
-so the columns it returns are independent over Q too: enough to certify a
-rank that cannot be larger.
+arithmetic modulo `PRIME`, a constant rather than an option, on the
+columns of a map of a complex as they are read, and stops once more of
+them than its caller can spare are dependent.  Its rank mod p is a lower
+bound for the rank over Q (a minor that is nonzero mod p is a nonzero
+integer), so the columns it keeps are independent over Q too: enough to
+certify a rank that cannot be larger.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 PRIME = 2**30 - 35  # below 2**30: each residue is one CPython digit, the fast path
 
@@ -159,8 +150,8 @@ def _rows(columns):
     """The nonzero rows of a matrix given by its columns, column j placed at n-1-j.
 
     Returns (index, rows): the row indices in ascending order and the rows
-    in that order, so that `rref` inserts row index[k] k-th.  This is the
-    only place where columns become rows.
+    in that order, so that `rref` inserts row index[k] k-th.  A cell built
+    off a stencil gives the same layout with no column (`OperatorCell.rows`).
     """
     last = len(columns) - 1
     rows = {}
@@ -176,8 +167,8 @@ def _rows(columns):
     return index, [rows[i] for i in index]
 
 
-def _echelon_mod_p(vectors, spare):
-    """{pivot: k} for the vectors k independent mod `PRIME` of those before them.
+def _echelon_mod_p(columns, spare):
+    """{pivot: (j, column)} for the pairs independent mod `PRIME` of those before.
 
     Each vector is reduced at its highest index first, where an entry that
     is 0 mod p is dropped, so a pivot vector is 0 above its pivot.  Only
@@ -193,8 +184,8 @@ def _echelon_mod_p(vectors, spare):
     table = {}  # pivot -> vector reduced mod p, 1 at the pivot
     stored = {}  # pivot -> vector as it landed, until first used
     found = {}
-    for k, vec in enumerate(vectors):
-        copied = False
+    for j, column in columns:
+        vec, copied = column, False
         while vec:
             col = max(vec)
             b = vec[col] % p
@@ -204,7 +195,7 @@ def _echelon_mod_p(vectors, spare):
                     pivot_vec = stored.pop(col, None)
                     if pivot_vec is None:
                         stored[col] = vec
-                        found[col] = k
+                        found[col] = j, column
                         break
                     inverse = pow(pivot_vec[col], -1, p)
                     table[col] = pivot_vec = {
@@ -228,59 +219,60 @@ def _echelon_mod_p(vectors, spare):
     return found, True
 
 
-def independent_columns_mod_p(columns, skip, spare=None):
-    """Columns outside `skip` independent modulo `PRIME`, and the rows they lead at.
+def independent_columns_mod_p(columns, spare=None):
+    """Columns independent modulo `PRIME` of those before, and the rows they lead at.
 
-    The columns j not in `skip` are reduced last first.  Returns (kept,
-    pivot_rows): the sorted indices of those independent mod p of the later
-    ones, and the set of rows at which their reduced vectors lead.  The
-    kept columns are independent over Q as well.  When `skip` is the
-    pivot_rows of a matrix A and this matrix times A is 0, A's reduced
-    vectors and the unit vectors e_j, j not in `skip`, form a triangular
-    basis on whose first part this matrix is 0: the columns outside `skip`
-    then carry its whole image, and their count is its full rank mod p.
-    The same holds when `skip` holds the rows at which A's image echelon
-    leads, over Q and so for all but unlucky primes.
+    `columns` yields (j, column) pairs, read no further than the pass goes:
+    `OperatorCell.columns_from_last(skip)`, say.  Returns (kept, pivot_rows):
+    {j: column} of the independent ones by ascending j, and the rows at
+    which their reduced vectors lead.  They are independent over Q too.  When
+    `skip` is the pivot_rows of a matrix A and this matrix times A is 0,
+    A's reduced vectors and the unit vectors e_j, j not in `skip`, form a
+    triangular basis on whose first part this matrix is 0: the columns
+    outside `skip` then carry its whole image, and their count is its full
+    rank mod p.  The same holds when `skip` holds the rows at which A's
+    image echelon leads, over Q and so for all but unlucky primes.
 
     With `spare` a count, the pass stops at the first dependent column
     past `spare`: kept holds the columns found before it, still
     independent over Q, and pivot_rows is None.
     """
-    order = [j for j in range(len(columns) - 1, -1, -1) if j not in skip]
-    found, whole = _echelon_mod_p([columns[j] for j in order],
-                                  len(order) if spare is None else spare)
-    return sorted(order[k] for k in found.values()), set(found) if whole else None
+    found, whole = _echelon_mod_p(columns, inf if spare is None else spare)
+    return dict(sorted(found.values())), set(found) if whole else None  # each j once
 
 
 def kernel_and_image(columns, skip=()):
+    """`kernel_and_image_of_rows` of a list of columns, laid out by `_rows`."""
+    return kernel_and_image_of_rows(len(columns), _rows(columns), skip)
+
+
+def kernel_and_image_of_rows(size, laid_out, skip=()):
     """Rank, reduced kernel and the image's pivots of a matrix from one `rref`.
 
-    This is where a kernel is read off an echelon.  The rows are reduced
-    with column j placed at n-1-j (`_rows`), so each echelon row
-    leads at its highest original column.  The kernel then comes out in the
-    echelon form of `rref`: one vector per free column j, led at j by the
-    lcm of the pivot entries of the rows that touch j, with the scaled and
-    negated row entries at the pivot columns, which all lie above j; a
-    {pivot: 1} row touches no free column and is passed over.  Only
-    the vectors led at free columns outside `skip` are read off, so a
-    caller that needs some of the kernel pays for no other vector.
+    This is where a kernel is read off an echelon.  `laid_out` is (index,
+    rows) for a matrix of `size` columns, column j placed at n-1-j (`_rows`,
+    `OperatorCell.rows`), so each echelon row leads at its highest original
+    column.  The kernel then comes out in the echelon form of `rref`: one
+    vector per free column j, led at j by the lcm of the pivot entries of
+    the rows that touch j, with the scaled and negated row entries at the
+    pivot columns, which all lie above j; a {pivot: 1} row touches no free
+    column.  Only the vectors led at free columns outside `skip` are read off.
 
     The rows go in by ascending row index, so those that land on a new
-    pivot, independent of the rows before them, are the pivots of the
-    image's echelon as `rref` of the image columns would give them.  A
-    free column is in the span of the columns after it, so emptying it
-    changes none of this: a caller may leave out columns it knows to be free.
+    pivot are the pivots of the image's echelon as `rref` of the image
+    columns would give them.  A free column is in the span of the columns
+    after it, so a caller may leave out columns it knows to be free.
 
     Returns (rank, kernel_pivots, kernel_echelon, image_pivots), the
     kernel restricted to the free columns outside `skip`, and the image's
     pivots as a set of row indices.
     """
-    last = len(columns) - 1
-    index, rows = _rows(columns)
+    last = size - 1
+    index, rows = laid_out
     landed = []
     pivots, echelon = rref(rows, landed)
     bound = {last - p for p in pivots}
-    entries = {j: [] for j in range(len(columns)) if j not in bound and j not in skip}
+    entries = {j: [] for j in range(size) if j not in bound and j not in skip}
     for pivot, row in zip(pivots, echelon):
         if len(row) == 1:  # {pivot: 1} touches no free column
             continue

@@ -12,7 +12,8 @@ from poisson3 import (
     differential_matrix, format_multivector, invariant_basis, rotation_field, schouten_bracket)
 from poisson3 import cohomology
 from poisson3.complexes import linear_operator_matrix
-from poisson3.linalg import integer_normalize, kernel_and_image, matvec, rref
+from poisson3.linalg import (
+    independent_columns_mod_p, integer_normalize, kernel_and_image, matvec, rref)
 
 
 def random_polynomial(rng, max_degree, terms=3):
@@ -87,6 +88,17 @@ def kernel_basis(columns):
     basis = [integer_normalize({last - j: c for j, c in vec.items()})
              for vec in reversed(kernel)]
     return rk, basis
+
+
+def mod_p_pass(columns, skip, spare=None):
+    """`independent_columns_mod_p` over a list of columns, those outside
+    `skip` read last first as a cell gives them: (kept positions in
+    ascending order, pivot_rows).  The kept vectors are the columns
+    themselves, not copies."""
+    pairs = OperatorCell(None, None, columns, 1).columns_from_last(skip)
+    kept, pivot_rows = independent_columns_mod_p(pairs, spare)
+    assert list(kept) == sorted(kept) and all(kept[j] is columns[j] for j in kept)
+    return list(kept), pivot_rows
 
 
 def rotation_matrix(q, d):

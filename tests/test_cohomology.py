@@ -7,7 +7,7 @@ import pytest
 
 from helpers import (
     conjugated_constants, exact_columns, full_build_invariant_table, invariant_multivectors,
-    kernel_basis, rank, reference_rref)
+    kernel_basis, mod_p_pass, rank, reference_rref)
 from poisson3 import (
     KINDS,
     Algebra,
@@ -117,13 +117,13 @@ def test_cell_rejects_out_of_range_cochain_degree(q):
 
 def test_inconsistent_cell_raises_runtime_error(monkeypatch):
     # the dim H / representative count check must survive python -O
-    kernel_and_image = cohomology_module.linalg.kernel_and_image
+    kernel_and_image_of_rows = cohomology_module.linalg.kernel_and_image_of_rows
 
-    def wrong_rank(columns, skip=()):
-        rank_out, *rest = kernel_and_image(columns, skip)
+    def wrong_rank(size, laid_out, skip=()):
+        rank_out, *rest = kernel_and_image_of_rows(size, laid_out, skip)
         return (rank_out + 1, *rest)
 
-    monkeypatch.setattr(cohomology_module.linalg, "kernel_and_image", wrong_rank)
+    monkeypatch.setattr(cohomology_module.linalg, "kernel_and_image_of_rows", wrong_rank)
     with pytest.raises(RuntimeError, match=r"cell \(0, 1\)"):
         cohomology_cell(linear_poisson("heisenberg"), 0, 1)
 
@@ -161,19 +161,19 @@ def test_each_exact_cell_makes_one_rref_call_plus_one_after_a_certified_cell(mon
     # each differential reduced exactly is one rref, which also gives the next
     # cell its image's pivots; only a cell fed by a certified acyclic cell runs
     # one more rref, on the certified columns, for those pivots
-    calls = _count_calls(monkeypatch, "rref", "kernel_and_image")
+    calls = _count_calls(monkeypatch, "rref", "kernel_and_image_of_rows")
     cohomology_table(linear_poisson("heisenberg"), 3)  # no acyclic cell
-    assert calls == {"rref": 16, "kernel_and_image": 16}
+    assert calls == {"rref": 16, "kernel_and_image_of_rows": 16}
     # the invariant table restricts the same differentials: no elimination of its own
-    calls.update(rref=0, kernel_and_image=0)
+    calls.update(rref=0, kernel_and_image_of_rows=0)
     cohomology_table(linear_poisson("euclidean"), 3, invariant=True)
     assert calls["rref"] == 16
     # exact work only in q = 0, 3 of d = 0, 2, the Casimir classes; H^3 is fed
     # by a certified cell, so its image pivots cost one rref each
     for kind in ("sl2", "so3"):
-        calls.update(rref=0, kernel_and_image=0)
+        calls.update(rref=0, kernel_and_image_of_rows=0)
         cohomology_table(linear_poisson(kind), 3)
-        assert calls == {"rref": 6, "kernel_and_image": 4}
+        assert calls == {"rref": 6, "kernel_and_image_of_rows": 4}
 
 
 def test_each_stored_row_is_made_primitive_once(monkeypatch):
@@ -199,16 +199,55 @@ def test_one_entry_rows_take_no_elimination_step(monkeypatch):
         assert (calls["_eliminate"], calls["_primitive"]) == expected
 
 
+def _count_cell_reads(monkeypatch):
+    """Patch `OperatorCell` to count the columns it builds and the row
+    layouts it gives; returns the counts."""
+    counts = {"columns": 0, "rows": 0}
+    cell = complexes_module.OperatorCell
+    built, rows = cell._built, cell.rows
+
+    def building(self, *args):
+        for pair in built(self, *args):
+            counts["columns"] += 1
+            yield pair
+
+    def laying_out(self, free=()):
+        counts["rows"] += 1
+        return rows(self, free)
+
+    monkeypatch.setattr(cell, "_built", building)
+    monkeypatch.setattr(cell, "rows", laying_out)
+    return counts
+
+
 def test_rows_are_laid_out_only_for_exact_reductions(monkeypatch):
     # the mod-p pass reduces the columns of every differential; only an exact
-    # reduction lays out rows
-    calls = _count_calls(monkeypatch, "_rows", "kernel_and_image")
+    # reduction lays out rows, read straight off the stencil: no column list
+    # is turned into rows
+    calls = _count_calls(monkeypatch, "_rows", "kernel_and_image_of_rows")
+    reads = _count_cell_reads(monkeypatch)
     listed = []
     monkeypatch.setattr(complexes_module, "monomials",
                         lambda d: listed.append(d) or monomials(d))
     cohomology_table(linear_poisson("sl2"), 8)
-    assert calls == {"_rows": 10, "kernel_and_image": 10}
+    assert (reads["rows"], calls["kernel_and_image_of_rows"]) == (10, 10)
+    assert calls["_rows"] == 0
     assert listed == []  # no basis element list is built
+
+
+def test_differentials_are_built_only_as_far_as_they_are_read(monkeypatch):
+    # the mod-p passes build the columns they read, no further, and an exact
+    # reduction lays out its rows straight from the stencil: 11,242 columns
+    # for these tables, d_3's empty ones included, where building every
+    # column of every differential built 14,168, 14,168 and 7,752 (36,088);
+    # the row layouts are one per exact reduction, as before
+    reads = _count_cell_reads(monkeypatch)
+    for pi, dmax, expected in ((linear_poisson("heisenberg"), 20, (1864, 84)),
+                               (linear_poisson(Algebra("book", Fraction(-2, 3))), 20, (5484, 18)),
+                               (linear_poisson("sl2"), 16, (3894, 18))):
+        reads.update(columns=0, rows=0)
+        cohomology_table(pi, dmax)
+        assert (reads["columns"], reads["rows"]) == expected
 
 
 def test_a_table_derives_each_stencil_once():
@@ -240,24 +279,43 @@ def test_a_small_prime_only_sends_cells_down_the_exact_path(monkeypatch, prime,
     # those can hold less than the whole rank (an image vector's leading
     # entry may be a multiple of p), so a few more cells go exact than the
     # 266, 254 and 228 of passes that all run to the end, none at PRIME
-    calls = _count_calls(monkeypatch, "kernel_and_image")
+    calls = _count_calls(monkeypatch, "kernel_and_image_of_rows")
     pis = [linear_poisson(algebra) for algebra in REGISTRY_ALGEBRAS]
     expected = _table_fields(cohomology_table(pi, 8) for pi in pis)
-    assert calls["kernel_and_image"] == 173
+    assert calls["kernel_and_image_of_rows"] == 173
     monkeypatch.setattr(linalg, "PRIME", prime)
-    calls["kernel_and_image"] = 0
+    calls["kernel_and_image_of_rows"] = 0
     assert _table_fields(cohomology_table(pi, 8) for pi in pis) == expected
-    assert calls["kernel_and_image"] == exact_reductions
+    assert calls["kernel_and_image_of_rows"] == exact_reductions
+
+
+def _recorded_reads(monkeypatch):
+    """Record each `OperatorCell.columns_from_last` read: {reader: (cell, skip)}."""
+    reads = {}
+    read = complexes_module.OperatorCell.columns_from_last
+
+    def recording(cell, skip=()):
+        reader = read(cell, skip)
+        reads[reader] = cell, skip
+        return reader
+
+    monkeypatch.setattr(complexes_module.OperatorCell, "columns_from_last", recording)
+    return reads
 
 
 def _recorded_passes(monkeypatch):
-    """Record each mod-p pass as (columns, skip, spare, kept, pivot_rows)."""
+    """Record each mod-p pass as (columns, skip, spare, kept, pivot_rows):
+    the whole matrix whose columns outside skip it read, and what it kept,
+    as ascending positions."""
     passes = []
+    reads = _recorded_reads(monkeypatch)
     restricted = linalg.independent_columns_mod_p
 
-    def recording(columns, skip, spare=None):
-        kept, pivot_rows = restricted(columns, skip, spare)
-        passes.append((columns, skip, spare, kept, pivot_rows))
+    def recording(columns, spare=None):
+        kept, pivot_rows = restricted(columns, spare)
+        cell, skip = reads.pop(columns)
+        assert all(col == cell.columns[j] for j, col in kept.items())
+        passes.append((cell.columns, skip, spare, list(kept), pivot_rows))
         return kept, pivot_rows
 
     monkeypatch.setattr(linalg, "independent_columns_mod_p", recording)
@@ -271,7 +329,7 @@ def test_the_mod_p_pass_skips_the_pivot_rows_of_the_incoming_differential(monkey
     # the rank mod p of the whole matrix, and so does every pass that skips
     # pivot rows of a pass; a later pass stops at the first dependent column
     # past rank_in - |skip|, where its whole run could not certify the cell
-    restricted = linalg.independent_columns_mod_p
+    restricted = mod_p_pass
     passes = _recorded_passes(monkeypatch)
     skipped = stopped = after_stop = 0
     word_prime = linalg.PRIME
@@ -321,13 +379,16 @@ def test_exact_rank_below_the_modular_rank_raises(monkeypatch):
     # a rank mod p can never exceed the rank over Q; the guard must survive
     # python -O, and holds the columns a stopped pass kept to it
     independent_columns_mod_p = linalg.independent_columns_mod_p
+    reads = _recorded_reads(monkeypatch)
 
-    def over_reporting(columns, skip, spare=None):
-        kept, pivot_rows = independent_columns_mod_p(columns, skip, spare)
+    def over_reporting(pairs, spare=None):
+        kept, pivot_rows = independent_columns_mod_p(pairs, spare)
+        cell, skip = reads.pop(pairs)
+        columns = cell.columns
         if len(columns) == 9:  # d_1 at degree 1, a cell with dim H = 4
-            assert (kept, pivot_rows) == ([8], None)  # stopped at its first dependent column
+            assert (list(kept), pivot_rows) == ([8], None)  # stopped at its first dependent column
             others = [j for j in range(len(columns)) if j not in skip and j not in kept]
-            kept = sorted(kept + others[:3])
+            kept = {j: columns[j] for j in sorted([*kept, *others[:3]])}
         return kept, pivot_rows
 
     monkeypatch.setattr(linalg, "independent_columns_mod_p", over_reporting)
@@ -339,25 +400,25 @@ def test_exact_rank_below_the_modular_rank_raises(monkeypatch):
 def _exact_reductions(monkeypatch, pi, dmax):
     """The exact reductions of `cohomology_table(pi, dmax)`.
 
-    Each is (q, d, whole, columns, skip, result, nnz): d_q as built, the
-    columns and skip handed to `kernel_and_image`, what it returned and the
-    nonzeros it sent into `rref`.  The columns outside skip are d_q's own
-    column objects, which finds d_q.
+    Each is (q, d, whole, columns, skip, result, nnz): all columns of d_q,
+    the columns of the rows that d_q laid out and handed to
+    `kernel_and_image_of_rows` with skip, what it returned and the nonzeros
+    it sent into `rref`.
     """
-    built, calls = [], []
-    build, kernel_and_image, rref = (
-        cohomology_module.differential_matrix, linalg.kernel_and_image, linalg.rref)
+    laid_out, calls = [], []
+    lay_out, kernel_and_image_of_rows, rref = (
+        complexes_module.OperatorCell.rows, linalg.kernel_and_image_of_rows, linalg.rref)
     inside = []
 
-    def building(pi, q, d):
-        cell = build(pi, q, d)
-        built.append((q, d, cell.columns))
-        return cell
+    def laying_out(cell, free=()):
+        index, rows = lay_out(cell, free)
+        laid_out.append((cell, rows))
+        return index, rows
 
-    def reducing(columns, skip=()):
+    def reducing(size, laid, skip=()):
         inside.append(0)
-        result = kernel_and_image(columns, skip)
-        calls.append((columns, skip, result, inside.pop()))
+        result = kernel_and_image_of_rows(size, laid, skip)
+        calls.append((laid, skip, result, inside.pop()))
         return result
 
     def counting(rows, landed=None):
@@ -366,16 +427,19 @@ def _exact_reductions(monkeypatch, pi, dmax):
         return rref(rows, landed)
 
     with monkeypatch.context() as patch:
-        patch.setattr(cohomology_module, "differential_matrix", building)
-        patch.setattr(linalg, "kernel_and_image", reducing)
+        patch.setattr(complexes_module.OperatorCell, "rows", laying_out)
+        patch.setattr(linalg, "kernel_and_image_of_rows", reducing)
         patch.setattr(linalg, "rref", counting)
         cohomology_table(pi, dmax)
     reductions = []
-    for columns, skip, result, nnz in calls:
-        (q, d, whole), = [(q, d, whole) for q, d, whole in built if len(whole) == len(columns)
-                          and all(columns[j] is whole[j] for j in range(len(whole))
-                                  if j not in skip)]
-        reductions.append((q, d, whole, columns, skip, result, nnz))
+    for (index, rows), skip, result, nnz in calls:
+        (cell,) = [cell for cell, laid in laid_out if laid is rows]
+        whole = cell.columns
+        columns = [{} for _ in whole]  # the rows read back as columns
+        for i, row in zip(index, rows):
+            for k, c in row.items():
+                columns[len(whole) - 1 - k][i] = c
+        reductions.append((cell.source.q, cell.source.d, whole, columns, skip, result, nnz))
     return reductions
 
 
@@ -448,16 +512,18 @@ def test_no_pass_after_d_0_reads_past_its_first_dependent_column(monkeypatch):
     echelon = linalg._echelon_mod_p
     reads = []
 
-    def counting(vectors, spare):
+    def counting(columns, spare):
         read = []
-        found, whole = echelon((read.append(vec) or vec for vec in vectors), spare)
-        reads.append((len(vectors), len(read), len(found), whole))
+        found, whole = echelon((read.append(pair) or pair for pair in columns), spare)
+        reads.append((len(read), len(found), whole))
         return found, whole
 
     monkeypatch.setattr(linalg, "_echelon_mod_p", counting)
     passes = _recorded_passes(monkeypatch)
     cohomology_table(linear_poisson("heisenberg"), 12)
     assert len(reads) == len(passes) == 52
+    reads = [(len(columns) - len(skip), *read)
+             for read, (columns, skip, *_) in zip(reads, passes)]  # skip holds positions
     for n, ((size, read, found, whole), (*_, spare, _, _)) in enumerate(zip(reads, passes)):
         if n % 4:
             assert spare == 0
@@ -486,25 +552,25 @@ def test_single_cells_are_the_cells_of_the_table(algebra):
 def test_a_single_cell_reduces_its_whole_degree_as_the_table_does(monkeypatch, algebra):
     # every cell of degree d, on its own, makes the four mod-p passes and the
     # exact reductions that the table makes at d; d_0's pass runs to the end
-    calls = _count_calls(monkeypatch, "kernel_and_image")
+    calls = _count_calls(monkeypatch, "kernel_and_image_of_rows")
     passes = _recorded_passes(monkeypatch)
     pi = linear_poisson(algebra)
     d = 5
     for invariant in (False, True)[:1 + schouten_bracket(rotation_field(), pi).is_zero()]:
         single = invariant_cohomology if invariant else cohomology_cell
-        calls["kernel_and_image"] = 0
+        calls["kernel_and_image_of_rows"] = 0
         cohomology_table(pi, d - 1, invariant)
-        below = calls["kernel_and_image"]  # the reductions of degrees 0..d - 1
-        calls["kernel_and_image"] = 0
+        below = calls["kernel_and_image_of_rows"]  # the reductions of degrees 0..d - 1
+        calls["kernel_and_image_of_rows"] = 0
         del passes[:]
         cohomology_table(pi, d, invariant)
         assert len(passes) == 4 * (d + 1) and passes[-4][2] is None
-        expected = (passes[-4:], calls["kernel_and_image"] - below)
+        expected = (passes[-4:], calls["kernel_and_image_of_rows"] - below)
         for q in range(4):
             del passes[:]
-            calls["kernel_and_image"] = 0
+            calls["kernel_and_image_of_rows"] = 0
             single(pi, q, d)
-            assert (passes, calls["kernel_and_image"]) == expected
+            assert (passes, calls["kernel_and_image_of_rows"]) == expected
 
 
 def _invariant_coordinates(vectors, vec):

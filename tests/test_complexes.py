@@ -17,6 +17,7 @@ from poisson3 import (
     GradedBasis,
     KINDS,
     MultiVector,
+    OperatorCell,
     Polynomial,
     closed_form_differential,
     cohomology_table,
@@ -31,7 +32,7 @@ from poisson3 import (
     schouten_bracket,
     structure_constants,
 )
-from poisson3 import complexes, multivector
+from poisson3 import complexes, linalg, multivector
 from poisson3.complexes import linear_operator_matrix
 from poisson3.multivector import NCOMP, linear_stencil, monomial_key
 from poisson3.linalg import matvec
@@ -282,6 +283,41 @@ def test_a_stencil_that_fails_its_check_is_checked_again(monkeypatch, cleared_st
     assert checked == [1, 1, 1]
 
 
+def _layout_algebras(rng):
+    """Every registry kind, with book and spiral at fixed and seeded tau."""
+    taus = {"book": [Fraction(-2, 3), Fraction(1, 3), Fraction(-1),
+                     Fraction(rng.randint(1, 9), rng.randint(9, 15)) * rng.choice((1, -1))],
+            "spiral": [Fraction(1), Fraction(5, 2),
+                       Fraction(rng.randint(1, 30), rng.randint(1, 12))]}
+    return [Algebra(kind, tau) for kind in KINDS for tau in taus.get(kind, [None])]
+
+
+@pytest.mark.parametrize("seed", [5, 17])
+def test_each_layout_of_a_cell_reads_the_same_matrix(seed):
+    # a cell read as rows with some columns left out is the row layout of
+    # its columns with those emptied, and its columns read last first, one
+    # at a time, are its columns in that order; so is a cell that holds a
+    # list of columns
+    rng = random.Random(seed)
+    for algebra in _layout_algebras(rng):
+        pi = linear_poisson(algebra)
+        for q in range(4):
+            for d in range(9):
+                whole = differential_matrix(pi, q, d).columns
+                n = len(whole)
+                for cell in (differential_matrix(pi, q, d), OperatorCell(None, None, whole, 1)):
+                    free = set(rng.sample(range(n), rng.randint(0, n)))
+                    skip = set(rng.sample(range(n), rng.randint(0, n)))
+                    assert cell.rows(free) == linalg._rows(
+                        [{} if j in free else col for j, col in enumerate(whole)])
+                    reader = cell.columns_from_last(skip)
+                    read = [j for j in range(n - 1, -1, -1) if j not in skip]
+                    first = read[:rng.randint(0, len(read))]  # a pass that stops early
+                    assert [next(reader) for _ in first] == [(j, whole[j]) for j in first]
+                    assert list(reader) == [(j, whole[j]) for j in read[len(first):]]
+                    assert cell.columns == whole and len(cell) == n
+
+
 def test_differentials_leave_the_basis_elements_unbuilt(monkeypatch):
     # a differential is sized and filled by closed forms: no build enumerates
     # the basis elements, which come from `monomials`
@@ -291,6 +327,8 @@ def test_differentials_leave_the_basis_elements_unbuilt(monkeypatch):
     cells = [differential_matrix(pi, q, d) for q in range(4) for d in range(9)]
     cells += [linear_operator_matrix(rotation_field(), q, 5) for q in range(4)]
     columns = [complexes.differential_columns(pi, q, 5, {0, 7}) for q in range(3)]
+    for cell in cells:  # a cell builds only as it is read: read it all three ways
+        cell.rows(), list(cell.columns_from_last()), cell.columns
     assert listed == []
     for cell in cells:
         assert len(cell.columns) == len(cell.source)

@@ -5,11 +5,11 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from helpers import compose, integer_matrix, integer_rows, kernel_basis, rank, reference_rref
+from helpers import (
+    compose, integer_matrix, integer_rows, kernel_basis, mod_p_pass, rank, reference_rref)
 
 from poisson3 import linalg
 from poisson3.linalg import (
-    independent_columns_mod_p,
     integer_normalize,
     kernel_and_image,
     matvec,
@@ -410,7 +410,7 @@ def test_columns_independent_mod_p_have_the_exact_rank():
             columns.append({i: sign * c for i, c in rng.choice(columns).items()})
         columns = integer_matrix(columns)
         snapshot = copy.deepcopy(columns)
-        independent, pivot_rows = independent_columns_mod_p(columns, set())
+        independent, pivot_rows = mod_p_pass(columns, set())
         assert columns == snapshot
         # entries shifted by multiples of p, and new entries of +-p where there
         # were none, are the same matrix mod p
@@ -420,14 +420,14 @@ def test_columns_independent_mod_p_have_the_exact_rank():
             for i in range(nrows):
                 if i not in col and shift_rng.random() < 0.3:
                     col[i] = shift_rng.choice((1, -1)) * linalg.PRIME
-        assert independent_columns_mod_p(shifted, set()) == (independent, pivot_rows)
+        assert mod_p_pass(shifted, set()) == (independent, pivot_rows)
         assert len(independent) == kernel_and_image(columns)[0]
         # with any skip, the columns outside it are reduced as if the others
         # were not there: column j is kept exactly when it is independent of
         # the later columns outside the skip
         skip = {j for j in range(len(columns)) if skip_rng.random() < 0.4}
         for skip in (set(), skip):
-            kept, pivot_rows = independent_columns_mod_p(columns, skip)
+            kept, pivot_rows = mod_p_pass(columns, skip)
             assert columns == snapshot
             outside = [j for j in range(len(columns)) if j not in skip]
             rest = [columns[j] for j in outside]
@@ -440,7 +440,7 @@ def test_columns_independent_mod_p_have_the_exact_rank():
             # it and keeps only the columns found before that one
             dependent = [j for j in reversed(outside) if j not in kept]
             for spare in range(len(dependent) + 2):
-                stopped = independent_columns_mod_p(columns, skip, spare)
+                stopped = mod_p_pass(columns, skip, spare)
                 assert columns == snapshot
                 if spare < len(dependent):
                     assert stopped == ([j for j in kept if j > dependent[spare]], None)
@@ -468,18 +468,18 @@ def test_skipping_the_pivot_rows_of_the_incoming_map_keeps_the_rank():
         outer = [{r: row[i] for r, row in enumerate(outer_rows) if row.get(i)}
                  for i in range(nrows)]
         assert not any(compose(outer, inner))
-        kept_inner, skip = independent_columns_mod_p(inner, set())
+        kept_inner, skip = mod_p_pass(inner, set())
         assert len(skip) == len(kept_inner) == rank(inner)
-        kept, _ = independent_columns_mod_p(outer, skip)
+        kept, _ = mod_p_pass(outer, skip)
         assert not skip & set(kept)
-        assert len(kept) == len(independent_columns_mod_p(outer, set())[0]) == rank(outer)
+        assert len(kept) == len(mod_p_pass(outer, set())[0]) == rank(outer)
         assert rank([outer[j] for j in kept]) == len(kept)
         dropped += sum(map(bool, (outer[j] for j in skip)))
         # so do the columns outside the rows at which inner's image echelon
         # leads, over Q and so for all but unlucky primes
         image_pivots = set(rref(inner)[0])
         assert len(image_pivots) == rank(inner)
-        kept, _ = independent_columns_mod_p(outer, image_pivots)
+        kept, _ = mod_p_pass(outer, image_pivots)
         assert not image_pivots & set(kept)
         assert len(kept) == rank([outer[j] for j in range(nrows) if j not in image_pivots])
         assert len(kept) == rank(outer)
@@ -490,23 +490,23 @@ def test_skipping_the_pivot_rows_of_the_incoming_map_keeps_the_rank():
 def test_rank_drop_mod_the_prime_returns_fewer_columns(monkeypatch):
     # det [[1, 1], [1, 4]] = 3: rank 2 over Q, rank 1 mod 3
     columns = _columns_from_rows([[1, 1, 0], [1, 4, 0], [0, 0, 7]])
-    assert independent_columns_mod_p(columns, set()) == ([0, 1, 2], {0, 1, 2})
+    assert mod_p_pass(columns, set()) == ([0, 1, 2], {0, 1, 2})
     monkeypatch.setattr(linalg, "PRIME", 3)
-    independent, pivot_rows = independent_columns_mod_p(columns, set())
+    independent, pivot_rows = mod_p_pass(columns, set())
     assert len(independent) == len(pivot_rows) == 2 < kernel_and_image(columns)[0]
     assert rank([columns[j] for j in independent]) == 2
     # column 0 is dependent mod 3: a pass with no spare column stops there
-    assert independent_columns_mod_p(columns, set(), 0) == (independent, None)
-    assert independent_columns_mod_p(columns, set(), 1) == (independent, pivot_rows)
+    assert mod_p_pass(columns, set(), 0) == (independent, None)
+    assert mod_p_pass(columns, set(), 1) == (independent, pivot_rows)
     monkeypatch.setattr(linalg, "PRIME", 7)
-    assert independent_columns_mod_p(columns, set()) == ([0, 1], {0, 1})
+    assert mod_p_pass(columns, set()) == ([0, 1], {0, 1})
     # more columns than rows: every 2x2 minor is a multiple of 3
     wide = _columns_from_rows([[1, 1, 2, 3], [1, 4, 2, 0]])
-    assert independent_columns_mod_p(wide, set()) == ([2, 3], {0, 1})
+    assert mod_p_pass(wide, set()) == ([2, 3], {0, 1})
     monkeypatch.setattr(linalg, "PRIME", 3)
-    assert independent_columns_mod_p(wide, set()) == ([2], {1})
+    assert mod_p_pass(wide, set()) == ([2], {1})
     # columns 3, 1 and 0 are dependent mod 3, in that order
-    assert [independent_columns_mod_p(wide, set(), spare) for spare in range(4)] == [
+    assert [mod_p_pass(wide, set(), spare) for spare in range(4)] == [
         ([], None), ([2], None), ([2], None), ([2], {1})]
     assert kernel_and_image(wide)[0] == 2
     assert rank([wide[2]]) == 1

@@ -3,13 +3,14 @@
 Each (q, d) cell is closed under the differential of a linear bivector, so
 its cohomology is kernel-modulo-image of two finite exact matrices.  One
 loop reduces a whole coefficient degree d from its differentials, each an
-`OperatorCell` built only as far as it is read and reduced at most once
-(`linalg.kernel_and_image_of_rows`): one elimination gives a
-differential's rank, its kernel in reduced echelon form, and the pivots of
-its image's echelon, all the next cell needs of its image.  A single cell
-is read off the four cells of its degree, as a table builds them.  The
-rotation-invariant subcomplex goes through the same loop, each of
-d_0..d_2 built only at the columns its invariant vectors touch and
+`OperatorCell` from `differential_matrix`, built only as far as it is read
+and reduced at most once (`linalg.kernel_and_image_of_rows`): one
+elimination gives a differential's rank, its kernel in reduced echelon
+form, and the pivots of its image's echelon, all the next cell needs of
+its image.  A single cell is read off the four cells of its degree, as a
+table builds them.  The rotation-invariant subcomplex goes through the
+same loop on the same differentials, each of d_0..d_2 read only at the
+columns its invariant vectors touch (`OperatorCell.columns_at`) and
 restricted to the invariant sub-bases.  A bivector with [pi, pi] != 0
 has no complex, as d o d != 0, and is rejected.
 
@@ -38,13 +39,12 @@ Two runs over the same input produce byte-identical output.
 """
 
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor, inf, lcm
 
 from . import linalg
 from .complexes import (
     GradedBasis,
     OperatorCell,
-    differential_columns,
     differential_matrix,
     invariant_basis,
     linear_operator_matrix,
@@ -148,7 +148,7 @@ def _degree_cells(pi, d, invariant):
     if invariant:
         vectors = [invariant_basis(q, d)[1] for q in range(4)]
         matrices = [OperatorCell(None, None, _restrict(
-            differential_columns(pi, q, d, {j for v in vectors[q] for j in v}),
+            differential_matrix(pi, q, d).columns_at({j for v in vectors[q] for j in v}),
             vectors[q], vectors[q + 1]), 1) for q in range(3)]
         matrices.append(OperatorCell(None, None, [{} for _ in vectors[3]], 1))  # d_3 = 0
     else:
@@ -158,7 +158,7 @@ def _degree_cells(pi, d, invariant):
     skip = set()  # columns of d_q that carry none of its image
     for q, matrix in enumerate(matrices):
         size = len(matrix)
-        spare = rank_in - len(skip) if q else None  # None: run to the end
+        spare = rank_in - len(skip) if q else inf  # inf: run to the end
         independent, pass_pivots = linalg.independent_columns_mod_p(
             matrix.columns_from_last(skip), spare)
         if size == len(independent) + rank_in:

@@ -9,16 +9,18 @@ operators; the cohomology module reduces them.
 
 Matrices and invariant sub-bases are read off closed forms (monomial order,
 basis positions, an integer stencil of the operator, invariant generators)
-with no bracket or elimination.  A matrix is built only as it is read
-(`OperatorCell`): a mod-p pass builds the columns it reads, an exact
-reduction gets its rows straight from the stencil, and a subspace that
-needs only some columns of a differential builds only those.  The tests
-hold the independent route the stencil is checked against, a Schouten
-bracket per column.
+with no bracket or elimination.  `differential_matrix` is the one source of
+a differential, for the full complex and its invariant subcomplex alike,
+and builds only as it is read (`OperatorCell`): a mod-p pass builds the
+columns it reads, an exact reduction gets its rows straight from the
+stencil, and the invariant subcomplex builds only the columns its vectors
+touch (`columns_at`).  The tests hold the independent route the stencil is
+checked against, a Schouten bracket per column.
 """
 
 from math import comb, isqrt
 
+from . import linalg
 from .multivector import (
     DegreeError,
     MultiVector,
@@ -126,9 +128,9 @@ class OperatorCell:
     The matrix is columns / den, with int columns.  A cell read off the
     stencil of a linear operator builds only what is read, as its reader
     reads it: all `columns` on the first read, `columns_from_last(skip)` one
-    at a time, or `rows(free)` with no column built.  A cell made with a
-    list of columns reads it the same ways; on other bases its source and
-    target are None.
+    at a time, `columns_at(positions)` at those only, or `rows(free)` with
+    no column built.  A cell made with a list of columns reads it the same
+    ways but `columns_at`; on other bases its source and target are None.
     """
 
     __slots__ = ("source", "target", "den", "_columns", "_stencil")
@@ -144,66 +146,70 @@ class OperatorCell:
     @property
     def columns(self):
         if self._columns is None:
-            self._columns = [col for _, col in self._built(1, ())]
+            self._columns = [col for _, col in self._built(())][::-1]
         return self._columns
 
     def columns_from_last(self, skip=()):
         """(j, column j) for each position j not in `skip`, last first, built as read."""
         if self._stencil is None:
             return ((j, self._columns[j]) for j in range(len(self) - 1, -1, -1) if j not in skip)
-        return self._built(-1, skip)
+        return self._built(skip)
+
+    def columns_at(self, positions):
+        """{j: column j} for the positions in the set `positions`, by ascending
+        j; no other column is built.  Raises KeyError for a position outside
+        the source basis."""
+        columns = dict([*self._built((), positions)][::-1])
+        if len(columns) != len(positions):
+            raise KeyError(sorted(set(positions) - columns.keys()))
+        return columns
 
     def rows(self, free=()):
-        """(index, rows): the nonzero rows of the columns not in `free`, column
-        j placed at n-1-j, by ascending row index, as `linalg.kernel_and_image`
-        lays out the columns with those in `free` emptied.  No column is built."""
+        """`linalg.lay_out` of the columns with those in `free` left out; a
+        cell read off a stencil writes it with no column built."""
+        if self._stencil is None:
+            return linalg.lay_out(self._columns, free)
         last = len(self) - 1
         rows = {}
-        if self._stencil is None:
-            for j, col in enumerate(self._columns):
-                if j not in free:
-                    for i, c in col.items():
-                        rows.setdefault(i, {})[last - j] = c
-        else:  # `_built`'s arithmetic, each entry written into its row
-            d, ncomp, j = self.source.d, NCOMP[self.target.q], -1
-            for s in range(d + 1):
-                mz = d - s
-                for mx in range(s + 1):
-                    my = s - mx
-                    for entries in self._stencil:
-                        j += 1
-                        if j in free:
-                            continue
-                        k = last - j
-                        for t, (sx, _, sz), (ax, ay, az, b) in entries:
-                            if c := ax * mx + ay * my + az * mz + b:
-                                r = s - sz
-                                i = (r * (r + 1) // 2 + mx + sx) * ncomp + t
-                                if (row := rows.get(i)) is None:
-                                    rows[i] = {k: c}
-                                else:
-                                    row[k] = c
+        # `_built`'s arithmetic in basis order, each entry written into its row
+        d, ncomp, j = self.source.d, NCOMP[self.target.q], -1
+        for s in range(d + 1):
+            mz = d - s
+            for mx in range(s + 1):
+                my = s - mx
+                for entries in self._stencil:
+                    j += 1
+                    if j in free:
+                        continue
+                    k = last - j
+                    for t, (sx, _, sz), (ax, ay, az, b) in entries:
+                        if c := ax * mx + ay * my + az * mz + b:
+                            r = s - sz
+                            i = (r * (r + 1) // 2 + mx + sx) * ncomp + t
+                            if (row := rows.get(i)) is None:
+                                rows[i] = {k: c}
+                            else:
+                                row[k] = c
         index = sorted(rows)
         return index, [rows[i] for i in index]
 
-    def _built(self, step, skip, keep=None):
+    def _built(self, skip, keep=None):
         """(j, column j) for each source position j not in `skip` (and in
-        `keep` if given), built as read: in basis order for step 1, last
-        first for step -1.  Position j = (T(s) + m_x) * binom(3, q) + idx
-        holds x^m xi_idx, with s = d - m_z and T(s) = s(s + 1)/2.  For each
-        stencil entry (t, shift, (a, b)) of idx its column holds a . m + b,
-        if not 0, at x^(m + shift) xi_t: row (T(s - shift_z) + m_x +
-        shift_x) * binom(3, out_q) + t, in the target basis, as the stencil
-        was checked to keep it when derived.
+        `keep` if given), last first, built as read.  Position j = (T(s) +
+        m_x) * binom(3, q) + idx holds x^m xi_idx, with s = d - m_z and T(s)
+        = s(s + 1)/2.  For each stencil entry (t, shift, (a, b)) of idx its
+        column holds a . m + b, if not 0, at x^(m + shift) xi_t: row
+        (T(s - shift_z) + m_x + shift_x) * binom(3, out_q) + t, in the target
+        basis, as the stencil was checked to keep it when derived.
         """
-        d, ncomp, stencil = self.source.d, NCOMP[self.target.q], self._stencil[::step]
-        j = -1 if step > 0 else len(self)
-        for s in range(d + 1)[::step]:
+        d, ncomp, stencil = self.source.d, NCOMP[self.target.q], self._stencil[::-1]
+        j = len(self)
+        for s in range(d, -1, -1):
             mz = d - s
-            for mx in range(s + 1)[::step]:
+            for mx in range(s, -1, -1):
                 my = s - mx
                 for entries in stencil:
-                    j += step
+                    j -= 1
                     if j in skip or keep is not None and j not in keep:
                         continue
                     col = {}
@@ -247,18 +253,6 @@ def differential_matrix(pi, q, d):
         basis = GradedBasis(3, d)
         return OperatorCell(basis, basis, None, 1, [[]])
     return linear_operator_matrix(pi, q, d)
-
-
-def differential_columns(pi, q, d, support):
-    """The columns of `differential_matrix(pi, q, d)`, q <= 2, at the source
-    positions in the set `support` only, keyed by position; no other is
-    built.  Raises KeyError for a position outside the (q, d) basis.
-    """
-    _check_bivector(pi)
-    columns = dict(linear_operator_matrix(pi, q, d)._built(1, (), support))
-    if len(columns) != len(support):
-        raise KeyError(sorted(support))
-    return columns
 
 
 def poisson_differential(pi, value):

@@ -7,11 +7,11 @@ routine, fraction-free elimination whose rows are primitive, positive at
 their pivot and zero at the other pivots: a form as unique as the reduced
 row echelon form, so ranks, kernels, and cohomology representatives
 downstream are deterministic, and the elimination does only the work it
-must (`rref`).  `kernel_and_image_of_rows` gets the rank, the reduced
-kernel and the pivots of the image's echelon of a map laid out as rows
-from one such elimination, and reads off only the kernel vectors its
-caller asks for; solves are read off that same routine.  Only
-`solve_combination` returns Fractions.
+must (`rref`).  A map goes in as rows, column j placed at n-1-j
+(`lay_out`), and `kernel_and_image_of_rows` gets its rank, its reduced
+kernel and the pivots of its image's echelon from one such elimination,
+reading off only the kernel vectors its caller asks for; solves are read
+off that same routine.  Only `solve_combination` returns Fractions.
 
 `independent_columns_mod_p` runs the same elimination in word-size
 arithmetic modulo `PRIME`, a constant rather than an option, on the
@@ -146,16 +146,19 @@ def reduce_against(table, vec):
     return _primitive(row)
 
 
-def _rows(columns):
-    """The nonzero rows of a matrix given by its columns, column j placed at n-1-j.
+def lay_out(columns, free=()):
+    """The nonzero rows of a matrix given by its columns, column j placed at
+    n-1-j, with the columns in `free` left out.
 
     Returns (index, rows): the row indices in ascending order and the rows
     in that order, so that `rref` inserts row index[k] k-th.  A cell built
-    off a stencil gives the same layout with no column (`OperatorCell.rows`).
+    off a stencil writes the same layout with no column (`OperatorCell.rows`).
     """
     last = len(columns) - 1
     rows = {}
     for j, col in enumerate(columns):
+        if j in free:
+            continue
         k = last - j
         for i, c in col.items():
             row = rows.get(i)
@@ -167,23 +170,34 @@ def _rows(columns):
     return index, [rows[i] for i in index]
 
 
-def _echelon_mod_p(columns, spare):
-    """{pivot: (j, column)} for the pairs independent mod `PRIME` of those before.
+def independent_columns_mod_p(columns, spare=inf):
+    """Columns independent modulo `PRIME` of those before, and the rows they lead at.
+
+    `columns` yields (j, column) pairs, read no further than the pass goes:
+    `OperatorCell.columns_from_last(skip)`, say.  Returns (kept, pivot_rows):
+    {j: column} of the independent ones by ascending j, and the rows at
+    which their reduced vectors lead.  They are independent over Q too.  When
+    `skip` is the pivot_rows of a matrix A and this matrix times A is 0,
+    A's reduced vectors and the unit vectors e_j, j not in `skip`, form a
+    triangular basis on whose first part this matrix is 0: the columns
+    outside `skip` then carry its whole image, and their count is its full
+    rank mod p.  The same holds when `skip` holds the rows at which A's
+    image echelon leads, over Q and so for all but unlucky primes.
 
     Each vector is reduced at its highest index first, where an entry that
     is 0 mod p is dropped, so a pivot vector is 0 above its pivot.  Only
     arithmetic that is used is paid for: a vector that lands on an unused
     pivot is stored as it is, and a pivot vector is reduced mod p and scaled
     to 1 at its pivot the first time another vector is reduced against it.
-    A vector is copied just before its first write, so the input vectors
-    are never written.  Once more than `spare` vectors have reduced to 0,
-    the pass stops: it returns (found, False), found holding the vectors
-    before the one that stopped it, and (found, True) after the last vector.
+    A vector is copied just before its first write, so the input columns
+    are never written.  Once more than `spare` columns have reduced to 0,
+    the pass stops: kept holds the columns found before the one that
+    stopped it, still independent over Q, and pivot_rows is None.
     """
     p = PRIME
     table = {}  # pivot -> vector reduced mod p, 1 at the pivot
     stored = {}  # pivot -> vector as it landed, until first used
-    found = {}
+    found = {}  # pivot -> (j, column)
     for j, column in columns:
         vec, copied = column, False
         while vec:
@@ -215,42 +229,20 @@ def _echelon_mod_p(columns, spare):
         else:  # reduced to 0
             spare -= 1
             if spare < 0:
-                return found, False
-    return found, True
-
-
-def independent_columns_mod_p(columns, spare=None):
-    """Columns independent modulo `PRIME` of those before, and the rows they lead at.
-
-    `columns` yields (j, column) pairs, read no further than the pass goes:
-    `OperatorCell.columns_from_last(skip)`, say.  Returns (kept, pivot_rows):
-    {j: column} of the independent ones by ascending j, and the rows at
-    which their reduced vectors lead.  They are independent over Q too.  When
-    `skip` is the pivot_rows of a matrix A and this matrix times A is 0,
-    A's reduced vectors and the unit vectors e_j, j not in `skip`, form a
-    triangular basis on whose first part this matrix is 0: the columns
-    outside `skip` then carry its whole image, and their count is its full
-    rank mod p.  The same holds when `skip` holds the rows at which A's
-    image echelon leads, over Q and so for all but unlucky primes.
-
-    With `spare` a count, the pass stops at the first dependent column
-    past `spare`: kept holds the columns found before it, still
-    independent over Q, and pivot_rows is None.
-    """
-    found, whole = _echelon_mod_p(columns, inf if spare is None else spare)
-    return dict(sorted(found.values())), set(found) if whole else None  # each j once
+                return dict(sorted(found.values())), None
+    return dict(sorted(found.values())), set(found)  # each j once
 
 
 def kernel_and_image(columns, skip=()):
-    """`kernel_and_image_of_rows` of a list of columns, laid out by `_rows`."""
-    return kernel_and_image_of_rows(len(columns), _rows(columns), skip)
+    """`kernel_and_image_of_rows` of a list of columns, laid out by `lay_out`."""
+    return kernel_and_image_of_rows(len(columns), lay_out(columns), skip)
 
 
 def kernel_and_image_of_rows(size, laid_out, skip=()):
     """Rank, reduced kernel and the image's pivots of a matrix from one `rref`.
 
     This is where a kernel is read off an echelon.  `laid_out` is (index,
-    rows) for a matrix of `size` columns, column j placed at n-1-j (`_rows`,
+    rows) for a matrix of `size` columns, column j placed at n-1-j (`lay_out`,
     `OperatorCell.rows`), so each echelon row leads at its highest original
     column.  The kernel then comes out in the echelon form of `rref`: one
     vector per free column j, led at j by the lcm of the pivot entries of

@@ -4,13 +4,12 @@ import json
 import random
 from fractions import Fraction
 from importlib import resources
-from math import lcm
+from math import inf, lcm
 from unittest import mock
 
 from poisson3 import (
     GradedBasis, MultiVector, OperatorCell, Polynomial, StructureConstants, cohomology_table,
-    differential_matrix, format_multivector, invariant_basis, rotation_field, schouten_bracket)
-from poisson3 import cohomology
+    format_multivector, invariant_basis, rotation_field, schouten_bracket)
 from poisson3.complexes import linear_operator_matrix
 from poisson3.linalg import (
     independent_columns_mod_p, integer_normalize, kernel_and_image, matvec, rref)
@@ -90,7 +89,7 @@ def kernel_basis(columns):
     return rk, basis
 
 
-def mod_p_pass(columns, skip, spare=None):
+def mod_p_pass(columns, skip, spare=inf):
     """`independent_columns_mod_p` over a list of columns, those outside
     `skip` read last first as a cell gives them: (kept positions in
     ascending order, pivot_rows).  The kept vectors are the columns
@@ -167,8 +166,7 @@ def full_build_invariant_table(pi, dmax):
     """`cohomology_table(pi, dmax, invariant=True)` by the route the engine
     took before it built only the supported columns: every column of each
     d_q, then `_restrict` to the invariant sub-bases."""
-    with mock.patch.object(cohomology, "differential_columns",
-                           lambda pi, q, d, support: differential_matrix(pi, q, d).columns):
+    with mock.patch.object(OperatorCell, "columns_at", lambda cell, positions: cell.columns):
         return cohomology_table(pi, dmax, invariant=True)
 
 

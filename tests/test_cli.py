@@ -12,7 +12,7 @@ import sys
 import jsonschema
 import pytest
 
-from poisson3 import FIXTURE_IDS, Report
+from poisson3 import FIXTURE_IDS, OperatorCell, Report, differential_matrix
 from poisson3 import cli
 from poisson3 import cohomology as cohomology_module
 from poisson3.cli import TABLE_SCHEMA, main
@@ -166,18 +166,20 @@ def test_invariant_table_builds_each_basis_and_differential_once(capsys, monkeyp
 
     monkeypatch.setattr(cohomology_module, "invariant_basis", counting(
         cohomology_module.invariant_basis, bases, lambda q, d: (q, d)))
-    monkeypatch.setattr(cohomology_module, "differential_columns", counting(
-        cohomology_module.differential_columns, differentials, lambda pi, q, d, support: (q, d)))
-    full = {}
+    cells = []
     monkeypatch.setattr(cohomology_module, "differential_matrix", counting(
-        cohomology_module.differential_matrix, full, lambda pi, q, d: (q, d)))
+        lambda *args: cells.append(differential_matrix(*args)) or cells[-1],
+        differentials, lambda pi, q, d: (q, d)))
+    restricted = {}
+    monkeypatch.setattr(OperatorCell, "columns_at", counting(
+        OperatorCell.columns_at, restricted, lambda cell, support: (cell.source.q, cell.source.d)))
     code, _, _ = run(capsys, "invariant-cohomology", "--algebra", "euclidean",
                      "--dmax", "4", "--format", "json")
     assert code == 0
     assert bases == {(q, d): 1 for q in range(4) for d in range(5)}
-    # d_0..d_2 each restricted once to its support; d_3 is 0 and not built
-    assert differentials == {(q, d): 1 for q in range(3) for d in range(5)}
-    assert full == {}
+    # d_0..d_2 each built once and read once at its support; d_3 is 0 and not built
+    assert differentials == restricted == {(q, d): 1 for q in range(3) for d in range(5)}
+    assert all(cell._columns is None for cell in cells)  # no differential is built whole
 
 
 def test_invariant_cohomology_rejects_non_invariant(capsys):

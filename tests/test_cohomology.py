@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import inf
 
 import pytest
 
@@ -224,14 +225,14 @@ def test_rows_are_laid_out_only_for_exact_reductions(monkeypatch):
     # the mod-p pass reduces the columns of every differential; only an exact
     # reduction lays out rows, read straight off the stencil: no column list
     # is turned into rows
-    calls = _count_calls(monkeypatch, "_rows", "kernel_and_image_of_rows")
+    calls = _count_calls(monkeypatch, "lay_out", "kernel_and_image_of_rows")
     reads = _count_cell_reads(monkeypatch)
     listed = []
     monkeypatch.setattr(complexes_module, "monomials",
                         lambda d: listed.append(d) or monomials(d))
     cohomology_table(linear_poisson("sl2"), 8)
     assert (reads["rows"], calls["kernel_and_image_of_rows"]) == (10, 10)
-    assert calls["_rows"] == 0
+    assert calls["lay_out"] == 0
     assert listed == []  # no basis element list is built
 
 
@@ -311,7 +312,7 @@ def _recorded_passes(monkeypatch):
     reads = _recorded_reads(monkeypatch)
     restricted = linalg.independent_columns_mod_p
 
-    def recording(columns, spare=None):
+    def recording(columns, spare=inf):
         kept, pivot_rows = restricted(columns, spare)
         cell, skip = reads.pop(columns)
         assert all(col == cell.columns[j] for j, col in kept.items())
@@ -346,7 +347,7 @@ def test_the_mod_p_pass_skips_the_pivot_rows_of_the_incoming_differential(monkey
                     rank_in = linalg.kernel_and_image(incoming[0])[0] if incoming else 0
                     whole = restricted(columns, set())[0]
                     if incoming is None:
-                        assert (skip, spare) == (set(), None)
+                        assert (skip, spare) == (set(), inf)
                         assert pivot_rows is not None
                     else:
                         assert spare == rank_in - len(skip)
@@ -381,7 +382,7 @@ def test_exact_rank_below_the_modular_rank_raises(monkeypatch):
     independent_columns_mod_p = linalg.independent_columns_mod_p
     reads = _recorded_reads(monkeypatch)
 
-    def over_reporting(pairs, spare=None):
+    def over_reporting(pairs, spare=inf):
         kept, pivot_rows = independent_columns_mod_p(pairs, spare)
         cell, skip = reads.pop(pairs)
         columns = cell.columns
@@ -509,16 +510,17 @@ def test_no_pass_after_d_0_reads_past_its_first_dependent_column(monkeypatch):
     # every heisenberg cell keeps a class, and each pass after d_0 skips as
     # many columns as rank_in: it stops at its first dependent column, and
     # reads 507 columns where passes run to the end read 2,027
-    echelon = linalg._echelon_mod_p
+    independent_columns_mod_p = linalg.independent_columns_mod_p
     reads = []
 
-    def counting(columns, spare):
+    def counting(columns, spare=inf):
         read = []
-        found, whole = echelon((read.append(pair) or pair for pair in columns), spare)
-        reads.append((len(read), len(found), whole))
-        return found, whole
+        kept, pivot_rows = independent_columns_mod_p(
+            (read.append(pair) or pair for pair in columns), spare)
+        reads.append((len(read), len(kept), pivot_rows is not None))
+        return kept, pivot_rows
 
-    monkeypatch.setattr(linalg, "_echelon_mod_p", counting)
+    monkeypatch.setattr(linalg, "independent_columns_mod_p", counting)
     passes = _recorded_passes(monkeypatch)
     cohomology_table(linear_poisson("heisenberg"), 12)
     assert len(reads) == len(passes) == 52
@@ -529,7 +531,7 @@ def test_no_pass_after_d_0_reads_past_its_first_dependent_column(monkeypatch):
             assert spare == 0
             assert read == (found if whole else found + 1)
         else:
-            assert (spare, read, whole) == (None, size, True)
+            assert (spare, read, whole) == (inf, size, True)
     assert (sum(r[0] for r in reads), sum(r[1] for r in reads)) == (2027, 507)
 
 
@@ -564,7 +566,7 @@ def test_a_single_cell_reduces_its_whole_degree_as_the_table_does(monkeypatch, a
         calls["kernel_and_image_of_rows"] = 0
         del passes[:]
         cohomology_table(pi, d, invariant)
-        assert len(passes) == 4 * (d + 1) and passes[-4][2] is None
+        assert len(passes) == 4 * (d + 1) and passes[-4][2] == inf
         expected = (passes[-4:], calls["kernel_and_image_of_rows"] - below)
         for q in range(4):
             del passes[:]
@@ -844,13 +846,13 @@ def test_support_columns_are_the_full_build_at_the_support():
                 support = {j for vec in invariant_basis(q, d)[1] for j in vec}
                 some = set(rng.sample(range(len(full)), rng.randint(0, len(full))))
                 for positions in (support, some):
-                    built = complexes_module.differential_columns(pi, q, d, positions)
+                    built = differential_matrix(pi, q, d).columns_at(positions)
                     assert list(built) == sorted(positions)  # no other column is built
                     assert built == {j: full[j] for j in positions}
     with pytest.raises(KeyError):
-        complexes_module.differential_columns(linear_poisson("so3"), 1, 2, {0, 18})
+        differential_matrix(linear_poisson("so3"), 1, 2).columns_at({0, 18})
     with pytest.raises(ValueError, match="differential needs a bivector"):
-        complexes_module.differential_columns(rotation_field(), 1, 2, {0})
+        differential_matrix(rotation_field(), 1, 2).columns_at({0})
 
 
 def test_support_only_invariant_tables_match_the_full_build():

@@ -308,7 +308,7 @@ def test_each_layout_of_a_cell_reads_the_same_matrix(seed):
                 for cell in (differential_matrix(pi, q, d), OperatorCell(None, None, whole, 1)):
                     free = set(rng.sample(range(n), rng.randint(0, n)))
                     skip = set(rng.sample(range(n), rng.randint(0, n)))
-                    assert cell.rows(free) == linalg._rows(
+                    assert cell.rows(free) == linalg.lay_out(
                         [{} if j in free else col for j, col in enumerate(whole)])
                     reader = cell.columns_from_last(skip)
                     read = [j for j in range(n - 1, -1, -1) if j not in skip]
@@ -326,7 +326,7 @@ def test_differentials_leave_the_basis_elements_unbuilt(monkeypatch):
     pi = linear_poisson("sl2")
     cells = [differential_matrix(pi, q, d) for q in range(4) for d in range(9)]
     cells += [linear_operator_matrix(rotation_field(), q, 5) for q in range(4)]
-    columns = [complexes.differential_columns(pi, q, 5, {0, 7}) for q in range(3)]
+    columns = [differential_matrix(pi, q, 5).columns_at({0, 7}) for q in range(3)]
     for cell in cells:  # a cell builds only as it is read: read it all three ways
         cell.rows(), list(cell.columns_from_last()), cell.columns
     assert listed == []

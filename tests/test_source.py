@@ -3,9 +3,12 @@
 import ast
 import pathlib
 
-SOURCES = sorted(
-    (pathlib.Path(__file__).resolve().parent.parent / "src" / "poisson3").rglob("*.py"))
-TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "poisson3").rglob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+# everything that may read the package: a method read only here is still live
+READERS = SOURCES + TESTS + sorted((ROOT / "demos").glob("*.py")) + sorted(
+    (ROOT / "tools").glob("*.py"))
 
 
 def test_no_assert_statements():
@@ -56,6 +59,18 @@ def test_no_unused_imports():
     assert found == []
 
 
+def _read_names(trees):
+    """Every name the trees read, as a name or as an attribute."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
 def _unreferenced_functions(trees, exported):
     """(module, name) of each public module-level function the modules never read.
 
@@ -63,13 +78,7 @@ def _unreferenced_functions(trees, exported):
     module; a function listed in `exported` is public API, and pytest calls
     each test_ function by its name.
     """
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = _read_names(trees.values())
     return sorted(
         (module, node.name)
         for module, tree in trees.items()
@@ -96,6 +105,43 @@ def test_no_dead_public_functions():
 
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     assert _unreferenced_functions(trees, set(poisson3.__all__)) == []
+
+
+def _unread_methods(trees, readers):
+    """(module, Class.method) of each public method of a class in `trees`
+    that no tree in `readers` reads, as a name or as an attribute.
+
+    A property counts as a method; a _-prefixed or dunder method is left out.
+    """
+    read = _read_names(readers)
+    return sorted(
+        (module, "%s.%s" % (top.name, node.name))
+        for module, tree in trees.items()
+        for top in tree.body if isinstance(top, ast.ClassDef)
+        for node in top.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.name not in read)
+
+
+def test_dead_method_rule_flags_only_unread_methods():
+    trees = {"a": ast.parse("class C:\n    def used(self): pass\n    def unused(self): pass\n"
+                            "    def _own(self): pass\n    def __len__(self): return 0\n"
+                            "    @property\n    def size(self): pass\n"
+                            "def unused_too(): pass\n")}
+    # a definition is no read of itself
+    readers = [trees["a"], ast.parse("import a\nprint(a.C().used())\n")]
+    assert _unread_methods(trees, readers) == [("a", "C.size"), ("a", "C.unused")]
+    readers.append(ast.parse("def f(c):\n    return c.size\n"))
+    assert _unread_methods(trees, readers) == [("a", "C.unused")]
+
+
+def test_no_dead_public_methods():
+    # a method read only by a test, a demo or a tool (`CohomologyTable.totals`,
+    # `StructureConstants.bracket`) is still read
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert any(isinstance(top, ast.ClassDef) for tree in trees.values() for top in tree.body)
+    readers = [ast.parse(path.read_text(), str(path)) for path in READERS]
+    assert _unread_methods(trees, readers) == []
 
 
 def test_no_dead_test_helpers():
@@ -143,15 +189,26 @@ def test_no_private_imports():
     assert found == []
 
 
-def _callers(trees, name):
-    """(module, top-level definition) of each call of `name`, bare or as an attribute.
+def _scopes(tree):
+    """(scope, node) for each top-level statement of a module, and for each
+    statement in a class body: a definition's name, Class.method for a
+    method, Class for the class's other statements, None for the module's."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                yield (top.name + "." + node.name if isinstance(node, ast.FunctionDef)
+                       else top.name), node
+        else:
+            yield getattr(top, "name", None), top
 
-    A call outside any definition is listed under None.
-    """
+
+def _callers(trees, name):
+    """(module, scope) of each call of `name`, bare or as an attribute, with
+    the scope `_scopes` gives the statement that holds the call."""
     return sorted(
-        (module, getattr(top, "name", None))
+        (module, scope)
         for module, tree in trees.items()
-        for top in tree.body
+        for scope, top in _scopes(tree)
         for node in ast.walk(top)
         if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
                                                    getattr(node.func, "attr", None)))
@@ -161,13 +218,20 @@ def test_single_caller_rule_flags_a_second_caller():
     trees = {"a": ast.parse("def _f(): pass\ndef g():\n    return _f()\n"),
              "b": ast.parse("import a\nh = a._f\n")}
     assert _callers(trees, "_f") == [("a", "g")]
-    trees["b"] = ast.parse("import a\nclass C:\n    def m(self):\n        a._f()\n")
-    assert _callers(trees, "_f") == [("a", "g"), ("b", "C")]
+    trees["b"] = ast.parse("import a\nclass C:\n    x = a._f()\n    def m(self):\n"
+                           "        a._f()\n")
+    assert _callers(trees, "_f") == [("a", "g"), ("b", "C"), ("b", "C.m")]
 
 
-def test_rows_and_the_mod_p_echelon_have_one_caller_each():
-    # `_rows` is the only place columns become rows, for an exact reduction;
-    # the mod-p pass reduces columns alone
+def test_each_layout_and_the_mod_p_pass_have_their_named_callers():
+    # `lay_out` is the one writer of the row layout of a list of columns, for
+    # a cell that holds one and for `kernel_and_image`; a cell read off a
+    # stencil writes the same layout itself.  Only the degree loop runs the
+    # mod-p pass, and only an OperatorCell walks its stencil's columns
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-    assert _callers(trees, "_rows") == [("linalg.py", "kernel_and_image")]
-    assert _callers(trees, "_echelon_mod_p") == [("linalg.py", "independent_columns_mod_p")]
+    assert _callers(trees, "lay_out") == [("complexes.py", "OperatorCell.rows"),
+                                          ("linalg.py", "kernel_and_image")]
+    assert _callers(trees, "independent_columns_mod_p") == [("cohomology.py", "_degree_cells")]
+    built = _callers(trees, "_built")
+    assert built and {(module, scope.split(".")[0]) for module, scope in built} == {
+        ("complexes.py", "OperatorCell")}

@@ -15,15 +15,15 @@ restricted to the invariant sub-bases.  A bivector with [pi, pi] != 0
 has no complex, as d o d != 0, and is rejected.
 
 Most cells are acyclic, and those need no exact elimination.  Each
-differential is first reduced modulo the constant prime `linalg.PRIME`,
-skipping the columns at the previous pass's pivot rows: as d o d = 0, the
-others carry the whole rank mod p.  That rank is at most the rank over Q,
-and d o d = 0 gives dim H >= 0.  So a cell whose dim H mod p is 0 is proved
-acyclic, with both ranks exact and no representative.  A pass stops as
-soon as it can no longer prove that, and every cell it does not prove is
-reduced exactly, without the columns at the incoming image's pivots,
-which are free.  Nothing here is probabilistic: an unlucky prime only
-sends a cell down the exact path.
+differential is first reduced modulo the constant prime `linalg.PRIME`, by
+the leads of its columns, skipping those at the previous pass's pivot
+rows: as d o d = 0, the others carry the whole rank mod p.  That rank is at
+most the rank over Q, and d o d = 0 gives dim H >= 0.  So a cell whose dim
+H mod p is 0 is proved acyclic, with both ranks exact and no
+representative.  A pass stops as soon as it can no longer prove that, and
+every cell it does not prove is reduced exactly, without the columns at
+the incoming image's pivots, which are free.  Nothing here is
+probabilistic: an unlucky prime only sends a cell down the exact path.
 
 The matrices are integer throughout.  Representatives are canonical: they
 are the kernel rows whose leading coordinate is not a pivot of the image's
@@ -121,12 +121,13 @@ def _degree_cells(pi, d, invariant):
     """The cells q = 0..3 of coefficient degree d.
 
     Each differential out of degree d is reduced mod p once, by a pass that
-    builds only the columns it reads.  Each cell passes the next (rank_in,
-    pivots): d_q's exact rank and the pivots of its image's echelon.  When
-    the rank mod p of d_q leaves cell q no room for a class, the cell is
-    certified acyclic, and the columns the pass kept, which are independent
-    over Q and as many as the exact rank, span cell q + 1's image: their
-    `rref` gives its pivots, and only when cell q + 1 is reduced exactly.
+    builds a column only where its lead collides.  Each cell passes the next
+    (rank_in, pivots): d_q's exact rank and the pivots of its image's
+    echelon.  When the rank mod p of d_q leaves cell q no room for a class,
+    the cell is certified acyclic, and the columns the pass kept, which are
+    independent over Q and as many as the exact rank, span cell q + 1's
+    image: they are built, and their `rref` gives its pivots, only when cell
+    q + 1 is reduced exactly.
     After d_0 a pass stops once its dependent columns outnumber rank_in
     minus the columns it skips, as it can then certify nothing, and the next
     pass skips the exact image pivots in place of its pivot rows.  d_0's
@@ -159,16 +160,16 @@ def _degree_cells(pi, d, invariant):
     for q, matrix in enumerate(matrices):
         size = len(matrix)
         spare = rank_in - len(skip) if q else inf  # inf: run to the end
-        independent, pass_pivots = linalg.independent_columns_mod_p(
-            matrix.columns_from_last(skip), spare)
+        independent, pass_pivots = linalg.independent_columns_mod_p(matrix, skip, spare)
         if size == len(independent) + rank_in:
             # rank_p <= rank_Q and dim H >= 0: both ranks are exact, H = 0
             cells.append(CohomologyCell(q, d, size, len(independent), rank_in, []))
             rank_in, pivots, skip = len(independent), None, pass_pivots
-            image = list(independent.values())
+            certified = matrix, independent
             continue
-        if pivots is None:  # d_{q-1} was certified: `image` spans its image
-            pivots = set(linalg.rref(image)[0])
+        if pivots is None:  # d_{q-1} was certified: the columns it kept span its image
+            incoming, kept = certified
+            pivots = set(linalg.rref([incoming.column(j) for j in kept])[0])
         rank, _, kernel, image_pivots = linalg.kernel_and_image_of_rows(  # the pivots' columns
             size, matrix.rows(pivots), pivots)  # are free, and left out
         if rank < len(independent):

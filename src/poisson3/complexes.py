@@ -11,11 +11,12 @@ Matrices and invariant sub-bases are read off closed forms (monomial order,
 basis positions, an integer stencil of the operator, invariant generators)
 with no bracket or elimination.  `differential_matrix` is the one source of
 a differential, for the full complex and its invariant subcomplex alike,
-and builds only as it is read (`OperatorCell`): a mod-p pass builds the
-columns it reads, an exact reduction gets its rows straight from the
-stencil, and the invariant subcomplex builds only the columns its vectors
-touch (`columns_at`).  The tests hold the independent route the stencil is
-checked against, a Schouten bracket per column.
+and builds only as it is read (`OperatorCell`): a mod-p pass reads the
+columns' leads and builds one only where its lead collides, an exact
+reduction gets its rows straight from the stencil, and the invariant
+subcomplex builds only the columns its vectors touch (`columns_at`).  The
+tests hold the independent route the stencil is checked against, a
+Schouten bracket per column.
 """
 
 from math import comb, isqrt
@@ -127,18 +128,18 @@ class OperatorCell:
 
     The matrix is columns / den, with int columns.  A cell read off the
     stencil of a linear operator builds only what is read, as its reader
-    reads it: all `columns` on the first read, `columns_from_last(skip)` one
-    at a time, `columns_at(positions)` at those only, or `rows(free)` with
-    no column built.  A cell made with a list of columns reads it the same
-    ways but `columns_at`; on other bases its source and target are None.
+    reads it: all `columns` on the first read, one `column(j)`, only the
+    `columns_at(positions)`, and `leads(skip, p)` or `rows(free)` with no
+    column built.  A cell made with a list of columns reads it the same ways
+    but `columns_at`; on other bases its source and target are None.
     """
 
-    __slots__ = ("source", "target", "den", "_columns", "_stencil")
+    __slots__ = ("source", "target", "den", "_columns", "_stencil", "_by_row")
 
-    def __init__(self, source, target, columns, den, stencil=None):
+    def __init__(self, source, target, columns, den, stencil=None, by_row=None):
         self.source, self.target, self.den = source, target, den
         self._columns = columns
-        self._stencil = stencil  # the entries of each source component, or None
+        self._stencil, self._by_row = stencil, by_row  # of each source component, or None
 
     def __len__(self):
         return len(self.source) if self._columns is None else len(self._columns)
@@ -146,23 +147,55 @@ class OperatorCell:
     @property
     def columns(self):
         if self._columns is None:
-            self._columns = [col for _, col in self._built(())][::-1]
+            self._columns = list(self._built(range(len(self))).values())
         return self._columns
 
-    def columns_from_last(self, skip=()):
-        """(j, column j) for each position j not in `skip`, last first, built as read."""
-        if self._stencil is None:
-            return ((j, self._columns[j]) for j in range(len(self) - 1, -1, -1) if j not in skip)
-        return self._built(skip)
+    def column(self, j):
+        """Column j; a cell read off a stencil builds it alone, by `_column`."""
+        if self._columns is not None:
+            return self._columns[j]
+        idx, (mx, my, mz) = self.source.element(j)
+        return _column(self._stencil[idx], self.source.d - mz, mx, my, mz, NCOMP[self.target.q])
 
     def columns_at(self, positions):
         """{j: column j} for the positions in the set `positions`, by ascending
         j; no other column is built.  Raises KeyError for a position outside
         the source basis."""
-        columns = dict([*self._built((), positions)][::-1])
+        columns = self._built(positions)
         if len(columns) != len(positions):
             raise KeyError(sorted(set(positions) - columns.keys()))
         return columns
+
+    def leads(self, skip, p):
+        """(j, the highest row at which column j is nonzero mod p, or None)
+        for each position j not in `skip`, last first.  Off a stencil no
+        column is built: the lead is `_column`'s row of the first entry by row
+        (`linear_stencil`'s by_row) whose form a . m + b is nonzero mod p."""
+        if self._stencil is None:
+            for j in range(len(self) - 1, -1, -1):
+                if j not in skip:
+                    col = self._columns[j]
+                    lead = max(col, default=None)
+                    if lead is not None and not col[lead] % p:
+                        lead = max((i for i, c in col.items() if c % p), default=None)
+                    yield j, lead
+            return
+        d, ncomp, by_row, j = self.source.d, NCOMP[self.target.q], self._by_row[::-1], len(self)
+        for s in range(d, -1, -1):
+            mz = d - s
+            for mx in range(s, -1, -1):
+                my = s - mx
+                for entries in by_row:
+                    j -= 1
+                    if j in skip:
+                        continue
+                    lead = None
+                    for t, (sx, _, sz), (ax, ay, az, b) in entries:
+                        if (ax * mx + ay * my + az * mz + b) % p:
+                            r = s - sz
+                            lead = (r * (r + 1) // 2 + mx + sx) * ncomp + t
+                            break
+                    yield j, lead
 
     def rows(self, free=()):
         """`linalg.lay_out` of the columns with those in `free` left out; a
@@ -171,7 +204,7 @@ class OperatorCell:
             return linalg.lay_out(self._columns, free)
         last = len(self) - 1
         rows = {}
-        # `_built`'s arithmetic in basis order, each entry written into its row
+        # `_column`'s arithmetic in basis order, each entry written into its row
         d, ncomp, j = self.source.d, NCOMP[self.target.q], -1
         for s in range(d + 1):
             mz = d - s
@@ -193,31 +226,29 @@ class OperatorCell:
         index = sorted(rows)
         return index, [rows[i] for i in index]
 
-    def _built(self, skip, keep=None):
-        """(j, column j) for each source position j not in `skip` (and in
-        `keep` if given), last first, built as read.  Position j = (T(s) +
-        m_x) * binom(3, q) + idx holds x^m xi_idx, with s = d - m_z and T(s)
-        = s(s + 1)/2.  For each stencil entry (t, shift, (a, b)) of idx its
-        column holds a . m + b, if not 0, at x^(m + shift) xi_t: row
-        (T(s - shift_z) + m_x + shift_x) * binom(3, out_q) + t, in the target
-        basis, as the stencil was checked to keep it when derived.
-        """
-        d, ncomp, stencil = self.source.d, NCOMP[self.target.q], self._stencil[::-1]
-        j = len(self)
-        for s in range(d, -1, -1):
-            mz = d - s
-            for mx in range(s, -1, -1):
-                my = s - mx
-                for entries in stencil:
-                    j -= 1
-                    if j in skip or keep is not None and j not in keep:
-                        continue
-                    col = {}
-                    for t, (sx, _, sz), (ax, ay, az, b) in entries:
-                        if c := ax * mx + ay * my + az * mz + b:
-                            r = s - sz
-                            col[(r * (r + 1) // 2 + mx + sx) * ncomp + t] = c
-                    yield j, col
+    def _built(self, positions):
+        """{j: column j} for the source positions j in `positions`, by ascending j."""
+        d, ncomp, j, columns = self.source.d, NCOMP[self.target.q], -1, {}
+        for s in range(d + 1):
+            for mx in range(s + 1):
+                for entries in self._stencil:
+                    j += 1
+                    if j in positions:
+                        columns[j] = _column(entries, s, mx, s - mx, d - s, ncomp)
+        return columns
+
+
+def _column(entries, s, mx, my, mz, ncomp):
+    """Column (T(s) + m_x) * binom(3, q) + idx, of x^m xi_idx, s = d - m_z and
+    T(s) = s(s + 1)/2: a . m + b, if not 0, for each stencil entry (t, shift,
+    (a, b)) of idx, at x^(m + shift) xi_t, row (T(s - shift_z) + m_x + shift_x)
+    * binom(3, out_q) + t, where the stencil was checked to keep it."""
+    col = {}
+    for t, (sx, _, sz), (ax, ay, az, b) in entries:
+        if c := ax * mx + ay * my + az * mz + b:
+            r = s - sz
+            col[(r * (r + 1) // 2 + mx + sx) * ncomp + t] = c
+    return col
 
 
 def linear_operator_matrix(operator, q, d):
@@ -231,9 +262,10 @@ def linear_operator_matrix(operator, q, d):
     out_q = q + operator.degree - 1
     if not 0 <= out_q <= 3:
         raise ValueError("operator maps degree %d outside 0..3" % (q,))
-    table, den = linear_stencil(operator, q)
+    table, den, by_row = linear_stencil(operator, q)
     return OperatorCell(source, GradedBasis(out_q, d), None, den,
-                        [table[idx] for idx in range(NCOMP[q])])
+                        [table[idx] for idx in range(NCOMP[q])],
+                        [by_row[idx] for idx in range(NCOMP[q])])
 
 
 def _check_bivector(pi):
@@ -251,7 +283,7 @@ def differential_matrix(pi, q, d):
     _check_bivector(pi)
     if q == 3:
         basis = GradedBasis(3, d)
-        return OperatorCell(basis, basis, None, 1, [[]])
+        return OperatorCell(basis, basis, None, 1, [[]], [[]])
     return linear_operator_matrix(pi, q, d)
 
 

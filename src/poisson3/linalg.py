@@ -14,12 +14,13 @@ reading off only the kernel vectors its caller asks for; solves are read
 off that same routine.  Only `solve_combination` returns Fractions.
 
 `independent_columns_mod_p` runs the same elimination in word-size
-arithmetic modulo `PRIME`, a constant rather than an option, on the
-columns of a map of a complex as they are read, and stops once more of
-them than its caller can spare are dependent.  Its rank mod p is a lower
-bound for the rank over Q (a minor that is nonzero mod p is a nonzero
-integer), so the columns it keeps are independent over Q too: enough to
-certify a rank that cannot be larger.
+arithmetic modulo `PRIME`, a constant rather than an option, on a cell of
+a complex, and stops once more of its columns than its caller can spare
+are dependent.  It reads each column's lead, its highest row that is
+nonzero mod p, and builds a column only when that row is a pivot already.
+Its rank mod p is a lower bound for the rank over Q (a minor that is
+nonzero mod p is a nonzero integer), so the columns it keeps are
+independent over Q too: enough to certify a rank that cannot be larger.
 """
 
 from fractions import Fraction
@@ -170,56 +171,57 @@ def lay_out(columns, free=()):
     return index, [rows[i] for i in index]
 
 
-def independent_columns_mod_p(columns, spare=inf):
-    """Columns independent modulo `PRIME` of those before, and the rows they lead at.
+def independent_columns_mod_p(cell, skip=(), spare=inf):
+    """Columns of a cell independent mod `PRIME` of the later ones, and their rows.
 
-    `columns` yields (j, column) pairs, read no further than the pass goes:
-    `OperatorCell.columns_from_last(skip)`, say.  Returns (kept, pivot_rows):
-    {j: column} of the independent ones by ascending j, and the rows at
-    which their reduced vectors lead.  They are independent over Q too.  When
-    `skip` is the pivot_rows of a matrix A and this matrix times A is 0,
-    A's reduced vectors and the unit vectors e_j, j not in `skip`, form a
-    triangular basis on whose first part this matrix is 0: the columns
-    outside `skip` then carry its whole image, and their count is its full
-    rank mod p.  The same holds when `skip` holds the rows at which A's
-    image echelon leads, over Q and so for all but unlucky primes.
+    The columns outside `skip` are read last first by their leads
+    (`OperatorCell.leads`), no further than the pass goes.  Returns (kept,
+    pivot_rows): the positions of the independent ones in ascending order,
+    which are independent over Q too, and the rows at which their reduced
+    vectors lead.  When `skip` is the pivot_rows of a matrix A and this
+    matrix times A is 0, A's reduced vectors and the unit vectors e_j, j not
+    in `skip`, form a triangular basis on whose first part this matrix is
+    0: the columns outside `skip` then carry its whole image, and their
+    count is its full rank mod p.  The same holds when `skip` holds the rows
+    at which A's image echelon leads, over Q and so for all but unlucky
+    primes.
 
     Each vector is reduced at its highest index first, where an entry that
     is 0 mod p is dropped, so a pivot vector is 0 above its pivot.  Only
-    arithmetic that is used is paid for: a vector that lands on an unused
-    pivot is stored as it is, and a pivot vector is reduced mod p and scaled
-    to 1 at its pivot the first time another vector is reduced against it.
-    A vector is copied just before its first write, so the input columns
-    are never written.  Once more than `spare` columns have reduced to 0,
-    the pass stops: kept holds the columns found before the one that
+    work that is used is paid for: a column whose lead is no pivot yet
+    lands there unbuilt.  A column is built (`OperatorCell.column`), and
+    copied, only when its lead is a pivot already, and a pivot's column when
+    another is first reduced against it; it is then reduced mod p and
+    scaled to 1 at its pivot.  Once more than `spare` columns have reduced
+    to 0, the pass stops: kept holds the columns found before the one that
     stopped it, still independent over Q, and pivot_rows is None.
     """
     p = PRIME
-    table = {}  # pivot -> vector reduced mod p, 1 at the pivot
-    stored = {}  # pivot -> vector as it landed, until first used
-    found = {}  # pivot -> (j, column)
-    for j, column in columns:
-        vec, copied = column, False
+    kept = {}  # pivot -> the position of the column that landed there
+    landed = {}  # pivot -> the vector that landed there after a reduction, until first used
+    table = {}  # pivot -> vector reduced mod p, 1 at the pivot, once used
+    for j, lead in cell.leads(skip, p):
+        if lead is not None and lead not in kept:
+            kept[lead] = j
+            continue
+        vec = {} if lead is None else dict(cell.column(j))
         while vec:
             col = max(vec)
             b = vec[col] % p
-            if b:
-                pivot_vec = table.get(col)
-                if pivot_vec is None:
-                    pivot_vec = stored.pop(col, None)
-                    if pivot_vec is None:
-                        stored[col] = vec
-                        found[col] = j, column
-                        break
-                    inverse = pow(pivot_vec[col], -1, p)
-                    table[col] = pivot_vec = {
-                        i: r for i, c in pivot_vec.items() if (r := c * inverse % p)}
-            if not copied:
-                vec = dict(vec)
-                copied = True
             if not b:
                 del vec[col]
                 continue
+            pivot_vec = table.get(col)
+            if pivot_vec is None:
+                if col not in kept:
+                    kept[col], landed[col] = j, vec
+                    break
+                pivot_vec = landed.pop(col, None) or cell.column(kept[col])
+                inverse = pow(pivot_vec[col], -1, p)
+                table[col] = pivot_vec = {
+                    i: r for i, c in pivot_vec.items() if (r := c * inverse % p)}
+                if max(pivot_vec) != col:  # a lead read wrong: no reduction would end
+                    raise RuntimeError("pivot %d of column %d is not its lead" % (col, kept[col]))
             for i, c in pivot_vec.items():
                 val = (vec.get(i, 0) - b * c) % p
                 if val:
@@ -229,8 +231,8 @@ def independent_columns_mod_p(columns, spare=inf):
         else:  # reduced to 0
             spare -= 1
             if spare < 0:
-                return dict(sorted(found.values())), None
-    return dict(sorted(found.values())), set(found)  # each j once
+                return sorted(kept.values()), None
+    return sorted(kept.values()), set(kept)
 
 
 def kernel_and_image(columns, skip=()):

@@ -527,6 +527,9 @@ def schouten_bracket(a, b):
     return MultiVector._from_xi(a.degree + b.degree - 1, out)
 
 
+_BY_OPERATOR = {}  # (id(operator), q) -> (operator, its stencil), the last 16
+
+
 def linear_stencil(operator, q):
     """Closed form of V -> [operator, V] on the degree-q components.
 
@@ -538,21 +541,30 @@ def linear_stencil(operator, q):
     i == k.  Summed per (target component, monomial shift), each coefficient
     is an affine form a . m + b.
 
-    Returns ({source idx: [(target idx, shift, (ax, ay, az, b))]}, den): den
-    is the lcm of the operator's coefficient denominators and the forms are
-    ints over it.  Raises DegreeError unless every coefficient of the
-    operator is homogeneous linear.  Every entry is checked by
-    `_check_stencil` to stay in the target basis.
+    Returns ({source idx: [(target idx, shift, (ax, ay, az, b))]}, den,
+    by_row): den is the lcm of the operator's coefficient denominators and
+    the forms are ints over it; by_row holds each idx's entries by ascending
+    `monomial_key` of the shift, then descending target idx: the order of
+    the terms they reach, trailing term first.  Raises DegreeError unless
+    every coefficient of the operator is homogeneous linear.  Every entry is
+    checked by `_check_stencil` to stay in the target basis.
 
     The stencil depends only on the operator's degree, its exact terms in
     their order (which fixes the order of the entries) and q, so it is
     derived and checked once for each and memoised, the last 16 of them (a
-    derivation that raises is not memoised): the returned table is shared
-    between callers and must not be written.
+    derivation that raises is not memoised), and the last 16 operator
+    objects read find theirs with no key built from their terms: the result
+    is shared between callers and must not be written, nor may an operator
+    once read.
     """
-    return _stencil(operator.degree, q, tuple(
-        (idx, mono, coeff) for idx, poly in operator.components.items()
-        for mono, coeff in poly.terms.items()))
+    hit = _BY_OPERATOR.get((id(operator), q))  # an entry holds its operator: no id reuse
+    if hit is None:
+        if len(_BY_OPERATOR) == 16:
+            del _BY_OPERATOR[next(iter(_BY_OPERATOR))]
+        hit = _BY_OPERATOR[id(operator), q] = operator, _stencil(operator.degree, q, tuple(
+            (idx, mono, coeff) for idx, poly in operator.components.items()
+            for mono, coeff in poly.terms.items()))
+    return hit[1]
 
 
 @lru_cache(maxsize=16)  # a table needs three: q = 0, 1, 2 of its bivector
@@ -591,7 +603,8 @@ def _stencil(degree, q, operator_terms):
         if any(form):
             table[idx].append((target_idx, shift, tuple(form)))
     _check_stencil(table, q + degree - 1)
-    return table, den
+    return table, den, {idx: sorted(entries, key=lambda e: (monomial_key(e[1]), -e[0]))
+                        for idx, entries in table.items()}
 
 
 def _check_stencil(table, out_q):

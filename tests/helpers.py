@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: seeded random tensors over Q."""
 
+import copy
 import json
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from poisson3 import (
     GradedBasis, MultiVector, OperatorCell, Polynomial, StructureConstants, cohomology_table,
     format_multivector, invariant_basis, rotation_field, schouten_bracket)
 from poisson3.complexes import linear_operator_matrix
+from poisson3 import linalg
 from poisson3.linalg import (
     independent_columns_mod_p, integer_normalize, kernel_and_image, matvec, rref)
 
@@ -90,14 +92,57 @@ def kernel_basis(columns):
 
 
 def mod_p_pass(columns, skip, spare=inf):
-    """`independent_columns_mod_p` over a list of columns, those outside
-    `skip` read last first as a cell gives them: (kept positions in
-    ascending order, pivot_rows).  The kept vectors are the columns
-    themselves, not copies."""
-    pairs = OperatorCell(None, None, columns, 1).columns_from_last(skip)
-    kept, pivot_rows = independent_columns_mod_p(pairs, spare)
-    assert list(kept) == sorted(kept) and all(kept[j] is columns[j] for j in kept)
-    return list(kept), pivot_rows
+    """The mod-p pass on built columns, an oracle for `independent_columns_mod_p`.
+
+    The columns outside `skip` are read last first, each reduced mod
+    `linalg.PRIME` from its highest entry, an entry that is 0 mod p dropped;
+    a vector that lands on a new pivot is stored as it is, and normalised
+    the first time another one is reduced against it.  Once more than
+    `spare` columns have reduced to 0 the pass stops.  Returns (kept
+    positions in ascending order, pivot rows, or None for a pass that
+    stopped).  The columns are never written.
+    """
+    p = linalg.PRIME
+    table, stored, found = {}, {}, {}  # pivot -> normalised vector, landed vector, position
+    for j in range(len(columns) - 1, -1, -1):
+        if j in skip:
+            continue
+        vec = dict(columns[j])
+        while vec:
+            col = max(vec)
+            b = vec[col] % p
+            if not b:
+                del vec[col]
+                continue
+            pivot_vec = table.get(col)
+            if pivot_vec is None:
+                if col not in stored:
+                    stored[col], found[col] = vec, j
+                    break
+                pivot_vec = stored.pop(col)
+                inverse = pow(pivot_vec[col], -1, p)
+                table[col] = pivot_vec = {
+                    i: r for i, c in pivot_vec.items() if (r := c * inverse % p)}
+            for i, c in pivot_vec.items():
+                val = (vec.get(i, 0) - b * c) % p
+                if val:
+                    vec[i] = val
+                else:
+                    del vec[i]
+        else:
+            spare -= 1
+            if spare < 0:
+                return sorted(found.values()), None
+    return sorted(found.values()), set(found)
+
+
+def cell_pass(columns, skip, spare=inf):
+    """`independent_columns_mod_p` on a cell that holds the columns, checked
+    against `mod_p_pass`: (kept positions in ascending order, pivot_rows)."""
+    snapshot = copy.deepcopy(columns)
+    result = independent_columns_mod_p(OperatorCell(None, None, columns, 1), skip, spare)
+    assert columns == snapshot and result == mod_p_pass(columns, skip, spare)
+    return result
 
 
 def rotation_matrix(q, d):

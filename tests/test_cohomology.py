@@ -201,23 +201,21 @@ def test_one_entry_rows_take_no_elimination_step(monkeypatch):
 
 
 def _count_cell_reads(monkeypatch):
-    """Patch `OperatorCell` to count the columns it builds and the row
-    layouts it gives; returns the counts."""
+    """Patch `complexes` to count the columns its cells build off a stencil,
+    all through `_column`, and the row layouts they give; returns the counts."""
     counts = {"columns": 0, "rows": 0}
-    cell = complexes_module.OperatorCell
-    built, rows = cell._built, cell.rows
+    column, rows = complexes_module._column, complexes_module.OperatorCell.rows
 
-    def building(self, *args):
-        for pair in built(self, *args):
-            counts["columns"] += 1
-            yield pair
+    def building(*args):
+        counts["columns"] += 1
+        return column(*args)
 
     def laying_out(self, free=()):
         counts["rows"] += 1
         return rows(self, free)
 
-    monkeypatch.setattr(cell, "_built", building)
-    monkeypatch.setattr(cell, "rows", laying_out)
+    monkeypatch.setattr(complexes_module, "_column", building)
+    monkeypatch.setattr(complexes_module.OperatorCell, "rows", laying_out)
     return counts
 
 
@@ -237,15 +235,18 @@ def test_rows_are_laid_out_only_for_exact_reductions(monkeypatch):
 
 
 def test_differentials_are_built_only_as_far_as_they_are_read(monkeypatch):
-    # the mod-p passes build the columns they read, no further, and an exact
-    # reduction lays out its rows straight from the stencil: 11,242 columns
-    # for these tables, d_3's empty ones included, where building every
-    # column of every differential built 14,168, 14,168 and 7,752 (36,088);
-    # the row layouts are one per exact reduction, as before
+    # a mod-p pass builds a column only when its lead is a pivot already or
+    # a later column is first reduced against it; a certified cell builds
+    # the columns it kept only for a next cell reduced exactly; and an exact
+    # reduction lays out its rows straight from the stencil: 1,484 columns
+    # for these tables, 9 of each for [pi, pi] on the (2, 1) cell, where
+    # building each column the passes read built 1,864, 5,484 and 3,894
+    # (11,242) and building every column of every differential 36,088; the
+    # row layouts are one per exact reduction, as before
     reads = _count_cell_reads(monkeypatch)
-    for pi, dmax, expected in ((linear_poisson("heisenberg"), 20, (1864, 84)),
-                               (linear_poisson(Algebra("book", Fraction(-2, 3))), 20, (5484, 18)),
-                               (linear_poisson("sl2"), 16, (3894, 18))):
+    for pi, dmax, expected in ((linear_poisson("heisenberg"), 20, (9, 84)),
+                               (linear_poisson(Algebra("book", Fraction(-2, 3))), 20, (271, 18)),
+                               (linear_poisson("sl2"), 16, (1204, 18))):
         reads.update(columns=0, rows=0)
         cohomology_table(pi, dmax)
         assert (reads["columns"], reads["rows"]) == expected
@@ -290,33 +291,16 @@ def test_a_small_prime_only_sends_cells_down_the_exact_path(monkeypatch, prime,
     assert calls["kernel_and_image_of_rows"] == exact_reductions
 
 
-def _recorded_reads(monkeypatch):
-    """Record each `OperatorCell.columns_from_last` read: {reader: (cell, skip)}."""
-    reads = {}
-    read = complexes_module.OperatorCell.columns_from_last
-
-    def recording(cell, skip=()):
-        reader = read(cell, skip)
-        reads[reader] = cell, skip
-        return reader
-
-    monkeypatch.setattr(complexes_module.OperatorCell, "columns_from_last", recording)
-    return reads
-
-
 def _recorded_passes(monkeypatch):
     """Record each mod-p pass as (columns, skip, spare, kept, pivot_rows):
     the whole matrix whose columns outside skip it read, and what it kept,
-    as ascending positions."""
+    as ascending positions.  The columns are read after the pass."""
     passes = []
-    reads = _recorded_reads(monkeypatch)
     restricted = linalg.independent_columns_mod_p
 
-    def recording(columns, spare=inf):
-        kept, pivot_rows = restricted(columns, spare)
-        cell, skip = reads.pop(columns)
-        assert all(col == cell.columns[j] for j, col in kept.items())
-        passes.append((cell.columns, skip, spare, list(kept), pivot_rows))
+    def recording(cell, skip=(), spare=inf):
+        kept, pivot_rows = restricted(cell, skip, spare)
+        passes.append((cell.columns, skip, spare, kept, pivot_rows))
         return kept, pivot_rows
 
     monkeypatch.setattr(linalg, "independent_columns_mod_p", recording)
@@ -380,16 +364,13 @@ def test_exact_rank_below_the_modular_rank_raises(monkeypatch):
     # a rank mod p can never exceed the rank over Q; the guard must survive
     # python -O, and holds the columns a stopped pass kept to it
     independent_columns_mod_p = linalg.independent_columns_mod_p
-    reads = _recorded_reads(monkeypatch)
 
-    def over_reporting(pairs, spare=inf):
-        kept, pivot_rows = independent_columns_mod_p(pairs, spare)
-        cell, skip = reads.pop(pairs)
-        columns = cell.columns
-        if len(columns) == 9:  # d_1 at degree 1, a cell with dim H = 4
-            assert (list(kept), pivot_rows) == ([8], None)  # stopped at its first dependent column
-            others = [j for j in range(len(columns)) if j not in skip and j not in kept]
-            kept = {j: columns[j] for j in sorted([*kept, *others[:3]])}
+    def over_reporting(cell, skip=(), spare=inf):
+        kept, pivot_rows = independent_columns_mod_p(cell, skip, spare)
+        if len(cell) == 9:  # d_1 at degree 1, a cell with dim H = 4
+            assert (kept, pivot_rows) == ([8], None)  # stopped at its first dependent column
+            others = [j for j in range(len(cell)) if j not in skip and j not in kept]
+            kept = sorted([*kept, *others[:3]])
         return kept, pivot_rows
 
     monkeypatch.setattr(linalg, "independent_columns_mod_p", over_reporting)
@@ -453,6 +434,31 @@ def _seeded_algebras(seed):
 
 
 @pytest.mark.parametrize("seed", [7, 11])
+def test_the_pass_on_leads_decides_as_the_pass_on_built_columns(monkeypatch, seed):
+    # every pass of d_0..d_2 of these tables, with the skip and spare the
+    # table gave it, keeps the positions and finds the pivot rows that the
+    # pass on built columns (`mod_p_pass`) does, at the word prime and at
+    # small ones, where more entries are 0 mod p; so on the invariant
+    # subcomplex, whose cells hold lists of columns
+    passes = _recorded_passes(monkeypatch)
+    checked = stopped = 0
+    algebras = REGISTRY_ALGEBRAS + [a for a in _seeded_algebras(seed) if a.tau is not None]
+    for prime in (linalg.PRIME, 3):
+        monkeypatch.setattr(linalg, "PRIME", prime)
+        for algebra in algebras:
+            pi = linear_poisson(algebra)
+            for invariant in (False, True)[:1 + schouten_bracket(rotation_field(), pi).is_zero()]:
+                del passes[:]
+                cohomology_table(pi, 10, invariant)
+                for n, (columns, skip, spare, kept, pivot_rows) in enumerate(passes):
+                    if n % 4 < 3:
+                        assert mod_p_pass(columns, skip, spare) == (kept, pivot_rows)
+                        checked += 1
+                        stopped += pivot_rows is None
+    assert checked and stopped
+
+
+@pytest.mark.parametrize("seed", [7, 11])
 def test_the_incoming_pivot_columns_change_no_exact_reduction(monkeypatch, seed):
     # the incoming image's pivots are free columns of d_q: emptying them
     # changes no rank, kernel row read off or image pivot
@@ -510,22 +516,21 @@ def test_no_pass_after_d_0_reads_past_its_first_dependent_column(monkeypatch):
     # every heisenberg cell keeps a class, and each pass after d_0 skips as
     # many columns as rank_in: it stops at its first dependent column, and
     # reads 507 columns where passes run to the end read 2,027
-    independent_columns_mod_p = linalg.independent_columns_mod_p
+    leads = complexes_module.OperatorCell.leads
     reads = []
 
-    def counting(columns, spare=inf):
-        read = []
-        kept, pivot_rows = independent_columns_mod_p(
-            (read.append(pair) or pair for pair in columns), spare)
-        reads.append((len(read), len(kept), pivot_rows is not None))
-        return kept, pivot_rows
+    def counting(cell, skip, p):
+        reads.append(0)
+        for pair in leads(cell, skip, p):
+            reads[-1] += 1
+            yield pair
 
-    monkeypatch.setattr(linalg, "independent_columns_mod_p", counting)
+    monkeypatch.setattr(complexes_module.OperatorCell, "leads", counting)
     passes = _recorded_passes(monkeypatch)
     cohomology_table(linear_poisson("heisenberg"), 12)
     assert len(reads) == len(passes) == 52
-    reads = [(len(columns) - len(skip), *read)
-             for read, (columns, skip, *_) in zip(reads, passes)]  # skip holds positions
+    reads = [(len(columns) - len(skip), read, len(kept), pivot_rows is not None)
+             for read, (columns, skip, _, kept, pivot_rows) in zip(reads, passes)]
     for n, ((size, read, found, whole), (*_, spare, _, _)) in enumerate(zip(reads, passes)):
         if n % 4:
             assert spare == 0

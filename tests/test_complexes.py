@@ -221,7 +221,8 @@ def test_stencil_entries_that_leave_the_basis_are_rejected(monkeypatch, entry):
     with pytest.raises(ValueError, match=re.escape(repr(entry))):
         multivector._check_stencil({0: [good, entry]}, 1)
     multivector._check_stencil({0: [good]}, 1)
-    monkeypatch.setattr(complexes, "linear_stencil", lambda operator, q: ({0: [good]}, 1))
+    monkeypatch.setattr(complexes, "linear_stencil",
+                        lambda operator, q: ({0: [good]}, 1, {0: [good]}))
     pi = linear_poisson("sl2")
     cell = linear_operator_matrix(pi, 0, 2)
     assert matvec(cell.columns, {cell.source.position(0, (0, 0, 2)): 1}) == {
@@ -292,12 +293,18 @@ def _layout_algebras(rng):
     return [Algebra(kind, tau) for kind in KINDS for tau in taus.get(kind, [None])]
 
 
+def _leads(columns, p):
+    """The highest row at which each column is nonzero mod p, None for none."""
+    return [max((i for i, c in col.items() if c % p), default=None) for col in columns]
+
+
 @pytest.mark.parametrize("seed", [5, 17])
 def test_each_layout_of_a_cell_reads_the_same_matrix(seed):
     # a cell read as rows with some columns left out is the row layout of
-    # its columns with those emptied, and its columns read last first, one
-    # at a time, are its columns in that order; so is a cell that holds a
-    # list of columns
+    # its columns with those emptied; its leads mod p, read last first
+    # outside a skip, are the highest rows at which its columns are nonzero
+    # mod p; and each column built alone is that column; so for a cell that
+    # holds a list of columns
     rng = random.Random(seed)
     for algebra in _layout_algebras(rng):
         pi = linear_poisson(algebra)
@@ -310,12 +317,46 @@ def test_each_layout_of_a_cell_reads_the_same_matrix(seed):
                     skip = set(rng.sample(range(n), rng.randint(0, n)))
                     assert cell.rows(free) == linalg.lay_out(
                         [{} if j in free else col for j, col in enumerate(whole)])
-                    reader = cell.columns_from_last(skip)
                     read = [j for j in range(n - 1, -1, -1) if j not in skip]
-                    first = read[:rng.randint(0, len(read))]  # a pass that stops early
-                    assert [next(reader) for _ in first] == [(j, whole[j]) for j in first]
-                    assert list(reader) == [(j, whole[j]) for j in read[len(first):]]
+                    for p in (linalg.PRIME, 2, 3):
+                        leads = _leads(whole, p)
+                        reader = cell.leads(skip, p)
+                        first = read[:rng.randint(0, len(read))]  # a pass that stops early
+                        assert [next(reader) for _ in first] == [(j, leads[j]) for j in first]
+                        assert list(reader) == [(j, leads[j]) for j in read[len(first):]]
+                    assert [cell.column(j) for j in range(n)] == whole
                     assert cell.columns == whole and len(cell) == n
+
+
+def test_leads_pass_over_entries_that_vanish_or_are_zero_mod_p(monkeypatch):
+    # the entry of a column that would reach the highest row can vanish (a
+    # form c m_a at m_a = 0) or be 0 mod p: the lead is then a lower
+    # entry's row, or None for a column that is 0 mod p.  No column is built
+    built = []
+    column = complexes._column
+    monkeypatch.setattr(complexes, "_column", lambda *args: built.append(args) or column(*args))
+    cases = dict.fromkeys(("vanishes", "zero mod p", "zero column"), 0)
+    for algebra in ALGEBRAS:
+        pi = linear_poisson(algebra)
+        for q in range(4):
+            stencil = linear_stencil(pi, q)[0] if q < 3 else {0: []}
+            for d in range(7):
+                for p in (linalg.PRIME, 2, 3):
+                    cell = differential_matrix(pi, q, d)
+                    leads = dict(cell.leads((), p))
+                    assert built == []
+                    whole = cell.columns
+                    del built[:]
+                    assert leads == dict(enumerate(_leads(whole, p)))
+                    for j, lead in leads.items():
+                        idx, mono = cell.source.element(j)
+                        top = min(stencil[idx], key=lambda e: (monomial_key(e[1]), -e[0]),
+                                  default=None)
+                        value = top and sum(a * m for a, m in zip(top[2], (*mono, 1)))
+                        cases["vanishes"] += lead is not None and value == 0
+                        cases["zero mod p"] += lead is not None and value and not value % p
+                        cases["zero column"] += lead is None
+    assert all(cases.values()), cases
 
 
 def test_differentials_leave_the_basis_elements_unbuilt(monkeypatch):
@@ -328,7 +369,7 @@ def test_differentials_leave_the_basis_elements_unbuilt(monkeypatch):
     cells += [linear_operator_matrix(rotation_field(), q, 5) for q in range(4)]
     columns = [differential_matrix(pi, q, 5).columns_at({0, 7}) for q in range(3)]
     for cell in cells:  # a cell builds only as it is read: read it all three ways
-        cell.rows(), list(cell.columns_from_last()), cell.columns
+        cell.rows(), list(cell.leads((), linalg.PRIME)), cell.column(0), cell.columns
     assert listed == []
     for cell in cells:
         assert len(cell.columns) == len(cell.source)
@@ -395,8 +436,10 @@ def test_stencil_is_integer_over_the_operator_denominators():
         den = lcm(*(c.denominator for poly in operator.components.values()
                     for c in poly.terms.values()))
         for q in range(4):
-            table, stencil_den = linear_stencil(operator, q)
+            table, stencil_den, by_row = linear_stencil(operator, q)
             assert stencil_den == den
+            assert {idx: sorted(entries) for idx, entries in by_row.items()} == {
+                idx: sorted(entries) for idx, entries in table.items()}
             assert all(type(v) is int
                        for entries in table.values() for _, _, form in entries for v in form)
 

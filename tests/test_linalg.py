@@ -5,11 +5,14 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from helpers import (
-    compose, integer_matrix, integer_rows, kernel_basis, mod_p_pass, rank, reference_rref)
+import pytest
 
-from poisson3 import linalg
+from helpers import (
+    cell_pass, compose, integer_matrix, integer_rows, kernel_basis, rank, reference_rref)
+
+from poisson3 import OperatorCell, linalg
 from poisson3.linalg import (
+    independent_columns_mod_p,
     integer_normalize,
     kernel_and_image,
     matvec,
@@ -410,7 +413,7 @@ def test_columns_independent_mod_p_have_the_exact_rank():
             columns.append({i: sign * c for i, c in rng.choice(columns).items()})
         columns = integer_matrix(columns)
         snapshot = copy.deepcopy(columns)
-        independent, pivot_rows = mod_p_pass(columns, set())
+        independent, pivot_rows = cell_pass(columns, set())
         assert columns == snapshot
         # entries shifted by multiples of p, and new entries of +-p where there
         # were none, are the same matrix mod p
@@ -420,14 +423,14 @@ def test_columns_independent_mod_p_have_the_exact_rank():
             for i in range(nrows):
                 if i not in col and shift_rng.random() < 0.3:
                     col[i] = shift_rng.choice((1, -1)) * linalg.PRIME
-        assert mod_p_pass(shifted, set()) == (independent, pivot_rows)
+        assert cell_pass(shifted, set()) == (independent, pivot_rows)
         assert len(independent) == kernel_and_image(columns)[0]
         # with any skip, the columns outside it are reduced as if the others
         # were not there: column j is kept exactly when it is independent of
         # the later columns outside the skip
         skip = {j for j in range(len(columns)) if skip_rng.random() < 0.4}
         for skip in (set(), skip):
-            kept, pivot_rows = mod_p_pass(columns, skip)
+            kept, pivot_rows = cell_pass(columns, skip)
             assert columns == snapshot
             outside = [j for j in range(len(columns)) if j not in skip]
             rest = [columns[j] for j in outside]
@@ -440,7 +443,7 @@ def test_columns_independent_mod_p_have_the_exact_rank():
             # it and keeps only the columns found before that one
             dependent = [j for j in reversed(outside) if j not in kept]
             for spare in range(len(dependent) + 2):
-                stopped = mod_p_pass(columns, skip, spare)
+                stopped = cell_pass(columns, skip, spare)
                 assert columns == snapshot
                 if spare < len(dependent):
                     assert stopped == ([j for j in kept if j > dependent[spare]], None)
@@ -468,18 +471,18 @@ def test_skipping_the_pivot_rows_of_the_incoming_map_keeps_the_rank():
         outer = [{r: row[i] for r, row in enumerate(outer_rows) if row.get(i)}
                  for i in range(nrows)]
         assert not any(compose(outer, inner))
-        kept_inner, skip = mod_p_pass(inner, set())
+        kept_inner, skip = cell_pass(inner, set())
         assert len(skip) == len(kept_inner) == rank(inner)
-        kept, _ = mod_p_pass(outer, skip)
+        kept, _ = cell_pass(outer, skip)
         assert not skip & set(kept)
-        assert len(kept) == len(mod_p_pass(outer, set())[0]) == rank(outer)
+        assert len(kept) == len(cell_pass(outer, set())[0]) == rank(outer)
         assert rank([outer[j] for j in kept]) == len(kept)
         dropped += sum(map(bool, (outer[j] for j in skip)))
         # so do the columns outside the rows at which inner's image echelon
         # leads, over Q and so for all but unlucky primes
         image_pivots = set(rref(inner)[0])
         assert len(image_pivots) == rank(inner)
-        kept, _ = mod_p_pass(outer, image_pivots)
+        kept, _ = cell_pass(outer, image_pivots)
         assert not image_pivots & set(kept)
         assert len(kept) == rank([outer[j] for j in range(nrows) if j not in image_pivots])
         assert len(kept) == rank(outer)
@@ -490,26 +493,59 @@ def test_skipping_the_pivot_rows_of_the_incoming_map_keeps_the_rank():
 def test_rank_drop_mod_the_prime_returns_fewer_columns(monkeypatch):
     # det [[1, 1], [1, 4]] = 3: rank 2 over Q, rank 1 mod 3
     columns = _columns_from_rows([[1, 1, 0], [1, 4, 0], [0, 0, 7]])
-    assert mod_p_pass(columns, set()) == ([0, 1, 2], {0, 1, 2})
+    assert cell_pass(columns, set()) == ([0, 1, 2], {0, 1, 2})
     monkeypatch.setattr(linalg, "PRIME", 3)
-    independent, pivot_rows = mod_p_pass(columns, set())
+    independent, pivot_rows = cell_pass(columns, set())
     assert len(independent) == len(pivot_rows) == 2 < kernel_and_image(columns)[0]
     assert rank([columns[j] for j in independent]) == 2
     # column 0 is dependent mod 3: a pass with no spare column stops there
-    assert mod_p_pass(columns, set(), 0) == (independent, None)
-    assert mod_p_pass(columns, set(), 1) == (independent, pivot_rows)
+    assert cell_pass(columns, set(), 0) == (independent, None)
+    assert cell_pass(columns, set(), 1) == (independent, pivot_rows)
     monkeypatch.setattr(linalg, "PRIME", 7)
-    assert mod_p_pass(columns, set()) == ([0, 1], {0, 1})
+    assert cell_pass(columns, set()) == ([0, 1], {0, 1})
     # more columns than rows: every 2x2 minor is a multiple of 3
     wide = _columns_from_rows([[1, 1, 2, 3], [1, 4, 2, 0]])
-    assert mod_p_pass(wide, set()) == ([2, 3], {0, 1})
+    assert cell_pass(wide, set()) == ([2, 3], {0, 1})
     monkeypatch.setattr(linalg, "PRIME", 3)
-    assert mod_p_pass(wide, set()) == ([2], {1})
+    assert cell_pass(wide, set()) == ([2], {1})
     # columns 3, 1 and 0 are dependent mod 3, in that order
-    assert [mod_p_pass(wide, set(), spare) for spare in range(4)] == [
+    assert [cell_pass(wide, set(), spare) for spare in range(4)] == [
         ([], None), ([2], None), ([2], None), ([2], {1})]
     assert kernel_and_image(wide)[0] == 2
     assert rank([wide[2]]) == 1
+
+
+def test_a_pass_builds_a_column_only_where_its_lead_collides(monkeypatch):
+    # a column whose lead is no pivot yet lands there unbuilt; a column is
+    # built when its lead is a pivot already, and a pivot that landed
+    # unbuilt when a later column is first reduced against it
+    p = linalg.PRIME
+    built = []
+    column = OperatorCell.column
+    monkeypatch.setattr(OperatorCell, "column",
+                        lambda cell, j: built.append(j) or column(cell, j))
+    # columns 2 and 1 land at rows 1 and 2; column 0 leads at row 1, so it
+    # is built, and so is column 2, to reduce it
+    assert cell_pass([{1: 2, 0: 1}, {2: 1}, {1: 1}], set()) == ([0, 1, 2], {0, 1, 2})
+    assert built == [0, 2]
+    # column 0's top entry is 0 mod p: it leads at row 0, where column 1 landed
+    del built[:]
+    assert cell_pass([{0: 1, 1: p}, {0: 1}], set()) == ([1], {0})
+    assert built == [0, 1]
+    # an empty column and one that is 0 mod p are dependent, with no build
+    del built[:]
+    assert cell_pass([{}, {2: -p, 0: 2 * p}, {0: 3}], set()) == ([2], {0})
+    assert cell_pass([{}, {2: -p}, {0: 3}], set(), 1) == ([2], None)
+    assert built == []
+
+
+def test_a_lead_read_below_the_top_of_its_column_raises(monkeypatch):
+    # a pivot must be 0 above its row mod p, or a reduction against it could
+    # put entries back above it without end
+    monkeypatch.setattr(OperatorCell, "leads", lambda cell, skip, p: (
+        (j, min(cell.columns[j])) for j in range(len(cell) - 1, -1, -1)))
+    with pytest.raises(RuntimeError, match="pivot 0 of column 1 is not its lead"):
+        independent_columns_mod_p(OperatorCell(None, None, [{0: 1}, {0: 1, 1: 1}], 1))
 
 
 def test_the_modulus_is_a_word_size_prime():

@@ -59,24 +59,39 @@ def test_no_unused_imports():
     assert found == []
 
 
-def _read_names(trees):
-    """Every name the trees read, as a name or as an attribute."""
+def _read_attributes(trees):
+    """Every name the trees read as an attribute, or by a literal getattr."""
     read = set()
     for tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute):
                 read.add(node.attr)
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+                  and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    return read
+
+
+def _read_names(trees):
+    """Every name the trees read as an attribute (`_read_attributes`), or as
+    a bare name in a tree that defines it at top level or imports it by name:
+    a local variable elsewhere is no read of a function of that name."""
+    read = _read_attributes(trees)
+    for tree in trees:
+        own = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        own.update(alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) for alias in node.names)
+        read.update(node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and node.id in own)
     return read
 
 
 def _unreferenced_functions(trees, exported):
     """(module, name) of each public module-level function the modules never read.
 
-    A name counts as read where it appears as a name or an attribute in any
-    module; a function listed in `exported` is public API, and pytest calls
-    each test_ function by its name.
+    A name counts as read where any module reads it (`_read_names`); a
+    function listed in `exported` is public API, and pytest calls each
+    test_ function by its name.
     """
     read = _read_names(trees.values())
     return sorted(
@@ -98,6 +113,11 @@ def test_dead_helper_rule_flags_only_unread_functions():
     trees = {"helpers": ast.parse("def used(): pass\ndef unused(): pass\n"),
              "test_c": ast.parse("from helpers import used\ndef test_x():\n    used()\n")}
     assert _unreferenced_functions(trees, set()) == [("helpers", "unused")]
+    # a variable of the same name in a module that does not import it is no read
+    trees["test_d"] = ast.parse("def test_y():\n    unused = 1\n    return unused\n")
+    assert _unreferenced_functions(trees, set()) == [("helpers", "unused")]
+    trees["test_d"] = ast.parse("import helpers\nf = getattr(helpers, 'unused')\n")
+    assert _unreferenced_functions(trees, set()) == []
 
 
 def test_no_dead_public_functions():
@@ -109,11 +129,12 @@ def test_no_dead_public_functions():
 
 def _unread_methods(trees, readers):
     """(module, Class.method) of each public method of a class in `trees`
-    that no tree in `readers` reads, as a name or as an attribute.
+    that no tree in `readers` reads as an attribute or by a literal getattr
+    (`_read_attributes`): a bare name of the same name is no read.
 
     A property counts as a method; a _-prefixed or dunder method is left out.
     """
-    read = _read_names(readers)
+    read = _read_attributes(readers)
     return sorted(
         (module, "%s.%s" % (top.name, node.name))
         for module, tree in trees.items()
@@ -133,6 +154,11 @@ def test_dead_method_rule_flags_only_unread_methods():
     assert _unread_methods(trees, readers) == [("a", "C.size"), ("a", "C.unused")]
     readers.append(ast.parse("def f(c):\n    return c.size\n"))
     assert _unread_methods(trees, readers) == [("a", "C.unused")]
+    # a variable or a function named like the method is no read of it
+    readers.append(ast.parse("def unused(): pass\nunused = 2\nprint(unused)\n"))
+    assert _unread_methods(trees, readers) == [("a", "C.unused")]
+    readers.append(ast.parse("def g(c):\n    return getattr(c, 'unused')()\n"))
+    assert _unread_methods(trees, readers) == []
 
 
 def test_no_dead_public_methods():
@@ -227,11 +253,20 @@ def test_each_layout_and_the_mod_p_pass_have_their_named_callers():
     # `lay_out` is the one writer of the row layout of a list of columns, for
     # a cell that holds one and for `kernel_and_image`; a cell read off a
     # stencil writes the same layout itself.  Only the degree loop runs the
-    # mod-p pass, and only an OperatorCell walks its stencil's columns
+    # mod-p pass, and only the pass reads leads.  A column is built alone
+    # where the pass's lead collides and where it reduces against a pivot
+    # for the first time, and by the degree loop for the columns a certified
+    # cell kept; `_column` writes each column of a stencil, alone or in the
+    # walk of `columns` and `columns_at`
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     assert _callers(trees, "lay_out") == [("complexes.py", "OperatorCell.rows"),
                                           ("linalg.py", "kernel_and_image")]
     assert _callers(trees, "independent_columns_mod_p") == [("cohomology.py", "_degree_cells")]
-    built = _callers(trees, "_built")
-    assert built and {(module, scope.split(".")[0]) for module, scope in built} == {
-        ("complexes.py", "OperatorCell")}
+    assert _callers(trees, "leads") == [("linalg.py", "independent_columns_mod_p")]
+    assert _callers(trees, "column") == [("cohomology.py", "_degree_cells"),
+                                         ("linalg.py", "independent_columns_mod_p"),
+                                         ("linalg.py", "independent_columns_mod_p")]
+    assert _callers(trees, "_column") == [("complexes.py", "OperatorCell._built"),
+                                          ("complexes.py", "OperatorCell.column")]
+    assert _callers(trees, "_built") == [("complexes.py", "OperatorCell.columns"),
+                                         ("complexes.py", "OperatorCell.columns_at")]

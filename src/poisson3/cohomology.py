@@ -2,17 +2,17 @@
 
 Each (q, d) cell is closed under the differential of a linear bivector, so
 its cohomology is kernel-modulo-image of two finite exact matrices.  One
-loop reduces a whole coefficient degree d from its differentials, each an
-`OperatorCell` from `differential_matrix`, built only as far as it is read
-and reduced at most once (`linalg.kernel_and_image_of_rows`): one
-elimination gives a differential's rank, its kernel in reduced echelon
-form, and the pivots of its image's echelon, all the next cell needs of
-its image.  A single cell is read off the four cells of its degree, as a
-table builds them.  The rotation-invariant subcomplex goes through the
-same loop on the same differentials, each of d_0..d_2 read only at the
-columns its invariant vectors touch (`OperatorCell.columns_at`) and
-restricted to the invariant sub-bases.  A bivector with [pi, pi] != 0
-has no complex, as d o d != 0, and is rejected.
+loop reduces a whole coefficient degree d from the four `OperatorCell`s of
+a complex it is handed, each reduced at most once
+(`linalg.kernel_and_image_of_rows`): one elimination gives a
+differential's rank, its kernel in reduced echelon form, and the pivots of
+its image's echelon, all the next cell needs of its image.  A builder picks
+the complex: the full one is `differential_matrix` at each q, built only as
+far as it is read; the rotation-invariant subcomplex restricts d_0..d_2,
+each read at the columns its invariant vectors touch, to the invariant
+sub-bases, which map its representatives back.  A single cell is read off
+the four cells of its degree, as a table builds them.  A bivector with
+[pi, pi] != 0 has no complex, as d o d != 0, and is rejected.
 
 Most cells are acyclic, and those need no exact elimination.  Each
 differential is first reduced modulo the constant prime `linalg.PRIME`, by
@@ -29,13 +29,12 @@ The matrices are integer throughout.  Representatives are canonical: they
 are the kernel rows whose leading coordinate is not a pivot of the image's
 echelon, the only ones read off the reduction, which gives each one as
 coprime integers positive at its lowest index, its free column.  It is
-published as Fractions with no normalisation of its own; only the
-invariant path normalises, once a row is mapped back to ambient
-coordinates.  They are already reduced against the image: the kernel row
-led at a free column j of d_q is nonzero only at j and at d_q's pivot
-columns, and the image's pivots are free columns of d_q other than j (the
-image lies in the kernel, as d o d = 0), so no image row could change it.
-Two runs over the same input produce byte-identical output.
+published as Fractions, normalised again only where a subcomplex maps it
+back to ambient coordinates.  They are already reduced against the image:
+the kernel row led at a free column j of d_q is nonzero only at j and at
+d_q's pivot columns, and the image's pivots are free columns of d_q other
+than j (the image lies in the kernel, as d o d = 0), so no image row could
+change it.  Two runs over the same input produce byte-identical output.
 """
 
 from fractions import Fraction
@@ -74,31 +73,6 @@ class CohomologyCell:
         return "CohomologyCell(q=%d, d=%d, dim_h=%d)" % (self.q, self.d, self.dim_h)
 
 
-def _restrict(columns, source_vectors, target_vectors):
-    """Matrix of a map restricted to invariant sub-bases on both sides.
-
-    `columns` maps each position in the source vectors' support to its
-    column.  Each target vector from `invariant_basis` is the only one that
-    is nonzero at its highest coordinate, where its entry is +-1: an
-    image's coefficients are read off those coordinates, then checked by
-    mapping them back.
-    """
-    tops = [(max(vec), vec[max(vec)]) for vec in target_vectors]
-    out = []
-    for vec in source_vectors:
-        image = linalg.matvec(columns, vec)
-        coeffs = {k: image[top] * lead for k, (top, lead) in enumerate(tops) if top in image}
-        if linalg.matvec(target_vectors, coeffs) != image:
-            raise ValueError("operator does not preserve the invariant subspace")
-        out.append(coeffs)
-    return out
-
-
-def _check_cochain_degree(q):
-    if q not in (0, 1, 2, 3):
-        raise ValueError("cochain degree must be 0..3, got %r" % (q,))
-
-
 def _check_rotation_invariant(pi):
     if not schouten_bracket(rotation_field(), pi).is_zero():
         raise ValueError("bivector is not rotation invariant")
@@ -117,17 +91,49 @@ def _check_poisson(pi):
             raise ValueError("bivector is not Poisson: [pi, pi] is not 0")
 
 
-def _degree_cells(pi, d, invariant):
-    """The cells q = 0..3 of coefficient degree d.
+def _differentials(pi, d):
+    """d_0..d_3 of degree d, built only as read, and no map back (they are ambient)."""
+    return [differential_matrix(pi, q, d) for q in range(4)], None
 
-    Each differential out of degree d is reduced mod p once, by a pass that
-    builds a column only where its lead collides.  Each cell passes the next
-    (rank_in, pivots): d_q's exact rank and the pivots of its image's
-    echelon.  When the rank mod p of d_q leaves cell q no room for a class,
-    the cell is certified acyclic, and the columns the pass kept, which are
-    independent over Q and as many as the exact rank, span cell q + 1's
-    image: they are built, and their `rref` gives its pivots, only when cell
-    q + 1 is reduced exactly.
+
+def _invariant_differentials(pi, d):
+    """d_0..d_3 of degree d restricted to the invariant sub-bases, and the bases.
+
+    d_q, q <= 2, is read only at the columns its source vectors touch
+    (`OperatorCell.columns_at`); d_3 is 0 and is not built.  Each target
+    vector from `invariant_basis` is the only one nonzero at its highest
+    coordinate, where it is +-1: an image's coefficients are read off those
+    coordinates, then checked by mapping them back.
+    """
+    vectors = [invariant_basis(q, d)[1] for q in range(4)]
+    cells = []
+    for q in range(3):
+        columns = differential_matrix(pi, q, d).columns_at({j for v in vectors[q] for j in v})
+        tops = [(max(vec), vec[max(vec)]) for vec in vectors[q + 1]]
+        restricted = []
+        for vec in vectors[q]:
+            image = linalg.matvec(columns, vec)
+            coeffs = {k: image[top] * lead for k, (top, lead) in enumerate(tops) if top in image}
+            if linalg.matvec(vectors[q + 1], coeffs) != image:
+                raise ValueError("operator does not preserve the invariant subspace")
+            restricted.append(coeffs)
+        cells.append(OperatorCell(None, None, restricted, 1))
+    return cells + [OperatorCell(None, None, [{} for _ in vectors[3]], 1)], vectors  # d_3 = 0
+
+
+def _degree_cells(d, matrices, back=None):
+    """The cells q = 0..3 of coefficient degree d, from its four differentials.
+
+    `matrices` holds d_0..d_3 as `OperatorCell`s of a complex, and `back`,
+    if not None, the basis of each cochain space as ambient (q, d) vectors.
+    Each differential is reduced mod p once, by a pass that builds a column
+    only where its lead collides.  Each cell passes the next (rank_in,
+    pivots): d_q's exact rank and the pivots of its image's echelon.  When
+    the rank mod p of d_q leaves cell q no room for a class, the cell is
+    certified acyclic, and the columns the pass kept, which are independent
+    over Q and as many as the exact rank, span cell q + 1's image: they are
+    built in one walk (`OperatorCell.columns_at`), and their `rref` gives
+    its pivots, only when cell q + 1 is reduced exactly.
     After d_0 a pass stops once its dependent columns outnumber rank_in
     minus the columns it skips, as it can then certify nothing, and the next
     pass skips the exact image pivots in place of its pivot rows.  d_0's
@@ -141,19 +147,10 @@ def _degree_cells(pi, d, invariant):
     out for the reduction (`OperatorCell.rows`), which changes no rank,
     pivot, kernel row read off or row that lands, and the rows led at the
     other free columns, one per class, are all that is read off.  The
-    kernel rows come out primitive and positive at their free column, so on
-    the full complex they are boxed into Fractions as they are.  On the
-    invariant subcomplex (d_3 is 0 there) they are mapped back to ambient
-    (q, d) coordinates and normalised again before they are boxed.
+    kernel rows come out primitive and positive at their free column, so
+    they are boxed into Fractions as they are; with `back` they are first
+    mapped to ambient coordinates, still integer, and normalised again.
     """
-    if invariant:
-        vectors = [invariant_basis(q, d)[1] for q in range(4)]
-        matrices = [OperatorCell(None, None, _restrict(
-            differential_matrix(pi, q, d).columns_at({j for v in vectors[q] for j in v}),
-            vectors[q], vectors[q + 1]), 1) for q in range(3)]
-        matrices.append(OperatorCell(None, None, [{} for _ in vectors[3]], 1))  # d_3 = 0
-    else:
-        matrices = [differential_matrix(pi, q, d) for q in range(4)]
     cells = []
     rank_in, pivots = 0, set()  # d_{q-1}'s rank and image pivots, None until needed
     skip = set()  # columns of d_q that carry none of its image
@@ -169,7 +166,7 @@ def _degree_cells(pi, d, invariant):
             continue
         if pivots is None:  # d_{q-1} was certified: the columns it kept span its image
             incoming, kept = certified
-            pivots = set(linalg.rref([incoming.column(j) for j in kept])[0])
+            pivots = set(linalg.rref(list(incoming.columns_at(set(kept)).values()))[0])
         rank, _, kernel, image_pivots = linalg.kernel_and_image_of_rows(  # the pivots' columns
             size, matrix.rows(pivots), pivots)  # are free, and left out
         if rank < len(independent):
@@ -181,8 +178,8 @@ def _degree_cells(pi, d, invariant):
             raise RuntimeError(
                 "cell (%d, %d): dim H is %d but %d representatives were found"
                 % (q, d, dim_h, len(kernel)))
-        if invariant:  # back to ambient coordinates, where the canonical form is redone
-            kernel = [linalg.integer_normalize(linalg.matvec(vectors[q], rep)) for rep in kernel]
+        if back is not None:
+            kernel = [linalg.integer_normalize(linalg.matvec(back[q], rep)) for rep in kernel]
         reps = [{i: Fraction(c) for i, c in rep.items()} for rep in kernel]
         cells.append(CohomologyCell(q, d, size, rank, rank_in, reps))
         rank_in, pivots = rank, image_pivots
@@ -196,9 +193,9 @@ def cohomology_cell(pi, q, d):
     Representatives are returned as coordinate vectors; use
     `cell_multivectors` or the table interface for multivector form.
     """
-    _check_cochain_degree(q)
+    GradedBasis(q, d)
     _check_poisson(pi)
-    return _degree_cells(pi, d, False)[q]
+    return _degree_cells(d, *_differentials(pi, d))[q]
 
 
 def invariant_cohomology(pi, q, d):
@@ -208,10 +205,10 @@ def invariant_cohomology(pi, q, d):
     else is rejected since the subspaces would not form a complex.
     Representatives come back in ambient (q, d) coordinates.
     """
-    _check_cochain_degree(q)
+    GradedBasis(q, d)
     _check_rotation_invariant(pi)
     _check_poisson(pi)
-    return _degree_cells(pi, d, True)[q]
+    return _degree_cells(d, *_invariant_differentials(pi, d))[q]
 
 
 def cell_multivectors(cell):
@@ -265,9 +262,10 @@ def cohomology_table(pi, dmax, invariant=False):
     if invariant:
         _check_rotation_invariant(pi)
     _check_poisson(pi)
+    build = _invariant_differentials if invariant else _differentials
     cells = {}
     for d in range(dmax + 1):
-        for cell in _degree_cells(pi, d, invariant):
+        for cell in _degree_cells(d, *build(pi, d)):
             cells[(cell.q, d)] = cell
     return CohomologyTable(dmax, cells)
 

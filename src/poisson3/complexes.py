@@ -11,12 +11,12 @@ Matrices and invariant sub-bases are read off closed forms (monomial order,
 basis positions, an integer stencil of the operator, invariant generators)
 with no bracket or elimination.  `differential_matrix` is the one source of
 a differential, for the full complex and its invariant subcomplex alike,
-and builds only as it is read (`OperatorCell`): a mod-p pass reads the
-columns' leads and builds one only where its lead collides, an exact
-reduction gets its rows straight from the stencil, and the invariant
-subcomplex builds only the columns its vectors touch (`columns_at`).  The
-tests hold the independent route the stencil is checked against, a
-Schouten bracket per column.
+and builds only as it is read, keeping nothing (`OperatorCell`): a mod-p
+pass reads the columns' leads and builds one only where its lead collides,
+an exact reduction gets its rows straight from the stencil, and the
+invariant subcomplex and a certified cell build only the columns they
+name (`columns_at`).  The tests hold the independent route the stencil is
+checked against, a Schouten bracket per column.
 """
 
 from math import comb, isqrt
@@ -128,10 +128,10 @@ class OperatorCell:
 
     The matrix is columns / den, with int columns.  A cell read off the
     stencil of a linear operator builds only what is read, as its reader
-    reads it: all `columns` on the first read, one `column(j)`, only the
+    reads it, and keeps nothing: all `columns`, one `column(j)`, only the
     `columns_at(positions)`, and `leads(skip, p)` or `rows(free)` with no
-    column built.  A cell made with a list of columns reads it the same ways
-    but `columns_at`; on other bases its source and target are None.
+    column built.  A cell made with a list of columns reads it the same
+    ways; on other bases its source and target are None.
     """
 
     __slots__ = ("source", "target", "den", "_columns", "_stencil", "_by_row")
@@ -142,17 +142,17 @@ class OperatorCell:
         self._stencil, self._by_row = stencil, by_row  # of each source component, or None
 
     def __len__(self):
-        return len(self.source) if self._columns is None else len(self._columns)
+        return len(self._columns) if self._stencil is None else len(self.source)
 
     @property
     def columns(self):
-        if self._columns is None:
-            self._columns = list(self._built(range(len(self))).values())
-        return self._columns
+        if self._stencil is None:
+            return self._columns
+        return list(self._built(range(len(self))).values())
 
     def column(self, j):
         """Column j; a cell read off a stencil builds it alone, by `_column`."""
-        if self._columns is not None:
+        if self._stencil is None:
             return self._columns[j]
         idx, (mx, my, mz) = self.source.element(j)
         return _column(self._stencil[idx], self.source.d - mz, mx, my, mz, NCOMP[self.target.q])
@@ -161,7 +161,8 @@ class OperatorCell:
         """{j: column j} for the positions in the set `positions`, by ascending
         j; no other column is built.  Raises KeyError for a position outside
         the source basis."""
-        columns = self._built(positions)
+        columns = ({j: col for j, col in enumerate(self._columns) if j in positions}
+                   if self._stencil is None else self._built(positions))
         if len(columns) != len(positions):
             raise KeyError(sorted(set(positions) - columns.keys()))
         return columns

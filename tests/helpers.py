@@ -210,8 +210,16 @@ def conjugated_constants(constants, rng):
 def full_build_invariant_table(pi, dmax):
     """`cohomology_table(pi, dmax, invariant=True)` by the route the engine
     took before it built only the supported columns: every column of each
-    d_q, then `_restrict` to the invariant sub-bases."""
-    with mock.patch.object(OperatorCell, "columns_at", lambda cell, positions: cell.columns):
+    d_q, then the restriction to the invariant sub-bases.  A list cell, as
+    the restricted ones are, reads its columns as it does unpatched."""
+    columns_at = OperatorCell.columns_at
+
+    def every_column(cell, positions):
+        if cell._stencil is None:
+            return columns_at(cell, positions)
+        return dict(enumerate(cell.columns))
+
+    with mock.patch.object(OperatorCell, "columns_at", every_column):
         return cohomology_table(pi, dmax, invariant=True)
 
 

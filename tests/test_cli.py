@@ -170,16 +170,21 @@ def test_invariant_table_builds_each_basis_and_differential_once(capsys, monkeyp
     monkeypatch.setattr(cohomology_module, "differential_matrix", counting(
         lambda *args: cells.append(differential_matrix(*args)) or cells[-1],
         differentials, lambda pi, q, d: (q, d)))
-    restricted = {}
-    monkeypatch.setattr(OperatorCell, "columns_at", counting(
-        OperatorCell.columns_at, restricted, lambda cell, support: (cell.source.q, cell.source.d)))
+    restricted, whole = {}, []
+    monkeypatch.setattr(OperatorCell, "columns_at", counting(  # a list cell has no source
+        OperatorCell.columns_at, restricted,
+        lambda cell, support: cell.source and (cell.source.q, cell.source.d)))
+    columns = OperatorCell.columns
+    monkeypatch.setattr(OperatorCell, "columns", property(
+        lambda cell: whole.append(cell) or columns.fget(cell)))
     code, _, _ = run(capsys, "invariant-cohomology", "--algebra", "euclidean",
                      "--dmax", "4", "--format", "json")
     assert code == 0
     assert bases == {(q, d): 1 for q in range(4) for d in range(5)}
     # d_0..d_2 each built once and read once at its support; d_3 is 0 and not built
+    assert restricted.pop(None) == 2  # two certified invariant cells' kept columns, one walk each
     assert differentials == restricted == {(q, d): 1 for q in range(3) for d in range(5)}
-    assert all(cell._columns is None for cell in cells)  # no differential is built whole
+    assert not any(cell in whole for cell in cells)  # no differential is built whole
 
 
 def test_invariant_cohomology_rejects_non_invariant(capsys):

@@ -14,6 +14,7 @@ from poisson3 import (
     Algebra,
     GradedBasis,
     MultiVector,
+    OperatorCell,
     Polynomial,
     cell_multivectors,
     coboundary_witness,
@@ -889,14 +890,78 @@ def test_conjugated_constants_keep_the_oracle_grid():
 
 
 def test_restriction_to_invariant_bases_solves_each_image():
+    cells, vectors = cohomology_module._invariant_differentials(linear_poisson("euclidean"), 3)
     for q in range(3):
-        source, target = invariant_basis(q, 3)[1], invariant_basis(q + 1, 3)[1]
         columns = differential_matrix(linear_poisson("euclidean"), q, 3).columns
-        assert cohomology_module._restrict(columns, source, target) == [
-            linalg.solve_combination(target, linalg.matvec(columns, vec)) for vec in source]
-    columns = differential_matrix(linear_poisson("aff_x_r"), 1, 2).columns
+        assert cells[q].columns == [
+            linalg.solve_combination(vectors[q + 1], linalg.matvec(columns, vec))
+            for vec in vectors[q]]
+    assert cells[3].columns == [{} for _ in vectors[3]]
+    assert vectors == [invariant_basis(q, 3)[1] for q in range(4)]
     with pytest.raises(ValueError, match="does not preserve the invariant subspace"):
-        cohomology_module._restrict(columns, invariant_basis(1, 2)[1], invariant_basis(2, 2)[1])
+        cohomology_module._invariant_differentials(linear_poisson("aff_x_r"), 2)
+
+
+def _unimodular(rng, n):
+    """A random n x n integer matrix of determinant +-1 and its inverse, as rows."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    inverse = [row[:] for row in u]
+    for _ in range(3 * n if n > 1 else 0):
+        a, b = rng.sample(range(n), 2)
+        if rng.random() < 0.3:  # P u, u^-1 P: swap rows a, b of u and columns of u^-1
+            u[a], u[b] = u[b], u[a]
+            for row in inverse:
+                row[a], row[b] = row[b], row[a]
+        c = rng.choice((-2, -1, 1, 2))  # E u, u^-1 E^-1, E = 1 + c e_a e_b^T
+        u[a] = [x + c * y for x, y in zip(u[a], u[b])]
+        for row in inverse:
+            row[b] -= c * row[a]
+    return u, inverse
+
+
+def _split_complex(rng, h, r):
+    """d_0..d_3 as list cells, for C_q = Z^{r_{q-1}} + Z^{h_q} + Z^{r_q}, with
+    r_{-1} = r_3 = 0, where d_q maps the last block identically onto the first
+    block of C_{q+1}, conjugated by random unimodular integer matrices."""
+    r = (0, *r, 0)  # r[q + 1] is r_q
+    sizes = [r[q] + h[q] + r[q + 1] for q in range(4)] + [0]
+    changes = [_unimodular(rng, n) for n in sizes]
+    cells = []
+    for q in range(4):
+        offset = r[q] + h[q]
+        u, inverse = changes[q + 1][0], changes[q][1]  # u d_q inverse; d_q e_(offset+k) = e_k
+        cells.append(OperatorCell(None, None, [
+            {i: c for i in range(sizes[q + 1])
+             if (c := sum(u[i][k] * inverse[offset + k][j] for k in range(r[q + 1])))}
+            for j in range(sizes[q])], 1))
+    return cells
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_the_degree_loop_reduces_hand_made_integer_complexes(monkeypatch, seed):
+    # no bivector: `_degree_cells` gets list cells of a complex whose dim H
+    # and ranks are known, and must find them on the certified, the exact
+    # and the certified-feeds-exact paths
+    calls = {"exact": 0, "kept": 0}
+    reduce, columns_at = linalg.kernel_and_image_of_rows, OperatorCell.columns_at
+    monkeypatch.setattr(linalg, "kernel_and_image_of_rows", lambda *args: calls.update(
+        exact=calls["exact"] + 1) or reduce(*args))
+    monkeypatch.setattr(OperatorCell, "columns_at", lambda cell, positions: calls.update(
+        kept=calls["kept"] + 1) or columns_at(cell, positions))
+    rng = random.Random(seed)
+    shapes = [((0, 2, 0, 1), (2, 3, 1))] + [
+        (tuple(rng.randint(0, 2) for _ in range(4)), tuple(rng.randint(0, 3) for _ in range(3)))
+        for _ in range(12)]
+    for h, r in shapes:
+        cells = _split_complex(rng, h, r)
+        for q, cell in enumerate(cohomology_module._degree_cells(0, cells)):
+            assert (cell.dim_h, cell.rank_out, cell.rank_in) == (h[q], (*r, 0)[q], (0, *r)[q])
+            assert len(cell.representatives) == h[q]
+            assert all(linalg.matvec(cells[q].columns, rep) == {} for rep in cell.representatives)
+            image = cells[q - 1].columns if q else []
+            assert rank(image + cell.representatives) == cell.rank_in + cell.dim_h
+    # certified-feeds-exact cells, other exact cells, and certified cells all ran
+    assert 0 < calls["kept"] < calls["exact"] < 4 * len(shapes)
 
 
 # ---------------------------------------------------------------- witnesses

@@ -303,8 +303,10 @@ def test_each_layout_of_a_cell_reads_the_same_matrix(seed):
     # a cell read as rows with some columns left out is the row layout of
     # its columns with those emptied; its leads mod p, read last first
     # outside a skip, are the highest rows at which its columns are nonzero
-    # mod p; and each column built alone is that column; so for a cell that
-    # holds a list of columns
+    # mod p; each column built alone is that column, and those at some
+    # positions are those columns by ascending position; reading every
+    # column leaves the cell as it was; so for a cell that holds a list of
+    # columns
     rng = random.Random(seed)
     for algebra in _layout_algebras(rng):
         pi = linear_poisson(algebra)
@@ -325,7 +327,15 @@ def test_each_layout_of_a_cell_reads_the_same_matrix(seed):
                         assert [next(reader) for _ in first] == [(j, leads[j]) for j in first]
                         assert list(reader) == [(j, leads[j]) for j in read[len(first):]]
                     assert [cell.column(j) for j in range(n)] == whole
+                    some = set(rng.sample(range(n), rng.randint(0, n)))
+                    assert list(cell.columns_at(some).items()) == [
+                        (j, whole[j]) for j in sorted(some)]
+                    with pytest.raises(KeyError):
+                        cell.columns_at(some | {n})
+                    state = [getattr(cell, name) for name in OperatorCell.__slots__]
                     assert cell.columns == whole and len(cell) == n
+                    assert all(getattr(cell, name) is value
+                               for name, value in zip(OperatorCell.__slots__, state))
 
 
 def test_leads_pass_over_entries_that_vanish_or_are_zero_mod_p(monkeypatch):

@@ -15,6 +15,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string  # the C encoder
 
 from .cohomology import cohomology_table, resonance_range, resonances
 from .complexes import GradedBasis
@@ -70,63 +71,66 @@ TABLE_SCHEMA = {
 }
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="poisson3",
-        description="Exact Poisson cohomology of linear Poisson structures on R^3.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
+def _algebra_opts(p):
+    p.add_argument("--algebra", required=True, choices=KINDS)
+    p.add_argument("--tau", default=None, type=_rational,
+                   help="rational parameter p/q for book and spiral")
 
-    def add_algebra_opts(p):
-        p.add_argument("--algebra", required=True, choices=KINDS)
-        p.add_argument("--tau", default=None, type=_rational,
-                       help="rational parameter p/q for book and spiral")
 
-    def add_output_opts(p, formats=("text", "json", "csv")):
-        p.add_argument("--format", default="text", choices=formats)
-        p.add_argument("--out", default=None, metavar="FILE",
-                       help="write output to FILE instead of stdout")
+def _output_opts(p, formats=("text", "json", "csv")):
+    p.add_argument("--format", default="text", choices=formats)
+    p.add_argument("--out", default=None, metavar="FILE",
+                   help="write output to FILE instead of stdout")
 
-    sub.add_parser("list", help="list algebra kinds and fixture ids")
 
-    p = sub.add_parser("show", help="structure constants and Poisson structure")
-    add_algebra_opts(p)
+def _table_opts(p):
+    _algebra_opts(p)
+    p.add_argument("--dmax", type=int, required=True)
+    p.add_argument("--q", default="0,1,2,3", type=_cochain_degrees,
+                   help="comma separated cochain degrees to include, e.g. 1,2")
+    _output_opts(p)
 
-    for verb, blurb in (
-        ("cohomology", "graded cohomology table"),
-        ("invariant-cohomology", "cohomology of the rotation-invariant subcomplex"),
-    ):
-        p = sub.add_parser(verb, help=blurb)
-        add_algebra_opts(p)
-        p.add_argument("--dmax", type=int, required=True)
-        p.add_argument("--q", default="0,1,2,3", type=_cochain_degrees,
-                       help="comma separated cochain degrees to include, e.g. 1,2")
-        add_output_opts(p)
 
-    p = sub.add_parser("verify", help="check engine output against a fixture")
+def _verify_opts(p):
     p.add_argument("--id", required=True, choices=FIXTURE_IDS, dest="fixture_id")
     p.add_argument("--dmax", type=int, required=True)
-    add_output_opts(p, ("text", "json"))
+    _output_opts(p, ("text", "json"))
 
-    p = sub.add_parser("schouten", help="bracket of two multivector expressions")
+
+def _schouten_opts(p):
     p.add_argument("first")
     p.add_argument("second")
 
-    p = sub.add_parser("dpi", help="Poisson differential of an expression")
-    add_algebra_opts(p)
+
+def _dpi_opts(p):
+    _algebra_opts(p)
     p.add_argument("expression")
 
-    p = sub.add_parser("modular", help="modular vector field and its class")
-    add_algebra_opts(p)
 
-    p = sub.add_parser("resonances", help="integer pairs (i, j) with i + tau*j = c")
+def _resonance_opts(p):
     p.add_argument("--tau", required=True, type=_rational)
     p.add_argument("--c", required=True, type=_rational)
     p.add_argument("--dmax", type=int, required=True)
 
-    p = sub.add_parser("jacobi", help="self-bracket [pi, pi] for a registry kind")
-    add_algebra_opts(p)
 
+def build_parser(verb=None):
+    """The parser of every verb, or of `verb` alone.
+
+    A one-verb parser lists every verb in its usage, as the full parser
+    does, so the two print the same help, usage and errors for that verb.
+    """
+    parser = argparse.ArgumentParser(
+        prog="poisson3",
+        description="Exact Poisson cohomology of linear Poisson structures on R^3.",
+    )
+    if verb is None:
+        sub = parser.add_subparsers(dest="verb", required=True)
+    else:
+        sub = parser.add_subparsers(dest="verb", required=True,
+                                    metavar="{%s}" % ",".join(_VERBS))
+    for name in _VERBS if verb is None else (verb,):
+        blurb, add_options, _ = _VERBS[name]
+        add_options(sub.add_parser(name, help=blurb))
     return parser
 
 
@@ -169,7 +173,7 @@ def _table_document(algebra, table, q_filter):
                 "rank_in": cell.rank_in,
                 "rank_out": cell.rank_out,
                 "dim_h": cell.dim_h,
-                "representatives": format_coordinates(GradedBasis(q, d), cell.representatives),
+                "representatives": format_coordinates(GradedBasis(q, d), cell.kernel_rows),
             })
     return {
         "algebra": algebra.name,
@@ -211,6 +215,38 @@ def _render_table_text(doc, invariant):
     return "\n".join(lines) + "\n"
 
 
+# the layout `json.dumps(doc, indent=2)` gives a table document and one cell
+_JSON_TABLE = ('{\n  "algebra": %s,\n  "tau": %s,\n  "dmax": %d,\n  "cells": %s,\n'
+               '  "totals": {\n    "0": %d,\n    "1": %d,\n    "2": %d,\n    "3": %d\n  },\n'
+               '  "stable": %s\n}\n')
+_JSON_CELL = ('    {\n      "q": %d,\n      "d": %d,\n      "dim_cochains": %d,\n'
+              '      "rank_in": %d,\n      "rank_out": %d,\n      "dim_h": %d,\n'
+              '      "representatives": %s\n    }')
+
+
+def _render_table_json(doc):
+    """The text of `json.dumps(doc, indent=2)` and a line break, in one pass.
+
+    With an indent, CPython's `json.dumps` runs its pure-Python encoder; here
+    the layout is fixed and only the strings go through json's C encoder.
+    """
+    cells = []
+    for cell in doc["cells"]:
+        reps = cell["representatives"]
+        cells.append(_JSON_CELL % (
+            cell["q"], cell["d"], cell["dim_cochains"], cell["rank_in"], cell["rank_out"],
+            cell["dim_h"],
+            "[\n        " + ",\n        ".join(map(_json_string, reps)) + "\n      ]"
+            if reps else "[]"))
+    return _JSON_TABLE % (
+        _json_string(doc["algebra"]),
+        "null" if doc["tau"] is None else _json_string(doc["tau"]),
+        doc["dmax"],
+        "[\n" + ",\n".join(cells) + "\n  ]" if cells else "[]",
+        *(doc["totals"][q] for q in "0123"),
+        "true" if doc["stable"] else "false")
+
+
 def _render_table_csv(doc):
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -247,7 +283,7 @@ def _run_table(args, invariant):
     table = cohomology_table(linear_poisson(algebra), args.dmax, invariant)
     doc = _table_document(algebra, table, args.q)
     if args.format == "json":
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _render_table_json(doc)
     elif args.format == "csv":
         text = _render_table_csv(doc)
     else:
@@ -375,17 +411,21 @@ def _run_jacobi(args):
     return 0
 
 
-_HANDLERS = {
-    "list": _run_list,
-    "show": _run_show,
-    "cohomology": lambda args: _run_table(args, invariant=False),
-    "invariant-cohomology": lambda args: _run_table(args, invariant=True),
-    "verify": _run_verify,
-    "schouten": _run_schouten,
-    "dpi": _run_dpi,
-    "modular": _run_modular,
-    "resonances": _run_resonances,
-    "jacobi": _run_jacobi,
+# each verb's help line, the function adding its options and its handler,
+# in the order the full parser lists them
+_VERBS = {
+    "list": ("list algebra kinds and fixture ids", lambda p: None, _run_list),
+    "show": ("structure constants and Poisson structure", _algebra_opts, _run_show),
+    "cohomology": ("graded cohomology table", _table_opts,
+                   lambda args: _run_table(args, invariant=False)),
+    "invariant-cohomology": ("cohomology of the rotation-invariant subcomplex", _table_opts,
+                             lambda args: _run_table(args, invariant=True)),
+    "verify": ("check engine output against a fixture", _verify_opts, _run_verify),
+    "schouten": ("bracket of two multivector expressions", _schouten_opts, _run_schouten),
+    "dpi": ("Poisson differential of an expression", _dpi_opts, _run_dpi),
+    "modular": ("modular vector field and its class", _algebra_opts, _run_modular),
+    "resonances": ("integer pairs (i, j) with i + tau*j = c", _resonance_opts, _run_resonances),
+    "jacobi": ("self-bracket [pi, pi] for a registry kind", _algebra_opts, _run_jacobi),
 }
 
 # options whose values may start with a minus sign (argparse would read
@@ -408,21 +448,25 @@ def _fuse_numeric_options(argv):
     return out
 
 
-_PARSER = None  # built by the first `main` call of the process, then reused
+# the parsers built so far in this process, by verb; None keys the full one
+_PARSERS = {}
 
 
 def main(argv=None):
-    global _PARSER
     if argv is None:
         argv = sys.argv[1:]
-    if _PARSER is None:
-        _PARSER = build_parser()
+    argv = _fuse_numeric_options(list(argv))
+    # the parser of the verb argv starts with; the full one answers anything
+    # else: no verb, an unknown verb or a leading option such as --help
+    verb = argv[0] if argv and argv[0] in _VERBS else None
+    if verb not in _PARSERS:
+        _PARSERS[verb] = build_parser(verb)
     try:
-        args = _PARSER.parse_args(_fuse_numeric_options(list(argv)))
+        args = _PARSERS[verb].parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return _HANDLERS[args.verb](args)
+        return _VERBS[args.verb][2](args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         # ExpressionError is a ValueError
         sys.stderr.write("error: %s\n" % (exc,))

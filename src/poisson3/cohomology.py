@@ -28,9 +28,10 @@ probabilistic: an unlucky prime only sends a cell down the exact path.
 The matrices are integer throughout.  Representatives are canonical: they
 are the kernel rows whose leading coordinate is not a pivot of the image's
 echelon, the only ones read off the reduction, which gives each one as
-coprime integers positive at its lowest index, its free column.  It is
-published as Fractions, normalised again only where a subcomplex maps it
-back to ambient coordinates.  They are already reduced against the image:
+coprime integers positive at its lowest index, its free column.  A cell
+keeps these integer rows, normalised again only where a subcomplex maps
+them back to ambient coordinates, and boxes them into Fractions when its
+representatives are read.  They are already reduced against the image:
 the kernel row led at a free column j of d_q is nonzero only at j and at
 d_q's pivot columns, and the image's pivots are free columns of d_q other
 than j (the image lies in the kernel, as d o d = 0), so no image row could
@@ -53,17 +54,26 @@ from .multivector import MultiVector, rational, schouten_bracket
 
 
 class CohomologyCell:
-    """One (q, d) slot: dimensions, ranks, canonical representatives."""
+    """One (q, d) slot: dimensions, ranks, canonical representatives.
 
-    __slots__ = ("q", "d", "dim_cochains", "rank_out", "rank_in", "representatives")
+    `kernel_rows` holds the representatives as {position: int} rows, each
+    coprime and positive at its lowest index; `representatives` boxes them
+    into Fractions each time it is read.
+    """
 
-    def __init__(self, q, d, dim_cochains, rank_out, rank_in, representatives):
+    __slots__ = ("q", "d", "dim_cochains", "rank_out", "rank_in", "kernel_rows")
+
+    def __init__(self, q, d, dim_cochains, rank_out, rank_in, kernel_rows):
         self.q = q
         self.d = d
         self.dim_cochains = dim_cochains
         self.rank_out = rank_out
         self.rank_in = rank_in
-        self.representatives = representatives
+        self.kernel_rows = kernel_rows
+
+    @property
+    def representatives(self):
+        return [{i: Fraction(c) for i, c in row.items()} for row in self.kernel_rows]
 
     @property
     def dim_h(self):
@@ -148,8 +158,8 @@ def _degree_cells(d, matrices, back=None):
     pivot, kernel row read off or row that lands, and the rows led at the
     other free columns, one per class, are all that is read off.  The
     kernel rows come out primitive and positive at their free column, so
-    they are boxed into Fractions as they are; with `back` they are first
-    mapped to ambient coordinates, still integer, and normalised again.
+    the cell keeps them as they are; with `back` they are first mapped to
+    ambient coordinates, still integer, and normalised again.
     """
     cells = []
     rank_in, pivots = 0, set()  # d_{q-1}'s rank and image pivots, None until needed
@@ -180,8 +190,7 @@ def _degree_cells(d, matrices, back=None):
                 % (q, d, dim_h, len(kernel)))
         if back is not None:
             kernel = [linalg.integer_normalize(linalg.matvec(back[q], rep)) for rep in kernel]
-        reps = [{i: Fraction(c) for i, c in rep.items()} for rep in kernel]
-        cells.append(CohomologyCell(q, d, size, rank, rank_in, reps))
+        cells.append(CohomologyCell(q, d, size, rank, rank_in, kernel))
         rank_in, pivots = rank, image_pivots
         skip = image_pivots if pass_pivots is None else pass_pivots
     return cells

@@ -305,8 +305,7 @@ def _check_generators(pi, table, q, d, exprs, mismatches):
     # as many independent generators as classes: the spans agree exactly
     # when every representative lies in the span of the generators and the
     # exact terms
-    if any(linalg.reduce_against(echelon, linalg.integer_normalize(rep))
-           for rep in cell.representatives):
+    if any(linalg.reduce_against(echelon, row) for row in cell.kernel_rows):
         mismatches.append(
             "generator span at (q=%d, d=%d) differs from computed classes"
             % (q, d))

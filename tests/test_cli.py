@@ -1,5 +1,6 @@
 """Command line front end: verbs, formats, determinism, exit codes."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -8,11 +9,13 @@ import pathlib
 import runpy
 import subprocess
 import sys
+from fractions import Fraction
 
 import jsonschema
 import pytest
 
-from poisson3 import FIXTURE_IDS, OperatorCell, Report, differential_matrix
+from poisson3 import (FIXTURE_IDS, Algebra, OperatorCell, Report, cohomology_table,
+                      differential_matrix, linear_poisson)
 from poisson3 import cli
 from poisson3 import cohomology as cohomology_module
 from poisson3.cli import TABLE_SCHEMA, main
@@ -121,6 +124,35 @@ def test_cohomology_json_handles_negative_tau(capsys):
     jsonschema.validate(doc, TABLE_SCHEMA)
     assert doc["tau"] == "-2/3"
     assert doc["totals"] == {"0": 2, "1": 4, "2": 2, "3": 0}
+
+
+def _digest_tool(monkeypatch):
+    """The namespace of tools/cli_digests.py, which prepends src/ to sys.path."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    return runpy.run_path(str(pathlib.Path(__file__).resolve().parent.parent
+                              / "tools" / "cli_digests.py"))
+
+
+def test_the_json_writer_lays_out_a_table_as_json_dumps_does(monkeypatch):
+    # json.dumps is the oracle: every kind at the taus the digest tool pins,
+    # the rotation-invariant kinds also as invariant tables
+    tool = _digest_tool(monkeypatch)
+    tables = [(argv, False) for argv in tool["algebras"]()]
+    tables += [(argv, True) for argv in tool["INVARIANT"]]
+    checked = 0
+    for argv, invariant in tables:
+        tau = Fraction(argv[3]) if len(argv) > 2 else None
+        algebra = Algebra(argv[1], tau)
+        for dmax in (0, 6):
+            table = cohomology_table(linear_poisson(algebra), dmax, invariant)
+            for q_filter in ((1,), (2, 3), (0, 1, 2, 3)):
+                doc = cli._table_document(algebra, table, q_filter)
+                assert cli._render_table_json(doc) == json.dumps(doc, indent=2) + "\n"
+                checked += 1
+    assert checked == (14 + 4) * 2 * 3
+    # strings that json escapes, and a document with no cell
+    doc["algebra"], doc["tau"], doc["cells"] = 'a"\\b\u00e9\n\x01', "-2/3", []
+    assert cli._render_table_json(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_cohomology_csv_rows(capsys):
@@ -398,23 +430,70 @@ def test_unknown_verb_is_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
 
-def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+def test_each_verbs_parser_is_built_at_most_once_per_process(capsys, monkeypatch):
     builds = []
     build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(None) or build())
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda verb=None: builds.append(verb) or build(verb))
     commands = [("cohomology", "--algebra", "nosuch", "--dmax", "2"), ("list",),
                 ("cohomology", "--algebra", "heisenberg", "--dmax", "3", "--format", "json")]
     first_calls = []
     for argv in commands:  # each as the first call of its process
-        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "_PARSERS", {})
         first_calls.append(run(capsys, *argv))
-    assert len(builds) == 3
+    assert builds == ["cohomology", "list", "cohomology"]
     code, out, err = first_calls[0]
     assert code == 2 and out == "" and "invalid choice: 'nosuch'" in err
     assert [code for code, _, _ in first_calls[1:]] == [0, 0]
-    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_PARSERS", {})
     assert [run(capsys, *argv) for argv in commands] == first_calls
-    assert len(builds) == 4
+    assert builds == ["cohomology", "list", "cohomology", "cohomology", "list"]
+    # no verb, an unknown one or a leading option: the full parser, built once
+    assert [run(capsys, *argv)[0] for argv in ((), ("frobnicate",), ("--help",))] == [2, 2, 0]
+    assert builds[5:] == [None]
+
+
+def _parse(parser, argv):
+    """(exit status or None, stdout, stderr, parsed options) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status, parsed = None, vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            status, parsed = exc.code, None
+    return status, out.getvalue(), err.getvalue(), parsed
+
+
+# a valid command line of each verb, and an option of it that takes choices
+VERB_COMMANDS = {
+    "list": ([], None),
+    "show": (["--algebra", "so3"], "--algebra"),
+    "cohomology": (["--algebra", "so3", "--dmax", "2"], "--format"),
+    "invariant-cohomology": (["--algebra", "so3", "--dmax", "2"], "--algebra"),
+    "verify": (["--id", "heisenberg", "--dmax", "4"], "--id"),
+    "schouten": (["x*dx", "y*dy"], None),
+    "dpi": (["--algebra", "so3", "x"], "--algebra"),
+    "modular": (["--algebra", "so3"], "--algebra"),
+    "resonances": (["--tau", "1", "--c", "1", "--dmax", "2"], None),
+    "jacobi": (["--algebra", "so3"], "--algebra"),
+}
+
+
+@pytest.mark.parametrize("verb", list(VERB_COMMANDS))
+def test_a_verbs_own_parser_answers_as_the_full_parser(verb):
+    # compared in one process, so both format help for the same terminal width;
+    # a parser of one verb must still list every verb in its usage
+    assert list(VERB_COMMANDS) == list(cli._VERBS)
+    options, choice = VERB_COMMANDS[verb]
+    bad_choice = (options + [choice, "nosuch"] if choice
+                  else options + ["--nosuch"])  # a verb with no choices: an unknown option
+    cases = [[verb, "--help"], [verb], [verb] + bad_choice, [verb] + options + ["extra"],
+             [verb] + options]
+    full, own = cli.build_parser(), cli.build_parser(verb)
+    results = [_parse(own, argv) for argv in cases]
+    assert results == [_parse(full, argv) for argv in cases]
+    assert [status for status, *_ in results] == [0, None if verb == "list" else 2, 2, 2, None]
+    assert "{list,show,cohomology,invariant-cohomology," in results[3][2]
 
 
 def test_bad_tau_is_domain_error(capsys):
@@ -504,13 +583,14 @@ def test_the_digest_tool_prints_a_line_per_command(monkeypatch, capsys):
     # bytes re-records tests/cli_digests_dmax8.txt with
     # `python tools/cli_digests.py --dmax 8` and names the moved lines
     root = pathlib.Path(__file__).resolve().parent.parent
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/
-    tool = runpy.run_path(str(root / "tools" / "cli_digests.py"))
+    tool = _digest_tool(monkeypatch)
     assert tool["main"](["--dmax", "8"]) == 0
     lines = capsys.readouterr().out.splitlines()
     commands = tool["commands"](8)
-    # 14 algebras, 4 invariant kinds, 12 fixtures
-    assert len(lines) == len(commands) == 14 * 3 + 4 * 3 + 12 * 2 + 14 * 2
+    # 14 algebras, 4 invariant kinds, 12 fixtures; then the tables under two
+    # --q filters, 6 distinct taus by 2 resonance constants, modular and list
+    assert len(lines) == len(commands) == (14 * 3 + 4 * 3 + 12 * 2 + 14 * 2
+                                           + (14 + 4) * 2 * 3 + 6 * 2 + 14 + 1)
     for line, argv in zip(lines, commands):
         sha, size, status, command = line.split(" ", 3)
         assert (len(sha), status, command) == (64, "0", " ".join(argv))

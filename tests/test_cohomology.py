@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 
 import pytest
 
@@ -35,11 +35,12 @@ from poisson3 import (
     schouten_bracket,
     structure_constants,
 )
+from poisson3 import cli
 from poisson3 import cohomology as cohomology_module
 from poisson3 import complexes as complexes_module
 from poisson3 import linalg
 from poisson3 import multivector as multivector_module
-from poisson3.cohomology import resonance_range
+from poisson3.cohomology import CohomologyCell, resonance_range
 
 BOOK1 = Algebra("book", Fraction(1))
 
@@ -675,6 +676,38 @@ def test_representatives_print_from_their_coordinates_as_from_their_multivectors
         assert format_coordinates(GradedBasis(q, d), cell.representatives) == expected
         printed += len(expected)
     assert printed
+
+
+@FULL_AND_INVARIANT_TABLES
+def test_cells_keep_integer_kernel_rows_and_the_tables_print_from_them(
+        monkeypatch, capsys, algebra, invariant):
+    # a cell keeps its representatives as canonical int rows and boxes them
+    # into Fractions only when they are read; the CLI prints from the rows
+    algebra = Algebra(algebra) if isinstance(algebra, str) else algebra
+    table = cohomology_table(linear_poisson(algebra), 6, invariant)
+    rows = 0
+    for cell in table.cells.values():
+        assert cell.representatives == [{i: Fraction(c) for i, c in row.items()}
+                                        for row in cell.kernel_rows]
+        for row in cell.kernel_rows:
+            assert all(type(c) is int and c for c in row.values())
+            assert gcd(*row.values()) == 1 and row[min(row)] > 0
+            rows += 1
+    assert rows
+    argv = ["invariant-cohomology" if invariant else "cohomology", "--algebra", algebra.name,
+            *(() if algebra.tau is None else ("--tau", str(algebra.tau))), "--dmax", "6"]
+    printed = []
+    for fmt in ("text", "json", "csv"):
+        assert cli.main(argv + ["--format", fmt]) == 0
+        printed.append(capsys.readouterr().out)
+
+    def unread(cell):
+        raise AssertionError("a table verb read the boxed representatives")
+
+    monkeypatch.setattr(CohomologyCell, "representatives", property(unread))
+    for fmt, text in zip(("text", "json", "csv"), printed):
+        assert cli.main(argv + ["--format", fmt]) == 0
+        assert capsys.readouterr().out == text
 
 
 def test_cells_are_deterministic():

@@ -283,3 +283,10 @@ def test_the_degree_loop_builds_no_cell():
     assert ("cohomology.py", "_invariant_differentials") in callers["OperatorCell"]
     assert [name for name, found in callers.items()
             if ("cohomology.py", "_degree_cells") in found] == []
+
+
+def test_the_degree_loop_boxes_no_representative():
+    # a cell keeps the int kernel rows; `representatives` boxes them on read
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert ("cohomology.py", "CohomologyCell.representatives") in _callers(trees, "Fraction")
+    assert ("cohomology.py", "_degree_cells") not in _callers(trees, "Fraction")

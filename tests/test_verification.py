@@ -12,6 +12,7 @@ import pytest
 
 from poisson3 import verification
 from poisson3.complexes import GradedBasis
+from poisson3.linalg import integer_normalize
 from poisson3 import (
     Algebra,
     FIXTURE_IDS,
@@ -257,8 +258,8 @@ def test_verify_reports_span_of_corrupted_representative(monkeypatch):
     def corrupted_table(pi, dmax):
         table = cohomology_table(pi, dmax)
         cell = table.cell(1, 1)
-        cell.representatives = [GradedBasis(1, 1).decompose(mv("x*dz"))] + \
-            cell.representatives[1:]
+        cell.kernel_rows = [integer_normalize(GradedBasis(1, 1).decompose(mv("x*dz")))] + \
+            cell.kernel_rows[1:]
         return table
 
     monkeypatch.setattr(verification, "cohomology_table", corrupted_table)

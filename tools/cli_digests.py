@@ -12,7 +12,11 @@ The commands are:
     `INVARIANT`;
   - `verify` as text and JSON for every fixture, at the dmax moved into
     the fixture's [dmax_min, dmax_table];
-  - `show` and `jacobi` for every kind and tau.
+  - `show` and `jacobi` for every kind and tau;
+  - then, after those, the table verbs of the first two items restricted
+    to `--q 1,2` and to `--q 3`, in all three formats; `resonances` at
+    each distinct tau of `TAUS` and each c of `RESONANCE_CS`; `modular`
+    for every kind and tau; and `list`.
 
 Run from the repository root:  python tools/cli_digests.py [--dmax N]
 """
@@ -37,6 +41,9 @@ TAUS = {"book": ("1", "1/3", "3/5", "-2/3", "-1"), "spiral": ("1", "5/2")}
 INVARIANT = (["--algebra", "euclidean"], ["--algebra", "so3"],
              ["--algebra", "heisenberg"], ["--algebra", "spiral", "--tau", "1"])
 
+# the constants c of the `resonances` commands
+RESONANCE_CS = ("1", "5/2")
+
 
 def algebras():
     """The --algebra/--tau arguments of every kind, at each of its TAUS."""
@@ -58,6 +65,15 @@ def commands(dmax):
         out += [["verify", "--id", fixture_id, "--dmax", str(within), "--format", fmt]
                 for fmt in ("text", "json")]
     out += [[verb, *algebra] for algebra in algebras() for verb in ("show", "jacobi")]
+    tables = [("cohomology", algebra) for algebra in algebras()]
+    tables += [("invariant-cohomology", algebra) for algebra in INVARIANT]
+    out += [[verb, *algebra, "--dmax", str(dmax), "--q", q, "--format", fmt]
+            for verb, algebra in tables for q in ("1,2", "3") for fmt in ("text", "json", "csv")]
+    taus = dict.fromkeys(tau for kind_taus in TAUS.values() for tau in kind_taus)
+    out += [["resonances", "--tau", tau, "--c", c, "--dmax", str(dmax)]
+            for tau in taus for c in RESONANCE_CS]
+    out += [["modular", *algebra] for algebra in algebras()]
+    out += [["list"]]
     return out
 
 

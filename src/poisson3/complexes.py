@@ -130,16 +130,18 @@ class OperatorCell:
     stencil of a linear operator builds only what is read, as its reader
     reads it, and keeps nothing: all `columns`, one `column(j)`, only the
     `columns_at(positions)`, and `leads(skip, p)` or `rows(free)` with no
-    column built.  A cell made with a list of columns reads it the same
-    ways; on other bases its source and target are None.
+    column built.  Its stencil is `linear_stencil`'s list of each source
+    component's entries, highest row first.  A cell made with a list of
+    columns reads it the same ways; on other bases its source and target
+    are None.
     """
 
-    __slots__ = ("source", "target", "den", "_columns", "_stencil", "_by_row")
+    __slots__ = ("source", "target", "den", "_columns", "_stencil")
 
-    def __init__(self, source, target, columns, den, stencil=None, by_row=None):
+    def __init__(self, source, target, columns, den, stencil=None):
         self.source, self.target, self.den = source, target, den
         self._columns = columns
-        self._stencil, self._by_row = stencil, by_row  # of each source component, or None
+        self._stencil = stencil  # the entries of each source component, or None
 
     def __len__(self):
         return len(self._columns) if self._stencil is None else len(self.source)
@@ -170,8 +172,9 @@ class OperatorCell:
     def leads(self, skip, p):
         """(j, the highest row at which column j is nonzero mod p, or None)
         for each position j not in `skip`, last first.  Off a stencil no
-        column is built: the lead is `_column`'s row of the first entry by row
-        (`linear_stencil`'s by_row) whose form a . m + b is nonzero mod p."""
+        column is built: the lead is `_column`'s row of the first entry (the
+        stencil holds them highest row first) whose form a . m + b is
+        nonzero mod p."""
         if self._stencil is None:
             for j in range(len(self) - 1, -1, -1):
                 if j not in skip:
@@ -181,12 +184,12 @@ class OperatorCell:
                         lead = max((i for i, c in col.items() if c % p), default=None)
                     yield j, lead
             return
-        d, ncomp, by_row, j = self.source.d, NCOMP[self.target.q], self._by_row[::-1], len(self)
+        d, ncomp, stencil, j = self.source.d, NCOMP[self.target.q], self._stencil[::-1], len(self)
         for s in range(d, -1, -1):
             mz = d - s
             for mx in range(s, -1, -1):
                 my = s - mx
-                for entries in by_row:
+                for entries in stencil:
                     j -= 1
                     if j in skip:
                         continue
@@ -263,10 +266,8 @@ def linear_operator_matrix(operator, q, d):
     out_q = q + operator.degree - 1
     if not 0 <= out_q <= 3:
         raise ValueError("operator maps degree %d outside 0..3" % (q,))
-    table, den, by_row = linear_stencil(operator, q)
-    return OperatorCell(source, GradedBasis(out_q, d), None, den,
-                        [table[idx] for idx in range(NCOMP[q])],
-                        [by_row[idx] for idx in range(NCOMP[q])])
+    stencil, den = linear_stencil(operator, q)
+    return OperatorCell(source, GradedBasis(out_q, d), None, den, stencil)
 
 
 def _check_bivector(pi):
@@ -284,7 +285,7 @@ def differential_matrix(pi, q, d):
     _check_bivector(pi)
     if q == 3:
         basis = GradedBasis(3, d)
-        return OperatorCell(basis, basis, None, 1, [[]], [[]])
+        return OperatorCell(basis, basis, None, 1, [[]])
     return linear_operator_matrix(pi, q, d)
 
 

@@ -527,9 +527,6 @@ def schouten_bracket(a, b):
     return MultiVector._from_xi(a.degree + b.degree - 1, out)
 
 
-_BY_OPERATOR = {}  # (id(operator), q) -> (operator, its stencil), the last 16
-
-
 def linear_stencil(operator, q):
     """Closed form of V -> [operator, V] on the degree-q components.
 
@@ -541,30 +538,24 @@ def linear_stencil(operator, q):
     i == k.  Summed per (target component, monomial shift), each coefficient
     is an affine form a . m + b.
 
-    Returns ({source idx: [(target idx, shift, (ax, ay, az, b))]}, den,
-    by_row): den is the lcm of the operator's coefficient denominators and
-    the forms are ints over it; by_row holds each idx's entries by ascending
-    `monomial_key` of the shift, then descending target idx: the order of
-    the terms they reach, trailing term first.  Raises DegreeError unless
-    every coefficient of the operator is homogeneous linear.  Every entry is
-    checked by `_check_stencil` to stay in the target basis.
+    Returns (stencil, den): stencil[idx] is the list of (target idx, shift,
+    (ax, ay, az, b)) entries of source component idx, by ascending
+    `monomial_key` of the shift, then descending target idx, which is the
+    order of the rows they reach, highest first; den is the lcm of the
+    operator's coefficient denominators and the forms are ints over it.
+    Raises DegreeError unless every coefficient of the operator is
+    homogeneous linear.  Every entry is checked by `_check_stencil` to stay
+    in the target basis.
 
-    The stencil depends only on the operator's degree, its exact terms in
-    their order (which fixes the order of the entries) and q, so it is
-    derived and checked once for each and memoised, the last 16 of them (a
-    derivation that raises is not memoised), and the last 16 operator
-    objects read find theirs with no key built from their terms: the result
-    is shared between callers and must not be written, nor may an operator
-    once read.
+    The stencil depends only on the operator's value and q, whatever the
+    order of its components and terms, so it is derived and checked once
+    for each key of its degree, q and terms and memoised, the last 16 of
+    them (a derivation that raises is not memoised): the result is shared
+    between callers and must not be written.
     """
-    hit = _BY_OPERATOR.get((id(operator), q))  # an entry holds its operator: no id reuse
-    if hit is None:
-        if len(_BY_OPERATOR) == 16:
-            del _BY_OPERATOR[next(iter(_BY_OPERATOR))]
-        hit = _BY_OPERATOR[id(operator), q] = operator, _stencil(operator.degree, q, tuple(
-            (idx, mono, coeff) for idx, poly in operator.components.items()
-            for mono, coeff in poly.terms.items()))
-    return hit[1]
+    return _stencil(operator.degree, q, tuple(
+        (idx, mono, coeff) for idx, poly in operator.components.items()
+        for mono, coeff in poly.terms.items()))
 
 
 @lru_cache(maxsize=16)  # a table needs three: q = 0, 1, 2 of its bivector
@@ -598,26 +589,26 @@ def _stencil(degree, q, operator_terms):
             for i, rest, sign in _right_derivatives(source):  # B*A
                 if i == k:
                     add(idx, rest, subset, b_sign * sign * c, (0, 0, 0), 3)
-    table = {idx: [] for idx in range(NCOMP[q])}
-    for (idx, target_idx, shift), form in forms.items():
+    stencil = [[] for _ in range(NCOMP[q])]
+    for (idx, target_idx, shift), form in sorted(
+            forms.items(), key=lambda item: (monomial_key(item[0][2]), -item[0][1])):
         if any(form):
-            table[idx].append((target_idx, shift, tuple(form)))
-    _check_stencil(table, q + degree - 1)
-    return table, den, {idx: sorted(entries, key=lambda e: (monomial_key(e[1]), -e[0]))
-                        for idx, entries in table.items()}
+            stencil[idx].append((target_idx, shift, tuple(form)))
+    _check_stencil(stencil, q + degree - 1)
+    return stencil, den
 
 
-def _check_stencil(table, out_q):
+def _check_stencil(stencil, out_q):
     """Raise ValueError if a stencil entry could leave the degree-out_q basis.
 
     An entry (t, shift, form) stays in the degree-out_q basis at every
     source monomial when component t exists there, the shift sums to 0 (the
     total degree is kept) and each axis a it lowers is lowered by one and
     carries the form c m_a, with no other axis and no constant: the value
-    is then 0, and the entry skipped, wherever m_a = 0.  A table whose
+    is then 0, and the entry skipped, wherever m_a = 0.  A stencil whose
     out_q lies outside 0..3 must be empty: the bracket is 0 there.
     """
-    for idx, entries in table.items():
+    for idx, entries in enumerate(stencil):
         for t, shift, form in entries:
             if not (0 <= out_q <= 3 and 0 <= t < NCOMP[out_q] and sum(shift) == 0 and all(
                     shift[a] == -1 and not any(form[:a] + form[a + 1:])

@@ -155,8 +155,7 @@ def linear_poisson(source):
     pi = MultiVector.zero(2)
     for (i, j, k), value in source.c.items():
         pi = pi + wedge(dx[i], dx[j]) * (Polynomial.variable(k) * value)
-    # components in index order, as the stencil reads them: it steers elimination time
-    return MultiVector(2, dict(sorted(pi.components.items())))
+    return pi
 
 
 def jacobi_defect(source):

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import pathlib
 import runpy
 import subprocess
@@ -562,17 +563,21 @@ def test_help_exits_zero(capsys):
 
 
 def test_console_script_round_trip():
-    # the installed entry point must agree with the in-process runner
+    # the installed entry point must agree with the in-process runner; the
+    # subprocess imports this checkout's package, installed or not
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     res = subprocess.run(
         [sys.executable, "-m", "poisson3", "resonances", "--tau", "-2/3",
          "--c", "1", "--dmax", "20"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert res.returncode == 0
     assert res.stdout == "(1,0) (3,3) (5,6) (7,9)\n"
     res = subprocess.run(
         [sys.executable, "-m", "poisson3", "cohomology", "--algebra", "spiral",
          "--tau", "1", "--dmax", "4", "--format", "json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert res.returncode == 0
     doc = json.loads(res.stdout)
     assert doc["totals"] == {"0": 1, "1": 2, "2": 1, "3": 0}

@@ -267,6 +267,19 @@ def test_a_table_derives_each_stencil_once():
     assert stencils.cache_info().misses == 3
 
 
+def test_a_bivector_changed_in_place_gets_its_own_table():
+    # the stencil is found by the bivector's value, never by the object, so
+    # a bivector written after a table was read off it reads its new value
+    pi = linear_poisson("heisenberg")
+    assert cohomology_table(pi, 4).totals == {0: 5, 1: 24, 2: 34, 3: 15}
+    sl2 = linear_poisson("sl2")
+    pi.components.clear()
+    pi.components.update(sl2.components)
+    changed = cohomology_table(pi, 4)
+    assert changed.totals == {0: 3, 1: 0, 2: 0, 3: 3}
+    assert _table_fields([changed]) == _table_fields([cohomology_table(sl2, 4)])
+
+
 REGISTRY_ALGEBRAS = [Algebra(kind, {"book": Fraction(-2, 3), "spiral": Fraction(5, 2)}.get(kind))
                      for kind in KINDS] + [Algebra("book", Fraction(1, 3))]
 

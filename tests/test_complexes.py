@@ -219,10 +219,10 @@ def test_zero_operator_counts_as_linear():
 def test_stencil_entries_that_leave_the_basis_are_rejected(monkeypatch, entry):
     good = (1, (0, 1, -1), (0, 0, 4, 0))  # lowers z with a form on z alone
     with pytest.raises(ValueError, match=re.escape(repr(entry))):
-        multivector._check_stencil({0: [good, entry]}, 1)
-    multivector._check_stencil({0: [good]}, 1)
+        multivector._check_stencil([[good, entry]], 1)
+    multivector._check_stencil([[good]], 1)
     monkeypatch.setattr(complexes, "linear_stencil",
-                        lambda operator, q: ({0: [good]}, 1, {0: [good]}))
+                        lambda operator, q: ([[good]], 1))
     pi = linear_poisson("sl2")
     cell = linear_operator_matrix(pi, 0, 2)
     assert matvec(cell.columns, {cell.source.position(0, (0, 0, 2)): 1}) == {
@@ -233,9 +233,9 @@ def test_a_stencil_for_no_degree_must_be_empty():
     # [A, B] has degree deg A + deg B - 1, which can fall outside 0..3, where
     # the bracket is 0
     for out_q in (-1, 4):
-        multivector._check_stencil({0: [], 1: []}, out_q)
+        multivector._check_stencil([[], []], out_q)
         with pytest.raises(ValueError, match="degree-%d basis" % out_q):
-            multivector._check_stencil({0: [(0, (0, 0, 0), (0, 0, 0, 1))]}, out_q)
+            multivector._check_stencil([[(0, (0, 0, 0), (0, 0, 0, 1))]], out_q)
 
 
 @pytest.fixture
@@ -349,7 +349,7 @@ def test_leads_pass_over_entries_that_vanish_or_are_zero_mod_p(monkeypatch):
     for algebra in ALGEBRAS:
         pi = linear_poisson(algebra)
         for q in range(4):
-            stencil = linear_stencil(pi, q)[0] if q < 3 else {0: []}
+            stencil = linear_stencil(pi, q)[0] if q < 3 else [[]]
             for d in range(7):
                 for p in (linalg.PRIME, 2, 3):
                     cell = differential_matrix(pi, q, d)
@@ -446,12 +446,53 @@ def test_stencil_is_integer_over_the_operator_denominators():
         den = lcm(*(c.denominator for poly in operator.components.values()
                     for c in poly.terms.values()))
         for q in range(4):
-            table, stencil_den, by_row = linear_stencil(operator, q)
+            stencil, stencil_den = linear_stencil(operator, q)
             assert stencil_den == den
-            assert {idx: sorted(entries) for idx, entries in by_row.items()} == {
-                idx: sorted(entries) for idx, entries in table.items()}
+            assert all(entries == sorted(entries, key=lambda e: (monomial_key(e[1]), -e[0]))
+                       for entries in stencil)
             assert all(type(v) is int
-                       for entries in table.values() for _, _, form in entries for v in form)
+                       for entries in stencil for _, _, form in entries for v in form)
+
+
+def _reversed(operator):
+    """The operator with its components, and each one's terms, in reversed order."""
+    return MultiVector(operator.degree, {
+        idx: Polynomial(dict(reversed(poly.terms.items())))
+        for idx, poly in reversed(operator.components.items())})
+
+
+def _term_order(operator):
+    return [(idx, mono) for idx, poly in operator.components.items() for mono in poly.terms]
+
+
+def _in_order(dicts):
+    return [list(entries.items()) for entries in dicts]
+
+
+def test_a_stencil_is_canonical_in_the_operator_value():
+    # the stencil, each column read alone or all together (in the order of
+    # its entries) and the row layout depend only on the operator's value,
+    # not on the order its components and terms were summed in
+    rng = random.Random(241)
+    operators = [linear_poisson(alg) for alg in _layout_algebras(rng)] + [rotation_field()]
+    operators += [_random_linear_operator(rng, degree) for degree in range(4) for _ in range(4)]
+    reordered = 0
+    for operator in operators:
+        flipped = _reversed(operator)
+        assert flipped == operator and _term_order(flipped) == _term_order(operator)[::-1]
+        reordered += len(_term_order(operator)) > 1
+        for q in range(4):
+            if not 0 <= q + operator.degree - 1 <= 3:
+                continue
+            assert linear_stencil(flipped, q) == linear_stencil(operator, q)
+            for d in range(6):
+                cell, other = (linear_operator_matrix(op, q, d) for op in (operator, flipped))
+                assert _in_order(other.columns) == _in_order(cell.columns)
+                assert _in_order(map(other.column, range(len(other)))) == _in_order(
+                    map(cell.column, range(len(cell))))
+                (index, rows), (other_index, other_rows) = cell.rows(), other.rows()
+                assert other_index == index and _in_order(other_rows) == _in_order(rows)
+    assert reordered > len(operators) // 2
 
 
 # sha256 of (kind, q, d, den, sorted columns) for d <= 4, recorded before the

@@ -36,7 +36,7 @@ from .multivector import (
     Polynomial,
     component_wedge,
     monomial_key,
-    wedge,
+    wedge_component,
 )
 
 # whitespace, then one group per token kind; "bad" catches any other character
@@ -59,10 +59,11 @@ class ExpressionError(ValueError):
 def _term(tokens, at, sign):
     """Read the product of factors at tokens[at], times sign.
 
-    Returns the index after it and its value, a multivector whose degree is
-    the length of its wedge block.
+    Returns the index after it and the term (degree, idx, mono, coeff): the
+    coefficient of monomial mono in component idx of the given degree, the
+    length of the wedge block.  A repeated generator makes the coefficient 0.
     """
-    coeff = Fraction(sign)
+    num, den = sign, 1  # the coefficient, boxed once at the end
     exponents = [0, 0, 0]
     gens = []
     while True:
@@ -88,20 +89,19 @@ def _term(tokens, at, sign):
         elif len(operands) == 2 and operands[1] == 0:  # pos is the denominator's
             raise ExpressionError("zero denominator", pos)
         else:
-            coeff *= Fraction(*operands)
+            num *= operands[0]
+            den *= operands[1] if len(operands) == 2 else 1
         if tokens[at][0] != "*":
             break
         at += 1
     if len(gens) > 3:
         raise ExpressionError("wedge block longer than 3 generators")
-    value = MultiVector.scalar(Polynomial.monomial(tuple(exponents), coeff))
-    for gen in gens:
-        value = wedge(value, MultiVector.basis(1, gen))
-    return at, value
+    idx, wedge_sign = wedge_component(gens) or (0, 0)
+    return at, (len(gens), idx, tuple(exponents), Fraction(num * wedge_sign, den))
 
 
 def parse_multivector(text):
-    """Parse an expression into a MultiVector.
+    """Parse an expression into a MultiVector, built once from its summed terms.
 
     >>> parse_multivector("-1*y*dx + x*dy") == MultiVector.vector(
     ...     Polynomial.monomial((0, 1, 0), -1), Polynomial.variable("x"),
@@ -131,20 +131,22 @@ def parse_multivector(text):
                 raise ExpressionError(
                     "integer literal of %d digits is too long" % (len(lexeme),), pos) from None
     tokens.append(("end", None, len(text)))
-    terms = []
+    degrees, components = set(), {}  # idx -> {mono: summed coeff}
     at = 0
-    while not terms or tokens[at][0] != "end":
+    while not degrees or tokens[at][0] != "end":
         kind, _, pos = tokens[at]
         if kind in ("+", "-"):
             at += 1
-        elif terms:
+        elif degrees:
             raise ExpressionError("expected + or - between terms", pos)
-        at, value = _term(tokens, at, -1 if kind == "-" else 1)
-        terms.append(value)
-    degrees = sorted({value.degree for value in terms})
+        at, (degree, idx, mono, coeff) = _term(tokens, at, -1 if kind == "-" else 1)
+        degrees.add(degree)
+        poly = components.setdefault(idx, {})
+        poly[mono] = poly[mono] + coeff if mono in poly else coeff
     if len(degrees) > 1:
-        raise ExpressionError("mixed cochain degrees %s in one expression" % (degrees,))
-    return sum(terms, MultiVector.zero(degrees[0]))
+        raise ExpressionError("mixed cochain degrees %s in one expression" % (sorted(degrees),))
+    # Polynomial drops the zero sums and MultiVector the zero polynomials
+    return MultiVector(degrees.pop(), {idx: Polynomial(poly) for idx, poly in components.items()})
 
 
 def _render_term(coeff, mono, gens):

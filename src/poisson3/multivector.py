@@ -22,12 +22,14 @@ throughout the package.  `linear_stencil` is the same bracket specialised to
 an operator with linear coefficients, in closed form.
 
 This module is the only one that maps component indices to wedge generators
-and signs; other modules build fields with `wedge` or the expression syntax
-and read them through `component_wedge` or `MultiVector.wedge_terms`.
+and signs, through sign tables built once at import; other modules build
+fields with `wedge` or `wedge_component` and read them through
+`component_wedge` or `MultiVector.wedge_terms`.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import lcm
 
 VAR_NAMES = ("x", "y", "z")
@@ -44,7 +46,16 @@ _TO_SUBSET = {
     (2, 2): ((0, 1), 1),   # dx^dy
     (3, 0): ((0, 1, 2), 1),
 }
-_FROM_SUBSET = {subset: (q, idx, sign) for (q, idx), (subset, sign) in _TO_SUBSET.items()}
+# the wedge of each sequence of distinct symbols, in its order, as (idx, sign):
+# sign times component idx of the degree of its length, the sign of the
+# sorting permutation (one swap per inversion) times the component's
+_COMPONENT = {gens: (idx, sign * (-1) ** sum(a > b for pos, a in enumerate(gens)
+                                            for b in gens[pos + 1:]))
+              for (_, idx), (subset, sign) in _TO_SUBSET.items() for gens in permutations(subset)}
+# (symbol, remaining subset, sign) for each symbol stripped from the right of a subset
+_RIGHT_DERIVATIVES = {subset: [
+    (i, subset[:pos] + subset[pos + 1:], (-1) ** (len(subset) - 1 - pos))
+    for pos, i in enumerate(subset)] for subset, _ in _TO_SUBSET.values()}
 
 NCOMP = (1, 3, 3, 1)
 
@@ -56,6 +67,15 @@ def component_wedge(degree, idx):
     the component is sign times their wedge: dz^dx is -(dx^dz).
     """
     return _TO_SUBSET[(degree, idx)]
+
+
+def wedge_component(gens):
+    """(idx, sign) with the wedge of the generators, in their order, equal to
+    sign times component idx of degree len(gens); None if a generator repeats.
+
+    The inverse of `component_wedge`: dx^dz is -(dz^dx), so (0, 2) gives (1, -1).
+    """
+    return _COMPONENT.get(tuple(gens))
 
 
 class DegreeError(ValueError):
@@ -427,34 +447,12 @@ class MultiVector:
         """
         out = []
         for idx, poly in self.components.items():
-            subset, sign = component_wedge(self.degree, idx)
+            subset, sign = _TO_SUBSET[self.degree, idx]
             out.append((idx, subset, poly if sign == 1 else -poly))
         return out
 
-    @classmethod
-    def _from_xi(cls, degree, xi):
-        data = {}
-        for subset, poly in xi.items():
-            if not poly:
-                continue
-            q, idx, sign = _FROM_SUBSET[subset]
-            if q != degree:
-                raise RuntimeError(
-                    "symbol subset %r has degree %d, expected %d" % (subset, q, degree))
-            data[idx] = poly if sign == 1 else -poly
-        return cls(degree, data)
-
     def __repr__(self):
         return "MultiVector(%d, %r)" % (self.degree, self.components)
-
-
-def _merge_subsets(left, right):
-    """Concatenate disjoint symbol subsets; returns (sorted tuple, sign) or None."""
-    if set(left) & set(right):
-        return None
-    inversions = sum(1 for a in left for b in right if a > b)
-    merged = tuple(sorted(left + right))
-    return merged, (-1 if inversions % 2 else 1)
 
 
 def wedge(a, b):
@@ -469,37 +467,26 @@ def wedge(a, b):
     out = {}
     for _, sa, pa in a.wedge_terms():
         for _, sb, pb in b.wedge_terms():
-            merged = _merge_subsets(sa, sb)
-            if merged is None:
-                continue
-            subset, sign = merged
-            term = (pa * pb) * sign if sign != 1 else pa * pb
-            out[subset] = out.get(subset, Polynomial.zero()) + term
-    return MultiVector._from_xi(a.degree + b.degree, out)
+            found = _COMPONENT.get(sa + sb)
+            if found is not None:
+                idx, sign = found
+                term = (pa * pb) * sign if sign != 1 else pa * pb
+                out[idx] = out.get(idx, Polynomial.zero()) + term
+    return MultiVector(a.degree + b.degree, out)
 
 
-def _right_derivatives(subset):
-    """(symbol, remaining subset, sign) for each symbol of an odd monomial."""
-    last = len(subset) - 1
-    return [(i, subset[:pos] + subset[pos + 1:], -1 if (last - pos) % 2 else 1)
-            for pos, i in enumerate(subset)]
-
-
-def _interior_sum(p_terms, q_terms, out):
-    # out accumulates sum_i (right strip of symbol i from P) ^ (d/dx_i Q)
+def _interior_sum(p_terms, q_terms, out, sign):
+    # out accumulates sign times sum_i (right strip of symbol i from P) ^ (d/dx_i Q)
     for _, sp, fp in p_terms:
-        for i, stripped, strip_sign in _right_derivatives(sp):
+        for i, stripped, strip_sign in _RIGHT_DERIVATIVES[sp]:
             for _, sq, fq in q_terms:
                 dq = fq.diff(i)
-                if not dq:
-                    continue
-                merged = _merge_subsets(stripped, sq)
-                if merged is None:
-                    continue
-                subset, merge_sign = merged
-                sign = strip_sign * merge_sign
-                term = (fp * dq) * sign if sign != 1 else fp * dq
-                out[subset] = out.get(subset, Polynomial.zero()) + term
+                found = _COMPONENT.get(stripped + sq) if dq else None
+                if found is not None:
+                    idx, term_sign = found
+                    term_sign *= strip_sign * sign
+                    term = (fp * dq) * term_sign if term_sign != 1 else fp * dq
+                    out[idx] = out.get(idx, Polynomial.zero()) + term
 
 
 def schouten_bracket(a, b):
@@ -516,15 +503,9 @@ def schouten_bracket(a, b):
     a_terms = a.wedge_terms()
     b_terms = b.wedge_terms()
     out = {}
-    _interior_sum(a_terms, b_terms, out)
-    if ((a.degree - 1) * (b.degree - 1)) % 2:
-        _interior_sum(b_terms, a_terms, out)
-    else:
-        flipped = {}
-        _interior_sum(b_terms, a_terms, flipped)
-        for subset, poly in flipped.items():
-            out[subset] = out.get(subset, Polynomial.zero()) - poly
-    return MultiVector._from_xi(a.degree + b.degree - 1, out)
+    _interior_sum(a_terms, b_terms, out, 1)
+    _interior_sum(b_terms, a_terms, out, 1 if (a.degree - 1) * (b.degree - 1) % 2 else -1)
+    return MultiVector(a.degree + b.degree - 1, out)
 
 
 def linear_stencil(operator, q):
@@ -573,20 +554,18 @@ def _stencil(degree, q, operator_terms):
     forms = {}  # (source idx, target idx, shift) -> [ax, ay, az, b]
 
     def add(idx, left, right, coeff, shift, slot):
-        merged = _merge_subsets(left, right)
-        if merged is not None:
-            subset, merge_sign = merged
-            _, target_idx, target_sign = _FROM_SUBSET[subset]
-            form = forms.setdefault((idx, target_idx, shift), [0, 0, 0, 0])
-            form[slot] += merge_sign * target_sign * coeff
+        found = _COMPONENT.get(left + right)
+        if found is not None:
+            form = forms.setdefault((idx, found[0], shift), [0, 0, 0, 0])
+            form[slot] += found[1] * coeff
 
     for idx in range(NCOMP[q]):
         source, source_sign = _TO_SUBSET[(q, idx)]
         for subset, k, c in terms:
             c *= source_sign
-            for i, rest, sign in _right_derivatives(subset):  # A*B
+            for i, rest, sign in _RIGHT_DERIVATIVES[subset]:  # A*B
                 add(idx, rest, source, sign * c, tuple((j == k) - (j == i) for j in range(3)), i)
-            for i, rest, sign in _right_derivatives(source):  # B*A
+            for i, rest, sign in _RIGHT_DERIVATIVES[source]:  # B*A
                 if i == k:
                     add(idx, rest, subset, b_sign * sign * c, (0, 0, 0), 3)
     stencil = [[] for _ in range(NCOMP[q])]

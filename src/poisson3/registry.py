@@ -12,7 +12,7 @@ negative range being the hyperbolic regime) and `spiral` (tau > 0).
 
 from fractions import Fraction
 
-from .multivector import MultiVector, Polynomial, rational, schouten_bracket, wedge
+from .multivector import MultiVector, Polynomial, rational, schouten_bracket, wedge_component
 
 KINDS = (
     "abelian",
@@ -143,19 +143,18 @@ def structure_constants(algebra):
 
 
 def linear_poisson(source):
-    """Linear bivector of an Algebra or StructureConstants.
+    """Linear bivector of an Algebra or StructureConstants, built from the constants.
 
-    >>> dx, dy = MultiVector.basis(1, 0), MultiVector.basis(1, 1)
-    >>> linear_poisson("heisenberg") == wedge(dx, dy) * Polynomial.variable("z")
+    >>> linear_poisson("heisenberg") == MultiVector.bivector(0, 0, Polynomial.variable("z"))
     True
     """
     if isinstance(source, (str, Algebra)):
         source = structure_constants(source)
-    dx = [MultiVector.basis(1, axis) for axis in range(3)]
-    pi = MultiVector.zero(2)
+    components = {}  # each (i, j, k) is its own (component, monomial)
     for (i, j, k), value in source.c.items():
-        pi = pi + wedge(dx[i], dx[j]) * (Polynomial.variable(k) * value)
-    return pi
+        idx, sign = wedge_component((i, j))
+        components.setdefault(idx, {})[tuple(int(axis == k) for axis in range(3))] = sign * value
+    return MultiVector(2, {idx: Polynomial(poly) for idx, poly in components.items()})
 
 
 def jacobi_defect(source):

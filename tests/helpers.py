@@ -10,7 +10,7 @@ from unittest import mock
 
 from poisson3 import (
     GradedBasis, MultiVector, OperatorCell, Polynomial, StructureConstants, cohomology_table,
-    format_multivector, invariant_basis, rotation_field, schouten_bracket)
+    format_multivector, invariant_basis, rotation_field, schouten_bracket, wedge)
 from poisson3.complexes import linear_operator_matrix
 from poisson3 import linalg
 from poisson3.linalg import (
@@ -41,6 +41,20 @@ def random_multivector(rng, degree, max_coeff_degree):
     if degree == 2:
         return MultiVector.bivector(*comps)
     return MultiVector.trivector(comps[0])
+
+
+def wedge_built(degree, terms):
+    """The multivector of degree `degree` summing (coeff, mono, gens) terms,
+    each built term by term: the scalar coeff*x^mono wedged with the basis
+    vector field of each generator axis in turn (a repeat gives 0), then all
+    added up from the zero of that degree."""
+    values = []
+    for coeff, mono, gens in terms:
+        value = MultiVector.scalar(Polynomial.monomial(mono, coeff))
+        for gen in gens:
+            value = wedge(value, MultiVector.basis(1, gen))
+        values.append(value)
+    return sum(values, MultiVector.zero(degree))
 
 
 def integer_rows(rows):

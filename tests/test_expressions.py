@@ -2,11 +2,12 @@
 
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from helpers import expression_corpus, random_multivector
+from helpers import expression_corpus, random_multivector, wedge_built
 from poisson3 import (
     ExpressionError,
     GradedBasis,
@@ -73,6 +74,85 @@ def test_round_trip_on_random_multivectors():
         assert again == value
         # canonical text is a fixed point of the round trip
         assert format_multivector(again) == text
+
+
+def _random_term_text(rng, coeff, mono, gens):
+    """One way to write the term: factors in any order, the coefficient
+    split in two or left out when 1, each exponent split over factors."""
+    factors = []
+    if abs(coeff) != 1 or rng.random() < 0.5:
+        split = Fraction(rng.randint(1, 4), rng.randint(1, 4)) if rng.random() < 0.3 else 1
+        factors += [str(abs(coeff) / split)] + ([str(split)] if split != 1 else [])
+    for axis, power in enumerate(mono):
+        while power or rng.random() < 0.1:  # "x^0" now and then
+            part = rng.randint(1, power) if power else 0
+            factors.append("xyz"[axis] if part == 1 and rng.random() < 0.5
+                           else "%s^%d" % ("xyz"[axis], part))
+            power -= part
+    if gens:
+        factors.append("^".join("d" + "xyz"[gen] for gen in gens))
+    rng.shuffle(factors)
+    return "*".join(factors) or "1"
+
+
+def _random_expression(rng, degree):
+    """(text, terms) of a random expression of that degree, with (coeff,
+    mono, gens) terms: generators in any order, now and then a repeated
+    generator, a zero coefficient or a term cancelling an earlier one."""
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        if terms and rng.random() < 0.2:
+            coeff, mono, gens = rng.choice(terms)
+            terms.append((-coeff, mono, gens))
+            continue
+        coeff = Fraction(rng.randint(0, 12) if rng.random() < 0.9 else 0, rng.randint(1, 6))
+        gens = rng.sample(range(3), degree)
+        if degree > 1 and rng.random() < 0.2:
+            gens[0] = gens[-1]
+        terms.append((coeff * rng.choice((1, -1)), tuple(rng.randint(0, 3) for _ in range(3)),
+                      tuple(gens)))
+    text = ""
+    for n, (coeff, mono, gens) in enumerate(terms):
+        sign = "-" if coeff < 0 else rng.choice(("+", "")) if n == 0 else "+"
+        text += "%s %s " % (sign, _random_term_text(rng, coeff, mono, gens))
+    return text, terms
+
+
+def test_parse_matches_the_term_by_term_build():
+    # the oracle wedges each term's scalar with its generators one at a time
+    # and sums the terms: same value and same degree, zero or not
+    rng = random.Random(3001)
+    seen = {"repeat": 0, "zero": 0, "fraction": 0, "unsorted": 0, "cancel": 0}
+    for degree in range(4):
+        for _ in range(200):
+            text, terms = _random_expression(rng, degree)
+            value, expected = parse_multivector(text), wedge_built(degree, terms)
+            assert value == expected and value.degree == expected.degree == degree, text
+            seen["zero"] += value.is_zero()
+            seen["repeat"] += any(len(set(gens)) < degree for _, _, gens in terms)
+            seen["fraction"] += any(coeff.denominator > 1 for coeff, _, _ in terms)
+            seen["unsorted"] += any(list(gens) != sorted(set(gens)) for _, _, gens in terms)
+            seen["cancel"] += any(c and (-c, m, g) in terms for c, m, g in terms)
+    assert min(seen.values()) > 20, seen
+
+
+def test_parse_builds_one_multivector_and_calls_no_wedge():
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code)
+
+    text = "3/2*x^2*dz^dx - y*dx^dz + dy^dy + 0*z*dx^dy - 1/2*x^2*dz^dx"
+    sys.setprofile(profile)
+    try:
+        value = parse_multivector(text)
+    finally:
+        sys.setprofile(None)
+    x_squared_plus_y = Polynomial.monomial((2, 0, 0), 1) + Polynomial.variable("y")
+    assert value == MultiVector.bivector(0, x_squared_plus_y, 0) and value.degree == 2
+    assert calls.count(MultiVector.__init__.__code__) == 1
+    assert wedge.__code__ not in calls and MultiVector.__add__.__code__ not in calls
 
 
 def test_format_coordinates_examples():

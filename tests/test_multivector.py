@@ -1,11 +1,14 @@
 """Exact polynomial arithmetic and the graded bracket on multivector fields."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from helpers import random_multivector, random_point, random_polynomial
+from poisson3 import multivector
+from poisson3.multivector import NCOMP, component_wedge, wedge_component
 from poisson3 import (
     MultiVector,
     Polynomial,
@@ -94,6 +97,67 @@ def test_wedge_matches_component_conventions():
     assert wedge(dx, dy) == MultiVector.bivector(
         Polynomial.zero(), Polynomial.zero(), Polynomial.one())
     assert wedge(wedge(dx, dy), dz) == MultiVector.trivector(Polynomial.one())
+
+
+def _bubble_sorted(gens):
+    """(ascending list, number of adjacent swaps) of a bubble sort of gens."""
+    gens, swaps = list(gens), 0
+    for end in range(len(gens) - 1, 0, -1):
+        for i in range(end):
+            if gens[i] > gens[i + 1]:
+                gens[i], gens[i + 1] = gens[i + 1], gens[i]
+                swaps += 1
+    return gens, swaps
+
+
+def _swap_counted_component(gens):
+    """(idx, sign) of the wedge of gens, in their order, found by sorting
+    them with a bubble sort (one sign flip per swap); None on a repeat."""
+    ordered, swaps = _bubble_sorted(gens)
+    if len(set(ordered)) < len(ordered):
+        return None
+    q = len(ordered)
+    for idx in range(NCOMP[q]):
+        subset, sign = component_wedge(q, idx)
+        if list(subset) == ordered:
+            return idx, sign * (-1) ** swaps
+    raise AssertionError(ordered)
+
+
+SUBSETS = [component_wedge(q, idx)[0] for q in range(4) for idx in range(NCOMP[q])]
+
+
+def test_product_sign_table_counts_swaps_for_every_pair_of_subsets():
+    assert len(set(SUBSETS)) == 8
+    found = {(left, right): multivector._COMPONENT.get(left + right)
+             for left in SUBSETS for right in SUBSETS}
+    assert found == {(left, right): _swap_counted_component(left + right)
+                     for left in SUBSETS for right in SUBSETS}
+    assert sum(value is None for value in found.values()) == 64 - 27
+
+
+def test_right_derivative_table_counts_swaps_for_every_subset():
+    for subset in SUBSETS:
+        expected = []
+        for pos, symbol in enumerate(subset):
+            # the symbol moved to the right end, then stripped: as many swaps
+            # as sorting it back in from there
+            rest = subset[:pos] + subset[pos + 1:]
+            expected.append((symbol, rest, (-1) ** _bubble_sorted(rest + (symbol,))[1]))
+        assert multivector._RIGHT_DERIVATIVES[subset] == expected
+
+
+def test_wedge_component_counts_swaps_for_every_sequence_of_generators():
+    sequences = [gens for n in range(4) for gens in itertools.product(range(3), repeat=n)]
+    assert len(sequences) == 40
+    for gens in sequences:
+        assert wedge_component(gens) == wedge_component(list(gens)) == _swap_counted_component(
+            gens), gens
+    # the inverse of component_wedge
+    for q in range(4):
+        for idx in range(NCOMP[q]):
+            subset, sign = component_wedge(q, idx)
+            assert wedge_component(subset) == (idx, sign)
 
 
 def test_wedge_beyond_top_degree_vanishes():
@@ -270,9 +334,3 @@ def test_multivector_evaluation_random():
         lhs = (a + b).evaluate(pt)
         rhs = tuple(x + y for x, y in zip(a.evaluate(pt), b.evaluate(pt)))
         assert tuple(lhs) == rhs
-
-
-def test_symbol_subset_of_wrong_degree_raises_runtime_error():
-    # the degree check must survive python -O
-    with pytest.raises(RuntimeError, match="expected 1"):
-        MultiVector._from_xi(1, {(0, 1): X})

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import conjugated_constants, wedge_built
 from poisson3 import (
     KINDS,
     Algebra,
@@ -102,6 +103,26 @@ def test_linear_poisson_bivectors():
     assert linear_poisson("so3") == parse_multivector(
         "z*dx^dy - y*dx^dz + x*dy^dz")
     assert linear_poisson("abelian").is_zero()
+
+
+def test_linear_poisson_matches_the_wedge_built_oracle():
+    # each constant c^k_ij as its own term c x_k dx_i^dx_j, wedged generator
+    # by generator and summed: every kind at the tables' taus, each in two
+    # random GL3(Z) bases, and random constants that need not be a Lie algebra
+    rng = random.Random(3002)
+    taus = {"book": ("1", "1/3", "3/5", "-2/3", "-1"), "spiral": ("1", "5/2")}
+    tables = [structure_constants(Algebra(kind, tau))
+              for kind in KINDS for tau in taus.get(kind, [None])]
+    tables += [conjugated_constants(table, rng) for table in tables for _ in range(2)]
+    keys = [(i, j, k) for i in range(3) for j in range(i + 1, 3) for k in range(3)]
+    tables += [StructureConstants({key: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                   for key in rng.sample(keys, rng.randint(1, 9))})
+               for _ in range(20)]
+    for table in tables:
+        pi = linear_poisson(table)
+        expected = wedge_built(2, [(value, tuple(int(axis == k) for axis in range(3)), (i, j))
+                                   for (i, j, k), value in table.c.items()])
+        assert pi == expected and pi.degree == 2, table
 
 
 def test_linear_poisson_accepts_kind_or_algebra_or_constants():

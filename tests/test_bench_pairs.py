@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -14,29 +15,65 @@ def _run(*args):
                           capture_output=True, text=True, timeout=120)
 
 
+def _stand_in(tmp_path, worker, run_limit_s=None):
+    """A checkout with the benchmark's perfbench/ and a stand-in worker."""
+    perfbench = tmp_path / "perfbench"
+    shutil.copytree(ROOT / "perfbench", perfbench)
+    (perfbench / "worker.py").write_text(worker)
+    if run_limit_s is not None:
+        run = perfbench / "run.py"
+        text = run.read_text()
+        assert text.count("\nRUN_LIMIT_S = ") == 1
+        run.write_text(text.replace("\nRUN_LIMIT_S = ", "\nRUN_LIMIT_S = %r  # " % run_limit_s))
+    return tmp_path
+
+
 def test_one_pair_of_the_checkout_against_itself():
     res = _run(ROOT, ROOT, "--workload", "invariant", "--pairs", "1")
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
     assert lines[0].startswith("pair 0 (A first): wall_ref_s A ")
     assert lines[1] == "invariant, 1 pairs"
-    assert [line.split()[0] for line in lines[2:]] == ["wall_ref_s", "setup_s", "peak_rss_mb"]
+    assert [line.split()[0] for line in lines[2:]] == [
+        "wall_ref_s", "cochains_per_s", "setup_s", "peak_rss_mb"]
     assert all("of 1 pairs" in line for line in lines[2:])
+
+
+def test_metrics_are_the_benchmarks_reference_values(tmp_path):
+    # setup_s is the rescaled setup_ref_s, cochains_per_s is cochains over
+    # wall_ref_s, and B's 200 per second is worse than the real worker's
+    result = {"wall_ref_s": 0.5, "cochains": 100, "setup_s": 9.0, "setup_ref_s": 0.25,
+              "peak_rss_mb": 20.0, "requests": [{"name": "req", "problems": []}]}
+    checkout = _stand_in(tmp_path, "print(%r)\n" % (json.dumps(result),))
+    res = _run(ROOT, checkout, "--workload", "invariant", "--pairs", "1")
+    assert res.returncode == 0, res.stderr
+    lines = {line.split()[0]: line for line in res.stdout.splitlines()[2:]}
+    assert "B 200 [200, 200]" in lines["cochains_per_s"]
+    assert "B better in 0 of 1 pairs" in lines["cochains_per_s"]
+    assert "B 0.25 [0.25, 0.25]" in lines["setup_s"]
 
 
 def test_a_reported_problem_exits_1(tmp_path):
     # a stand-in worker whose one request reports a problem
-    result = {"wall_ref_s": 0.5, "setup_s": 0.1, "peak_rss_mb": 20.0,
+    result = {"wall_ref_s": 0.5, "cochains": 1, "setup_ref_s": 0.1, "peak_rss_mb": 20.0,
               "requests": [{"name": "req", "problems": ["digest differs"]}]}
-    (tmp_path / "perfbench").mkdir()
-    (tmp_path / "perfbench" / "worker.py").write_text(
-        "print(%r)\n" % (json.dumps(result),))
-    res = _run(ROOT, tmp_path, "--workload", "invariant", "--pairs", "1")
+    checkout = _stand_in(tmp_path, "print(%r)\n" % (json.dumps(result),))
+    res = _run(ROOT, checkout, "--workload", "invariant", "--pairs", "1")
     assert res.returncode == 1
     assert res.stderr == "B seed 0: req: digest differs\n"
-    assert "B lower in 0 of 1 pairs" in res.stdout
+    assert "B better in 0 of 1 pairs" in res.stdout
 
 
-def test_a_checkout_without_a_worker_is_a_usage_error(tmp_path):
+def test_a_worker_past_the_time_limit_exits_1(tmp_path):
+    checkout = _stand_in(tmp_path, "import time\ntime.sleep(30)\n", run_limit_s=1.0)
+    res = _run(checkout, checkout, "--workload", "invariant", "--pairs", "1")
+    assert res.returncode == 1
+    assert res.stderr.count("worker timed out") == 2
+    assert res.stderr.endswith("A seed 0: the worker failed or timed out\n"
+                               "B seed 0: the worker failed or timed out\n")
+    assert res.stdout == ""
+
+
+def test_a_checkout_without_a_runner_is_a_usage_error(tmp_path):
     res = _run(ROOT, tmp_path, "--workload", "invariant", "--pairs", "1")
-    assert res.returncode == 2 and "has no perfbench/worker.py" in res.stderr
+    assert res.returncode == 2 and "has no perfbench/run.py" in res.stderr

@@ -160,6 +160,38 @@ def test_wedge_component_counts_swaps_for_every_sequence_of_generators():
             assert wedge_component(subset) == (idx, sign)
 
 
+def test_symbol_tables_put_every_product_at_its_degree():
+    # products reach MultiVector through these tables with no degree check,
+    # and degrees 1 and 2 share indices 0..2, so q symbols must name a
+    # component of degree q
+    for q in range(4):
+        for idx in range(NCOMP[q]):
+            assert len(component_wedge(q, idx)[0]) == q
+    for gens, (idx, _) in multivector._COMPONENT.items():
+        assert component_wedge(len(gens), idx)[0] == tuple(sorted(gens)), gens
+    for subset, strips in multivector._RIGHT_DERIVATIVES.items():
+        assert [symbol for symbol, _, _ in strips] == list(subset)
+        for symbol, rest, _ in strips:
+            assert len(rest) == len(subset) - 1 and symbol not in rest
+            assert component_wedge(len(rest), wedge_component(rest)[0])[0] == rest
+    # every pair of basis fields, with coefficients the bracket does not kill
+    fields = [(q, idx, MultiVector.basis(q, idx) * Polynomial.monomial((1, 1, 1)))
+              for q in range(4) for idx in range(NCOMP[q])]
+    for qa, ia, a in fields:
+        for qb, ib, b in fields:
+            product = wedge(a, b)
+            assert schouten_bracket(a, b).degree == min(max(qa + qb - 1, 0), 3)
+            if qa + qb > 3:
+                assert product.degree == 3 and product.is_zero()
+                continue
+            assert product.degree == qa + qb
+            (sa, sign_a), (sb, sign_b) = component_wedge(qa, ia), component_wedge(qb, ib)
+            found = _swap_counted_component(sa + sb)
+            expected = {} if found is None else {
+                found[0]: Polynomial.monomial((2, 2, 2), sign_a * sign_b * found[1])}
+            assert product.components == expected, (qa, ia, qb, ib)
+
+
 def test_wedge_beyond_top_degree_vanishes():
     rng = random.Random(23)
     two = random_multivector(rng, 2, 2)

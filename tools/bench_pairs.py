@@ -2,50 +2,61 @@
 
     python3 tools/bench_pairs.py A B --workload W --pairs N
 
-A and B are source checkouts, each with its own perfbench/worker.py, which
-imports the engine from the checkout's src/.  Pair i runs A's worker and
-B's worker once each, in fresh interpreters, with seed i; A runs first in
-even pairs and B in odd ones, so a drift in the host's speed falls on both
-sides.  For wall_ref_s, setup_s and peak_rss_mb the tool prints each side's
-median and quartiles over the pairs and the number of pairs in which B was
-lower.  It exits 1 if a worker fails or a request reports a problem (after
-printing each one to stderr), and 0 otherwise.
+A and B are source checkouts.  Each checkout's worker is started by the
+`spawn` of its own perfbench/run.py, so the worker protocol and the time
+limit are the benchmark's, and the worker imports the engine from that
+checkout's src/.  Pair i runs A's worker and B's worker once each, in fresh
+interpreters, with seed i; A runs first in even pairs and B in odd ones, so
+a drift in the host's speed falls on both sides.  For each of the
+benchmark's end-to-end metrics, derived from a worker's result as run.py
+derives them (reference times, setup_s from setup_ref_s), the tool prints
+each side's median and quartiles over the pairs and the number of pairs in
+which B was better.  It exits 1 if a worker fails or times out or a request
+reports a problem (after printing each one to stderr), and 0 otherwise.
 """
 
 import argparse
-import json
+import importlib.util
 import os
-import subprocess
 import sys
-import time
 from statistics import median, quantiles
 
-METRICS = ("wall_ref_s", "setup_s", "peak_rss_mb")
+# name: (value from one worker result, higher is better)
+METRICS = {
+    "wall_ref_s": (lambda result: result["wall_ref_s"], False),
+    "cochains_per_s": (lambda result: result["cochains"] / result["wall_ref_s"], True),
+    "setup_s": (lambda result: result["setup_ref_s"], False),
+    "peak_rss_mb": (lambda result: result["peak_rss_mb"], False),
+}
 
 
-def run_worker(checkout, workload, seed):
+def load_runner(checkout, name):
+    """The checkout's perfbench/run.py, loaded as module `name`."""
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(checkout, "perfbench", "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_worker(runner, workload, seed):
     """(result, problems) of one worker run; result is None if it failed."""
-    argv = [sys.executable, os.path.join(checkout, "perfbench", "worker.py"),
-            "--workload", workload, "--seed", str(seed)]
-    argv += ["--spawned", repr(time.monotonic())]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode or not lines:
-        return None, ["worker exited %d: %s" % (proc.returncode, proc.stderr.strip()[-500:])]
-    result = json.loads(lines[-1])
+    result = runner.spawn(workload, seed, timeout=runner.RUN_LIMIT_S)
+    if result is None:
+        return None, ["the worker failed or timed out"]
     return result, ["%s: %s" % (request["name"], problem)
                     for request in result["requests"] for problem in request["problems"]]
 
 
-def summary(name, a_values, b_values):
+def summary(name, a_values, b_values, higher_is_better):
     """One line: each side's median [quartiles] and the pairs B won."""
     def spread(values):
         low, _, high = quantiles(values, n=4) if len(values) > 1 else values * 3
         return "%.4g [%.4g, %.4g]" % (median(values), low, high)
 
-    wins = sum(b < a for a, b in zip(a_values, b_values))
+    wins = sum((b > a) if higher_is_better else (b < a) for a, b in zip(a_values, b_values))
     change = median(b_values) / median(a_values) - 1 if median(a_values) else 0.0
-    return "%-12s A %s  B %s  B lower in %d of %d pairs, median %+.1f%%" % (
+    return "%-14s A %s  B %s  B better in %d of %d pairs, median %+.1f%%" % (
         name, spread(a_values), spread(b_values), wins, len(a_values), 100 * change)
 
 
@@ -59,8 +70,9 @@ def main(argv=None):
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     for checkout in (args.a, args.b):
-        if not os.path.isfile(os.path.join(checkout, "perfbench", "worker.py")):
-            parser.error("%s has no perfbench/worker.py" % (checkout,))
+        if not os.path.isfile(os.path.join(checkout, "perfbench", "run.py")):
+            parser.error("%s has no perfbench/run.py" % (checkout,))
+    runners = {"A": load_runner(args.a, "run_a"), "B": load_runner(args.b, "run_b")}
 
     results = {"A": [], "B": []}
     problems = []
@@ -68,7 +80,7 @@ def main(argv=None):
         order = ("A", "B") if seed % 2 == 0 else ("B", "A")
         pair = {}
         for side in order:
-            result, found = run_worker(args.a if side == "A" else args.b, args.workload, seed)
+            result, found = run_worker(runners[side], args.workload, seed)
             problems += ["%s seed %d: %s" % (side, seed, problem) for problem in found]
             pair[side] = result
         if None not in pair.values():
@@ -78,8 +90,9 @@ def main(argv=None):
                 seed, order[0], pair["A"]["wall_ref_s"], pair["B"]["wall_ref_s"]))
     if results["A"]:
         print("%s, %d pairs" % (args.workload, len(results["A"])))
-        for name in METRICS:
-            print(summary(name, [r[name] for r in results["A"]], [r[name] for r in results["B"]]))
+        for name, (value, higher_is_better) in METRICS.items():
+            print(summary(name, [value(r) for r in results["A"]],
+                          [value(r) for r in results["B"]], higher_is_better))
     for problem in problems:
         sys.stderr.write(problem + "\n")
     return 1 if problems else 0

@@ -14,6 +14,18 @@ sub-bases, which map its representatives back.  A single cell is read off
 the four cells of its degree, as a table builds them.  A bivector with
 [pi, pi] != 0 has no complex, as d o d != 0, and is rejected.
 
+For book, semi_open_book and aff_x_r the Hamiltonian field X = [pi, x_k]
+of one coordinate acts on each basis cochain x^m xi_S by an integer weight,
+up to a nilpotent part that keeps it.  L_X commutes with d and is
+null-homotopic (graded Jacobi, with [x_k, .] as the homotopy), so it acts
+as 0 on H: each weight other than 0 is an acyclic subcomplex, and H lives
+in weight 0 (Lichnerowicz 1977; Vaisman 1994).  The full complex's table
+and cells of such a bivector reduce only the weight-0 subcomplex, a
+coordinate one whose positions are enumerated as resonances, and count
+the rest: off weight 0, d_q's rank is dim C^q - dim C^(q-1) + ... +-
+dim C^0 there.  The cells keep the full dimensions, so a cochain budget
+still counts the full complex's cochains.
+
 Most cells are acyclic, and those need no exact elimination.  Each
 differential is first reduced modulo the constant prime `linalg.PRIME`, by
 the leads of its columns, skipping those at the previous pass's pivot
@@ -50,7 +62,7 @@ from .complexes import (
     linear_operator_matrix,
     rotation_field,
 )
-from .multivector import MultiVector, rational, schouten_bracket
+from .multivector import NCOMP, MultiVector, component_wedge, rational, schouten_bracket
 
 
 class CohomologyCell:
@@ -112,23 +124,124 @@ def _invariant_differentials(pi, d):
     d_q, q <= 2, is read only at the columns its source vectors touch
     (`OperatorCell.columns_at`); d_3 is 0 and is not built.  Each target
     vector from `invariant_basis` is the only one nonzero at its highest
-    coordinate, where it is +-1: an image's coefficients are read off those
-    coordinates, then checked by mapping them back.
+    coordinate, where it is +-1 and which it lists first: an image's
+    coefficients are read off those coordinates, then checked by mapping
+    them back.
     """
     vectors = [invariant_basis(q, d)[1] for q in range(4)]
     cells = []
     for q in range(3):
         columns = differential_matrix(pi, q, d).columns_at({j for v in vectors[q] for j in v})
-        tops = [(max(vec), vec[max(vec)]) for vec in vectors[q + 1]]
+        tops = {}  # top coordinate: (k, +-1) of the k-th target vector
+        for k, vec in enumerate(vectors[q + 1]):
+            top = next(iter(vec))
+            tops[top] = k, vec[top]
         restricted = []
         for vec in vectors[q]:
             image = linalg.matvec(columns, vec)
-            coeffs = {k: image[top] * lead for k, (top, lead) in enumerate(tops) if top in image}
+            coeffs = {}
+            for i, c in image.items():
+                if i in tops:
+                    k, lead = tops[i]
+                    coeffs[k] = c * lead
             if linalg.matvec(vectors[q + 1], coeffs) != image:
                 raise ValueError("operator does not preserve the invariant subspace")
             restricted.append(coeffs)
         cells.append(OperatorCell(None, None, restricted, 1))
     return cells + [OperatorCell(None, None, [{} for _ in vectors[3]], 1)], vectors  # d_3 = 0
+
+
+def _weights(pi):
+    """(k, D) for the first x_k whose field [pi, x_k] acts on monomials by
+    integer weights D, or None.
+
+    The field's matrix M, x_j d_i at (i, j), is column x_k of d_0 on degree
+    1.  It qualifies when D, its diagonal, is not 0, and its off-diagonal
+    part N joins only coordinates of equal D and is nilpotent: then
+    x^m xi_S has weight m . D - sum_S D_s, and N keeps each weight.
+    """
+    cell = linear_operator_matrix(pi, 0, 1)
+    columns, unit = cell.columns, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    for k in range(3):
+        column = columns[cell.source.position(0, unit[k])]
+        m = [[column.get(cell.target.position(i, unit[j]), 0) for j in range(3)] for i in range(3)]
+        weights = [m[i][i] for i in range(3)]
+        power = n = [[m[i][j] * (i != j) for j in range(3)] for i in range(3)]
+        for _ in range(2):  # N^3
+            power = [[sum(power[i][t] * n[t][j] for t in range(3)) for j in range(3)]
+                     for i in range(3)]
+        if any(weights) and not any(map(any, power)) and all(
+                weights[i] == weights[j] for i in range(3) for j in range(3) if n[i][j]):
+            return k, weights
+    return None
+
+
+def _weight_zero(pi, dmax):
+    """The weight-0 basis cochains up to degree dmax of a bivector with weights
+    (`_weights`), or None: ((a, b, k), [(idx, m_a, m_b), ...] for each q).
+
+    x_k has weight 0, and x_a does not; m . D = sum_S D_s is a resonance
+    m_a + (D_b / D_a) m_b = sum_S D_s / D_a, with m_k = d - m_a - m_b.
+    """
+    found = _weights(pi)
+    if found is None:
+        return None
+    k, weights = found
+    a, b = sorted([i for i in range(3) if i != k], key=lambda i: not weights[i])
+    tau = Fraction(weights[b], weights[a])
+    return (a, b, k), [
+        [(idx, i, j) for idx in range(NCOMP[q])
+         for i, j in resonances(tau, Fraction(sum(weights[s] for s in component_wedge(q, idx)[0]),
+                                              weights[a]), dmax)]
+        for q in range(4)]
+
+
+def _weight_zero_differentials(pi, d, zero):
+    """d_0..d_3 of degree d restricted to weight 0, and the unit vectors of
+    its positions, ascending, from `_weight_zero`.
+
+    Each column of d_0..d_2 is read off `differential_matrix` alone; one
+    with an entry off weight 0 means the weights were wrong, and raises
+    ValueError.  d_3 is 0 and is not built.
+    """
+    (a, b, k), pairs = zero
+    positions = []
+    for q in range(4):
+        basis, found = GradedBasis(q, d), []
+        for idx, i, j in pairs[q]:
+            if i + j <= d:
+                mono = [0, 0, 0]
+                mono[a], mono[b], mono[k] = i, j, d - i - j
+                found.append(basis.position(idx, tuple(mono)))
+        positions.append(sorted(found))
+    cells = []
+    for q in range(3):
+        cell, rows = differential_matrix(pi, q, d), {p: r for r, p in enumerate(positions[q + 1])}
+        try:
+            columns = [{rows[i]: c for i, c in cell.column(p).items()} for p in positions[q]]
+        except KeyError:
+            raise ValueError("d_%d leaves weight 0 at degree %d" % (q, d)) from None
+        cells.append(OperatorCell(None, None, columns, 1))
+    cells.append(OperatorCell(None, None, [{} for _ in positions[3]], 1))  # d_3 = 0
+    return cells, [[{p: 1} for p in found] for found in positions]
+
+
+def _full_cells(pi, d, zero):
+    """The four cells of degree d of the full complex of pi.
+
+    With `zero` (`_weight_zero`) only weight 0 is reduced.  Off it the
+    complex is acyclic, so d_q's rank there is sum_{k<=q} (-1)^(q-k)
+    (dim C^k - dim C_0^k), with C_0 the weight-0 cochains.
+    """
+    if zero is None:
+        return _degree_cells(d, *_differentials(pi, d))
+    cells, rest = [], 0  # rest: the rank of d_{q-1} off weight 0
+    for cell in _degree_cells(d, *_weight_zero_differentials(pi, d, zero)):
+        size = len(GradedBasis(cell.q, d))
+        incoming, rest = rest, size - cell.dim_cochains - rest
+        cells.append(CohomologyCell(cell.q, d, size, cell.rank_out + rest,
+                                    cell.rank_in + incoming, cell.kernel_rows))
+    return cells
 
 
 def _degree_cells(d, matrices, back=None):
@@ -204,7 +317,7 @@ def cohomology_cell(pi, q, d):
     """
     GradedBasis(q, d)
     _check_poisson(pi)
-    return _degree_cells(d, *_differentials(pi, d))[q]
+    return _full_cells(pi, d, _weight_zero(pi, d))[q]
 
 
 def invariant_cohomology(pi, q, d):
@@ -271,10 +384,11 @@ def cohomology_table(pi, dmax, invariant=False):
     if invariant:
         _check_rotation_invariant(pi)
     _check_poisson(pi)
-    build = _invariant_differentials if invariant else _differentials
+    zero = None if invariant else _weight_zero(pi, dmax)
     cells = {}
     for d in range(dmax + 1):
-        for cell in _degree_cells(d, *build(pi, d)):
+        for cell in (_degree_cells(d, *_invariant_differentials(pi, d)) if invariant
+                     else _full_cells(pi, d, zero)):
             cells[(cell.q, d)] = cell
     return CohomologyTable(dmax, cells)
 
@@ -305,10 +419,12 @@ def coboundary_witness(pi, target):
 def resonance_range(tau, c, dmax):
     """The j of the pairs of `resonances(tau, c, dmax)`, as a range.
 
-    For each j there is at most one i, c - tau*j, which is an integer only on
-    one residue class of j modulo the denominator of tau; the bounds i >= 0
-    and i + j <= dmax are linear in j and confine it to an interval.  Its
-    len() counts the pairs before any is built.
+    It also enumerates the weight-0 cochains of a table whose bivector has
+    coordinate weights (`_weight_zero`), once per component.  For each j
+    there is at most one i, c - tau*j, which is an integer only on one
+    residue class of j modulo the denominator of tau; the bounds i >= 0 and
+    i + j <= dmax are linear in j and confine it to an interval.  Its len()
+    counts the pairs before any is built.
     """
     if dmax < 0:
         raise ValueError("dmax must be nonnegative, got %r" % (dmax,))

@@ -190,12 +190,13 @@ def test_each_stored_row_is_made_primitive_once(monkeypatch):
 
 def test_one_entry_rows_take_no_elimination_step(monkeypatch):
     # most rows of a differential hold one entry: one that meets a {col: 1}
-    # pivot row is dropped with no step (eliminating each of them made 4,410,
-    # 2,026 and 6,404 steps for these tables), and no row is made primitive
-    # more often
+    # pivot row is dropped with no step, and no row is made primitive more
+    # often.  Heisenberg and sl2 reduce their full complexes (eliminating
+    # each one-entry row made 4,410 and 6,404 steps); book reduces only its
+    # weight-0 subcomplex, which takes no elimination step
     calls = _count_calls(monkeypatch, "_eliminate", "_primitive")
     for pi, dmax, expected in ((linear_poisson("heisenberg"), 20, (1520, 4276)),
-                               (linear_poisson(Algebra("book", Fraction(-2, 3))), 20, (1048, 242)),
+                               (linear_poisson(Algebra("book", Fraction(-2, 3))), 20, (0, 46)),
                                (linear_poisson("sl2"), 16, (6290, 1178))):
         calls.update(_eliminate=0, _primitive=0)
         cohomology_table(pi, dmax)
@@ -240,15 +241,18 @@ def test_differentials_are_built_only_as_far_as_they_are_read(monkeypatch):
     # a mod-p pass builds a column only when its lead is a pivot already or
     # a later column is first reduced against it; a certified cell builds
     # the columns it kept only for a next cell reduced exactly; and an exact
-    # reduction lays out its rows straight from the stencil: 1,484 columns
-    # for these tables, 9 of each for [pi, pi] on the (2, 1) cell, where
-    # building each column the passes read built 1,864, 5,484 and 3,894
-    # (11,242) and building every column of every differential 36,088; the
-    # row layouts are one per exact reduction, as before
+    # reduction lays out its rows straight from the stencil.  Each table
+    # builds 9 columns for [pi, pi] on the (2, 1) cell and the 3 of d_0 on
+    # degree 1 that the weight detection reads.  Heisenberg and sl2 reduce
+    # their full complexes, whose passes build 0 and 1,195 more (building
+    # each column they read built 1,864 and 3,894, and every column of every
+    # differential 14,168 and 7,752).  Book builds each of the 356 columns
+    # of d_0..d_2 on its weight-0 subcomplex once, into list cells.  The row
+    # layouts are one per exact reduction
     reads = _count_cell_reads(monkeypatch)
-    for pi, dmax, expected in ((linear_poisson("heisenberg"), 20, (9, 84)),
-                               (linear_poisson(Algebra("book", Fraction(-2, 3))), 20, (271, 18)),
-                               (linear_poisson("sl2"), 16, (1204, 18))):
+    for pi, dmax, expected in ((linear_poisson("heisenberg"), 20, (12, 84)),
+                               (linear_poisson(Algebra("book", Fraction(-2, 3))), 20, (368, 18)),
+                               (linear_poisson("sl2"), 16, (1207, 18))):
         reads.update(columns=0, rows=0)
         cohomology_table(pi, dmax)
         assert (reads["columns"], reads["rows"]) == expected
@@ -288,14 +292,16 @@ def _table_fields(tables):
     return [[_cell_fields(table.cells[key]) for key in sorted(table.cells)] for table in tables]
 
 
-@pytest.mark.parametrize("prime, exact_reductions", [(2, 272), (3, 264), (5, 239)])
+@pytest.mark.parametrize("prime, exact_reductions", [(2, 264), (3, 242), (5, 227)])
 def test_a_small_prime_only_sends_cells_down_the_exact_path(monkeypatch, prime,
                                                             exact_reductions):
     # a pass that stops hands the next one the exact image's pivots to skip,
     # not pivot rows of its own; modulo a small prime the columns outside
     # those can hold less than the whole rank (an image vector's leading
     # entry may be a multiple of p), so a few more cells go exact than the
-    # 266, 254 and 228 of passes that all run to the end, none at PRIME
+    # 252, 235 and 219 of passes that all run to the end, none at PRIME.
+    # Book, semi_open_book and aff_x_r count the reductions of their weight-0
+    # subcomplexes
     calls = _count_calls(monkeypatch, "kernel_and_image_of_rows")
     pis = [linear_poisson(algebra) for algebra in REGISTRY_ALGEBRAS]
     expected = _table_fields(cohomology_table(pi, 8) for pi in pis)
@@ -395,17 +401,24 @@ def test_exact_rank_below_the_modular_rank_raises(monkeypatch):
 
 
 def _exact_reductions(monkeypatch, pi, dmax):
-    """The exact reductions of `cohomology_table(pi, dmax)`.
+    """The exact reductions of `cohomology_table(pi, dmax)`, on the complex
+    its builder hands the degree loop (the weight-0 one for a bivector with
+    coordinate weights).
 
-    Each is (q, d, whole, columns, skip, result, nnz): all columns of d_q,
-    the columns of the rows that d_q laid out and handed to
-    `kernel_and_image_of_rows` with skip, what it returned and the nonzeros
-    it sent into `rref`.
+    Each is (incoming, whole, columns, skip, result, nnz): all columns of
+    d_{q-1} ([] at q = 0) and of d_q, the columns of the rows that d_q
+    laid out and handed to `kernel_and_image_of_rows` with skip, what it
+    returned and the nonzeros it sent into `rref`.
     """
-    laid_out, calls = [], []
-    lay_out, kernel_and_image_of_rows, rref = (
-        complexes_module.OperatorCell.rows, linalg.kernel_and_image_of_rows, linalg.rref)
+    degrees, laid_out, calls = [], [], []  # degrees: the matrices of each degree
+    degree_cells, lay_out, kernel_and_image_of_rows, rref = (
+        cohomology_module._degree_cells, complexes_module.OperatorCell.rows,
+        linalg.kernel_and_image_of_rows, linalg.rref)
     inside = []
+
+    def recording(d, matrices, back=None):
+        degrees.append(matrices)
+        return degree_cells(d, matrices, back)
 
     def laying_out(cell, free=()):
         index, rows = lay_out(cell, free)
@@ -424,6 +437,7 @@ def _exact_reductions(monkeypatch, pi, dmax):
         return rref(rows, landed)
 
     with monkeypatch.context() as patch:
+        patch.setattr(cohomology_module, "_degree_cells", recording)
         patch.setattr(complexes_module.OperatorCell, "rows", laying_out)
         patch.setattr(linalg, "kernel_and_image_of_rows", reducing)
         patch.setattr(linalg, "rref", counting)
@@ -431,12 +445,14 @@ def _exact_reductions(monkeypatch, pi, dmax):
     reductions = []
     for (index, rows), skip, result, nnz in calls:
         (cell,) = [cell for cell, laid in laid_out if laid is rows]
+        (incoming,) = [matrices[q - 1].columns if q else [] for matrices in degrees
+                       for q, matrix in enumerate(matrices) if matrix is cell]
         whole = cell.columns
         columns = [{} for _ in whole]  # the rows read back as columns
         for i, row in zip(index, rows):
             for k, c in row.items():
                 columns[len(whole) - 1 - k][i] = c
-        reductions.append((cell.source.q, cell.source.d, whole, columns, skip, result, nnz))
+        reductions.append((incoming, whole, columns, skip, result, nnz))
     return reductions
 
 
@@ -480,8 +496,7 @@ def test_the_incoming_pivot_columns_change_no_exact_reduction(monkeypatch, seed)
     checked = emptied = 0
     for algebra in _seeded_algebras(seed):
         pi = linear_poisson(algebra)
-        for q, d, whole, columns, skip, result, _ in _exact_reductions(monkeypatch, pi, 10):
-            incoming = differential_matrix(pi, q - 1, d).columns if q else []
+        for incoming, whole, columns, skip, result, _ in _exact_reductions(monkeypatch, pi, 10):
             assert skip == set(linalg.rref(incoming)[0])
             assert skip <= _free_columns(whole)
             assert all(columns[j] == {} for j in skip)
@@ -521,9 +536,9 @@ def test_euclidean_sends_fewer_nonzeros_into_rref(monkeypatch):
     # image's pivots: 6,090 nonzeros of the whole differentials, 4,598 sent
     reductions = _exact_reductions(monkeypatch, linear_poisson("euclidean"), 12)
     assert len(reductions) == 46
-    whole = sum(len(col) for _, _, whole, *_ in reductions for col in whole)
+    whole = sum(len(col) for _, whole, *_ in reductions for col in whole)
     sent = sum(nnz for *_, nnz in reductions)
-    assert sum(len(col) for _, _, _, columns, *_ in reductions for col in columns) == sent
+    assert sum(len(col) for _, _, columns, *_ in reductions for col in columns) == sent
     assert (whole, sent) == (6090, 4598)
 
 
@@ -933,6 +948,67 @@ def test_conjugated_constants_keep_the_oracle_grid():
         assert {key: cell.dim_h for key, cell in table.cells.items()} == {
             (q, d): grid.get(q, {}).get(d, 0) for q in range(4) for d in range(dmax + 1)}, algebra
     assert moved >= len(KINDS) - 1  # the abelian bivector is 0 in every basis
+
+
+def _ordered_fields(cell):
+    """A cell's numbers and its kernel rows with their key order."""
+    return (cell.q, cell.d, cell.dim_cochains, cell.rank_in, cell.rank_out,
+            [list(row.items()) for row in cell.kernel_rows])
+
+
+@pytest.mark.parametrize("seed", [31, 32])
+def test_weight_zero_tables_are_the_full_complexs_cells(seed):
+    # aff_x_r, semi_open_book and book at tau = 1, -1 and seeded rational
+    # taus of both signs reduce only weight 0 and count the ranks off it:
+    # every cell equals the full complex's, its kernel rows in their key
+    # order, and a single cell is the table's
+    rng = random.Random(seed)
+    taus = [Fraction(1), Fraction(-1)] + [
+        sign * Fraction(rng.randint(1, 9), rng.randint(10, 17)) for sign in (1, -1)]
+    dmax = 24
+    for algebra in [Algebra("aff_x_r"), Algebra("semi_open_book")] + [
+            Algebra("book", tau) for tau in taus]:
+        pi = linear_poisson(algebra)
+        assert cohomology_module._weights(pi) is not None
+        table = cohomology_table(pi, dmax)
+        for d in range(dmax + 1):
+            full = cohomology_module._degree_cells(d, *cohomology_module._differentials(pi, d))
+            for q, cell in enumerate(full):
+                fields = _ordered_fields(cell)
+                assert _ordered_fields(table.cell(q, d)) == fields, (algebra, q, d)
+                assert _ordered_fields(cohomology_cell(pi, q, d)) == fields
+
+
+def test_only_the_coordinate_kinds_have_weights():
+    # [pi, x_k] acts on monomials by weights only for book and
+    # semi_open_book (x_k = z) and aff_x_r (y); the rotations, sl2, spiral's
+    # rotation part and a generic basis of book find none, and their tables,
+    # read off the full complex, keep their oracle grids
+    assert cohomology_module._weights(linear_poisson(Algebra("book", Fraction(-2, 3)))) == (
+        2, [3, -2, 0])
+    assert cohomology_module._weights(linear_poisson("semi_open_book")) == (2, [1, 1, 0])
+    assert cohomology_module._weights(linear_poisson("aff_x_r")) == (1, [1, 0, 0])
+    book = Algebra("book", Fraction(-2, 3))
+    generic = conjugated_constants(structure_constants(book), random.Random(420))
+    sources = [(Algebra(kind), linear_poisson(kind))
+               for kind in ("abelian", "heisenberg", "euclidean", "so3", "sl2")] + [
+        (Algebra("spiral", tau), linear_poisson(Algebra("spiral", tau)))
+        for tau in (Fraction(1), Fraction(5, 2))] + [(book, linear_poisson(generic))]
+    dmax = 8
+    for algebra, pi in sources:
+        assert cohomology_module._weights(pi) is None, algebra
+        table = cohomology_table(pi, dmax)
+        grid = oracle_dimension_grid(algebra, dmax)
+        assert {key: cell.dim_h for key, cell in table.cells.items()} == {
+            (q, d): grid.get(q, {}).get(d, 0) for q in range(4) for d in range(dmax + 1)}, algebra
+
+
+def test_wrong_weights_raise_at_the_first_column_off_weight_0(monkeypatch):
+    # aff_x_r's weights are (1, 0, 0); under (0, 1, 0) the weight-0 cochains
+    # are no subcomplex, and d_1 of degree 0 already leaves them
+    monkeypatch.setattr(cohomology_module, "_weights", lambda pi: (2, [0, 1, 0]))
+    with pytest.raises(ValueError, match="d_1 leaves weight 0 at degree 0"):
+        cohomology_table(linear_poisson("aff_x_r"), 8)
 
 
 def test_restriction_to_invariant_bases_solves_each_image():

@@ -254,17 +254,19 @@ def test_each_layout_and_the_mod_p_pass_have_their_named_callers():
     # a cell that holds one and for `kernel_and_image`; a cell read off a
     # stencil writes the same layout itself.  Only the degree loop runs the
     # mod-p pass, and only the pass reads leads.  A column is built alone
-    # only where the pass's lead collides and where it reduces against a
-    # pivot for the first time; the degree loop reads the columns a
-    # certified cell kept in one walk, by `columns_at`, as the invariant
-    # builder reads a differential's support.  `_column` writes each column
+    # only where the pass's lead collides, where it reduces against a pivot
+    # for the first time and where the weight-0 builder reads the columns at
+    # weight 0; the degree loop reads the columns a certified cell kept in
+    # one walk, by `columns_at`, as the invariant builder reads a
+    # differential's support.  `_column` writes each column
     # of a stencil, alone or in the walk of `columns` and `columns_at`
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     assert _callers(trees, "lay_out") == [("complexes.py", "OperatorCell.rows"),
                                           ("linalg.py", "kernel_and_image")]
     assert _callers(trees, "independent_columns_mod_p") == [("cohomology.py", "_degree_cells")]
     assert _callers(trees, "leads") == [("linalg.py", "independent_columns_mod_p")]
-    assert _callers(trees, "column") == [("linalg.py", "independent_columns_mod_p"),
+    assert _callers(trees, "column") == [("cohomology.py", "_weight_zero_differentials"),
+                                         ("linalg.py", "independent_columns_mod_p"),
                                          ("linalg.py", "independent_columns_mod_p")]
     assert _callers(trees, "columns_at") == [("cohomology.py", "_degree_cells"),
                                              ("cohomology.py", "_invariant_differentials")]
@@ -276,7 +278,8 @@ def test_each_layout_and_the_mod_p_pass_have_their_named_callers():
 
 def test_the_degree_loop_builds_no_cell():
     # `_degree_cells` reduces the four cells it is handed; the builders of a
-    # complex (`_differentials`, `_invariant_differentials`) make them
+    # complex (`_differentials`, `_invariant_differentials`,
+    # `_weight_zero_differentials`) make them
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     callers = {name: _callers(trees, name) for name in (
         "differential_matrix", "invariant_basis", "linear_operator_matrix", "OperatorCell")}

@@ -37,6 +37,21 @@ every cell it does not prove is reduced exactly, without the columns at
 the incoming image's pivots, which are free.  Nothing here is
 probabilistic: an unlucky prime only sends a cell down the exact path.
 
+A cell 0 with a class, such as a Casimir's, reduces d_0 on only some of its
+rows where the next cell has none (the semisimple kinds: McConnell,
+Mehlhorn, Naeher and Schweitzer 2011 on certifying algorithms).  d_0's
+pass keeps rank_p columns and finds their pivots at rows P, |P| = rank_p,
+where the minor of d_0 is triangular mod p with units on its diagonal, so
+nonsingular over Q.  d_1's pass then runs before d_0 is reduced, taking
+rank_p as d_0's rank.  When it certifies cell 1, only the rows P of d_0
+are reduced, and d_0 is checked exactly to kill each kernel row they
+leave.  Their kernel holds d_0's, so the check proves the two kernels, and
+with them the two row spaces and reduced echelon forms, equal: rank_Q(d_0)
+= |P|, and the kernel rows read off are those of every row.  If the check
+fails every row is reduced, as it is where cell 1 keeps a class.  d_1's
+pass is that cell's only pass; at an unlucky prime, where rank_p is below
+rank_Q, it may stop early and send the cell down the exact path.
+
 The matrices are integer throughout.  Representatives are canonical: they
 are the kernel rows whose leading coordinate is not a pivot of the image's
 echelon, the only ones read off the reduction, which gives each one as
@@ -180,50 +195,58 @@ def _weight_zero(pi, dmax):
     """The weight-0 basis cochains up to degree dmax of a bivector with weights
     (`_weights`), or None: ((a, b, k), [(idx, m_a, m_b), ...] for each q).
 
-    x_k has weight 0, and x_a does not; m . D = sum_S D_s is a resonance
-    m_a + (D_b / D_a) m_b = sum_S D_s / D_a, with m_k = d - m_a - m_b.
+    x_k has weight 0, and x_a does not; m . D = sum_S D_s = c is a resonance
+    D_a m_a + D_b m_b = c, with m_k = d - m_a - m_b.  Each m_b = j of
+    `resonance_range` has the one integer m_a = (c - D_b j) / D_a.
     """
     found = _weights(pi)
     if found is None:
         return None
     k, weights = found
     a, b = sorted([i for i in range(3) if i != k], key=lambda i: not weights[i])
-    tau = Fraction(weights[b], weights[a])
-    return (a, b, k), [
-        [(idx, i, j) for idx in range(NCOMP[q])
-         for i, j in resonances(tau, Fraction(sum(weights[s] for s in component_wedge(q, idx)[0]),
-                                              weights[a]), dmax)]
-        for q in range(4)]
+    da, db = weights[a], weights[b]
+    tau, pairs = Fraction(db, da), []
+    for q in range(4):
+        pairs.append([])
+        for idx in range(NCOMP[q]):
+            c = sum(weights[s] for s in component_wedge(q, idx)[0])
+            pairs[q] += [(idx, (c - db * j) // da, j)
+                         for j in resonance_range(tau, Fraction(c, da), dmax)]
+    return (a, b, k), pairs
 
 
 def _weight_zero_differentials(pi, d, zero):
-    """d_0..d_3 of degree d restricted to weight 0, and the unit vectors of
-    its positions, ascending, from `_weight_zero`.
+    """d_0..d_3 of degree d restricted to weight 0, and the ascending
+    positions of its cochains, from `_weight_zero`.
 
-    Each column of d_0..d_2 is read off `differential_matrix` alone; one
-    with an entry off weight 0 means the weights were wrong, and raises
-    ValueError.  d_3 is 0 and is not built.
+    Each column of d_0..d_2 is read off `differential_matrix` alone, at the
+    component and monomial of its cochain; one with an entry off weight 0
+    means the weights were wrong, and raises ValueError.  d_3 is 0 and is
+    not built.
     """
     (a, b, k), pairs = zero
-    positions = []
+    elements = []  # each q: (position, idx, monomial), by ascending position
     for q in range(4):
         basis, found = GradedBasis(q, d), []
         for idx, i, j in pairs[q]:
             if i + j <= d:
                 mono = [0, 0, 0]
                 mono[a], mono[b], mono[k] = i, j, d - i - j
-                found.append(basis.position(idx, tuple(mono)))
-        positions.append(sorted(found))
+                mono = tuple(mono)
+                found.append((basis.position(idx, mono), idx, mono))
+        elements.append(sorted(found))
     cells = []
     for q in range(3):
-        cell, rows = differential_matrix(pi, q, d), {p: r for r, p in enumerate(positions[q + 1])}
+        cell = differential_matrix(pi, q, d)
+        rows = {p: r for r, (p, _, _) in enumerate(elements[q + 1])}
         try:
-            columns = [{rows[i]: c for i, c in cell.column(p).items()} for p in positions[q]]
+            columns = [{rows[i]: c for i, c in cell.column_of(idx, mono).items()}
+                       for _, idx, mono in elements[q]]
         except KeyError:
             raise ValueError("d_%d leaves weight 0 at degree %d" % (q, d)) from None
         cells.append(OperatorCell(None, None, columns, 1))
-    cells.append(OperatorCell(None, None, [{} for _ in positions[3]], 1))  # d_3 = 0
-    return cells, [[{p: 1} for p in found] for found in positions]
+    cells.append(OperatorCell(None, None, [{} for _ in elements[3]], 1))  # d_3 = 0
+    return cells, [[p for p, _, _ in found] for found in elements]
 
 
 def _full_cells(pi, d, zero):
@@ -231,16 +254,20 @@ def _full_cells(pi, d, zero):
 
     With `zero` (`_weight_zero`) only weight 0 is reduced.  Off it the
     complex is acyclic, so d_q's rank there is sum_{k<=q} (-1)^(q-k)
-    (dim C^k - dim C_0^k), with C_0 the weight-0 cochains.
+    (dim C^k - dim C_0^k), with C_0 the weight-0 cochains.  A kernel row's
+    index k is the k-th weight-0 position, and they ascend, so the row
+    stays positive at its lowest index.
     """
     if zero is None:
         return _degree_cells(d, *_differentials(pi, d))
+    matrices, positions = _weight_zero_differentials(pi, d, zero)
     cells, rest = [], 0  # rest: the rank of d_{q-1} off weight 0
-    for cell in _degree_cells(d, *_weight_zero_differentials(pi, d, zero)):
+    for cell, at in zip(_degree_cells(d, matrices), positions):
         size = len(GradedBasis(cell.q, d))
         incoming, rest = rest, size - cell.dim_cochains - rest
+        kernel = [{at[k]: c for k, c in row.items()} for row in cell.kernel_rows]
         cells.append(CohomologyCell(cell.q, d, size, cell.rank_out + rest,
-                                    cell.rank_in + incoming, cell.kernel_rows))
+                                    cell.rank_in + incoming, kernel))
     return cells
 
 
@@ -263,6 +290,15 @@ def _degree_cells(d, matrices, back=None):
     pass runs to the end: its pivot rows are the skip that keeps d_1's pass,
     the largest, small.
 
+    When cell 0 is not certified, d_1's pass runs at once, with d_0's rank
+    mod p as rank_in.  If it certifies cell 1, d_0 is reduced on the rows
+    at d_0's pass's pivots alone (`OperatorCell.rows`), and kept only if
+    d_0 kills each kernel row they give: then rank and kernel are those of
+    every row (see the module notes).  Those rows all land, but not where
+    d_0's image echelon leads, so the columns d_0's pass kept, as many as
+    its exact rank, stand for its image as after a certified cell.
+    Otherwise every row is reduced.  Either way d_1's pass is not run again.
+
     Otherwise d_q is reduced exactly, and that one reduction gives cell q
     its rank and the kernel rows led outside the incoming image's pivots,
     and cell q + 1 its pivots.  The image lies in the kernel, so its
@@ -277,10 +313,15 @@ def _degree_cells(d, matrices, back=None):
     cells = []
     rank_in, pivots = 0, set()  # d_{q-1}'s rank and image pivots, None until needed
     skip = set()  # columns of d_q that carry none of its image
+    ahead = None  # d_1's pass, when it ran before d_0 was reduced
+
+    def mod_p_pass(q, skip, rank_in):
+        spare = rank_in - len(skip) if q else inf  # inf: run to the end
+        return linalg.independent_columns_mod_p(matrices[q], skip, spare)
+
     for q, matrix in enumerate(matrices):
         size = len(matrix)
-        spare = rank_in - len(skip) if q else inf  # inf: run to the end
-        independent, pass_pivots = linalg.independent_columns_mod_p(matrix, skip, spare)
+        (independent, pass_pivots), ahead = ahead or mod_p_pass(q, skip, rank_in), None
         if size == len(independent) + rank_in:
             # rank_p <= rank_Q and dim H >= 0: both ranks are exact, H = 0
             cells.append(CohomologyCell(q, d, size, len(independent), rank_in, []))
@@ -290,8 +331,19 @@ def _degree_cells(d, matrices, back=None):
         if pivots is None:  # d_{q-1} was certified: the columns it kept span its image
             incoming, kept = certified
             pivots = set(linalg.rref(list(incoming.columns_at(set(kept)).values()))[0])
+        at = None  # the rows of d_q that are reduced, None for all
+        if q == 0:  # d_0's pass ran to the end, and d_1's pass runs now
+            ahead = mod_p_pass(1, pass_pivots, len(independent))
+            if len(matrices[1]) == len(ahead[0]) + len(independent):
+                at = pass_pivots  # rank_Q(d_0) = rank_p(d_0): its pivot rows span
         rank, _, kernel, image_pivots = linalg.kernel_and_image_of_rows(  # the pivots' columns
-            size, matrix.rows(pivots), pivots)  # are free, and left out
+            size, matrix.rows(pivots, at), pivots)  # are free, and left out
+        if at is not None:  # the kernel of rows P holds d_0's: equal when d_0 kills it
+            columns = matrix.columns_at(set().union(*kernel))
+            if any(linalg.matvec(columns, row) for row in kernel):
+                at = None  # rows P miss part of the row space: reduce them all
+                rank, _, kernel, image_pivots = linalg.kernel_and_image_of_rows(
+                    size, matrix.rows(pivots), pivots)
         if rank < len(independent):
             raise RuntimeError(
                 "cell (%d, %d): exact rank %d is below the rank %d mod p"
@@ -304,7 +356,10 @@ def _degree_cells(d, matrices, back=None):
         if back is not None:
             kernel = [linalg.integer_normalize(linalg.matvec(back[q], rep)) for rep in kernel]
         cells.append(CohomologyCell(q, d, size, rank, rank_in, kernel))
-        rank_in, pivots = rank, image_pivots
+        if at is None:
+            rank_in, pivots = rank, image_pivots
+        else:  # rows P land where they are, not where d_0's image echelon leads
+            rank_in, pivots, certified = rank, None, (matrix, independent)
         skip = image_pivots if pass_pivots is None else pass_pivots
     return cells
 

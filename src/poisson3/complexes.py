@@ -128,10 +128,11 @@ class OperatorCell:
 
     The matrix is columns / den, with int columns.  A cell read off the
     stencil of a linear operator builds only what is read, as its reader
-    reads it, and keeps nothing: all `columns`, one `column(j)`, only the
-    `columns_at(positions)`, and `leads(skip, p)` or `rows(free)` with no
-    column built.  Its stencil is `linear_stencil`'s list of each source
-    component's entries, highest row first.  A cell made with a list of
+    reads it, and keeps nothing: all `columns`, one `column(j)` or
+    `column_of(idx, mono)`, only the `columns_at(positions)`, and
+    `leads(skip, p)` or `rows(free, at)` with no column built.  Its stencil
+    is `linear_stencil`'s list of each source component's entries, highest
+    row first.  A cell made with a list of
     columns reads it the same ways; on other bases its source and target
     are None.
     """
@@ -153,10 +154,15 @@ class OperatorCell:
         return list(self._built(range(len(self))).values())
 
     def column(self, j):
-        """Column j; a cell read off a stencil builds it alone, by `_column`."""
+        """Column j; a cell read off a stencil builds it alone (`column_of`)."""
         if self._stencil is None:
             return self._columns[j]
-        idx, (mx, my, mz) = self.source.element(j)
+        return self.column_of(*self.source.element(j))
+
+    def column_of(self, idx, mono):
+        """The column of the source element x^mono xi_idx of a cell read off a
+        stencil, built alone by `_column`."""
+        mx, my, mz = mono
         return _column(self._stencil[idx], self.source.d - mz, mx, my, mz, NCOMP[self.target.q])
 
     def columns_at(self, positions):
@@ -201,13 +207,19 @@ class OperatorCell:
                             break
                     yield j, lead
 
-    def rows(self, free=()):
-        """`linalg.lay_out` of the columns with those in `free` left out; a
-        cell read off a stencil writes it with no column built."""
+    def rows(self, free=(), at=None):
+        """`linalg.lay_out` of the columns with those in `free` left out, and
+        only its rows at the row indices in `at` when `at` is not None; a
+        cell read off a stencil writes them with no column built, and writes
+        no other row."""
         if self._stencil is None:
-            return linalg.lay_out(self._columns, free)
+            index, rows = linalg.lay_out(self._columns, free)
+            if at is None:
+                return index, rows
+            kept = [k for k, i in enumerate(index) if i in at]
+            return [index[k] for k in kept], [rows[k] for k in kept]
         last = len(self) - 1
-        rows = {}
+        rows = {} if at is None else {i: {} for i in at}  # `at`: no row is added
         # `_column`'s arithmetic in basis order, each entry written into its row
         d, ncomp, j = self.source.d, NCOMP[self.target.q], -1
         for s in range(d + 1):
@@ -223,11 +235,11 @@ class OperatorCell:
                         if c := ax * mx + ay * my + az * mz + b:
                             r = s - sz
                             i = (r * (r + 1) // 2 + mx + sx) * ncomp + t
-                            if (row := rows.get(i)) is None:
-                                rows[i] = {k: c}
-                            else:
+                            if (row := rows.get(i)) is not None:
                                 row[k] = c
-        index = sorted(rows)
+                            elif at is None:
+                                rows[i] = {k: c}
+        index = sorted(i for i, row in rows.items() if row)
         return index, [rows[i] for i in index]
 
     def _built(self, positions):

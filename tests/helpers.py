@@ -186,25 +186,39 @@ def operator_matrix(operator, q, d):
     return OperatorCell(source, target, columns, den=1)
 
 
-def conjugated_constants(constants, rng):
-    """Constants of the same algebra in the basis f_a = sum_i P[i][a] e_i.
-
-    P is a random product of integer shears, sign flips and swaps, so it lies
-    in GL3(Z) and the new constants are integer combinations of the old.
-    """
+def unimodular_matrix(rng):
+    """A random product of six integer column moves on the 3x3 identity: a
+    shear (column j plus one multiple of column i), a sign flip or a swap.
+    Each has determinant +-1, so the product lies in GL3(Z)."""
     p = [[int(i == j) for j in range(3)] for i in range(3)]
     for _ in range(6):
         i, j = rng.sample(range(3), 2)
         move = rng.choice(("shear", "flip", "swap"))
+        factor = rng.choice((-2, -1, 1, 2)) if move == "shear" else None
         for row in p:
             if move == "shear":
-                row[j] += rng.choice((-2, -1, 1, 2)) * row[i]
+                row[j] += factor * row[i]
             elif move == "flip":
                 row[j] = -row[j]
             else:
                 row[i], row[j] = row[j], row[i]
-    det = sum(p[0][j] * (p[1][(j + 1) % 3] * p[2][(j + 2) % 3]
-                         - p[1][(j + 2) % 3] * p[2][(j + 1) % 3]) for j in range(3))
+    return p
+
+
+def determinant(p):
+    """The determinant of a 3x3 matrix, by cofactors along its first row."""
+    return sum(p[0][j] * (p[1][(j + 1) % 3] * p[2][(j + 2) % 3]
+                          - p[1][(j + 2) % 3] * p[2][(j + 1) % 3]) for j in range(3))
+
+
+def conjugated_constants(constants, rng):
+    """Constants of the same algebra in the basis f_a = sum_i P[i][a] e_i.
+
+    P is `unimodular_matrix(rng)`, in GL3(Z), so the new constants are
+    integer combinations of the old.
+    """
+    p = unimodular_matrix(rng)
+    det = determinant(p)
     # inverse through the adjugate; det is +-1
     inverse = [[Fraction(p[(j + 1) % 3][(i + 1) % 3] * p[(j + 2) % 3][(i + 2) % 3]
                          - p[(j + 1) % 3][(i + 2) % 3] * p[(j + 2) % 3][(i + 1) % 3], det)

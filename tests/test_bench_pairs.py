@@ -53,6 +53,38 @@ def test_metrics_are_the_benchmarks_reference_values(tmp_path):
     assert "B 0.25 [0.25, 0.25]" in lines["setup_s"]
 
 
+def _seeded_worker(wall_ref_s, step):
+    """A stand-in worker whose wall_ref_s is wall_ref_s + step * seed."""
+    result = {"wall_ref_s": None, "cochains": 100, "setup_ref_s": 0.1, "peak_rss_mb": 20.0,
+              "requests": [{"name": "req", "problems": []}]}
+    return ("import json, sys\nresult = %r\nseed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
+            "result['wall_ref_s'] = %r + %r * seed\nprint(json.dumps(result))\n"
+            % (result, wall_ref_s, step))
+
+
+def test_a_gain_is_claimable_only_by_nine_tenths_of_the_pairs_and_the_quartiles(tmp_path):
+    # A's wall_ref_s runs 0.50 .. 0.59 over the ten seeds, quartiles 0.5175
+    # and 0.5725.  B 0.1 lower wins every pair by more than that spread, and
+    # cochains_per_s with it; B 0.02 lower wins every pair by less; an equal
+    # setup_s and peak_rss_mb win no pair
+    a = _stand_in(tmp_path / "a", _seeded_worker(0.5, 0.01))
+    lines = {}
+    for shift in (0.1, 0.02):
+        b = _stand_in(tmp_path / ("b%g" % shift), _seeded_worker(0.5 - shift, 0.01))
+        res = _run(a, b, "--workload", "invariant", "--pairs", "10")
+        assert res.returncode == 0, res.stderr
+        lines[shift] = {line.split()[0]: line for line in res.stdout.splitlines()[11:]}
+    assert "A 0.545 [0.5175, 0.5725]" in lines[0.1]["wall_ref_s"]
+    for name in ("wall_ref_s", "cochains_per_s"):
+        assert lines[0.1][name].endswith("B better in 10 of 10 pairs, median %s, gain claimable"
+                                         % ("-18.3%" if name == "wall_ref_s" else "+22.5%"))
+        assert "10 of 10 pairs" in lines[0.02][name]
+        assert lines[0.02][name].endswith("gain not claimable")
+    for name in ("setup_s", "peak_rss_mb"):
+        assert lines[0.1][name].endswith("B better in 0 of 10 pairs, median +0.0%, "
+                                         "gain not claimable")
+
+
 def test_a_reported_problem_exits_1(tmp_path):
     # a stand-in worker whose one request reports a problem
     result = {"wall_ref_s": 0.5, "cochains": 1, "setup_ref_s": 0.1, "peak_rss_mb": 20.0,

@@ -7,8 +7,8 @@ from math import gcd, inf
 import pytest
 
 from helpers import (
-    conjugated_constants, exact_columns, full_build_invariant_table, invariant_multivectors,
-    kernel_basis, mod_p_pass, rank, reference_rref)
+    conjugated_constants, determinant, exact_columns, full_build_invariant_table,
+    invariant_multivectors, kernel_basis, mod_p_pass, rank, reference_rref, unimodular_matrix)
 from poisson3 import (
     KINDS,
     Algebra,
@@ -193,11 +193,15 @@ def test_one_entry_rows_take_no_elimination_step(monkeypatch):
     # pivot row is dropped with no step, and no row is made primitive more
     # often.  Heisenberg and sl2 reduce their full complexes (eliminating
     # each one-entry row made 4,410 and 6,404 steps); book reduces only its
-    # weight-0 subcomplex, which takes no elimination step
+    # weight-0 subcomplex, which takes no elimination step.  Where d_1's
+    # pass certifies cell 1, d_0 is reduced on its pass's pivot rows alone:
+    # sl2's H^0 cells made 6,290 steps on all their rows, and now make
+    # 2,012, and book's d_0 makes 28 rows primitive where all its rows made
+    # 46; heisenberg's cells 1 keep classes, so it reduces every row
     calls = _count_calls(monkeypatch, "_eliminate", "_primitive")
     for pi, dmax, expected in ((linear_poisson("heisenberg"), 20, (1520, 4276)),
-                               (linear_poisson(Algebra("book", Fraction(-2, 3))), 20, (0, 46)),
-                               (linear_poisson("sl2"), 16, (6290, 1178))):
+                               (linear_poisson(Algebra("book", Fraction(-2, 3))), 20, (0, 28)),
+                               (linear_poisson("sl2"), 16, (2012, 1178))):
         calls.update(_eliminate=0, _primitive=0)
         cohomology_table(pi, dmax)
         assert (calls["_eliminate"], calls["_primitive"]) == expected
@@ -213,9 +217,9 @@ def _count_cell_reads(monkeypatch):
         counts["columns"] += 1
         return column(*args)
 
-    def laying_out(self, free=()):
+    def laying_out(self, free=(), at=None):
         counts["rows"] += 1
-        return rows(self, free)
+        return rows(self, free, at)
 
     monkeypatch.setattr(complexes_module, "_column", building)
     monkeypatch.setattr(complexes_module.OperatorCell, "rows", laying_out)
@@ -246,13 +250,16 @@ def test_differentials_are_built_only_as_far_as_they_are_read(monkeypatch):
     # degree 1 that the weight detection reads.  Heisenberg and sl2 reduce
     # their full complexes, whose passes build 0 and 1,195 more (building
     # each column they read built 1,864 and 3,894, and every column of every
-    # differential 14,168 and 7,752).  Book builds each of the 356 columns
-    # of d_0..d_2 on its weight-0 subcomplex once, into list cells.  The row
-    # layouts are one per exact reduction
+    # differential 14,168 and 7,752).  Sl2 reduces d_0 of its H^0 cells on
+    # its pass's pivot rows alone and builds the columns its kernel rows,
+    # the powers C^k of the Casimir, touch, to check that d_0 kills them:
+    # (k + 1)(k + 2)/2 at degree 2k, 165 more up to degree 16.  Book builds
+    # each of the 356 columns of d_0..d_2 on its weight-0 subcomplex once,
+    # into list cells.  The row layouts are one per exact reduction
     reads = _count_cell_reads(monkeypatch)
     for pi, dmax, expected in ((linear_poisson("heisenberg"), 20, (12, 84)),
                                (linear_poisson(Algebra("book", Fraction(-2, 3))), 20, (368, 18)),
-                               (linear_poisson("sl2"), 16, (1207, 18))):
+                               (linear_poisson("sl2"), 16, (1372, 18))):
         reads.update(columns=0, rows=0)
         cohomology_table(pi, dmax)
         assert (reads["columns"], reads["rows"]) == expected
@@ -292,7 +299,7 @@ def _table_fields(tables):
     return [[_cell_fields(table.cells[key]) for key in sorted(table.cells)] for table in tables]
 
 
-@pytest.mark.parametrize("prime, exact_reductions", [(2, 264), (3, 242), (5, 227)])
+@pytest.mark.parametrize("prime, exact_reductions", [(2, 268), (3, 242), (5, 228)])
 def test_a_small_prime_only_sends_cells_down_the_exact_path(monkeypatch, prime,
                                                             exact_reductions):
     # a pass that stops hands the next one the exact image's pivots to skip,
@@ -300,7 +307,11 @@ def test_a_small_prime_only_sends_cells_down_the_exact_path(monkeypatch, prime,
     # those can hold less than the whole rank (an image vector's leading
     # entry may be a multiple of p), so a few more cells go exact than the
     # 252, 235 and 219 of passes that all run to the end, none at PRIME.
-    # Book, semi_open_book and aff_x_r count the reductions of their weight-0
+    # d_1's pass runs before d_0 is reduced, on d_0's rank mod p: where
+    # that is below the rank over Q, its spare is too small, it may stop
+    # where it could have certified cell 1, and the cell goes exact (at
+    # p = 2 and 5 four and one more than 264 and 227).  Book,
+    # semi_open_book and aff_x_r count the reductions of their weight-0
     # subcomplexes
     calls = _count_calls(monkeypatch, "kernel_and_image_of_rows")
     pis = [linear_poisson(algebra) for algebra in REGISTRY_ALGEBRAS]
@@ -335,6 +346,8 @@ def test_the_mod_p_pass_skips_the_pivot_rows_of_the_incoming_differential(monkey
     # the rank mod p of the whole matrix, and so does every pass that skips
     # pivot rows of a pass; a later pass stops at the first dependent column
     # past rank_in - |skip|, where its whole run could not certify the cell
+    # had d_{q-1} that rank.  d_1's pass runs before d_0 is reduced: its
+    # rank_in is d_0's rank mod p, below the exact one at an unlucky prime
     restricted = mod_p_pass
     passes = _recorded_passes(monkeypatch)
     skipped = stopped = after_stop = 0
@@ -350,6 +363,8 @@ def test_the_mod_p_pass_skips_the_pivot_rows_of_the_incoming_differential(monkey
                 for n, (columns, skip, spare, kept, pivot_rows) in enumerate(passes):
                     incoming = passes[n - 1] if n % 4 else None
                     rank_in = linalg.kernel_and_image(incoming[0])[0] if incoming else 0
+                    if n % 4 == 1:
+                        rank_in = len(incoming[3])  # d_0's pass ran to the end
                     whole = restricted(columns, set())[0]
                     if incoming is None:
                         assert (skip, spare) == (set(), inf)
@@ -405,10 +420,11 @@ def _exact_reductions(monkeypatch, pi, dmax):
     its builder hands the degree loop (the weight-0 one for a bivector with
     coordinate weights).
 
-    Each is (incoming, whole, columns, skip, result, nnz): all columns of
-    d_{q-1} ([] at q = 0) and of d_q, the columns of the rows that d_q
-    laid out and handed to `kernel_and_image_of_rows` with skip, what it
-    returned and the nonzeros it sent into `rref`.
+    Each is (incoming, whole, columns, skip, at, result, nnz): all columns
+    of d_{q-1} ([] at q = 0) and of d_q, the columns of the rows that d_q
+    laid out, at the row indices in `at` (None for all), and handed to
+    `kernel_and_image_of_rows` with skip, what it returned and the nonzeros
+    it sent into `rref`.
     """
     degrees, laid_out, calls = [], [], []  # degrees: the matrices of each degree
     degree_cells, lay_out, kernel_and_image_of_rows, rref = (
@@ -420,9 +436,9 @@ def _exact_reductions(monkeypatch, pi, dmax):
         degrees.append(matrices)
         return degree_cells(d, matrices, back)
 
-    def laying_out(cell, free=()):
-        index, rows = lay_out(cell, free)
-        laid_out.append((cell, rows))
+    def laying_out(cell, free=(), at=None):
+        index, rows = lay_out(cell, free, at)
+        laid_out.append((cell, at, rows))
         return index, rows
 
     def reducing(size, laid, skip=()):
@@ -444,7 +460,7 @@ def _exact_reductions(monkeypatch, pi, dmax):
         cohomology_table(pi, dmax)
     reductions = []
     for (index, rows), skip, result, nnz in calls:
-        (cell,) = [cell for cell, laid in laid_out if laid is rows]
+        (cell, at), = [(cell, at) for cell, at, laid in laid_out if laid is rows]
         (incoming,) = [matrices[q - 1].columns if q else [] for matrices in degrees
                        for q, matrix in enumerate(matrices) if matrix is cell]
         whole = cell.columns
@@ -452,7 +468,7 @@ def _exact_reductions(monkeypatch, pi, dmax):
         for i, row in zip(index, rows):
             for k, c in row.items():
                 columns[len(whole) - 1 - k][i] = c
-        reductions.append((incoming, whole, columns, skip, result, nnz))
+        reductions.append((incoming, whole, columns, skip, at, result, nnz))
     return reductions
 
 
@@ -492,18 +508,78 @@ def test_the_pass_on_leads_decides_as_the_pass_on_built_columns(monkeypatch, see
 @pytest.mark.parametrize("seed", [7, 11])
 def test_the_incoming_pivot_columns_change_no_exact_reduction(monkeypatch, seed):
     # the incoming image's pivots are free columns of d_q: emptying them
-    # changes no rank, kernel row read off or image pivot
-    checked = emptied = 0
+    # changes no rank, kernel row read off or image pivot.  A d_0 reduced on
+    # some rows alone has d_0's rank and kernel, and every row lands
+    checked = emptied = on_rows = 0
     for algebra in _seeded_algebras(seed):
         pi = linear_poisson(algebra)
-        for incoming, whole, columns, skip, result, _ in _exact_reductions(monkeypatch, pi, 10):
+        for incoming, whole, columns, skip, at, result, _ in _exact_reductions(
+                monkeypatch, pi, 10):
             assert skip == set(linalg.rref(incoming)[0])
             assert skip <= _free_columns(whole)
             assert all(columns[j] == {} for j in skip)
-            assert linalg.kernel_and_image(whole, skip) == result
+            expected = linalg.kernel_and_image(whole, skip)
+            if at is None:
+                assert result == expected
+            else:
+                assert incoming == [] and result == (*expected[:3], at)
+                on_rows += 1
             checked += 1
             emptied += sum(map(bool, (whole[j] for j in skip)))
-    assert checked and emptied
+    assert checked and emptied and on_rows
+
+
+@pytest.mark.parametrize("kind, on_pivot_rows", [("sl2", True), ("so3", True),
+                                                  ("euclidean", False), ("heisenberg", False)])
+def test_d_0_is_reduced_on_its_pass_pivot_rows_where_d_1s_pass_certifies_cell_1(
+        monkeypatch, kind, on_pivot_rows):
+    # sl2 and so3 have no H^1: d_1's pass, run before d_0 is reduced,
+    # certifies every cell 1, so d_0 of each H^0 cell is reduced on the rows
+    # at which its own pass found pivots and on no other.  Euclidean and
+    # heisenberg keep classes in H^1, and d_0 is reduced on every row
+    passes = _recorded_passes(monkeypatch)
+    dmax = 10
+    reductions = [(whole, at) for incoming, whole, _, _, at, *_ in _exact_reductions(
+        monkeypatch, linear_poisson(kind), dmax) if incoming == []]
+    assert len(passes) == 4 * (dmax + 1) and reductions
+    for whole, at in reductions:
+        d = [d for d in range(dmax + 1) if len(whole) == (d + 1) * (d + 2) // 2][0]
+        assert at == (passes[4 * d][4] if on_pivot_rows else None)
+
+
+def test_pivot_rows_that_miss_d_0s_row_space_send_it_to_every_row(monkeypatch):
+    # a pass that hands over d_0's pivot rows less the top one: those rows
+    # do not span d_0's row space, so d_0 does not kill every kernel row
+    # they leave, the check sees it and d_0 is reduced again on every row;
+    # the table is the same.  sl2's H^0 cells at d = 2, 4, 6, 8 each reduce
+    # twice; at d = 0 no pivot row is dropped
+    pi = linear_poisson("sl2")
+    calls = _count_calls(monkeypatch, "kernel_and_image_of_rows")
+    expected = _table_fields([cohomology_table(pi, 8)])
+    reductions = calls["kernel_and_image_of_rows"]
+    independent_columns_mod_p, rows = (linalg.independent_columns_mod_p,
+                                       complexes_module.OperatorCell.rows)
+    dropped, laid = [], []
+
+    def dropping(cell, skip=(), spare=inf):
+        kept, pivot_rows = independent_columns_mod_p(cell, skip, spare)
+        if spare == inf and pivot_rows:  # d_0's pass
+            pivot_rows = pivot_rows - {max(pivot_rows)}
+            dropped.append(pivot_rows)
+        return kept, pivot_rows
+
+    def laying_out(cell, free=(), at=None):
+        laid.append(at)
+        return rows(cell, free, at)
+
+    monkeypatch.setattr(linalg, "independent_columns_mod_p", dropping)
+    monkeypatch.setattr(complexes_module.OperatorCell, "rows", laying_out)
+    calls["kernel_and_image_of_rows"] = 0
+    assert _table_fields([cohomology_table(pi, 8)]) == expected
+    assert calls["kernel_and_image_of_rows"] == reductions + 4
+    tried = [k for k, at in enumerate(laid) if at]
+    assert len(tried) == 4
+    assert all(laid[k] in dropped and laid[k + 1] is None for k in tried)
 
 
 @pytest.mark.parametrize("seed", [7, 11])
@@ -929,6 +1005,20 @@ def test_support_only_invariant_tables_match_the_full_build():
         assert table.cells.keys() == oracle.cells.keys()
         for key, cell in table.cells.items():
             assert _cell_fields(cell) == _cell_fields(oracle.cells[key])
+
+
+@pytest.mark.parametrize("seed", [420, 423, 426, 427])
+def test_the_conjugating_matrices_are_unimodular(seed):
+    # a shear adds one multiple of a column to another, so each move and
+    # their product have determinant +-1; a multiplier drawn for each row
+    # made a singular matrix for book -2/3 at seed 426, whose inverse then
+    # divided by zero
+    rng = random.Random(seed)
+    assert all(determinant(unimodular_matrix(rng)) in (1, -1) for _ in range(50))
+    book = Algebra("book", Fraction(-2, 3))
+    pi = linear_poisson(conjugated_constants(structure_constants(book), random.Random(seed)))
+    assert pi != linear_poisson(book)
+    assert cohomology_table(pi, 6).totals == cohomology_table(linear_poisson(book), 6).totals
 
 
 def test_conjugated_constants_keep_the_oracle_grid():

@@ -301,7 +301,9 @@ def _leads(columns, p):
 @pytest.mark.parametrize("seed", [5, 17])
 def test_each_layout_of_a_cell_reads_the_same_matrix(seed):
     # a cell read as rows with some columns left out is the row layout of
-    # its columns with those emptied; its leads mod p, read last first
+    # its columns with those emptied, and read at some rows it is those of
+    # its rows; each column built from its component and monomial is that
+    # column; its leads mod p, read last first
     # outside a skip, are the highest rows at which its columns are nonzero
     # mod p; each column built alone is that column, and those at some
     # positions are those columns by ascending position; reading every
@@ -314,11 +316,20 @@ def test_each_layout_of_a_cell_reads_the_same_matrix(seed):
             for d in range(9):
                 whole = differential_matrix(pi, q, d).columns
                 n = len(whole)
+                source = GradedBasis(q, d)
+                assert [differential_matrix(pi, q, d).column_of(*source.element(j))
+                        for j in range(n)] == whole
                 for cell in (differential_matrix(pi, q, d), OperatorCell(None, None, whole, 1)):
                     free = set(rng.sample(range(n), rng.randint(0, n)))
                     skip = set(rng.sample(range(n), rng.randint(0, n)))
-                    assert cell.rows(free) == linalg.lay_out(
+                    laid_out = linalg.lay_out(
                         [{} if j in free else col for j, col in enumerate(whole)])
+                    assert cell.rows(free) == laid_out
+                    size = len(differential_matrix(pi, q, d).target)
+                    at = set(rng.sample(range(size), rng.randint(0, size)))
+                    kept = [k for k, i in enumerate(laid_out[0]) if i in at]
+                    assert cell.rows(free, at) == ([laid_out[0][k] for k in kept],
+                                                   [laid_out[1][k] for k in kept])
                     read = [j for j in range(n - 1, -1, -1) if j not in skip]
                     for p in (linalg.PRIME, 2, 3):
                         leads = _leads(whole, p)

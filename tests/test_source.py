@@ -254,24 +254,28 @@ def test_each_layout_and_the_mod_p_pass_have_their_named_callers():
     # a cell that holds one and for `kernel_and_image`; a cell read off a
     # stencil writes the same layout itself.  Only the degree loop runs the
     # mod-p pass, and only the pass reads leads.  A column is built alone
-    # only where the pass's lead collides, where it reduces against a pivot
-    # for the first time and where the weight-0 builder reads the columns at
-    # weight 0; the degree loop reads the columns a certified cell kept in
-    # one walk, by `columns_at`, as the invariant builder reads a
-    # differential's support.  `_column` writes each column
-    # of a stencil, alone or in the walk of `columns` and `columns_at`
+    # only where the pass's lead collides and where it reduces against a
+    # pivot for the first time, by its position, and where the weight-0
+    # builder reads the columns at weight 0, by their component and
+    # monomial; the degree loop reads the columns a certified cell kept,
+    # and those d_0's kernel rows touch when only its pivot rows were
+    # reduced, each in one walk, by `columns_at`, as the invariant builder
+    # reads a differential's support.  `_column` writes each column of a
+    # stencil, alone or in the walk of `columns` and `columns_at`
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     assert _callers(trees, "lay_out") == [("complexes.py", "OperatorCell.rows"),
                                           ("linalg.py", "kernel_and_image")]
     assert _callers(trees, "independent_columns_mod_p") == [("cohomology.py", "_degree_cells")]
     assert _callers(trees, "leads") == [("linalg.py", "independent_columns_mod_p")]
-    assert _callers(trees, "column") == [("cohomology.py", "_weight_zero_differentials"),
-                                         ("linalg.py", "independent_columns_mod_p"),
+    assert _callers(trees, "column") == [("linalg.py", "independent_columns_mod_p"),
                                          ("linalg.py", "independent_columns_mod_p")]
+    assert _callers(trees, "column_of") == [("cohomology.py", "_weight_zero_differentials"),
+                                            ("complexes.py", "OperatorCell.column")]
     assert _callers(trees, "columns_at") == [("cohomology.py", "_degree_cells"),
+                                             ("cohomology.py", "_degree_cells"),
                                              ("cohomology.py", "_invariant_differentials")]
     assert _callers(trees, "_column") == [("complexes.py", "OperatorCell._built"),
-                                          ("complexes.py", "OperatorCell.column")]
+                                          ("complexes.py", "OperatorCell.column_of")]
     assert _callers(trees, "_built") == [("complexes.py", "OperatorCell.columns"),
                                          ("complexes.py", "OperatorCell.columns_at")]
 

@@ -10,9 +10,12 @@ interpreters, with seed i; A runs first in even pairs and B in odd ones, so
 a drift in the host's speed falls on both sides.  For each of the
 benchmark's end-to-end metrics, derived from a worker's result as run.py
 derives them (reference times, setup_s from setup_ref_s), the tool prints
-each side's median and quartiles over the pairs and the number of pairs in
-which B was better.  It exits 1 if a worker fails or times out or a request
-reports a problem (after printing each one to stderr), and 0 otherwise.
+each side's median and quartiles over the pairs, the number of pairs in
+which B was better, and whether the rule for claiming a gain holds: B
+better in at least nine tenths of the pairs, ties counting for neither, and
+B's median better than A's by more than A's interquartile range.  It
+exits 1 if a worker fails or times out or a request reports a problem
+(after printing each one to stderr), and 0 otherwise.
 """
 
 import argparse
@@ -48,16 +51,26 @@ def run_worker(runner, workload, seed):
                     for request in result["requests"] for problem in request["problems"]]
 
 
+def quartiles(values):
+    """(lower quartile, median, upper quartile); one value is all three."""
+    return tuple(quantiles(values, n=4)) if len(values) > 1 else tuple(values * 3)
+
+
 def summary(name, a_values, b_values, higher_is_better):
-    """One line: each side's median [quartiles] and the pairs B won."""
+    """One line: each side's median [quartiles], the pairs B won and whether
+    a gain may be claimed."""
     def spread(values):
-        low, _, high = quantiles(values, n=4) if len(values) > 1 else values * 3
+        low, _, high = quartiles(values)
         return "%.4g [%.4g, %.4g]" % (median(values), low, high)
 
     wins = sum((b > a) if higher_is_better else (b < a) for a, b in zip(a_values, b_values))
+    gain = (median(b_values) - median(a_values)) * (1 if higher_is_better else -1)
+    low, _, high = quartiles(a_values)
+    claim = 10 * wins >= 9 * len(a_values) and gain > high - low
     change = median(b_values) / median(a_values) - 1 if median(a_values) else 0.0
-    return "%-14s A %s  B %s  B better in %d of %d pairs, median %+.1f%%" % (
-        name, spread(a_values), spread(b_values), wins, len(a_values), 100 * change)
+    return "%-14s A %s  B %s  B better in %d of %d pairs, median %+.1f%%, gain %s" % (
+        name, spread(a_values), spread(b_values), wins, len(a_values), 100 * change,
+        "claimable" if claim else "not claimable")
 
 
 def main(argv=None):

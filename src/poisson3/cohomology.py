@@ -10,8 +10,13 @@ its image's echelon, all the next cell needs of its image.  A builder picks
 the complex: the full one is `differential_matrix` at each q, built only as
 far as it is read; the rotation-invariant subcomplex restricts d_0..d_2,
 each read at the columns its invariant vectors touch, to the invariant
-sub-bases, which map its representatives back.  A single cell is read off
-the four cells of its degree, as a table builds them.  A bivector with
+sub-bases, which map its representatives back.  The invariant table keeps
+one basis per q as a running list and adds at each degree only the vectors
+new there (`complexes.new_invariant_vectors`): z times a vector of degree
+d - 1 sits at its same positions at degree d, so every older vector stays
+as it is.  A single cell is read off the four cells of its degree, as a
+table builds them; an invariant cell enumerates its degree's bases whole
+(`invariant_basis`).  A bivector with
 [pi, pi] != 0 has no complex, as d o d != 0, and is rejected.
 
 For book, semi_open_book and aff_x_r the Hamiltonian field X = [pi, x_k]
@@ -56,9 +61,9 @@ The matrices are integer throughout.  Representatives are canonical: they
 are the kernel rows whose leading coordinate is not a pivot of the image's
 echelon, the only ones read off the reduction, which gives each one as
 coprime integers positive at its lowest index, its free column.  A cell
-keeps these integer rows, normalised again only where a subcomplex maps
-them back to ambient coordinates, and boxes them into Fractions when its
-representatives are read.  They are already reduced against the image:
+keeps these integer rows, with only their sign fixed where the invariant
+subcomplex maps them back to ambient coordinates, and boxes them into
+Fractions when its representatives are read.  They are already reduced against the image:
 the kernel row led at a free column j of d_q is nonzero only at j and at
 d_q's pivot columns, and the image's pivots are free columns of d_q other
 than j (the image lies in the kernel, as d o d = 0), so no image row could
@@ -75,6 +80,7 @@ from .complexes import (
     differential_matrix,
     invariant_basis,
     linear_operator_matrix,
+    new_invariant_vectors,
     rotation_field,
 )
 from .multivector import NCOMP, MultiVector, component_wedge, rational, schouten_bracket
@@ -133,17 +139,16 @@ def _differentials(pi, d):
     return [differential_matrix(pi, q, d) for q in range(4)], None
 
 
-def _invariant_differentials(pi, d):
-    """d_0..d_3 of degree d restricted to the invariant sub-bases, and the bases.
+def _invariant_differentials(pi, d, vectors):
+    """d_0..d_3 of degree d restricted to the invariant sub-bases `vectors`,
+    those of `invariant_basis` at q = 0..3.
 
     d_q, q <= 2, is read only at the columns its source vectors touch
     (`OperatorCell.columns_at`); d_3 is 0 and is not built.  Each target
-    vector from `invariant_basis` is the only one nonzero at its highest
-    coordinate, where it is +-1 and which it lists first: an image's
-    coefficients are read off those coordinates, then checked by mapping
-    them back.
+    vector is the only one nonzero at its highest coordinate, where it is
+    +-1 and which it lists first: an image's coefficients are read off
+    those coordinates, then checked by mapping them back.
     """
-    vectors = [invariant_basis(q, d)[1] for q in range(4)]
     cells = []
     for q in range(3):
         columns = differential_matrix(pi, q, d).columns_at({j for v in vectors[q] for j in v})
@@ -163,7 +168,7 @@ def _invariant_differentials(pi, d):
                 raise ValueError("operator does not preserve the invariant subspace")
             restricted.append(coeffs)
         cells.append(OperatorCell(None, None, restricted, 1))
-    return cells + [OperatorCell(None, None, [{} for _ in vectors[3]], 1)], vectors  # d_3 = 0
+    return cells + [OperatorCell(None, None, [{} for _ in vectors[3]], 1)]  # d_3 = 0
 
 
 def _weights(pi):
@@ -307,8 +312,10 @@ def _degree_cells(d, matrices, back=None):
     pivot, kernel row read off or row that lands, and the rows led at the
     other free columns, one per class, are all that is read off.  The
     kernel rows come out primitive and positive at their free column, so
-    the cell keeps them as they are; with `back` they are first mapped to
-    ambient coordinates, still integer, and normalised again.
+    the cell keeps them as they are.  With `back` they are first mapped to
+    ambient coordinates: each vector of `back` is +-1 at a top coordinate
+    no other touches, so a mapped row holds +-rep[k] at the k-th top and
+    stays primitive, and only its sign is fixed (`_positive`).
     """
     cells = []
     rank_in, pivots = 0, set()  # d_{q-1}'s rank and image pivots, None until needed
@@ -353,8 +360,8 @@ def _degree_cells(d, matrices, back=None):
             raise RuntimeError(
                 "cell (%d, %d): dim H is %d but %d representatives were found"
                 % (q, d, dim_h, len(kernel)))
-        if back is not None:
-            kernel = [linalg.integer_normalize(linalg.matvec(back[q], rep)) for rep in kernel]
+        if back is not None:  # +-rep[k] at back[q][k]'s top, which no other touches
+            kernel = [_positive(linalg.matvec(back[q], rep)) for rep in kernel]
         cells.append(CohomologyCell(q, d, size, rank, rank_in, kernel))
         if at is None:
             rank_in, pivots = rank, image_pivots
@@ -362,6 +369,11 @@ def _degree_cells(d, matrices, back=None):
             rank_in, pivots, certified = rank, None, (matrix, independent)
         skip = image_pivots if pass_pivots is None else pass_pivots
     return cells
+
+
+def _positive(row):
+    """A nonzero int row times the sign that makes it positive at its lowest index."""
+    return row if row[min(row)] > 0 else {i: -c for i, c in row.items()}
 
 
 def cohomology_cell(pi, q, d):
@@ -385,7 +397,8 @@ def invariant_cohomology(pi, q, d):
     GradedBasis(q, d)
     _check_rotation_invariant(pi)
     _check_poisson(pi)
-    return _degree_cells(d, *_invariant_differentials(pi, d))[q]
+    vectors = [invariant_basis(q, d)[1] for q in range(4)]
+    return _degree_cells(d, _invariant_differentials(pi, d, vectors), vectors)[q]
 
 
 def cell_multivectors(cell):
@@ -440,10 +453,16 @@ def cohomology_table(pi, dmax, invariant=False):
         _check_rotation_invariant(pi)
     _check_poisson(pi)
     zero = None if invariant else _weight_zero(pi, dmax)
+    vectors = [[] for _ in range(4)]  # the invariant bases of each q, extended at each degree
     cells = {}
     for d in range(dmax + 1):
-        for cell in (_degree_cells(d, *_invariant_differentials(pi, d)) if invariant
-                     else _full_cells(pi, d, zero)):
+        if invariant:
+            for q, basis in enumerate(vectors):
+                basis += new_invariant_vectors(q, d)
+            found = _degree_cells(d, _invariant_differentials(pi, d, vectors), vectors)
+        else:
+            found = _full_cells(pi, d, zero)
+        for cell in found:
             cells[(cell.q, d)] = cell
     return CohomologyTable(dmax, cells)
 

@@ -9,14 +9,21 @@ operators; the cohomology module reduces them.
 
 Matrices and invariant sub-bases are read off closed forms (monomial order,
 basis positions, an integer stencil of the operator, invariant generators)
-with no bracket or elimination.  `differential_matrix` is the one source of
-a differential, for the full complex and its invariant subcomplex alike,
-and builds only as it is read, keeping nothing (`OperatorCell`): a mod-p
-pass reads the columns' leads and builds one only where its lead collides,
-an exact reduction gets its rows straight from the stencil, and the
-invariant subcomplex and a certified cell build only the columns they
-name (`columns_at`).  The tests hold the independent route the stencil is
-checked against, a Schouten bracket per column.
+with no bracket or elimination.  Raising the z exponent and the degree
+together keeps a basis position, so z times an invariant vector of degree
+d - 1 is the same {position: coefficient} dict at degree d: an invariant
+basis is the vectors new at each degree up to d (`new_invariant_vectors`),
+each degree's after every lower one's, and a table extends one running
+list per q.
+
+`differential_matrix` is the one source of a differential, for the full
+complex and its invariant subcomplex alike, and builds only as it is
+read, keeping nothing (`OperatorCell`): a mod-p pass reads the columns'
+leads and builds one only where its lead collides, an exact reduction
+gets its rows straight from the stencil, and the invariant subcomplex and
+a certified cell build only the columns they name (`columns_at`).  The
+tests hold the independent route the stencil is checked against, a
+Schouten bracket per column.
 """
 
 from math import comb, isqrt
@@ -362,33 +369,52 @@ def _invariant_generators():
 _INVARIANT_GENERATORS = _invariant_generators()
 
 
+def new_invariant_vectors(q, d):
+    """The rotation-invariant vectors of (q, d) that no lower degree holds.
+
+    The kernel of the rotation Lie derivative on (q, d) is free over
+    Q[x^2 + y^2, z] on 1; E = x dx + y dy, R = `rotation_field`, dz;
+    dx^dy, E^dz, R^dz; dx^dy^dz, and none of these generators g holds z.
+    z times a vector of degree d - 1 sits at the same positions of
+    GradedBasis(q, d) (`GradedBasis.position`: raising the z exponent k
+    and d together keeps s = d - k), so (x^2 + y^2)^a z^b g of degree d is
+    the vector (x^2 + y^2)^a g of degree d - b.  The vectors new at degree
+    d are those with b = 0: one for each generator with d - deg g even, at
+    a = (d - deg g) / 2, all at s = d, the positions |C_(d-1)|..|C_d| - 1
+    after every older vector.  Each is +-1 at its top coordinate (listed
+    first), where no other is nonzero, and they are sorted by it.  The
+    generators' coefficients are +-1 and comb(a, 0) is 1, so each vector is
+    already primitive; only its sign is fixed, to make it positive at its
+    lowest coordinate.
+    """
+    GradedBasis(q, d)
+    ncomp = NCOMP[q]
+    vectors = []
+    for terms in _INVARIANT_GENERATORS[q]:
+        a, odd = divmod(d - sum(terms[0][1]), 2)
+        if a < 0 or odd:
+            continue
+        entries = []
+        for idx, (i, _, _), c in terms:
+            entries += [((d * (d + 1) // 2 + i + 2 * t) * ncomp + idx, c * comb(a, t))
+                        for t in range(a + 1)]
+        entries.sort()
+        sign = -1 if entries[0][1] < 0 else 1
+        top = entries.pop()
+        vectors.append((top[0], {j: sign * c for j, c in [top] + entries}))
+    return [vec for _, vec in sorted(vectors)]
+
+
 def invariant_basis(q, d):
     """Canonical basis of the rotation-invariant subspace of (q, d).
 
     Returns (basis, vectors): the ambient GradedBasis and a list of sparse
-    int vectors spanning the kernel of the rotation Lie derivative, which is
-    free over Q[x^2 + y^2, z] on 1; E = x dx + y dy, R = `rotation_field`,
-    dz; dx^dy, E^dz, R^dz; dx^dy^dz.  The vectors are the products
-    (x^2 + y^2)^a z^b g of degree d, each +-1 at its top coordinate (listed
-    first), where no other is nonzero: sorted by it, they are the reduced
-    kernel basis an elimination would give.  Each entry sits at the closed
-    form of `GradedBasis.position`.  The generators' coefficients are +-1
-    and comb(a, 0) is 1, so each vector is already primitive; only its sign
-    is fixed, to make it positive at its lowest coordinate.
+    int vectors spanning the kernel of the rotation Lie derivative, the
+    products (x^2 + y^2)^a z^b g of degree d of its generators g.  They are
+    the `new_invariant_vectors` of each degree e <= d, in turn: z^(d - e)
+    times a vector new at e has its positions at degree d, and those of
+    each e lie after every lower e's.  So they are sorted by their top
+    coordinate, +-1 and listed first, where no other is nonzero: the
+    reduced kernel basis an elimination would give.
     """
-    basis = GradedBasis(q, d)
-    ncomp = NCOMP[q]
-    vectors = []
-    for terms in _INVARIANT_GENERATORS[q]:
-        e = sum(terms[0][1])
-        for a in range((d - e) // 2 + 1):
-            entries = []
-            for idx, (i, _, k), c in terms:
-                s = e - k + 2 * a  # d less the z exponent k + d - e - 2a of the product
-                entries += [((s * (s + 1) // 2 + i + 2 * t) * ncomp + idx, c * comb(a, t))
-                            for t in range(a + 1)]
-            entries.sort()
-            sign = -1 if entries[0][1] < 0 else 1
-            top = entries.pop()
-            vectors.append((top[0], {j: sign * c for j, c in [top] + entries}))
-    return basis, [vec for _, vec in sorted(vectors)]
+    return GradedBasis(q, d), [vec for e in range(d + 1) for vec in new_invariant_vectors(q, e)]

@@ -250,7 +250,9 @@ def kernel_and_image_of_rows(size, laid_out, skip=()):
     vector per free column j, led at j by the lcm of the pivot entries of
     the rows that touch j, with the scaled and negated row entries at the
     pivot columns, which all lie above j; a {pivot: 1} row touches no free
-    column.  Only the vectors led at free columns outside `skip` are read off.
+    column, and a free column no row touches gives e_j, {j: 1}, with no
+    lcm or gcd.  Only the vectors led at free columns outside `skip` are
+    read off.
 
     The rows go in by ascending row index, so those that land on a new
     pivot are the pivots of the image's echelon as `rref` of the image
@@ -277,6 +279,9 @@ def kernel_and_image_of_rows(size, laid_out, skip=()):
                 terms.append((last - pivot, -c, lead))
     kernel = []
     for j, terms in entries.items():
+        if not terms:  # no echelon row touches j: e_j
+            kernel.append({j: 1})
+            continue
         scale = lcm(*(lead for _, _, lead in terms))
         kernel.append(_primitive({j: scale, **{i: c * (scale // lead) for i, c, lead in terms}}))
     return len(pivots), list(entries), kernel, {index[k] for k in landed}

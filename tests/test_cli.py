@@ -187,7 +187,9 @@ def test_invariant_cohomology_verb(capsys):
 
 
 def test_invariant_table_builds_each_basis_and_differential_once(capsys, monkeypatch):
-    bases = {}
+    # each basis is a running list: the table adds the vectors new at each
+    # (q, d) once and never enumerates a whole basis (`invariant_basis`)
+    new, bases = {}, {}
     differentials = {}
 
     def counting(fn, counts, key):
@@ -197,6 +199,8 @@ def test_invariant_table_builds_each_basis_and_differential_once(capsys, monkeyp
             return fn(*args)
         return wrapper
 
+    monkeypatch.setattr(cohomology_module, "new_invariant_vectors", counting(
+        cohomology_module.new_invariant_vectors, new, lambda q, d: (q, d)))
     monkeypatch.setattr(cohomology_module, "invariant_basis", counting(
         cohomology_module.invariant_basis, bases, lambda q, d: (q, d)))
     cells = []
@@ -213,7 +217,8 @@ def test_invariant_table_builds_each_basis_and_differential_once(capsys, monkeyp
     code, _, _ = run(capsys, "invariant-cohomology", "--algebra", "euclidean",
                      "--dmax", "4", "--format", "json")
     assert code == 0
-    assert bases == {(q, d): 1 for q in range(4) for d in range(5)}
+    assert new == {(q, d): 1 for q in range(4) for d in range(5)}
+    assert bases == {}
     # d_0..d_2 each built once and read once at its support; d_3 is 0 and not built
     assert restricted.pop(None) == 2  # two certified invariant cells' kept columns, one walk each
     assert differentials == restricted == {(q, d): 1 for q in range(3) for d in range(5)}

@@ -33,7 +33,7 @@ from poisson3 import (
     structure_constants,
 )
 from poisson3 import complexes, linalg, multivector
-from poisson3.complexes import linear_operator_matrix
+from poisson3.complexes import linear_operator_matrix, new_invariant_vectors
 from poisson3.multivector import NCOMP, linear_stencil, monomial_key
 from poisson3.linalg import matvec
 
@@ -634,17 +634,34 @@ def test_invariant_basis_examples():
 def test_invariant_basis_is_the_reduced_kernel_of_the_rotation():
     # the closed-form products equal the eliminated kernel, entry order included
     for q in range(4):
-        for d in range(25):
+        for d in range(41):
             _, vectors = invariant_basis(q, d)
             _, kernel = kernel_basis(rotation_matrix(q, d).columns)
             assert [list(vec.items()) for vec in vectors] == [list(vec.items()) for vec in kernel]
             assert all(vec[max(vec)] in (1, -1) for vec in vectors)
 
 
+def test_z_keeps_the_positions_of_a_vector_one_degree_up():
+    # z x^m xi_idx of degree d sits where x^m xi_idx of degree d - 1 does, so
+    # the invariant basis of degree d is that of d - 1 followed by the
+    # vectors new at d, which lie after all of C_(d-1)
+    for q in range(4):
+        for d in range(1, 31):
+            lower, upper = GradedBasis(q, d - 1), GradedBasis(q, d)
+            for idx in range(NCOMP[q]):
+                for i, j, k in monomials(d - 1):
+                    assert upper.position(idx, (i, j, k + 1)) == lower.position(idx, (i, j, k))
+            new = new_invariant_vectors(q, d)
+            assert all(len(lower) <= j < len(upper) for vec in new for j in vec)
+            assert invariant_basis(q, d)[1] == invariant_basis(q, d - 1)[1] + new
+
+
 @pytest.mark.parametrize("q, d", [(-1, 2), (4, 2), (0, -1)])
 def test_invariant_basis_rejects_a_bad_cell(q, d):
     with pytest.raises(ValueError):
         invariant_basis(q, d)
+    with pytest.raises(ValueError):
+        new_invariant_vectors(q, d)
 
 
 def test_invariant_multivectors_are_killed_by_rotation():

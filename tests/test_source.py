@@ -280,13 +280,23 @@ def test_each_layout_and_the_mod_p_pass_have_their_named_callers():
                                          ("complexes.py", "OperatorCell.columns_at")]
 
 
+def test_only_the_invariant_basis_and_table_enumerate_new_invariant_vectors():
+    # one closed form gives the vectors new at a degree: `invariant_basis`
+    # joins them over the degrees up to d, and the invariant table extends
+    # its running bases with them
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert _callers(trees, "new_invariant_vectors") == [("cohomology.py", "cohomology_table"),
+                                                        ("complexes.py", "invariant_basis")]
+
+
 def test_the_degree_loop_builds_no_cell():
     # `_degree_cells` reduces the four cells it is handed; the builders of a
     # complex (`_differentials`, `_invariant_differentials`,
     # `_weight_zero_differentials`) make them
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     callers = {name: _callers(trees, name) for name in (
-        "differential_matrix", "invariant_basis", "linear_operator_matrix", "OperatorCell")}
+        "differential_matrix", "invariant_basis", "new_invariant_vectors",
+        "linear_operator_matrix", "OperatorCell")}
     assert ("cohomology.py", "_invariant_differentials") in callers["OperatorCell"]
     assert [name for name, found in callers.items()
             if ("cohomology.py", "_degree_cells") in found] == []

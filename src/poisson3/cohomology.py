@@ -10,14 +10,17 @@ its image's echelon, all the next cell needs of its image.  A builder picks
 the complex: the full one is `differential_matrix` at each q, built only as
 far as it is read; the rotation-invariant subcomplex restricts d_0..d_2,
 each read at the columns its invariant vectors touch, to the invariant
-sub-bases, which map its representatives back.  The invariant table keeps
+sub-bases, which map its representatives back.  The invariant builder keeps
 one basis per q as a running list and adds at each degree only the vectors
 new there (`complexes.new_invariant_vectors`): z times a vector of degree
 d - 1 sits at its same positions at degree d, so every older vector stays
-as it is.  A single cell is read off the four cells of its degree, as a
-table builds them; an invariant cell enumerates its degree's bases whole
-(`invariant_basis`).  A bivector with
-[pi, pi] != 0 has no complex, as d o d != 0, and is rejected.
+as it is.  Its restricted column is affine in d, so each vector is
+restricted at the degree where it is new and the next, and every later
+column is read off that line.  A single cell is read off the four cells of
+its degree, as a table builds them; an invariant cell runs the same
+restriction over the degrees up to its own.  A table or a cell reads each
+of its bivector's stencils once (`complexes.holding_stencils`).  A bivector
+with [pi, pi] != 0 has no complex, as d o d != 0, and is rejected.
 
 For book, semi_open_book and aff_x_r the Hamiltonian field X = [pi, x_k]
 of one coordinate acts on each basis cochain x^m xi_S by an integer weight,
@@ -78,7 +81,7 @@ from .complexes import (
     GradedBasis,
     OperatorCell,
     differential_matrix,
-    invariant_basis,
+    holding_stencils,
     linear_operator_matrix,
     new_invariant_vectors,
     rotation_field,
@@ -139,36 +142,57 @@ def _differentials(pi, d):
     return [differential_matrix(pi, q, d) for q in range(4)], None
 
 
-def _invariant_differentials(pi, d, vectors):
-    """d_0..d_3 of degree d restricted to the invariant sub-bases `vectors`,
-    those of `invariant_basis` at q = 0..3.
+def _invariant_differentials(pi, dmax):
+    """Yield, for d = 0..dmax, d_0..d_3 of degree d restricted to the
+    rotation-invariant sub-bases, and those bases (`invariant_basis`'s
+    vectors at q = 0..3).
 
-    d_q, q <= 2, is read only at the columns its source vectors touch
-    (`OperatorCell.columns_at`); d_3 is 0 and is not built.  Each target
-    vector is the only one nonzero at its highest coordinate, where it is
-    +-1 and which it lists first: an image's coefficients are read off
-    those coordinates, then checked by mapping them back.
+    Each basis is a running list, extended at each degree with the vectors
+    new there (`new_invariant_vectors`), and so is the map from each
+    vector's top coordinate (+-1, listed first, where no other vector is
+    nonzero) to its index.  The vector z^(d - e) w, with w new at degree e,
+    is w's own dict at degree d.  Raising m_z and d together leaves every
+    row of `_column` in place and adds a_z to each value a . m + b, so the
+    image of z^(d - e) w is D_e(w) + (d - e) K(w), and its restricted
+    column is c0 + (d - e) c1, the target vectors keeping their indices:
+    c0 is w's restricted image at e and c1 its image at e + 1 minus c0.  So
+    d_q, q <= 2, is read only at the columns the vectors new at d and d - 1
+    touch (`OperatorCell.columns_at`), each image's coefficients are read
+    off the tops and checked by mapping them back, and every older column
+    is read off its line.  An image at d > e + 1 is an affine combination
+    of the two checked ones, so it lies in the invariant span too.  d_3 is
+    0 and is not built.
     """
-    cells = []
-    for q in range(3):
-        columns = differential_matrix(pi, q, d).columns_at({j for v in vectors[q] for j in v})
-        tops = {}  # top coordinate: (k, +-1) of the k-th target vector
-        for k, vec in enumerate(vectors[q + 1]):
-            top = next(iter(vec))
-            tops[top] = k, vec[top]
-        restricted = []
-        for vec in vectors[q]:
-            image = linalg.matvec(columns, vec)
-            coeffs = {}
-            for i, c in image.items():
-                if i in tops:
-                    k, lead = tops[i]
-                    coeffs[k] = c * lead
-            if linalg.matvec(vectors[q + 1], coeffs) != image:
-                raise ValueError("operator does not preserve the invariant subspace")
-            restricted.append(coeffs)
-        cells.append(OperatorCell(None, None, restricted, 1))
-    return cells + [OperatorCell(None, None, [{} for _ in vectors[3]], 1)]  # d_3 = 0
+    vectors, tops = [[] for _ in range(4)], [{} for _ in range(4)]
+    lines = [[] for _ in range(3)]  # (e, c0, c1) of each source vector, c1 None at d = e
+    recent, new = [0] * 4, [0] * 4  # the first index new at d - 1, and at d
+    for d in range(dmax + 1):
+        for q in range(4):
+            recent[q], new[q] = new[q], len(vectors[q])
+            for vec in new_invariant_vectors(q, d):
+                top = next(iter(vec))
+                tops[q][top] = len(vectors[q]), vec[top]
+                vectors[q].append(vec)
+        cells = []
+        for q in range(3):
+            fresh = vectors[q][recent[q]:]
+            columns = differential_matrix(pi, q, d).columns_at({j for v in fresh for j in v})
+            for k, vec in enumerate(fresh, recent[q]):
+                image, coeffs = linalg.matvec(columns, vec), {}
+                for i, c in image.items():
+                    if (found := tops[q + 1].get(i)) is not None:
+                        coeffs[found[0]] = c * found[1]
+                if linalg.matvec(vectors[q + 1], coeffs) != image:
+                    raise ValueError("operator does not preserve the invariant subspace")
+                if k < new[q]:  # new at d - 1: the slope of its line
+                    e, c0, _ = lines[q][k]
+                    lines[q][k] = e, c0, linalg.matvec((coeffs, c0), {0: 1, 1: -1})
+                else:
+                    lines[q].append((d, coeffs, None))
+            cells.append(OperatorCell(None, None, [
+                linalg.matvec((c0, c1), {0: 1, 1: d - e}) if c1 else c0
+                for e, c0, c1 in lines[q]], 1))
+        yield cells + [OperatorCell(None, None, [{} for _ in vectors[3]], 1)], vectors  # d_3 = 0
 
 
 def _weights(pi):
@@ -383,8 +407,9 @@ def cohomology_cell(pi, q, d):
     `cell_multivectors` or the table interface for multivector form.
     """
     GradedBasis(q, d)
-    _check_poisson(pi)
-    return _full_cells(pi, d, _weight_zero(pi, d))[q]
+    with holding_stencils(pi):
+        _check_poisson(pi)
+        return _full_cells(pi, d, _weight_zero(pi, d))[q]
 
 
 def invariant_cohomology(pi, q, d):
@@ -396,9 +421,11 @@ def invariant_cohomology(pi, q, d):
     """
     GradedBasis(q, d)
     _check_rotation_invariant(pi)
-    _check_poisson(pi)
-    vectors = [invariant_basis(q, d)[1] for q in range(4)]
-    return _degree_cells(d, _invariant_differentials(pi, d, vectors), vectors)[q]
+    with holding_stencils(pi):
+        _check_poisson(pi)
+        for matrices, vectors in _invariant_differentials(pi, d):
+            pass  # the restriction runs over the degrees up to d; only degree d is reduced
+        return _degree_cells(d, matrices, vectors)[q]
 
 
 def cell_multivectors(cell):
@@ -451,19 +478,15 @@ def cohomology_table(pi, dmax, invariant=False):
         raise ValueError("dmax must be nonnegative, got %r" % (dmax,))
     if invariant:
         _check_rotation_invariant(pi)
-    _check_poisson(pi)
-    zero = None if invariant else _weight_zero(pi, dmax)
-    vectors = [[] for _ in range(4)]  # the invariant bases of each q, extended at each degree
-    cells = {}
-    for d in range(dmax + 1):
+    with holding_stencils(pi):
+        _check_poisson(pi)
         if invariant:
-            for q, basis in enumerate(vectors):
-                basis += new_invariant_vectors(q, d)
-            found = _degree_cells(d, _invariant_differentials(pi, d, vectors), vectors)
+            degrees = (_degree_cells(d, matrices, vectors) for d, (matrices, vectors)
+                       in enumerate(_invariant_differentials(pi, dmax)))
         else:
-            found = _full_cells(pi, d, zero)
-        for cell in found:
-            cells[(cell.q, d)] = cell
+            zero = _weight_zero(pi, dmax)
+            degrees = (_full_cells(pi, d, zero) for d in range(dmax + 1))
+        cells = {(cell.q, cell.d): cell for found in degrees for cell in found}
     return CohomologyTable(dmax, cells)
 
 

@@ -21,11 +21,14 @@ complex and its invariant subcomplex alike, and builds only as it is
 read, keeping nothing (`OperatorCell`): a mod-p pass reads the columns'
 leads and builds one only where its lead collides, an exact reduction
 gets its rows straight from the stencil, and the invariant subcomplex and
-a certified cell build only the columns they name (`columns_at`).  The
+a certified cell build only the columns they name (`columns_at`), in a walk
+from the lowest to the highest.  A table holds its bivector's stencils
+while it is built (`holding_stencils`), so each q's is read once.  The
 tests hold the independent route the stencil is checked against, a
 Schouten bracket per column.
 """
 
+from contextlib import contextmanager
 from math import comb, isqrt
 
 from . import linalg
@@ -174,8 +177,10 @@ class OperatorCell:
 
     def columns_at(self, positions):
         """{j: column j} for the positions in the set `positions`, by ascending
-        j; no other column is built.  Raises KeyError for a position outside
-        the source basis."""
+        j; no other column is built.  A cell read off a stencil walks its
+        monomials only from the s block of the lowest position to the
+        highest (`_built`): the invariant builder's positions lie at s = d - 1
+        and d.  Raises KeyError for a position outside the source basis."""
         columns = ({j: col for j, col in enumerate(self._columns) if j in positions}
                    if self._stencil is None else self._built(positions))
         if len(columns) != len(positions):
@@ -250,14 +255,25 @@ class OperatorCell:
         return index, [rows[i] for i in index]
 
     def _built(self, positions):
-        """{j: column j} for the source positions j in `positions`, by ascending j."""
-        d, ncomp, j, columns = self.source.d, NCOMP[self.target.q], -1, {}
-        for s in range(d + 1):
+        """{j: column j} for the source positions j in `positions`, by ascending j.
+
+        The walk starts at the s block of the lowest position, T(s) *
+        binom(3, q) with s read off it as in `GradedBasis.element`, and stops
+        after the monomial of the highest."""
+        if not positions:
+            return {}
+        d, ncomp, per, columns = self.source.d, NCOMP[self.target.q], len(self._stencil), {}
+        first, last = max(min(positions), 0), max(positions)
+        start = (isqrt(8 * (first // per) + 1) - 1) // 2
+        j = start * (start + 1) // 2 * per - 1
+        for s in range(start, d + 1):
             for mx in range(s + 1):
                 for entries in self._stencil:
                     j += 1
                     if j in positions:
                         columns[j] = _column(entries, s, mx, s - mx, d - s, ncomp)
+                if j >= last:
+                    return columns
         return columns
 
 
@@ -277,7 +293,9 @@ def _column(entries, s, mx, my, mz, ncomp):
 def linear_operator_matrix(operator, q, d):
     """Matrix of V -> [operator, V] on the (q, d) basis, for a linear operator.
 
-    Read off `linear_stencil` as the cell is read.  Raises DegreeError
+    Read off `linear_stencil` as the cell is read; within
+    `holding_stencils` of the operator, the stencil read the first time is
+    kept for every later cell.  Raises DegreeError
     unless the operator's coefficients are all homogeneous linear; the zero
     operator is.
     """
@@ -285,8 +303,37 @@ def linear_operator_matrix(operator, q, d):
     out_q = q + operator.degree - 1
     if not 0 <= out_q <= 3:
         raise ValueError("operator maps degree %d outside 0..3" % (q,))
-    stencil, den = linear_stencil(operator, q)
+    stencil, den = _read_stencil(operator, q)
     return OperatorCell(source, GradedBasis(out_q, d), None, den, stencil)
+
+
+_HELD = []  # (operator, {q: (stencil, den)}) of each table being built, innermost last
+
+
+@contextmanager
+def holding_stencils(operator):
+    """Within it, `linear_operator_matrix` reads each stencil of this operator
+    object once, where `linear_stencil` builds its terms key and hashes its
+    Fractions on every call.  A table builds a cell at every (q, d) of one
+    bivector, which nothing changes while it is built; a later table reads
+    the value again.
+    """
+    _HELD.append((operator, {}))
+    try:
+        yield
+    finally:
+        _HELD.pop()
+
+
+def _read_stencil(operator, q):
+    """`linear_stencil(operator, q)`, read once for each q while the operator
+    is held."""
+    for held, stencils in _HELD:
+        if held is operator:
+            if q not in stencils:
+                stencils[q] = linear_stencil(operator, q)
+            return stencils[q]
+    return linear_stencil(operator, q)
 
 
 def _check_bivector(pi):

@@ -19,6 +19,7 @@ from poisson3 import (FIXTURE_IDS, Algebra, OperatorCell, Report, cohomology_tab
                       differential_matrix, linear_poisson)
 from poisson3 import cli
 from poisson3 import cohomology as cohomology_module
+from poisson3 import complexes as complexes_module
 from poisson3.cli import TABLE_SCHEMA, main
 
 
@@ -201,8 +202,8 @@ def test_invariant_table_builds_each_basis_and_differential_once(capsys, monkeyp
 
     monkeypatch.setattr(cohomology_module, "new_invariant_vectors", counting(
         cohomology_module.new_invariant_vectors, new, lambda q, d: (q, d)))
-    monkeypatch.setattr(cohomology_module, "invariant_basis", counting(
-        cohomology_module.invariant_basis, bases, lambda q, d: (q, d)))
+    monkeypatch.setattr(complexes_module, "invariant_basis", counting(
+        complexes_module.invariant_basis, bases, lambda q, d: (q, d)))
     cells = []
     monkeypatch.setattr(cohomology_module, "differential_matrix", counting(
         lambda *args: cells.append(differential_matrix(*args)) or cells[-1],

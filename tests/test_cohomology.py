@@ -283,9 +283,35 @@ def test_a_table_derives_each_stencil_once():
     assert stencils.cache_info().misses == 3
 
 
+def test_a_table_builds_each_stencil_key_once(monkeypatch):
+    # `linear_stencil` builds its terms key and hashes its Fractions on every
+    # call; a table, or a single cell, holds its bivector's stencils while it
+    # is built and calls it at most once per q, at q = 0, 1, 2 (d_3 is zero)
+    keys, stencil = [], complexes_module.linear_stencil
+    monkeypatch.setattr(complexes_module, "linear_stencil",
+                        lambda operator, q: keys.append(q) or stencil(operator, q))
+    builds = [
+        lambda: cohomology_table(linear_poisson("heisenberg"), 12),
+        lambda: cohomology_table(linear_poisson(Algebra("book", Fraction(-2, 3))), 12),
+        lambda: cohomology_table(linear_poisson("sl2"), 12),
+        lambda: cohomology_table(linear_poisson("euclidean"), 12, invariant=True),
+        lambda: invariant_cohomology(linear_poisson("so3"), 1, 12),
+        lambda: cohomology_cell(linear_poisson("aff_x_r"), 2, 12),
+    ]
+    for build in builds:
+        keys.clear()
+        build()
+        assert sorted(keys) == [0, 1, 2]
+    pi = linear_poisson("heisenberg")  # outside a table each cell reads its own
+    keys.clear()
+    cells = [complexes_module.differential_matrix(pi, 1, d) for d in range(3)]
+    assert keys == [1, 1, 1] and len({id(cell._stencil) for cell in cells}) == 1
+
+
 def test_a_bivector_changed_in_place_gets_its_own_table():
-    # the stencil is found by the bivector's value, never by the object, so
-    # a bivector written after a table was read off it reads its new value
+    # a table holds the stencils of its bivector object only while it is
+    # built; the next table finds them by the bivector's value, so a
+    # bivector written after a table was read off it reads its new value
     pi = linear_poisson("heisenberg")
     assert cohomology_table(pi, 4).totals == {0: 5, 1: 24, 2: 34, 3: 15}
     sl2 = linear_poisson("sl2")
@@ -916,13 +942,13 @@ def test_invariant_cohomology_matches_full_for_euclidean():
     Algebra("spiral", Fraction(5, 2)),
 ], ids=["euclidean", "so3", "heisenberg", "spiral_tau_1", "spiral_tau_5/2"])
 def test_invariant_table_matches_single_cells(algebra):
-    # the table extends one running basis per q, a cell enumerates its
-    # degree's bases whole; each kernel row is mapped back by a sign alone,
-    # as each basis vector is +-1 at a top no other touches, and comes out
-    # as `integer_normalize` would make it
+    # a table and a single cell run the same restriction over the degrees
+    # up to theirs, and a cell reduces only its own degree; each kernel row
+    # is mapped back by a sign alone, as each basis vector is +-1 at a top
+    # no other touches, and comes out as `integer_normalize` would make it
     pi = linear_poisson(algebra)
-    table = cohomology_table(pi, 20, invariant=True)
-    assert sorted(table.cells) == [(q, d) for q in range(4) for d in range(21)]
+    table = cohomology_table(pi, 24, invariant=True)
+    assert sorted(table.cells) == [(q, d) for q in range(4) for d in range(25)]
     for (q, d), cell in table.cells.items():
         assert _cell_fields(cell) == _cell_fields(invariant_cohomology(pi, q, d))
         assert all(linalg.integer_normalize(row) == row for row in cell.kernel_rows)
@@ -1112,18 +1138,29 @@ def test_wrong_weights_raise_at_the_first_column_off_weight_0(monkeypatch):
         cohomology_table(linear_poisson("aff_x_r"), 8)
 
 
+def _restricted_kinds():
+    """Euclidean, so3, heisenberg, and spiral at tau = 1, 5/2 and one seeded tau."""
+    rng = random.Random(434)
+    taus = [Fraction(1), Fraction(5, 2), Fraction(rng.randint(1, 15), rng.randint(1, 9))]
+    return [linear_poisson(kind) for kind in ("euclidean", "so3", "heisenberg")] + [
+        linear_poisson(Algebra("spiral", tau)) for tau in taus]
+
+
 def test_restriction_to_invariant_bases_solves_each_image():
-    vectors = [invariant_basis(q, 3)[1] for q in range(4)]
-    cells = cohomology_module._invariant_differentials(linear_poisson("euclidean"), 3, vectors)
-    for q in range(3):
-        columns = differential_matrix(linear_poisson("euclidean"), q, 3).columns
-        assert cells[q].columns == [
-            linalg.solve_combination(vectors[q + 1], linalg.matvec(columns, vec))
-            for vec in vectors[q]]
-    assert cells[3].columns == [{} for _ in vectors[3]]
+    # each vector is restricted at the degree where it is new and the next,
+    # and every later column is read off its line: each one equals the
+    # direct restriction of the vector's image through the whole differential
+    for pi in _restricted_kinds():
+        for d, (cells, vectors) in enumerate(cohomology_module._invariant_differentials(pi, 24)):
+            assert vectors == [invariant_basis(q, d)[1] for q in range(4)]
+            for q in range(3):
+                columns = differential_matrix(pi, q, d).columns
+                assert cells[q].columns == [
+                    linalg.solve_combination(vectors[q + 1], linalg.matvec(columns, vec))
+                    for vec in vectors[q]]
+            assert cells[3].columns == [{} for _ in vectors[3]]
     with pytest.raises(ValueError, match="does not preserve the invariant subspace"):
-        cohomology_module._invariant_differentials(
-            linear_poisson("aff_x_r"), 2, [invariant_basis(q, 2)[1] for q in range(4)])
+        list(cohomology_module._invariant_differentials(linear_poisson("aff_x_r"), 2))
 
 
 def test_a_row_mapped_back_is_only_negated_to_be_positive_at_its_lowest_index():

@@ -282,11 +282,25 @@ def test_each_layout_and_the_mod_p_pass_have_their_named_callers():
 
 def test_only_the_invariant_basis_and_table_enumerate_new_invariant_vectors():
     # one closed form gives the vectors new at a degree: `invariant_basis`
-    # joins them over the degrees up to d, and the invariant table extends
+    # joins them over the degrees up to d, and the invariant builder extends
     # its running bases with them
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-    assert _callers(trees, "new_invariant_vectors") == [("cohomology.py", "cohomology_table"),
-                                                        ("complexes.py", "invariant_basis")]
+    assert _callers(trees, "new_invariant_vectors") == [
+        ("cohomology.py", "_invariant_differentials"), ("complexes.py", "invariant_basis")]
+
+
+def test_only_the_invariant_builder_restricts_to_the_invariant_bases():
+    # one restriction path: a table and a single invariant cell both run
+    # `_invariant_differentials` over the degrees up to theirs, and only it
+    # wraps restricted columns in a cell; no engine code enumerates a whole
+    # invariant basis
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert _callers(trees, "_invariant_differentials") == [
+        ("cohomology.py", "cohomology_table"), ("cohomology.py", "invariant_cohomology")]
+    assert _callers(trees, "invariant_basis") == []
+    assert {scope for module, scope in _callers(trees, "OperatorCell")
+            if module == "cohomology.py"} == {"_invariant_differentials",
+                                              "_weight_zero_differentials"}
 
 
 def test_the_degree_loop_builds_no_cell():

@@ -8,19 +8,19 @@ a complex it is handed, each reduced at most once
 differential's rank, its kernel in reduced echelon form, and the pivots of
 its image's echelon, all the next cell needs of its image.  A builder picks
 the complex: the full one is `differential_matrix` at each q, built only as
-far as it is read; the rotation-invariant subcomplex restricts d_0..d_2,
-each read at the columns its invariant vectors touch, to the invariant
-sub-bases, which map its representatives back.  The invariant builder keeps
-one basis per q as a running list and adds at each degree only the vectors
-new there (`complexes.new_invariant_vectors`): z times a vector of degree
-d - 1 sits at its same positions at degree d, so every older vector stays
-as it is.  Its restricted column is affine in d, so each vector is
-restricted at the degree where it is new and the next, and every later
-column is read off that line.  A single cell is read off the four cells of
-its degree, as a table builds them; an invariant cell runs the same
-restriction over the degrees up to its own.  A table or a cell reads each
-of its bivector's stencils once (`complexes.holding_stencils`).  A bivector
-with [pi, pi] != 0 has no complex, as d o d != 0, and is rejected.
+far as it is read; a subcomplex with a z-stable basis, the
+rotation-invariant one or weight 0, restricts d_0..d_2 to that basis, which
+maps its representatives back.  One builder does both, handed the closed
+form of the basis vectors new at each degree: it keeps one basis per q as a
+running list, since z times a vector of degree d - 1 sits at its same
+positions at degree d, so every older vector stays as it is.  A restricted
+column is affine in d, so each vector is restricted at the degree where it
+is new and the next, and every later column is read off that line.  A
+single cell is read off the four cells of its degree, as a table builds
+them; a subcomplex's cell runs the same restriction over the degrees up to
+its own.  A table or a cell reads each of its bivector's stencils once
+(`complexes.holding_stencils`).  A bivector with [pi, pi] != 0 has no
+complex, as d o d != 0, and is rejected.
 
 For book, semi_open_book and aff_x_r the Hamiltonian field X = [pi, x_k]
 of one coordinate acts on each basis cochain x^m xi_S by an integer weight,
@@ -28,11 +28,10 @@ up to a nilpotent part that keeps it.  L_X commutes with d and is
 null-homotopic (graded Jacobi, with [x_k, .] as the homotopy), so it acts
 as 0 on H: each weight other than 0 is an acyclic subcomplex, and H lives
 in weight 0 (Lichnerowicz 1977; Vaisman 1994).  The full complex's table
-and cells of such a bivector reduce only the weight-0 subcomplex, a
-coordinate one whose positions are enumerated as resonances, and count
-the rest: off weight 0, d_q's rank is dim C^q - dim C^(q-1) + ... +-
-dim C^0 there.  The cells keep the full dimensions, so a cochain budget
-still counts the full complex's cochains.
+and cells of such a bivector reduce only the weight-0 subcomplex, spanned
+by basis cochains, and count the rest: off weight 0, d_q's rank is
+dim C^q - dim C^(q-1) + ... +- dim C^0 there.  The cells keep the full
+dimensions, so a cochain budget still counts the full complex's cochains.
 
 Most cells are acyclic, and those need no exact elimination.  Each
 differential is first reduced modulo the constant prime `linalg.PRIME`, by
@@ -64,9 +63,9 @@ The matrices are integer throughout.  Representatives are canonical: they
 are the kernel rows whose leading coordinate is not a pivot of the image's
 echelon, the only ones read off the reduction, which gives each one as
 coprime integers positive at its lowest index, its free column.  A cell
-keeps these integer rows, with only their sign fixed where the invariant
-subcomplex maps them back to ambient coordinates, and boxes them into
-Fractions when its representatives are read.  They are already reduced against the image:
+keeps these integer rows, with only their sign fixed where a subcomplex
+maps them back to ambient coordinates, and boxes them into Fractions when
+its representatives are read.  They are already reduced against the image:
 the kernel row led at a free column j of d_q is nonzero only at j and at
 d_q's pivot columns, and the image's pivots are free columns of d_q other
 than j (the image lies in the kernel, as d o d = 0), so no image row could
@@ -74,6 +73,7 @@ change it.  Two runs over the same input produce byte-identical output.
 """
 
 from fractions import Fraction
+from functools import partial
 from math import ceil, floor, inf, lcm
 
 from . import linalg
@@ -142,26 +142,27 @@ def _differentials(pi, d):
     return [differential_matrix(pi, q, d) for q in range(4)], None
 
 
-def _invariant_differentials(pi, dmax):
-    """Yield, for d = 0..dmax, d_0..d_3 of degree d restricted to the
-    rotation-invariant sub-bases, and those bases (`invariant_basis`'s
-    vectors at q = 0..3).
+def _restricted_differentials(pi, dmax, new_vectors):
+    """Yield, for d = 0..dmax, d_0..d_3 of degree d restricted to a subcomplex
+    with a z-stable basis, and that basis at q = 0..3.
 
+    `new_vectors(q, d)` gives the basis vectors new at degree d, sorted by
+    their top coordinate (+-1, listed first, where no other vector is
+    nonzero), all at s = d: the rotation-invariant ones
+    (`new_invariant_vectors`) or the weight-0 unit vectors (`_weight_zero`).
     Each basis is a running list, extended at each degree with the vectors
-    new there (`new_invariant_vectors`), and so is the map from each
-    vector's top coordinate (+-1, listed first, where no other vector is
-    nonzero) to its index.  The vector z^(d - e) w, with w new at degree e,
-    is w's own dict at degree d.  Raising m_z and d together leaves every
-    row of `_column` in place and adds a_z to each value a . m + b, so the
-    image of z^(d - e) w is D_e(w) + (d - e) K(w), and its restricted
-    column is c0 + (d - e) c1, the target vectors keeping their indices:
-    c0 is w's restricted image at e and c1 its image at e + 1 minus c0.  So
-    d_q, q <= 2, is read only at the columns the vectors new at d and d - 1
-    touch (`OperatorCell.columns_at`), each image's coefficients are read
-    off the tops and checked by mapping them back, and every older column
-    is read off its line.  An image at d > e + 1 is an affine combination
-    of the two checked ones, so it lies in the invariant span too.  d_3 is
-    0 and is not built.
+    new there, and so is the map from each vector's top to its index.  The
+    vector z^(d - e) w, with w new at degree e, is w's own dict at degree d.
+    Raising m_z and d together leaves every row of `_column` in place and
+    adds a_z to each value a . m + b, so the image of z^(d - e) w is D_e(w) +
+    (d - e) K(w), and its restricted column is c0 + (d - e) c1, the target
+    vectors keeping their indices: c0 is w's restricted image at e and c1
+    its image at e + 1 minus c0.  So d_q, q <= 2, is read only at the
+    columns the vectors new at d and d - 1 touch (`OperatorCell.columns_at`),
+    each image's coefficients are read off the tops and checked by mapping
+    them back, and every older column is read off its line.  An image at d
+    > e + 1 is an affine combination of the two checked ones, so it lies in
+    the subcomplex too.  d_3 is 0 and is not built.
     """
     vectors, tops = [[] for _ in range(4)], [{} for _ in range(4)]
     lines = [[] for _ in range(3)]  # (e, c0, c1) of each source vector, c1 None at d = e
@@ -169,7 +170,7 @@ def _invariant_differentials(pi, dmax):
     for d in range(dmax + 1):
         for q in range(4):
             recent[q], new[q] = new[q], len(vectors[q])
-            for vec in new_invariant_vectors(q, d):
+            for vec in new_vectors(q, d):
                 top = next(iter(vec))
                 tops[q][top] = len(vectors[q]), vec[top]
                 vectors[q].append(vec)
@@ -183,7 +184,7 @@ def _invariant_differentials(pi, dmax):
                     if (found := tops[q + 1].get(i)) is not None:
                         coeffs[found[0]] = c * found[1]
                 if linalg.matvec(vectors[q + 1], coeffs) != image:
-                    raise ValueError("operator does not preserve the invariant subspace")
+                    raise ValueError("d_%d leaves the subcomplex at degree %d" % (q, d))
                 if k < new[q]:  # new at d - 1: the slope of its line
                     e, c0, _ = lines[q][k]
                     lines[q][k] = e, c0, linalg.matvec((coeffs, c0), {0: 1, 1: -1})
@@ -220,84 +221,62 @@ def _weights(pi):
     return None
 
 
-def _weight_zero(pi, dmax):
-    """The weight-0 basis cochains up to degree dmax of a bivector with weights
-    (`_weights`), or None: ((a, b, k), [(idx, m_a, m_b), ...] for each q).
+def _weight_zero(pi):
+    """The weight-0 unit vectors new at degree d, as a function of (q, d), of
+    a bivector with weights D (`_weights`) and D_z = 0, or None.
 
-    x_k has weight 0, and x_a does not; m . D = sum_S D_s = c is a resonance
-    D_a m_a + D_b m_b = c, with m_k = d - m_a - m_b.  Each m_b = j of
-    `resonance_range` has the one integer m_a = (c - D_b j) / D_a.
+    z x^m xi_S then has x^m xi_S's weight, and sits at its position at degree
+    d + 1 (`GradedBasis.position`), so the weight-0 cochains are a z-stable
+    basis of unit vectors, and those new at d have m_z = 0: e_j at x^(m_x)
+    y^(d - m_x) xi_idx with D_x m_x + D_y (d - m_x) = sum_S D_s, by ascending
+    j.  D_z != 0 only where the coordinates were permuted, and such a
+    bivector reduces its full complex.
     """
     found = _weights(pi)
-    if found is None:
+    if found is None or found[1][2]:
         return None
-    k, weights = found
-    a, b = sorted([i for i in range(3) if i != k], key=lambda i: not weights[i])
-    da, db = weights[a], weights[b]
-    tau, pairs = Fraction(db, da), []
-    for q in range(4):
-        pairs.append([])
-        for idx in range(NCOMP[q]):
-            c = sum(weights[s] for s in component_wedge(q, idx)[0])
-            pairs[q] += [(idx, (c - db * j) // da, j)
-                         for j in resonance_range(tau, Fraction(c, da), dmax)]
-    return (a, b, k), pairs
+    weights = found[1]
+    sums = [[sum(weights[s] for s in component_wedge(q, idx)[0]) for idx in range(NCOMP[q])]
+            for q in range(4)]
+
+    def new_vectors(q, d):
+        return [{(d * (d + 1) // 2 + mx) * NCOMP[q] + idx: 1} for mx in range(d + 1)
+                for idx, c in enumerate(sums[q]) if weights[0] * mx + weights[1] * (d - mx) == c]
+    return new_vectors
 
 
-def _weight_zero_differentials(pi, d, zero):
-    """d_0..d_3 of degree d restricted to weight 0, and the ascending
-    positions of its cochains, from `_weight_zero`.
+def _full_cells(d, matrices, vectors):
+    """The four cells of degree d of the full complex of a bivector with
+    weights, from d_0..d_3 restricted to weight 0 and its basis (`_weight_zero`).
 
-    Each column of d_0..d_2 is read off `differential_matrix` alone, at the
-    component and monomial of its cochain; one with an entry off weight 0
-    means the weights were wrong, and raises ValueError.  d_3 is 0 and is
-    not built.
+    Only weight 0 is reduced.  Off it the complex is acyclic, so d_q's rank
+    there is sum_{k<=q} (-1)^(q-k) (dim C^k - dim C_0^k), with C_0 the
+    weight-0 cochains.
     """
-    (a, b, k), pairs = zero
-    elements = []  # each q: (position, idx, monomial), by ascending position
-    for q in range(4):
-        basis, found = GradedBasis(q, d), []
-        for idx, i, j in pairs[q]:
-            if i + j <= d:
-                mono = [0, 0, 0]
-                mono[a], mono[b], mono[k] = i, j, d - i - j
-                mono = tuple(mono)
-                found.append((basis.position(idx, mono), idx, mono))
-        elements.append(sorted(found))
-    cells = []
-    for q in range(3):
-        cell = differential_matrix(pi, q, d)
-        rows = {p: r for r, (p, _, _) in enumerate(elements[q + 1])}
-        try:
-            columns = [{rows[i]: c for i, c in cell.column_of(idx, mono).items()}
-                       for _, idx, mono in elements[q]]
-        except KeyError:
-            raise ValueError("d_%d leaves weight 0 at degree %d" % (q, d)) from None
-        cells.append(OperatorCell(None, None, columns, 1))
-    cells.append(OperatorCell(None, None, [{} for _ in elements[3]], 1))  # d_3 = 0
-    return cells, [[p for p, _, _ in found] for found in elements]
-
-
-def _full_cells(pi, d, zero):
-    """The four cells of degree d of the full complex of pi.
-
-    With `zero` (`_weight_zero`) only weight 0 is reduced.  Off it the
-    complex is acyclic, so d_q's rank there is sum_{k<=q} (-1)^(q-k)
-    (dim C^k - dim C_0^k), with C_0 the weight-0 cochains.  A kernel row's
-    index k is the k-th weight-0 position, and they ascend, so the row
-    stays positive at its lowest index.
-    """
-    if zero is None:
-        return _degree_cells(d, *_differentials(pi, d))
-    matrices, positions = _weight_zero_differentials(pi, d, zero)
     cells, rest = [], 0  # rest: the rank of d_{q-1} off weight 0
-    for cell, at in zip(_degree_cells(d, matrices), positions):
+    for cell in _degree_cells(d, matrices, vectors):
         size = len(GradedBasis(cell.q, d))
         incoming, rest = rest, size - cell.dim_cochains - rest
-        kernel = [{at[k]: c for k, c in row.items()} for row in cell.kernel_rows]
         cells.append(CohomologyCell(cell.q, d, size, cell.rank_out + rest,
-                                    cell.rank_in + incoming, kernel))
+                                    cell.rank_in + incoming, cell.kernel_rows))
     return cells
+
+
+def _complex(pi, dmax, invariant):
+    """Yield, for d = 0..dmax, a function that reduces degree d to its four
+    cells: those of the rotation-invariant subcomplex with invariant=True,
+    and otherwise the full complex's, restricted to weight 0 when pi has
+    weights.  A restriction runs as the degrees are yielded, and the full
+    complex's differentials are made only when their degree is reduced."""
+    new_vectors = new_invariant_vectors if invariant else _weight_zero(pi)
+    if new_vectors is None:
+        for d in range(dmax + 1):
+            yield lambda d=d: _degree_cells(d, *_differentials(pi, d))
+        return
+    reduce = _degree_cells if invariant else _full_cells
+    for d, (matrices, vectors) in enumerate(
+            _restricted_differentials(pi, dmax, new_vectors)):
+        yield partial(reduce, d, matrices, vectors)
 
 
 def _degree_cells(d, matrices, back=None):
@@ -400,16 +379,26 @@ def _positive(row):
     return row if row[min(row)] > 0 else {i: -c for i, c in row.items()}
 
 
+def _single_cell(pi, q, d, invariant):
+    """Cell (q, d) of a complex (`_complex`): a restriction runs over the
+    degrees up to d, and only degree d is reduced, all of it."""
+    GradedBasis(q, d)
+    if invariant:
+        _check_rotation_invariant(pi)
+    with holding_stencils(pi):
+        _check_poisson(pi)
+        for cells in _complex(pi, d, invariant):
+            pass
+        return cells()[q]
+
+
 def cohomology_cell(pi, q, d):
     """Cohomology of the (q, d) cell of the complex of pi.
 
     Representatives are returned as coordinate vectors; use
     `cell_multivectors` or the table interface for multivector form.
     """
-    GradedBasis(q, d)
-    with holding_stencils(pi):
-        _check_poisson(pi)
-        return _full_cells(pi, d, _weight_zero(pi, d))[q]
+    return _single_cell(pi, q, d, False)
 
 
 def invariant_cohomology(pi, q, d):
@@ -419,13 +408,7 @@ def invariant_cohomology(pi, q, d):
     else is rejected since the subspaces would not form a complex.
     Representatives come back in ambient (q, d) coordinates.
     """
-    GradedBasis(q, d)
-    _check_rotation_invariant(pi)
-    with holding_stencils(pi):
-        _check_poisson(pi)
-        for matrices, vectors in _invariant_differentials(pi, d):
-            pass  # the restriction runs over the degrees up to d; only degree d is reduced
-        return _degree_cells(d, matrices, vectors)[q]
+    return _single_cell(pi, q, d, True)
 
 
 def cell_multivectors(cell):
@@ -480,13 +463,8 @@ def cohomology_table(pi, dmax, invariant=False):
         _check_rotation_invariant(pi)
     with holding_stencils(pi):
         _check_poisson(pi)
-        if invariant:
-            degrees = (_degree_cells(d, matrices, vectors) for d, (matrices, vectors)
-                       in enumerate(_invariant_differentials(pi, dmax)))
-        else:
-            zero = _weight_zero(pi, dmax)
-            degrees = (_full_cells(pi, d, zero) for d in range(dmax + 1))
-        cells = {(cell.q, cell.d): cell for found in degrees for cell in found}
+        cells = {(cell.q, cell.d): cell for cells in _complex(pi, dmax, invariant)
+                 for cell in cells()}
     return CohomologyTable(dmax, cells)
 
 
@@ -516,8 +494,7 @@ def coboundary_witness(pi, target):
 def resonance_range(tau, c, dmax):
     """The j of the pairs of `resonances(tau, c, dmax)`, as a range.
 
-    It also enumerates the weight-0 cochains of a table whose bivector has
-    coordinate weights (`_weight_zero`), once per component.  For each j
+    For each j
     there is at most one i, c - tau*j, which is an integer only on one
     residue class of j modulo the denominator of tau; the bounds i >= 0 and
     i + j <= dmax are linear in j and confine it to an interval.  Its len()

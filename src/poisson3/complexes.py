@@ -17,11 +17,11 @@ each degree's after every lower one's, and a table extends one running
 list per q.
 
 `differential_matrix` is the one source of a differential, for the full
-complex and its invariant subcomplex alike, and builds only as it is
-read, keeping nothing (`OperatorCell`): a mod-p pass reads the columns'
-leads and builds one only where its lead collides, an exact reduction
-gets its rows straight from the stencil, and the invariant subcomplex and
-a certified cell build only the columns they name (`columns_at`), in a walk
+complex and its subcomplexes alike, and builds only as it is read,
+keeping nothing (`OperatorCell`): a mod-p pass reads the columns' leads
+and builds one only where its lead collides, an exact reduction gets its
+rows straight from the stencil, and a subcomplex's restriction and a
+certified cell build only the columns they name (`columns_at`), in a walk
 from the lowest to the highest.  A table holds its bivector's stencils
 while it is built (`holding_stencils`), so each q's is read once.  The
 tests hold the independent route the stencil is checked against, a
@@ -138,11 +138,10 @@ class OperatorCell:
 
     The matrix is columns / den, with int columns.  A cell read off the
     stencil of a linear operator builds only what is read, as its reader
-    reads it, and keeps nothing: all `columns`, one `column(j)` or
-    `column_of(idx, mono)`, only the `columns_at(positions)`, and
-    `leads(skip, p)` or `rows(free, at)` with no column built.  Its stencil
-    is `linear_stencil`'s list of each source component's entries, highest
-    row first.  A cell made with a list of
+    reads it, and keeps nothing: all `columns`, one `column(j)`, only the
+    `columns_at(positions)`, and `leads(skip, p)` or `rows(free, at)` with
+    no column built.  Its stencil is `linear_stencil`'s list of each source
+    component's entries, highest row first.  A cell made with a list of
     columns reads it the same ways; on other bases its source and target
     are None.
     """
@@ -164,23 +163,19 @@ class OperatorCell:
         return list(self._built(range(len(self))).values())
 
     def column(self, j):
-        """Column j; a cell read off a stencil builds it alone (`column_of`)."""
+        """Column j; a cell read off a stencil builds it alone (`_column`), from
+        the component and monomial of source element j."""
         if self._stencil is None:
             return self._columns[j]
-        return self.column_of(*self.source.element(j))
-
-    def column_of(self, idx, mono):
-        """The column of the source element x^mono xi_idx of a cell read off a
-        stencil, built alone by `_column`."""
-        mx, my, mz = mono
+        idx, (mx, my, mz) = self.source.element(j)
         return _column(self._stencil[idx], self.source.d - mz, mx, my, mz, NCOMP[self.target.q])
 
     def columns_at(self, positions):
         """{j: column j} for the positions in the set `positions`, by ascending
         j; no other column is built.  A cell read off a stencil walks its
         monomials only from the s block of the lowest position to the
-        highest (`_built`): the invariant builder's positions lie at s = d - 1
-        and d.  Raises KeyError for a position outside the source basis."""
+        highest (`_built`): a restriction's positions lie at s = d - 1 and d.
+        Raises KeyError for a position outside the source basis."""
         columns = ({j: col for j, col in enumerate(self._columns) if j in positions}
                    if self._stencil is None else self._built(positions))
         if len(columns) != len(positions):

@@ -16,6 +16,7 @@ from poisson3 import (
     MultiVector,
     OperatorCell,
     Polynomial,
+    StructureConstants,
     cell_multivectors,
     coboundary_witness,
     cohomology_cell,
@@ -41,6 +42,7 @@ from poisson3 import complexes as complexes_module
 from poisson3 import linalg
 from poisson3 import multivector as multivector_module
 from poisson3.cohomology import CohomologyCell, resonance_range
+from poisson3.multivector import component_wedge
 
 BOOK1 = Algebra("book", Fraction(1))
 
@@ -258,12 +260,18 @@ def test_differentials_are_built_only_as_far_as_they_are_read(monkeypatch):
     # differential 14,168 and 7,752).  Sl2 reduces d_0 of its H^0 cells on
     # its pass's pivot rows alone and builds the columns its kernel rows,
     # the powers C^k of the Casimir, touch, to check that d_0 kills them:
-    # (k + 1)(k + 2)/2 at degree 2k, 165 more up to degree 16.  Book builds
-    # each of the 356 columns of d_0..d_2 on its weight-0 subcomplex once,
-    # into list cells.  The row layouts are one per exact reduction
+    # (k + 1)(k + 2)/2 at degree 2k, 165 more up to degree 16.  Book
+    # restricts to weight 0 under the weights (3, -2, 0), builds each
+    # weight-0 vector's column at the degree where it is new and the next,
+    # and reads every later one off its line.  x^m_x y^(d - m_x) xi_S is new
+    # at d when 5 m_x = 2d + sum_S D_s: 1 at d = 0 mod 5 (q = 0); xi_x, xi_y
+    # at d = 1 and xi_z at d = 0 mod 5 (q = 1); and each of the three
+    # components at d = 1 or 2 mod 5 (q = 2).  Up to degree 20 that is 5 +
+    # 13 + 12 = 30 vectors of d_0..d_2, 2 of them new at 20, so 2 * 30 - 2
+    # = 58 more columns.  The row layouts are one per exact reduction
     reads = _count_cell_reads(monkeypatch)
     for pi, dmax, expected in ((linear_poisson("heisenberg"), 20, (12, 84)),
-                               (linear_poisson(Algebra("book", Fraction(-2, 3))), 20, (368, 18)),
+                               (linear_poisson(Algebra("book", Fraction(-2, 3))), 20, (70, 18)),
                                (linear_poisson("sl2"), 16, (1372, 18))):
         reads.update(columns=0, rows=0)
         cohomology_table(pi, dmax)
@@ -1134,7 +1142,7 @@ def test_wrong_weights_raise_at_the_first_column_off_weight_0(monkeypatch):
     # aff_x_r's weights are (1, 0, 0); under (0, 1, 0) the weight-0 cochains
     # are no subcomplex, and d_1 of degree 0 already leaves them
     monkeypatch.setattr(cohomology_module, "_weights", lambda pi: (2, [0, 1, 0]))
-    with pytest.raises(ValueError, match="d_1 leaves weight 0 at degree 0"):
+    with pytest.raises(ValueError, match="d_1 leaves the subcomplex at degree 0"):
         cohomology_table(linear_poisson("aff_x_r"), 8)
 
 
@@ -1146,21 +1154,62 @@ def _restricted_kinds():
         linear_poisson(Algebra("spiral", tau)) for tau in taus]
 
 
+def _weight_zero_basis(pi, q, d):
+    """The unit vectors of (q, d) at the basis cochains of weight 0, read off
+    each element."""
+    weights = cohomology_module._weights(pi)[1]
+    basis = GradedBasis(q, d)
+    return [{j: 1} for j in range(len(basis))
+            if sum(w * m for w, m in zip(weights, basis.element(j)[1]))
+            == sum(weights[s] for s in component_wedge(q, basis.element(j)[0])[0])]
+
+
 def test_restriction_to_invariant_bases_solves_each_image():
     # each vector is restricted at the degree where it is new and the next,
     # and every later column is read off its line: each one equals the
-    # direct restriction of the vector's image through the whole differential
-    for pi in _restricted_kinds():
-        for d, (cells, vectors) in enumerate(cohomology_module._invariant_differentials(pi, 24)):
-            assert vectors == [invariant_basis(q, d)[1] for q in range(4)]
+    # direct restriction of the vector's image through the whole
+    # differential, on the invariant bases and on the weight-0 ones of
+    # aff_x_r, semi_open_book and book at a seeded tau of each sign
+    rng = random.Random(435)
+    weighted = [linear_poisson(kind) for kind in ("aff_x_r", "semi_open_book")] + [
+        linear_poisson(Algebra("book", sign * Fraction(rng.randint(1, 9), rng.randint(10, 17))))
+        for sign in (1, -1)]
+    restrictions = [(pi, cohomology_module.new_invariant_vectors, 24,
+                     lambda pi, q, d: invariant_basis(q, d)[1]) for pi in _restricted_kinds()] + [
+        (pi, cohomology_module._weight_zero(pi), 16, _weight_zero_basis) for pi in weighted]
+    for pi, new_vectors, dmax, basis in restrictions:
+        for d, (cells, vectors) in enumerate(
+                cohomology_module._restricted_differentials(pi, dmax, new_vectors)):
+            assert vectors == [basis(pi, q, d) for q in range(4)]
             for q in range(3):
                 columns = differential_matrix(pi, q, d).columns
                 assert cells[q].columns == [
                     linalg.solve_combination(vectors[q + 1], linalg.matvec(columns, vec))
                     for vec in vectors[q]]
             assert cells[3].columns == [{} for _ in vectors[3]]
-    with pytest.raises(ValueError, match="does not preserve the invariant subspace"):
-        list(cohomology_module._invariant_differentials(linear_poisson("aff_x_r"), 2))
+    with pytest.raises(ValueError, match="d_1 leaves the subcomplex at degree 1"):
+        list(cohomology_module._restricted_differentials(
+            linear_poisson("aff_x_r"), 2, cohomology_module.new_invariant_vectors))
+
+
+def test_weights_with_d_z_not_0_read_the_full_complex():
+    # book -2/3 with x and z swapped has the weights (0, -2, 3): z moves a
+    # weight and weight 0 has no z-stable basis, so its table and its cells
+    # are the full complex's
+    book = structure_constants(Algebra("book", Fraction(-2, 3)))
+    swap = (2, 1, 0)
+    pi = linear_poisson(StructureConstants({
+        (a, b, c): book.get(swap[a], swap[b], swap[c])
+        for a in range(3) for b in range(a + 1, 3) for c in range(3)}))
+    assert cohomology_module._weights(pi) == (0, [0, -2, 3])
+    assert cohomology_module._weight_zero(pi) is None
+    dmax = 12
+    table = cohomology_table(pi, dmax)
+    for d in range(dmax + 1):
+        full = cohomology_module._degree_cells(d, *cohomology_module._differentials(pi, d))
+        for q, cell in enumerate(full):
+            assert _ordered_fields(table.cell(q, d)) == _ordered_fields(cell), (q, d)
+            assert _ordered_fields(cohomology_cell(pi, q, d)) == _ordered_fields(cell)
 
 
 def test_a_row_mapped_back_is_only_negated_to_be_positive_at_its_lowest_index():

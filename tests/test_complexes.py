@@ -302,10 +302,9 @@ def _leads(columns, p):
 def test_each_layout_of_a_cell_reads_the_same_matrix(seed):
     # a cell read as rows with some columns left out is the row layout of
     # its columns with those emptied, and read at some rows it is those of
-    # its rows; each column built from its component and monomial is that
-    # column; its leads mod p, read last first
-    # outside a skip, are the highest rows at which its columns are nonzero
-    # mod p; each column built alone is that column, and those at some
+    # its rows; its leads mod p, read last first outside a skip, are the
+    # highest rows at which its columns are nonzero mod p; each column built
+    # alone, from its component and monomial, is that column, and those at some
     # positions are those columns by ascending position; reading every
     # column leaves the cell as it was; so for a cell that holds a list of
     # columns
@@ -316,9 +315,6 @@ def test_each_layout_of_a_cell_reads_the_same_matrix(seed):
             for d in range(9):
                 whole = differential_matrix(pi, q, d).columns
                 n = len(whole)
-                source = GradedBasis(q, d)
-                assert [differential_matrix(pi, q, d).column_of(*source.element(j))
-                        for j in range(n)] == whole
                 for cell in (differential_matrix(pi, q, d), OperatorCell(None, None, whole, 1)):
                     free = set(rng.sample(range(n), rng.randint(0, n)))
                     skip = set(rng.sample(range(n), rng.randint(0, n)))

@@ -255,13 +255,12 @@ def test_each_layout_and_the_mod_p_pass_have_their_named_callers():
     # stencil writes the same layout itself.  Only the degree loop runs the
     # mod-p pass, and only the pass reads leads.  A column is built alone
     # only where the pass's lead collides and where it reduces against a
-    # pivot for the first time, by its position, and where the weight-0
-    # builder reads the columns at weight 0, by their component and
-    # monomial; the degree loop reads the columns a certified cell kept,
-    # and those d_0's kernel rows touch when only its pivot rows were
-    # reduced, each in one walk, by `columns_at`, as the invariant builder
-    # reads a differential's support.  `_column` writes each column of a
-    # stencil, alone or in the walk of `columns` and `columns_at`
+    # pivot for the first time, by its position; the degree loop reads the
+    # columns a certified cell kept, and those d_0's kernel rows touch when
+    # only its pivot rows were reduced, each in one walk, by `columns_at`,
+    # as the restriction builder reads a differential's support.  `_column`
+    # writes each column of a stencil, alone or in the walk of `columns` and
+    # `columns_at`
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     assert _callers(trees, "lay_out") == [("complexes.py", "OperatorCell.rows"),
                                           ("linalg.py", "kernel_and_image")]
@@ -269,49 +268,47 @@ def test_each_layout_and_the_mod_p_pass_have_their_named_callers():
     assert _callers(trees, "leads") == [("linalg.py", "independent_columns_mod_p")]
     assert _callers(trees, "column") == [("linalg.py", "independent_columns_mod_p"),
                                          ("linalg.py", "independent_columns_mod_p")]
-    assert _callers(trees, "column_of") == [("cohomology.py", "_weight_zero_differentials"),
-                                            ("complexes.py", "OperatorCell.column")]
+    assert _callers(trees, "column_of") == []
     assert _callers(trees, "columns_at") == [("cohomology.py", "_degree_cells"),
                                              ("cohomology.py", "_degree_cells"),
-                                             ("cohomology.py", "_invariant_differentials")]
+                                             ("cohomology.py", "_restricted_differentials")]
     assert _callers(trees, "_column") == [("complexes.py", "OperatorCell._built"),
-                                          ("complexes.py", "OperatorCell.column_of")]
+                                          ("complexes.py", "OperatorCell.column")]
     assert _callers(trees, "_built") == [("complexes.py", "OperatorCell.columns"),
                                          ("complexes.py", "OperatorCell.columns_at")]
 
 
 def test_only_the_invariant_basis_and_table_enumerate_new_invariant_vectors():
     # one closed form gives the vectors new at a degree: `invariant_basis`
-    # joins them over the degrees up to d, and the invariant builder extends
-    # its running bases with them
+    # joins them over the degrees up to d, and the invariant table and cell
+    # hand it to the restriction builder (`_complex`)
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-    assert _callers(trees, "new_invariant_vectors") == [
-        ("cohomology.py", "_invariant_differentials"), ("complexes.py", "invariant_basis")]
+    assert _callers(trees, "new_invariant_vectors") == [("complexes.py", "invariant_basis")]
+    assert _callers(trees, "_restricted_differentials") == [("cohomology.py", "_complex")]
 
 
-def test_only_the_invariant_builder_restricts_to_the_invariant_bases():
-    # one restriction path: a table and a single invariant cell both run
-    # `_invariant_differentials` over the degrees up to theirs, and only it
-    # wraps restricted columns in a cell; no engine code enumerates a whole
-    # invariant basis
+def test_one_builder_restricts_to_every_subcomplex():
+    # one restriction path: a table and a single cell of the invariant
+    # subcomplex or of a weighted bivector's full complex both run
+    # `_restricted_differentials` over the degrees up to theirs, through
+    # `_complex`, and only it wraps restricted columns in a cell; no engine
+    # code enumerates a whole invariant basis
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-    assert _callers(trees, "_invariant_differentials") == [
-        ("cohomology.py", "cohomology_table"), ("cohomology.py", "invariant_cohomology")]
+    assert _callers(trees, "_complex") == [
+        ("cohomology.py", "_single_cell"), ("cohomology.py", "cohomology_table")]
     assert _callers(trees, "invariant_basis") == []
     assert {scope for module, scope in _callers(trees, "OperatorCell")
-            if module == "cohomology.py"} == {"_invariant_differentials",
-                                              "_weight_zero_differentials"}
+            if module == "cohomology.py"} == {"_restricted_differentials"}
 
 
 def test_the_degree_loop_builds_no_cell():
     # `_degree_cells` reduces the four cells it is handed; the builders of a
-    # complex (`_differentials`, `_invariant_differentials`,
-    # `_weight_zero_differentials`) make them
+    # complex (`_differentials`, `_restricted_differentials`) make them
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     callers = {name: _callers(trees, name) for name in (
         "differential_matrix", "invariant_basis", "new_invariant_vectors",
         "linear_operator_matrix", "OperatorCell")}
-    assert ("cohomology.py", "_invariant_differentials") in callers["OperatorCell"]
+    assert ("cohomology.py", "_restricted_differentials") in callers["OperatorCell"]
     assert [name for name, found in callers.items()
             if ("cohomology.py", "_degree_cells") in found] == []
 

@@ -9,11 +9,12 @@ differential's rank, its kernel in reduced echelon form, and the pivots of
 its image's echelon, all the next cell needs of its image.  A builder picks
 the complex: the full one is `differential_matrix` at each q, built only as
 far as it is read; a subcomplex with a z-stable basis, the
-rotation-invariant one or weight 0, restricts d_0..d_2 to that basis, which
-maps its representatives back.  One builder does both, handed the closed
-form of the basis vectors new at each degree: it keeps one basis per q as a
-running list, since z times a vector of degree d - 1 sits at its same
-positions at degree d, so every older vector stays as it is.  A restricted
+rotation-invariant one or one that carries H (below), restricts d_0..d_2 to
+that basis, which maps its representatives back.  One builder does both,
+handed the closed form of the basis vectors new at each degree: it keeps
+one basis per q as a running list, since z times a vector of degree d - 1
+sits at its same positions at degree d, so every older vector stays as it
+is.  A restricted
 column is affine in d, so each vector is restricted at the degree where it
 is new and the next, and every later column is read off that line.  A
 single cell is read off the four cells of its degree, as a table builds
@@ -22,16 +23,43 @@ its own.  A table or a cell reads each of its bivector's stencils once
 (`complexes.holding_stencils`).  A bivector with [pi, pi] != 0 has no
 complex, as d o d != 0, and is rejected.
 
-For book, semi_open_book and aff_x_r the Hamiltonian field X = [pi, x_k]
-of one coordinate acts on each basis cochain x^m xi_S by an integer weight,
-up to a nilpotent part that keeps it.  L_X commutes with d and is
-null-homotopic (graded Jacobi, with [x_k, .] as the homotopy), so it acts
-as 0 on H: each weight other than 0 is an acyclic subcomplex, and H lives
-in weight 0 (Lichnerowicz 1977; Vaisman 1994).  The full complex's table
-and cells of such a bivector reduce only the weight-0 subcomplex, spanned
-by basis cochains, and count the rest: off weight 0, d_q's rank is
-dim C^q - dim C^(q-1) + ... +- dim C^0 there.  The cells keep the full
-dimensions, so a cochain budget still counts the full complex's cochains.
+A Hamiltonian field X = [pi, f] of a linear f acts as 0 on H (Lichnerowicz
+1977; Vaisman 1994): L_X commutes with d, as X is Poisson, and is
+null-homotopic, with [f, .] as the homotopy (graded Jacobi).  On the
+cochains of degree d let C_0 = ker L_X^N and C_1 = im L_X^N, N large, so
+C = C_0 + C_1.  Both are subcomplexes, as L_X commutes with d, and L_X is
+invertible on C_1, so it is invertible on H(C_1).  H(C_1) is a summand of
+H, where L_X is 0, so H(C_1) = 0.  So a table or a cell need only reduce a
+subcomplex with a z-stable basis that holds C_0 and has an acyclic
+complement; off it d_q's rank is dim C^q - dim C^(q-1) + ... +- dim C^0
+there (`_full_cells`).  The cells keep the full dimensions, so a cochain
+budget still counts the full complex's cochains.  `_family` picks the
+subcomplex off the fields' matrices, column x_k of d_0 on degree 1, read
+once:
+
+- Weights (book and semi_open_book with X_z, aff_x_r with X_y): X acts on
+  each basis cochain x^m xi_S by an integer weight m . D - sum_S D_s, up
+  to a nilpotent part that keeps it, so C_0 is weight 0, spanned by basis
+  cochains.
+- A rotation block: X_z fixes z and is lambda E + mu R on (x, y), mu != 0,
+  with E = x d_x + y d_y and R = x d_y - y d_x (euclidean and so3, lambda
+  = 0; spiral, lambda = tau mu).  Over C, L_E and L_R commute and are
+  semisimple, with joint eigenvalues (w, ik), w and k integers, and
+  L_X's eigenvalue there, lambda w + i mu k, gives k.  So d keeps each k,
+  the rotation-invariant cochains (k = 0) are a subcomplex that holds C_0,
+  and L_X is invertible on their complement (k != 0), which is acyclic by
+  the argument above.  For euclidean and so3 they are C_0.
+- A hyperbolic block: X_z fixes z and is mu (y d_x + x d_y) on (x, y) (sl2).
+  L_X is semisimple over Q, with eigenvectors x + y and x - y, and C_0 is
+  its kernel, the rotation family with x^2 - y^2 for x^2 + y^2.
+
+The two block families (`new_invariant_vectors` with sign 1 and -1) are
+not spanned by basis cochains, so the kernel rows they give, mapped back,
+are *a* basis of each H, not the full complex's canonical representatives.
+Only `class_table`, which `verify` reads, restricts to them; the tables and
+cells of these kinds reduce the full complex, and the weight-0 unit
+vectors, whose rows mapped back are the canonical ones, serve every table
+and cell.
 
 Most cells are acyclic, and those need no exact elimination.  Each
 differential is first reduced modulo the constant prime `linalg.PRIME`, by
@@ -196,20 +224,24 @@ def _restricted_differentials(pi, dmax, new_vectors):
         yield cells + [OperatorCell(None, None, [{} for _ in vectors[3]], 1)], vectors  # d_3 = 0
 
 
-def _weights(pi):
-    """(k, D) for the first x_k whose field [pi, x_k] acts on monomials by
-    integer weights D, or None.
-
-    The field's matrix M, x_j d_i at (i, j), is column x_k of d_0 on degree
-    1.  It qualifies when D, its diagonal, is not 0, and its off-diagonal
-    part N joins only coordinates of equal D and is nilpotent: then
-    x^m xi_S has weight m . D - sum_S D_s, and N keeps each weight.
-    """
+def _fields(pi):
+    """The matrix M_k of each Hamiltonian field X_k = [pi, x_k], x_j d_i at
+    (i, j): column x_k of d_0 on degree 1, read once."""
     cell = linear_operator_matrix(pi, 0, 1)
     columns, unit = cell.columns, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    for k in range(3):
-        column = columns[cell.source.position(0, unit[k])]
-        m = [[column.get(cell.target.position(i, unit[j]), 0) for j in range(3)] for i in range(3)]
+    return [[[columns[cell.source.position(0, unit[k])].get(cell.target.position(i, unit[j]), 0)
+              for j in range(3)] for i in range(3)] for k in range(3)]
+
+
+def _weights(fields):
+    """(k, D) for the first x_k whose field acts on monomials by integer
+    weights D, or None, from the fields' matrices (`_fields`).
+
+    M_k qualifies when D, its diagonal, is not 0, and its off-diagonal part
+    N joins only coordinates of equal D and is nilpotent: then x^m xi_S has
+    weight m . D - sum_S D_s, and N keeps each weight.
+    """
+    for k, m in enumerate(fields):
         weights = [m[i][i] for i in range(3)]
         power = n = [[m[i][j] * (i != j) for j in range(3)] for i in range(3)]
         for _ in range(2):  # N^3
@@ -221,21 +253,16 @@ def _weights(pi):
     return None
 
 
-def _weight_zero(pi):
+def _weight_zero(weights):
     """The weight-0 unit vectors new at degree d, as a function of (q, d), of
-    a bivector with weights D (`_weights`) and D_z = 0, or None.
+    a bivector with weights D (`_weights`) and D_z = 0.
 
     z x^m xi_S then has x^m xi_S's weight, and sits at its position at degree
     d + 1 (`GradedBasis.position`), so the weight-0 cochains are a z-stable
     basis of unit vectors, and those new at d have m_z = 0: e_j at x^(m_x)
     y^(d - m_x) xi_idx with D_x m_x + D_y (d - m_x) = sum_S D_s, by ascending
-    j.  D_z != 0 only where the coordinates were permuted, and such a
-    bivector reduces its full complex.
+    j.
     """
-    found = _weights(pi)
-    if found is None or found[1][2]:
-        return None
-    weights = found[1]
     sums = [[sum(weights[s] for s in component_wedge(q, idx)[0]) for idx in range(NCOMP[q])]
             for q in range(4)]
 
@@ -245,15 +272,38 @@ def _weight_zero(pi):
     return new_vectors
 
 
-def _full_cells(d, matrices, vectors):
-    """The four cells of degree d of the full complex of a bivector with
-    weights, from d_0..d_3 restricted to weight 0 and its basis (`_weight_zero`).
+def _family(pi, blocks):
+    """The closed form of the vectors new at each degree (a function of (q,
+    d)) of the subcomplex of pi's full complex that carries H, or None for
+    the whole complex; the module notes give the argument.
 
-    Only weight 0 is reduced.  Off it the complex is acyclic, so d_q's rank
-    there is sum_{k<=q} (-1)^(q-k) (dim C^k - dim C_0^k), with C_0 the
-    weight-0 cochains.
+    Read off the fields' matrices once (`_fields`).  Weights with D_z = 0
+    give the weight-0 unit vectors (`_weight_zero`); D_z != 0 only where the
+    coordinates were permuted, and gives None.  With blocks=True, a field
+    X_z that fixes z and acts on (x, y) by lambda + mu J, mu != 0, gives
+    the kernel of L_J (`new_invariant_vectors`, sign 1 for the rotation J,
+    -1 for the hyperbolic one, whose lambda must be 0).
     """
-    cells, rest = [], 0  # rest: the rank of d_{q-1} off weight 0
+    fields = _fields(pi)
+    found = _weights(fields)
+    if found is not None:
+        return None if found[1][2] else _weight_zero(found[1])
+    (xx, xy, xz), (yx, yy, yz), z_row = fields[2]
+    if (not blocks or any(z_row) or xz or yz or not yx or xx != yy
+            or xy not in (yx, -yx) or (xx and xy == yx)):
+        return None
+    sign = -xy // yx
+    return lambda q, d: new_invariant_vectors(q, d, sign)
+
+
+def _full_cells(d, matrices, vectors):
+    """The four cells of degree d of the full complex, from d_0..d_3
+    restricted to the subcomplex that carries H (`_family`) and its basis.
+
+    Only that subcomplex C_0 is reduced.  Its complement is acyclic, so d_q's
+    rank there is sum_{k<=q} (-1)^(q-k) (dim C^k - dim C_0^k).
+    """
+    cells, rest = [], 0  # rest: the rank of d_{q-1} off C_0
     for cell in _degree_cells(d, matrices, vectors):
         size = len(GradedBasis(cell.q, d))
         incoming, rest = rest, size - cell.dim_cochains - rest
@@ -262,13 +312,14 @@ def _full_cells(d, matrices, vectors):
     return cells
 
 
-def _complex(pi, dmax, invariant):
+def _complex(pi, dmax, invariant, blocks=False):
     """Yield, for d = 0..dmax, a function that reduces degree d to its four
     cells: those of the rotation-invariant subcomplex with invariant=True,
-    and otherwise the full complex's, restricted to weight 0 when pi has
-    weights.  A restriction runs as the degrees are yielded, and the full
-    complex's differentials are made only when their degree is reduced."""
-    new_vectors = new_invariant_vectors if invariant else _weight_zero(pi)
+    and otherwise the full complex's, restricted to the subcomplex that
+    carries H where `_family` finds one.  A restriction runs as the degrees
+    are yielded, and the full complex's differentials are made only when
+    their degree is reduced."""
+    new_vectors = new_invariant_vectors if invariant else _family(pi, blocks)
     if new_vectors is None:
         for d in range(dmax + 1):
             yield lambda d=d: _degree_cells(d, *_differentials(pi, d))
@@ -457,13 +508,33 @@ def cohomology_table(pi, dmax, invariant=False):
     With invariant=True the table is that of the rotation-invariant
     subcomplex, which needs a rotation-invariant bivector.
     """
+    return _table(pi, dmax, invariant)
+
+
+def class_table(pi, dmax):
+    """The table of `cohomology_table(pi, dmax)` with the same numbers in
+    every cell, but *a* basis of each H in place of the canonical one.
+
+    Where the field X_z fixes z and acts on (x, y) by a rotation or a
+    hyperbolic block (euclidean, so3, spiral, sl2), only the subcomplex that
+    carries H is reduced (`_family`), and its kernel rows are mapped back to
+    ambient coordinates: each is closed and the rows are independent modulo
+    the exact cochains, but they are not the reduced echelon rows of the
+    full complex.  `verify`, which compares spans, reads it; it is not part
+    of the package's exported names.
+    """
+    return _table(pi, dmax, False, blocks=True)
+
+
+def _table(pi, dmax, invariant, blocks=False):
+    """Every cell of the complex `_complex` builds, as a `CohomologyTable`."""
     if dmax < 0:
         raise ValueError("dmax must be nonnegative, got %r" % (dmax,))
     if invariant:
         _check_rotation_invariant(pi)
     with holding_stencils(pi):
         _check_poisson(pi)
-        cells = {(cell.q, cell.d): cell for cells in _complex(pi, dmax, invariant)
+        cells = {(cell.q, cell.d): cell for cells in _complex(pi, dmax, invariant, blocks)
                  for cell in cells()}
     return CohomologyTable(dmax, cells)
 

@@ -397,10 +397,12 @@ def rotation_field():
     )
 
 
-def _invariant_generators():
-    """Terms (idx, exponents, int coefficient) of the generators of each q."""
+def _invariant_generators(sign):
+    """Terms (idx, exponents, int coefficient) of the generators of each q,
+    with R = -sign y dx + x dy."""
     dx, dy, dz = (MultiVector.basis(1, axis) for axis in range(3))
-    euler, rotation = dx * Polynomial.variable("x") + dy * Polynomial.variable("y"), rotation_field()
+    x, y = Polynomial.variable("x"), Polynomial.variable("y")
+    euler, rotation = dx * x + dy * y, dy * x - dx * y * sign
     return tuple([[(idx, mono, int(c)) for idx, poly in g.components.items()
                    for mono, c in poly.terms.items()] for g in generators]
                  for generators in ([MultiVector.scalar(1)], [euler, rotation, dz],
@@ -408,43 +410,54 @@ def _invariant_generators():
                                     [wedge(wedge(dx, dy), dz)]))
 
 
-_INVARIANT_GENERATORS = _invariant_generators()
+_INVARIANT_GENERATORS = {sign: _invariant_generators(sign) for sign in (1, -1)}
+_NEW_INVARIANT_VECTORS = {}  # (q, d, sign): the vectors new at d, a tuple no caller changes
 
 
-def new_invariant_vectors(q, d):
-    """The rotation-invariant vectors of (q, d) that no lower degree holds.
+def new_invariant_vectors(q, d, sign=1):
+    """The rotation-invariant vectors of (q, d) that no lower degree holds,
+    or with sign=-1 those the hyperbolic field y dx + x dy kills.
 
     The kernel of the rotation Lie derivative on (q, d) is free over
     Q[x^2 + y^2, z] on 1; E = x dx + y dy, R = `rotation_field`, dz;
     dx^dy, E^dz, R^dz; dx^dy^dz, and none of these generators g holds z.
+    That of the hyperbolic field, whose eigenvectors are x + y and x - y,
+    is the same family with x^2 - y^2 for x^2 + y^2 and R = y dx + x dy:
+    (x^2 + sign y^2)^a has coefficient comb(a, t) sign^(a - t) at x^(2t)
+    y^(2(a - t)).
     z times a vector of degree d - 1 sits at the same positions of
     GradedBasis(q, d) (`GradedBasis.position`: raising the z exponent k
-    and d together keeps s = d - k), so (x^2 + y^2)^a z^b g of degree d is
-    the vector (x^2 + y^2)^a g of degree d - b.  The vectors new at degree
+    and d together keeps s = d - k), so (x^2 +- y^2)^a z^b g of degree d is
+    the vector (x^2 +- y^2)^a g of degree d - b.  The vectors new at degree
     d are those with b = 0: one for each generator with d - deg g even, at
     a = (d - deg g) / 2, all at s = d, the positions |C_(d-1)|..|C_d| - 1
     after every older vector.  Each is +-1 at its top coordinate (listed
     first), where no other is nonzero, and they are sorted by it.  The
-    generators' coefficients are +-1 and comb(a, 0) is 1, so each vector is
+    generators' coefficients are +-1 and comb(a, a) is 1, so each vector is
     already primitive; only its sign is fixed, to make it positive at its
-    lowest coordinate.
+    lowest coordinate.  Each (q, d, sign) is built once, and the same tuple
+    is returned every time after.
     """
+    key = q, d, sign
+    if (found := _NEW_INVARIANT_VECTORS.get(key)) is not None:
+        return found
     GradedBasis(q, d)
     ncomp = NCOMP[q]
     vectors = []
-    for terms in _INVARIANT_GENERATORS[q]:
+    for terms in _INVARIANT_GENERATORS[sign][q]:
         a, odd = divmod(d - sum(terms[0][1]), 2)
         if a < 0 or odd:
             continue
         entries = []
         for idx, (i, _, _), c in terms:
-            entries += [((d * (d + 1) // 2 + i + 2 * t) * ncomp + idx, c * comb(a, t))
-                        for t in range(a + 1)]
+            entries += [((d * (d + 1) // 2 + i + 2 * t) * ncomp + idx,
+                         c * comb(a, t) * sign ** (a - t)) for t in range(a + 1)]
         entries.sort()
-        sign = -1 if entries[0][1] < 0 else 1
+        positive = -1 if entries[0][1] < 0 else 1
         top = entries.pop()
-        vectors.append((top[0], {j: sign * c for j, c in [top] + entries}))
-    return [vec for _, vec in sorted(vectors)]
+        vectors.append((top[0], {j: positive * c for j, c in [top] + entries}))
+    found = _NEW_INVARIANT_VECTORS[key] = tuple(vec for _, vec in sorted(vectors))
+    return found
 
 
 def invariant_basis(q, d):
@@ -459,4 +472,5 @@ def invariant_basis(q, d):
     coordinate, +-1 and listed first, where no other is nonzero: the
     reduced kernel basis an elimination would give.
     """
-    return GradedBasis(q, d), [vec for e in range(d + 1) for vec in new_invariant_vectors(q, e)]
+    return GradedBasis(q, d), [dict(vec) for e in range(d + 1)
+                               for vec in new_invariant_vectors(q, e)]

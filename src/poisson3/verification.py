@@ -14,7 +14,7 @@ import json
 from math import comb
 
 from . import linalg
-from .cohomology import cohomology_table, coboundary_witness
+from .cohomology import class_table, coboundary_witness
 from .complexes import GradedBasis, differential_matrix, poisson_differential
 from .expressions import parse_multivector
 from .multivector import MultiVector, Polynomial, modular_vector_field, schouten_bracket
@@ -316,7 +316,9 @@ def verify(fixture_id, dmax):
 
     Checks every dimension cell up to dmax, then the generator families
     (closed, independent modulo exact terms, and spanning the same classes
-    the engine computed), then any recorded exactness witnesses.
+    the engine computed), then any recorded exactness witnesses.  The
+    engine's side is `class_table`: the full complex's numbers, and a basis
+    of each H that need not be the canonical one.
     """
     exp = expected_table(fixture_id)
     if not exp.dmax_min <= dmax <= exp.dmax_table:
@@ -324,7 +326,7 @@ def verify(fixture_id, dmax):
             "dmax for %s must lie in [%d, %d], got %d"
             % (fixture_id, exp.dmax_min, exp.dmax_table, dmax))
     pi = linear_poisson(exp.make_algebra())
-    table = cohomology_table(pi, dmax)
+    table = class_table(pi, dmax)
     mismatches = []
     cells = 0
     for q in range(4):

@@ -41,7 +41,7 @@ from poisson3 import cohomology as cohomology_module
 from poisson3 import complexes as complexes_module
 from poisson3 import linalg
 from poisson3 import multivector as multivector_module
-from poisson3.cohomology import CohomologyCell, resonance_range
+from poisson3.cohomology import CohomologyCell, class_table, resonance_range
 from poisson3.multivector import component_wedge
 
 BOOK1 = Algebra("book", Fraction(1))
@@ -1104,7 +1104,7 @@ def test_weight_zero_tables_are_the_full_complexs_cells(seed):
     for algebra in [Algebra("aff_x_r"), Algebra("semi_open_book")] + [
             Algebra("book", tau) for tau in taus]:
         pi = linear_poisson(algebra)
-        assert cohomology_module._weights(pi) is not None
+        assert cohomology_module._family(pi, False) is not None
         table = cohomology_table(pi, dmax)
         for d in range(dmax + 1):
             full = cohomology_module._degree_cells(d, *cohomology_module._differentials(pi, d))
@@ -1114,15 +1114,19 @@ def test_weight_zero_tables_are_the_full_complexs_cells(seed):
                 assert _ordered_fields(cohomology_cell(pi, q, d)) == fields
 
 
+def _weights(pi):
+    """(k, D) of the first coordinate field of pi with weights, or None."""
+    return cohomology_module._weights(cohomology_module._fields(pi))
+
+
 def test_only_the_coordinate_kinds_have_weights():
     # [pi, x_k] acts on monomials by weights only for book and
     # semi_open_book (x_k = z) and aff_x_r (y); the rotations, sl2, spiral's
     # rotation part and a generic basis of book find none, and their tables,
     # read off the full complex, keep their oracle grids
-    assert cohomology_module._weights(linear_poisson(Algebra("book", Fraction(-2, 3)))) == (
-        2, [3, -2, 0])
-    assert cohomology_module._weights(linear_poisson("semi_open_book")) == (2, [1, 1, 0])
-    assert cohomology_module._weights(linear_poisson("aff_x_r")) == (1, [1, 0, 0])
+    assert _weights(linear_poisson(Algebra("book", Fraction(-2, 3)))) == (2, [3, -2, 0])
+    assert _weights(linear_poisson("semi_open_book")) == (2, [1, 1, 0])
+    assert _weights(linear_poisson("aff_x_r")) == (1, [1, 0, 0])
     book = Algebra("book", Fraction(-2, 3))
     generic = conjugated_constants(structure_constants(book), random.Random(420))
     sources = [(Algebra(kind), linear_poisson(kind))
@@ -1131,7 +1135,7 @@ def test_only_the_coordinate_kinds_have_weights():
         for tau in (Fraction(1), Fraction(5, 2))] + [(book, linear_poisson(generic))]
     dmax = 8
     for algebra, pi in sources:
-        assert cohomology_module._weights(pi) is None, algebra
+        assert _weights(pi) is None, algebra
         table = cohomology_table(pi, dmax)
         grid = oracle_dimension_grid(algebra, dmax)
         assert {key: cell.dim_h for key, cell in table.cells.items()} == {
@@ -1141,7 +1145,7 @@ def test_only_the_coordinate_kinds_have_weights():
 def test_wrong_weights_raise_at_the_first_column_off_weight_0(monkeypatch):
     # aff_x_r's weights are (1, 0, 0); under (0, 1, 0) the weight-0 cochains
     # are no subcomplex, and d_1 of degree 0 already leaves them
-    monkeypatch.setattr(cohomology_module, "_weights", lambda pi: (2, [0, 1, 0]))
+    monkeypatch.setattr(cohomology_module, "_weights", lambda fields: (2, [0, 1, 0]))
     with pytest.raises(ValueError, match="d_1 leaves the subcomplex at degree 0"):
         cohomology_table(linear_poisson("aff_x_r"), 8)
 
@@ -1157,7 +1161,7 @@ def _restricted_kinds():
 def _weight_zero_basis(pi, q, d):
     """The unit vectors of (q, d) at the basis cochains of weight 0, read off
     each element."""
-    weights = cohomology_module._weights(pi)[1]
+    weights = _weights(pi)[1]
     basis = GradedBasis(q, d)
     return [{j: 1} for j in range(len(basis))
             if sum(w * m for w, m in zip(weights, basis.element(j)[1]))
@@ -1176,7 +1180,7 @@ def test_restriction_to_invariant_bases_solves_each_image():
         for sign in (1, -1)]
     restrictions = [(pi, cohomology_module.new_invariant_vectors, 24,
                      lambda pi, q, d: invariant_basis(q, d)[1]) for pi in _restricted_kinds()] + [
-        (pi, cohomology_module._weight_zero(pi), 16, _weight_zero_basis) for pi in weighted]
+        (pi, cohomology_module._family(pi, False), 16, _weight_zero_basis) for pi in weighted]
     for pi, new_vectors, dmax, basis in restrictions:
         for d, (cells, vectors) in enumerate(
                 cohomology_module._restricted_differentials(pi, dmax, new_vectors)):
@@ -1201,8 +1205,8 @@ def test_weights_with_d_z_not_0_read_the_full_complex():
     pi = linear_poisson(StructureConstants({
         (a, b, c): book.get(swap[a], swap[b], swap[c])
         for a in range(3) for b in range(a + 1, 3) for c in range(3)}))
-    assert cohomology_module._weights(pi) == (0, [0, -2, 3])
-    assert cohomology_module._weight_zero(pi) is None
+    assert _weights(pi) == (0, [0, -2, 3])
+    assert cohomology_module._family(pi, True) is None
     dmax = 12
     table = cohomology_table(pi, dmax)
     for d in range(dmax + 1):
@@ -1210,6 +1214,79 @@ def test_weights_with_d_z_not_0_read_the_full_complex():
         for q, cell in enumerate(full):
             assert _ordered_fields(table.cell(q, d)) == _ordered_fields(cell), (q, d)
             assert _ordered_fields(cohomology_cell(pi, q, d)) == _ordered_fields(cell)
+
+
+def _family_kinds(rng):
+    """Every kind `class_table` restricts: euclidean, so3, sl2, spiral at tau
+    = 1 and a seeded tau, semi_open_book, aff_x_r and book at a seeded tau
+    of each sign."""
+    return [Algebra(kind) for kind in ("euclidean", "so3", "sl2", "semi_open_book", "aff_x_r")] + [
+        Algebra("spiral", tau) for tau in (Fraction(1), Fraction(rng.randint(1, 15),
+                                                                  rng.randint(1, 9)))] + [
+        Algebra("book", sign * Fraction(rng.randint(1, 9), rng.randint(10, 17)))
+        for sign in (1, -1)]
+
+
+def test_the_table_verify_reads_has_the_full_complexs_numbers_and_closed_classes():
+    # each kind with a family reduces only the subcomplex that carries H, and
+    # counts the ranks off it: every cell's numbers are the full table's, and
+    # each representative is closed, by the Schouten bracket
+    dmax = 32
+    for algebra in _family_kinds(random.Random(36)):
+        pi = linear_poisson(algebra)
+        assert cohomology_module._family(pi, True) is not None, algebra
+        full, table = cohomology_table(pi, dmax), class_table(pi, dmax)
+        assert table.cells.keys() == full.cells.keys()
+        for key, cell in table.cells.items():
+            want = full.cell(*key)
+            assert (cell.dim_cochains, cell.rank_in, cell.rank_out) == (
+                want.dim_cochains, want.rank_in, want.rank_out), (algebra, key)
+            for value in cell_multivectors(cell):
+                assert poisson_differential(pi, value).is_zero(), (algebra, key)
+
+
+def test_the_choice_function_finds_a_block_only_where_its_family_is_a_subcomplex():
+    # the builder's check is a real one: the rotation family is no subcomplex
+    # of sl2, nor the hyperbolic one of spiral or euclidean, and each raises
+    # at the first image that leaves it
+    for algebra, sign in [(Algebra("spiral", Fraction(5, 2)), -1), (Algebra("euclidean"), -1),
+                          (Algebra("sl2"), 1)]:
+        with pytest.raises(ValueError, match="d_[0-2] leaves the subcomplex"):
+            list(cohomology_module._restricted_differentials(
+                linear_poisson(algebra), 6,
+                lambda q, d: complexes_module.new_invariant_vectors(q, d, sign)))
+    # z is central for heisenberg and abelian.  so3 in the basis (2 e1, e2,
+    # e3) or in the seeded bases below has an X_z that fixes z and is
+    # elliptic on (x, y), or that moves z, but is no rotation of (x, y), so
+    # its invariants are no family's.  A permuted so3 is +-so3, whose X_z is
+    # the rotation again
+    so3 = structure_constants("so3")
+    scale = (2, 1, 1)  # [f_a, f_b] = s_a s_b c^k_ab / s_k f_k
+    rescaled = StructureConstants({(a, b, c): so3.get(a, b, c) * scale[a] * scale[b] / scale[c]
+                                   for a in range(3) for b in range(a + 1, 3) for c in range(3)})
+    sources = ["heisenberg", "abelian", rescaled] + [
+        conjugated_constants(so3, random.Random(seed)) for seed in (437, 438)]
+    for source in sources:
+        assert cohomology_module._family(linear_poisson(source), True) is None, source
+    swap = (2, 1, 0)
+    permuted = linear_poisson(StructureConstants({
+        (a, b, c): so3.get(swap[a], swap[b], swap[c])
+        for a in range(3) for b in range(a + 1, 3) for c in range(3)}))
+    assert permuted == -linear_poisson("so3")
+    assert cohomology_module._family(permuted, True)(1, 3) == (
+        complexes_module.new_invariant_vectors(1, 3))
+
+
+def test_twins_agree_in_every_cell():
+    # the complexifications of euclidean and book -1, and of so3 and sl2, are
+    # isomorphic, and ranks do not change under a field extension; each of
+    # the four reduces a different subcomplex
+    dmax = 28
+    for first, second in [(Algebra("euclidean"), Algebra("book", Fraction(-1))),
+                          (Algebra("so3"), Algebra("sl2"))]:
+        tables = [class_table(linear_poisson(algebra), dmax) for algebra in (first, second)]
+        assert {key: (cell.dim_h, cell.rank_out) for key, cell in tables[0].cells.items()} == {
+            key: (cell.dim_h, cell.rank_out) for key, cell in tables[1].cells.items()}, first
 
 
 def test_a_row_mapped_back_is_only_negated_to_be_positive_at_its_lowest_index():

@@ -649,7 +649,7 @@ def test_z_keeps_the_positions_of_a_vector_one_degree_up():
                     assert upper.position(idx, (i, j, k + 1)) == lower.position(idx, (i, j, k))
             new = new_invariant_vectors(q, d)
             assert all(len(lower) <= j < len(upper) for vec in new for j in vec)
-            assert invariant_basis(q, d)[1] == invariant_basis(q, d - 1)[1] + new
+            assert invariant_basis(q, d)[1] == invariant_basis(q, d - 1)[1] + list(new)
 
 
 @pytest.mark.parametrize("q, d", [(-1, 2), (4, 2), (0, -1)])

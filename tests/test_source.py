@@ -281,21 +281,30 @@ def test_each_layout_and_the_mod_p_pass_have_their_named_callers():
 def test_only_the_invariant_basis_and_table_enumerate_new_invariant_vectors():
     # one closed form gives the vectors new at a degree: `invariant_basis`
     # joins them over the degrees up to d, and the invariant table and cell
-    # hand it to the restriction builder (`_complex`)
+    # hand it to the restriction builder (`_complex`); so does the one choice
+    # function, `_family`, with its block's sign, and only it reads the
+    # fields' matrices and picks a full complex's subcomplex
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-    assert _callers(trees, "new_invariant_vectors") == [("complexes.py", "invariant_basis")]
+    assert _callers(trees, "new_invariant_vectors") == [("cohomology.py", "_family"),
+                                                        ("complexes.py", "invariant_basis")]
     assert _callers(trees, "_restricted_differentials") == [("cohomology.py", "_complex")]
+    for name in ("_fields", "_weights", "_weight_zero"):
+        assert _callers(trees, name) == [("cohomology.py", "_family")], name
+    assert _callers(trees, "_family") == [("cohomology.py", "_complex")]
 
 
 def test_one_builder_restricts_to_every_subcomplex():
     # one restriction path: a table and a single cell of the invariant
-    # subcomplex or of a weighted bivector's full complex both run
-    # `_restricted_differentials` over the degrees up to theirs, through
-    # `_complex`, and only it wraps restricted columns in a cell; no engine
-    # code enumerates a whole invariant basis
+    # subcomplex or of a weighted bivector's full complex, and the table
+    # `verify` reads, all run `_restricted_differentials` over the degrees
+    # up to theirs, through `_complex`, and only it wraps restricted columns
+    # in a cell; no engine code enumerates a whole invariant basis
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     assert _callers(trees, "_complex") == [
-        ("cohomology.py", "_single_cell"), ("cohomology.py", "cohomology_table")]
+        ("cohomology.py", "_single_cell"), ("cohomology.py", "_table")]
+    assert _callers(trees, "_table") == [
+        ("cohomology.py", "class_table"), ("cohomology.py", "cohomology_table")]
+    assert _callers(trees, "class_table") == [("verification.py", "verify")]
     assert _callers(trees, "invariant_basis") == []
     assert {scope for module, scope in _callers(trees, "OperatorCell")
             if module == "cohomology.py"} == {"_restricted_differentials"}

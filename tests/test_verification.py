@@ -11,6 +11,7 @@ from importlib import resources
 import pytest
 
 from poisson3 import verification
+from poisson3.cohomology import class_table
 from poisson3.complexes import GradedBasis
 from poisson3.linalg import integer_normalize
 from poisson3 import (
@@ -256,16 +257,39 @@ def test_verify_reports_span_of_corrupted_representative(monkeypatch):
     # a representative that is not even closed cannot lie in the span of the
     # generators and the exact terms
     def corrupted_table(pi, dmax):
-        table = cohomology_table(pi, dmax)
+        table = class_table(pi, dmax)
         cell = table.cell(1, 1)
         cell.kernel_rows = [integer_normalize(GradedBasis(1, 1).decompose(mv("x*dz")))] + \
             cell.kernel_rows[1:]
         return table
 
-    monkeypatch.setattr(verification, "cohomology_table", corrupted_table)
+    monkeypatch.setattr(verification, "class_table", corrupted_table)
     report = verify("heisenberg", 4)
     assert report.mismatches == (
         "generator span at (q=1, d=1) differs from computed classes",)
+
+
+def test_verify_reports_span_of_corrupted_restricted_representative(monkeypatch):
+    # euclidean's table for verify reduces only the rotation-invariant
+    # subcomplex: its second class at (2, 1) is a restricted row mapped back,
+    # not the full complex's canonical one, and replaced by a cochain that is
+    # not closed it no longer lies in the span of the generators
+    pi = linear_poisson("euclidean")
+    assert class_table(pi, 4).cell(2, 1).kernel_rows[1] not in \
+        cohomology_table(pi, 4).cell(2, 1).kernel_rows
+    assert verify("euclidean", 4).passed
+
+    def corrupted_table(pi, dmax):
+        table = class_table(pi, dmax)
+        cell = table.cell(2, 1)
+        cell.kernel_rows = cell.kernel_rows[:1] + [
+            integer_normalize(GradedBasis(2, 1).decompose(mv("x*dx^dy")))]
+        return table
+
+    monkeypatch.setattr(verification, "class_table", corrupted_table)
+    report = verify("euclidean", 4)
+    assert report.mismatches == (
+        "generator span at (q=2, d=1) differs from computed classes",)
 
 
 # ---------------------------------------------------------------- deformation

@@ -267,7 +267,8 @@ def _weight_zero(weights):
             for q in range(4)]
 
     def new_vectors(q, d):
-        return [{(d * (d + 1) // 2 + mx) * NCOMP[q] + idx: 1} for mx in range(d + 1)
+        basis = GradedBasis(q, d)
+        return [{basis.position(idx, (mx, d - mx, 0)): 1} for mx in range(d + 1)
                 for idx, c in enumerate(sums[q]) if weights[0] * mx + weights[1] * (d - mx) == c]
     return new_vectors
 
@@ -318,7 +319,11 @@ def _complex(pi, dmax, invariant, blocks=False):
     and otherwise the full complex's, restricted to the subcomplex that
     carries H where `_family` finds one.  A restriction runs as the degrees
     are yielded, and the full complex's differentials are made only when
-    their degree is reduced."""
+    their degree is reduced.  pi is checked first, when the first degree is
+    asked for: rotation invariant with invariant=True, then Poisson."""
+    if invariant:
+        _check_rotation_invariant(pi)
+    _check_poisson(pi)
     new_vectors = new_invariant_vectors if invariant else _family(pi, blocks)
     if new_vectors is None:
         for d in range(dmax + 1):
@@ -434,10 +439,7 @@ def _single_cell(pi, q, d, invariant):
     """Cell (q, d) of a complex (`_complex`): a restriction runs over the
     degrees up to d, and only degree d is reduced, all of it."""
     GradedBasis(q, d)
-    if invariant:
-        _check_rotation_invariant(pi)
     with holding_stencils(pi):
-        _check_poisson(pi)
         for cells in _complex(pi, d, invariant):
             pass
         return cells()[q]
@@ -530,10 +532,7 @@ def _table(pi, dmax, invariant, blocks=False):
     """Every cell of the complex `_complex` builds, as a `CohomologyTable`."""
     if dmax < 0:
         raise ValueError("dmax must be nonnegative, got %r" % (dmax,))
-    if invariant:
-        _check_rotation_invariant(pi)
     with holding_stencils(pi):
-        _check_poisson(pi)
         cells = {(cell.q, cell.d): cell for cells in _complex(pi, dmax, invariant, blocks)
                  for cell in cells()}
     return CohomologyTable(dmax, cells)

@@ -441,16 +441,15 @@ def new_invariant_vectors(q, d, sign=1):
     key = q, d, sign
     if (found := _NEW_INVARIANT_VECTORS.get(key)) is not None:
         return found
-    GradedBasis(q, d)
-    ncomp = NCOMP[q]
+    basis = GradedBasis(q, d)
     vectors = []
     for terms in _INVARIANT_GENERATORS[sign][q]:
         a, odd = divmod(d - sum(terms[0][1]), 2)
         if a < 0 or odd:
             continue
         entries = []
-        for idx, (i, _, _), c in terms:
-            entries += [((d * (d + 1) // 2 + i + 2 * t) * ncomp + idx,
+        for idx, (i, j, k), c in terms:
+            entries += [(basis.position(idx, (i + 2 * t, j + 2 * (a - t), k)),
                          c * comb(a, t) * sign ** (a - t)) for t in range(a + 1)]
         entries.sort()
         positive = -1 if entries[0][1] < 0 else 1

@@ -11,7 +11,10 @@ must (`rref`).  A map goes in as rows, column j placed at n-1-j
 (`lay_out`), and `kernel_and_image_of_rows` gets its rank, its reduced
 kernel and the pivots of its image's echelon from one such elimination,
 reading off only the kernel vectors its caller asks for; solves are read
-off that same routine.  Only `solve_combination` returns Fractions.
+off that same routine.  Span and membership questions read the rows that
+land in one `rref` (its `landed` list): a row lands exactly when it is
+independent of the rows before it, so no exact reduction runs outside
+`rref`.  Only `solve_combination` returns Fractions.
 
 `independent_columns_mod_p` runs the same elimination in word-size
 arithmetic modulo `PRIME`, a constant rather than an option, on a cell of
@@ -132,19 +135,6 @@ def rref(rows, landed=None):
         echelon.append(row)
     echelon.reverse()
     return pivots, echelon
-
-
-def reduce_against(table, vec):
-    """Primitive multiple of vec with the pivots of `table` eliminated, {} on the span.
-
-    `table` is {pivot: row} from `rref`; each row is zero at the other
-    pivots, so only the pivots vec holds are visited.  vec is copied before
-    `_eliminate` writes it, and the table is only read.
-    """
-    row = {i: c for i, c in vec.items() if c}
-    for pivot in [i for i in row if i in table]:
-        row = _eliminate(row, table[pivot], pivot)
-    return _primitive(row)
 
 
 def lay_out(columns, free=()):

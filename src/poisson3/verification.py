@@ -296,16 +296,21 @@ def _check_generators(pi, table, q, d, exprs, mismatches):
             % (q, d, len(coords), cell.dim_h))
         return
     image = list(differential_matrix(pi, q - 1, d).columns) if q > 0 else []
-    echelon = dict(zip(*linalg.rref(image + coords)))
-    if len(echelon) != cell.rank_in + len(coords):
+    # a row lands exactly when it is independent of the rows before it, so
+    # the rows that land before the representatives count the rank of the
+    # exact terms and the generators
+    landed = []
+    linalg.rref(image + coords + cell.kernel_rows, landed)
+    spanned = len(image) + len(coords)
+    if sum(k < spanned for k in landed) != cell.rank_in + len(coords):
         mismatches.append(
             "generators at (q=%d, d=%d) are dependent modulo exact terms"
             % (q, d))
         return
     # as many independent generators as classes: the spans agree exactly
-    # when every representative lies in the span of the generators and the
-    # exact terms
-    if any(linalg.reduce_against(echelon, row) for row in cell.kernel_rows):
+    # when no representative lands, as one that lands lies outside the span
+    # of the generators and the exact terms
+    if landed and landed[-1] >= spanned:
         mismatches.append(
             "generator span at (q=%d, d=%d) differs from computed classes"
             % (q, d))

@@ -762,8 +762,9 @@ FULL_AND_INVARIANT_TABLES = pytest.mark.parametrize("algebra, invariant", [
 def test_representatives_need_no_reduction_against_the_incoming_image(algebra, invariant):
     # the image of d_{q-1} lies in the kernel of d_q, so its echelon's pivots
     # are free columns of d_q; a kernel row led at another free column is
-    # nonzero only there and at d_q's pivot columns, so reducing it against
-    # the image, the step the engine leaves out, changes nothing
+    # nonzero only there and at d_q's pivot columns, so it holds no pivot of
+    # the image's echelon, and reducing it against the image, the step the
+    # engine leaves out, changes nothing
     pi = linear_poisson(algebra)
     table = cohomology_table(pi, 8, invariant)
     checked = 0
@@ -774,15 +775,12 @@ def test_representatives_need_no_reduction_against_the_incoming_image(algebra, i
             columns = [[_invariant_coordinates(vectors[q + 1], linalg.matvec(cols, vec))
                         for vec in vectors[q]] for q, cols in enumerate(columns)]
         for q in range(1, 4):
-            pivots, echelon = linalg.rref(columns[q - 1])
-            assert set(pivots) <= _free_columns(columns[q])
-            image = dict(zip(pivots, echelon))
+            pivots = set(linalg.rref(columns[q - 1])[0])
+            assert pivots <= _free_columns(columns[q])
             for rep in table.cell(q, d).representatives:
                 if invariant:
                     rep = _invariant_coordinates(vectors[q], rep)
-                rep = linalg.integer_normalize(rep)
-                reduced = linalg.reduce_against(image, rep)
-                assert linalg.integer_normalize(reduced) == rep
+                assert not pivots & set(rep)
                 checked += 1
     assert checked
 

@@ -16,7 +16,6 @@ from poisson3.linalg import (
     integer_normalize,
     kernel_and_image,
     matvec,
-    reduce_against,
     rref,
     solve_combination,
 )
@@ -298,21 +297,6 @@ def test_rref_reports_the_rows_that_raise_the_prefix_rank():
     edge_rng = random.Random(197)
     for rows in EDGE_ROWS + [_edge_rows(edge_rng) for _ in range(150)]:
         _assert_landed_rows_raise_the_prefix_rank(rows, lambda rows: len(reference_rref(rows)[0]))
-
-
-def test_reduce_against_writes_neither_its_vector_nor_its_table():
-    # single-entry pivot rows are eliminated by deleting in place, so any
-    # row that is written must be one `reduce_against` copied
-    rng = random.Random(173)
-    for _ in range(80):
-        pivots, echelon = rref(_sparse_rows(rng, rng.randint(1, 6), 7))
-        table = dict(zip(pivots, echelon))
-        table_snapshot = copy.deepcopy(table)
-        for vec in _sparse_rows(rng, 4, 7):
-            vec_snapshot = dict(vec)
-            reduced = reduce_against(table, vec)
-            assert vec == vec_snapshot and table == table_snapshot
-            assert not set(reduced) & set(table)
 
 
 def test_kernel_and_image_agrees_with_separate_reductions():
@@ -624,31 +608,3 @@ def test_compose_matches_manual_product():
     inner = [{0: Fraction(1)}, {1: Fraction(2)}]
     prod = compose(outer, inner)
     assert prod == [{1: Fraction(1)}, {0: Fraction(2)}]
-
-
-def test_reduce_against_reports_membership():
-    rows = integer_rows([{0: Fraction(1)}, {1: Fraction(1)}])
-    table = dict(zip(*rref(rows)))
-    inside = reduce_against(table, {0: 3, 1: -2})
-    assert inside == {}
-    outside = reduce_against({0: table[0]}, {1: 1})
-    assert outside == {1: Fraction(1)}
-    # a primitive multiple of what is left
-    assert reduce_against({0: table[0]}, {0: 2, 1: 4}) == {1: 1}
-
-
-def test_reduce_against_visits_only_the_pivots_the_vector_holds():
-    # the same vector as eliminating at every pivot in increasing order
-    def every_pivot(pivots, echelon, vec):
-        row = {i: c for i, c in vec.items() if c}
-        for pivot, pivot_row in zip(pivots, echelon):
-            if pivot in row:
-                row = linalg._eliminate(row, pivot_row, pivot)
-        return linalg._primitive(row)
-
-    rng = random.Random(151)
-    for _ in range(80):
-        pivots, echelon = rref(integer_rows(_random_rows(rng, rng.randint(0, 6), 8)))
-        table = dict(zip(pivots, echelon))
-        for vec in integer_rows(_random_rows(rng, 3, 8)):
-            assert reduce_against(table, vec) == every_pivot(pivots, echelon, vec)

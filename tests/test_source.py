@@ -278,6 +278,21 @@ def test_each_layout_and_the_mod_p_pass_have_their_named_callers():
                                          ("complexes.py", "OperatorCell.columns_at")]
 
 
+def test_one_reduction_loop_and_one_writer_of_basis_positions():
+    # `rref` is the one exact reduction: span and membership questions read
+    # the rows that land in it, and no other function eliminates against a
+    # pivot row.  A basis position is written by `GradedBasis.position`;
+    # beside the stencil walks of `complexes`, which inline its formula, its
+    # callers are the decomposition and the closed forms that place a
+    # field's or a family's entries
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert _callers(trees, "_eliminate") == [("linalg.py", "rref"), ("linalg.py", "rref")]
+    assert _callers(trees, "position") == [
+        ("cohomology.py", "_fields"), ("cohomology.py", "_fields"),
+        ("cohomology.py", "_weight_zero"), ("complexes.py", "GradedBasis.decompose"),
+        ("complexes.py", "new_invariant_vectors")]
+
+
 def test_only_the_invariant_basis_and_table_enumerate_new_invariant_vectors():
     # one closed form gives the vectors new at a degree: `invariant_basis`
     # joins them over the degrees up to d, and the invariant table and cell

@@ -253,6 +253,24 @@ def test_verify_reports_bad_generators(monkeypatch, exprs, mismatch):
     assert "  MISMATCH " + mismatch in report.lines()
 
 
+def test_verify_reports_generators_dependent_against_a_larger_incoming_rank(monkeypatch):
+    # one more exact cochain than the generators and the image span: rank_in
+    # is raised by 1 and dim_cochains with it, so dim H and the generator
+    # count still agree, and only the rank of the image and the generators
+    # falls short
+    def corrupted_table(pi, dmax):
+        table = class_table(pi, dmax)
+        cell = table.cell(1, 1)
+        cell.rank_in += 1
+        cell.dim_cochains += 1
+        return table
+
+    monkeypatch.setattr(verification, "class_table", corrupted_table)
+    report = verify("heisenberg", 4)
+    assert report.mismatches == (
+        "generators at (q=1, d=1) are dependent modulo exact terms",)
+
+
 def test_verify_reports_span_of_corrupted_representative(monkeypatch):
     # a representative that is not even closed cannot lie in the span of the
     # generators and the exact terms

@@ -980,6 +980,37 @@ def test_table_rejects_negative_dmax(invariant):
         cohomology_table(linear_poisson("aff_x_r"), -1, invariant=invariant)
 
 
+def test_pi_is_checked_after_q_and_dmax_and_before_any_degree_is_built(monkeypatch):
+    # pi is validated in one place, as `_complex` starts: a bad q or dmax is
+    # reported first, then a bivector that is not rotation invariant (with
+    # invariant=True), then one that is not Poisson, before a family is
+    # chosen or a differential made
+    pi = mv("x*dy^dz + y*dx^dy")
+    assert not schouten_bracket(pi, pi).is_zero()
+    assert not schouten_bracket(rotation_field(), pi).is_zero()
+
+    def built(*args):
+        raise AssertionError("a degree was built before pi was checked")
+
+    for name in ("_family", "_differentials", "_restricted_differentials"):
+        monkeypatch.setattr(cohomology_module, name, built)
+    for call in (lambda: cohomology_cell(pi, 4, 1), lambda: invariant_cohomology(pi, -1, 1)):
+        with pytest.raises(ValueError, match="cochain degree"):
+            call()
+    for call in (lambda: cohomology_table(pi, -1), lambda: class_table(pi, -1),
+                 lambda: cohomology_table(pi, -1, invariant=True)):
+        with pytest.raises(ValueError, match="dmax must be nonnegative, got -1"):
+            call()
+    for call in (lambda: invariant_cohomology(pi, 1, 1),
+                 lambda: cohomology_table(pi, 2, invariant=True)):
+        with pytest.raises(ValueError, match="bivector is not rotation invariant"):
+            call()
+    for call in (lambda: cohomology_cell(pi, 1, 1), lambda: cohomology_table(pi, 2),
+                 lambda: class_table(pi, 2)):
+        with pytest.raises(ValueError, match=r"bivector is not Poisson: \[pi, pi\] is not 0"):
+            call()
+
+
 def test_a_bivector_that_is_not_poisson_is_rejected():
     # d o d = 0 needs [pi, pi] = 0; such a bivector used to come back as a
     # table, or to fail inside a cell with a RuntimeError

@@ -299,6 +299,30 @@ def test_rref_reports_the_rows_that_raise_the_prefix_rank():
         _assert_landed_rows_raise_the_prefix_rank(rows, lambda rows: len(reference_rref(rows)[0]))
 
 
+def test_a_row_after_a_table_lands_exactly_when_it_lies_outside_its_span():
+    # span and membership questions read the rows that land in one `rref`:
+    # put after a table's rows, a vector lands exactly when no combination of
+    # those rows gives it, and then it is the last row to land
+    rng = random.Random(199)
+    lands = {False: 0, True: 0}
+    for _ in range(120):
+        table = integer_rows(_random_rows(rng, rng.randint(0, 6), 7))
+        inside = {}
+        for row in table:
+            scale = rng.randint(-3, 3)
+            for i, c in row.items():
+                inside[i] = inside.get(i, 0) + scale * c
+        inside = {i: c for i, c in inside.items() if c}
+        outside = integer_rows(_random_rows(rng, 1, 7))[0]
+        for vec in (inside, outside):
+            landed = []
+            rref(table + [vec], landed)
+            outside_span = solve_combination(table, vec) is None
+            assert (landed[-1:] == [len(table)]) == outside_span
+            lands[outside_span] += 1
+    assert lands[False] > 100 and lands[True] > 20
+
+
 def test_kernel_and_image_agrees_with_separate_reductions():
     rng = random.Random(127)
     for _ in range(80):

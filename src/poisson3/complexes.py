@@ -23,9 +23,10 @@ and builds one only where its lead collides, an exact reduction gets its
 rows straight from the stencil, and a subcomplex's restriction and a
 certified cell build only the columns they name (`columns_at`), in a walk
 from the lowest to the highest.  A table holds its bivector's stencils
-while it is built (`holding_stencils`), so each q's is read once.  The
-tests hold the independent route the stencil is checked against, a
-Schouten bracket per column.
+while it is built (`holding_stencils`), so each q's is derived once; the
+hold is the one stencil cache, and a nested hold of one object shares the
+outermost's.  The tests hold the independent route the stencil is checked
+against, a Schouten bracket per column.
 """
 
 from contextlib import contextmanager
@@ -289,8 +290,8 @@ def linear_operator_matrix(operator, q, d):
     """Matrix of V -> [operator, V] on the (q, d) basis, for a linear operator.
 
     Read off `linear_stencil` as the cell is read; within
-    `holding_stencils` of the operator, the stencil read the first time is
-    kept for every later cell.  Raises DegreeError
+    `holding_stencils` of the operator, the stencil derived the first time
+    is kept for every later cell.  Raises DegreeError
     unless the operator's coefficients are all homogeneous linear; the zero
     operator is.
     """
@@ -302,16 +303,17 @@ def linear_operator_matrix(operator, q, d):
     return OperatorCell(source, GradedBasis(out_q, d), None, den, stencil)
 
 
-_HELD = []  # (operator, {q: (stencil, den)}) of each table being built, innermost last
+_HELD = []  # (operator, {q: (stencil, den)}) of each hold, innermost last
 
 
 @contextmanager
 def holding_stencils(operator):
     """Within it, `linear_operator_matrix` reads each stencil of this operator
-    object once, where `linear_stencil` builds its terms key and hashes its
-    Fractions on every call.  A table builds a cell at every (q, d) of one
-    bivector, which nothing changes while it is built; a later table reads
-    the value again.
+    object once, where `linear_stencil` derives and checks it on every call.
+    It is the one stencil cache: a table, or `verify`, builds cells at every
+    (q, d) of one bivector, which nothing changes while it is held; a nested
+    hold of the same object shares the outermost's stencils, and a later
+    hold derives them again from the value.
     """
     _HELD.append((operator, {}))
     try:

@@ -28,7 +28,6 @@ fields with `wedge` or `wedge_component` and read them through
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations
 from math import lcm
 
@@ -526,30 +525,20 @@ def linear_stencil(operator, q):
     operator's coefficient denominators and the forms are ints over it.
     Raises DegreeError unless every coefficient of the operator is
     homogeneous linear.  Every entry is checked by `_check_stencil` to stay
-    in the target basis.
-
-    The stencil depends only on the operator's value and q, whatever the
-    order of its components and terms, so it is derived and checked once
-    for each key of its degree, q and terms and memoised, the last 16 of
-    them (a derivation that raises is not memoised): the result is shared
-    between callers and must not be written.
+    in the target basis.  The stencil depends only on the operator's value
+    and q, whatever the order of its components and terms.
     """
-    return _stencil(operator.degree, q, tuple(
-        (idx, mono, coeff) for idx, poly in operator.components.items()
-        for mono, coeff in poly.terms.items()))
-
-
-@lru_cache(maxsize=16)  # a table needs three: q = 0, 1, 2 of its bivector
-def _stencil(degree, q, operator_terms):
-    """`linear_stencil` of the operator of that degree with the (idx, mono, coeff) terms."""
-    den = lcm(*(coeff.denominator for _, _, coeff in operator_terms))
+    degree = operator.degree
+    den = lcm(*(coeff.denominator for poly in operator.components.values()
+                for coeff in poly.terms.values()))
     terms = []  # (symbol subset, k, int coefficient of x_k xi_subset)
-    for idx, mono, coeff in operator_terms:
+    for idx, poly in operator.components.items():
         subset, sign = _TO_SUBSET[(degree, idx)]
-        if sum(mono) != 1:
-            raise DegreeError(
-                "operator coefficient monomial %r is not linear" % (mono,))
-        terms.append((subset, mono.index(1), sign * coeff.numerator * den // coeff.denominator))
+        for mono, coeff in poly.terms.items():
+            if sum(mono) != 1:
+                raise DegreeError(
+                    "operator coefficient monomial %r is not linear" % (mono,))
+            terms.append((subset, mono.index(1), sign * coeff.numerator * den // coeff.denominator))
     b_sign = 1 if (degree - 1) * (q - 1) % 2 else -1
     forms = {}  # (source idx, target idx, shift) -> [ax, ay, az, b]
 

@@ -15,7 +15,7 @@ from math import comb
 
 from . import linalg
 from .cohomology import class_table, coboundary_witness
-from .complexes import GradedBasis, differential_matrix, poisson_differential
+from .complexes import GradedBasis, differential_matrix, holding_stencils, poisson_differential
 from .expressions import parse_multivector
 from .multivector import MultiVector, Polynomial, modular_vector_field, schouten_bracket
 from .registry import Algebra, linear_poisson
@@ -331,38 +331,39 @@ def verify(fixture_id, dmax):
             "dmax for %s must lie in [%d, %d], got %d"
             % (fixture_id, exp.dmax_min, exp.dmax_table, dmax))
     pi = linear_poisson(exp.make_algebra())
-    table = class_table(pi, dmax)
-    mismatches = []
-    cells = 0
-    for q in range(4):
-        for d in range(dmax + 1):
-            cells += 1
-            want = exp.dim(q, d)
-            got = table.dim_h(q, d)
-            if want != got:
+    with holding_stencils(pi):  # each q's stencil is derived once for every check
+        table = class_table(pi, dmax)
+        mismatches = []
+        cells = 0
+        for q in range(4):
+            for d in range(dmax + 1):
+                cells += 1
+                want = exp.dim(q, d)
+                got = table.dim_h(q, d)
+                if want != got:
+                    mismatches.append(
+                        "dim H^%d in degree %d: expected %d, computed %d"
+                        % (q, d, want, got))
+        gen_cells = 0
+        for q, d, exprs in exp.generators:
+            if d > dmax:
+                continue
+            gen_cells += 1
+            _check_generators(pi, table, q, d, exprs, mismatches)
+        exact = 0
+        for q, d, text in exp.exact_checks:
+            if d > dmax:
+                continue
+            exact += 1
+            target = parse_multivector(text)
+            if target.degree != q:
                 mismatches.append(
-                    "dim H^%d in degree %d: expected %d, computed %d"
-                    % (q, d, want, got))
-    gen_cells = 0
-    for q, d, exprs in exp.generators:
-        if d > dmax:
-            continue
-        gen_cells += 1
-        _check_generators(pi, table, q, d, exprs, mismatches)
-    exact = 0
-    for q, d, text in exp.exact_checks:
-        if d > dmax:
-            continue
-        exact += 1
-        target = parse_multivector(text)
-        if target.degree != q:
-            mismatches.append(
-                "exactness target %r does not have degree %d" % (text, q))
-            continue
-        if coboundary_witness(pi, target) is None:
-            mismatches.append(
-                "no primitive found for %r at (q=%d, d=%d)" % (text, q, d))
-    return Report(fixture_id, dmax, mismatches, cells, gen_cells, exact)
+                    "exactness target %r does not have degree %d" % (text, q))
+                continue
+            if coboundary_witness(pi, target) is None:
+                mismatches.append(
+                    "no primitive found for %r at (q=%d, d=%d)" % (text, q, d))
+        return Report(fixture_id, dmax, mismatches, cells, gen_cells, exact)
 
 
 # ---------------------------------------------------------------------------

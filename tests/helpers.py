@@ -159,9 +159,12 @@ def cell_pass(columns, skip, spare=inf):
     return result
 
 
+ROTATION = rotation_field()  # one object, so a loop over (q, d) can hold its stencils
+
+
 def rotation_matrix(q, d):
     """Matrix of the Lie derivative along the rotation field on (q, d)."""
-    return linear_operator_matrix(rotation_field(), q, d)
+    return linear_operator_matrix(ROTATION, q, d)
 
 
 def operator_matrix(operator, q, d):

@@ -42,6 +42,7 @@ from poisson3 import complexes as complexes_module
 from poisson3 import linalg
 from poisson3 import multivector as multivector_module
 from poisson3.cohomology import CohomologyCell, class_table, resonance_range
+from poisson3.complexes import holding_stencils
 from poisson3.multivector import component_wedge
 
 BOOK1 = Algebra("book", Fraction(1))
@@ -278,26 +279,27 @@ def test_differentials_are_built_only_as_far_as_they_are_read(monkeypatch):
         assert (reads["columns"], reads["rows"]) == expected
 
 
-def test_a_table_derives_each_stencil_once():
-    # d_0, d_1 and d_2 of every degree read three stencils (d_3 is zero);
-    # the memo is keyed by the bivector's terms, so a second object of the
-    # same bivector derives none
-    stencils = multivector_module._stencil
-    stencils.cache_clear()
-    cohomology_table(linear_poisson("sl2"), 8)
-    derived = stencils.cache_info()
-    assert (derived.misses, derived.currsize) == (3, 3)
-    cohomology_table(linear_poisson("sl2"), 8)
-    assert stencils.cache_info().misses == 3
+def test_a_table_derives_each_stencil_once(monkeypatch):
+    # d_0, d_1 and d_2 of every degree read three stencils (d_3 is zero),
+    # each derived and checked once while the table holds its bivector; the
+    # hold ends with the table, so the next table derives them again
+    checked, check = [], multivector_module._check_stencil
+    monkeypatch.setattr(multivector_module, "_check_stencil",
+                        lambda stencil, out_q: checked.append(out_q) or check(stencil, out_q))
+    pi = linear_poisson("sl2")
+    for _ in range(2):
+        checked.clear()
+        cohomology_table(pi, 8)
+        assert sorted(checked) == [1, 2, 3]
 
 
-def test_a_table_builds_each_stencil_key_once(monkeypatch):
-    # `linear_stencil` builds its terms key and hashes its Fractions on every
-    # call; a table, or a single cell, holds its bivector's stencils while it
-    # is built and calls it at most once per q, at q = 0, 1, 2 (d_3 is zero)
-    keys, stencil = [], complexes_module.linear_stencil
+def test_a_table_or_a_cell_calls_linear_stencil_once_per_q(monkeypatch):
+    # `linear_stencil` derives and checks its stencil on every call; a table,
+    # or a single cell, holds its bivector's stencils while it is built and
+    # calls it at most once per q, at q = 0, 1, 2 (d_3 is zero)
+    calls, stencil = [], complexes_module.linear_stencil
     monkeypatch.setattr(complexes_module, "linear_stencil",
-                        lambda operator, q: keys.append(q) or stencil(operator, q))
+                        lambda operator, q: calls.append(q) or stencil(operator, q))
     builds = [
         lambda: cohomology_table(linear_poisson("heisenberg"), 12),
         lambda: cohomology_table(linear_poisson(Algebra("book", Fraction(-2, 3))), 12),
@@ -307,13 +309,14 @@ def test_a_table_builds_each_stencil_key_once(monkeypatch):
         lambda: cohomology_cell(linear_poisson("aff_x_r"), 2, 12),
     ]
     for build in builds:
-        keys.clear()
+        calls.clear()
         build()
-        assert sorted(keys) == [0, 1, 2]
-    pi = linear_poisson("heisenberg")  # outside a table each cell reads its own
-    keys.clear()
-    cells = [complexes_module.differential_matrix(pi, 1, d) for d in range(3)]
-    assert keys == [1, 1, 1] and len({id(cell._stencil) for cell in cells}) == 1
+        assert sorted(calls) == [0, 1, 2]
+    pi = linear_poisson("heisenberg")  # outside a hold each cell derives its own
+    calls.clear()
+    for d in range(3):
+        complexes_module.differential_matrix(pi, 1, d)
+    assert calls == [1, 1, 1]
 
 
 def test_a_bivector_changed_in_place_gets_its_own_table():
@@ -629,21 +632,22 @@ def test_solves_and_witnesses_still_find_every_coboundary(seed):
     for algebra in _seeded_algebras(seed):
         pi = linear_poisson(algebra)
         table = cohomology_table(pi, 5)
-        for d in range(6):
-            for q in range(1, 4):
-                cell = differential_matrix(pi, q - 1, d)
-                vec = {j: rng.randint(-3, 3) for j in rng.sample(range(len(cell.columns)),
-                                                                 min(3, len(cell.columns)))}
-                target = linalg.matvec(cell.columns, vec)
-                combo = linalg.solve_combination(cell.columns, target)
-                assert combo is not None
-                assert linalg.matvec(cell.columns, combo) == target
-                value = cell.source.reconstruct({j: Fraction(c) for j, c in vec.items()})
-                image = poisson_differential(pi, value)
-                witness = coboundary_witness(pi, image)
-                assert poisson_differential(pi, witness) == image
-                for rep in cell_multivectors(table.cell(q, d)):
-                    assert coboundary_witness(pi, rep) is None
+        with holding_stencils(pi):
+            for d in range(6):
+                for q in range(1, 4):
+                    cell = differential_matrix(pi, q - 1, d)
+                    vec = {j: rng.randint(-3, 3) for j in rng.sample(range(len(cell.columns)),
+                                                                     min(3, len(cell.columns)))}
+                    target = linalg.matvec(cell.columns, vec)
+                    combo = linalg.solve_combination(cell.columns, target)
+                    assert combo is not None
+                    assert linalg.matvec(cell.columns, combo) == target
+                    value = cell.source.reconstruct({j: Fraction(c) for j, c in vec.items()})
+                    image = poisson_differential(pi, value)
+                    witness = coboundary_witness(pi, image)
+                    assert poisson_differential(pi, witness) == image
+                    for rep in cell_multivectors(table.cell(q, d)):
+                        assert coboundary_witness(pi, rep) is None
 
 
 def test_euclidean_sends_fewer_nonzeros_into_rref(monkeypatch):
@@ -768,20 +772,21 @@ def test_representatives_need_no_reduction_against_the_incoming_image(algebra, i
     pi = linear_poisson(algebra)
     table = cohomology_table(pi, 8, invariant)
     checked = 0
-    for d in range(9):
-        columns = [differential_matrix(pi, q, d).columns for q in range(4)]
-        if invariant:
-            vectors = [invariant_basis(q, d)[1] for q in range(4)] + [[]]
-            columns = [[_invariant_coordinates(vectors[q + 1], linalg.matvec(cols, vec))
-                        for vec in vectors[q]] for q, cols in enumerate(columns)]
-        for q in range(1, 4):
-            pivots = set(linalg.rref(columns[q - 1])[0])
-            assert pivots <= _free_columns(columns[q])
-            for rep in table.cell(q, d).representatives:
-                if invariant:
-                    rep = _invariant_coordinates(vectors[q], rep)
-                assert not pivots & set(rep)
-                checked += 1
+    with holding_stencils(pi):
+        for d in range(9):
+            columns = [differential_matrix(pi, q, d).columns for q in range(4)]
+            if invariant:
+                vectors = [invariant_basis(q, d)[1] for q in range(4)] + [[]]
+                columns = [[_invariant_coordinates(vectors[q + 1], linalg.matvec(cols, vec))
+                            for vec in vectors[q]] for q, cols in enumerate(columns)]
+            for q in range(1, 4):
+                pivots = set(linalg.rref(columns[q - 1])[0])
+                assert pivots <= _free_columns(columns[q])
+                for rep in table.cell(q, d).representatives:
+                    if invariant:
+                        rep = _invariant_coordinates(vectors[q], rep)
+                    assert not pivots & set(rep)
+                    checked += 1
     assert checked
 
 
@@ -794,15 +799,17 @@ def test_representatives_are_the_canonical_kernel_rows_led_at_their_free_column(
     pi = linear_poisson(algebra)
     table = cohomology_table(pi, 8)
     checked = 0
-    for d in range(9):
-        for q in range(4):
-            _, pivots, echelon, _ = linalg.kernel_and_image(differential_matrix(pi, q, d).columns)
-            kernel = dict(zip(pivots, echelon))
-            for rep in table.cell(q, d).representatives:
-                assert all(type(c) is Fraction and c.denominator == 1 for c in rep.values())
-                assert linalg.integer_normalize(rep) == rep
-                assert kernel[min(rep)] == rep
-                checked += 1
+    with holding_stencils(pi):
+        for d in range(9):
+            for q in range(4):
+                columns = differential_matrix(pi, q, d).columns
+                _, pivots, echelon, _ = linalg.kernel_and_image(columns)
+                kernel = dict(zip(pivots, echelon))
+                for rep in table.cell(q, d).representatives:
+                    assert all(type(c) is Fraction and c.denominator == 1 for c in rep.values())
+                    assert linalg.integer_normalize(rep) == rep
+                    assert kernel[min(rep)] == rep
+                    checked += 1
     assert checked
 
 
@@ -1057,15 +1064,16 @@ def _rotation_invariant_bivectors():
 def test_support_columns_are_the_full_build_at_the_support():
     rng = random.Random(422)
     for pi in _rotation_invariant_bivectors():
-        for d in range(13):
-            for q in range(3):
-                full = differential_matrix(pi, q, d).columns
-                support = {j for vec in invariant_basis(q, d)[1] for j in vec}
-                some = set(rng.sample(range(len(full)), rng.randint(0, len(full))))
-                for positions in (support, some):
-                    built = differential_matrix(pi, q, d).columns_at(positions)
-                    assert list(built) == sorted(positions)  # no other column is built
-                    assert built == {j: full[j] for j in positions}
+        with holding_stencils(pi):
+            for d in range(13):
+                for q in range(3):
+                    full = differential_matrix(pi, q, d).columns
+                    support = {j for vec in invariant_basis(q, d)[1] for j in vec}
+                    some = set(rng.sample(range(len(full)), rng.randint(0, len(full))))
+                    for positions in (support, some):
+                        built = differential_matrix(pi, q, d).columns_at(positions)
+                        assert list(built) == sorted(positions)  # no other column is built
+                        assert built == {j: full[j] for j in positions}
     with pytest.raises(KeyError):
         differential_matrix(linear_poisson("so3"), 1, 2).columns_at({0, 18})
     with pytest.raises(ValueError, match="differential needs a bivector"):
@@ -1135,12 +1143,13 @@ def test_weight_zero_tables_are_the_full_complexs_cells(seed):
         pi = linear_poisson(algebra)
         assert cohomology_module._family(pi, False) is not None
         table = cohomology_table(pi, dmax)
-        for d in range(dmax + 1):
-            full = cohomology_module._degree_cells(d, *cohomology_module._differentials(pi, d))
-            for q, cell in enumerate(full):
-                fields = _ordered_fields(cell)
-                assert _ordered_fields(table.cell(q, d)) == fields, (algebra, q, d)
-                assert _ordered_fields(cohomology_cell(pi, q, d)) == fields
+        with holding_stencils(pi):
+            for d in range(dmax + 1):
+                full = cohomology_module._degree_cells(d, *cohomology_module._differentials(pi, d))
+                for q, cell in enumerate(full):
+                    fields = _ordered_fields(cell)
+                    assert _ordered_fields(table.cell(q, d)) == fields, (algebra, q, d)
+                    assert _ordered_fields(cohomology_cell(pi, q, d)) == fields
 
 
 def _weights(pi):
@@ -1211,15 +1220,16 @@ def test_restriction_to_invariant_bases_solves_each_image():
                      lambda pi, q, d: invariant_basis(q, d)[1]) for pi in _restricted_kinds()] + [
         (pi, cohomology_module._family(pi, False), 16, _weight_zero_basis) for pi in weighted]
     for pi, new_vectors, dmax, basis in restrictions:
-        for d, (cells, vectors) in enumerate(
-                cohomology_module._restricted_differentials(pi, dmax, new_vectors)):
-            assert vectors == [basis(pi, q, d) for q in range(4)]
-            for q in range(3):
-                columns = differential_matrix(pi, q, d).columns
-                assert cells[q].columns == [
-                    linalg.solve_combination(vectors[q + 1], linalg.matvec(columns, vec))
-                    for vec in vectors[q]]
-            assert cells[3].columns == [{} for _ in vectors[3]]
+        with holding_stencils(pi):
+            for d, (cells, vectors) in enumerate(
+                    cohomology_module._restricted_differentials(pi, dmax, new_vectors)):
+                assert vectors == [basis(pi, q, d) for q in range(4)]
+                for q in range(3):
+                    columns = differential_matrix(pi, q, d).columns
+                    assert cells[q].columns == [
+                        linalg.solve_combination(vectors[q + 1], linalg.matvec(columns, vec))
+                        for vec in vectors[q]]
+                assert cells[3].columns == [{} for _ in vectors[3]]
     with pytest.raises(ValueError, match="d_1 leaves the subcomplex at degree 1"):
         list(cohomology_module._restricted_differentials(
             linear_poisson("aff_x_r"), 2, cohomology_module.new_invariant_vectors))

@@ -9,8 +9,8 @@ from math import lcm
 import pytest
 
 from helpers import (
-    compose, conjugated_constants, exact_columns, invariant_multivectors, kernel_basis,
-    operator_matrix, random_multivector, rank, rotation_matrix)
+    ROTATION, compose, conjugated_constants, exact_columns, invariant_multivectors,
+    kernel_basis, operator_matrix, random_multivector, rank, rotation_matrix)
 from poisson3 import (
     Algebra,
     DegreeError,
@@ -33,7 +33,7 @@ from poisson3 import (
     structure_constants,
 )
 from poisson3 import complexes, linalg, multivector
-from poisson3.complexes import linear_operator_matrix, new_invariant_vectors
+from poisson3.complexes import holding_stencils, linear_operator_matrix, new_invariant_vectors
 from poisson3.multivector import NCOMP, linear_stencil, monomial_key
 from poisson3.linalg import matvec
 
@@ -238,32 +238,28 @@ def test_a_stencil_for_no_degree_must_be_empty():
             multivector._check_stencil([[(0, (0, 0, 0), (0, 0, 0, 1))]], out_q)
 
 
-@pytest.fixture
-def cleared_stencils():
-    multivector._stencil.cache_clear()
-    yield multivector._stencil
-    multivector._stencil.cache_clear()
-
-
-def test_a_stencil_table_is_checked_once(monkeypatch, cleared_stencils):
-    checked = []  # the checked tables, matched below to the (degree, q) they were derived for
+def test_a_stencil_table_is_checked_once(monkeypatch):
+    # within a hold of its operator each stencil is derived and checked once,
+    # however many tables and cells read it
+    checked = []
     check = multivector._check_stencil
     monkeypatch.setattr(multivector, "_check_stencil",
                         lambda table, out_q: checked.append(table) or check(table, out_q))
     pi = linear_poisson("sl2")
-    for _ in range(2):
-        cohomology_table(pi, 4)
-        for q in range(4):
-            for d in range(3):
-                rotation_matrix(q, d)
-    derived = {(operator.degree, q): linear_stencil(operator, q)[0]
-               for operator, qs in ((pi, range(3)), (rotation_field(), range(4))) for q in qs}
-    assert cleared_stencils.cache_info().misses == len(derived) == len(checked)
-    assert {key: sum(table is seen for seen in checked) for key, table in derived.items()} == {
-        key: 1 for key in derived}
+    with holding_stencils(pi), holding_stencils(ROTATION):
+        for _ in range(2):
+            cohomology_table(pi, 4)
+            for q in range(4):
+                for d in range(3):
+                    rotation_matrix(q, d)
+    held = list(checked)
+    derived = [linear_stencil(operator, q)[0]
+               for operator, qs in ((pi, range(3)), (ROTATION, range(4))) for q in qs]
+    assert sorted(map(repr, held)) == sorted(map(repr, derived))
 
 
-def test_a_stencil_that_fails_its_check_is_checked_again(monkeypatch, cleared_stencils):
+def test_a_stencil_that_fails_its_check_is_checked_again(monkeypatch):
+    # a hold keeps only a stencil that passed its check
     checked = []
     check = multivector._check_stencil
 
@@ -273,14 +269,15 @@ def test_a_stencil_that_fails_its_check_is_checked_again(monkeypatch, cleared_st
 
     monkeypatch.setattr(multivector, "_check_stencil", rejecting)
     pi = linear_poisson("sl2")
-    for _ in range(2):
-        with pytest.raises(ValueError, match="rejected"):
-            linear_operator_matrix(pi, 0, 2)
-    assert checked == [1, 1] and cleared_stencils.cache_info().currsize == 0
-    monkeypatch.setattr(multivector, "_check_stencil",
-                        lambda table, out_q: checked.append(out_q) or check(table, out_q))
-    for d in range(3):
-        linear_operator_matrix(pi, 0, d)
+    with holding_stencils(pi):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="rejected"):
+                linear_operator_matrix(pi, 0, 2)
+        assert checked == [1, 1]
+        monkeypatch.setattr(multivector, "_check_stencil",
+                            lambda table, out_q: checked.append(out_q) or check(table, out_q))
+        for d in range(3):
+            linear_operator_matrix(pi, 0, d)
     assert checked == [1, 1, 1]
 
 
@@ -311,38 +308,39 @@ def test_each_layout_of_a_cell_reads_the_same_matrix(seed):
     rng = random.Random(seed)
     for algebra in _layout_algebras(rng):
         pi = linear_poisson(algebra)
-        for q in range(4):
-            for d in range(9):
-                whole = differential_matrix(pi, q, d).columns
-                n = len(whole)
-                for cell in (differential_matrix(pi, q, d), OperatorCell(None, None, whole, 1)):
-                    free = set(rng.sample(range(n), rng.randint(0, n)))
-                    skip = set(rng.sample(range(n), rng.randint(0, n)))
-                    laid_out = linalg.lay_out(
-                        [{} if j in free else col for j, col in enumerate(whole)])
-                    assert cell.rows(free) == laid_out
-                    size = len(differential_matrix(pi, q, d).target)
-                    at = set(rng.sample(range(size), rng.randint(0, size)))
-                    kept = [k for k, i in enumerate(laid_out[0]) if i in at]
-                    assert cell.rows(free, at) == ([laid_out[0][k] for k in kept],
-                                                   [laid_out[1][k] for k in kept])
-                    read = [j for j in range(n - 1, -1, -1) if j not in skip]
-                    for p in (linalg.PRIME, 2, 3):
-                        leads = _leads(whole, p)
-                        reader = cell.leads(skip, p)
-                        first = read[:rng.randint(0, len(read))]  # a pass that stops early
-                        assert [next(reader) for _ in first] == [(j, leads[j]) for j in first]
-                        assert list(reader) == [(j, leads[j]) for j in read[len(first):]]
-                    assert [cell.column(j) for j in range(n)] == whole
-                    some = set(rng.sample(range(n), rng.randint(0, n)))
-                    assert list(cell.columns_at(some).items()) == [
-                        (j, whole[j]) for j in sorted(some)]
-                    with pytest.raises(KeyError):
-                        cell.columns_at(some | {n})
-                    state = [getattr(cell, name) for name in OperatorCell.__slots__]
-                    assert cell.columns == whole and len(cell) == n
-                    assert all(getattr(cell, name) is value
-                               for name, value in zip(OperatorCell.__slots__, state))
+        with holding_stencils(pi):
+            for q in range(4):
+                for d in range(9):
+                    whole = differential_matrix(pi, q, d).columns
+                    n = len(whole)
+                    for cell in (differential_matrix(pi, q, d), OperatorCell(None, None, whole, 1)):
+                        free = set(rng.sample(range(n), rng.randint(0, n)))
+                        skip = set(rng.sample(range(n), rng.randint(0, n)))
+                        laid_out = linalg.lay_out(
+                            [{} if j in free else col for j, col in enumerate(whole)])
+                        assert cell.rows(free) == laid_out
+                        size = len(differential_matrix(pi, q, d).target)
+                        at = set(rng.sample(range(size), rng.randint(0, size)))
+                        kept = [k for k, i in enumerate(laid_out[0]) if i in at]
+                        assert cell.rows(free, at) == ([laid_out[0][k] for k in kept],
+                                                       [laid_out[1][k] for k in kept])
+                        read = [j for j in range(n - 1, -1, -1) if j not in skip]
+                        for p in (linalg.PRIME, 2, 3):
+                            leads = _leads(whole, p)
+                            reader = cell.leads(skip, p)
+                            first = read[:rng.randint(0, len(read))]  # a pass that stops early
+                            assert [next(reader) for _ in first] == [(j, leads[j]) for j in first]
+                            assert list(reader) == [(j, leads[j]) for j in read[len(first):]]
+                        assert [cell.column(j) for j in range(n)] == whole
+                        some = set(rng.sample(range(n), rng.randint(0, n)))
+                        assert list(cell.columns_at(some).items()) == [
+                            (j, whole[j]) for j in sorted(some)]
+                        with pytest.raises(KeyError):
+                            cell.columns_at(some | {n})
+                        state = [getattr(cell, name) for name in OperatorCell.__slots__]
+                        assert cell.columns == whole and len(cell) == n
+                        assert all(getattr(cell, name) is value
+                                   for name, value in zip(OperatorCell.__slots__, state))
 
 
 def test_leads_pass_over_entries_that_vanish_or_are_zero_mod_p(monkeypatch):
@@ -355,24 +353,25 @@ def test_leads_pass_over_entries_that_vanish_or_are_zero_mod_p(monkeypatch):
     cases = dict.fromkeys(("vanishes", "zero mod p", "zero column"), 0)
     for algebra in ALGEBRAS:
         pi = linear_poisson(algebra)
-        for q in range(4):
-            stencil = linear_stencil(pi, q)[0] if q < 3 else [[]]
-            for d in range(7):
-                for p in (linalg.PRIME, 2, 3):
-                    cell = differential_matrix(pi, q, d)
-                    leads = dict(cell.leads((), p))
-                    assert built == []
-                    whole = cell.columns
-                    del built[:]
-                    assert leads == dict(enumerate(_leads(whole, p)))
-                    for j, lead in leads.items():
-                        idx, mono = cell.source.element(j)
-                        top = min(stencil[idx], key=lambda e: (monomial_key(e[1]), -e[0]),
-                                  default=None)
-                        value = top and sum(a * m for a, m in zip(top[2], (*mono, 1)))
-                        cases["vanishes"] += lead is not None and value == 0
-                        cases["zero mod p"] += lead is not None and value and not value % p
-                        cases["zero column"] += lead is None
+        with holding_stencils(pi):
+            for q in range(4):
+                stencil = linear_stencil(pi, q)[0] if q < 3 else [[]]
+                for d in range(7):
+                    for p in (linalg.PRIME, 2, 3):
+                        cell = differential_matrix(pi, q, d)
+                        leads = dict(cell.leads((), p))
+                        assert built == []
+                        whole = cell.columns
+                        del built[:]
+                        assert leads == dict(enumerate(_leads(whole, p)))
+                        for j, lead in leads.items():
+                            idx, mono = cell.source.element(j)
+                            top = min(stencil[idx], key=lambda e: (monomial_key(e[1]), -e[0]),
+                                      default=None)
+                            value = top and sum(a * m for a, m in zip(top[2], (*mono, 1)))
+                            cases["vanishes"] += lead is not None and value == 0
+                            cases["zero mod p"] += lead is not None and value and not value % p
+                            cases["zero column"] += lead is None
     assert all(cases.values()), cases
 
 
@@ -428,21 +427,24 @@ def test_stencil_matches_bracket_oracle():
         assert jacobi_defect(conjugated).is_zero()
         bivectors.append(linear_poisson(conjugated))
     for pi in bivectors:
+        with holding_stencils(pi):
+            for d in range(9):
+                for q in range(3):
+                    _assert_same_columns(differential_matrix(pi, q, d), operator_matrix(pi, q, d))
+                assert all(col == {} for col in differential_matrix(pi, 3, d).columns)
+    with holding_stencils(ROTATION):
         for d in range(9):
-            for q in range(3):
-                _assert_same_columns(differential_matrix(pi, q, d), operator_matrix(pi, q, d))
-            assert all(col == {} for col in differential_matrix(pi, 3, d).columns)
-    for d in range(9):
-        for q in range(4):
-            _assert_same_columns(rotation_matrix(q, d), operator_matrix(rotation_field(), q, d))
+            for q in range(4):
+                _assert_same_columns(rotation_matrix(q, d), operator_matrix(ROTATION, q, d))
     for degree in range(4):
         for _ in range(3):
             operator = _random_linear_operator(rng, degree)
-            for q in range(4):
-                if 0 <= q + degree - 1 <= 3:
-                    for d in range(9):
-                        _assert_same_columns(linear_operator_matrix(operator, q, d),
-                                             operator_matrix(operator, q, d))
+            with holding_stencils(operator):
+                for q in range(4):
+                    if 0 <= q + degree - 1 <= 3:
+                        for d in range(9):
+                            _assert_same_columns(linear_operator_matrix(operator, q, d),
+                                                 operator_matrix(operator, q, d))
 
 
 def test_stencil_is_integer_over_the_operator_denominators():
@@ -488,17 +490,18 @@ def test_a_stencil_is_canonical_in_the_operator_value():
         flipped = _reversed(operator)
         assert flipped == operator and _term_order(flipped) == _term_order(operator)[::-1]
         reordered += len(_term_order(operator)) > 1
-        for q in range(4):
-            if not 0 <= q + operator.degree - 1 <= 3:
-                continue
-            assert linear_stencil(flipped, q) == linear_stencil(operator, q)
-            for d in range(6):
-                cell, other = (linear_operator_matrix(op, q, d) for op in (operator, flipped))
-                assert _in_order(other.columns) == _in_order(cell.columns)
-                assert _in_order(map(other.column, range(len(other)))) == _in_order(
-                    map(cell.column, range(len(cell))))
-                (index, rows), (other_index, other_rows) = cell.rows(), other.rows()
-                assert other_index == index and _in_order(other_rows) == _in_order(rows)
+        with holding_stencils(operator), holding_stencils(flipped):
+            for q in range(4):
+                if not 0 <= q + operator.degree - 1 <= 3:
+                    continue
+                assert linear_stencil(flipped, q) == linear_stencil(operator, q)
+                for d in range(6):
+                    cell, other = (linear_operator_matrix(op, q, d) for op in (operator, flipped))
+                    assert _in_order(other.columns) == _in_order(cell.columns)
+                    assert _in_order(map(other.column, range(len(other)))) == _in_order(
+                        map(cell.column, range(len(cell))))
+                    (index, rows), (other_index, other_rows) = cell.rows(), other.rows()
+                    assert other_index == index and _in_order(other_rows) == _in_order(rows)
     assert reordered > len(operators) // 2
 
 
@@ -512,11 +515,12 @@ def test_differential_matrices_are_pinned():
     digest = hashlib.sha256()
     for kind in KINDS:
         pi = linear_poisson(Algebra(kind, taus.get(kind)))
-        for q in range(4):
-            for d in range(5):
-                cell = differential_matrix(pi, q, d)
-                digest.update(repr((kind, q, d, cell.den,
-                                    [sorted(col.items()) for col in cell.columns])).encode())
+        with holding_stencils(pi):
+            for q in range(4):
+                for d in range(5):
+                    cell = differential_matrix(pi, q, d)
+                    digest.update(repr((kind, q, d, cell.den,
+                                        [sorted(col.items()) for col in cell.columns])).encode())
     assert digest.hexdigest() == DIFFERENTIALS_SHA256
 
 
@@ -541,11 +545,12 @@ def test_tables_build_no_bracket_per_column(monkeypatch):
 def test_differential_squares_to_zero_small():
     for alg in ALGEBRAS:
         pi = linear_poisson(alg)
-        for d in range(4):
-            for q in range(3):
-                inner = differential_matrix(pi, q, d)
-                outer = differential_matrix(pi, q + 1, d)
-                assert all(col == {} for col in compose(outer.columns, inner.columns))
+        with holding_stencils(pi):
+            for d in range(4):
+                for q in range(3):
+                    inner = differential_matrix(pi, q, d)
+                    outer = differential_matrix(pi, q + 1, d)
+                    assert all(col == {} for col in compose(outer.columns, inner.columns))
 
 
 def test_matrix_route_matches_direct_bracket():
@@ -629,12 +634,14 @@ def test_invariant_basis_examples():
 
 def test_invariant_basis_is_the_reduced_kernel_of_the_rotation():
     # the closed-form products equal the eliminated kernel, entry order included
-    for q in range(4):
-        for d in range(41):
-            _, vectors = invariant_basis(q, d)
-            _, kernel = kernel_basis(rotation_matrix(q, d).columns)
-            assert [list(vec.items()) for vec in vectors] == [list(vec.items()) for vec in kernel]
-            assert all(vec[max(vec)] in (1, -1) for vec in vectors)
+    with holding_stencils(ROTATION):
+        for q in range(4):
+            for d in range(41):
+                _, vectors = invariant_basis(q, d)
+                _, kernel = kernel_basis(rotation_matrix(q, d).columns)
+                assert [list(vec.items()) for vec in vectors] == [
+                    list(vec.items()) for vec in kernel]
+                assert all(vec[max(vec)] in (1, -1) for vec in vectors)
 
 
 def test_z_keeps_the_positions_of_a_vector_one_degree_up():
@@ -669,12 +676,13 @@ def test_invariant_multivectors_are_killed_by_rotation():
 
 def test_rotation_derivative_commutes_with_euclidean_differential():
     pi = linear_poisson("euclidean")
-    for q in range(3):
-        for d in range(4):
-            d_cell = differential_matrix(pi, q, d)
-            lhs = compose(rotation_matrix(q + 1, d).columns, d_cell.columns)
-            rhs = compose(d_cell.columns, rotation_matrix(q, d).columns)
-            assert lhs == rhs
+    with holding_stencils(pi), holding_stencils(ROTATION):
+        for q in range(3):
+            for d in range(4):
+                d_cell = differential_matrix(pi, q, d)
+                lhs = compose(rotation_matrix(q + 1, d).columns, d_cell.columns)
+                rhs = compose(d_cell.columns, rotation_matrix(q, d).columns)
+                assert lhs == rhs
 
 
 def test_operator_matrix_of_rotation_matches_bracket():

@@ -278,6 +278,15 @@ def test_each_layout_and_the_mod_p_pass_have_their_named_callers():
                                          ("complexes.py", "OperatorCell.columns_at")]
 
 
+def test_one_stencil_cache():
+    # `holding_stencils` is the one stencil cache: every engine read of a
+    # stencil goes through the hold's reader, so no second memo and no read
+    # that bypasses a hold can creep in
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert _callers(trees, "linear_stencil") == [("complexes.py", "_read_stencil"),
+                                                 ("complexes.py", "_read_stencil")]
+
+
 def test_one_reduction_loop_and_one_writer_of_basis_positions():
     # `rref` is the one exact reduction: span and membership questions read
     # the rows that land in it, and no other function eliminates against a

@@ -10,7 +10,7 @@ from importlib import resources
 
 import pytest
 
-from poisson3 import verification
+from poisson3 import complexes, verification
 from poisson3.cohomology import class_table
 from poisson3.complexes import GradedBasis
 from poisson3.linalg import integer_normalize
@@ -208,6 +208,22 @@ def test_verify_passes_every_fixture():
         assert report.passed, report.lines()
         assert report.cells_checked == 4 * (dmax + 1)
         assert report.mismatches == ()
+
+
+def test_verify_derives_each_stencil_once_while_its_bivector_is_held(monkeypatch):
+    # the table, the generator spans and the exactness witnesses of one
+    # verify all read d_q of one bivector, which verify holds around them
+    calls, stencil = [], complexes.linear_stencil
+
+    def counting(operator, q):
+        calls.append((q, any(held is operator for held, _ in complexes._HELD)))
+        return stencil(operator, q)
+
+    monkeypatch.setattr(complexes, "linear_stencil", counting)
+    for fixture_id in FIXTURE_IDS:
+        calls.clear()
+        verify(fixture_id, max(4, expected_table(fixture_id).dmax_min))
+        assert sorted(calls) == [(0, True), (1, True), (2, True)], fixture_id
 
 
 def test_verify_report_text():

@@ -288,8 +288,7 @@ def _run_table(args, invariant):
         text = _render_table_csv(doc)
     else:
         text = _render_table_text(doc, invariant)
-    _emit(args, text)
-    return 0
+    return 0, text
 
 
 def _run_verify(args):
@@ -308,8 +307,7 @@ def _run_verify(args):
         text = json.dumps(doc, indent=2) + "\n"
     else:
         text = "\n".join(report.lines()) + "\n"
-    _emit(args, text)
-    return 0 if report.passed else 1
+    return 0 if report.passed else 1, text
 
 
 def _run_list(args):
@@ -324,8 +322,7 @@ def _run_list(args):
     lines.append("fixtures:")
     for fixture_id in FIXTURE_IDS:
         lines.append("  " + fixture_id)
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return 0, "\n".join(lines) + "\n"
 
 
 def _run_show(args):
@@ -356,22 +353,19 @@ def _run_show(args):
     pi = linear_poisson(algebra)
     lines.append("poisson structure: %s" % format_multivector(pi))
     lines.append("modular field: %s" % format_multivector(modular_vector_field(pi)))
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return 0, "\n".join(lines) + "\n"
 
 
 def _run_schouten(args):
     first = parse_multivector(args.first)
     second = parse_multivector(args.second)
-    sys.stdout.write(format_multivector(schouten_bracket(first, second)) + "\n")
-    return 0
+    return 0, format_multivector(schouten_bracket(first, second)) + "\n"
 
 
 def _run_dpi(args):
     pi = linear_poisson(_algebra(args))
     value = parse_multivector(args.expression)
-    sys.stdout.write(format_multivector(schouten_bracket(pi, value)) + "\n")
-    return 0
+    return 0, format_multivector(schouten_bracket(pi, value)) + "\n"
 
 
 def _run_modular(args):
@@ -384,8 +378,7 @@ def _run_modular(args):
         "exact: %s" % ("yes" if check.is_exact else "no"),
         "unimodular: %s" % ("yes" if check.unimodular else "no"),
     ]
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return 0, "\n".join(lines) + "\n"
 
 
 def _run_resonances(args):
@@ -398,8 +391,7 @@ def _run_resonances(args):
         text = " ".join("(%d,%d)" % pair for pair in pairs)
     else:
         text = "none"
-    sys.stdout.write(text + "\n")
-    return 0
+    return 0, text + "\n"
 
 
 def _run_jacobi(args):
@@ -407,12 +399,12 @@ def _run_jacobi(args):
     defect = jacobi_defect(algebra)
     lines = ["[pi, pi] = %s" % format_multivector(defect),
              "jacobi identity: %s" % ("satisfied" if defect.is_zero() else "violated")]
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return 0, "\n".join(lines) + "\n"
 
 
 # each verb's help line, the function adding its options and its handler,
-# in the order the full parser lists them
+# in the order the full parser lists them; a handler returns (exit status,
+# output text), and `main` writes the text through `_emit`
 _VERBS = {
     "list": ("list algebra kinds and fixture ids", lambda p: None, _run_list),
     "show": ("structure constants and Poisson structure", _algebra_opts, _run_show),
@@ -466,7 +458,9 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return _VERBS[args.verb][2](args)
+        status, text = _VERBS[args.verb][2](args)
+        _emit(args, text)
+        return status
     except (ValueError, ZeroDivisionError, OSError) as exc:
         # ExpressionError is a ValueError
         sys.stderr.write("error: %s\n" % (exc,))

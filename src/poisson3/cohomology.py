@@ -20,8 +20,10 @@ is new and the next, and every later column is read off that line.  A
 single cell is read off the four cells of its degree, as a table builds
 them; a subcomplex's cell runs the same restriction over the degrees up to
 its own.  A table or a cell reads each of its bivector's stencils once
-(`complexes.holding_stencils`).  A bivector with [pi, pi] != 0 has no
-complex, as d o d != 0, and is rejected.
+(`complexes.holding_stencils`), and checks pi on the stencils it holds,
+with no bracket: a bivector with [pi, pi] != 0 has no complex, as d o d !=
+0, and is rejected, and so is one with [pi, R] != 0 for the rotation R,
+whose rotation-invariant cochains are asked for.
 
 A Hamiltonian field X = [pi, f] of a linear f acts as 0 on H (Lichnerowicz
 1977; Vaisman 1994): L_X commutes with d, as X is Poisson, and is
@@ -114,7 +116,7 @@ from .complexes import (
     new_invariant_vectors,
     rotation_field,
 )
-from .multivector import NCOMP, MultiVector, component_wedge, rational, schouten_bracket
+from .multivector import NCOMP, MultiVector, component_wedge, rational
 
 
 class CohomologyCell:
@@ -147,22 +149,14 @@ class CohomologyCell:
         return "CohomologyCell(q=%d, d=%d, dim_h=%d)" % (self.q, self.d, self.dim_h)
 
 
-def _check_rotation_invariant(pi):
-    if not schouten_bracket(rotation_field(), pi).is_zero():
-        raise ValueError("bivector is not rotation invariant")
-
-
-def _check_poisson(pi):
-    """Raise ValueError unless [pi, pi] = 0, which d o d = 0 needs.
-
-    [pi, pi] is [pi, .] on the (2, 1) cell applied to pi's coordinates.  A
-    bivector whose coefficients are not linear fails in the stencil, and
-    anything but a bivector is left to `differential_matrix` to reject.
-    """
-    if pi.degree == 2:
-        cell = linear_operator_matrix(pi, 2, 1)
-        if linalg.matvec(cell.columns, cell.source.decompose(pi)):
-            raise ValueError("bivector is not Poisson: [pi, pi] is not 0")
+def _check_kills(pi, v, message):
+    """Raise ValueError(message) unless [pi, v] = 0, for a v with linear
+    coefficients: [pi, .] on the (v.degree, 1) cell, read off pi's held
+    stencil, applied to v's coordinates.  A pi whose coefficients are not
+    linear fails in the stencil with DegreeError."""
+    cell = linear_operator_matrix(pi, v.degree, 1)
+    if linalg.matvec(cell.columns, cell.source.decompose(v)):
+        raise ValueError(message)
 
 
 def _differentials(pi, d):
@@ -320,10 +314,12 @@ def _complex(pi, dmax, invariant, blocks=False):
     carries H where `_family` finds one.  A restriction runs as the degrees
     are yielded, and the full complex's differentials are made only when
     their degree is reduced.  pi is checked first, when the first degree is
-    asked for: rotation invariant with invariant=True, then Poisson."""
+    asked for: rotation invariant with invariant=True ([pi, R] = -[R, pi]),
+    then Poisson if a bivector; `differential_matrix` rejects the rest."""
     if invariant:
-        _check_rotation_invariant(pi)
-    _check_poisson(pi)
+        _check_kills(pi, rotation_field(), "bivector is not rotation invariant")
+    if pi.degree == 2:
+        _check_kills(pi, pi, "bivector is not Poisson: [pi, pi] is not 0")
     new_vectors = new_invariant_vectors if invariant else _family(pi, blocks)
     if new_vectors is None:
         for d in range(dmax + 1):

@@ -145,8 +145,10 @@ def parse_multivector(text):
         poly[mono] = poly[mono] + coeff if mono in poly else coeff
     if len(degrees) > 1:
         raise ExpressionError("mixed cochain degrees %s in one expression" % (sorted(degrees),))
-    # Polynomial drops the zero sums and MultiVector the zero polynomials
-    return MultiVector(degrees.pop(), {idx: Polynomial(poly) for idx, poly in components.items()})
+    # the sums are exact Fractions on int exponents: only the zeros are dropped
+    polys = {idx: Polynomial._of({mono: c for mono, c in poly.items() if c})
+             for idx, poly in components.items()}
+    return MultiVector._of(degrees.pop(), {idx: poly for idx, poly in polys.items() if poly})
 
 
 def _render_term(coeff, mono, gens):

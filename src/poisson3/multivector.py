@@ -148,6 +148,15 @@ class Polynomial:
         self.terms = data
 
     @classmethod
+    def _of(cls, terms):
+        """The polynomial of `terms`, kept as handed: exact values the
+        package built, int exponent triples on nonzero Fractions.  Input from
+        outside the package goes through `__init__`, which checks it."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls):
         return cls()
 
@@ -194,16 +203,12 @@ class Polynomial:
                 data[mono] = total
             elif mono in data:
                 del data[mono]
-        out = Polynomial.__new__(Polynomial)
-        out.terms = data
-        return out
+        return Polynomial._of(data)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Polynomial.__new__(Polynomial)
-        out.terms = {mono: -coeff for mono, coeff in self.terms.items()}
-        return out
+        return Polynomial._of({mono: -coeff for mono, coeff in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -220,9 +225,7 @@ class Polynomial:
             coeff = rational(other)
             if not coeff:
                 return Polynomial.zero()
-            out = Polynomial.__new__(Polynomial)
-            out.terms = {mono: c * coeff for mono, c in self.terms.items()}
-            return out
+            return Polynomial._of({mono: c * coeff for mono, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         data = {}
@@ -234,9 +237,7 @@ class Polynomial:
                     data[mono] = total
                 elif mono in data:
                     del data[mono]
-        out = Polynomial.__new__(Polynomial)
-        out.terms = data
-        return out
+        return Polynomial._of(data)
 
     __rmul__ = __mul__
 
@@ -264,9 +265,7 @@ class Polynomial:
             lowered = list(mono)
             lowered[axis] = e - 1
             data[tuple(lowered)] = coeff * e
-        out = Polynomial.__new__(Polynomial)
-        out.terms = data
-        return out
+        return Polynomial._of(data)
 
     def evaluate(self, point):
         """Value at a rational point (x, y, z)."""
@@ -320,6 +319,17 @@ class MultiVector:
                 if poly:
                     data[idx] = poly
         self.components = data
+
+    @classmethod
+    def _of(cls, degree, components):
+        """The multivector of degree 0..3 with `components`, kept as handed:
+        exact values the package built, nonzero Polynomials at valid indices.
+        Input from outside the package goes through `__init__`, which checks
+        it."""
+        out = cls.__new__(cls)
+        out.degree = degree
+        out.components = components
+        return out
 
     @classmethod
     def zero(cls, degree=0):
@@ -383,16 +393,10 @@ class MultiVector:
                 data[idx] = total
             elif idx in data:
                 del data[idx]
-        out = MultiVector.__new__(MultiVector)
-        out.degree = degree
-        out.components = data
-        return out
+        return MultiVector._of(degree, data)
 
     def __neg__(self):
-        out = MultiVector.__new__(MultiVector)
-        out.degree = self.degree
-        out.components = {idx: -poly for idx, poly in self.components.items()}
-        return out
+        return MultiVector._of(self.degree, {idx: -poly for idx, poly in self.components.items()})
 
     def __sub__(self, other):
         if not isinstance(other, MultiVector):
@@ -408,10 +412,7 @@ class MultiVector:
                 product = poly * factor
                 if product:
                     data[idx] = product
-            out = MultiVector.__new__(MultiVector)
-            out.degree = self.degree
-            out.components = data
-            return out
+            return MultiVector._of(self.degree, data)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -422,7 +423,7 @@ class MultiVector:
             d = poly.diff(var)
             if d:
                 data[idx] = d
-        return MultiVector(self.degree, data)
+        return MultiVector._of(self.degree, data)
 
     def evaluate(self, point):
         """Tuple of component values at a rational point."""
@@ -471,7 +472,7 @@ def wedge(a, b):
                 idx, sign = found
                 term = (pa * pb) * sign if sign != 1 else pa * pb
                 out[idx] = out.get(idx, Polynomial.zero()) + term
-    return MultiVector(a.degree + b.degree, out)
+    return MultiVector._of(a.degree + b.degree, {idx: p for idx, p in out.items() if p})
 
 
 def _interior_sum(p_terms, q_terms, out, sign):
@@ -504,7 +505,7 @@ def schouten_bracket(a, b):
     out = {}
     _interior_sum(a_terms, b_terms, out, 1)
     _interior_sum(b_terms, a_terms, out, 1 if (a.degree - 1) * (b.degree - 1) % 2 else -1)
-    return MultiVector(a.degree + b.degree - 1, out)
+    return MultiVector._of(a.degree + b.degree - 1, {idx: p for idx, p in out.items() if p})
 
 
 def linear_stencil(operator, q):
@@ -639,4 +640,4 @@ def modular_vector_field(w):
         1: -w01.diff(0) + w12.diff(2),
         2: -w02.diff(0) - w12.diff(1),
     }
-    return MultiVector(1, {k: p for k, p in comps.items() if p})
+    return MultiVector._of(1, {k: p for k, p in comps.items() if p})

@@ -154,7 +154,7 @@ def linear_poisson(source):
     for (i, j, k), value in source.c.items():
         idx, sign = wedge_component((i, j))
         components.setdefault(idx, {})[tuple(int(axis == k) for axis in range(3))] = sign * value
-    return MultiVector(2, {idx: Polynomial(poly) for idx, poly in components.items()})
+    return MultiVector._of(2, {idx: Polynomial._of(poly) for idx, poly in components.items()})
 
 
 def jacobi_defect(source):

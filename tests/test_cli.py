@@ -599,9 +599,11 @@ def test_the_digest_tool_prints_a_line_per_command(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     commands = tool["commands"](8)
     # 14 algebras, 4 invariant kinds, 12 fixtures; then the tables under two
-    # --q filters, 6 distinct taus by 2 resonance constants, modular and list
+    # --q filters, 6 distinct taus by 2 resonance constants, modular and list;
+    # last schouten on every pair of 6 expressions, and dpi for each algebra
     assert len(lines) == len(commands) == (14 * 3 + 4 * 3 + 12 * 2 + 14 * 2
-                                           + (14 + 4) * 2 * 3 + 6 * 2 + 14 + 1)
+                                           + (14 + 4) * 2 * 3 + 6 * 2 + 14 + 1
+                                           + 6 * 6 + 14 * 6)
     for line, argv in zip(lines, commands):
         sha, size, status, command = line.split(" ", 3)
         assert (len(sha), status, command) == (64, "0", " ".join(argv))

@@ -1,6 +1,7 @@
 """Cohomology cells, tables, invariant subcomplex, witnesses, resonances."""
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd, inf
 
@@ -1051,6 +1052,41 @@ def test_a_bivector_that_is_not_poisson_is_rejected():
         if schouten_bracket(rotation_field(), pi).is_zero():
             invariant_cohomology(pi, 2, 1)
             cohomology_table(pi, 1, invariant=True)
+
+
+def _brackets(call):
+    """How many times `call()` enters `schouten_bracket`."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return calls.count(schouten_bracket.__code__)
+
+
+def test_tables_and_cells_check_pi_on_its_stencils_with_no_bracket():
+    # pi is checked for [pi, pi] = 0, and for rotation invariance where the
+    # invariant subcomplex is asked for, on the stencils its table or cell
+    # holds: none of them makes a Schouten bracket
+    invariant = []
+    for algebra in REGISTRY_ALGEBRAS:
+        pi = linear_poisson(algebra)
+        assert _brackets(lambda: schouten_bracket(pi, pi)) == 1
+        calls = [lambda: cohomology_table(pi, 4), lambda: class_table(pi, 4),
+                 lambda: cohomology_cell(pi, 1, 3)]
+        if schouten_bracket(rotation_field(), pi).is_zero():
+            invariant.append(algebra.name)
+            calls += [lambda: cohomology_table(pi, 4, invariant=True),
+                      lambda: invariant_cohomology(pi, 1, 3)]
+        for call in calls:
+            assert _brackets(call) == 0, algebra
+    assert invariant == ["abelian", "heisenberg", "euclidean", "spiral", "so3"]
 
 
 def _rotation_invariant_bivectors():

@@ -137,6 +137,8 @@ def test_parse_matches_the_term_by_term_build():
 
 
 def test_parse_builds_one_multivector_and_calls_no_wedge():
+    # the parsed sums are exact, so the one multivector is kept as built
+    # (`MultiVector._of`) and neither validating constructor runs
     calls = []
 
     def profile(frame, event, arg):
@@ -151,7 +153,8 @@ def test_parse_builds_one_multivector_and_calls_no_wedge():
         sys.setprofile(None)
     x_squared_plus_y = Polynomial.monomial((2, 0, 0), 1) + Polynomial.variable("y")
     assert value == MultiVector.bivector(0, x_squared_plus_y, 0) and value.degree == 2
-    assert calls.count(MultiVector.__init__.__code__) == 1
+    assert calls.count(MultiVector._of.__code__) == 1
+    assert MultiVector.__init__.__code__ not in calls and Polynomial.__init__.__code__ not in calls
     assert wedge.__code__ not in calls and MultiVector.__add__.__code__ not in calls
 
 

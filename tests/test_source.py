@@ -351,3 +351,47 @@ def test_the_degree_loop_boxes_no_representative():
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     assert ("cohomology.py", "CohomologyCell.representatives") in _callers(trees, "Fraction")
     assert ("cohomology.py", "_degree_cells") not in _callers(trees, "Fraction")
+
+
+def _reads(trees, name):
+    """(module, scope) of each read of `name`, bare or as an attribute, with
+    the scope `_scopes` gives the statement that holds it."""
+    return sorted(
+        (module, scope)
+        for module, tree in trees.items()
+        for scope, top in _scopes(tree)
+        for node in ast.walk(top)
+        if name in (getattr(node, "id", None), getattr(node, "attr", None)))
+
+
+def test_read_rule_flags_bare_names_and_attributes():
+    trees = {"a": ast.parse("import sys\nclass C:\n    def m(self):\n"
+                            "        return sys.stdout\ndef f():\n    stdout = 1\n")}
+    assert _reads(trees, "stdout") == [("a", "C.m"), ("a", "f")]
+
+
+def test_computed_values_have_one_constructor_each():
+    # a value the package computed exactly is kept as built by
+    # `Polynomial._of` or `MultiVector._of`, the only code that makes an
+    # instance without `__init__`; input from outside goes through `__init__`
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert _reads(trees, "__new__") == [("multivector.py", "MultiVector._of"),
+                                        ("multivector.py", "Polynomial._of")]
+
+
+def test_the_cli_writes_stdout_in_one_place():
+    # each handler returns (status, text) and `main` writes it through `_emit`
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    cli = {"cli.py": trees["cli.py"]}
+    assert _reads(cli, "stdout") == [("cli.py", "_emit")]
+    assert _callers(cli, "print") == []
+    assert ("cli.py", "main") in _callers(cli, "_emit")
+
+
+def test_cohomology_checks_pi_with_no_bracket():
+    # pi's checks read the stencils a table or a cell holds (`_check_kills`)
+    tree = ast.parse((ROOT / "src" / "poisson3" / "cohomology.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "linear_operator_matrix" in imported and "schouten_bracket" not in imported
+    assert _reads({"cohomology.py": tree}, "schouten_bracket") == []

@@ -16,7 +16,10 @@ The commands are:
   - then, after those, the table verbs of the first two items restricted
     to `--q 1,2` and to `--q 3`, in all three formats; `resonances` at
     each distinct tau of `TAUS` and each c of `RESONANCE_CS`; `modular`
-    for every kind and tau; and `list`.
+    for every kind and tau; and `list`;
+  - last, `schouten` of every ordered pair of `EXPRESSIONS`, and `dpi` of
+    each of them for every kind and tau, each after "--", as an expression
+    may start with a minus sign.
 
 Run from the repository root:  python tools/cli_digests.py [--dmax N]
 """
@@ -43,6 +46,11 @@ INVARIANT = (["--algebra", "euclidean"], ["--algebra", "so3"],
 
 # the constants c of the `resonances` commands
 RESONANCE_CS = ("1", "5/2")
+
+# the inputs of `schouten` and `dpi`: one of each degree, 0, a repeated
+# generator, fractions, a leading minus and sums with terms that cancel
+EXPRESSIONS = ("0", "dx^dx", "3/2*x^2*y - 1/2*z", "x*dy + 2*z*dx - x*dy",
+               "-1/3*y*z*dz^dx + x*dx^dy - x*dx^dy + y^2*dy^dz", "x*dx^dy^dz - dx^dy^dz")
 
 
 def algebras():
@@ -74,6 +82,8 @@ def commands(dmax):
             for tau in taus for c in RESONANCE_CS]
     out += [["modular", *algebra] for algebra in algebras()]
     out += [["list"]]
+    out += [["schouten", "--", first, second] for first in EXPRESSIONS for second in EXPRESSIONS]
+    out += [["dpi", *algebra, "--", text] for algebra in algebras() for text in EXPRESSIONS]
     return out
 
 

@@ -183,6 +183,13 @@ class OperatorCell:
             raise KeyError(sorted(set(positions) - columns.keys()))
         return columns
 
+    def kills(self, vector):
+        """True when the cell maps the coordinate vector `vector` ({position:
+        coefficient}) to 0; only the columns at its support are built
+        (`columns_at`).  On the q = 3 cell of `differential_matrix`, whose
+        columns are all 0, every vector is killed."""
+        return not linalg.matvec(self.columns_at(set(vector)), vector)
+
     def leads(self, skip, p):
         """(j, the highest row at which column j is nonzero mod p, or None)
         for each position j not in `skip`, last first.  Off a stencil no

@@ -15,7 +15,7 @@ from math import comb
 
 from . import linalg
 from .cohomology import class_table, coboundary_witness
-from .complexes import GradedBasis, differential_matrix, holding_stencils, poisson_differential
+from .complexes import differential_matrix, holding_stencils
 from .expressions import parse_multivector
 from .multivector import MultiVector, Polynomial, modular_vector_field, schouten_bracket
 from .registry import Algebra, linear_poisson
@@ -279,17 +279,16 @@ class Report:
 
 
 def _check_generators(pi, table, q, d, exprs, mismatches):
-    basis = GradedBasis(q, d)
     cell = table.cell(q, d)
+    differential = differential_matrix(pi, q, d)  # read off pi's held stencil
     coords = []
     for text in exprs:
-        generator = parse_multivector(text)
-        vec = basis.decompose(generator)
-        if not poisson_differential(pi, generator).is_zero():
+        vec = linalg.integer_normalize(differential.source.decompose(parse_multivector(text)))
+        if not differential.kills(vec):
             mismatches.append(
                 "generator %r at (q=%d, d=%d) is not closed" % (text, q, d))
             return
-        coords.append(linalg.integer_normalize(vec))
+        coords.append(vec)
     if len(coords) != cell.dim_h:
         mismatches.append(
             "generator count at (q=%d, d=%d): fixture lists %d, dim H is %d"
@@ -320,8 +319,9 @@ def verify(fixture_id, dmax):
     """Compare engine cohomology of one structure against its fixture.
 
     Checks every dimension cell up to dmax, then the generator families
-    (closed, independent modulo exact terms, and spanning the same classes
-    the engine computed), then any recorded exactness witnesses.  The
+    (closed, a test read off pi's held stencil with no bracket, independent
+    modulo exact terms, and spanning the same classes the engine
+    computed), then any recorded exactness witnesses.  The
     engine's side is `class_table`: the full complex's numbers, and a basis
     of each H that need not be the canonical one.
     """

@@ -3,6 +3,7 @@
 import copy
 import json
 import random
+import sys
 from fractions import Fraction
 from importlib import resources
 from math import inf, lcm
@@ -15,6 +16,22 @@ from poisson3.complexes import linear_operator_matrix
 from poisson3 import linalg
 from poisson3.linalg import (
     independent_columns_mod_p, integer_normalize, kernel_and_image, matvec, rref)
+
+
+def bracket_calls(call):
+    """How many times `call()` enters `schouten_bracket`."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return calls.count(schouten_bracket.__code__)
 
 
 def random_polynomial(rng, max_degree, terms=3):

@@ -222,7 +222,10 @@ def test_invariant_table_builds_each_basis_and_differential_once(capsys, monkeyp
     assert bases == {}
     # d_0..d_2 each built once and read once at its support; d_3 is 0 and not built
     assert restricted.pop(None) == 2  # two certified invariant cells' kept columns, one walk each
-    assert differentials == restricted == {(q, d): 1 for q in range(3) for d in range(5)}
+    assert differentials == {(q, d): 1 for q in range(3) for d in range(5)}
+    # pi's checks read [pi, .] once more, at the support of R on (1, 1) and of pi on (2, 1)
+    assert restricted == {(q, d): 1 + ((q, d) in ((1, 1), (2, 1)))
+                          for q in range(3) for d in range(5)}
     assert not any(cell in whole for cell in cells)  # no differential is built whole
 
 

@@ -1,14 +1,13 @@
 """Cohomology cells, tables, invariant subcomplex, witnesses, resonances."""
 
 import random
-import sys
 from fractions import Fraction
 from math import gcd, inf
 
 import pytest
 
 from helpers import (
-    conjugated_constants, determinant, exact_columns, full_build_invariant_table,
+    bracket_calls, conjugated_constants, determinant, exact_columns, full_build_invariant_table,
     invariant_multivectors, kernel_basis, mod_p_pass, rank, reference_rref, unimodular_matrix)
 from poisson3 import (
     KINDS,
@@ -44,7 +43,7 @@ from poisson3 import linalg
 from poisson3 import multivector as multivector_module
 from poisson3.cohomology import CohomologyCell, class_table, resonance_range
 from poisson3.complexes import holding_stencils
-from poisson3.multivector import component_wedge
+from poisson3.multivector import NCOMP, component_wedge
 
 BOOK1 = Algebra("book", Fraction(1))
 
@@ -255,8 +254,9 @@ def test_differentials_are_built_only_as_far_as_they_are_read(monkeypatch):
     # a later column is first reduced against it; a certified cell builds
     # the columns it kept only for a next cell reduced exactly; and an exact
     # reduction lays out its rows straight from the stencil.  Each table
-    # builds 9 columns for [pi, pi] on the (2, 1) cell and the 3 of d_0 on
-    # degree 1 that the weight detection reads.  Heisenberg and sl2 reduce
+    # builds the columns of the (2, 1) cell at pi's support for [pi, pi], 1
+    # for heisenberg, 2 for book and 3 for sl2, and the 3 of d_0 on degree 1
+    # that the weight detection reads.  Heisenberg and sl2 reduce
     # their full complexes, whose passes build 0 and 1,195 more (building
     # each column they read built 1,864 and 3,894, and every column of every
     # differential 14,168 and 7,752).  Sl2 reduces d_0 of its H^0 cells on
@@ -272,9 +272,9 @@ def test_differentials_are_built_only_as_far_as_they_are_read(monkeypatch):
     # 13 + 12 = 30 vectors of d_0..d_2, 2 of them new at 20, so 2 * 30 - 2
     # = 58 more columns.  The row layouts are one per exact reduction
     reads = _count_cell_reads(monkeypatch)
-    for pi, dmax, expected in ((linear_poisson("heisenberg"), 20, (12, 84)),
-                               (linear_poisson(Algebra("book", Fraction(-2, 3))), 20, (70, 18)),
-                               (linear_poisson("sl2"), 16, (1372, 18))):
+    for pi, dmax, expected in ((linear_poisson("heisenberg"), 20, (4, 84)),
+                               (linear_poisson(Algebra("book", Fraction(-2, 3))), 20, (63, 18)),
+                               (linear_poisson("sl2"), 16, (1366, 18))):
         reads.update(columns=0, rows=0)
         cohomology_table(pi, dmax)
         assert (reads["columns"], reads["rows"]) == expected
@@ -1054,22 +1054,6 @@ def test_a_bivector_that_is_not_poisson_is_rejected():
             cohomology_table(pi, 1, invariant=True)
 
 
-def _brackets(call):
-    """How many times `call()` enters `schouten_bracket`."""
-    calls = []
-
-    def profile(frame, event, arg):
-        if event == "call":
-            calls.append(frame.f_code)
-
-    sys.setprofile(profile)
-    try:
-        call()
-    finally:
-        sys.setprofile(None)
-    return calls.count(schouten_bracket.__code__)
-
-
 def test_tables_and_cells_check_pi_on_its_stencils_with_no_bracket():
     # pi is checked for [pi, pi] = 0, and for rotation invariance where the
     # invariant subcomplex is asked for, on the stencils its table or cell
@@ -1077,7 +1061,7 @@ def test_tables_and_cells_check_pi_on_its_stencils_with_no_bracket():
     invariant = []
     for algebra in REGISTRY_ALGEBRAS:
         pi = linear_poisson(algebra)
-        assert _brackets(lambda: schouten_bracket(pi, pi)) == 1
+        assert bracket_calls(lambda: schouten_bracket(pi, pi)) == 1
         calls = [lambda: cohomology_table(pi, 4), lambda: class_table(pi, 4),
                  lambda: cohomology_cell(pi, 1, 3)]
         if schouten_bracket(rotation_field(), pi).is_zero():
@@ -1085,7 +1069,7 @@ def test_tables_and_cells_check_pi_on_its_stencils_with_no_bracket():
             calls += [lambda: cohomology_table(pi, 4, invariant=True),
                       lambda: invariant_cohomology(pi, 1, 3)]
         for call in calls:
-            assert _brackets(call) == 0, algebra
+            assert bracket_calls(call) == 0, algebra
     assert invariant == ["abelian", "heisenberg", "euclidean", "spiral", "so3"]
 
 
@@ -1191,6 +1175,31 @@ def test_weight_zero_tables_are_the_full_complexs_cells(seed):
 def _weights(pi):
     """(k, D) of the first coordinate field of pi with weights, or None."""
     return cohomology_module._weights(cohomology_module._fields(pi))
+
+
+def _scanned_weight_zero(weights, q, d):
+    """The weight-0 unit vectors new at (q, d), found by trying every m_x."""
+    basis = GradedBasis(q, d)
+    sums = [sum(weights[s] for s in component_wedge(q, idx)[0]) for idx in range(NCOMP[q])]
+    return [{basis.position(idx, (mx, d - mx, 0)): 1} for mx in range(d + 1)
+            for idx, c in enumerate(sums) if weights[0] * mx + weights[1] * (d - mx) == c]
+
+
+@pytest.mark.parametrize("seed", [33, 34])
+def test_weight_zero_solves_for_m_x_as_the_scan_finds_it(seed):
+    # aff_x_r, semi_open_book (D_x = D_y) and book at tau = 1, -1 and seeded
+    # rational taus of both signs: the vectors solved for are the scan's, in
+    # its ascending-position order
+    rng = random.Random(seed)
+    taus = [Fraction(1), Fraction(-1)] + [
+        sign * Fraction(rng.randint(1, 9), rng.randint(9, 17)) for sign in (1, -1, 1, -1)]
+    for algebra in [Algebra("aff_x_r"), Algebra("semi_open_book")] + [
+            Algebra("book", tau) for tau in taus]:
+        _, weights = _weights(linear_poisson(algebra))
+        new_vectors = cohomology_module._weight_zero(weights)
+        for q in range(4):
+            for d in range(25):
+                assert new_vectors(q, d) == _scanned_weight_zero(weights, q, d), (algebra, q, d)
 
 
 def test_only_the_coordinate_kinds_have_weights():

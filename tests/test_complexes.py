@@ -396,6 +396,29 @@ def test_differentials_leave_the_basis_elements_unbuilt(monkeypatch):
     assert listed  # the patch is live: the element lists above came from it
 
 
+def test_kills_is_the_brackets_closedness_test():
+    # a cell kills a cochain's coordinates exactly when its bracket with pi
+    # is 0; exact cochains [pi, u] are killed, and at q = 3 every trivector
+    rng = random.Random(234)
+    found = {False: 0, True: 0}
+    for pi in [linear_poisson(alg) for alg in ALGEBRAS]:
+        with holding_stencils(pi):
+            for q in range(4):
+                for d in range(5):
+                    cell = differential_matrix(pi, q, d)
+                    basis, size = cell.source, len(cell.source)
+                    coords = {j: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                              for j in rng.sample(range(size), rng.randint(0, min(size, 4)))}
+                    closed = schouten_bracket(pi, basis.reconstruct(coords)).is_zero()
+                    assert cell.kills(coords) == closed, (pi, q, d)
+                    found[closed] += 1
+                    if q:
+                        below = GradedBasis(q - 1, d)
+                        u = below.reconstruct({j: rng.randint(-3, 3) for j in range(len(below))})
+                        assert cell.kills(basis.decompose(schouten_bracket(pi, u)))
+    assert found[False] > 50 and found[True] > 50
+
+
 def _random_linear_operator(rng, degree):
     comps = []
     for _ in range(3):

@@ -258,9 +258,9 @@ def test_each_layout_and_the_mod_p_pass_have_their_named_callers():
     # pivot for the first time, by its position; the degree loop reads the
     # columns a certified cell kept, and those d_0's kernel rows touch when
     # only its pivot rows were reduced, each in one walk, by `columns_at`,
-    # as the restriction builder reads a differential's support.  `_column`
-    # writes each column of a stencil, alone or in the walk of `columns` and
-    # `columns_at`
+    # as the restriction builder reads a differential's support and
+    # `OperatorCell.kills` a closedness test's.  `_column` writes each column
+    # of a stencil, alone or in the walk of `columns` and `columns_at`
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     assert _callers(trees, "lay_out") == [("complexes.py", "OperatorCell.rows"),
                                           ("linalg.py", "kernel_and_image")]
@@ -271,7 +271,8 @@ def test_each_layout_and_the_mod_p_pass_have_their_named_callers():
     assert _callers(trees, "column_of") == []
     assert _callers(trees, "columns_at") == [("cohomology.py", "_degree_cells"),
                                              ("cohomology.py", "_degree_cells"),
-                                             ("cohomology.py", "_restricted_differentials")]
+                                             ("cohomology.py", "_restricted_differentials"),
+                                             ("complexes.py", "OperatorCell.kills")]
     assert _callers(trees, "_column") == [("complexes.py", "OperatorCell._built"),
                                           ("complexes.py", "OperatorCell.column")]
     assert _callers(trees, "_built") == [("complexes.py", "OperatorCell.columns"),
@@ -386,6 +387,18 @@ def test_the_cli_writes_stdout_in_one_place():
     assert _reads(cli, "stdout") == [("cli.py", "_emit")]
     assert _callers(cli, "print") == []
     assert ("cli.py", "main") in _callers(cli, "_emit")
+
+
+def test_verify_checks_its_generators_with_no_bracket():
+    # `verify` tests each generator's closedness on pi's held stencil
+    # (`OperatorCell.kills`); only the deformation and modular checks, which
+    # bracket cochains that no complex holds, read the Schouten bracket
+    tree = ast.parse((ROOT / "src" / "poisson3" / "verification.py").read_text())
+    trees = {"verification.py": tree}
+    assert ("verification.py", "_check_generators") in _callers(trees, "kills")
+    assert _reads(trees, "poisson_differential") == []
+    assert {scope for _, scope in _reads(trees, "schouten_bracket")} == {
+        "deformation_identity_check", "modular_class_check"}
 
 
 def test_cohomology_checks_pi_with_no_bracket():

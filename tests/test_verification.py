@@ -10,9 +10,11 @@ from importlib import resources
 
 import pytest
 
+from helpers import bracket_calls
 from poisson3 import complexes, verification
 from poisson3.cohomology import class_table
-from poisson3.complexes import GradedBasis
+from poisson3.complexes import (
+    GradedBasis, differential_matrix, holding_stencils, linear_operator_matrix)
 from poisson3.linalg import integer_normalize
 from poisson3 import (
     Algebra,
@@ -226,6 +228,39 @@ def test_verify_derives_each_stencil_once_while_its_bivector_is_held(monkeypatch
         assert sorted(calls) == [(0, True), (1, True), (2, True)], fixture_id
 
 
+def test_verify_makes_no_bracket():
+    # each generator's closedness is read off pi's held stencil
+    # (`OperatorCell.kills`), as the table's checks of pi are
+    for fixture_id in FIXTURE_IDS:
+        assert bracket_calls(lambda: verify(fixture_id, 10)) == 0, fixture_id
+
+
+def test_every_fixture_generator_is_closed_under_the_bracket_and_the_stencil():
+    # the bracket is the oracle the stencil's closedness test is checked by
+    for fixture_id in FIXTURE_IDS:
+        expect = expected_table(fixture_id)
+        pi = linear_poisson(expect.make_algebra())
+        with holding_stencils(pi):
+            for q, d, exprs in expect.generators:
+                differential = differential_matrix(pi, q, d)
+                for text in exprs:
+                    generator = mv(text)
+                    assert schouten_bracket(pi, generator).is_zero(), (fixture_id, text)
+                    assert differential.kills(differential.source.decompose(generator))
+
+
+def test_a_q3_generator_cell_is_checked_on_the_zero_cell_of_d3():
+    # [pi, .] maps a trivector outside 0..3, and d_3 is the zero cell
+    pi = linear_poisson("heisenberg")
+    with pytest.raises(ValueError, match=r"outside 0\.\.3"):
+        linear_operator_matrix(pi, 3, 2)
+    top = differential_matrix(pi, 3, 2)
+    assert top.kills(top.source.decompose(mv("x^2*dx^dy^dz + 3*x*y*dx^dy^dz")))
+    assert (3, 2, ("x^2*dx^dy^dz", "x*y*dx^dy^dz", "y^2*dx^dy^dz")) in \
+        expected_table("heisenberg").generators
+    assert verify("heisenberg", 4).passed
+
+
 def test_verify_report_text():
     report = verify("open_book_tau_1", 10)
     assert report.lines() == [
@@ -244,25 +279,27 @@ def test_verify_rejects_out_of_range_dmax():
         verify("hyperbolic_2_3", expect.dmax_table + 1)
 
 
-def _patch_heisenberg_generators(monkeypatch, exprs):
-    """Serve the heisenberg fixture with the (q=1, d=1) generators replaced."""
+def _patch_heisenberg_generators(monkeypatch, exprs, cell=(1, 1)):
+    """Serve the heisenberg fixture with the generators of one (q, d) cell replaced."""
     raw = load_fixture("heisenberg")
     for entry in raw["generators"]:
-        if (entry["q"], entry["d"]) == (1, 1):
+        if (entry["q"], entry["d"]) == cell:
             entry["exprs"] = exprs
     monkeypatch.setattr(verification, "load_fixture", lambda fixture_id: raw)
 
 
-@pytest.mark.parametrize("exprs, mismatch", [
-    (["x*dx + z*dz", "x*dz", "x*dx - y*dy", "y*dx"],
+@pytest.mark.parametrize("cell, exprs, mismatch", [
+    ((1, 1), ["x*dx + z*dz", "x*dz", "x*dx - y*dy", "y*dx"],
      "generator 'x*dz' at (q=1, d=1) is not closed"),
-    (["x*dx + z*dz", "x*dy", "x*dx - y*dy"],
+    ((2, 1), ["x*dy^dz", "x*dx^dz", "y*dx^dz", "z*dy^dz", "z*dx^dz"],
+     "generator 'x*dx^dz' at (q=2, d=1) is not closed"),
+    ((1, 1), ["x*dx + z*dz", "x*dy", "x*dx - y*dy"],
      "generator count at (q=1, d=1): fixture lists 3, dim H is 4"),
-    (["x*dx + z*dz", "x*dy", "x*dx - y*dy", "x*dy + x*dx - y*dy"],
+    ((1, 1), ["x*dx + z*dz", "x*dy", "x*dx - y*dy", "x*dy + x*dx - y*dy"],
      "generators at (q=1, d=1) are dependent modulo exact terms"),
-], ids=["not_closed", "count", "dependent"])
-def test_verify_reports_bad_generators(monkeypatch, exprs, mismatch):
-    _patch_heisenberg_generators(monkeypatch, exprs)
+], ids=["not_closed", "not_closed_at_q2", "count", "dependent"])
+def test_verify_reports_bad_generators(monkeypatch, cell, exprs, mismatch):
+    _patch_heisenberg_generators(monkeypatch, exprs, cell)
     report = verify("heisenberg", 4)
     assert not report.passed
     assert report.mismatches == (mismatch,)

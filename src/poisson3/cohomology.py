@@ -150,14 +150,11 @@ class CohomologyCell:
 
 
 def _check_kills(pi, v, message):
-    """Raise ValueError(message) unless [pi, v] = 0: v is decomposed over
-    GradedBasis(v.degree, d), d its coefficient degree (0 for v = 0), and
-    [pi, .] on that cell, read off pi's held stencil, is applied at v's
-    support (`OperatorCell.kills`).  The cell is `linear_operator_matrix`'s,
-    d_q's for a bivector: the rotation check runs before pi is known to be
-    one, and keeps its message for any linear pi.  A pi whose coefficients
-    are not linear fails in the stencil with DegreeError."""
-    cell = linear_operator_matrix(pi, v.degree, max(v.coefficient_degree(), 0))
+    """Raise ValueError(message) unless [pi, v] = 0, for a v with linear
+    coefficients: [pi, .] on the (v.degree, 1) cell, read off pi's held
+    stencil, applied to v's coordinates (`OperatorCell.kills`).  A pi whose
+    coefficients are not linear fails in the stencil with DegreeError."""
+    cell = linear_operator_matrix(pi, v.degree, 1)
     if not cell.kills(cell.source.decompose(v)):
         raise ValueError(message)
 
@@ -260,26 +257,15 @@ def _weight_zero(weights):
     d + 1 (`GradedBasis.position`), so the weight-0 cochains are a z-stable
     basis of unit vectors, and those new at d have m_z = 0: e_j at x^(m_x)
     y^(d - m_x) xi_idx with D_x m_x + D_y (d - m_x) = sum_S D_s, by ascending
-    j, which is ascending (m_x, idx).  The condition is (D_x - D_y) m_x =
-    sum_S D_s - D_y d, solved for m_x as `resonance_range` solves its pairs:
-    with D_x = D_y every m_x in 0..d when the right side is 0 and none
-    otherwise, and else the one integer quotient in 0..d, if there is one.
+    j.
     """
     sums = [[sum(weights[s] for s in component_wedge(q, idx)[0]) for idx in range(NCOMP[q])]
             for q in range(4)]
-    slope = weights[0] - weights[1]
 
     def new_vectors(q, d):
-        basis, found = GradedBasis(q, d), []
-        for idx, c in enumerate(sums[q]):
-            if not slope:
-                if c == weights[1] * d:
-                    found += [(mx, idx) for mx in range(d + 1)]
-            else:
-                mx, rest = divmod(c - weights[1] * d, slope)
-                if not rest and 0 <= mx <= d:
-                    found.append((mx, idx))
-        return [{basis.position(idx, (mx, d - mx, 0)): 1} for mx, idx in sorted(found)]
+        basis = GradedBasis(q, d)
+        return [{basis.position(idx, (mx, d - mx, 0)): 1} for mx in range(d + 1)
+                for idx, c in enumerate(sums[q]) if weights[0] * mx + weights[1] * (d - mx) == c]
     return new_vectors
 
 

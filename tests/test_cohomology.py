@@ -43,7 +43,7 @@ from poisson3 import linalg
 from poisson3 import multivector as multivector_module
 from poisson3.cohomology import CohomologyCell, class_table, resonance_range
 from poisson3.complexes import holding_stencils
-from poisson3.multivector import NCOMP, component_wedge
+from poisson3.multivector import component_wedge
 
 BOOK1 = Algebra("book", Fraction(1))
 
@@ -1175,31 +1175,6 @@ def test_weight_zero_tables_are_the_full_complexs_cells(seed):
 def _weights(pi):
     """(k, D) of the first coordinate field of pi with weights, or None."""
     return cohomology_module._weights(cohomology_module._fields(pi))
-
-
-def _scanned_weight_zero(weights, q, d):
-    """The weight-0 unit vectors new at (q, d), found by trying every m_x."""
-    basis = GradedBasis(q, d)
-    sums = [sum(weights[s] for s in component_wedge(q, idx)[0]) for idx in range(NCOMP[q])]
-    return [{basis.position(idx, (mx, d - mx, 0)): 1} for mx in range(d + 1)
-            for idx, c in enumerate(sums) if weights[0] * mx + weights[1] * (d - mx) == c]
-
-
-@pytest.mark.parametrize("seed", [33, 34])
-def test_weight_zero_solves_for_m_x_as_the_scan_finds_it(seed):
-    # aff_x_r, semi_open_book (D_x = D_y) and book at tau = 1, -1 and seeded
-    # rational taus of both signs: the vectors solved for are the scan's, in
-    # its ascending-position order
-    rng = random.Random(seed)
-    taus = [Fraction(1), Fraction(-1)] + [
-        sign * Fraction(rng.randint(1, 9), rng.randint(9, 17)) for sign in (1, -1, 1, -1)]
-    for algebra in [Algebra("aff_x_r"), Algebra("semi_open_book")] + [
-            Algebra("book", tau) for tau in taus]:
-        _, weights = _weights(linear_poisson(algebra))
-        new_vectors = cohomology_module._weight_zero(weights)
-        for q in range(4):
-            for d in range(25):
-                assert new_vectors(q, d) == _scanned_weight_zero(weights, q, d), (algebra, q, d)
 
 
 def test_only_the_coordinate_kinds_have_weights():

@@ -20,10 +20,10 @@ is new and the next, and every later column is read off that line.  A
 single cell is read off the four cells of its degree, as a table builds
 them; a subcomplex's cell runs the same restriction over the degrees up to
 its own.  A table or a cell reads each of its bivector's stencils once
-(`complexes.holding_stencils`), and checks pi on the stencils it holds,
-with no bracket: a bivector with [pi, pi] != 0 has no complex, as d o d !=
-0, and is rejected, and so is one with [pi, R] != 0 for the rotation R,
-whose rotation-invariant cochains are asked for.
+(`complexes.holding_stencils`), and checks pi before anything else reads
+it: its degree, then, on the stencils it holds, with no bracket, [pi, pi]
+= 0, as a bivector without it has no complex (d o d != 0), and [pi, R] =
+0 for the rotation R where rotation-invariant cochains are asked for.
 
 A Hamiltonian field X = [pi, f] of a linear f acts as 0 on H (Lichnerowicz
 1977; Vaisman 1994): L_X commutes with d, as X is Poisson, and is
@@ -77,17 +77,17 @@ probabilistic: an unlucky prime only sends a cell down the exact path.
 A cell 0 with a class, such as a Casimir's, reduces d_0 on only some of its
 rows where the next cell has none (the semisimple kinds: McConnell,
 Mehlhorn, Naeher and Schweitzer 2011 on certifying algorithms).  d_0's
-pass keeps rank_p columns and finds their pivots at rows P, |P| = rank_p,
-where the minor of d_0 is triangular mod p with units on its diagonal, so
-nonsingular over Q.  d_1's pass then runs before d_0 is reduced, taking
-rank_p as d_0's rank.  When it certifies cell 1, only the rows P of d_0
-are reduced, and d_0 is checked exactly to kill each kernel row they
-leave.  Their kernel holds d_0's, so the check proves the two kernels, and
-with them the two row spaces and reduced echelon forms, equal: rank_Q(d_0)
-= |P|, and the kernel rows read off are those of every row.  If the check
-fails every row is reduced, as it is where cell 1 keeps a class.  d_1's
-pass is that cell's only pass; at an unlucky prime, where rank_p is below
-rank_Q, it may stop early and send the cell down the exact path.
+pass keeps rank_p columns, whose minor at their pivot rows P is triangular
+mod p with units on its diagonal, so nonsingular over Q.  d_1's pass runs
+next, skipping the columns at P.  If it certifies cell 1, every other
+column of d_1 is independent mod p, and as d_1 d_0 = 0, rank_p(d_1) + |P|
+= dim C^1 >= rank_Q(d_1) + rank_Q(d_0) >= rank_p(d_1) + |P|.  So
+rank_Q(d_0) = |P|, the rows P are a basis of d_0's row space at any prime,
+and only they are reduced; d_0 is checked to kill each kernel row they
+give, which only a wrong pass fails (RuntimeError).  d_1's pass is that
+cell's only pass; at an unlucky prime, where rank_p is below rank_Q, it
+may stop early: the cell then goes down the exact path unless its kept
+columns and d_0's exact rank still fill C^1, leaving no pivot rows to skip.
 
 The matrices are integer throughout.  Representatives are canonical: they
 are the kernel rows whose leading coordinate is not a pivot of the image's
@@ -110,6 +110,7 @@ from . import linalg
 from .complexes import (
     GradedBasis,
     OperatorCell,
+    check_bivector,
     differential_matrix,
     holding_stencils,
     linear_operator_matrix,
@@ -149,14 +150,18 @@ class CohomologyCell:
         return "CohomologyCell(q=%d, d=%d, dim_h=%d)" % (self.q, self.d, self.dim_h)
 
 
-def _check_kills(pi, v, message):
-    """Raise ValueError(message) unless [pi, v] = 0, for a v with linear
-    coefficients: [pi, .] on the (v.degree, 1) cell, read off pi's held
-    stencil, applied to v's coordinates (`OperatorCell.kills`).  A pi whose
-    coefficients are not linear fails in the stencil with DegreeError."""
-    cell = linear_operator_matrix(pi, v.degree, 1)
-    if not cell.kills(cell.source.decompose(v)):
-        raise ValueError(message)
+def _check_pi(pi, invariant=False):
+    """Raise ValueError unless pi is a bivector with [pi, pi] = 0, and with
+    invariant=True, first, [pi, R] = 0 for the rotation R: `OperatorCell.kills`
+    on pi's held stencil (DegreeError if pi's coefficients are not linear)."""
+    check_bivector(pi)
+    checks = [(pi, "bivector is not Poisson: [pi, pi] is not 0")]
+    if invariant:
+        checks.insert(0, (rotation_field(), "bivector is not rotation invariant"))
+    for v, message in checks:
+        cell = linear_operator_matrix(pi, v.degree, 1)
+        if not cell.kills(cell.source.decompose(v)):
+            raise ValueError(message)
 
 
 def _differentials(pi, d):
@@ -312,16 +317,11 @@ def _full_cells(d, matrices, vectors):
 def _complex(pi, dmax, invariant, blocks=False):
     """Yield, for d = 0..dmax, a function that reduces degree d to its four
     cells: those of the rotation-invariant subcomplex with invariant=True,
-    and otherwise the full complex's, restricted to the subcomplex that
-    carries H where `_family` finds one.  A restriction runs as the degrees
-    are yielded, and the full complex's differentials are made only when
-    their degree is reduced.  pi is checked first, when the first degree is
-    asked for: rotation invariant with invariant=True ([pi, R] = -[R, pi]),
-    then Poisson if a bivector; `differential_matrix` rejects the rest."""
-    if invariant:
-        _check_kills(pi, rotation_field(), "bivector is not rotation invariant")
-    if pi.degree == 2:
-        _check_kills(pi, pi, "bivector is not Poisson: [pi, pi] is not 0")
+    else the full complex's, restricted to the subcomplex that carries H
+    where `_family` finds one.  A restriction runs as the degrees are
+    yielded, and full differentials are made as their degree is reduced.
+    pi is checked first (`_check_pi`), as the first degree is asked for."""
+    _check_pi(pi, invariant)
     new_vectors = new_invariant_vectors if invariant else _family(pi, blocks)
     if new_vectors is None:
         for d in range(dmax + 1):
@@ -353,13 +353,13 @@ def _degree_cells(d, matrices, back=None):
     the largest, small.
 
     When cell 0 is not certified, d_1's pass runs at once, with d_0's rank
-    mod p as rank_in.  If it certifies cell 1, d_0 is reduced on the rows
-    at d_0's pass's pivots alone (`OperatorCell.rows`), and kept only if
-    d_0 kills each kernel row they give: then rank and kernel are those of
-    every row (see the module notes).  Those rows all land, but not where
-    d_0's image echelon leads, so the columns d_0's pass kept, as many as
-    its exact rank, stand for its image as after a certified cell.
-    Otherwise every row is reduced.  Either way d_1's pass is not run again.
+    mod p as rank_in, and is not run again.  If it certifies cell 1, the
+    rows at d_0's pass's pivots are a basis of d_0's row space (see the
+    module notes): d_0 is reduced on them alone (`OperatorCell.rows`) and
+    checked to kill each kernel row (`OperatorCell.kills`).  Those rows all
+    land, but not where d_0's image echelon leads, so the columns d_0's
+    pass kept, as many as its exact rank, stand for its image as after a
+    certified cell.
 
     Otherwise d_q is reduced exactly, and that one reduction gives cell q
     its rank and the kernel rows led outside the incoming image's pivots,
@@ -389,7 +389,8 @@ def _degree_cells(d, matrices, back=None):
         if size == len(independent) + rank_in:
             # rank_p <= rank_Q and dim H >= 0: both ranks are exact, H = 0
             cells.append(CohomologyCell(q, d, size, len(independent), rank_in, []))
-            rank_in, pivots, skip = len(independent), None, pass_pivots
+            # d_1's pass may stop on rank_p(d_0) < rank_Q(d_0) and still certify: no pivot rows
+            rank_in, pivots, skip = len(independent), None, pass_pivots or set()
             certified = matrix, independent
             continue
         if pivots is None:  # d_{q-1} was certified: the columns it kept span its image
@@ -402,12 +403,9 @@ def _degree_cells(d, matrices, back=None):
                 at = pass_pivots  # rank_Q(d_0) = rank_p(d_0): its pivot rows span
         rank, _, kernel, image_pivots = linalg.kernel_and_image_of_rows(  # the pivots' columns
             size, matrix.rows(pivots, at), pivots)  # are free, and left out
-        if at is not None:  # the kernel of rows P holds d_0's: equal when d_0 kills it
-            columns = matrix.columns_at(set().union(*kernel))
-            if any(linalg.matvec(columns, row) for row in kernel):
-                at = None  # rows P miss part of the row space: reduce them all
-                rank, _, kernel, image_pivots = linalg.kernel_and_image_of_rows(
-                    size, matrix.rows(pivots), pivots)
+        if at is not None and not all(matrix.kills(row) for row in kernel):  # a wrong pass
+            raise RuntimeError("cell (%d, %d): d_0 does not kill the kernel of its pass's "
+                               "pivot rows" % (q, d))
         if rank < len(independent):
             raise RuntimeError(
                 "cell (%d, %d): exact rank %d is below the rank %d mod p"
@@ -540,8 +538,9 @@ def coboundary_witness(pi, target):
     """A multivector V with [pi, V] == target, or None.
 
     The target must have homogeneous coefficients (each graded cell is
-    searched exactly, nothing is approximated).
+    searched exactly, nothing is approximated), and pi must be Poisson.
     """
+    _check_pi(pi)
     if target.is_zero():
         return MultiVector.zero(max(target.degree - 1, 0))
     d = target.coefficient_degree()

@@ -340,7 +340,7 @@ def _read_stencil(operator, q):
     return linear_stencil(operator, q)
 
 
-def _check_bivector(pi):
+def check_bivector(pi):
     if pi.degree != 2:
         raise ValueError("differential needs a bivector, got degree %d" % (pi.degree,))
 
@@ -352,7 +352,7 @@ def differential_matrix(pi, q, d):
     empty, so every column is zero and chaining q and q+1 stays uniform
     for the rank bookkeeping upstream.
     """
-    _check_bivector(pi)
+    check_bivector(pi)
     if q == 3:
         basis = GradedBasis(3, d)
         return OperatorCell(basis, basis, None, 1, [[]])
@@ -361,7 +361,7 @@ def differential_matrix(pi, q, d):
 
 def poisson_differential(pi, value):
     """The differential applied to one multivector: [pi, value]."""
-    _check_bivector(pi)
+    check_bivector(pi)
     return schouten_bracket(pi, value)
 
 

@@ -43,7 +43,7 @@ from poisson3 import linalg
 from poisson3 import multivector as multivector_module
 from poisson3.cohomology import CohomologyCell, class_table, resonance_range
 from poisson3.complexes import holding_stencils
-from poisson3.multivector import component_wedge
+from poisson3.multivector import DegreeError, component_wedge
 
 BOOK1 = Algebra("book", Fraction(1))
 
@@ -342,28 +342,48 @@ def _table_fields(tables):
     return [[_cell_fields(table.cells[key]) for key in sorted(table.cells)] for table in tables]
 
 
-@pytest.mark.parametrize("prime, exact_reductions", [(2, 268), (3, 242), (5, 228)])
+@pytest.mark.parametrize("prime, exact_reductions, guarded",
+                         [(2, 312, 2), (3, 288, 2), (5, 262, 4)])
 def test_a_small_prime_only_sends_cells_down_the_exact_path(monkeypatch, prime,
-                                                            exact_reductions):
+                                                            exact_reductions, guarded):
     # a pass that stops hands the next one the exact image's pivots to skip,
     # not pivot rows of its own; modulo a small prime the columns outside
     # those can hold less than the whole rank (an image vector's leading
-    # entry may be a multiple of p), so a few more cells go exact than the
-    # 252, 235 and 219 of passes that all run to the end, none at PRIME.
-    # d_1's pass runs before d_0 is reduced, on d_0's rank mod p: where
-    # that is below the rank over Q, its spare is too small, it may stop
-    # where it could have certified cell 1, and the cell goes exact (at
-    # p = 2 and 5 four and one more than 264 and 227).  Book,
-    # semi_open_book and aff_x_r count the reductions of their weight-0
-    # subcomplexes
+    # entry may be a multiple of p), so a few more cells of the registry
+    # tables go exact than the 252, 235 and 219 of passes that all run to
+    # the end, none at PRIME.  d_1's pass runs before d_0 is reduced, on
+    # d_0's rank mod p: where that is below the rank over Q, its spare is
+    # too small, it may stop where it could have certified cell 1, and the
+    # cell goes exact (at p = 2 and 5 four and one more than 264 and 227).
+    # Book, semi_open_book and aff_x_r count the reductions of their
+    # weight-0 subcomplexes.  The class tables of so3 and sl2 add 20, 44,
+    # 46 and 34 reductions; where d_1's pass certifies cell 1 of their
+    # restricted list cells, d_0 is reduced on its pass's pivot rows, at
+    # any prime, and passes the check there
     calls = _count_calls(monkeypatch, "kernel_and_image_of_rows")
+    checked, kills = [], complexes_module.OperatorCell.kills  # the source of each cell checked
+
+    def checking(cell, vector):
+        checked.append(cell.source)
+        return kills(cell, vector)
+
+    monkeypatch.setattr(complexes_module.OperatorCell, "kills", checking)
     pis = [linear_poisson(algebra) for algebra in REGISTRY_ALGEBRAS]
-    expected = _table_fields(cohomology_table(pi, 8) for pi in pis)
-    assert calls["kernel_and_image_of_rows"] == 173
+    blocks = [linear_poisson(kind) for kind in ("so3", "sl2")]
+
+    def tables():
+        return _table_fields([cohomology_table(pi, 8) for pi in pis]
+                             + [class_table(pi, 8) for pi in blocks])
+
+    expected = tables()
+    assert calls["kernel_and_image_of_rows"] == 193
+    assert checked.count(None) == 10  # the guard on restricted list cells
     monkeypatch.setattr(linalg, "PRIME", prime)
     calls["kernel_and_image_of_rows"] = 0
-    assert _table_fields(cohomology_table(pi, 8) for pi in pis) == expected
+    del checked[:]
+    assert tables() == expected
     assert calls["kernel_and_image_of_rows"] == exact_reductions
+    assert checked.count(None) == guarded
 
 
 def _recorded_passes(monkeypatch):
@@ -590,16 +610,14 @@ def test_d_0_is_reduced_on_its_pass_pivot_rows_where_d_1s_pass_certifies_cell_1(
         assert at == (passes[4 * d][4] if on_pivot_rows else None)
 
 
-def test_pivot_rows_that_miss_d_0s_row_space_send_it_to_every_row(monkeypatch):
+def test_pivot_rows_that_miss_d_0s_row_space_fail_the_check(monkeypatch):
     # a pass that hands over d_0's pivot rows less the top one: those rows
     # do not span d_0's row space, so d_0 does not kill every kernel row
-    # they leave, the check sees it and d_0 is reduced again on every row;
-    # the table is the same.  sl2's H^0 cells at d = 2, 4, 6, 8 each reduce
-    # twice; at d = 0 no pivot row is dropped
+    # they leave, and the check raises at the first cell this reaches,
+    # sl2's H^0 cell at d = 2, after one reduction of d_0 on those rows;
+    # at d = 0 no pivot row is dropped, and d = 1 reduces no d_0
     pi = linear_poisson("sl2")
-    calls = _count_calls(monkeypatch, "kernel_and_image_of_rows")
-    expected = _table_fields([cohomology_table(pi, 8)])
-    reductions = calls["kernel_and_image_of_rows"]
+    expected = _table_fields([cohomology_table(pi, 1)])
     independent_columns_mod_p, rows = (linalg.independent_columns_mod_p,
                                        complexes_module.OperatorCell.rows)
     dropped, laid = [], []
@@ -617,12 +635,27 @@ def test_pivot_rows_that_miss_d_0s_row_space_send_it_to_every_row(monkeypatch):
 
     monkeypatch.setattr(linalg, "independent_columns_mod_p", dropping)
     monkeypatch.setattr(complexes_module.OperatorCell, "rows", laying_out)
-    calls["kernel_and_image_of_rows"] = 0
-    assert _table_fields([cohomology_table(pi, 8)]) == expected
-    assert calls["kernel_and_image_of_rows"] == reductions + 4
-    tried = [k for k, at in enumerate(laid) if at]
-    assert len(tried) == 4
-    assert all(laid[k] in dropped and laid[k + 1] is None for k in tried)
+    assert _table_fields([cohomology_table(pi, 1)]) == expected
+    del laid[:]
+    with pytest.raises(RuntimeError, match=r"cell \(0, 2\): d_0 does not kill the kernel "
+                       "of its pass's pivot rows"):
+        cohomology_table(pi, 8)
+    assert laid[-1] == dropped[-1] and sum(map(bool, laid)) == 1
+
+
+def test_d_1s_pass_that_stops_on_an_unlucky_rank_of_d_0_may_still_certify_cell_1(monkeypatch):
+    # modulo 5, d_0 of this conjugate of spiral 5/2 at d = 2 has a rank below
+    # its exact one, so d_1's pass, run on that rank, stops at its first
+    # dependent column; the exact rank of d_0 still certifies cell 1, with
+    # no pivot rows, and d_2's pass skips no column
+    spiral = Algebra("spiral", Fraction(5, 2))
+    pi = linear_poisson(conjugated_constants(structure_constants(spiral), random.Random(2)))
+    expected = _table_fields([cohomology_table(pi, 4)])
+    passes = _recorded_passes(monkeypatch)
+    monkeypatch.setattr(linalg, "PRIME", 5)
+    assert _table_fields([cohomology_table(pi, 4)]) == expected
+    (_, _, _, _, d_0_rows), (_, d_1_skip, _, _, d_1_rows), (_, d_2_skip, *_) = passes[8:11]
+    assert (d_1_skip, d_1_rows, d_2_skip) == (d_0_rows, None, set())
 
 
 @pytest.mark.parametrize("seed", [7, 11])
@@ -990,10 +1023,10 @@ def test_table_rejects_negative_dmax(invariant):
 
 def test_pi_is_checked_after_q_and_dmax_and_before_any_degree_is_built(monkeypatch):
     # pi is validated in one place, as `_complex` starts: a bad q or dmax is
-    # reported first, then a bivector that is not rotation invariant (with
-    # invariant=True), then one that is not Poisson, before a family is
-    # chosen or a differential made
-    pi = mv("x*dy^dz + y*dx^dy")
+    # reported first, then a pi that is not a bivector, then a bivector
+    # that is not rotation invariant (with invariant=True), then one that is
+    # not Poisson, before a family is chosen or a differential made
+    pi, vector = mv("x*dy^dz + y*dx^dy"), mv("x*dx + y*dy")
     assert not schouten_bracket(pi, pi).is_zero()
     assert not schouten_bracket(rotation_field(), pi).is_zero()
 
@@ -1002,12 +1035,19 @@ def test_pi_is_checked_after_q_and_dmax_and_before_any_degree_is_built(monkeypat
 
     for name in ("_family", "_differentials", "_restricted_differentials"):
         monkeypatch.setattr(cohomology_module, name, built)
-    for call in (lambda: cohomology_cell(pi, 4, 1), lambda: invariant_cohomology(pi, -1, 1)):
-        with pytest.raises(ValueError, match="cochain degree"):
-            call()
-    for call in (lambda: cohomology_table(pi, -1), lambda: class_table(pi, -1),
-                 lambda: cohomology_table(pi, -1, invariant=True)):
-        with pytest.raises(ValueError, match="dmax must be nonnegative, got -1"):
+    for bad in (pi, vector):
+        for call in (lambda: cohomology_cell(bad, 4, 1),
+                     lambda: invariant_cohomology(bad, -1, 1)):
+            with pytest.raises(ValueError, match="cochain degree"):
+                call()
+        for call in (lambda: cohomology_table(bad, -1), lambda: class_table(bad, -1),
+                     lambda: cohomology_table(bad, -1, invariant=True)):
+            with pytest.raises(ValueError, match="dmax must be nonnegative, got -1"):
+                call()
+    for call in (lambda: cohomology_cell(vector, 1, 1), lambda: cohomology_table(vector, 2),
+                 lambda: class_table(vector, 2), lambda: invariant_cohomology(vector, 1, 1),
+                 lambda: cohomology_table(vector, 2, invariant=True)):
+        with pytest.raises(ValueError, match="differential needs a bivector, got degree 1"):
             call()
     for call in (lambda: invariant_cohomology(pi, 1, 1),
                  lambda: cohomology_table(pi, 2, invariant=True)):
@@ -1016,6 +1056,44 @@ def test_pi_is_checked_after_q_and_dmax_and_before_any_degree_is_built(monkeypat
     for call in (lambda: cohomology_cell(pi, 1, 1), lambda: cohomology_table(pi, 2),
                  lambda: class_table(pi, 2)):
         with pytest.raises(ValueError, match=r"bivector is not Poisson: \[pi, pi\] is not 0"):
+            call()
+
+
+def _entry_points(pi):
+    """Every public function that takes pi, each at a small cell."""
+    return [lambda: cohomology_table(pi, 2), lambda: class_table(pi, 2),
+            lambda: cohomology_cell(pi, 1, 1), lambda: coboundary_witness(pi, MultiVector.zero(2)),
+            lambda: coboundary_witness(pi, mv("x*dx^dy")),
+            lambda: cohomology_table(pi, 2, invariant=True),  # the invariant ones last
+            lambda: invariant_cohomology(pi, 1, 1)]
+
+
+@pytest.mark.parametrize("text, error, message, invariant_message", [
+    ("x*dx + y*dy", ValueError, "differential needs a bivector, got degree 1", None),
+    ("z", ValueError, "differential needs a bivector, got degree 0", None),
+    ("z*dx^dy^dz", ValueError, "differential needs a bivector, got degree 3", None),
+    ("x*dx^dy + dx^dz", DegreeError, r"operator coefficient monomial \(0, 0, 0\) is not linear",
+     None),
+    ("x*dy^dz + y*dz^dx + z*dx^dy + x*dx^dy", ValueError,
+     r"bivector is not Poisson: \[pi, pi\] is not 0", "bivector is not rotation invariant"),
+])
+def test_a_bad_pi_gets_one_message_at_every_entry_point(text, error, message,
+                                                        invariant_message):
+    # pi is checked before anything reads it (`_check_pi`): every entry
+    # point, the witness's zero target included, gives the same error, a
+    # non-bivector its degree, and none a KeyError or a message about an
+    # operator's degree; with invariant cochains rotation invariance is
+    # checked before [pi, pi]
+    entry_points = _entry_points(parse_multivector(text))
+    for k, call in enumerate(entry_points):
+        invariant = k >= len(entry_points) - 2
+        with pytest.raises(error, match=invariant and invariant_message or message) as raised:
+            call()
+        assert type(raised.value) is error
+    for algebra in REGISTRY_ALGEBRAS:
+        pi = linear_poisson(algebra)
+        invariant = schouten_bracket(rotation_field(), pi).is_zero()
+        for call in _entry_points(pi)[:None if invariant else -2]:
             call()
 
 

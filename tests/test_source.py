@@ -256,10 +256,10 @@ def test_each_layout_and_the_mod_p_pass_have_their_named_callers():
     # mod-p pass, and only the pass reads leads.  A column is built alone
     # only where the pass's lead collides and where it reduces against a
     # pivot for the first time, by its position; the degree loop reads the
-    # columns a certified cell kept, and those d_0's kernel rows touch when
-    # only its pivot rows were reduced, each in one walk, by `columns_at`,
-    # as the restriction builder reads a differential's support and
-    # `OperatorCell.kills` a closedness test's.  `_column` writes each column
+    # columns a certified cell kept in one walk, by `columns_at`, as the
+    # restriction builder reads a differential's support and
+    # `OperatorCell.kills` a closedness test's, the degree loop's check of
+    # d_0 reduced on its pivot rows included.  `_column` writes each column
     # of a stencil, alone or in the walk of `columns` and `columns_at`
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     assert _callers(trees, "lay_out") == [("complexes.py", "OperatorCell.rows"),
@@ -270,7 +270,6 @@ def test_each_layout_and_the_mod_p_pass_have_their_named_callers():
                                          ("linalg.py", "independent_columns_mod_p")]
     assert _callers(trees, "column_of") == []
     assert _callers(trees, "columns_at") == [("cohomology.py", "_degree_cells"),
-                                             ("cohomology.py", "_degree_cells"),
                                              ("cohomology.py", "_restricted_differentials"),
                                              ("complexes.py", "OperatorCell.kills")]
     assert _callers(trees, "_column") == [("complexes.py", "OperatorCell._built"),
@@ -347,6 +346,16 @@ def test_the_degree_loop_builds_no_cell():
             if ("cohomology.py", "_degree_cells") in found] == []
 
 
+def test_one_exact_reduction_per_differential():
+    # the degree loop reduces each differential at one site: d_0 reduced on
+    # its pass's pivot rows is checked, and a failed check raises, with no
+    # second reduction on every row
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert _callers(trees, "kernel_and_image_of_rows") == [("cohomology.py", "_degree_cells"),
+                                                           ("linalg.py", "kernel_and_image")]
+    assert ("cohomology.py", "_degree_cells") in _callers(trees, "kills")
+
+
 def test_the_degree_loop_boxes_no_representative():
     # a cell keeps the int kernel rows; `representatives` boxes them on read
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
@@ -402,7 +411,7 @@ def test_verify_checks_its_generators_with_no_bracket():
 
 
 def test_cohomology_checks_pi_with_no_bracket():
-    # pi's checks read the stencils a table or a cell holds (`_check_kills`)
+    # pi's checks read the stencils a table or a cell holds (`_check_pi`)
     tree = ast.parse((ROOT / "src" / "poisson3" / "cohomology.py").read_text())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}

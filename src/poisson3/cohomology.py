@@ -89,6 +89,21 @@ cell's only pass; at an unlucky prime, where rank_p is below rank_Q, it
 may stop early: the cell then goes down the exact path unless its kept
 columns and d_0's exact rank still fill C^1, leaving no pivot rows to skip.
 
+Where z is a Casimir (X_z = [pi, z] = 0: heisenberg, abelian, any (ax +
+by + cz) dx^dy), no stencil entry depends on m_z and each lowers s = d -
+m_z by 0 or 1.  So d_q at degree d is the first columns of one fixed
+matrix, and with column j keyed ~j (`linalg.lay_out`) a row of target
+block s (the positions with d - m_z = s) is the same at every degree from
+s + 1 on; its left-out columns, the incoming pivots at source blocks s and
+s + 1, are final from s + 2 on, as the rows of d_(q-1) that decide them
+are then whole.  So degree d's forward table of the rows of blocks <= d - 2
+is degree d + 1's: each degree resumes `rref` from the table its
+predecessor handed on, lays out only the rows of blocks d - 2..d
+(`OperatorCell.rows` from block d - 2) and hands on the table after block
+d - 2 (`_complex`'s carry).  A degree gap, a certified cell or d_0
+reduced on rows P leaves that q's carry behind: the next degree lays out
+every row.  No cell changes, only the work.
+
 The matrices are integer throughout.  Representatives are canonical: they
 are the kernel rows whose leading coordinate is not a pivot of the image's
 echelon, the only ones read off the reduction, which gives each one as
@@ -102,6 +117,7 @@ than j (the image lies in the kernel, as d o d = 0), so no image row could
 change it.  Two runs over the same input produce byte-identical output.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
 from math import ceil, floor, inf, lcm
@@ -274,19 +290,18 @@ def _weight_zero(weights):
     return new_vectors
 
 
-def _family(pi, blocks):
+def _family(fields, blocks):
     """The closed form of the vectors new at each degree (a function of (q,
     d)) of the subcomplex of pi's full complex that carries H, or None for
     the whole complex; the module notes give the argument.
 
-    Read off the fields' matrices once (`_fields`).  Weights with D_z = 0
+    Read off the fields' matrices (`_fields`).  Weights with D_z = 0
     give the weight-0 unit vectors (`_weight_zero`); D_z != 0 only where the
     coordinates were permuted, and gives None.  With blocks=True, a field
     X_z that fixes z and acts on (x, y) by lambda + mu J, mu != 0, gives
     the kernel of L_J (`new_invariant_vectors`, sign 1 for the rotation J,
     -1 for the hyperbolic one, whose lambda must be 0).
     """
-    fields = _fields(pi)
     found = _weights(fields)
     if found is not None:
         return None if found[1][2] else _weight_zero(found[1])
@@ -319,13 +334,16 @@ def _complex(pi, dmax, invariant, blocks=False):
     cells: those of the rotation-invariant subcomplex with invariant=True,
     else the full complex's, restricted to the subcomplex that carries H
     where `_family` finds one.  A restriction runs as the degrees are
-    yielded, and full differentials are made as their degree is reduced.
-    pi is checked first (`_check_pi`), as the first degree is asked for."""
+    yielded, and full differentials are made as their degree is reduced,
+    with one carry between degrees where X_z = 0 (`_degree_cells`).  pi is
+    checked first (`_check_pi`), as the first degree is asked for."""
     _check_pi(pi, invariant)
-    new_vectors = new_invariant_vectors if invariant else _family(pi, blocks)
+    fields = None if invariant else _fields(pi)
+    new_vectors = new_invariant_vectors if invariant else _family(fields, blocks)
     if new_vectors is None:
+        carry = None if any(map(any, fields[2])) else {}  # the module notes
         for d in range(dmax + 1):
-            yield lambda d=d: _degree_cells(d, *_differentials(pi, d))
+            yield lambda d=d: _degree_cells(d, *_differentials(pi, d), carry)
         return
     reduce = _degree_cells if invariant else _full_cells
     for d, (matrices, vectors) in enumerate(
@@ -333,7 +351,7 @@ def _complex(pi, dmax, invariant, blocks=False):
         yield partial(reduce, d, matrices, vectors)
 
 
-def _degree_cells(d, matrices, back=None):
+def _degree_cells(d, matrices, back=None, carry=None):
     """The cells q = 0..3 of coefficient degree d, from its four differentials.
 
     `matrices` holds d_0..d_3 as `OperatorCell`s of a complex, and `back`,
@@ -373,6 +391,11 @@ def _degree_cells(d, matrices, back=None):
     ambient coordinates: each vector of `back` is +-1 at a top coordinate
     no other touches, so a mapped row holds +-rep[k] at the k-th top and
     stays primitive, and only its sign is fixed (`_positive`).
+
+    `carry`, a dict that `_complex` makes for a full complex where z is a
+    Casimir, holds per q the degree, rows, row indices and forward table
+    that d_q's last exact reduction handed on; one at degree d - 1 is
+    resumed, and each exact reduction on every row hands one on.
     """
     cells = []
     rank_in, pivots = 0, set()  # d_{q-1}'s rank and image pivots, None until needed
@@ -401,8 +424,20 @@ def _degree_cells(d, matrices, back=None):
             ahead = mod_p_pass(1, pass_pivots, len(independent))
             if len(matrices[1]) == len(ahead[0]) + len(independent):
                 at = pass_pivots  # rank_Q(d_0) = rank_p(d_0): its pivot rows span
-        rank, _, kernel, image_pivots = linalg.kernel_and_image_of_rows(  # the pivots' columns
-            size, matrix.rows(pivots, at), pivots)  # are free, and left out
+        held = hand_at = None  # the table degree d - 1 handed on, and where to hand one on
+        start = 0
+        if carry is not None and at is None:
+            last, *handed = carry.get(q, (None,))
+            index, rows, held = handed if last == d - 1 else ([], [], [])
+            start = max(d - 2, 0) if held else 0  # resume after block d - 3
+        laid = matrix.rows(pivots, at, start)  # the pivots' columns are free, and left out
+        if held is not None:
+            hand_at = len(index) + bisect_left(laid[0], NCOMP[matrix.target.q] * d * (d - 1) // 2)
+            laid = index + laid[0], rows + laid[1]
+        rank, _, kernel, image_pivots = linalg.kernel_and_image_of_rows(
+            size, laid, pivots, held, hand_at)
+        if held is not None:  # rows of blocks <= d - 2 are final: the next degree's too
+            carry[q] = d, laid[0][:hand_at], laid[1][:hand_at], held
         if at is not None and not all(matrix.kills(row) for row in kernel):  # a wrong pass
             raise RuntimeError("cell (%d, %d): d_0 does not kill the kernel of its pass's "
                                "pivot rows" % (q, d))

@@ -222,22 +222,24 @@ class OperatorCell:
                             break
                     yield j, lead
 
-    def rows(self, free=(), at=None):
+    def rows(self, free=(), at=None, start=0):
         """`linalg.lay_out` of the columns with those in `free` left out, and
         only its rows at the row indices in `at` when `at` is not None; a
         cell read off a stencil writes them with no column built, and writes
-        no other row."""
+        no other row.  Off a stencil whose entries lower s = d - m_z by 0 or
+        1 (where z is a Casimir), the rows of the target blocks s >= `start`
+        are kept, written by a walk of the source blocks from `start` on."""
         if self._stencil is None:
             index, rows = linalg.lay_out(self._columns, free)
             if at is None:
                 return index, rows
             kept = [k for k, i in enumerate(index) if i in at]
             return [index[k] for k in kept], [rows[k] for k in kept]
-        last = len(self) - 1
         rows = {} if at is None else {i: {} for i in at}  # `at`: no row is added
         # `_column`'s arithmetic in basis order, each entry written into its row
-        d, ncomp, j = self.source.d, NCOMP[self.target.q], -1
-        for s in range(d + 1):
+        d, ncomp, per = self.source.d, NCOMP[self.target.q], len(self._stencil)
+        j = start * (start + 1) // 2 * per - 1
+        for s in range(start, d + 1):
             mz = d - s
             for mx in range(s + 1):
                 my = s - mx
@@ -245,7 +247,7 @@ class OperatorCell:
                     j += 1
                     if j in free:
                         continue
-                    k = last - j
+                    k = ~j
                     for t, (sx, _, sz), (ax, ay, az, b) in entries:
                         if c := ax * mx + ay * my + az * mz + b:
                             r = s - sz
@@ -254,7 +256,8 @@ class OperatorCell:
                                 row[k] = c
                             elif at is None:
                                 rows[i] = {k: c}
-        index = sorted(i for i, row in rows.items() if row)
+        first = start * (start + 1) // 2 * ncomp  # the first row of target block `start`
+        index = sorted(i for i, row in rows.items() if row and i >= first)
         return index, [rows[i] for i in index]
 
     def _built(self, positions):

@@ -7,14 +7,17 @@ routine, fraction-free elimination whose rows are primitive, positive at
 their pivot and zero at the other pivots: a form as unique as the reduced
 row echelon form, so ranks, kernels, and cohomology representatives
 downstream are deterministic, and the elimination does only the work it
-must (`rref`).  A map goes in as rows, column j placed at n-1-j
-(`lay_out`), and `kernel_and_image_of_rows` gets its rank, its reduced
-kernel and the pivots of its image's echelon from one such elimination,
-reading off only the kernel vectors its caller asks for; solves are read
-off that same routine.  Span and membership questions read the rows that
-land in one `rref` (its `landed` list): a row lands exactly when it is
-independent of the rows before it, so no exact reduction runs outside
-`rref`.  Only `solve_combination` returns Fractions.
+must (`rref`).  A map goes in as rows, column j keyed ~j = -1 - j, which
+sorts like n - 1 - j but does not move with n (`lay_out`), and
+`kernel_and_image_of_rows` gets its rank, its reduced kernel and the pivots
+of its image's echelon from one such elimination, reading off only the
+kernel vectors its caller asks for; solves are read off that same routine.
+An elimination can resume from the forward table an earlier one handed on
+for the same first rows, and insert only the rows after them.  Span and
+membership questions read the rows that land in one `rref` (its `landed`
+list): a row lands exactly when it is independent of the rows before it,
+so no exact reduction runs outside `rref`.  Only `solve_combination`
+returns Fractions.
 
 `independent_columns_mod_p` runs the same elimination in word-size
 arithmetic modulo `PRIME`, a constant rather than an option, on a cell of
@@ -26,7 +29,9 @@ nonzero mod p is a nonzero integer), so the columns it keeps are
 independent over Q too: enough to certify a rank that cannot be larger.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import islice
 from math import gcd, inf, lcm
 
 PRIME = 2**30 - 35  # below 2**30: each residue is one CPython digit, the fast path
@@ -69,7 +74,7 @@ def _eliminate(row, pivot_row, col):
     return row
 
 
-def rref(rows, landed=None):
+def rref(rows, landed=None, held=None, hand_at=None):
     """Integer reduced row echelon form of a list of sparse integer rows.
 
     Returns (pivots, echelon_rows) where pivots[r] is the leading index of
@@ -91,9 +96,22 @@ def rref(rows, landed=None):
     inserted so far, so a row lands on a new pivot exactly when it is
     independent of the rows before it.  When `landed` is a list, the
     position of each such row is appended to it, in order.
+
+    `held` is a list: empty, or [n, table, landed] as an earlier call
+    handed it for the same rows[:n], their forward table (pivot: row, in
+    the order they landed) and landed positions; only rows n and later are
+    then inserted.  With `hand_at` m >= n, the table as it stood after row
+    m and the positions below m replace `held`'s items.  No row of a held
+    table is written: back-substitution copies one before its first step.
     """
-    table = {}
-    for k, row in enumerate(rows):
+    landed = [] if landed is None else landed
+    table, start = {}, 0
+    if held:
+        start, table, before = held
+        table = dict(table)
+        landed += before
+    for k in range(start, len(rows)):
+        row = rows[k]
         if len(row) == 1:
             [col] = row
             if not row[col]:
@@ -101,8 +119,7 @@ def rref(rows, landed=None):
             pivot_row = table.get(col)
             if pivot_row is None:
                 table[col] = {col: 1}
-                if landed is not None:
-                    landed.append(k)
+                landed.append(k)
                 continue
             if len(pivot_row) == 1:
                 continue
@@ -111,8 +128,7 @@ def rref(rows, landed=None):
             col = min(row)
             pivot_row = table.get(col)
             if pivot_row is None:
-                if landed is not None:
-                    landed.append(k)
+                landed.append(k)
                 if len(row) == 1:
                     table[col] = {col: 1}
                     break
@@ -121,6 +137,10 @@ def rref(rows, landed=None):
                 table[col] = _primitive(row)
                 break
             row = _eliminate(row, pivot_row, col)
+    if hand_at is not None:  # the pivots in landing order: those of rows before m come first
+        count = bisect_left(landed, hand_at)
+        held[:] = hand_at, dict(islice(table.items(), count)), landed[:count]
+    shared = held[1] if held else ()
     pivots = sorted(table)
     echelon = []
     for col in reversed(pivots):
@@ -129,6 +149,8 @@ def rref(rows, landed=None):
         # are already reduced, so clearing one of their pivots puts nothing
         # back at another
         if len(row) > 1 and (others := [i for i in row if i != col and i in table]):
+            if col in shared:
+                row = dict(row)
             for other in others:
                 row = _eliminate(row, table[other], other)
             table[col] = row = _primitive(row)
@@ -138,19 +160,18 @@ def rref(rows, landed=None):
 
 
 def lay_out(columns, free=()):
-    """The nonzero rows of a matrix given by its columns, column j placed at
-    n-1-j, with the columns in `free` left out.
+    """The nonzero rows of a matrix given by its columns, column j keyed ~j,
+    with the columns in `free` left out.
 
     Returns (index, rows): the row indices in ascending order and the rows
     in that order, so that `rref` inserts row index[k] k-th.  A cell built
     off a stencil writes the same layout with no column (`OperatorCell.rows`).
     """
-    last = len(columns) - 1
     rows = {}
     for j, col in enumerate(columns):
         if j in free:
             continue
-        k = last - j
+        k = ~j
         for i, c in col.items():
             row = rows.get(i)
             if row is None:
@@ -230,11 +251,11 @@ def kernel_and_image(columns, skip=()):
     return kernel_and_image_of_rows(len(columns), lay_out(columns), skip)
 
 
-def kernel_and_image_of_rows(size, laid_out, skip=()):
+def kernel_and_image_of_rows(size, laid_out, skip=(), held=None, hand_at=None):
     """Rank, reduced kernel and the image's pivots of a matrix from one `rref`.
 
     This is where a kernel is read off an echelon.  `laid_out` is (index,
-    rows) for a matrix of `size` columns, column j placed at n-1-j (`lay_out`,
+    rows) for a matrix of `size` columns, column j keyed ~j (`lay_out`,
     `OperatorCell.rows`), so each echelon row leads at its highest original
     column.  The kernel then comes out in the echelon form of `rref`: one
     vector per free column j, led at j by the lcm of the pivot entries of
@@ -242,7 +263,8 @@ def kernel_and_image_of_rows(size, laid_out, skip=()):
     pivot columns, which all lie above j; a {pivot: 1} row touches no free
     column, and a free column no row touches gives e_j, {j: 1}, with no
     lcm or gcd.  Only the vectors led at free columns outside `skip` are
-    read off.
+    read off.  `held` and `hand_at` go to `rref`: the elimination may
+    resume from a forward table of the first rows, and hand one on.
 
     The rows go in by ascending row index, so those that land on a new
     pivot are the pivots of the image's echelon as `rref` of the image
@@ -253,20 +275,19 @@ def kernel_and_image_of_rows(size, laid_out, skip=()):
     kernel restricted to the free columns outside `skip`, and the image's
     pivots as a set of row indices.
     """
-    last = size - 1
     index, rows = laid_out
     landed = []
-    pivots, echelon = rref(rows, landed)
-    bound = {last - p for p in pivots}
+    pivots, echelon = rref(rows, landed, held, hand_at)
+    bound = {~p for p in pivots}
     entries = {j: [] for j in range(size) if j not in bound and j not in skip}
     for pivot, row in zip(pivots, echelon):
         if len(row) == 1:  # {pivot: 1} touches no free column
             continue
         lead = row[pivot]
         for k, c in row.items():
-            terms = entries.get(last - k)  # None at the pivot itself
+            terms = entries.get(~k)  # None at the pivot itself
             if terms is not None:
-                terms.append((last - pivot, -c, lead))
+                terms.append((~pivot, -c, lead))
     kernel = []
     for j, terms in entries.items():
         if not terms:  # no echelon row touches j: e_j

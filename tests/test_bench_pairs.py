@@ -34,8 +34,12 @@ def test_one_pair_of_the_checkout_against_itself():
     lines = res.stdout.splitlines()
     assert lines[0].startswith("pair 0 (A first): wall_ref_s A ")
     assert lines[1] == "invariant, 1 pairs"
-    assert [line.split()[0] for line in lines[2:]] == [
+    assert [line.split()[0] for line in lines[2:6]] == [
         "wall_ref_s", "cochains_per_s", "setup_s", "peak_rss_mb"]
+    # then one line per request of the workload, by name: its ref_seconds
+    assert [line.split(" A ")[0] for line in lines[6:]] == [
+        "invariant-cohomology --algebra %s --dmax 10 --format json" % algebra
+        for algebra in ("euclidean", "heisenberg", "so3", "spiral --tau 1")]
     assert all("of 1 pairs" in line for line in lines[2:])
 
 
@@ -43,7 +47,8 @@ def test_metrics_are_the_benchmarks_reference_values(tmp_path):
     # setup_s is the rescaled setup_ref_s, cochains_per_s is cochains over
     # wall_ref_s, and B's 200 per second is worse than the real worker's
     result = {"wall_ref_s": 0.5, "cochains": 100, "setup_s": 9.0, "setup_ref_s": 0.25,
-              "peak_rss_mb": 20.0, "requests": [{"name": "req", "problems": []}]}
+              "peak_rss_mb": 20.0,
+              "requests": [{"name": "req", "problems": [], "ref_seconds": 0.5}]}
     checkout = _stand_in(tmp_path, "print(%r)\n" % (json.dumps(result),))
     res = _run(ROOT, checkout, "--workload", "invariant", "--pairs", "1")
     assert res.returncode == 0, res.stderr
@@ -51,15 +56,17 @@ def test_metrics_are_the_benchmarks_reference_values(tmp_path):
     assert "B 200 [200, 200]" in lines["cochains_per_s"]
     assert "B better in 0 of 1 pairs" in lines["cochains_per_s"]
     assert "B 0.25 [0.25, 0.25]" in lines["setup_s"]
+    # a request only one side ran gets no line of its own
+    assert len(lines) == 4 and "req" not in lines
 
 
 def _seeded_worker(wall_ref_s, step):
     """A stand-in worker whose wall_ref_s is wall_ref_s + step * seed."""
     result = {"wall_ref_s": None, "cochains": 100, "setup_ref_s": 0.1, "peak_rss_mb": 20.0,
-              "requests": [{"name": "req", "problems": []}]}
+              "requests": [{"name": "req", "problems": [], "ref_seconds": None}]}
     return ("import json, sys\nresult = %r\nseed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
-            "result['wall_ref_s'] = %r + %r * seed\nprint(json.dumps(result))\n"
-            % (result, wall_ref_s, step))
+            "result['wall_ref_s'] = result['requests'][0]['ref_seconds'] = %r + %r * seed\n"
+            "print(json.dumps(result))\n" % (result, wall_ref_s, step))
 
 
 def test_a_gain_is_claimable_only_by_nine_tenths_of_the_pairs_and_the_quartiles(tmp_path):
@@ -75,6 +82,9 @@ def test_a_gain_is_claimable_only_by_nine_tenths_of_the_pairs_and_the_quartiles(
         assert res.returncode == 0, res.stderr
         lines[shift] = {line.split()[0]: line for line in res.stdout.splitlines()[11:]}
     assert "A 0.545 [0.5175, 0.5725]" in lines[0.1]["wall_ref_s"]
+    # the one request's line reads its ref_seconds, here the whole wall_ref_s
+    assert lines[0.1]["req"].split(" A ", 1)[1] == lines[0.1]["wall_ref_s"].split(" A ", 1)[1]
+    assert lines[0.02]["req"].split(" A ", 1)[1] == lines[0.02]["wall_ref_s"].split(" A ", 1)[1]
     for name in ("wall_ref_s", "cochains_per_s"):
         assert lines[0.1][name].endswith("B better in 10 of 10 pairs, median %s, gain claimable"
                                          % ("-18.3%" if name == "wall_ref_s" else "+22.5%"))
@@ -88,7 +98,7 @@ def test_a_gain_is_claimable_only_by_nine_tenths_of_the_pairs_and_the_quartiles(
 def test_a_reported_problem_exits_1(tmp_path):
     # a stand-in worker whose one request reports a problem
     result = {"wall_ref_s": 0.5, "cochains": 1, "setup_ref_s": 0.1, "peak_rss_mb": 20.0,
-              "requests": [{"name": "req", "problems": ["digest differs"]}]}
+              "requests": [{"name": "req", "problems": ["digest differs"], "ref_seconds": 0.5}]}
     checkout = _stand_in(tmp_path, "print(%r)\n" % (json.dumps(result),))
     res = _run(ROOT, checkout, "--workload", "invariant", "--pairs", "1")
     assert res.returncode == 1

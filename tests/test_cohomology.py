@@ -125,8 +125,8 @@ def test_inconsistent_cell_raises_runtime_error(monkeypatch):
     # the dim H / representative count check must survive python -O
     kernel_and_image_of_rows = cohomology_module.linalg.kernel_and_image_of_rows
 
-    def wrong_rank(size, laid_out, skip=()):
-        rank_out, *rest = kernel_and_image_of_rows(size, laid_out, skip)
+    def wrong_rank(size, laid_out, skip=(), *carried):  # heisenberg's table is carried
+        rank_out, *rest = kernel_and_image_of_rows(size, laid_out, skip, *carried)
         return (rank_out + 1, *rest)
 
     monkeypatch.setattr(cohomology_module.linalg, "kernel_and_image_of_rows", wrong_rank)
@@ -205,9 +205,13 @@ def test_one_entry_rows_take_no_elimination_step(monkeypatch):
     # heisenberg's cells 1 keep classes, so it reduces every row.  A
     # representative at a free column no echelon row touches is e_j, with
     # no gcd: 566 of heisenberg's 1,006 are, all 18 of book's and 10 of
-    # sl2's 18 (4,276, 28 and 1,178 calls when each took one)
+    # sl2's 18 (4,276, 28 and 1,178 calls when each took one).  Heisenberg's
+    # z is a Casimir, and each degree resumes from the forward table the one
+    # before handed on: its rows that land there take no gcd again (3,710
+    # calls when every degree inserted every row); its 1,520 steps are all
+    # back-substitution, which each degree runs in full
     calls = _count_calls(monkeypatch, "_eliminate", "_primitive")
-    for pi, dmax, expected in ((linear_poisson("heisenberg"), 20, (1520, 3710)),
+    for pi, dmax, expected in ((linear_poisson("heisenberg"), 20, (1520, 2570)),
                                (linear_poisson(Algebra("book", Fraction(-2, 3))), 20, (0, 10)),
                                (linear_poisson("sl2"), 16, (2012, 1168))):
         calls.update(_eliminate=0, _primitive=0)
@@ -225,9 +229,9 @@ def _count_cell_reads(monkeypatch):
         counts["columns"] += 1
         return column(*args)
 
-    def laying_out(self, free=(), at=None):
+    def laying_out(self, free=(), at=None, start=0):
         counts["rows"] += 1
-        return rows(self, free, at)
+        return rows(self, free, at, start)
 
     monkeypatch.setattr(complexes_module, "_column", building)
     monkeypatch.setattr(complexes_module.OperatorCell, "rows", laying_out)
@@ -484,10 +488,11 @@ def _exact_reductions(monkeypatch, pi, dmax):
     coordinate weights).
 
     Each is (incoming, whole, columns, skip, at, result, nnz): all columns
-    of d_{q-1} ([] at q = 0) and of d_q, the columns of the rows that d_q
-    laid out, at the row indices in `at` (None for all), and handed to
-    `kernel_and_image_of_rows` with skip, what it returned and the nonzeros
-    it sent into `rref`.
+    of d_{q-1} ([] at q = 0) and of d_q, the columns of the rows handed to
+    `kernel_and_image_of_rows` with skip, those an earlier degree laid out
+    and handed on included, where d_q laid out its rows at the row indices
+    in `at` (None for all), what it returned and the nonzeros it sent into
+    `rref`.  Each reduction follows the one layout of its rows.
     """
     degrees, laid_out, calls = [], [], []  # degrees: the matrices of each degree
     degree_cells, lay_out, kernel_and_image_of_rows, rref = (
@@ -495,25 +500,24 @@ def _exact_reductions(monkeypatch, pi, dmax):
         linalg.kernel_and_image_of_rows, linalg.rref)
     inside = []
 
-    def recording(d, matrices, back=None):
+    def recording(d, matrices, back=None, carry=None):
         degrees.append(matrices)
-        return degree_cells(d, matrices, back)
+        return degree_cells(d, matrices, back, carry)
 
-    def laying_out(cell, free=(), at=None):
-        index, rows = lay_out(cell, free, at)
-        laid_out.append((cell, at, rows))
-        return index, rows
+    def laying_out(cell, free=(), at=None, start=0):
+        laid_out.append((cell, at))
+        return lay_out(cell, free, at, start)
 
-    def reducing(size, laid, skip=()):
+    def reducing(size, laid, skip=(), *carried):
         inside.append(0)
-        result = kernel_and_image_of_rows(size, laid, skip)
+        result = kernel_and_image_of_rows(size, laid, skip, *carried)
         calls.append((laid, skip, result, inside.pop()))
         return result
 
-    def counting(rows, landed=None):
+    def counting(rows, landed=None, *held):
         if inside:
             inside[-1] += sum(map(len, rows))
-        return rref(rows, landed)
+        return rref(rows, landed, *held)
 
     with monkeypatch.context() as patch:
         patch.setattr(cohomology_module, "_degree_cells", recording)
@@ -522,15 +526,15 @@ def _exact_reductions(monkeypatch, pi, dmax):
         patch.setattr(linalg, "rref", counting)
         cohomology_table(pi, dmax)
     reductions = []
-    for (index, rows), skip, result, nnz in calls:
-        (cell, at), = [(cell, at) for cell, at, laid in laid_out if laid is rows]
+    assert len(calls) == len(laid_out)
+    for ((index, rows), skip, result, nnz), (cell, at) in zip(calls, laid_out):
         (incoming,) = [matrices[q - 1].columns if q else [] for matrices in degrees
                        for q, matrix in enumerate(matrices) if matrix is cell]
         whole = cell.columns
         columns = [{} for _ in whole]  # the rows read back as columns
         for i, row in zip(index, rows):
             for k, c in row.items():
-                columns[len(whole) - 1 - k][i] = c
+                columns[~k][i] = c
         reductions.append((incoming, whole, columns, skip, at, result, nnz))
     return reductions
 
@@ -629,9 +633,9 @@ def test_pivot_rows_that_miss_d_0s_row_space_fail_the_check(monkeypatch):
             dropped.append(pivot_rows)
         return kept, pivot_rows
 
-    def laying_out(cell, free=(), at=None):
+    def laying_out(cell, free=(), at=None, start=0):
         laid.append(at)
-        return rows(cell, free, at)
+        return rows(cell, free, at, start)
 
     monkeypatch.setattr(linalg, "independent_columns_mod_p", dropping)
     monkeypatch.setattr(complexes_module.OperatorCell, "rows", laying_out)
@@ -693,6 +697,133 @@ def test_euclidean_sends_fewer_nonzeros_into_rref(monkeypatch):
     sent = sum(nnz for *_, nnz in reductions)
     assert sum(len(col) for _, _, columns, *_ in reductions for col in columns) == sent
     assert (whole, sent) == (6090, 4598)
+
+
+# the bivectors whose z is a Casimir and whose full complex is reduced: a
+# table carries each degree's forward table to the next
+CARRIED = ("heisenberg", "abelian", "x*dx^dy + z*dx^dy", "y*dx^dy + 3*z*dx^dy",
+           "2*x*dx^dy - y*dx^dy + 5*z*dx^dy")
+
+
+def _carried_bivector(name):
+    return linear_poisson(name) if name in KINDS else parse_multivector(name)
+
+
+def _rows_written(monkeypatch, pi, dmax):
+    """(rows, nonzeros) `OperatorCell.rows` writes for `cohomology_table(pi, dmax)`."""
+    written, rows = [0, 0], complexes_module.OperatorCell.rows
+
+    def laying_out(cell, free=(), at=None, start=0):
+        index, laid = rows(cell, free, at, start)
+        written[0] += len(laid)
+        written[1] += sum(map(len, laid))
+        return index, laid
+
+    with monkeypatch.context() as patch:
+        patch.setattr(complexes_module.OperatorCell, "rows", laying_out)
+        cohomology_table(pi, dmax)
+    return tuple(written)
+
+
+def test_a_casimir_z_is_read_off_x_z_and_keeps_every_row_of_a_block():
+    # X_z = 0 picks the carried complexes; on their stencils no entry
+    # depends on m_z and each lowers s = d - m_z by 0 or 1, so a row of
+    # target block s holds the columns of source blocks s and s + 1 only
+    detected = []
+    for algebra in REGISTRY_ALGEBRAS:
+        fields = cohomology_module._fields(linear_poisson(algebra))
+        if not any(map(any, fields[2])) and cohomology_module._family(fields, True) is None:
+            detected.append(algebra.name)
+    assert detected == ["abelian", "heisenberg"]
+    for name in CARRIED:
+        pi = _carried_bivector(name)
+        fields = cohomology_module._fields(pi)
+        assert not any(map(any, fields[2])) and cohomology_module._family(fields, True) is None
+        for q in range(3):
+            stencil, _ = complexes_module.linear_stencil(pi, q)
+            entries = [entry for component in stencil for entry in component]
+            assert all(az == 0 and sz in (0, 1) for _, (_, _, sz), (_, _, az, _) in entries)
+
+
+def _reference_kernel(columns):
+    """{j: the kernel row led at free column j}, read off `reference_rref`
+    of the rows, column j keyed ~j, as coprime ints positive at j."""
+    rows = {}
+    for j, col in enumerate(columns):
+        for i, c in col.items():
+            rows.setdefault(i, {})[~j] = c
+    pivots, echelon = reference_rref(list(rows.values()))
+    kernel = {j: {j: Fraction(1)} for j in range(len(columns)) if ~j not in pivots}
+    for pivot, row in zip(pivots, echelon):
+        for k, c in row.items():
+            if k != pivot:
+                kernel[~k][~pivot] = -c
+    return {j: linalg.integer_normalize(vec) for j, vec in kernel.items()}
+
+
+@pytest.mark.parametrize("name", CARRIED)
+def test_carried_tables_are_the_cold_cells(monkeypatch, name):
+    # each degree of a table resumes from the forward table the degree
+    # before handed on: its tables, the one `verify` reads included, have
+    # the cells, in key order, of single cells, which reduce their degree
+    # from nothing, at the word prime and at small ones; back to back and
+    # inside another bivector's hold too.  Up to d = 8 the representatives
+    # are the canonical kernel rows of `reference_rref`, one per free
+    # column outside the incoming image's pivots
+    pi, dmax = _carried_bivector(name), 14
+    cold = {(q, d): _ordered_fields(cohomology_cell(pi, q, d))
+            for d in range(dmax + 1) for q in range(4)}
+    for prime in (linalg.PRIME, 2, 3, 5):
+        monkeypatch.setattr(linalg, "PRIME", prime)
+        tables = [cohomology_table(pi, dmax), class_table(pi, dmax), cohomology_table(pi, dmax)]
+        with holding_stencils(linear_poisson("sl2")):
+            tables.append(cohomology_table(pi, dmax))
+        for table in tables:
+            assert {key: _ordered_fields(cell) for key, cell in table.cells.items()} == cold
+        assert {(q, d): _ordered_fields(cohomology_cell(pi, q, d))
+                for d in range(0, dmax + 1, 5) for q in range(4)} == {
+            (q, d): cold[q, d] for d in range(0, dmax + 1, 5) for q in range(4)}
+    with holding_stencils(pi):
+        for d in range(9):
+            columns = [differential_matrix(pi, q, d).columns for q in range(4)]
+            for q in range(4):
+                kernel = _reference_kernel(columns[q])
+                incoming = set(reference_rref(columns[q - 1])[0]) if q else set()
+                reps = tables[0].cell(q, d).kernel_rows
+                assert [min(rep) for rep in reps] == sorted(kernel.keys() - incoming)
+                assert all(kernel[min(rep)] == rep for rep in reps)
+
+
+def test_a_carry_resumes_only_from_the_degree_before(monkeypatch):
+    # degrees reduced with gaps between them, as a single cell's is after
+    # none: each after a gap lays out every row, and all give the cold cells
+    pi = linear_poisson("heisenberg")
+    laid = []
+    rows = complexes_module.OperatorCell.rows
+    monkeypatch.setattr(complexes_module.OperatorCell, "rows", lambda cell, free=(), at=None,
+                        start=0: laid.append(start) or rows(cell, free, at, start))
+    with holding_stencils(pi):
+        degrees = list(cohomology_module._complex(pi, 12, False))
+        for d in (0, 1, 2, 3, 5, 6, 7, 10, 12):
+            expected = [_ordered_fields(cohomology_cell(pi, q, d)) for q in range(4)]
+            del laid[:]
+            assert [_ordered_fields(cell) for cell in degrees[d]()] == expected
+            assert laid == [d - 2 if d in (3, 6, 7) else 0] * 4
+
+
+def test_a_casimir_z_writes_only_each_degrees_border(monkeypatch):
+    # heisenberg's table lays out only the rows of target blocks d - 2..d at
+    # degree d (9,471 rows and 11,431 nonzeros when each degree wrote every
+    # row) and still sends every row of every differential into `rref`, the
+    # same 11,431 nonzeros, with each incoming pivot column emptied; the
+    # complexes with no carry write what they wrote before
+    reductions = _exact_reductions(monkeypatch, linear_poisson("heisenberg"), 20)
+    assert sum(nnz for *_, nnz in reductions) == 11431
+    assert all(columns[j] == {} for _, _, columns, skip, *_ in reductions for j in skip)
+    assert _rows_written(monkeypatch, linear_poisson("heisenberg"), 20) == (2631, 3451)
+    for algebra, dmax, written in (("sl2", 16, (516, 952)), ("euclidean", 12, (2445, 4598)),
+                                   (Algebra("book", Fraction(-2, 3)), 20, (82, 82))):
+        assert _rows_written(monkeypatch, linear_poisson(algebra), dmax) == written
 
 
 def test_no_pass_after_d_0_reads_past_its_first_dependent_column(monkeypatch):
@@ -1239,7 +1370,7 @@ def test_weight_zero_tables_are_the_full_complexs_cells(seed):
     for algebra in [Algebra("aff_x_r"), Algebra("semi_open_book")] + [
             Algebra("book", tau) for tau in taus]:
         pi = linear_poisson(algebra)
-        assert cohomology_module._family(pi, False) is not None
+        assert _family(pi, False) is not None
         table = cohomology_table(pi, dmax)
         with holding_stencils(pi):
             for d in range(dmax + 1):
@@ -1253,6 +1384,11 @@ def test_weight_zero_tables_are_the_full_complexs_cells(seed):
 def _weights(pi):
     """(k, D) of the first coordinate field of pi with weights, or None."""
     return cohomology_module._weights(cohomology_module._fields(pi))
+
+
+def _family(pi, blocks):
+    """`_family` of pi's fields' matrices, as `_complex` reads them."""
+    return cohomology_module._family(cohomology_module._fields(pi), blocks)
 
 
 def test_only_the_coordinate_kinds_have_weights():
@@ -1316,7 +1452,7 @@ def test_restriction_to_invariant_bases_solves_each_image():
         for sign in (1, -1)]
     restrictions = [(pi, cohomology_module.new_invariant_vectors, 24,
                      lambda pi, q, d: invariant_basis(q, d)[1]) for pi in _restricted_kinds()] + [
-        (pi, cohomology_module._family(pi, False), 16, _weight_zero_basis) for pi in weighted]
+        (pi, _family(pi, False), 16, _weight_zero_basis) for pi in weighted]
     for pi, new_vectors, dmax, basis in restrictions:
         with holding_stencils(pi):
             for d, (cells, vectors) in enumerate(
@@ -1343,7 +1479,7 @@ def test_weights_with_d_z_not_0_read_the_full_complex():
         (a, b, c): book.get(swap[a], swap[b], swap[c])
         for a in range(3) for b in range(a + 1, 3) for c in range(3)}))
     assert _weights(pi) == (0, [0, -2, 3])
-    assert cohomology_module._family(pi, True) is None
+    assert _family(pi, True) is None
     dmax = 12
     table = cohomology_table(pi, dmax)
     for d in range(dmax + 1):
@@ -1371,7 +1507,7 @@ def test_the_table_verify_reads_has_the_full_complexs_numbers_and_closed_classes
     dmax = 32
     for algebra in _family_kinds(random.Random(36)):
         pi = linear_poisson(algebra)
-        assert cohomology_module._family(pi, True) is not None, algebra
+        assert _family(pi, True) is not None, algebra
         full, table = cohomology_table(pi, dmax), class_table(pi, dmax)
         assert table.cells.keys() == full.cells.keys()
         for key, cell in table.cells.items():
@@ -1404,13 +1540,13 @@ def test_the_choice_function_finds_a_block_only_where_its_family_is_a_subcomplex
     sources = ["heisenberg", "abelian", rescaled] + [
         conjugated_constants(so3, random.Random(seed)) for seed in (437, 438)]
     for source in sources:
-        assert cohomology_module._family(linear_poisson(source), True) is None, source
+        assert _family(linear_poisson(source), True) is None, source
     swap = (2, 1, 0)
     permuted = linear_poisson(StructureConstants({
         (a, b, c): so3.get(swap[a], swap[b], swap[c])
         for a in range(3) for b in range(a + 1, 3) for c in range(3)}))
     assert permuted == -linear_poisson("so3")
-    assert cohomology_module._family(permuted, True)(1, 3) == (
+    assert _family(permuted, True)(1, 3) == (
         complexes_module.new_invariant_vectors(1, 3))
 
 

@@ -299,12 +299,13 @@ def _leads(columns, p):
 def test_each_layout_of_a_cell_reads_the_same_matrix(seed):
     # a cell read as rows with some columns left out is the row layout of
     # its columns with those emptied, and read at some rows it is those of
-    # its rows; its leads mod p, read last first outside a skip, are the
-    # highest rows at which its columns are nonzero mod p; each column built
-    # alone, from its component and monomial, is that column, and those at some
-    # positions are those columns by ascending position; reading every
-    # column leaves the cell as it was; so for a cell that holds a list of
-    # columns
+    # its rows, and off a stencil where no entry raises s = d - m_z, from a
+    # target block, those of the blocks from it on; its leads mod p, read last
+    # first outside a skip, are the highest rows at which its columns are
+    # nonzero mod p; each column built alone, from its component and monomial,
+    # is that column, and those at some positions are those columns by
+    # ascending position; reading every column leaves the cell as it was; so
+    # for a cell that holds a list of columns
     rng = random.Random(seed)
     for algebra in _layout_algebras(rng):
         pi = linear_poisson(algebra)
@@ -313,6 +314,9 @@ def test_each_layout_of_a_cell_reads_the_same_matrix(seed):
                 for d in range(9):
                     whole = differential_matrix(pi, q, d).columns
                     n = len(whole)
+                    raised = q < 3 and any(  # an entry that raises s = d - m_z
+                        sz < 0 for component in linear_stencil(pi, q)[0]
+                        for _, (_, _, sz), _ in component)
                     for cell in (differential_matrix(pi, q, d), OperatorCell(None, None, whole, 1)):
                         free = set(rng.sample(range(n), rng.randint(0, n)))
                         skip = set(rng.sample(range(n), rng.randint(0, n)))
@@ -324,6 +328,12 @@ def test_each_layout_of_a_cell_reads_the_same_matrix(seed):
                         kept = [k for k, i in enumerate(laid_out[0]) if i in at]
                         assert cell.rows(free, at) == ([laid_out[0][k] for k in kept],
                                                        [laid_out[1][k] for k in kept])
+                        if cell.source is not None and not raised:  # from a target block
+                            start = rng.randint(0, d)
+                            first = len(GradedBasis(cell.target.q, start - 1)) if start else 0
+                            kept = [k for k, i in enumerate(laid_out[0]) if i >= first]
+                            assert cell.rows(free, None, start) == (
+                                [laid_out[0][k] for k in kept], [laid_out[1][k] for k in kept])
                         read = [j for j in range(n - 1, -1, -1) if j not in skip]
                         for p in (linalg.PRIME, 2, 3):
                             leads = _leads(whole, p)

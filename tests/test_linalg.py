@@ -282,6 +282,52 @@ def _assert_landed_rows_raise_the_prefix_rank(rows, prefix_rank):
                       if prefix_rank(rows[:k + 1]) > prefix_rank(rows[:k])]
 
 
+def _resume_cases(rng):
+    """Integer row lists with one-entry, zero and repeated rows."""
+    edge_rng = random.Random(rng.random())
+    cases = [*EDGE_ROWS, *(_edge_rows(edge_rng) for _ in range(100))]
+    for _ in range(100):
+        rows = _sparse_rows(rng, rng.randint(0, 9), rng.randint(1, 7))
+        for _ in range(rng.randint(0, 3)):
+            extra = dict(rng.choice(rows)) if rows and rng.random() < 0.6 else {}
+            rows.insert(rng.randrange(len(rows) + 1), extra)
+        cases.append(rows)
+    return cases
+
+
+def test_rref_resumes_from_the_table_held_after_its_first_rows():
+    # an elimination that resumes from the forward table a call handed on
+    # after row n, and hands one on after row m, gives the pivots, echelon
+    # and landed rows of a fresh one, which are `reference_rref`'s; resumed
+    # twice from one held table, it gives them twice and writes neither the
+    # table nor its rows
+    rng = random.Random(227)
+    for rows in _resume_cases(rng):
+        landed = []
+        fresh = rref(rows, landed)
+        pivots, echelon = fresh
+        assert (pivots, [{i: Fraction(c, row[p]) for i, c in row.items()}
+                         for p, row in zip(pivots, echelon)]) == reference_rref(rows)
+        n = rng.randint(0, len(rows))
+        m = rng.randint(n, len(rows))
+        held = []
+        assert rref(rows, None, held, n) == fresh
+        assert held[0] == n and held[2] == [k for k in landed if k < n]
+        snapshot = copy.deepcopy(held)
+        handed = []
+        for _ in range(2):
+            again, resumed = [], list(held)
+            assert rref(rows, again, resumed, m) == fresh and again == landed
+            assert held == snapshot
+            handed.append(resumed)
+        cold = []
+        rref(rows, None, cold, m)
+        assert handed[0] == handed[1] == cold
+        assert cold[0] == m and cold[2] == [k for k in landed if k < m]
+        assert sorted(cold[1]) == rref(rows[:m])[0] and len(cold[1]) == len(cold[2])
+        assert rref(rows, None, cold) == fresh
+
+
 def test_rref_reports_the_rows_that_raise_the_prefix_rank():
     # a row lands on a new pivot exactly when it is independent of the rows
     # before it, and reporting those rows changes nothing in the echelon

@@ -312,8 +312,9 @@ def test_only_the_invariant_basis_and_table_enumerate_new_invariant_vectors():
     assert _callers(trees, "new_invariant_vectors") == [("cohomology.py", "_family"),
                                                         ("complexes.py", "invariant_basis")]
     assert _callers(trees, "_restricted_differentials") == [("cohomology.py", "_complex")]
-    for name in ("_fields", "_weights", "_weight_zero"):
+    for name in ("_weights", "_weight_zero"):
         assert _callers(trees, name) == [("cohomology.py", "_family")], name
+    assert _callers(trees, "_fields") == [("cohomology.py", "_complex")]
     assert _callers(trees, "_family") == [("cohomology.py", "_complex")]
 
 
@@ -354,6 +355,27 @@ def test_one_exact_reduction_per_differential():
     assert _callers(trees, "kernel_and_image_of_rows") == [("cohomology.py", "_degree_cells"),
                                                            ("linalg.py", "kernel_and_image")]
     assert ("cohomology.py", "_degree_cells") in _callers(trees, "kills")
+
+
+def test_a_carried_degree_adds_no_route_and_no_public_name():
+    # the carry between degrees rides on the one loop: `_complex` makes it,
+    # reading X_z off `_fields`, and `_degree_cells` hands it to its one
+    # reduction, inside which `rref` alone eliminates; the stencil is still
+    # read only through the hold's reader, and `cohomology` keeps its public
+    # names
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert _callers(trees, "_eliminate") == [("linalg.py", "rref"), ("linalg.py", "rref")]
+    assert [caller for caller in _callers(trees, "kernel_and_image_of_rows")
+            if caller[0] == "cohomology.py"] == [("cohomology.py", "_degree_cells")]
+    assert _callers(trees, "_degree_cells") == [("cohomology.py", "_complex"),
+                                                ("cohomology.py", "_full_cells")]
+    assert _callers(trees, "linear_stencil") == [("complexes.py", "_read_stencil")] * 2
+    public = sorted(node.name for node in trees["cohomology.py"].body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_"))
+    assert public == ["CohomologyCell", "CohomologyTable", "cell_multivectors", "class_table",
+                      "coboundary_witness", "cohomology_cell", "cohomology_table",
+                      "invariant_cohomology", "resonance_range", "resonances"]
 
 
 def test_the_degree_loop_boxes_no_representative():

@@ -13,7 +13,9 @@ derives them (reference times, setup_s from setup_ref_s), the tool prints
 each side's median and quartiles over the pairs, the number of pairs in
 which B was better, and whether the rule for claiming a gain holds: B
 better in at least nine tenths of the pairs, ties counting for neither, and
-B's median better than A's by more than A's interquartile range.  It
+B's median better than A's by more than A's interquartile range.  One line
+per request follows, by name, in the same form for its ref_seconds, so a
+change in one request shows beside the others.  It
 exits 1 if a worker fails or times out or a request reports a problem
 (after printing each one to stderr), and 0 otherwise.
 """
@@ -106,6 +108,11 @@ def main(argv=None):
         for name, (value, higher_is_better) in METRICS.items():
             print(summary(name, [value(r) for r in results["A"]],
                           [value(r) for r in results["B"]], higher_is_better))
+        seconds = {side: [{r["name"]: r["ref_seconds"] for r in result["requests"]}
+                          for result in results[side]] for side in results}
+        for request in sorted(seconds["A"][0].keys() & seconds["B"][0].keys()):
+            print(summary(request, *([by_name[request] for by_name in seconds[side]]
+                                     for side in "AB"), False))
     for problem in problems:
         sys.stderr.write(problem + "\n")
     return 1 if problems else 0

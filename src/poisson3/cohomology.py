@@ -58,10 +58,32 @@ once:
 The two block families (`new_invariant_vectors` with sign 1 and -1) are
 not spanned by basis cochains, so the kernel rows they give, mapped back,
 are *a* basis of each H, not the full complex's canonical representatives.
-Only `class_table`, which `verify` reads, restricts to them; the tables and
-cells of these kinds reduce the full complex, and the weight-0 unit
-vectors, whose rows mapped back are the canonical ones, serve every table
-and cell.
+Only `class_table`, which `verify` reads, restricts to them; the weight-0
+unit vectors, whose rows mapped back are the canonical ones, serve every
+table and cell, and the tables and cells of the block kinds reduce a block
+of the full complex that is spanned by basis cochains:
+
+- The block test (`_block`) asks of X_k what the two blocks above ask of
+  X_z, on the coordinates (x_a, x_b) other than x_k: so3 and sl2 pass it
+  on all three axes, euclidean and spiral on z.  Where it holds, sigma_k,
+  which negates x_a and x_b, is a Lie algebra automorphism: Jacobi leaves
+  [x_a, x_b] in the span of x_k, and [x_a, x_k], [x_b, x_k] lie in that of
+  x_a, x_b.  So d commutes with sigma_k and keeps its +1 and -1 parts,
+  each spanned by basis cochains: x^m xi_S is sigma_k-odd when the
+  exponents of x_a, x_b and its generators among them add up to an odd
+  number.  That number has the parity of the weight k of L_{X_k} above
+  (the rotation's k, or the count of x_a + x_b less that of x_a - x_b),
+  so on the sigma_k-odd part every weight is odd and not 0, L_{X_k} is
+  invertible, and that part is acyclic.
+- The sigma_k of the passing axes commute, so the complex is the direct
+  sum of their joint +-1 parts, and each part but the one even under
+  every sigma_k is a direct summand of some sigma_k-odd part.  A direct
+  summand of an acyclic complex is acyclic, so H lies in the even part.
+  A table or a cell reduces only that part (`_left_out` gives the rest),
+  and counts the ranks off it as above (`_full_cells`).  d is block
+  diagonal in the basis cochains, and the reduced echelon rows of a
+  direct sum are the union of each summand's, so every kernel row and
+  representative is the whole complex's: the acyclic parts hold no class.
 
 Most cells are acyclic, and those need no exact elimination.  Each
 differential is first reduced modulo the constant prime `linalg.PRIME`, by
@@ -102,7 +124,8 @@ predecessor handed on, lays out only the rows of blocks d - 2..d
 (`OperatorCell.rows` from block d - 2) and hands on the table after block
 d - 2 (`_complex`'s carry).  A degree gap, a certified cell or d_0
 reduced on rows P leaves that q's carry behind: the next degree lays out
-every row.  No cell changes, only the work.
+every row.  No cell changes, only the work.  A zero pi (abelian's) lays
+out no row at any degree, so it gets no carry.
 
 The matrices are integer throughout.  Representatives are canonical: they
 are the kernel rows whose leading coordinate is not a pivot of the image's
@@ -120,6 +143,7 @@ change it.  Two runs over the same input produce byte-identical output.
 from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
+from itertools import compress
 from math import ceil, floor, inf, lcm
 
 from . import linalg
@@ -290,6 +314,24 @@ def _weight_zero(weights):
     return new_vectors
 
 
+def _block(fields, k):
+    """1 or -1 where X_k = [pi, x_k] fixes x_k and acts on the coordinates
+    (x_a, x_b) after it by lambda + mu J, mu != 0, with J a rotation or a
+    hyperbolic block (lambda = 0), else None (module notes; `_fields`)."""
+    a, b = (k + 1) % 3, (k + 2) % 3
+    m = fields[k]
+    ab, ba = m[a][b], m[b][a]
+    if (any(m[k]) or m[a][k] or m[b][k] or not ba or m[a][a] != m[b][b]
+            or ab not in (ba, -ba) or (m[a][a] and ab == ba)):
+        return None
+    return -ab // ba
+
+
+def _axes(fields):
+    """The axes k whose field X_k passes the block test (`_block`)."""
+    return [k for k in range(3) if _block(fields, k) is not None]
+
+
 def _family(fields, blocks):
     """The closed form of the vectors new at each degree (a function of (q,
     d)) of the subcomplex of pi's full complex that carries H, or None for
@@ -298,30 +340,59 @@ def _family(fields, blocks):
     Read off the fields' matrices (`_fields`).  Weights with D_z = 0
     give the weight-0 unit vectors (`_weight_zero`); D_z != 0 only where the
     coordinates were permuted, and gives None.  With blocks=True, a field
-    X_z that fixes z and acts on (x, y) by lambda + mu J, mu != 0, gives
-    the kernel of L_J (`new_invariant_vectors`, sign 1 for the rotation J,
-    -1 for the hyperbolic one, whose lambda must be 0).
+    X_z that passes the block test (`_block`) gives the kernel of L_J
+    (`new_invariant_vectors`, sign 1 for the rotation J, -1 for the
+    hyperbolic one).  Where it returns None, the full complex still splits:
+    wherever X_k passes the block test, sigma_k is a Lie algebra automorphism
+    (`_block`), so d keeps its +-1 parts, and L_{X_k} has only odd weights,
+    none of them 0, on the sigma_k-odd part, which is therefore acyclic, as
+    is each direct summand of it; `_complex` reduces only the cochains even
+    under every such sigma_k (`_left_out`).
     """
     found = _weights(fields)
     if found is not None:
         return None if found[1][2] else _weight_zero(found[1])
-    (xx, xy, xz), (yx, yy, yz), z_row = fields[2]
-    if (not blocks or any(z_row) or xz or yz or not yx or xx != yy
-            or xy not in (yx, -yx) or (xx and xy == yx)):
+    sign = _block(fields, 2) if blocks else None
+    if sign is None:
         return None
-    sign = -xy // yx
     return lambda q, d: new_invariant_vectors(q, d, sign)
 
 
-def _full_cells(d, matrices, vectors):
-    """The four cells of degree d of the full complex, from d_0..d_3
-    restricted to the subcomplex that carries H (`_family`) and its basis.
+def _left_out(axes, dmax):
+    """A function that gives a new set of the positions of (q, d), d <=
+    dmax, odd under some sigma_k, k in `axes`: x^m xi_S is sigma_k-odd
+    when m_k + [k in S] + d + q is odd.  That depends on the parities of d,
+    s = d - m_z and m_x and on idx, so the flags repeat with period 2
+    binom(3, q) in each s block, and one flag string per (q, d mod 2)
+    holds every degree's; the sets share one int object per position.
+    """
+    flags = {}
+    for q in range(4):
+        n = NCOMP[q]
+        gens = [component_wedge(q, idx)[0] for idx in range(n)]
+        for dp in (0, 1):
+            period = [bytes(any(((mx, sp - mx, dp - sp)[k] + (k in g) + dp + q) % 2
+                                for k in axes) for mx in (0, 1) for g in gens) for sp in (0, 1)]
+            flags[q, dp] = b"".join((period[s % 2] * (s // 2 + 1))[:(s + 1) * n]
+                                    for s in range(dmax + 1))
+    numbers = list(range(len(flags[1, 0])))
+
+    def left_out(q, d):
+        return set(compress(numbers, flags[q, d % 2][:NCOMP[q] * (d + 1) * (d + 2) // 2]))
+    return left_out
+
+
+def _full_cells(d, matrices, back, out=None):
+    """The four cells of degree d of the full complex, from the differentials
+    of a subcomplex that carries H and has an acyclic complement: d_0..d_3
+    restricted to the subcomplex `_family` gives and its basis `back`, or
+    the full d_0..d_3 with the positions `out` left out (`_left_out`).
 
     Only that subcomplex C_0 is reduced.  Its complement is acyclic, so d_q's
     rank there is sum_{k<=q} (-1)^(q-k) (dim C^k - dim C_0^k).
     """
     cells, rest = [], 0  # rest: the rank of d_{q-1} off C_0
-    for cell in _degree_cells(d, matrices, vectors):
+    for cell in _degree_cells(d, matrices, back, None, out):
         size = len(GradedBasis(cell.q, d))
         incoming, rest = rest, size - cell.dim_cochains - rest
         cells.append(CohomologyCell(cell.q, d, size, cell.rank_out + rest,
@@ -333,15 +404,26 @@ def _complex(pi, dmax, invariant, blocks=False):
     """Yield, for d = 0..dmax, a function that reduces degree d to its four
     cells: those of the rotation-invariant subcomplex with invariant=True,
     else the full complex's, restricted to the subcomplex that carries H
-    where `_family` finds one.  A restriction runs as the degrees are
-    yielded, and full differentials are made as their degree is reduced,
-    with one carry between degrees where X_z = 0 (`_degree_cells`).  pi is
+    where `_family` finds one.  Elsewhere, for the axes whose X_k passes
+    the block test (`_block`), sigma_k is an automorphism, L_{X_k} has only
+    odd, nonzero weights on its odd part, which is acyclic, as is each
+    direct summand of it: only the cochains even under every such sigma_k
+    are reduced (`_left_out`, `_full_cells`; module notes).  A restriction
+    runs as the degrees are yielded, and full differentials are made as
+    their degree is reduced, with one carry between degrees where X_z = 0
+    and pi is not 0, as a zero pi lays out no row (`_degree_cells`).  pi is
     checked first (`_check_pi`), as the first degree is asked for."""
     _check_pi(pi, invariant)
     fields = None if invariant else _fields(pi)
     new_vectors = new_invariant_vectors if invariant else _family(fields, blocks)
     if new_vectors is None:
-        carry = None if any(map(any, fields[2])) else {}  # the module notes
+        if axes := _axes(fields):
+            left_out = _left_out(axes, dmax)
+            for d in range(dmax + 1):
+                yield lambda d=d: _full_cells(d, *_differentials(pi, d),
+                                              [left_out(q, d) for q in range(4)])
+            return
+        carry = None if any(map(any, fields[2])) or pi.is_zero() else {}  # the module notes
         for d in range(dmax + 1):
             yield lambda d=d: _degree_cells(d, *_differentials(pi, d), carry)
         return
@@ -351,7 +433,7 @@ def _complex(pi, dmax, invariant, blocks=False):
         yield partial(reduce, d, matrices, vectors)
 
 
-def _degree_cells(d, matrices, back=None, carry=None):
+def _degree_cells(d, matrices, back=None, carry=None, out=None):
     """The cells q = 0..3 of coefficient degree d, from its four differentials.
 
     `matrices` holds d_0..d_3 as `OperatorCell`s of a complex, and `back`,
@@ -396,18 +478,27 @@ def _degree_cells(d, matrices, back=None, carry=None):
     Casimir, holds per q the degree, rows, row indices and forward table
     that d_q's last exact reduction handed on; one at degree d - 1 is
     resumed, and each exact reduction on every row hands one on.
+
+    `out`, which `_full_cells` passes, holds per q a set of positions whose
+    basis cochains span an acyclic subcomplex, and whose other basis
+    cochains span a subcomplex too (`_left_out`): each d_q maps the columns
+    in out[q] into the rows in out[q + 1] and the others outside them.
+    Only the others are reduced, and the cells are theirs: out[q] joins
+    every pass's `skip` and the columns left out of the layout and of the
+    kernel read off, and `spare` and the sizes count only the others.
     """
     cells = []
+    sizes = [len(m) - len(o) for m, o in zip(matrices, out)] if out else list(map(len, matrices))
     rank_in, pivots = 0, set()  # d_{q-1}'s rank and image pivots, None until needed
     skip = set()  # columns of d_q that carry none of its image
     ahead = None  # d_1's pass, when it ran before d_0 was reduced
 
     def mod_p_pass(q, skip, rank_in):
         spare = rank_in - len(skip) if q else inf  # inf: run to the end
-        return linalg.independent_columns_mod_p(matrices[q], skip, spare)
+        return linalg.independent_columns_mod_p(matrices[q], skip | out[q] if out else skip, spare)
 
     for q, matrix in enumerate(matrices):
-        size = len(matrix)
+        size = sizes[q]
         (independent, pass_pivots), ahead = ahead or mod_p_pass(q, skip, rank_in), None
         if size == len(independent) + rank_in:
             # rank_p <= rank_Q and dim H >= 0: both ranks are exact, H = 0
@@ -422,7 +513,7 @@ def _degree_cells(d, matrices, back=None, carry=None):
         at = None  # the rows of d_q that are reduced, None for all
         if q == 0:  # d_0's pass ran to the end, and d_1's pass runs now
             ahead = mod_p_pass(1, pass_pivots, len(independent))
-            if len(matrices[1]) == len(ahead[0]) + len(independent):
+            if sizes[1] == len(ahead[0]) + len(independent):
                 at = pass_pivots  # rank_Q(d_0) = rank_p(d_0): its pivot rows span
         held = hand_at = None  # the table degree d - 1 handed on, and where to hand one on
         start = 0
@@ -430,12 +521,13 @@ def _degree_cells(d, matrices, back=None, carry=None):
             last, *handed = carry.get(q, (None,))
             index, rows, held = handed if last == d - 1 else ([], [], [])
             start = max(d - 2, 0) if held else 0  # resume after block d - 3
-        laid = matrix.rows(pivots, at, start)  # the pivots' columns are free, and left out
+        free = pivots | out[q] if out else pivots
+        laid = matrix.rows(free, at, start)  # `free` is left out: the pivots' columns are free
         if held is not None:
             hand_at = len(index) + bisect_left(laid[0], NCOMP[matrix.target.q] * d * (d - 1) // 2)
             laid = index + laid[0], rows + laid[1]
         rank, _, kernel, image_pivots = linalg.kernel_and_image_of_rows(
-            size, laid, pivots, held, hand_at)
+            len(matrix), laid, free, held, hand_at)
         if held is not None:  # rows of blocks <= d - 2 are final: the next degree's too
             carry[q] = d, laid[0][:hand_at], laid[1][:hand_at], held
         if at is not None and not all(matrix.kills(row) for row in kernel):  # a wrong pass

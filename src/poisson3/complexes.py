@@ -226,15 +226,25 @@ class OperatorCell:
         """`linalg.lay_out` of the columns with those in `free` left out, and
         only its rows at the row indices in `at` when `at` is not None; a
         cell read off a stencil writes them with no column built, and writes
-        no other row.  Off a stencil whose entries lower s = d - m_z by 0 or
+        no other row, and a stencil with no entry (d_3, or pi = 0) walks no
+        position.  Off a stencil whose entries lower s = d - m_z by 0 or
         1 (where z is a Casimir), the rows of the target blocks s >= `start`
-        are kept, written by a walk of the source blocks from `start` on."""
+        are kept, written by a walk of the source blocks from `start` on; an
+        entry that raises s would write into block `start` from the block
+        below, which the walk leaves out, so with start > 0 such a stencil
+        raises ValueError."""
+        if start and any(sz < 0 for entries in self._stencil or ()
+                         for _, (_, _, sz), _ in entries):
+            raise ValueError("rows from block %d would drop the entries that raise s "
+                             "into it" % (start,))
         if self._stencil is None:
             index, rows = linalg.lay_out(self._columns, free)
             if at is None:
                 return index, rows
             kept = [k for k, i in enumerate(index) if i in at]
             return [index[k] for k in kept], [rows[k] for k in kept]
+        if not any(self._stencil):
+            return [], []
         rows = {} if at is None else {i: {} for i in at}  # `at`: no row is added
         # `_column`'s arithmetic in basis order, each entry written into its row
         d, ncomp, per = self.source.d, NCOMP[self.target.q], len(self._stencil)

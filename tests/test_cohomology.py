@@ -8,7 +8,8 @@ import pytest
 
 from helpers import (
     bracket_calls, conjugated_constants, determinant, exact_columns, full_build_invariant_table,
-    invariant_multivectors, kernel_basis, mod_p_pass, rank, reference_rref, unimodular_matrix)
+    invariant_multivectors, kernel_basis, mod_p_pass, operator_matrix, rank, reference_rref,
+    unimodular_matrix)
 from poisson3 import (
     KINDS,
     Algebra,
@@ -184,28 +185,33 @@ def test_each_exact_cell_makes_one_rref_call_plus_one_after_a_certified_cell(mon
 
 def test_each_stored_row_is_made_primitive_once(monkeypatch):
     # one gcd when a row lands on a new pivot and one after its
-    # back-substitution, none per elimination step (the table makes 670
+    # back-substitution, none per elimination step (the table makes 138
     # steps), and one for each representative that is not a unit vector:
     # 6 of the 10 are e_j at a free column no echelon row touches, with no
-    # gcd, and 4 take one (190 calls when each of the 10 took one)
+    # gcd, and 4 take one (118 calls when each of the 10 took one).  sl2's
+    # table reduces only the cochains every sigma_k keeps even, where it
+    # took 184 gcds and 250 steps on the whole complex
     calls = _count_calls(monkeypatch, "_primitive")
     cohomology_table(linear_poisson("sl2"), 8)
-    assert calls == {"_primitive": 184}
+    assert calls == {"_primitive": 112}
 
 
 def test_one_entry_rows_take_no_elimination_step(monkeypatch):
     # most rows of a differential hold one entry: one that meets a {col: 1}
     # pivot row is dropped with no step, and no row is made primitive more
-    # often.  Heisenberg and sl2 reduce their full complexes (eliminating
-    # each one-entry row made 4,410 and 6,404 steps); book reduces only its
-    # weight-0 subcomplex, which takes no elimination step.  Where d_1's
-    # pass certifies cell 1, d_0 is reduced on its pass's pivot rows alone:
-    # sl2's H^0 cells made 6,290 steps on all their rows, and now make
-    # 2,012, and book's table took 28 gcds where all of d_0's rows took 46;
+    # often.  Heisenberg reduces its full complex and sl2 the block of its
+    # full complex that every sigma_k keeps even (eliminating each one-entry
+    # row made 4,410 and, on sl2's whole complex, 6,404 steps); book reduces
+    # only its weight-0 subcomplex, which takes no elimination step.  Where
+    # d_1's pass certifies cell 1, d_0 is reduced on its pass's pivot rows
+    # alone: sl2's table made 6,290 steps when its H^0 cells reduced all
+    # their rows and 2,012 on the pass's pivot rows of the whole complex,
+    # and makes 1,116 on those of the even block (1,168 gcds there went to
+    # 608), and book's table took 28 gcds where all of d_0's rows took 46;
     # heisenberg's cells 1 keep classes, so it reduces every row.  A
     # representative at a free column no echelon row touches is e_j, with
     # no gcd: 566 of heisenberg's 1,006 are, all 18 of book's and 10 of
-    # sl2's 18 (4,276, 28 and 1,178 calls when each took one).  Heisenberg's
+    # sl2's 18 (4,276, 28 and 618 calls when each took one).  Heisenberg's
     # z is a Casimir, and each degree resumes from the forward table the one
     # before handed on: its rows that land there take no gcd again (3,710
     # calls when every degree inserted every row); its 1,520 steps are all
@@ -213,7 +219,7 @@ def test_one_entry_rows_take_no_elimination_step(monkeypatch):
     calls = _count_calls(monkeypatch, "_eliminate", "_primitive")
     for pi, dmax, expected in ((linear_poisson("heisenberg"), 20, (1520, 2570)),
                                (linear_poisson(Algebra("book", Fraction(-2, 3))), 20, (0, 10)),
-                               (linear_poisson("sl2"), 16, (2012, 1168))):
+                               (linear_poisson("sl2"), 16, (1116, 608))):
         calls.update(_eliminate=0, _primitive=0)
         cohomology_table(pi, dmax)
         assert (calls["_eliminate"], calls["_primitive"]) == expected
@@ -260,10 +266,13 @@ def test_differentials_are_built_only_as_far_as_they_are_read(monkeypatch):
     # reduction lays out its rows straight from the stencil.  Each table
     # builds the columns of the (2, 1) cell at pi's support for [pi, pi], 1
     # for heisenberg, 2 for book and 3 for sl2, and the 3 of d_0 on degree 1
-    # that the weight detection reads.  Heisenberg and sl2 reduce
-    # their full complexes, whose passes build 0 and 1,195 more (building
-    # each column they read built 1,864 and 3,894, and every column of every
-    # differential 14,168 and 7,752).  Sl2 reduces d_0 of its H^0 cells on
+    # that the weight detection reads.  Heisenberg reduces its full
+    # complex, whose passes build 0 more (building each column they read
+    # built 1,864, and every column of every differential 14,168).  Sl2
+    # reduces the block of its full complex that every sigma_k keeps even:
+    # its passes read the leads of 978 columns and build 589 more, where on
+    # the whole complex they read 3,885 and built 1,195 (every column of
+    # every differential is 7,752).  Sl2 reduces d_0 of its H^0 cells on
     # its pass's pivot rows alone and builds the columns its kernel rows,
     # the powers C^k of the Casimir, touch, to check that d_0 kills them:
     # (k + 1)(k + 2)/2 at degree 2k, 165 more up to degree 16.  Book
@@ -278,7 +287,7 @@ def test_differentials_are_built_only_as_far_as_they_are_read(monkeypatch):
     reads = _count_cell_reads(monkeypatch)
     for pi, dmax, expected in ((linear_poisson("heisenberg"), 20, (4, 84)),
                                (linear_poisson(Algebra("book", Fraction(-2, 3))), 20, (63, 18)),
-                               (linear_poisson("sl2"), 16, (1366, 18))):
+                               (linear_poisson("sl2"), 16, (760, 18))):
         reads.update(columns=0, rows=0)
         cohomology_table(pi, dmax)
         assert (reads["columns"], reads["rows"]) == expected
@@ -347,20 +356,24 @@ def _table_fields(tables):
 
 
 @pytest.mark.parametrize("prime, exact_reductions, guarded",
-                         [(2, 312, 2), (3, 288, 2), (5, 262, 4)])
+                         [(2, 302, 2), (3, 271, 2), (5, 244, 4)])
 def test_a_small_prime_only_sends_cells_down_the_exact_path(monkeypatch, prime,
                                                             exact_reductions, guarded):
     # a pass that stops hands the next one the exact image's pivots to skip,
     # not pivot rows of its own; modulo a small prime the columns outside
     # those can hold less than the whole rank (an image vector's leading
     # entry may be a multiple of p), so a few more cells of the registry
-    # tables go exact than the 252, 235 and 219 of passes that all run to
+    # tables go exact than the 252, 219 and 208 of passes that all run to
     # the end, none at PRIME.  d_1's pass runs before d_0 is reduced, on
     # d_0's rank mod p: where that is below the rank over Q, its spare is
     # too small, it may stop where it could have certified cell 1, and the
-    # cell goes exact (at p = 2 and 5 four and one more than 264 and 227).
+    # cell goes exact (at p = 3 and 5 four and two more than 221 and 208).
     # Book, semi_open_book and aff_x_r count the reductions of their
-    # weight-0 subcomplexes.  The class tables of so3 and sl2 add 20, 44,
+    # weight-0 subcomplexes, and so3, sl2, euclidean and spiral those of
+    # their parity-even blocks, whose fewer columns collide less often mod
+    # p (258, 225 and 210 at p = 2, 3, 5, against 268, 242 and 228 when
+    # they reduced the whole complex; 173 at PRIME either way).  The class
+    # tables of so3 and sl2 add 20, 44,
     # 46 and 34 reductions; where d_1's pass certifies cell 1 of their
     # restricted list cells, d_0 is reduced on its pass's pivot rows, at
     # any prime, and passes the check there
@@ -406,6 +419,23 @@ def _recorded_passes(monkeypatch):
     return passes
 
 
+def _left_out_of(pi, dmax):
+    """The positions the full table of pi leaves out at each (q, d), d <=
+    dmax, as `_complex` chooses them: those odd under some sigma_k of an
+    axis whose field passes the block test, where pi has no weight-0
+    family, and none elsewhere."""
+    fields = cohomology_module._fields(pi)
+    axes = cohomology_module._axes(fields)
+    if cohomology_module._family(fields, False) is not None or not axes:
+        return lambda q, d: set()
+    return cohomology_module._left_out(axes, dmax)
+
+
+def _emptied(columns, out):
+    """The columns with those at the positions in `out` made empty."""
+    return [{} if j in out else col for j, col in enumerate(columns)]
+
+
 def test_the_mod_p_pass_skips_the_pivot_rows_of_the_incoming_differential(monkeypatch):
     # each pass skips the rows at which the previous one found its pivots, or,
     # after a pass that stopped, the exact pivots of the previous image; it
@@ -414,10 +444,14 @@ def test_the_mod_p_pass_skips_the_pivot_rows_of_the_incoming_differential(monkey
     # pivot rows of a pass; a later pass stops at the first dependent column
     # past rank_in - |skip|, where its whole run could not certify the cell
     # had d_{q-1} that rank.  d_1's pass runs before d_0 is reduced: its
-    # rank_in is d_0's rank mod p, below the exact one at an unlucky prime
+    # rank_in is d_0's rank mod p, below the exact one at an unlucky prime.
+    # Where the full table leaves out the positions odd under some sigma_k
+    # (so3, sl2, euclidean, spiral), every pass skips them too, and all of
+    # this holds of the matrix with their columns emptied: ranks, sizes and
+    # skips count only the other columns
     restricted = mod_p_pass
     passes = _recorded_passes(monkeypatch)
-    skipped = stopped = after_stop = 0
+    skipped = stopped = after_stop = split = still_certified = 0
     word_prime = linalg.PRIME
     for prime in (word_prime, 2, 3, 5):
         monkeypatch.setattr(linalg, "PRIME", prime)
@@ -425,23 +459,33 @@ def test_the_mod_p_pass_skips_the_pivot_rows_of_the_incoming_differential(monkey
             pi = linear_poisson(algebra)
             rotation_invariant = schouten_bracket(rotation_field(), pi).is_zero()
             for invariant in (False, True)[:1 + rotation_invariant]:
+                left_out = (lambda q, d: set()) if invariant else _left_out_of(pi, 12)
                 del passes[:]
                 cohomology_table(pi, 12, invariant)
                 for n, (columns, skip, spare, kept, pivot_rows) in enumerate(passes):
-                    incoming = passes[n - 1] if n % 4 else None
-                    rank_in = linalg.kernel_and_image(incoming[0])[0] if incoming else 0
-                    if n % 4 == 1:
+                    d, q = divmod(n, 4)
+                    out = left_out(q, d)
+                    incoming = passes[n - 1] if q else None
+                    rank_in = linalg.kernel_and_image(
+                        _emptied(incoming[0], left_out(q - 1, d)))[0] if incoming else 0
+                    if q == 1:
                         rank_in = len(incoming[3])  # d_0's pass ran to the end
-                    whole = restricted(columns, set())[0]
+                    whole = restricted(columns, out)[0]
+                    assert out <= skip
                     if incoming is None:
-                        assert (skip, spare) == (set(), inf)
+                        assert (skip, spare) == (out, inf)
                         assert pivot_rows is not None
                     else:
-                        assert spare == rank_in - len(skip)
+                        assert spare == rank_in - len(skip - out)
                     if incoming is None or incoming[4] is not None:
-                        assert skip == (incoming[4] if incoming else set())
+                        assert skip == (incoming[4] if incoming else set()) | out
+                    elif skip == out != set(linalg.rref(incoming[0])[0]) | out:
+                        # d_1's pass stopped on d_0's rank mod p and still
+                        # certified cell 1: its kept columns hold the exact rank
+                        assert q == 2 and prime != word_prime and rank_in == len(incoming[3])
+                        still_certified += 1
                     else:
-                        assert skip == set(linalg.rref(incoming[0])[0])
+                        assert skip == set(linalg.rref(incoming[0])[0]) | out
                         if prime == word_prime:
                             assert len(restricted(columns, skip)[0]) == len(whole)
                         after_stop += 1
@@ -452,15 +496,16 @@ def test_the_mod_p_pass_skips_the_pivot_rows_of_the_incoming_differential(monkey
                         order = [j for j in range(len(columns) - 1, -1, -1) if j not in skip]
                         stop = [j for j in order if j not in full][spare]
                         assert kept == [j for j in full if j > stop]
-                        assert len(full) + rank_in < len(columns)
+                        assert len(full) + rank_in < len(columns) - len(out)
                         stopped += 1
                     else:
                         assert (kept, pivot_rows) == (full, full_rows)
                         assert len(kept) == len(pivot_rows)
                         if incoming is None or incoming[4] is not None:
                             assert len(kept) == len(whole)
-                    skipped += sum(map(bool, (columns[j] for j in skip)))
-    assert skipped and stopped and after_stop
+                    skipped += sum(map(bool, (columns[j] for j in skip - out)))
+                    split += bool(out)
+    assert skipped and stopped and after_stop and split and still_certified
 
 
 def test_exact_rank_below_the_modular_rank_raises(monkeypatch):
@@ -487,12 +532,14 @@ def _exact_reductions(monkeypatch, pi, dmax):
     its builder hands the degree loop (the weight-0 one for a bivector with
     coordinate weights).
 
-    Each is (incoming, whole, columns, skip, at, result, nnz): all columns
-    of d_{q-1} ([] at q = 0) and of d_q, the columns of the rows handed to
-    `kernel_and_image_of_rows` with skip, those an earlier degree laid out
-    and handed on included, where d_q laid out its rows at the row indices
-    in `at` (None for all), what it returned and the nonzeros it sent into
-    `rref`.  Each reduction follows the one layout of its rows.
+    Each is (incoming, whole, columns, skip, out, at, result, nnz): all
+    columns of d_{q-1} ([] at q = 0) and of d_q, the columns of the rows
+    handed to `kernel_and_image_of_rows` with skip, those an earlier degree
+    laid out and handed on included, the positions of d_q's source that the
+    degree loop was told to leave out (`_left_out`, empty for none), where
+    d_q laid out its rows at the row indices in `at` (None for all), what it
+    returned and the nonzeros it sent into `rref`.  Each reduction follows
+    the one layout of its rows.
     """
     degrees, laid_out, calls = [], [], []  # degrees: the matrices of each degree
     degree_cells, lay_out, kernel_and_image_of_rows, rref = (
@@ -500,9 +547,9 @@ def _exact_reductions(monkeypatch, pi, dmax):
         linalg.kernel_and_image_of_rows, linalg.rref)
     inside = []
 
-    def recording(d, matrices, back=None, carry=None):
-        degrees.append(matrices)
-        return degree_cells(d, matrices, back, carry)
+    def recording(d, matrices, back=None, carry=None, out=None):
+        degrees.append((matrices, out))
+        return degree_cells(d, matrices, back, carry, out)
 
     def laying_out(cell, free=(), at=None, start=0):
         laid_out.append((cell, at))
@@ -528,14 +575,15 @@ def _exact_reductions(monkeypatch, pi, dmax):
     reductions = []
     assert len(calls) == len(laid_out)
     for ((index, rows), skip, result, nnz), (cell, at) in zip(calls, laid_out):
-        (incoming,) = [matrices[q - 1].columns if q else [] for matrices in degrees
-                       for q, matrix in enumerate(matrices) if matrix is cell]
+        ((incoming, out),) = [
+            (matrices[q - 1].columns if q else [], set(left[q]) if left else set())
+            for matrices, left in degrees for q, matrix in enumerate(matrices) if matrix is cell]
         whole = cell.columns
         columns = [{} for _ in whole]  # the rows read back as columns
         for i, row in zip(index, rows):
             for k, c in row.items():
                 columns[~k][i] = c
-        reductions.append((incoming, whole, columns, skip, at, result, nnz))
+        reductions.append((incoming, whole, columns, skip, out, at, result, nnz))
     return reductions
 
 
@@ -576,24 +624,32 @@ def test_the_pass_on_leads_decides_as_the_pass_on_built_columns(monkeypatch, see
 def test_the_incoming_pivot_columns_change_no_exact_reduction(monkeypatch, seed):
     # the incoming image's pivots are free columns of d_q: emptying them
     # changes no rank, kernel row read off or image pivot.  A d_0 reduced on
-    # some rows alone has d_0's rank and kernel, and every row lands
-    checked = emptied = on_rows = 0
+    # some rows alone has d_0's rank and kernel, and every row lands.  Where
+    # the positions odd under some sigma_k are left out (`_left_out`: so3,
+    # sl2, euclidean, spiral), the skip holds them too and d_q is reduced as
+    # with their columns emptied; the odd columns of d_{q-1} land only on
+    # odd rows, so the skip is still the whole incoming image's pivots with
+    # them, and the whole d_q, reduced with nothing left out, reads off the
+    # same kernel rows
+    checked = emptied = on_rows = split = 0
     for algebra in _seeded_algebras(seed):
         pi = linear_poisson(algebra)
-        for incoming, whole, columns, skip, at, result, _ in _exact_reductions(
+        for incoming, whole, columns, skip, out, at, result, _ in _exact_reductions(
                 monkeypatch, pi, 10):
-            assert skip == set(linalg.rref(incoming)[0])
-            assert skip <= _free_columns(whole)
+            assert skip == set(linalg.rref(incoming)[0]) | out
+            assert skip - out <= _free_columns(whole)
             assert all(columns[j] == {} for j in skip)
-            expected = linalg.kernel_and_image(whole, skip)
+            expected = linalg.kernel_and_image(_emptied(whole, out), skip)
+            assert linalg.kernel_and_image(whole, skip)[1:3] == expected[1:3]
             if at is None:
                 assert result == expected
             else:
                 assert incoming == [] and result == (*expected[:3], at)
                 on_rows += 1
             checked += 1
-            emptied += sum(map(bool, (whole[j] for j in skip)))
-    assert checked and emptied and on_rows
+            split += bool(out)
+            emptied += sum(map(bool, (whole[j] for j in skip - out)))
+    assert checked and emptied and on_rows and split
 
 
 @pytest.mark.parametrize("kind, on_pivot_rows", [("sl2", True), ("so3", True),
@@ -606,7 +662,7 @@ def test_d_0_is_reduced_on_its_pass_pivot_rows_where_d_1s_pass_certifies_cell_1(
     # heisenberg keep classes in H^1, and d_0 is reduced on every row
     passes = _recorded_passes(monkeypatch)
     dmax = 10
-    reductions = [(whole, at) for incoming, whole, _, _, at, *_ in _exact_reductions(
+    reductions = [(whole, at) for incoming, whole, _, _, _, at, *_ in _exact_reductions(
         monkeypatch, linear_poisson(kind), dmax) if incoming == []]
     assert len(passes) == 4 * (dmax + 1) and reductions
     for whole, at in reductions:
@@ -651,15 +707,20 @@ def test_d_1s_pass_that_stops_on_an_unlucky_rank_of_d_0_may_still_certify_cell_1
     # modulo 5, d_0 of this conjugate of spiral 5/2 at d = 2 has a rank below
     # its exact one, so d_1's pass, run on that rank, stops at its first
     # dependent column; the exact rank of d_0 still certifies cell 1, with
-    # no pivot rows, and d_2's pass skips no column
+    # no pivot rows, and d_2's pass skips no column but those left out.
+    # This conjugate's block field is X_x: every pass skips the positions
+    # odd under sigma_x
     spiral = Algebra("spiral", Fraction(5, 2))
     pi = linear_poisson(conjugated_constants(structure_constants(spiral), random.Random(2)))
+    assert cohomology_module._axes(cohomology_module._fields(pi)) == [0]
+    left_out = cohomology_module._left_out([0], 4)
     expected = _table_fields([cohomology_table(pi, 4)])
     passes = _recorded_passes(monkeypatch)
     monkeypatch.setattr(linalg, "PRIME", 5)
     assert _table_fields([cohomology_table(pi, 4)]) == expected
     (_, _, _, _, d_0_rows), (_, d_1_skip, _, _, d_1_rows), (_, d_2_skip, *_) = passes[8:11]
-    assert (d_1_skip, d_1_rows, d_2_skip) == (d_0_rows, None, set())
+    assert left_out(1, 2) <= d_1_skip
+    assert (d_1_skip - left_out(1, 2), d_1_rows, d_2_skip) == (d_0_rows, None, left_out(2, 2))
 
 
 @pytest.mark.parametrize("seed", [7, 11])
@@ -690,17 +751,22 @@ def test_solves_and_witnesses_still_find_every_coboundary(seed):
 
 def test_euclidean_sends_fewer_nonzeros_into_rref(monkeypatch):
     # every exact reduction of d_q leaves out the columns at the incoming
-    # image's pivots: 6,090 nonzeros of the whole differentials, 4,598 sent
+    # image's pivots, and those odd under sigma_z: of 6,090 nonzeros of the
+    # whole differentials, 4,598 lie outside the pivots' columns, all that
+    # was sent when the whole complex was reduced, and 2,274 are sent
     reductions = _exact_reductions(monkeypatch, linear_poisson("euclidean"), 12)
     assert len(reductions) == 46
     whole = sum(len(col) for _, whole, *_ in reductions for col in whole)
     sent = sum(nnz for *_, nnz in reductions)
     assert sum(len(col) for _, _, columns, *_ in reductions for col in columns) == sent
-    assert (whole, sent) == (6090, 4598)
+    outside = sum(len(col) for incoming, whole, *_ in reductions
+                  for j, col in enumerate(whole) if j not in set(linalg.rref(incoming)[0]))
+    assert (whole, outside, sent) == (6090, 4598, 2274)
 
 
 # the bivectors whose z is a Casimir and whose full complex is reduced: a
-# table carries each degree's forward table to the next
+# table carries each degree's forward table to the next, but for abelian's,
+# whose pi is 0 and lays out no row at any degree
 CARRIED = ("heisenberg", "abelian", "x*dx^dy + z*dx^dy", "y*dx^dy + 3*z*dx^dy",
            "2*x*dx^dy - y*dx^dy + 5*z*dx^dy")
 
@@ -794,6 +860,31 @@ def test_carried_tables_are_the_cold_cells(monkeypatch, name):
                 assert all(kernel[min(rep)] == rep for rep in reps)
 
 
+def test_a_zero_pi_gets_no_carry_and_keeps_its_cells(monkeypatch):
+    # abelian's X_z is 0, but pi = 0 lays out no row at any degree, so there
+    # is nothing to resume: its degrees get no carry, and each cell is the
+    # whole cochain space, its kernel rows the unit vectors e_j; heisenberg,
+    # whose pi is not 0, still carries
+    degree_cells, carries = cohomology_module._degree_cells, []
+
+    def recording(d, matrices, back=None, carry=None, *rest):
+        carries.append(carry)
+        return degree_cells(d, matrices, back, carry, *rest)
+
+    monkeypatch.setattr(cohomology_module, "_degree_cells", recording)
+    dmax = 10
+    table = cohomology_table(linear_poisson("abelian"), dmax)
+    assert carries == [None] * (dmax + 1)
+    assert _rows_written(monkeypatch, linear_poisson("abelian"), dmax) == (0, 0)
+    for (q, d), cell in table.cells.items():
+        n = len(GradedBasis(q, d))
+        assert (cell.dim_cochains, cell.rank_out, cell.rank_in) == (n, 0, 0)
+        assert cell.kernel_rows == [{j: 1} for j in range(n)]
+    del carries[:]
+    cohomology_table(linear_poisson("heisenberg"), dmax)
+    assert carries and all(type(carry) is dict for carry in carries)
+
+
 def test_a_carry_resumes_only_from_the_degree_before(monkeypatch):
     # degrees reduced with gaps between them, as a single cell's is after
     # none: each after a gap lays out every row, and all give the cold cells
@@ -816,12 +907,15 @@ def test_a_casimir_z_writes_only_each_degrees_border(monkeypatch):
     # degree d (9,471 rows and 11,431 nonzeros when each degree wrote every
     # row) and still sends every row of every differential into `rref`, the
     # same 11,431 nonzeros, with each incoming pivot column emptied; the
-    # complexes with no carry write what they wrote before
+    # complexes with no carry write what they wrote before, but where the
+    # table leaves out the positions odd under some sigma_k, whose columns
+    # write no row: sl2 wrote 516 rows and 952 nonzeros on its whole
+    # complex, euclidean 2,445 and 4,598
     reductions = _exact_reductions(monkeypatch, linear_poisson("heisenberg"), 20)
     assert sum(nnz for *_, nnz in reductions) == 11431
     assert all(columns[j] == {} for _, _, columns, skip, *_ in reductions for j in skip)
     assert _rows_written(monkeypatch, linear_poisson("heisenberg"), 20) == (2631, 3451)
-    for algebra, dmax, written in (("sl2", 16, (516, 952)), ("euclidean", 12, (2445, 4598)),
+    for algebra, dmax, written in (("sl2", 16, (156, 312)), ("euclidean", 12, (1199, 2274)),
                                    (Algebra("book", Fraction(-2, 3)), 20, (82, 82))):
         assert _rows_written(monkeypatch, linear_poisson(algebra), dmax) == written
 
@@ -1487,6 +1581,67 @@ def test_weights_with_d_z_not_0_read_the_full_complex():
         for q, cell in enumerate(full):
             assert _ordered_fields(table.cell(q, d)) == _ordered_fields(cell), (q, d)
             assert _ordered_fields(cohomology_cell(pi, q, d)) == _ordered_fields(cell)
+
+
+def _permuted(source, swap):
+    """The structure constants of `source` with its coordinates permuted by
+    `swap`, an involution: e_a of the new basis is e_swap[a] of the old."""
+    constants = structure_constants(source)
+    return StructureConstants({(a, b, c): constants.get(swap[a], swap[b], swap[c])
+                               for a in range(3) for b in range(a + 1, 3) for c in range(3)})
+
+
+# the split kinds, and euclidean and so3 with x and z swapped, whose block
+# field is then X_x
+SPLIT = [Algebra("euclidean"), Algebra("so3"), Algebra("sl2")] + [
+    Algebra("spiral", tau) for tau in (Fraction(1), Fraction(5, 2), Fraction(1, 3))] + [
+    _permuted(kind, (2, 1, 0)) for kind in ("euclidean", "so3")]
+
+
+def test_the_block_test_finds_the_axes_of_the_split():
+    # so3 and sl2 pass the block test on all three axes, euclidean and
+    # spiral on z, euclidean with x and z swapped on x, and no other kind on
+    # any; a kind with a weight-0 family takes that family instead
+    found = [cohomology_module._axes(cohomology_module._fields(linear_poisson(source)))
+             for source in SPLIT]
+    assert found == [[2], [0, 1, 2], [0, 1, 2], [2], [2], [2], [0], [0, 1, 2]]
+    for algebra in REGISTRY_ALGEBRAS + [Algebra("book", tau) for tau in (
+            Fraction(1), Fraction(-1), Fraction(3, 5))]:
+        axes = cohomology_module._axes(cohomology_module._fields(linear_poisson(algebra)))
+        assert axes == ([2] if algebra.name in ("euclidean", "spiral") else
+                        [0, 1, 2] if algebra.name in ("so3", "sl2") else []), algebra
+
+
+@pytest.mark.parametrize("source", SPLIT, ids=["euclidean", "so3", "sl2", "spiral_1",
+                                               "spiral_5/2", "spiral_1/3", "euclidean_xz",
+                                               "so3_xz"])
+def test_the_split_tables_are_the_whole_complexs_reduction(source):
+    # the full table leaves out the positions odd under some sigma_k: each
+    # left-out column of the bracket-built differential maps into left-out
+    # rows and every other column outside them, so d is block diagonal.
+    # Each cell's dims, ranks and kernel rows, in their key order, are those
+    # of a reduction of the whole differentials that leaves nothing out
+    # (`reference_rref`): the canonical rows led at the free columns outside
+    # the incoming image's pivots, one per class, all in the even block
+    pi = linear_poisson(source)
+    left_out = _left_out_of(pi, 8)
+    table = cohomology_table(pi, 8)
+    for d in range(9):
+        columns = [operator_matrix(pi, q, d).columns for q in range(3)]
+        columns.append([{} for _ in range(len(GradedBasis(3, d)))])
+        out = [left_out(q, d) for q in range(4)] + [set()]
+        assert any(out)
+        for q in range(4):
+            for j, col in enumerate(columns[q]):
+                assert (set(col) <= out[q + 1]) if j in out[q] else not set(col) & out[q + 1]
+            kernel = _reference_kernel(columns[q])
+            incoming = set(reference_rref(columns[q - 1])[0]) if q else set()
+            cell = table.cell(q, d)
+            assert (cell.dim_cochains, cell.rank_out, cell.rank_in) == (
+                len(columns[q]), len(reference_rref(columns[q])[0]), len(incoming)), (q, d)
+            assert [list(row.items()) for row in cell.kernel_rows] == [
+                list(kernel[j].items()) for j in sorted(kernel.keys() - incoming)], (q, d)
+            assert not any(set(row) & out[q] for row in cell.kernel_rows)
 
 
 def _family_kinds(rng):

@@ -300,7 +300,9 @@ def test_each_layout_of_a_cell_reads_the_same_matrix(seed):
     # a cell read as rows with some columns left out is the row layout of
     # its columns with those emptied, and read at some rows it is those of
     # its rows, and off a stencil where no entry raises s = d - m_z, from a
-    # target block, those of the blocks from it on; its leads mod p, read last
+    # target block, those of the blocks from it on, while off a stencil with
+    # such an entry, read from any block but the first, it raises rather
+    # than drop what the block below writes into it; its leads mod p, read last
     # first outside a skip, are the highest rows at which its columns are
     # nonzero mod p; each column built alone, from its component and monomial,
     # is that column, and those at some positions are those columns by
@@ -334,6 +336,12 @@ def test_each_layout_of_a_cell_reads_the_same_matrix(seed):
                             kept = [k for k, i in enumerate(laid_out[0]) if i >= first]
                             assert cell.rows(free, None, start) == (
                                 [laid_out[0][k] for k in kept], [laid_out[1][k] for k in kept])
+                        elif cell.source is not None:  # block start - 1 writes into block start
+                            for start in range(1, d + 1):
+                                with pytest.raises(ValueError, match="rows from block %d would "
+                                                   "drop the entries that raise s" % start):
+                                    cell.rows(free, None, start)
+                            assert cell.rows(free, None, 0) == laid_out
                         read = [j for j in range(n - 1, -1, -1) if j not in skip]
                         for p in (linalg.PRIME, 2, 3):
                             leads = _leads(whole, p)

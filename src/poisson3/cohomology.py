@@ -122,10 +122,12 @@ are then whole.  So degree d's forward table of the rows of blocks <= d - 2
 is degree d + 1's: each degree resumes `rref` from the table its
 predecessor handed on, lays out only the rows of blocks d - 2..d
 (`OperatorCell.rows` from block d - 2) and hands on the table after block
-d - 2 (`_complex`'s carry).  A degree gap, a certified cell or d_0
-reduced on rows P leaves that q's carry behind: the next degree lays out
-every row.  No cell changes, only the work.  A zero pi (abelian's) lays
-out no row at any degree, so it gets no carry.
+d - 2 (`_complex`'s carry).  A degree gap or a certified cell leaves that
+q's carry behind: the next degree lays out every row.  No cell changes,
+only the work.  A zero pi (abelian's) lays out no row at any degree, so
+it gets no carry.  With one, d_0(z^d) = d z^(d-1) X_z = 0: cell 0 holds a
+class no pass could certify, so d_0 runs no pass and is reduced at once,
+and d_1's pass skips its image pivots, as after any exact cell.
 
 The matrices are integer throughout.  Representatives are canonical: they
 are the kernel rows whose leading coordinate is not a pivot of the image's
@@ -444,13 +446,13 @@ def _degree_cells(d, matrices, back=None, carry=None, out=None):
     the rank mod p of d_q leaves cell q no room for a class, the cell is
     certified acyclic, and the columns the pass kept, which are independent
     over Q and as many as the exact rank, span cell q + 1's image: they are
-    built in one walk (`OperatorCell.columns_at`), and their `rref` gives
+    built in one walk (`OperatorCell.columns_at`), and their `echelon` gives
     its pivots, only when cell q + 1 is reduced exactly.
     After d_0 a pass stops once its dependent columns outnumber rank_in
     minus the columns it skips, as it can then certify nothing, and the next
     pass skips the exact image pivots in place of its pivot rows.  d_0's
-    pass runs to the end: its pivot rows are the skip that keeps d_1's pass,
-    the largest, small.
+    pass, which a `carry` drops (module notes), runs to the end: its pivot
+    rows are the skip that keeps d_1's pass, the largest, small.
 
     When cell 0 is not certified, d_1's pass runs at once, with d_0's rank
     mod p as rank_in, and is not run again.  If it certifies cell 1, the
@@ -477,7 +479,7 @@ def _degree_cells(d, matrices, back=None, carry=None, out=None):
     `carry`, a dict that `_complex` makes for a full complex where z is a
     Casimir, holds per q the degree, rows, row indices and forward table
     that d_q's last exact reduction handed on; one at degree d - 1 is
-    resumed, and each exact reduction on every row hands one on.
+    resumed, and each exact reduction hands one on.
 
     `out`, which `_full_cells` passes, holds per q a set of positions whose
     basis cochains span an acyclic subcomplex, and whose other basis
@@ -494,6 +496,8 @@ def _degree_cells(d, matrices, back=None, carry=None, out=None):
     ahead = None  # d_1's pass, when it ran before d_0 was reduced
 
     def mod_p_pass(q, skip, rank_in):
+        if q == 0 and carry is not None:  # z^d is in ker d_0: no pass could certify cell 0
+            return (), None
         spare = rank_in - len(skip) if q else inf  # inf: run to the end
         return linalg.independent_columns_mod_p(matrices[q], skip | out[q] if out else skip, spare)
 
@@ -509,15 +513,15 @@ def _degree_cells(d, matrices, back=None, carry=None, out=None):
             continue
         if pivots is None:  # d_{q-1} was certified: the columns it kept span its image
             incoming, kept = certified
-            pivots = set(linalg.rref(list(incoming.columns_at(set(kept)).values()))[0])
+            pivots = set(linalg.echelon(list(incoming.columns_at(set(kept)).values())))
         at = None  # the rows of d_q that are reduced, None for all
-        if q == 0:  # d_0's pass ran to the end, and d_1's pass runs now
+        if q == 0 and carry is None:  # d_0's pass ran to the end, and d_1's pass runs now
             ahead = mod_p_pass(1, pass_pivots, len(independent))
             if sizes[1] == len(ahead[0]) + len(independent):
                 at = pass_pivots  # rank_Q(d_0) = rank_p(d_0): its pivot rows span
         held = hand_at = None  # the table degree d - 1 handed on, and where to hand one on
         start = 0
-        if carry is not None and at is None:
+        if carry is not None:
             last, *handed = carry.get(q, (None,))
             index, rows, held = handed if last == d - 1 else ([], [], [])
             start = max(d - 2, 0) if held else 0  # resume after block d - 3

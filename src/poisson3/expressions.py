@@ -19,10 +19,10 @@ which prints as "-1*" (`format_multivector(parse_multivector("-x*dx"))` is
 "-1*x*dx"; the published tables pin these bytes).  parse(format(v))
 round-trips exactly.
 
-One term joiner prints every expression, from two entry points:
-`format_multivector` for a multivector and `format_coordinates` for
-coordinate vectors over a `GradedBasis`, whose ascending positions are
-already the print order.
+One joiner writes every term inline, fed by two entry points that build
+each component's generator text once: `format_multivector` for a
+multivector and `format_coordinates` for coordinate vectors over a
+`GradedBasis`, whose ascending positions (`element`) are the print order.
 """
 
 import re
@@ -151,36 +151,39 @@ def parse_multivector(text):
     return MultiVector._of(degrees.pop(), {idx: poly for idx, poly in polys.items() if poly})
 
 
-def _render_term(coeff, mono, gens):
-    parts = []
-    if coeff != 1 or (not any(mono) and not gens):
-        try:
-            parts.append(str(coeff))
-        except ValueError:  # past the interpreter's int string limit
-            raise ValueError(
-                "a coefficient has more than %d digits, the limit for printing an integer"
-                % (sys.get_int_max_str_digits(),)) from None
-    for axis, power in enumerate(mono):
-        if power == 0:
-            continue
-        parts.append(VAR_NAMES[axis] if power == 1 else "%s^%d" % (VAR_NAMES[axis], power))
-    if gens:
-        parts.append("^".join("d" + VAR_NAMES[g] for g in gens))
-    return "*".join(parts)
-
-
 def _join_terms(terms):
-    """Text of (monomial, coefficient, generators) terms given in print order."""
-    if not terms:
-        return "0"
-    mono, coeff, gens = terms[0]
-    pieces = [_render_term(coeff, mono, gens)]
-    for mono, coeff, gens in terms[1:]:
-        if coeff > 0:
-            pieces.append(" + " + _render_term(coeff, mono, gens))
-        else:
-            pieces.append(" - " + _render_term(-coeff, mono, gens))
-    return "".join(pieces)
+    """Text of (monomial, coefficient, generator text) terms given in print
+    order, each written inline: coefficient, x^i, y^j, z^k, generators."""
+    pieces = []
+    write = pieces.append
+    for (x, y, z), coeff, gens in terms:
+        if pieces:
+            if coeff > 0:
+                write(" + ")
+            else:
+                write(" - ")
+                coeff = -coeff
+        star = ""
+        if coeff != 1 or not (gens or x or y or z):
+            try:
+                write(str(coeff))
+            except ValueError:  # past the interpreter's int string limit
+                raise ValueError(
+                    "a coefficient has more than %d digits, the limit for printing an integer"
+                    % (sys.get_int_max_str_digits(),)) from None
+            star = "*"
+        if x:
+            write(star + "x" if x == 1 else "%sx^%d" % (star, x))
+            star = "*"
+        if y:
+            write(star + "y" if y == 1 else "%sy^%d" % (star, y))
+            star = "*"
+        if z:
+            write(star + "z" if z == 1 else "%sz^%d" % (star, z))
+            star = "*"
+        if gens:
+            write(star + gens)
+    return "".join(pieces) or "0"
 
 
 def format_multivector(value):
@@ -191,10 +194,11 @@ def format_multivector(value):
     """
     entries = []
     for idx, gens, poly in value.wedge_terms():
+        text = "^".join("d" + VAR_NAMES[g] for g in gens)
         for mono, coeff in poly.terms.items():
-            entries.append((mono, idx, coeff, gens))
+            entries.append((mono, idx, coeff, text))
     entries.sort(key=lambda e: (tuple(-k for k in monomial_key(e[0])), e[1]))
-    return _join_terms([(mono, coeff, gens) for mono, _, coeff, gens in entries])
+    return _join_terms([(mono, coeff, text) for mono, _, coeff, text in entries])
 
 
 def format_coordinates(basis, vectors):
@@ -208,15 +212,17 @@ def format_coordinates(basis, vectors):
     """
     if not vectors:  # most cells of a table have no class
         return []
-    wedges = [component_wedge(basis.q, idx) for idx in range(NCOMP[basis.q])]
+    wedges = [("^".join("d" + VAR_NAMES[g] for g in gens), sign) for gens, sign in (
+        component_wedge(basis.q, idx) for idx in range(NCOMP[basis.q]))]  # text, sign
     out = []
+    element = basis.element
     for vec in vectors:
         terms = []
         for position in sorted(vec):
-            idx, mono = basis.element(position)
-            gens, sign = wedges[idx]
+            idx, mono = element(position)
             coeff = vec[position]
             if coeff:
-                terms.append((mono, coeff if sign == 1 else -coeff, gens))
+                gens, sign = wedges[idx]
+                terms.append((mono, coeff * sign, gens))
         out.append(_join_terms(terms))
     return out

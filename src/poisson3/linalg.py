@@ -13,11 +13,12 @@ sorts like n - 1 - j but does not move with n (`lay_out`), and
 of its image's echelon from one such elimination, reading off only the
 kernel vectors its caller asks for; solves are read off that same routine.
 An elimination can resume from the forward table an earlier one handed on
-for the same first rows, and insert only the rows after them.  Span and
-membership questions read the rows that land in one `rref` (its `landed`
-list): a row lands exactly when it is independent of the rows before it,
-so no exact reduction runs outside `rref`.  Only `solve_combination`
-returns Fractions.
+for the same first rows, and insert only the rows after them.  `rref` is
+that insertion (`echelon`) and a back-substitution; callers that read only
+pivots or landed rows run `echelon` alone (`cohomology`'s certified image
+pivots, `verify`'s span check: a row lands exactly when it is independent
+of the rows before it), and no exact reduction runs outside the two.  Only
+`solve_combination` returns Fractions.
 
 `independent_columns_mod_p` runs the same elimination in word-size
 arithmetic modulo `PRIME`, a constant rather than an option, on a cell of
@@ -74,23 +75,17 @@ def _eliminate(row, pivot_row, col):
     return row
 
 
-def rref(rows, landed=None, held=None, hand_at=None):
-    """Integer reduced row echelon form of a list of sparse integer rows.
-
-    Returns (pivots, echelon_rows) where pivots[r] is the leading index of
-    echelon_rows[r], in increasing order; each row is primitive, positive at
-    its pivot and zero at the other pivots.  Zero rows and zero entries
-    are dropped.  A row with one nonzero entry, at col, takes no loop: it
-    is stored as {col: 1} when col is a new pivot and dropped when col's
-    pivot row is {col: 1}.  Any other row is copied, just before its first
-    write, and reduced against the pivots already found, with no gcd until
-    it lands on a new pivot: then it is made primitive and positive there,
-    and a row that lands with one entry is stored as {pivot: 1}.  The input
-    rows are never written, and no echelon row is one of them.
-    Back-substitution runs from the last pivot down, passes over the
-    {pivot: 1} rows, which hold no other pivot, and makes each other row
-    primitive once, after its last step.  Such a form is unique, so no
-    order of these steps changes it.
+def echelon(rows, landed=None, held=None, hand_at=None):
+    """The forward table of a list of sparse integer rows, with no
+    back-substitution: {pivot: row} in the order the rows landed, each row
+    primitive and positive at its pivot, its lowest index.  A row with one
+    nonzero entry, at col, takes no loop: it is stored as {col: 1} when col
+    is a new pivot and dropped when col's pivot row is {col: 1}.  Any other
+    row is copied, just before its first write, and reduced against the
+    pivots already found, with no gcd until it lands on a new pivot: then
+    it is made primitive and positive there, and a row that lands with one
+    entry is stored as {pivot: 1}.  The input rows are never written, and
+    no table row is one of them.
 
     The rows are inserted in the order given, and the table spans the rows
     inserted so far, so a row lands on a new pivot exactly when it is
@@ -98,11 +93,10 @@ def rref(rows, landed=None, held=None, hand_at=None):
     position of each such row is appended to it, in order.
 
     `held` is a list: empty, or [n, table, landed] as an earlier call
-    handed it for the same rows[:n], their forward table (pivot: row, in
-    the order they landed) and landed positions; only rows n and later are
-    then inserted.  With `hand_at` m >= n, the table as it stood after row
-    m and the positions below m replace `held`'s items.  No row of a held
-    table is written: back-substitution copies one before its first step.
+    handed it for the same rows[:n], their forward table and landed
+    positions; only rows n and later are then inserted.  With `hand_at` m
+    >= n, the table as it stood after row m and the positions below m
+    replace `held`'s items.  No row of a held table is written.
     """
     landed = [] if landed is None else landed
     table, start = {}, 0
@@ -140,9 +134,25 @@ def rref(rows, landed=None, held=None, hand_at=None):
     if hand_at is not None:  # the pivots in landing order: those of rows before m come first
         count = bisect_left(landed, hand_at)
         held[:] = hand_at, dict(islice(table.items(), count)), landed[:count]
+    return table
+
+
+def rref(rows, landed=None, held=None, hand_at=None):
+    """Integer reduced row echelon form of a list of sparse integer rows.
+
+    Returns (pivots, echelon_rows) where pivots[r] is the leading index of
+    echelon_rows[r], in increasing order; each row is primitive, positive at
+    its pivot and zero at the other pivots.  Zero rows and zero entries
+    are dropped.  `echelon` inserts the rows, and takes `landed`, `held` and
+    `hand_at`.  Back-substitution runs from the last pivot down, passes over
+    the {pivot: 1} rows, which hold no other pivot, copies a held row before
+    its first step and makes each other row primitive once, after its last
+    step.  Such a form is unique, so no order of these steps changes it.
+    """
+    table = echelon(rows, landed, held, hand_at)
     shared = held[1] if held else ()
     pivots = sorted(table)
-    echelon = []
+    reduced = []
     for col in reversed(pivots):
         row = table[col]
         # a {col: 1} row holds no other pivot; the rows of the later pivots
@@ -154,9 +164,9 @@ def rref(rows, landed=None, held=None, hand_at=None):
             for other in others:
                 row = _eliminate(row, table[other], other)
             table[col] = row = _primitive(row)
-        echelon.append(row)
-    echelon.reverse()
-    return pivots, echelon
+        reduced.append(row)
+    reduced.reverse()
+    return pivots, reduced
 
 
 def lay_out(columns, free=()):

@@ -299,7 +299,7 @@ def _check_generators(pi, table, q, d, exprs, mismatches):
     # the rows that land before the representatives count the rank of the
     # exact terms and the generators
     landed = []
-    linalg.rref(image + coords + cell.kernel_rows, landed)
+    linalg.echelon(image + coords + cell.kernel_rows, landed)
     spanned = len(image) + len(coords)
     if sum(k < spanned for k in landed) != cell.rank_in + len(coords):
         mismatches.append(

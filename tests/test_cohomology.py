@@ -1,5 +1,6 @@
 """Cohomology cells, tables, invariant subcomplex, witnesses, resonances."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd, inf
@@ -164,36 +165,41 @@ def _count_calls(monkeypatch, *names):
     return calls
 
 
-def test_each_exact_cell_makes_one_rref_call_plus_one_after_a_certified_cell(monkeypatch):
-    # each differential reduced exactly is one rref, which also gives the next
-    # cell its image's pivots; only a cell fed by a certified acyclic cell runs
-    # one more rref, on the certified columns, for those pivots
-    calls = _count_calls(monkeypatch, "rref", "kernel_and_image_of_rows")
+def test_each_exact_cell_makes_one_rref_call_plus_one_echelon_after_a_certified_cell(
+        monkeypatch):
+    # each differential reduced exactly is one rref, which inserts its rows
+    # with one `echelon` and also gives the next cell its image's pivots;
+    # only a cell fed by a certified acyclic cell runs one more echelon, with
+    # no back-substitution, on the certified columns, for those pivots
+    calls = _count_calls(monkeypatch, "rref", "echelon", "kernel_and_image_of_rows")
     cohomology_table(linear_poisson("heisenberg"), 3)  # no acyclic cell
-    assert calls == {"rref": 16, "kernel_and_image_of_rows": 16}
-    # the invariant table restricts the same differentials: no elimination of its own
-    calls.update(rref=0, kernel_and_image_of_rows=0)
+    assert calls == {"rref": 16, "echelon": 16, "kernel_and_image_of_rows": 16}
+    # the invariant table restricts the same differentials: no elimination
+    # of its own; two of its cells are fed by a certified one
+    calls.update(rref=0, echelon=0, kernel_and_image_of_rows=0)
     cohomology_table(linear_poisson("euclidean"), 3, invariant=True)
-    assert calls["rref"] == 16
+    assert calls == {"rref": 14, "echelon": 16, "kernel_and_image_of_rows": 14}
     # exact work only in q = 0, 3 of d = 0, 2, the Casimir classes; H^3 is fed
-    # by a certified cell, so its image pivots cost one rref each
+    # by a certified cell, so its image pivots cost one echelon each
     for kind in ("sl2", "so3"):
-        calls.update(rref=0, kernel_and_image_of_rows=0)
+        calls.update(rref=0, echelon=0, kernel_and_image_of_rows=0)
         cohomology_table(linear_poisson(kind), 3)
-        assert calls == {"rref": 6, "kernel_and_image_of_rows": 4}
+        assert calls == {"rref": 4, "echelon": 6, "kernel_and_image_of_rows": 4}
 
 
 def test_each_stored_row_is_made_primitive_once(monkeypatch):
     # one gcd when a row lands on a new pivot and one after its
-    # back-substitution, none per elimination step (the table makes 138
+    # back-substitution, none per elimination step (the table makes 112
     # steps), and one for each representative that is not a unit vector:
     # 6 of the 10 are e_j at a free column no echelon row touches, with no
-    # gcd, and 4 take one (118 calls when each of the 10 took one).  sl2's
-    # table reduces only the cochains every sigma_k keeps even, where it
-    # took 184 gcds and 250 steps on the whole complex
-    calls = _count_calls(monkeypatch, "_primitive")
+    # gcd, and 4 take one (92 calls when each of the 10 took one).  The
+    # pivots of a certified cell's image take no back-substitution: with one
+    # the table took 112 gcds and 138 steps.  sl2's table reduces only the
+    # cochains every sigma_k keeps even, where it took 184 gcds and 250
+    # steps on the whole complex
+    calls = _count_calls(monkeypatch, "_primitive", "_eliminate")
     cohomology_table(linear_poisson("sl2"), 8)
-    assert calls == {"_primitive": 112}
+    assert calls == {"_primitive": 86, "_eliminate": 112}
 
 
 def test_one_entry_rows_take_no_elimination_step(monkeypatch):
@@ -206,23 +212,27 @@ def test_one_entry_rows_take_no_elimination_step(monkeypatch):
     # d_1's pass certifies cell 1, d_0 is reduced on its pass's pivot rows
     # alone: sl2's table made 6,290 steps when its H^0 cells reduced all
     # their rows and 2,012 on the pass's pivot rows of the whole complex,
-    # and makes 1,116 on those of the even block (1,168 gcds there went to
-    # 608), and book's table took 28 gcds where all of d_0's rows took 46;
-    # heisenberg's cells 1 keep classes, so it reduces every row.  A
+    # and 1,116 on those of the even block (1,168 gcds there went to 608);
+    # the pivots of a certified cell's image take no back-substitution, so
+    # it makes 968 steps and 460 gcds.  Book's table took 28 gcds where all
+    # of d_0's rows took 46; heisenberg's d_0 is reduced on every row.  A
     # representative at a free column no echelon row touches is e_j, with
     # no gcd: 566 of heisenberg's 1,006 are, all 18 of book's and 10 of
-    # sl2's 18 (4,276, 28 and 618 calls when each took one).  Heisenberg's
+    # sl2's 18 (4,276, 28 and 470 calls when each took one).  Heisenberg's
     # z is a Casimir, and each degree resumes from the forward table the one
     # before handed on: its rows that land there take no gcd again (3,710
     # calls when every degree inserted every row); its 1,520 steps are all
-    # back-substitution, which each degree runs in full
-    calls = _count_calls(monkeypatch, "_eliminate", "_primitive")
-    for pi, dmax, expected in ((linear_poisson("heisenberg"), 20, (1520, 2570)),
-                               (linear_poisson(Algebra("book", Fraction(-2, 3))), 20, (0, 10)),
-                               (linear_poisson("sl2"), 16, (1116, 608))):
-        calls.update(_eliminate=0, _primitive=0)
+    # back-substitution, which each degree runs in full.  It runs 63 mod-p
+    # passes, none on d_0, which no pass could certify (84 with d_0's); the
+    # others run one per differential
+    calls = _count_calls(monkeypatch, "_eliminate", "_primitive", "independent_columns_mod_p")
+    for pi, dmax, expected in ((linear_poisson("heisenberg"), 20, (1520, 2570, 63)),
+                               (linear_poisson(Algebra("book", Fraction(-2, 3))), 20, (0, 10, 84)),
+                               (linear_poisson("sl2"), 16, (968, 460, 68))):
+        calls.update(_eliminate=0, _primitive=0, independent_columns_mod_p=0)
         cohomology_table(pi, dmax)
-        assert (calls["_eliminate"], calls["_primitive"]) == expected
+        assert (calls["_eliminate"], calls["_primitive"],
+                calls["independent_columns_mod_p"]) == expected
 
 
 def _count_cell_reads(monkeypatch):
@@ -431,6 +441,15 @@ def _left_out_of(pi, dmax):
     return cohomology_module._left_out(axes, dmax)
 
 
+def _carried(pi, invariant=False):
+    """True where a table of pi carries each degree's forward table to the
+    next: its full complex is reduced (no weight-0 family), pi is not 0 and
+    X_z is.  Then z^d is a class at every degree, and d_0 runs no pass."""
+    fields = cohomology_module._fields(pi)
+    return (not invariant and not pi.is_zero() and not any(map(any, fields[2]))
+            and cohomology_module._family(fields, False) is None)
+
+
 def _emptied(columns, out):
     """The columns with those at the positions in `out` made empty."""
     return [{} if j in out else col for j, col in enumerate(columns)]
@@ -445,13 +464,15 @@ def test_the_mod_p_pass_skips_the_pivot_rows_of_the_incoming_differential(monkey
     # past rank_in - |skip|, where its whole run could not certify the cell
     # had d_{q-1} that rank.  d_1's pass runs before d_0 is reduced: its
     # rank_in is d_0's rank mod p, below the exact one at an unlucky prime.
+    # Where z is a Casimir (heisenberg), d_0 runs no pass and is reduced
+    # exactly, and d_1's pass skips its exact image pivots with no spare.
     # Where the full table leaves out the positions odd under some sigma_k
     # (so3, sl2, euclidean, spiral), every pass skips them too, and all of
     # this holds of the matrix with their columns emptied: ranks, sizes and
     # skips count only the other columns
     restricted = mod_p_pass
     passes = _recorded_passes(monkeypatch)
-    skipped = stopped = after_stop = split = still_certified = 0
+    skipped = stopped = after_stop = split = still_certified = after_d_0 = 0
     word_prime = linalg.PRIME
     for prime in (word_prime, 2, 3, 5):
         monkeypatch.setattr(linalg, "PRIME", prime)
@@ -460,15 +481,21 @@ def test_the_mod_p_pass_skips_the_pivot_rows_of_the_incoming_differential(monkey
             rotation_invariant = schouten_bracket(rotation_field(), pi).is_zero()
             for invariant in (False, True)[:1 + rotation_invariant]:
                 left_out = (lambda q, d: set()) if invariant else _left_out_of(pi, 12)
+                carried = _carried(pi, invariant)
                 del passes[:]
                 cohomology_table(pi, 12, invariant)
+                assert len(passes) == (4 - carried) * 13
                 for n, (columns, skip, spare, kept, pivot_rows) in enumerate(passes):
-                    d, q = divmod(n, 4)
+                    d, q = divmod(n, 4 - carried)
+                    q += carried
                     out = left_out(q, d)
-                    incoming = passes[n - 1] if q else None
+                    incoming = passes[n - 1] if q > carried else None
+                    if q == carried == 1:  # d_0 was reduced exactly, with no pass
+                        incoming = (differential_matrix(pi, 0, d).columns, *[None] * 4)
+                        after_d_0 += 1
                     rank_in = linalg.kernel_and_image(
                         _emptied(incoming[0], left_out(q - 1, d)))[0] if incoming else 0
-                    if q == 1:
+                    if q == 1 and not carried:
                         rank_in = len(incoming[3])  # d_0's pass ran to the end
                     whole = restricted(columns, out)[0]
                     assert out <= skip
@@ -505,7 +532,7 @@ def test_the_mod_p_pass_skips_the_pivot_rows_of_the_incoming_differential(monkey
                             assert len(kept) == len(whole)
                     skipped += sum(map(bool, (columns[j] for j in skip - out)))
                     split += bool(out)
-    assert skipped and stopped and after_stop and split and still_certified
+    assert skipped and stopped and after_stop and split and still_certified and after_d_0
 
 
 def test_exact_rank_below_the_modular_rank_raises(monkeypatch):
@@ -612,8 +639,9 @@ def test_the_pass_on_leads_decides_as_the_pass_on_built_columns(monkeypatch, see
             for invariant in (False, True)[:1 + schouten_bracket(rotation_field(), pi).is_zero()]:
                 del passes[:]
                 cohomology_table(pi, 10, invariant)
+                carried = _carried(pi, invariant)  # d_0 ran no pass
                 for n, (columns, skip, spare, kept, pivot_rows) in enumerate(passes):
-                    if n % 4 < 3:
+                    if n % (4 - carried) + carried < 3:
                         assert mod_p_pass(columns, skip, spare) == (kept, pivot_rows)
                         checked += 1
                         stopped += pivot_rows is None
@@ -658,13 +686,17 @@ def test_d_0_is_reduced_on_its_pass_pivot_rows_where_d_1s_pass_certifies_cell_1(
         monkeypatch, kind, on_pivot_rows):
     # sl2 and so3 have no H^1: d_1's pass, run before d_0 is reduced,
     # certifies every cell 1, so d_0 of each H^0 cell is reduced on the rows
-    # at which its own pass found pivots and on no other.  Euclidean and
-    # heisenberg keep classes in H^1, and d_0 is reduced on every row
+    # at which its own pass found pivots and on no other.  Euclidean keeps
+    # classes in H^1, and d_0 is reduced on every row.  Heisenberg's z is a
+    # Casimir: d_0 runs no pass, and is reduced on every row at every degree
     passes = _recorded_passes(monkeypatch)
     dmax = 10
     reductions = [(whole, at) for incoming, whole, _, _, _, at, *_ in _exact_reductions(
         monkeypatch, linear_poisson(kind), dmax) if incoming == []]
-    assert len(passes) == 4 * (dmax + 1) and reductions
+    carried = _carried(linear_poisson(kind))
+    assert len(passes) == (4 - carried) * (dmax + 1) and reductions
+    if carried:
+        assert len(reductions) == dmax + 1
     for whole, at in reductions:
         d = [d for d in range(dmax + 1) if len(whole) == (d + 1) * (d + 2) // 2][0]
         assert at == (passes[4 * d][4] if on_pivot_rows else None)
@@ -811,6 +843,32 @@ def test_a_casimir_z_is_read_off_x_z_and_keeps_every_row_of_a_block():
             assert all(az == 0 and sz in (0, 1) for _, (_, _, sz), (_, _, az, _) in entries)
 
 
+def test_where_z_is_a_casimir_z_to_the_d_is_a_class_and_d_0_runs_no_pass(monkeypatch):
+    # x dx^dy + z dx^dy is off the registry: X_z = 0, and it has no weight
+    # field and no block axis, so its table carries.  d_0(z^d) = d z^(d-1)
+    # X_z = 0, so every cell (0, d) holds one class, z^d, which no pass
+    # could certify, and its mod-p passes are d_1's, d_2's and d_3's at each
+    # degree, none of d_0.  Its table is its single cells, and its (key,
+    # dim H, kernel rows) hash as they did when d_0 ran a pass
+    pi, dmax = parse_multivector("x*dx^dy + z*dx^dy"), 10
+    fields = cohomology_module._fields(pi)
+    assert not any(map(any, fields[2])) and _carried(pi)
+    assert cohomology_module._weights(fields) is None and cohomology_module._axes(fields) == []
+    passes = _recorded_passes(monkeypatch)
+    table = cohomology_table(pi, dmax)
+    assert [len(columns) for columns, *_ in passes] == [
+        k * (d + 1) * (d + 2) // 2 for d in range(dmax + 1) for k in (3, 3, 1)]
+    for d in range(dmax + 1):
+        cell = table.cell(0, d)
+        assert cell.dim_h == 1
+        assert cell.kernel_rows == [{GradedBasis(0, d).position(0, (0, 0, d)): 1}]
+    assert {key: _ordered_fields(cell) for key, cell in table.cells.items()} == {
+        (q, d): _ordered_fields(cohomology_cell(pi, q, d))
+        for d in range(dmax + 1) for q in range(4)}
+    fields = repr([(key, cell.dim_h, cell.kernel_rows) for key, cell in sorted(table.cells.items())])
+    assert hashlib.sha256(fields.encode()).hexdigest()[:16] == "0173ca4ab01f0568"
+
+
 def _reference_kernel(columns):
     """{j: the kernel row led at free column j}, read off `reference_rref`
     of the rows, column j keyed ~j, as coprime ints positive at j."""
@@ -921,9 +979,11 @@ def test_a_casimir_z_writes_only_each_degrees_border(monkeypatch):
 
 
 def test_no_pass_after_d_0_reads_past_its_first_dependent_column(monkeypatch):
-    # every heisenberg cell keeps a class, and each pass after d_0 skips as
-    # many columns as rank_in: it stops at its first dependent column, and
-    # reads 507 columns where passes run to the end read 2,027
+    # every heisenberg cell keeps a class, and z^d is one of cell 0's, so
+    # d_0 runs no pass (52 passes when it had one, which read all its 455
+    # columns).  Each pass skips as many columns as rank_in: it stops at its
+    # first dependent column, and reads 52 columns where passes run to the
+    # end read 1,572
     leads = complexes_module.OperatorCell.leads
     reads = []
 
@@ -936,16 +996,13 @@ def test_no_pass_after_d_0_reads_past_its_first_dependent_column(monkeypatch):
     monkeypatch.setattr(complexes_module.OperatorCell, "leads", counting)
     passes = _recorded_passes(monkeypatch)
     cohomology_table(linear_poisson("heisenberg"), 12)
-    assert len(reads) == len(passes) == 52
+    assert len(reads) == len(passes) == 39
     reads = [(len(columns) - len(skip), read, len(kept), pivot_rows is not None)
              for read, (columns, skip, _, kept, pivot_rows) in zip(reads, passes)]
-    for n, ((size, read, found, whole), (*_, spare, _, _)) in enumerate(zip(reads, passes)):
-        if n % 4:
-            assert spare == 0
-            assert read == (found if whole else found + 1)
-        else:
-            assert (spare, read, whole) == (inf, size, True)
-    assert (sum(r[0] for r in reads), sum(r[1] for r in reads)) == (2027, 507)
+    for (size, read, found, whole), (*_, spare, _, _) in zip(reads, passes):
+        assert spare == 0
+        assert read == (found if whole else found + 1)
+    assert (sum(r[0] for r in reads), sum(r[1] for r in reads)) == (1572, 52)
 
 
 @pytest.mark.parametrize("algebra", REGISTRY_ALGEBRAS,
@@ -965,8 +1022,9 @@ def test_single_cells_are_the_cells_of_the_table(algebra):
 @pytest.mark.parametrize("algebra", REGISTRY_ALGEBRAS,
                          ids=lambda a: a.name if a.tau is None else "%s_%s" % (a.name, a.tau))
 def test_a_single_cell_reduces_its_whole_degree_as_the_table_does(monkeypatch, algebra):
-    # every cell of degree d, on its own, makes the four mod-p passes and the
-    # exact reductions that the table makes at d; d_0's pass runs to the end
+    # every cell of degree d, on its own, makes the mod-p passes and the
+    # exact reductions that the table makes at d: four passes, of which
+    # d_0's runs to the end, or, where z is a Casimir, three, as d_0 has none
     calls = _count_calls(monkeypatch, "kernel_and_image_of_rows")
     passes = _recorded_passes(monkeypatch)
     pi = linear_poisson(algebra)
@@ -979,8 +1037,9 @@ def test_a_single_cell_reduces_its_whole_degree_as_the_table_does(monkeypatch, a
         calls["kernel_and_image_of_rows"] = 0
         del passes[:]
         cohomology_table(pi, d, invariant)
-        assert len(passes) == 4 * (d + 1) and passes[-4][2] == inf
-        expected = (passes[-4:], calls["kernel_and_image_of_rows"] - below)
+        n = 4 - _carried(pi, invariant)  # the passes of each degree
+        assert len(passes) == n * (d + 1) and passes[-n][2] == (inf if n == 4 else 0)
+        expected = (passes[-n:], calls["kernel_and_image_of_rows"] - below)
         for q in range(4):
             del passes[:]
             calls["kernel_and_image_of_rows"] = 0

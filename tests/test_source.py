@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "poisson3").rglob("*.py"))
@@ -288,18 +289,44 @@ def test_one_stencil_cache():
 
 
 def test_one_reduction_loop_and_one_writer_of_basis_positions():
-    # `rref` is the one exact reduction: span and membership questions read
-    # the rows that land in it, and no other function eliminates against a
-    # pivot row.  A basis position is written by `GradedBasis.position`;
+    # `rref` is the one exact reduction, `echelon`'s insertion and a
+    # back-substitution: span and membership questions read the rows that
+    # land in `echelon`, and no other function eliminates against a pivot
+    # row.  A basis position is written by `GradedBasis.position`;
     # beside the stencil walks of `complexes`, which inline its formula, its
     # callers are the decomposition and the closed forms that place a
     # field's or a family's entries
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-    assert _callers(trees, "_eliminate") == [("linalg.py", "rref"), ("linalg.py", "rref")]
+    assert _callers(trees, "_eliminate") == [("linalg.py", "echelon"), ("linalg.py", "rref")]
+    # the readers of pivots or landed rows alone take no back-substitution
+    assert _callers(trees, "echelon") == [("cohomology.py", "_degree_cells"),
+                                          ("linalg.py", "rref"),
+                                          ("verification.py", "_check_generators")]
     assert _callers(trees, "position") == [
         ("cohomology.py", "_fields"), ("cohomology.py", "_fields"),
         ("cohomology.py", "_weight_zero"), ("complexes.py", "GradedBasis.decompose"),
         ("complexes.py", "new_invariant_vectors")]
+
+
+def test_one_joiner_writes_every_term():
+    # `_join_terms` writes each term's text inline, and only the two
+    # formatters feed it: no per-term renderer, no other code that writes a
+    # coordinate's power, and a position is decoded by `GradedBasis.element`,
+    # with no copy of its formula (isqrt, divmod) in `expressions`
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert _callers(trees, "_join_terms") == [("expressions.py", "format_coordinates"),
+                                              ("expressions.py", "format_multivector")]
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert "_join_terms" in defined and "_render_term" not in defined
+    powers = sorted((module, scope) for module, tree in trees.items()
+                    for scope, top in _scopes(tree) for node in ast.walk(top)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and re.search(r"[xyz]\^%d", node.value))
+    assert powers == [("expressions.py", "_join_terms")] * 3
+    expressions = {"expressions.py": trees["expressions.py"]}
+    assert _reads(expressions, "isqrt") == _callers(expressions, "divmod") == []
+    assert _callers(expressions, "element") == [("expressions.py", "format_coordinates")]
 
 
 def test_only_the_invariant_basis_and_table_enumerate_new_invariant_vectors():
@@ -360,11 +387,11 @@ def test_one_exact_reduction_per_differential():
 def test_a_carried_degree_adds_no_route_and_no_public_name():
     # the carry between degrees rides on the one loop: `_complex` makes it,
     # reading X_z off `_fields`, and `_degree_cells` hands it to its one
-    # reduction, inside which `rref` alone eliminates; the stencil is still
-    # read only through the hold's reader, and `cohomology` keeps its public
-    # names
+    # reduction, inside which `rref` and its `echelon` alone eliminate; the
+    # stencil is still read only through the hold's reader, and `cohomology`
+    # keeps its public names
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-    assert _callers(trees, "_eliminate") == [("linalg.py", "rref"), ("linalg.py", "rref")]
+    assert _callers(trees, "_eliminate") == [("linalg.py", "echelon"), ("linalg.py", "rref")]
     assert [caller for caller in _callers(trees, "kernel_and_image_of_rows")
             if caller[0] == "cohomology.py"] == [("cohomology.py", "_degree_cells")]
     assert _callers(trees, "_degree_cells") == [("cohomology.py", "_complex"),

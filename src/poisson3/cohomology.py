@@ -51,27 +51,26 @@ once:
   the rotation-invariant cochains (k = 0) are a subcomplex that holds C_0,
   and L_X is invertible on their complement (k != 0), which is acyclic by
   the argument above.  For euclidean and so3 they are C_0.
-- A hyperbolic block: X_z fixes z and is mu (y d_x + x d_y) on (x, y) (sl2).
-  L_X is semisimple over Q, with eigenvectors x + y and x - y, and C_0 is
-  its kernel, the rotation family with x^2 - y^2 for x^2 + y^2.
 
-The two block families (`new_invariant_vectors` with sign 1 and -1) are
-not spanned by basis cochains, so the kernel rows they give, mapped back,
-are *a* basis of each H, not the full complex's canonical representatives.
-Only `class_table`, which `verify` reads, restricts to them; the weight-0
-unit vectors, whose rows mapped back are the canonical ones, serve every
-table and cell, and the tables and cells of the block kinds reduce a block
-of the full complex that is spanned by basis cochains:
+The rotation family (`new_invariant_vectors`) is not spanned by basis
+cochains, so the kernel rows it gives, mapped back, are *a* basis of each
+H, not the full complex's canonical representatives.  Only `class_table`,
+which `verify` reads, restricts to it; the weight-0 unit vectors, whose
+rows mapped back are the canonical ones, serve every table and cell, and
+the other tables and cells of the block kinds, sl2's class table among
+them, reduce a block of the full complex that is spanned by basis cochains:
 
-- The block test (`_block`) asks of X_k what the two blocks above ask of
-  X_z, on the coordinates (x_a, x_b) other than x_k: so3 and sl2 pass it
-  on all three axes, euclidean and spiral on z.  Where it holds, sigma_k,
-  which negates x_a and x_b, is a Lie algebra automorphism: Jacobi leaves
-  [x_a, x_b] in the span of x_k, and [x_a, x_k], [x_b, x_k] lie in that of
-  x_a, x_b.  So d commutes with sigma_k and keeps its +1 and -1 parts,
-  each spanned by basis cochains: x^m xi_S is sigma_k-odd when the
-  exponents of x_a, x_b and its generators among them add up to an odd
-  number.  That number has the parity of the weight k of L_{X_k} above
+- The block test (`_block`) asks whether X_k fixes x_k and acts on the
+  coordinates (x_a, x_b) other than x_k by a rotation block, as above, or
+  by a hyperbolic one, mu (x_b d_a + x_a d_b) (sl2's X_z), whose L_X is
+  semisimple over Q with eigenvectors x_a + x_b and x_a - x_b: so3 and sl2
+  pass it on all three axes, euclidean and spiral on z.  Where it holds,
+  sigma_k, which negates x_a and x_b, is a Lie algebra automorphism:
+  Jacobi leaves [x_a, x_b] in the span of x_k, and [x_a, x_k], [x_b, x_k]
+  lie in that of x_a, x_b.  So d commutes with sigma_k and keeps its +1
+  and -1 parts, each spanned by basis cochains: x^m xi_S is sigma_k-odd
+  when the exponents of x_a, x_b and its generators among them add up to
+  an odd number.  That number has the parity of the weight k of L_{X_k} above
   (the rotation's k, or the count of x_a + x_b less that of x_a - x_b),
   so on the sigma_k-odd part every weight is odd and not 0, L_{X_k} is
   invertible, and that part is acyclic.
@@ -124,10 +123,9 @@ predecessor handed on, lays out only the rows of blocks d - 2..d
 (`OperatorCell.rows` from block d - 2) and hands on the table after block
 d - 2 (`_complex`'s carry).  A degree gap or a certified cell leaves that
 q's carry behind: the next degree lays out every row.  No cell changes,
-only the work.  A zero pi (abelian's) lays out no row at any degree, so
-it gets no carry.  With one, d_0(z^d) = d z^(d-1) X_z = 0: cell 0 holds a
-class no pass could certify, so d_0 runs no pass and is reduced at once,
-and d_1's pass skips its image pivots, as after any exact cell.
+only the work.  d_0(z^d) = d z^(d-1) X_z = 0: cell 0 holds a class no
+pass could certify, so d_0 runs no pass and is reduced at once, and d_1's
+pass skips its image pivots, as after any exact cell.
 
 The matrices are integer throughout.  Representatives are canonical: they
 are the kernel rows whose leading coordinate is not a pivot of the image's
@@ -342,22 +340,19 @@ def _family(fields, blocks):
     Read off the fields' matrices (`_fields`).  Weights with D_z = 0
     give the weight-0 unit vectors (`_weight_zero`); D_z != 0 only where the
     coordinates were permuted, and gives None.  With blocks=True, a field
-    X_z that passes the block test (`_block`) gives the kernel of L_J
-    (`new_invariant_vectors`, sign 1 for the rotation J, -1 for the
-    hyperbolic one).  Where it returns None, the full complex still splits:
-    wherever X_k passes the block test, sigma_k is a Lie algebra automorphism
-    (`_block`), so d keeps its +-1 parts, and L_{X_k} has only odd weights,
-    none of them 0, on the sigma_k-odd part, which is therefore acyclic, as
-    is each direct summand of it; `_complex` reduces only the cochains even
-    under every such sigma_k (`_left_out`).
+    X_z that acts on (x, y) by a rotation block (`_block` 1: euclidean,
+    so3, spiral) gives the rotation-invariant subcomplex
+    (`new_invariant_vectors`).  Where it returns None, the full complex
+    still splits: wherever X_k passes the block test, sigma_k is a Lie
+    algebra automorphism (`_block`), so d keeps its +-1 parts, and L_{X_k}
+    has only odd weights, none of them 0, on the sigma_k-odd part, which is
+    therefore acyclic, as is each direct summand of it; `_complex` reduces
+    only the cochains even under every such sigma_k (`_left_out`).
     """
     found = _weights(fields)
     if found is not None:
         return None if found[1][2] else _weight_zero(found[1])
-    sign = _block(fields, 2) if blocks else None
-    if sign is None:
-        return None
-    return lambda q, d: new_invariant_vectors(q, d, sign)
+    return new_invariant_vectors if blocks and _block(fields, 2) == 1 else None
 
 
 def _left_out(axes, dmax):
@@ -384,21 +379,24 @@ def _left_out(axes, dmax):
     return left_out
 
 
-def _full_cells(d, matrices, back, out=None):
+def _full_cells(d, matrices, back, carry=None, out=None):
     """The four cells of degree d of the full complex, from the differentials
     of a subcomplex that carries H and has an acyclic complement: d_0..d_3
     restricted to the subcomplex `_family` gives and its basis `back`, or
-    the full d_0..d_3 with the positions `out` left out (`_left_out`).
+    the full d_0..d_3 with the positions `out` left out (`_left_out`), or
+    with none left out and `carry` handed on (`_degree_cells`).
 
     Only that subcomplex C_0 is reduced.  Its complement is acyclic, so d_q's
-    rank there is sum_{k<=q} (-1)^(q-k) (dim C^k - dim C_0^k).
+    rank there is sum_{k<=q} (-1)^(q-k) (dim C^k - dim C_0^k), 0 where
+    nothing is left out.
     """
-    cells, rest = [], 0  # rest: the rank of d_{q-1} off C_0
-    for cell in _degree_cells(d, matrices, back, None, out):
+    cells = _degree_cells(d, matrices, back, carry, out)
+    rest = 0  # the rank of d_{q-1} off C_0
+    for cell in cells:
         size = len(GradedBasis(cell.q, d))
         incoming, rest = rest, size - cell.dim_cochains - rest
-        cells.append(CohomologyCell(cell.q, d, size, cell.rank_out + rest,
-                                    cell.rank_in + incoming, cell.kernel_rows))
+        cell.dim_cochains, cell.rank_out, cell.rank_in = (
+            size, cell.rank_out + rest, cell.rank_in + incoming)
     return cells
 
 
@@ -406,33 +404,31 @@ def _complex(pi, dmax, invariant, blocks=False):
     """Yield, for d = 0..dmax, a function that reduces degree d to its four
     cells: those of the rotation-invariant subcomplex with invariant=True,
     else the full complex's, restricted to the subcomplex that carries H
-    where `_family` finds one.  Elsewhere, for the axes whose X_k passes
-    the block test (`_block`), sigma_k is an automorphism, L_{X_k} has only
-    odd, nonzero weights on its odd part, which is acyclic, as is each
-    direct summand of it: only the cochains even under every such sigma_k
-    are reduced (`_left_out`, `_full_cells`; module notes).  A restriction
-    runs as the degrees are yielded, and full differentials are made as
-    their degree is reduced, with one carry between degrees where X_z = 0
-    and pi is not 0, as a zero pi lays out no row (`_degree_cells`).  pi is
-    checked first (`_check_pi`), as the first degree is asked for."""
+    where `_family` finds one.  Elsewhere the full differentials are made
+    as their degree is reduced, and all of them go through one loop
+    (`_full_cells`): for the axes whose X_k passes the block test
+    (`_block`), sigma_k is an automorphism, L_{X_k} has only odd, nonzero
+    weights on its odd part, which is acyclic, as is each direct summand of
+    it, so only the cochains even under every such sigma_k are reduced
+    (`_left_out`; module notes); where X_z = 0 one carry runs between the
+    degrees (`_degree_cells`).  A restriction runs as the degrees are
+    yielded.  pi is checked first (`_check_pi`), as the first degree is
+    asked for."""
     _check_pi(pi, invariant)
     fields = None if invariant else _fields(pi)
     new_vectors = new_invariant_vectors if invariant else _family(fields, blocks)
-    if new_vectors is None:
-        if axes := _axes(fields):
-            left_out = _left_out(axes, dmax)
-            for d in range(dmax + 1):
-                yield lambda d=d: _full_cells(d, *_differentials(pi, d),
-                                              [left_out(q, d) for q in range(4)])
-            return
-        carry = None if any(map(any, fields[2])) or pi.is_zero() else {}  # the module notes
-        for d in range(dmax + 1):
-            yield lambda d=d: _degree_cells(d, *_differentials(pi, d), carry)
+    if new_vectors is not None:
+        reduce = _degree_cells if invariant else _full_cells
+        for d, (matrices, vectors) in enumerate(
+                _restricted_differentials(pi, dmax, new_vectors)):
+            yield partial(reduce, d, matrices, vectors)
         return
-    reduce = _degree_cells if invariant else _full_cells
-    for d, (matrices, vectors) in enumerate(
-            _restricted_differentials(pi, dmax, new_vectors)):
-        yield partial(reduce, d, matrices, vectors)
+    if axes := _axes(fields):
+        left_out = _left_out(axes, dmax)
+    carry = None if any(map(any, fields[2])) else {}  # X_z = 0: the module notes
+    for d in range(dmax + 1):
+        yield lambda d=d: _full_cells(d, *_differentials(pi, d), carry,
+                                      [left_out(q, d) for q in range(4)] if axes else None)
 
 
 def _degree_cells(d, matrices, back=None, carry=None, out=None):
@@ -477,9 +473,9 @@ def _degree_cells(d, matrices, back=None, carry=None, out=None):
     stays primitive, and only its sign is fixed (`_positive`).
 
     `carry`, a dict that `_complex` makes for a full complex where z is a
-    Casimir, holds per q the degree, rows, row indices and forward table
-    that d_q's last exact reduction handed on; one at degree d - 1 is
-    resumed, and each exact reduction hands one on.
+    Casimir and `_full_cells` passes on, holds per q the degree, rows, row
+    indices and forward table that d_q's last exact reduction handed on;
+    one at degree d - 1 is resumed, and each exact reduction hands one on.
 
     `out`, which `_full_cells` passes, holds per q a set of positions whose
     basis cochains span an acyclic subcomplex, and whose other basis
@@ -644,13 +640,14 @@ def class_table(pi, dmax):
     """The table of `cohomology_table(pi, dmax)` with the same numbers in
     every cell, but *a* basis of each H in place of the canonical one.
 
-    Where the field X_z fixes z and acts on (x, y) by a rotation or a
-    hyperbolic block (euclidean, so3, spiral, sl2), only the subcomplex that
-    carries H is reduced (`_family`), and its kernel rows are mapped back to
-    ambient coordinates: each is closed and the rows are independent modulo
-    the exact cochains, but they are not the reduced echelon rows of the
-    full complex.  `verify`, which compares spans, reads it; it is not part
-    of the package's exported names.
+    Where the field X_z fixes z and acts on (x, y) by a rotation block
+    (euclidean, so3, spiral), only the rotation-invariant subcomplex is
+    reduced (`_family`), and its kernel rows are mapped back to ambient
+    coordinates: each is closed and the rows are independent modulo the
+    exact cochains, but they are not the reduced echelon rows of the full
+    complex.  Every other table, sl2's among them, is `cohomology_table`'s,
+    cell for cell.  `verify`, which compares spans, reads it; it is not
+    part of the package's exported names.
     """
     return _table(pi, dmax, False, blocks=True)
 

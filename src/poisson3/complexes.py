@@ -419,12 +419,11 @@ def rotation_field():
     )
 
 
-def _invariant_generators(sign):
-    """Terms (idx, exponents, int coefficient) of the generators of each q,
-    with R = -sign y dx + x dy."""
+def _invariant_generators():
+    """Terms (idx, exponents, int coefficient) of the generators of each q."""
     dx, dy, dz = (MultiVector.basis(1, axis) for axis in range(3))
     x, y = Polynomial.variable("x"), Polynomial.variable("y")
-    euler, rotation = dx * x + dy * y, dy * x - dx * y * sign
+    euler, rotation = dx * x + dy * y, dy * x - dx * y
     return tuple([[(idx, mono, int(c)) for idx, poly in g.components.items()
                    for mono, c in poly.terms.items()] for g in generators]
                  for generators in ([MultiVector.scalar(1)], [euler, rotation, dz],
@@ -432,47 +431,43 @@ def _invariant_generators(sign):
                                     [wedge(wedge(dx, dy), dz)]))
 
 
-_INVARIANT_GENERATORS = {sign: _invariant_generators(sign) for sign in (1, -1)}
-_NEW_INVARIANT_VECTORS = {}  # (q, d, sign): the vectors new at d, a tuple no caller changes
+_INVARIANT_GENERATORS = _invariant_generators()
+_NEW_INVARIANT_VECTORS = {}  # (q, d): the vectors new at d, a tuple no caller changes
 
 
-def new_invariant_vectors(q, d, sign=1):
-    """The rotation-invariant vectors of (q, d) that no lower degree holds,
-    or with sign=-1 those the hyperbolic field y dx + x dy kills.
+def new_invariant_vectors(q, d):
+    """The rotation-invariant vectors of (q, d) that no lower degree holds.
 
     The kernel of the rotation Lie derivative on (q, d) is free over
     Q[x^2 + y^2, z] on 1; E = x dx + y dy, R = `rotation_field`, dz;
     dx^dy, E^dz, R^dz; dx^dy^dz, and none of these generators g holds z.
-    That of the hyperbolic field, whose eigenvectors are x + y and x - y,
-    is the same family with x^2 - y^2 for x^2 + y^2 and R = y dx + x dy:
-    (x^2 + sign y^2)^a has coefficient comb(a, t) sign^(a - t) at x^(2t)
-    y^(2(a - t)).
+    (x^2 + y^2)^a has coefficient comb(a, t) at x^(2t) y^(2(a - t)).
     z times a vector of degree d - 1 sits at the same positions of
     GradedBasis(q, d) (`GradedBasis.position`: raising the z exponent k
-    and d together keeps s = d - k), so (x^2 +- y^2)^a z^b g of degree d is
-    the vector (x^2 +- y^2)^a g of degree d - b.  The vectors new at degree
+    and d together keeps s = d - k), so (x^2 + y^2)^a z^b g of degree d is
+    the vector (x^2 + y^2)^a g of degree d - b.  The vectors new at degree
     d are those with b = 0: one for each generator with d - deg g even, at
     a = (d - deg g) / 2, all at s = d, the positions |C_(d-1)|..|C_d| - 1
     after every older vector.  Each is +-1 at its top coordinate (listed
     first), where no other is nonzero, and they are sorted by it.  The
     generators' coefficients are +-1 and comb(a, a) is 1, so each vector is
     already primitive; only its sign is fixed, to make it positive at its
-    lowest coordinate.  Each (q, d, sign) is built once, and the same tuple
-    is returned every time after.
+    lowest coordinate.  Each (q, d) is built once, and the same tuple is
+    returned every time after.
     """
-    key = q, d, sign
+    key = q, d
     if (found := _NEW_INVARIANT_VECTORS.get(key)) is not None:
         return found
     basis = GradedBasis(q, d)
     vectors = []
-    for terms in _INVARIANT_GENERATORS[sign][q]:
+    for terms in _INVARIANT_GENERATORS[q]:
         a, odd = divmod(d - sum(terms[0][1]), 2)
         if a < 0 or odd:
             continue
         entries = []
         for idx, (i, j, k), c in terms:
-            entries += [(basis.position(idx, (i + 2 * t, j + 2 * (a - t), k)),
-                         c * comb(a, t) * sign ** (a - t)) for t in range(a + 1)]
+            entries += [(basis.position(idx, (i + 2 * t, j + 2 * (a - t), k)), c * comb(a, t))
+                        for t in range(a + 1)]
         entries.sort()
         positive = -1 if entries[0][1] < 0 else 1
         top = entries.pop()

@@ -618,3 +618,17 @@ def test_the_digest_tool_prints_a_line_per_command(monkeypatch, capsys):
                            " ".join(argv)) in lines
     recorded = (root / "tests" / "cli_digests_dmax8.txt").read_text().splitlines()
     assert lines == recorded
+
+
+def test_the_digest_tool_at_dmax_16_prints_the_recorded_lines(monkeypatch, capsys):
+    # the deeper recording reaches the degrees where the carry, the
+    # parity-even blocks and the restricted families do most of their work;
+    # a change that moves printed bytes re-records
+    # tests/cli_digests_dmax16.txt with `python tools/cli_digests.py --dmax 16`
+    root = pathlib.Path(__file__).resolve().parent.parent
+    tool = _digest_tool(monkeypatch)
+    assert tool["main"](["--dmax", "16"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(tool["commands"](16)) == 361
+    recorded = (root / "tests" / "cli_digests_dmax16.txt").read_text().splitlines()
+    assert lines == recorded

@@ -366,7 +366,7 @@ def _table_fields(tables):
 
 
 @pytest.mark.parametrize("prime, exact_reductions, guarded",
-                         [(2, 302, 2), (3, 271, 2), (5, 244, 4)])
+                         [(2, 300, 1), (3, 266, 1), (5, 239, 2)])
 def test_a_small_prime_only_sends_cells_down_the_exact_path(monkeypatch, prime,
                                                             exact_reductions, guarded):
     # a pass that stops hands the next one the exact image's pivots to skip,
@@ -383,10 +383,11 @@ def test_a_small_prime_only_sends_cells_down_the_exact_path(monkeypatch, prime,
     # their parity-even blocks, whose fewer columns collide less often mod
     # p (258, 225 and 210 at p = 2, 3, 5, against 268, 242 and 228 when
     # they reduced the whole complex; 173 at PRIME either way).  The class
-    # tables of so3 and sl2 add 20, 44,
-    # 46 and 34 reductions; where d_1's pass certifies cell 1 of their
-    # restricted list cells, d_0 is reduced on its pass's pivot rows, at
-    # any prime, and passes the check there
+    # table of so3 adds 10, 22, 23 and 17 reductions at PRIME, 2, 3 and 5;
+    # where d_1's pass certifies cell 1 of its restricted list cells, d_0 is
+    # reduced on its pass's pivot rows, at any prime, and passes the check
+    # there.  That of sl2 reduces the parity-even block its table does, and
+    # adds 10, 20, 18 and 12, with no list cell to check
     calls = _count_calls(monkeypatch, "kernel_and_image_of_rows")
     checked, kills = [], complexes_module.OperatorCell.kills  # the source of each cell checked
 
@@ -404,7 +405,7 @@ def test_a_small_prime_only_sends_cells_down_the_exact_path(monkeypatch, prime,
 
     expected = tables()
     assert calls["kernel_and_image_of_rows"] == 193
-    assert checked.count(None) == 10  # the guard on restricted list cells
+    assert checked.count(None) == 5  # the guard on so3's restricted list cells
     monkeypatch.setattr(linalg, "PRIME", prime)
     calls["kernel_and_image_of_rows"] = 0
     del checked[:]
@@ -443,10 +444,10 @@ def _left_out_of(pi, dmax):
 
 def _carried(pi, invariant=False):
     """True where a table of pi carries each degree's forward table to the
-    next: its full complex is reduced (no weight-0 family), pi is not 0 and
-    X_z is.  Then z^d is a class at every degree, and d_0 runs no pass."""
+    next: its full complex is reduced (no weight-0 family) and X_z is 0, pi
+    too or not.  Then z^d is a class at every degree, and d_0 runs no pass."""
     fields = cohomology_module._fields(pi)
-    return (not invariant and not pi.is_zero() and not any(map(any, fields[2]))
+    return (not invariant and not any(map(any, fields[2]))
             and cohomology_module._family(fields, False) is None)
 
 
@@ -464,8 +465,9 @@ def test_the_mod_p_pass_skips_the_pivot_rows_of_the_incoming_differential(monkey
     # past rank_in - |skip|, where its whole run could not certify the cell
     # had d_{q-1} that rank.  d_1's pass runs before d_0 is reduced: its
     # rank_in is d_0's rank mod p, below the exact one at an unlucky prime.
-    # Where z is a Casimir (heisenberg), d_0 runs no pass and is reduced
-    # exactly, and d_1's pass skips its exact image pivots with no spare.
+    # Where z is a Casimir (heisenberg, abelian), d_0 runs no pass and is
+    # reduced exactly, and d_1's pass skips its exact image pivots with no
+    # spare.
     # Where the full table leaves out the positions odd under some sigma_k
     # (so3, sl2, euclidean, spiral), every pass skips them too, and all of
     # this holds of the matrix with their columns emptied: ranks, sizes and
@@ -797,8 +799,8 @@ def test_euclidean_sends_fewer_nonzeros_into_rref(monkeypatch):
 
 
 # the bivectors whose z is a Casimir and whose full complex is reduced: a
-# table carries each degree's forward table to the next, but for abelian's,
-# whose pi is 0 and lays out no row at any degree
+# table carries each degree's forward table to the next, abelian's too,
+# whose pi is 0 and lays out no row at any degree, so it hands on nothing
 CARRIED = ("heisenberg", "abelian", "x*dx^dy + z*dx^dy", "y*dx^dy + 3*z*dx^dy",
            "2*x*dx^dy - y*dx^dy + 5*z*dx^dy")
 
@@ -918,11 +920,12 @@ def test_carried_tables_are_the_cold_cells(monkeypatch, name):
                 assert all(kernel[min(rep)] == rep for rep in reps)
 
 
-def test_a_zero_pi_gets_no_carry_and_keeps_its_cells(monkeypatch):
-    # abelian's X_z is 0, but pi = 0 lays out no row at any degree, so there
-    # is nothing to resume: its degrees get no carry, and each cell is the
-    # whole cochain space, its kernel rows the unit vectors e_j; heisenberg,
-    # whose pi is not 0, still carries
+def test_a_zero_pi_is_carried_and_its_table_is_its_single_cells(monkeypatch):
+    # abelian's X_z is 0, so its degrees get a carry, as heisenberg's do:
+    # d_0 runs no pass, and pi = 0 lays out no row at any degree, so the
+    # carry hands on nothing.  Each cell of the carried table is the single
+    # cell, reduced alone, and the whole cochain space: dim H = dim C, its
+    # kernel rows the unit vectors e_j
     degree_cells, carries = cohomology_module._degree_cells, []
 
     def recording(d, matrices, back=None, carry=None, *rest):
@@ -930,17 +933,16 @@ def test_a_zero_pi_gets_no_carry_and_keeps_its_cells(monkeypatch):
         return degree_cells(d, matrices, back, carry, *rest)
 
     monkeypatch.setattr(cohomology_module, "_degree_cells", recording)
-    dmax = 10
-    table = cohomology_table(linear_poisson("abelian"), dmax)
-    assert carries == [None] * (dmax + 1)
-    assert _rows_written(monkeypatch, linear_poisson("abelian"), dmax) == (0, 0)
+    pi, dmax = linear_poisson("abelian"), 10
+    table = cohomology_table(pi, dmax)
+    assert len(carries) == dmax + 1 and all(carry is carries[0] for carry in carries)
+    assert type(carries[0]) is dict
+    assert _rows_written(monkeypatch, pi, dmax) == (0, 0)
     for (q, d), cell in table.cells.items():
         n = len(GradedBasis(q, d))
-        assert (cell.dim_cochains, cell.rank_out, cell.rank_in) == (n, 0, 0)
+        assert (cell.dim_cochains, cell.rank_out, cell.rank_in, cell.dim_h) == (n, 0, 0, n)
         assert cell.kernel_rows == [{j: 1} for j in range(n)]
-    del carries[:]
-    cohomology_table(linear_poisson("heisenberg"), dmax)
-    assert carries and all(type(carry) is dict for carry in carries)
+        assert _ordered_fields(cell) == _ordered_fields(cohomology_cell(pi, q, d))
 
 
 def test_a_carry_resumes_only_from_the_degree_before(monkeypatch):
@@ -1704,10 +1706,10 @@ def test_the_split_tables_are_the_whole_complexs_reduction(source):
 
 
 def _family_kinds(rng):
-    """Every kind `class_table` restricts: euclidean, so3, sl2, spiral at tau
-    = 1 and a seeded tau, semi_open_book, aff_x_r and book at a seeded tau
-    of each sign."""
-    return [Algebra(kind) for kind in ("euclidean", "so3", "sl2", "semi_open_book", "aff_x_r")] + [
+    """Every kind `class_table` restricts: euclidean, so3, spiral at tau = 1
+    and a seeded tau, semi_open_book, aff_x_r and book at a seeded tau of
+    each sign."""
+    return [Algebra(kind) for kind in ("euclidean", "so3", "semi_open_book", "aff_x_r")] + [
         Algebra("spiral", tau) for tau in (Fraction(1), Fraction(rng.randint(1, 15),
                                                                   rng.randint(1, 9)))] + [
         Algebra("book", sign * Fraction(rng.randint(1, 9), rng.randint(10, 17)))
@@ -1732,26 +1734,35 @@ def test_the_table_verify_reads_has_the_full_complexs_numbers_and_closed_classes
                 assert poisson_differential(pi, value).is_zero(), (algebra, key)
 
 
+def test_sl2s_class_table_is_its_cohomology_table():
+    # sl2's X_z is a hyperbolic block, for which `_family` has no
+    # subcomplex: the table `verify` reads reduces the parity-even block the
+    # cohomology table does, and is that table cell for cell, its canonical
+    # kernel rows in their key order included
+    pi, dmax = linear_poisson("sl2"), 16
+    assert _family(pi, True) is None
+    table, full = class_table(pi, dmax), cohomology_table(pi, dmax)
+    assert table.cells.keys() == full.cells.keys()
+    for key, cell in table.cells.items():
+        assert _ordered_fields(cell) == _ordered_fields(full.cell(*key)), key
+
+
 def test_the_choice_function_finds_a_block_only_where_its_family_is_a_subcomplex():
     # the builder's check is a real one: the rotation family is no subcomplex
-    # of sl2, nor the hyperbolic one of spiral or euclidean, and each raises
-    # at the first image that leaves it
-    for algebra, sign in [(Algebra("spiral", Fraction(5, 2)), -1), (Algebra("euclidean"), -1),
-                          (Algebra("sl2"), 1)]:
-        with pytest.raises(ValueError, match="d_[0-2] leaves the subcomplex"):
-            list(cohomology_module._restricted_differentials(
-                linear_poisson(algebra), 6,
-                lambda q, d: complexes_module.new_invariant_vectors(q, d, sign)))
-    # z is central for heisenberg and abelian.  so3 in the basis (2 e1, e2,
-    # e3) or in the seeded bases below has an X_z that fixes z and is
-    # elliptic on (x, y), or that moves z, but is no rotation of (x, y), so
-    # its invariants are no family's.  A permuted so3 is +-so3, whose X_z is
-    # the rotation again
+    # of sl2, and it raises at the first image that leaves it
+    with pytest.raises(ValueError, match="d_[0-2] leaves the subcomplex"):
+        list(cohomology_module._restricted_differentials(
+            linear_poisson("sl2"), 6, complexes_module.new_invariant_vectors))
+    # z is central for heisenberg and abelian, and sl2's X_z is a hyperbolic
+    # block, no rotation.  so3 in the basis (2 e1, e2, e3) or in the seeded
+    # bases below has an X_z that fixes z and is elliptic on (x, y), or that
+    # moves z, but is no rotation of (x, y), so its invariants are no
+    # family's.  A permuted so3 is +-so3, whose X_z is the rotation again
     so3 = structure_constants("so3")
     scale = (2, 1, 1)  # [f_a, f_b] = s_a s_b c^k_ab / s_k f_k
     rescaled = StructureConstants({(a, b, c): so3.get(a, b, c) * scale[a] * scale[b] / scale[c]
                                    for a in range(3) for b in range(a + 1, 3) for c in range(3)})
-    sources = ["heisenberg", "abelian", rescaled] + [
+    sources = ["heisenberg", "abelian", "sl2", rescaled] + [
         conjugated_constants(so3, random.Random(seed)) for seed in (437, 438)]
     for source in sources:
         assert _family(linear_poisson(source), True) is None, source

@@ -333,11 +333,14 @@ def test_only_the_invariant_basis_and_table_enumerate_new_invariant_vectors():
     # one closed form gives the vectors new at a degree: `invariant_basis`
     # joins them over the degrees up to d, and the invariant table and cell
     # hand it to the restriction builder (`_complex`); so does the one choice
-    # function, `_family`, with its block's sign, and only it reads the
-    # fields' matrices and picks a full complex's subcomplex
+    # function, `_family`, where X_z is a rotation block, and only it picks a
+    # full complex's subcomplex off the fields' matrices.  `_complex` reads
+    # them too, for what it does with the whole complex: the axes whose
+    # sigma_k it leaves out (`_axes`) and X_z, fields[2], for its carry
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-    assert _callers(trees, "new_invariant_vectors") == [("cohomology.py", "_family"),
-                                                        ("complexes.py", "invariant_basis")]
+    assert _callers(trees, "new_invariant_vectors") == [("complexes.py", "invariant_basis")]
+    assert [scope for module, scope in _reads(trees, "new_invariant_vectors")
+            if module == "cohomology.py"] == ["_complex", "_family"]
     assert _callers(trees, "_restricted_differentials") == [("cohomology.py", "_complex")]
     for name in ("_weights", "_weight_zero"):
         assert _callers(trees, name) == [("cohomology.py", "_family")], name
@@ -386,16 +389,17 @@ def test_one_exact_reduction_per_differential():
 
 def test_a_carried_degree_adds_no_route_and_no_public_name():
     # the carry between degrees rides on the one loop: `_complex` makes it,
-    # reading X_z off `_fields`, and `_degree_cells` hands it to its one
-    # reduction, inside which `rref` and its `echelon` alone eliminate; the
-    # stencil is still read only through the hold's reader, and `cohomology`
-    # keeps its public names
+    # reading X_z off `_fields`, `_full_cells`, the one caller of
+    # `_degree_cells` for every full complex, passes it on, and
+    # `_degree_cells` hands it to its one reduction, inside which `rref` and
+    # its `echelon` alone eliminate; the invariant subcomplex hands
+    # `_degree_cells` over uncalled (`partial`).  The stencil is still read
+    # only through the hold's reader, and `cohomology` keeps its public names
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     assert _callers(trees, "_eliminate") == [("linalg.py", "echelon"), ("linalg.py", "rref")]
     assert [caller for caller in _callers(trees, "kernel_and_image_of_rows")
             if caller[0] == "cohomology.py"] == [("cohomology.py", "_degree_cells")]
-    assert _callers(trees, "_degree_cells") == [("cohomology.py", "_complex"),
-                                                ("cohomology.py", "_full_cells")]
+    assert _callers(trees, "_degree_cells") == [("cohomology.py", "_full_cells")]
     assert _callers(trees, "linear_stencil") == [("complexes.py", "_read_stencil")] * 2
     public = sorted(node.name for node in trees["cohomology.py"].body
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -403,6 +407,31 @@ def test_a_carried_degree_adds_no_route_and_no_public_name():
     assert public == ["CohomologyCell", "CohomologyTable", "cell_multivectors", "class_table",
                       "coboundary_witness", "cohomology_cell", "cohomology_table",
                       "invariant_cohomology", "resonance_range", "resonances"]
+
+
+def _function(tree, name):
+    """The module-level function `name` of a tree."""
+    (found,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name]
+    return found
+
+
+def test_one_invariant_family_and_a_carry_read_off_x_z_alone():
+    # the rotation-invariant family is the only one: `new_invariant_vectors`
+    # takes (q, d) and its generators take nothing, so no sign picks a
+    # second family.  `_complex` carries wherever X_z = 0, pi = 0 included:
+    # its carry condition reads the fields' matrices and no `is_zero`
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    for name, params in (("new_invariant_vectors", ["q", "d"]), ("_invariant_generators", [])):
+        args = _function(trees["complexes.py"], name).args
+        assert [arg.arg for arg in args.posonlyargs + args.args] == params, name
+        assert not (args.vararg or args.kwonlyargs or args.kwarg or args.defaults), name
+    complex_ = _function(trees["cohomology.py"], "_complex")
+    (carry,) = [node.value for node in ast.walk(complex_) if isinstance(node, ast.Assign)
+                and [getattr(target, "id", None) for target in node.targets] == ["carry"]]
+    assert {node.id for node in ast.walk(carry) if isinstance(node, ast.Name)} == {
+        "any", "map", "fields"}
+    assert ("cohomology.py", "_complex") not in _reads(trees, "is_zero")
 
 
 def test_the_degree_loop_boxes_no_representative():

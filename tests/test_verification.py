@@ -212,6 +212,17 @@ def test_verify_passes_every_fixture():
         assert report.mismatches == ()
 
 
+def test_verify_passes_sl2_at_every_dmax():
+    # sl2's engine side is its cohomology table's parity-even block, so
+    # verify checks the fixture's generators against the representatives
+    # the CLI prints, at every dmax the fixture allows
+    expect = expected_table("sl2_vanishing")
+    assert (expect.dmax_min, expect.dmax_table) == (2, 16)
+    for dmax in range(2, 17):
+        report = verify("sl2_vanishing", dmax)
+        assert report.passed and report.mismatches == (), (dmax, report.lines())
+
+
 def test_verify_derives_each_stencil_once_while_its_bivector_is_held(monkeypatch):
     # the table, the generator spans and the exactness witnesses of one
     # verify all read d_q of one bivector, which verify holds around them

@@ -12,7 +12,6 @@ from .multivector import (
     Polynomial,
     VAR_NAMES,
     divergence,
-    lie_bracket,
     modular_vector_field,
     schouten_bracket,
     wedge,
@@ -29,9 +28,7 @@ from .complexes import (
     DegreeError,
     GradedBasis,
     OperatorCell,
-    closed_form_differential,
     differential_matrix,
-    invariant_basis,
     monomials,
     poisson_differential,
     rotation_field,
@@ -74,7 +71,6 @@ __all__ = [
     "Polynomial",
     "VAR_NAMES",
     "divergence",
-    "lie_bracket",
     "modular_vector_field",
     "schouten_bracket",
     "wedge",
@@ -87,9 +83,7 @@ __all__ = [
     "DegreeError",
     "GradedBasis",
     "OperatorCell",
-    "closed_form_differential",
     "differential_matrix",
-    "invariant_basis",
     "monomials",
     "poisson_differential",
     "rotation_field",

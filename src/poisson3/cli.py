@@ -29,47 +29,6 @@ from .verification import FIXTURE_IDS, modular_class_check, verify
 # = 8 binom(dmax+3, 3), which first exceeds the budget at dmax 89
 COCHAIN_BUDGET = 1_000_000
 
-# schema for the JSON table documents emitted by cohomology verbs
-TABLE_SCHEMA = {
-    "type": "object",
-    "required": ["algebra", "tau", "dmax", "cells", "totals", "stable"],
-    "additionalProperties": False,
-    "properties": {
-        "algebra": {"type": "string"},
-        "tau": {"type": ["string", "null"]},
-        "dmax": {"type": "integer", "minimum": 0},
-        "cells": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["q", "d", "dim_cochains", "rank_in", "rank_out",
-                             "dim_h", "representatives"],
-                "additionalProperties": False,
-                "properties": {
-                    "q": {"type": "integer", "minimum": 0, "maximum": 3},
-                    "d": {"type": "integer", "minimum": 0},
-                    "dim_cochains": {"type": "integer", "minimum": 0},
-                    "rank_in": {"type": "integer", "minimum": 0},
-                    "rank_out": {"type": "integer", "minimum": 0},
-                    "dim_h": {"type": "integer", "minimum": 0},
-                    "representatives": {
-                        "type": "array", "items": {"type": "string"},
-                    },
-                },
-            },
-        },
-        "totals": {
-            "type": "object",
-            "required": ["0", "1", "2", "3"],
-            "additionalProperties": False,
-            "properties": {
-                key: {"type": "integer", "minimum": 0} for key in "0123"
-            },
-        },
-        "stable": {"type": "boolean"},
-    },
-}
-
 
 def _algebra_opts(p):
     p.add_argument("--algebra", required=True, choices=KINDS)

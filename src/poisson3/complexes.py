@@ -25,8 +25,10 @@ certified cell build only the columns they name (`columns_at`), in a walk
 from the lowest to the highest.  A table holds its bivector's stencils
 while it is built (`holding_stencils`), so each q's is derived once; the
 hold is the one stencil cache, and a nested hold of one object shares the
-outermost's.  The tests hold the independent route the stencil is checked
-against, a Schouten bracket per column.
+outermost's.  Every reference implementation the engine is checked against
+lives with the tests (`tests/helpers.py`): a Schouten bracket per column,
+the closed-form differential of a z-independent pi, the whole invariant
+basis of a cell and the Chevalley-Eilenberg differential.
 """
 
 from contextlib import contextmanager
@@ -378,40 +380,6 @@ def poisson_differential(pi, value):
     return schouten_bracket(pi, value)
 
 
-def closed_form_differential(pi, value):
-    """Differential computed from closed-form component formulas.
-
-    Only valid for bivectors pi = (P dx + Q dy) ^ dz with P, Q independent
-    of z.  This is a deliberately independent route from the bracket
-    machinery; tests compare the two on random inputs.
-    """
-    if pi.degree != 2 or pi.component(2):
-        raise ValueError("closed form needs a bivector with no dx^dy part")
-    p = -pi.component(1)
-    q = pi.component(0)
-    if p.diff(2) or q.diff(2):
-        raise ValueError("closed form needs z-independent coefficients")
-
-    def along(h):  # directional derivative along P dx + Q dy
-        return p * h.diff(0) + q * h.diff(1)
-
-    if value.degree == 0:
-        g = value.component(0)
-        gz = g.diff(2)
-        return MultiVector.vector(gz * p, gz * q, -along(g))
-    if value.degree == 1:
-        a, b, c = (value.component(i) for i in range(3))
-        wx = along(b) - a * q.diff(0) - b * q.diff(1) + q * c.diff(2)
-        wy = -along(a) + a * p.diff(0) + b * p.diff(1) - p * c.diff(2)
-        wz = p * b.diff(2) - q * a.diff(2)
-        return MultiVector.bivector(wx, wy, wz)
-    if value.degree == 2:
-        wx, wy, wz = (value.component(i) for i in range(3))
-        coeff = p * wx.diff(2) + q * wy.diff(2) + (p.diff(0) + q.diff(1)) * wz - along(wz)
-        return MultiVector.trivector(coeff)
-    return MultiVector.zero(3)
-
-
 def rotation_field():
     """Infinitesimal rotation of the (x, y)-plane: -y dx + x dy."""
     return MultiVector.vector(
@@ -474,19 +442,3 @@ def new_invariant_vectors(q, d):
         vectors.append((top[0], {j: positive * c for j, c in [top] + entries}))
     found = _NEW_INVARIANT_VECTORS[key] = tuple(vec for _, vec in sorted(vectors))
     return found
-
-
-def invariant_basis(q, d):
-    """Canonical basis of the rotation-invariant subspace of (q, d).
-
-    Returns (basis, vectors): the ambient GradedBasis and a list of sparse
-    int vectors spanning the kernel of the rotation Lie derivative, the
-    products (x^2 + y^2)^a z^b g of degree d of its generators g.  They are
-    the `new_invariant_vectors` of each degree e <= d, in turn: z^(d - e)
-    times a vector new at e has its positions at degree d, and those of
-    each e lie after every lower e's.  So they are sorted by their top
-    coordinate, +-1 and listed first, where no other is nonzero: the
-    reduced kernel basis an elimination would give.
-    """
-    return GradedBasis(q, d), [dict(vec) for e in range(d + 1)
-                               for vec in new_invariant_vectors(q, e)]

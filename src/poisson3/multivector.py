@@ -586,25 +586,6 @@ def _check_stencil(stencil, out_q):
                                  % ((t, shift, form), idx, out_q))
 
 
-def lie_bracket(a, b):
-    """Commutator of two vector fields, computed componentwise.
-
-    Independent of the graded bracket machinery on purpose: the two routes
-    are compared in tests.
-    """
-    if a.degree != 1 or b.degree != 1:
-        raise ValueError("lie_bracket expects vector fields")
-    comps = {}
-    for k in range(3):
-        total = Polynomial.zero()
-        for i in range(3):
-            total = total + a.component(i) * b.component(k).diff(i)
-            total = total - b.component(i) * a.component(k).diff(i)
-        if total:
-            comps[k] = total
-    return MultiVector(1, comps)
-
-
 def divergence(field):
     """Divergence of a vector field.
 

@@ -196,15 +196,13 @@ def oracle_dimension_grid(algebra, dmax):
 class Expectation:
     """A frozen cohomology expectation loaded from a fixture file."""
 
-    __slots__ = ("fixture_id", "algebra", "tau", "coefficient_model", "source",
-                 "dmax_min", "dmax_table", "dims", "generators", "exact_checks")
+    __slots__ = ("fixture_id", "algebra", "tau", "dmax_min", "dmax_table", "dims",
+                 "generators", "exact_checks")
 
     def __init__(self, raw):
         self.fixture_id = raw["id"]
         self.algebra = raw["algebra"]
         self.tau = None if raw["tau"] is None else Fraction(raw["tau"])
-        self.coefficient_model = raw["coefficient_model"]
-        self.source = raw["source"]
         self.dmax_min = raw["dmax_min"]
         self.dmax_table = raw["dmax_table"]
         self.dims = {

@@ -1,4 +1,5 @@
-"""Shared helpers for the test suite: seeded random tensors over Q."""
+"""Shared helpers for the test suite: seeded random tensors over Q, and the
+reference implementations the engine is checked against."""
 
 import copy
 import json
@@ -6,14 +7,16 @@ import random
 import sys
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations
 from math import inf, lcm
 from unittest import mock
 
 from poisson3 import (
     GradedBasis, MultiVector, OperatorCell, Polynomial, StructureConstants, cohomology_table,
-    format_multivector, invariant_basis, rotation_field, schouten_bracket, wedge)
-from poisson3.complexes import linear_operator_matrix
+    format_multivector, rotation_field, schouten_bracket, wedge)
+from poisson3.complexes import linear_operator_matrix, new_invariant_vectors
 from poisson3 import linalg
+from poisson3.multivector import component_wedge
 from poisson3.linalg import (
     independent_columns_mod_p, integer_normalize, kernel_and_image, matvec, rref)
 
@@ -204,6 +207,132 @@ def operator_matrix(operator, q, d):
         image = schouten_bracket(operator, source.reconstruct({position: 1}))
         columns.append(target.decompose(image))
     return OperatorCell(source, target, columns, den=1)
+
+
+def lie_bracket(a, b):
+    """Commutator of two vector fields, computed componentwise.
+
+    Independent of the graded bracket machinery on purpose: the two routes
+    are compared in tests.
+    """
+    if a.degree != 1 or b.degree != 1:
+        raise ValueError("lie_bracket expects vector fields")
+    comps = {}
+    for k in range(3):
+        total = Polynomial.zero()
+        for i in range(3):
+            total = total + a.component(i) * b.component(k).diff(i)
+            total = total - b.component(i) * a.component(k).diff(i)
+        if total:
+            comps[k] = total
+    return MultiVector(1, comps)
+
+
+def closed_form_differential(pi, value):
+    """Differential computed from closed-form component formulas.
+
+    Only valid for bivectors pi = (P dx + Q dy) ^ dz with P, Q independent
+    of z.  This is a deliberately independent route from the bracket
+    machinery; tests compare the two on random inputs.
+    """
+    if pi.degree != 2 or pi.component(2):
+        raise ValueError("closed form needs a bivector with no dx^dy part")
+    p = -pi.component(1)
+    q = pi.component(0)
+    if p.diff(2) or q.diff(2):
+        raise ValueError("closed form needs z-independent coefficients")
+
+    def along(h):  # directional derivative along P dx + Q dy
+        return p * h.diff(0) + q * h.diff(1)
+
+    if value.degree == 0:
+        g = value.component(0)
+        gz = g.diff(2)
+        return MultiVector.vector(gz * p, gz * q, -along(g))
+    if value.degree == 1:
+        a, b, c = (value.component(i) for i in range(3))
+        wx = along(b) - a * q.diff(0) - b * q.diff(1) + q * c.diff(2)
+        wy = -along(a) + a * p.diff(0) + b * p.diff(1) - p * c.diff(2)
+        wz = p * b.diff(2) - q * a.diff(2)
+        return MultiVector.bivector(wx, wy, wz)
+    if value.degree == 2:
+        wx, wy, wz = (value.component(i) for i in range(3))
+        coeff = p * wx.diff(2) + q * wy.diff(2) + (p.diff(0) + q.diff(1)) * wz - along(wz)
+        return MultiVector.trivector(coeff)
+    return MultiVector.zero(3)
+
+
+def invariant_basis(q, d):
+    """Canonical basis of the rotation-invariant subspace of (q, d).
+
+    Returns (basis, vectors): the ambient GradedBasis and a list of sparse
+    int vectors spanning the kernel of the rotation Lie derivative, the
+    products (x^2 + y^2)^a z^b g of degree d of its generators g.  They are
+    the `new_invariant_vectors` of each degree e <= d, in turn: z^(d - e)
+    times a vector new at e has its positions at degree d, and those of
+    each e lie after every lower e's.  So they are sorted by their top
+    coordinate, +-1 and listed first, where no other is nonzero: the
+    reduced kernel basis an elimination would give.
+    """
+    return GradedBasis(q, d), [dict(vec) for e in range(d + 1)
+                               for vec in new_invariant_vectors(q, e)]
+
+
+def ce_differential(constants, q, d):
+    """The Chevalley-Eilenberg differential of g on Hom(Lambda^q g, S^d g),
+    from the structure constants alone (`StructureConstants.get`).
+
+    For a linear pi on g*, [pi, .] on the (q, d) cochains is this map.  A
+    basis cochain (I, m) sends e_I, I an increasing index tuple, to x^m, a
+    monomial of degree d in the basis x_0, x_1, x_2 of g, and every other
+    increasing tuple to 0.  Returns {(I, m): column}, each column
+    {(J, m'): Fraction} of
+
+        (d w)(X_0..X_q) = sum_i (-1)^i X_i . w(..^X_i..)
+                          + sum_(i<j) (-1)^(i+j) w([X_i, X_j], ..^X_i..^X_j..),
+
+    where e_i acts on S(g) as the derivation x_j -> sum_k c^k_ij x_k.
+    """
+    def act(i, mono):  # e_i . x^mono
+        out = {}
+        for j in range(3):
+            for k in range(3):
+                if mono[j] and (c := constants.get(i, j, k)):
+                    m = tuple(e - (a == j) + (a == k) for a, e in enumerate(mono))
+                    out[m] = out.get(m, 0) + mono[j] * c
+        return out
+
+    columns = {}
+    for source in combinations(range(3), q):
+        for mono in [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]:
+            col = {}
+            for target in combinations(range(3), q + 1):
+                for i in range(q + 1):  # X_i . w(..^X_i..)
+                    if target[:i] + target[i + 1:] == source:
+                        for m, c in act(target[i], mono).items():
+                            col[target, m] = col.get((target, m), 0) + (-1) ** i * c
+                for i, j in combinations(range(q + 1), 2):  # w([X_i, X_j], ..)
+                    rest = target[:i] + target[i + 1:j] + target[j + 1:]
+                    if set(rest) <= set(source):
+                        (k,) = set(source) - set(rest)
+                        # e_k moved past the indices of rest below it
+                        sign = (-1) ** (i + j + sum(r < k for r in rest))
+                        c = sign * constants.get(target[i], target[j], k)
+                        col[target, mono] = col.get((target, mono), 0) + c
+            columns[source, mono] = {key: c for key, c in col.items() if c}
+    return columns
+
+
+def ce_coordinates(q, d, coords):
+    """Coordinates {position: c} on the (q, d) basis as a Chevalley-Eilenberg
+    cochain {(I, m): c} of `ce_differential`: x^m xi_idx is sign * e*_I,
+    with (I, sign) = `component_wedge(q, idx)`."""
+    basis, out = GradedBasis(q, d), {}
+    for position, c in coords.items():
+        idx, mono = basis.element(position)
+        gens, sign = component_wedge(q, idx)
+        out[gens, mono] = sign * c
+    return out
 
 
 def unimodular_matrix(rng):

@@ -10,12 +10,11 @@ import json
 import random
 from fractions import Fraction
 
-from helpers import compose, random_multivector, rank
+from helpers import closed_form_differential, compose, random_multivector, rank
 from poisson3 import (
     Algebra,
     GradedBasis,
     KINDS,
-    closed_form_differential,
     cohomology_table,
     deformation_identity_check,
     differential_matrix,

@@ -8,9 +8,9 @@ from math import gcd, inf
 import pytest
 
 from helpers import (
-    bracket_calls, conjugated_constants, determinant, exact_columns, full_build_invariant_table,
-    invariant_multivectors, kernel_basis, mod_p_pass, operator_matrix, rank, reference_rref,
-    unimodular_matrix)
+    bracket_calls, ce_coordinates, ce_differential, conjugated_constants, determinant,
+    exact_columns, full_build_invariant_table, invariant_basis, invariant_multivectors,
+    kernel_basis, mod_p_pass, operator_matrix, rank, reference_rref, unimodular_matrix)
 from poisson3 import (
     KINDS,
     Algebra,
@@ -26,7 +26,6 @@ from poisson3 import (
     differential_matrix,
     format_coordinates,
     format_multivector,
-    invariant_basis,
     invariant_cohomology,
     linear_poisson,
     monomials,
@@ -1504,6 +1503,61 @@ def test_conjugated_constants_keep_the_oracle_grid():
         assert {key: cell.dim_h for key, cell in table.cells.items()} == {
             (q, d): grid.get(q, {}).get(d, 0) for q in range(4) for d in range(dmax + 1)}, algebra
     assert moved >= len(KINDS) - 1  # the abelian bivector is 0 in every basis
+
+
+CE_ALGEBRAS = [Algebra(kind) for kind in KINDS if kind not in ("book", "spiral")] + [
+    Algebra("book", Fraction(tau)) for tau in ("1", "1/3", "-2/3", "-1")] + [
+    Algebra("spiral", Fraction(tau)) for tau in ("1", "5/2")]
+CE_IDS = [a.name if a.tau is None else "%s_%s" % (a.name, a.tau) for a in CE_ALGEBRAS]
+
+
+def _ce_bases(algebra):
+    """The algebra's constants in its registry basis and in one seeded GL3(Z)
+    basis; the conjugation moves every algebra's constants but the abelian
+    ones, which are all 0."""
+    constants = structure_constants(algebra)
+    conjugated = conjugated_constants(constants, random.Random(CE_ALGEBRAS.index(algebra)))
+    assert (conjugated == constants) == (algebra.name == "abelian")
+    return constants, conjugated
+
+
+@pytest.mark.parametrize("algebra", CE_ALGEBRAS, ids=CE_IDS)
+def test_tables_match_the_chevalley_eilenberg_oracle_in_two_bases(algebra):
+    # for a linear pi on g*, H^(q, d) is H^q(g; S^d g): every cell's dims and
+    # ranks at d <= 5 are the Chevalley-Eilenberg complex's, ranked by
+    # `reference_rref`, in the registry basis and in a conjugated one, and
+    # each representative at q <= 2, d <= 4 is a CE cocycle
+    dmax = 5
+    for constants in _ce_bases(algebra):
+        table = cohomology_table(linear_poisson(constants), dmax)
+        for d in range(dmax + 1):
+            ce = [ce_differential(constants, q, d) for q in range(3)]
+            ranks = [len(reference_rref(list(columns.values()))[0]) for columns in ce] + [0]
+            for q in range(4):
+                cell = table.cell(q, d)
+                assert (cell.dim_cochains, cell.rank_out, cell.rank_in) == (
+                    len(GradedBasis(q, d)), ranks[q], ranks[q - 1] if q else 0), (q, d)
+                if q < 3 and d < dmax:
+                    for row in cell.kernel_rows:
+                        assert not linalg.matvec(ce[q], ce_coordinates(q, d, row)), (q, d, row)
+
+
+@pytest.mark.parametrize("algebra", CE_ALGEBRAS, ids=CE_IDS)
+def test_differentials_are_the_chevalley_eilenberg_differential(algebra):
+    # under xi_idx -> sign * e*_I (`component_wedge`), each column of d_q,
+    # over its den, is the CE differential's column of the same cochain,
+    # with no overall sign, in the registry basis and in a conjugated one
+    for constants in _ce_bases(algebra):
+        pi = linear_poisson(constants)
+        for d in range(4):
+            for q in range(3):
+                ce, cell = ce_differential(constants, q, d), differential_matrix(pi, q, d)
+                assert len(ce) == len(cell)
+                for j, col in enumerate(cell.columns):
+                    ((key, sign),) = ce_coordinates(q, d, {j: 1}).items()
+                    assert ce_coordinates(q + 1, d, {i: Fraction(c, cell.den)
+                                                     for i, c in col.items()}) == {
+                        i: sign * c for i, c in ce[key].items()}, (q, d, j)
 
 
 def _ordered_fields(cell):

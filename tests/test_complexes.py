@@ -9,8 +9,9 @@ from math import lcm
 import pytest
 
 from helpers import (
-    ROTATION, compose, conjugated_constants, exact_columns, invariant_multivectors,
-    kernel_basis, operator_matrix, random_multivector, rank, rotation_matrix)
+    ROTATION, closed_form_differential, compose, conjugated_constants, exact_columns,
+    invariant_basis, invariant_multivectors, kernel_basis, operator_matrix, random_multivector,
+    rank, rotation_matrix)
 from poisson3 import (
     Algebra,
     DegreeError,
@@ -19,10 +20,8 @@ from poisson3 import (
     MultiVector,
     OperatorCell,
     Polynomial,
-    closed_form_differential,
     cohomology_table,
     differential_matrix,
-    invariant_basis,
     jacobi_defect,
     linear_poisson,
     monomials,

@@ -6,14 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_multivector, random_point, random_polynomial
+from helpers import lie_bracket, random_multivector, random_point, random_polynomial
 from poisson3 import multivector
 from poisson3.multivector import NCOMP, component_wedge, wedge_component
 from poisson3 import (
     MultiVector,
     Polynomial,
     divergence,
-    lie_bracket,
     modular_vector_field,
     schouten_bracket,
     wedge,

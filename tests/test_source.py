@@ -216,6 +216,46 @@ def test_no_private_imports():
     assert found == []
 
 
+def _defined(tree):
+    """Every name a tree defines: a function or class, or an assignment target."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name))
+    return names
+
+
+def _imported_roots(tree):
+    """The top-level package of each absolute import in a tree."""
+    return {name.split(".")[0] for node in ast.walk(tree) for name in (
+        [alias.name for alias in node.names] if isinstance(node, ast.Import)
+        else [node.module] if isinstance(node, ast.ImportFrom) and not node.level else [])}
+
+
+def test_definition_and_import_rules_flag_only_their_names():
+    tree = ast.parse("import a.b, c\nfrom d.e import f\nfrom . import g\nh = i = 1\n"
+                     "(j, k) = 2\nl: int = 3\ndef m():\n    n = 4\nclass O:\n    pass\n")
+    assert _imported_roots(tree) == {"a", "c", "d"}
+    assert _defined(tree) == {"h", "i", "j", "k", "l", "m", "n", "O"}
+
+
+def test_reference_implementations_stay_out_of_the_package():
+    # the oracles the engine is checked against, and the schema the JSON
+    # tables are validated with, live with the tests: no verb runs them, and
+    # the package imports neither the tests nor a test-only dependency
+    sources = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
+    tests = [ast.parse(path.read_text(), str(path)) for path in TESTS]
+    references = {"closed_form_differential", "lie_bracket", "invariant_basis", "TABLE_SCHEMA"}
+    assert references <= set().union(*map(_defined, tests))
+    assert references & set().union(*map(_defined, sources)) == set()
+    forbidden = {"jsonschema", "tests"} | {path.stem for path in TESTS}
+    assert forbidden & set().union(*map(_imported_roots, sources)) == set()
+
+
 def _scopes(tree):
     """(scope, node) for each top-level statement of a module, and for each
     statement in a class body: a definition's name, Class.method for a
@@ -329,18 +369,18 @@ def test_one_joiner_writes_every_term():
     assert _callers(expressions, "element") == [("expressions.py", "format_coordinates")]
 
 
-def test_only_the_invariant_basis_and_table_enumerate_new_invariant_vectors():
-    # one closed form gives the vectors new at a degree: `invariant_basis`
-    # joins them over the degrees up to d, and the invariant table and cell
-    # hand it to the restriction builder (`_complex`); so does the one choice
-    # function, `_family`, where X_z is a rotation block, and only it picks a
-    # full complex's subcomplex off the fields' matrices.  `_complex` reads
-    # them too, for what it does with the whole complex: the axes whose
-    # sigma_k it leaves out (`_axes`) and X_z, fields[2], for its carry
+def test_only_the_invariant_table_and_family_read_new_invariant_vectors():
+    # one closed form gives the vectors new at a degree, and no package code
+    # calls it: the invariant table and cell hand it to the restriction
+    # builder (`_complex`); so does the one choice function, `_family`, where
+    # X_z is a rotation block, and only it picks a full complex's subcomplex
+    # off the fields' matrices.  `_complex` reads them too, for what it does
+    # with the whole complex: the axes whose sigma_k it leaves out (`_axes`)
+    # and X_z, fields[2], for its carry
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-    assert _callers(trees, "new_invariant_vectors") == [("complexes.py", "invariant_basis")]
-    assert [scope for module, scope in _reads(trees, "new_invariant_vectors")
-            if module == "cohomology.py"] == ["_complex", "_family"]
+    assert _callers(trees, "new_invariant_vectors") == []
+    assert _reads(trees, "new_invariant_vectors") == [("cohomology.py", "_complex"),
+                                                      ("cohomology.py", "_family")]
     assert _callers(trees, "_restricted_differentials") == [("cohomology.py", "_complex")]
     for name in ("_weights", "_weight_zero"):
         assert _callers(trees, name) == [("cohomology.py", "_family")], name
@@ -353,14 +393,13 @@ def test_one_builder_restricts_to_every_subcomplex():
     # subcomplex or of a weighted bivector's full complex, and the table
     # `verify` reads, all run `_restricted_differentials` over the degrees
     # up to theirs, through `_complex`, and only it wraps restricted columns
-    # in a cell; no engine code enumerates a whole invariant basis
+    # in a cell
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     assert _callers(trees, "_complex") == [
         ("cohomology.py", "_single_cell"), ("cohomology.py", "_table")]
     assert _callers(trees, "_table") == [
         ("cohomology.py", "class_table"), ("cohomology.py", "cohomology_table")]
     assert _callers(trees, "class_table") == [("verification.py", "verify")]
-    assert _callers(trees, "invariant_basis") == []
     assert {scope for module, scope in _callers(trees, "OperatorCell")
             if module == "cohomology.py"} == {"_restricted_differentials"}
 
@@ -370,7 +409,7 @@ def test_the_degree_loop_builds_no_cell():
     # complex (`_differentials`, `_restricted_differentials`) make them
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     callers = {name: _callers(trees, name) for name in (
-        "differential_matrix", "invariant_basis", "new_invariant_vectors",
+        "differential_matrix", "new_invariant_vectors",
         "linear_operator_matrix", "OperatorCell")}
     assert ("cohomology.py", "_restricted_differentials") in callers["OperatorCell"]
     assert [name for name, found in callers.items()

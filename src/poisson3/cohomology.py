@@ -6,24 +6,25 @@ loop reduces a whole coefficient degree d from the four `OperatorCell`s of
 a complex it is handed, each reduced at most once
 (`linalg.kernel_and_image_of_rows`): one elimination gives a
 differential's rank, its kernel in reduced echelon form, and the pivots of
-its image's echelon, all the next cell needs of its image.  A builder picks
-the complex: the full one is `differential_matrix` at each q, built only as
-far as it is read; a subcomplex with a z-stable basis, the
-rotation-invariant one or one that carries H (below), restricts d_0..d_2 to
-that basis, which maps its representatives back.  One builder does both,
-handed the closed form of the basis vectors new at each degree: it keeps
-one basis per q as a running list, since z times a vector of degree d - 1
-sits at its same positions at degree d, so every older vector stays as it
-is.  A restricted
-column is affine in d, so each vector is restricted at the degree where it
-is new and the next, and every later column is read off that line.  A
-single cell is read off the four cells of its degree, as a table builds
-them; a subcomplex's cell runs the same restriction over the degrees up to
-its own.  A table or a cell reads each of its bivector's stencils once
-(`complexes.holding_stencils`), and checks pi before anything else reads
-it: its degree, then, on the stencils it holds, with no bracket, [pi, pi]
-= 0, as a bivector without it has no complex (d o d != 0), and [pi, R] =
-0 for the rotation R where rotation-invariant cochains are asked for.
+its image's echelon, all the next cell needs of its image.  A builder
+picks the complex: the full one is `differential_matrix` at each q, built
+only as far as it is read; a subcomplex with a z-stable basis, the
+rotation-invariant one or one that carries H (below), restricts d_0..d_2
+to that basis, which maps its representatives back.  One builder does
+both, handed the closed form of the basis vectors new at each degree: it
+keeps one basis per q as a running list, since z times a vector of degree
+d - 1 sits at its same positions at degree d, so every older vector stays
+as it is.  A restricted column is affine in d, so each vector is applied
+once, at the degree where it is new, whose image and slope
+(`OperatorCell.apply`) give that line, and every later column is read off
+it.  A single cell is read off the four cells of its degree, as a table
+builds them; a subcomplex's cell runs the same restriction over the
+degrees up to its own.  A table or a cell reads each of its bivector's
+stencils once (`complexes.holding_stencils`), and checks pi before
+anything else reads it: its degree, then, on the stencils it holds, with
+no bracket, [pi, pi] = 0, as a bivector without it has no complex (d o d
+!= 0), and [pi, R] = 0 for the rotation R where rotation-invariant
+cochains are asked for.
 
 A Hamiltonian field X = [pi, f] of a linear f acts as 0 on H (Lichnerowicz
 1977; Vaisman 1994): L_X commutes with d, as X is Poisson, and is
@@ -219,44 +220,48 @@ def _restricted_differentials(pi, dmax, new_vectors):
     (`new_invariant_vectors`) or the weight-0 unit vectors (`_weight_zero`).
     Each basis is a running list, extended at each degree with the vectors
     new there, and so is the map from each vector's top to its index.  The
-    vector z^(d - e) w, with w new at degree e, is w's own dict at degree d.
-    Raising m_z and d together leaves every row of `_column` in place and
-    adds a_z to each value a . m + b, so the image of z^(d - e) w is D_e(w) +
-    (d - e) K(w), and its restricted column is c0 + (d - e) c1, the target
-    vectors keeping their indices: c0 is w's restricted image at e and c1
-    its image at e + 1 minus c0.  So d_q, q <= 2, is read only at the
-    columns the vectors new at d and d - 1 touch (`OperatorCell.columns_at`),
-    each image's coefficients are read off the tops and checked by mapping
-    them back, and every older column is read off its line.  An image at d
-    > e + 1 is an affine combination of the two checked ones, so it lies in
-    the subcomplex too.  d_3 is 0 and is not built.
+    vector z^(d - e) w, with w new at degree e, is w's own dict at degree d,
+    and d_q maps it to D_e(w) + (d - e) K(w), the image and slope of w at e
+    (`OperatorCell.apply`).  So each vector is applied once, at the degree
+    where it is new, and its restricted column is c0 + (d - e) c1, the target
+    vectors keeping their indices: c0 and c1 are the image's and the slope's
+    coefficients, read off the tops and checked by mapping them back, c0 at
+    e and c1 at e + 1, once the target vectors new there exist, as an entry
+    that raises s puts the slope in block e + 1.  The image at d > e is then
+    an affine combination of checked vectors, so it lies in the subcomplex
+    too.  d_3 is 0 and is not built.
     """
     vectors, tops = [[] for _ in range(4)], [{} for _ in range(4)]
-    lines = [[] for _ in range(3)]  # (e, c0, c1) of each source vector, c1 None at d = e
-    recent, new = [0] * 4, [0] * 4  # the first index new at d - 1, and at d
+    lines = [[] for _ in range(3)]  # (e, c0, c1) of each source vector, c1 None until e + 1
+    slopes = [[] for _ in range(3)]  # the slope of each vector new at d - 1
+
+    def restricted(vector, q, d):  # the coefficients of an image in the basis of q + 1
+        coeffs = {}
+        for i, c in vector.items():
+            if (found := tops[q + 1].get(i)) is not None:
+                coeffs[found[0]] = c * found[1]
+        if linalg.matvec(vectors[q + 1], coeffs) != vector:
+            raise ValueError("d_%d leaves the subcomplex at degree %d" % (q, d))
+        return coeffs
+
     for d in range(dmax + 1):
+        new = [len(basis) for basis in vectors]
         for q in range(4):
-            recent[q], new[q] = new[q], len(vectors[q])
             for vec in new_vectors(q, d):
                 top = next(iter(vec))
                 tops[q][top] = len(vectors[q]), vec[top]
                 vectors[q].append(vec)
         cells = []
         for q in range(3):
-            fresh = vectors[q][recent[q]:]
-            columns = differential_matrix(pi, q, d).columns_at({j for v in fresh for j in v})
-            for k, vec in enumerate(fresh, recent[q]):
-                image, coeffs = linalg.matvec(columns, vec), {}
-                for i, c in image.items():
-                    if (found := tops[q + 1].get(i)) is not None:
-                        coeffs[found[0]] = c * found[1]
-                if linalg.matvec(vectors[q + 1], coeffs) != image:
-                    raise ValueError("d_%d leaves the subcomplex at degree %d" % (q, d))
-                if k < new[q]:  # new at d - 1: the slope of its line
-                    e, c0, _ = lines[q][k]
-                    lines[q][k] = e, c0, linalg.matvec((coeffs, c0), {0: 1, 1: -1})
-                else:
-                    lines[q].append((d, coeffs, None))
+            for k, slope in enumerate(slopes[q], new[q] - len(slopes[q])):
+                e, c0, _ = lines[q][k]
+                lines[q][k] = e, c0, restricted(slope, q, d)
+            cell = differential_matrix(pi, q, d)
+            slopes[q] = []
+            for vec in vectors[q][new[q]:]:
+                image, slope = cell.apply(vec)
+                lines[q].append((d, restricted(image, q, d), None))
+                slopes[q].append(slope)
             cells.append(OperatorCell(None, None, [
                 linalg.matvec((c0, c1), {0: 1, 1: d - e}) if c1 else c0
                 for e, c0, c1 in lines[q]], 1))
@@ -387,13 +392,16 @@ def _full_cells(d, matrices, back, carry=None, out=None):
     with none left out and `carry` handed on (`_degree_cells`).
 
     Only that subcomplex C_0 is reduced.  Its complement is acyclic, so d_q's
-    rank there is sum_{k<=q} (-1)^(q-k) (dim C^k - dim C_0^k), 0 where
-    nothing is left out.
+    rank there is sum_{k<=q} (-1)^(q-k) (dim C^k - dim C_0^k), with dim C^k
+    = binom(3, k) (d + 1)(d + 2)/2; where nothing is left out the cells are
+    the complex's as they are.
     """
     cells = _degree_cells(d, matrices, back, carry, out)
+    if back is None and out is None:
+        return cells
     rest = 0  # the rank of d_{q-1} off C_0
     for cell in cells:
-        size = len(GradedBasis(cell.q, d))
+        size = NCOMP[cell.q] * (d + 1) * (d + 2) // 2
         incoming, rest = rest, size - cell.dim_cochains - rest
         cell.dim_cochains, cell.rank_out, cell.rank_in = (
             size, cell.rank_out + rest, cell.rank_in + incoming)

@@ -20,14 +20,16 @@ list per q.
 complex and its subcomplexes alike, and builds only as it is read,
 keeping nothing (`OperatorCell`): a mod-p pass reads the columns' leads
 and builds one only where its lead collides, an exact reduction gets its
-rows straight from the stencil, and a subcomplex's restriction and a
-certified cell build only the columns they name (`columns_at`), in a walk
-from the lowest to the highest.  A table holds its bivector's stencils
-while it is built (`holding_stencils`), so each q's is derived once; the
-hold is the one stencil cache, and a nested hold of one object shares the
-outermost's.  Every reference implementation the engine is checked against
-lives with the tests (`tests/helpers.py`): a Schouten bracket per column,
-the closed-form differential of a z-independent pi, the whole invariant
+rows straight from the stencil, a certified cell builds only the columns
+it kept (`columns_at`), in a walk from the lowest to the highest, and a
+subcomplex's restriction and a closedness test apply the stencil to each
+vector with no column built (`apply`), which also gives how the image
+moves with z.  A table holds its bivector's stencils while it is built
+(`holding_stencils`), so each q's is derived once; the hold is the one
+stencil cache, and a nested hold of one object shares the outermost's.
+Every reference implementation the engine is checked against lives with
+the tests (`tests/helpers.py`): a Schouten bracket per column, the
+closed-form differential of a z-independent pi, the whole invariant
 basis of a cell and the Chevalley-Eilenberg differential.
 """
 
@@ -142,11 +144,11 @@ class OperatorCell:
     The matrix is columns / den, with int columns.  A cell read off the
     stencil of a linear operator builds only what is read, as its reader
     reads it, and keeps nothing: all `columns`, one `column(j)`, only the
-    `columns_at(positions)`, and `leads(skip, p)` or `rows(free, at)` with
-    no column built.  Its stencil is `linear_stencil`'s list of each source
-    component's entries, highest row first.  A cell made with a list of
-    columns reads it the same ways; on other bases its source and target
-    are None.
+    `columns_at(positions)`, and `apply(vector)`, `leads(skip, p)` or
+    `rows(free, at)` with no column built.  Its stencil is
+    `linear_stencil`'s list of each source component's entries, highest row
+    first.  A cell made with a list of columns reads it the same ways; on
+    other bases its source and target are None.
     """
 
     __slots__ = ("source", "target", "den", "_columns", "_stencil")
@@ -177,20 +179,53 @@ class OperatorCell:
         """{j: column j} for the positions in the set `positions`, by ascending
         j; no other column is built.  A cell read off a stencil walks its
         monomials only from the s block of the lowest position to the
-        highest (`_built`): a restriction's positions lie at s = d - 1 and d.
-        Raises KeyError for a position outside the source basis."""
+        highest (`_built`).  Raises KeyError for a position outside the
+        source basis."""
         columns = ({j: col for j, col in enumerate(self._columns) if j in positions}
                    if self._stencil is None else self._built(positions))
         if len(columns) != len(positions):
             raise KeyError(sorted(set(positions) - columns.keys()))
         return columns
 
+    def apply(self, vector):
+        """(image, slope) of the coordinate vector `vector` ({position:
+        coefficient}): the image is the cell times the vector, and the slope
+        how far the image moves when m_z and d rise together, which leaves
+        every row of `_column` in place and adds a_z to each value a . m + b.
+        So the same coordinates at degree d + 1 map to image + slope, whose
+        rows an entry that raises s puts in block d + 1.  Off a stencil each
+        position is decoded in closed form, as in `GradedBasis.element`, and
+        its entries are added in; no column is built and no block walked.  A
+        list cell's image is `linalg.matvec` of its columns, and its slope
+        None.  Raises KeyError for a position outside the source basis."""
+        if self._stencil is None:
+            if outside := [j for j in vector if not 0 <= j < len(self._columns)]:
+                raise KeyError(outside)
+            return linalg.matvec(self._columns, vector), None
+        d, ncomp, per, size = self.source.d, NCOMP[self.target.q], len(self._stencil), len(self)
+        image, slope = {}, {}
+        for j, v in vector.items():
+            if not 0 <= j < size:
+                raise KeyError(j)
+            r, idx = divmod(j, per)
+            s = (isqrt(8 * r + 1) - 1) // 2
+            mx = r - s * (s + 1) // 2
+            my, mz = s - mx, d - s
+            for t, (sx, _, sz), (ax, ay, az, b) in self._stencil[idx]:
+                r = s - sz
+                i = (r * (r + 1) // 2 + mx + sx) * ncomp + t
+                if c := ax * mx + ay * my + az * mz + b:
+                    image[i] = image.get(i, 0) + c * v
+                if az:
+                    slope[i] = slope.get(i, 0) + az * v
+        return ({i: c for i, c in image.items() if c}, {i: c for i, c in slope.items() if c})
+
     def kills(self, vector):
         """True when the cell maps the coordinate vector `vector` ({position:
-        coefficient}) to 0; only the columns at its support are built
-        (`columns_at`).  On the q = 3 cell of `differential_matrix`, whose
-        columns are all 0, every vector is killed."""
-        return not linalg.matvec(self.columns_at(set(vector)), vector)
+        coefficient}) to 0 (`apply`), with no column built.  On the q = 3
+        cell of `differential_matrix`, whose stencil is empty, every vector
+        is killed."""
+        return not self.apply(vector)[0]
 
     def leads(self, skip, p):
         """(j, the highest row at which column j is nonzero mod p, or None)

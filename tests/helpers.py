@@ -385,18 +385,22 @@ def conjugated_constants(constants, rng):
 
 
 def full_build_invariant_table(pi, dmax):
-    """`cohomology_table(pi, dmax, invariant=True)` by the route the engine
-    took before it built only the supported columns: every column of each
-    d_q, then the restriction to the invariant sub-bases.  A list cell, as
-    the restricted ones are, reads its columns as it does unpatched."""
-    columns_at = OperatorCell.columns_at
+    """`cohomology_table(pi, dmax, invariant=True)` with each vector applied
+    through every column of the cells that hold it: its image is the
+    product with the columns of d_q at its degree d, and its slope the
+    product with those of the same stencil at d + 1 less that image.  A
+    list cell, as the restricted ones are, applies as it does unpatched."""
+    apply = OperatorCell.apply
 
-    def every_column(cell, positions):
+    def every_column(cell, vector):
         if cell._stencil is None:
-            return columns_at(cell, positions)
-        return dict(enumerate(cell.columns))
+            return apply(cell, vector)
+        source, target = (GradedBasis(basis.q, basis.d + 1) for basis in (cell.source, cell.target))
+        above = OperatorCell(source, target, None, cell.den, cell._stencil)
+        image = matvec(cell.columns, vector)
+        return image, matvec((matvec(above.columns, vector), image), {0: 1, 1: -1})
 
-    with mock.patch.object(OperatorCell, "columns_at", every_column):
+    with mock.patch.object(OperatorCell, "apply", every_column):
         return cohomology_table(pi, dmax, invariant=True)
 
 

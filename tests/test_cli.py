@@ -20,6 +20,7 @@ from poisson3 import (FIXTURE_IDS, Algebra, OperatorCell, Report, cohomology_tab
 from poisson3 import cli
 from poisson3 import cohomology as cohomology_module
 from poisson3.cli import main
+from poisson3.complexes import new_invariant_vectors
 
 # schema for the JSON table documents emitted by cohomology verbs
 TABLE_SCHEMA = {
@@ -191,7 +192,7 @@ def test_the_json_writer_lays_out_a_table_as_json_dumps_does(monkeypatch):
                 doc = cli._table_document(algebra, table, q_filter)
                 assert cli._render_table_json(doc) == json.dumps(doc, indent=2) + "\n"
                 checked += 1
-    assert checked == (14 + 4) * 2 * 3
+    assert checked == (14 + 6) * 2 * 3
     # strings that json escapes, and a document with no cell
     doc["algebra"], doc["tau"], doc["cells"] = 'a"\\b\u00e9\n\x01', "-2/3", []
     assert cli._render_table_json(doc) == json.dumps(doc, indent=2) + "\n"
@@ -248,10 +249,13 @@ def test_invariant_table_builds_each_basis_and_differential_once(capsys, monkeyp
     monkeypatch.setattr(cohomology_module, "differential_matrix", counting(
         lambda *args: cells.append(differential_matrix(*args)) or cells[-1],
         differentials, lambda pi, q, d: (q, d)))
-    restricted, whole = {}, []
+    restricted, applied, whole = {}, {}, []
     monkeypatch.setattr(OperatorCell, "columns_at", counting(  # a list cell has no source
         OperatorCell.columns_at, restricted,
         lambda cell, support: cell.source and (cell.source.q, cell.source.d)))
+    monkeypatch.setattr(OperatorCell, "apply", counting(
+        OperatorCell.apply, applied,
+        lambda cell, vector: cell.source and (cell.source.q, cell.source.d)))
     columns = OperatorCell.columns
     monkeypatch.setattr(OperatorCell, "columns", property(
         lambda cell: whole.append(cell) or columns.fget(cell)))
@@ -259,12 +263,15 @@ def test_invariant_table_builds_each_basis_and_differential_once(capsys, monkeyp
                      "--dmax", "4", "--format", "json")
     assert code == 0
     assert new == {(q, d): 1 for q in range(4) for d in range(5)}
-    # d_0..d_2 each built once and read once at its support; d_3 is 0 and not built
-    assert restricted.pop(None) == 2  # two certified invariant cells' kept columns, one walk each
+    # no differential's columns are read, only two certified invariant cells'
+    # kept columns, one walk each
+    assert restricted == {None: 2}
+    # d_0..d_2 each built once and applied once to each vector new at its
+    # degree; d_3 is 0 and not built
     assert differentials == {(q, d): 1 for q in range(3) for d in range(5)}
-    # pi's checks read [pi, .] once more, at the support of R on (1, 1) and of pi on (2, 1)
-    assert restricted == {(q, d): 1 + ((q, d) in ((1, 1), (2, 1)))
-                          for q in range(3) for d in range(5)}
+    # pi's checks apply [pi, .] once more, to R on (1, 1) and to pi on (2, 1)
+    assert applied == {(q, d): n for q in range(3) for d in range(5) if (n := len(
+        new_invariant_vectors(q, d)) + ((q, d) in ((1, 1), (2, 1))))}
     assert not any(cell in whole for cell in cells)  # no differential is built whole
 
 
@@ -640,11 +647,11 @@ def test_the_digest_tool_prints_a_line_per_command(monkeypatch, capsys):
     assert tool["main"](["--dmax", "8"]) == 0
     lines = capsys.readouterr().out.splitlines()
     commands = tool["commands"](8)
-    # 14 algebras, 4 invariant kinds, 12 fixtures; then the tables under two
+    # 14 algebras, 6 invariant kinds, 12 fixtures; then the tables under two
     # --q filters, 6 distinct taus by 2 resonance constants, modular and list;
     # last schouten on every pair of 6 expressions, and dpi for each algebra
-    assert len(lines) == len(commands) == (14 * 3 + 4 * 3 + 12 * 2 + 14 * 2
-                                           + (14 + 4) * 2 * 3 + 6 * 2 + 14 + 1
+    assert len(lines) == len(commands) == (14 * 3 + 6 * 3 + 12 * 2 + 14 * 2
+                                           + (14 + 6) * 2 * 3 + 6 * 2 + 14 + 1
                                            + 6 * 6 + 14 * 6)
     for line, argv in zip(lines, commands):
         sha, size, status, command = line.split(" ", 3)
@@ -668,6 +675,6 @@ def test_the_digest_tool_at_dmax_16_prints_the_recorded_lines(monkeypatch, capsy
     tool = _digest_tool(monkeypatch)
     assert tool["main"](["--dmax", "16"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(tool["commands"](16)) == 361
+    assert len(lines) == len(tool["commands"](16)) == 379
     recorded = (root / "tests" / "cli_digests_dmax16.txt").read_text().splitlines()
     assert lines == recorded

@@ -236,19 +236,27 @@ def test_one_entry_rows_take_no_elimination_step(monkeypatch):
 
 def _count_cell_reads(monkeypatch):
     """Patch `complexes` to count the columns its cells build off a stencil,
-    all through `_column`, and the row layouts they give; returns the counts."""
-    counts = {"columns": 0, "rows": 0}
+    all through `_column`, the vectors they are applied to with no column
+    built (`OperatorCell.apply`), and the row layouts they give; returns the
+    counts."""
+    counts = {"columns": 0, "applied": 0, "rows": 0}
     column, rows = complexes_module._column, complexes_module.OperatorCell.rows
+    apply = complexes_module.OperatorCell.apply
 
     def building(*args):
         counts["columns"] += 1
         return column(*args)
+
+    def applying(self, vector):
+        counts["applied"] += 1
+        return apply(self, vector)
 
     def laying_out(self, free=(), at=None, start=0):
         counts["rows"] += 1
         return rows(self, free, at, start)
 
     monkeypatch.setattr(complexes_module, "_column", building)
+    monkeypatch.setattr(complexes_module.OperatorCell, "apply", applying)
     monkeypatch.setattr(complexes_module.OperatorCell, "rows", laying_out)
     return counts
 
@@ -271,35 +279,35 @@ def test_rows_are_laid_out_only_for_exact_reductions(monkeypatch):
 def test_differentials_are_built_only_as_far_as_they_are_read(monkeypatch):
     # a mod-p pass builds a column only when its lead is a pivot already or
     # a later column is first reduced against it; a certified cell builds
-    # the columns it kept only for a next cell reduced exactly; and an exact
-    # reduction lays out its rows straight from the stencil.  Each table
-    # builds the columns of the (2, 1) cell at pi's support for [pi, pi], 1
-    # for heisenberg, 2 for book and 3 for sl2, and the 3 of d_0 on degree 1
-    # that the weight detection reads.  Heisenberg reduces its full
-    # complex, whose passes build 0 more (building each column they read
-    # built 1,864, and every column of every differential 14,168).  Sl2
-    # reduces the block of its full complex that every sigma_k keeps even:
-    # its passes read the leads of 978 columns and build 589 more, where on
-    # the whole complex they read 3,885 and built 1,195 (every column of
-    # every differential is 7,752).  Sl2 reduces d_0 of its H^0 cells on
-    # its pass's pivot rows alone and builds the columns its kernel rows,
-    # the powers C^k of the Casimir, touch, to check that d_0 kills them:
-    # (k + 1)(k + 2)/2 at degree 2k, 165 more up to degree 16.  Book
-    # restricts to weight 0 under the weights (3, -2, 0), builds each
-    # weight-0 vector's column at the degree where it is new and the next,
-    # and reads every later one off its line.  x^m_x y^(d - m_x) xi_S is new
-    # at d when 5 m_x = 2d + sum_S D_s: 1 at d = 0 mod 5 (q = 0); xi_x, xi_y
-    # at d = 1 and xi_z at d = 0 mod 5 (q = 1); and each of the three
-    # components at d = 1 or 2 mod 5 (q = 2).  Up to degree 20 that is 5 +
-    # 13 + 12 = 30 vectors of d_0..d_2, 2 of them new at 20, so 2 * 30 - 2
-    # = 58 more columns.  The row layouts are one per exact reduction
+    # the columns it kept only for a next cell reduced exactly; an exact
+    # reduction lays out its rows straight from the stencil; and a
+    # closedness test or a restriction applies the stencil to its vector
+    # with no column built.  Each table applies the (2, 1) cell to pi for
+    # [pi, pi], and builds the 3 columns of d_0 on degree 1 that the weight
+    # detection reads.  Heisenberg reduces its full complex, whose passes
+    # build 0 more (building each column they read built 1,864, and every
+    # column of every differential 14,168).  Sl2 reduces the block of its
+    # full complex that every sigma_k keeps even: its passes read the leads
+    # of 978 columns and build 589 more, where on the whole complex they
+    # read 3,885 and built 1,195 (every column of every differential is
+    # 7,752).  Sl2 reduces d_0 of its H^0 cells, the powers C^k of the
+    # Casimir at degree 2k, k = 0..8, on its pass's pivot rows alone, and
+    # applies d_0 to each kernel row to check that it kills it: 9 more
+    # vectors.  Book restricts to weight 0 under the weights (3, -2, 0) and
+    # applies d_q once to each weight-0 vector, at the degree where it is
+    # new; every later column is read off its line.  x^m_x y^(d - m_x) xi_S
+    # is new at d when 5 m_x = 2d + sum_S D_s: 1 at d = 0 mod 5 (q = 0);
+    # xi_x, xi_y at d = 1 and xi_z at d = 0 mod 5 (q = 1); and each of the
+    # three components at d = 1 or 2 mod 5 (q = 2).  Up to degree 20 that
+    # is 5 + 13 + 12 = 30 vectors of d_0..d_2.  The row layouts are one per
+    # exact reduction
     reads = _count_cell_reads(monkeypatch)
-    for pi, dmax, expected in ((linear_poisson("heisenberg"), 20, (4, 84)),
-                               (linear_poisson(Algebra("book", Fraction(-2, 3))), 20, (63, 18)),
-                               (linear_poisson("sl2"), 16, (760, 18))):
-        reads.update(columns=0, rows=0)
+    for pi, dmax, expected in ((linear_poisson("heisenberg"), 20, (3, 1, 84)),
+                               (linear_poisson(Algebra("book", Fraction(-2, 3))), 20, (3, 31, 18)),
+                               (linear_poisson("sl2"), 16, (592, 10, 18))):
+        reads.update(columns=0, applied=0, rows=0)
         cohomology_table(pi, dmax)
-        assert (reads["columns"], reads["rows"]) == expected
+        assert (reads["columns"], reads["applied"], reads["rows"]) == expected
 
 
 def test_a_table_derives_each_stencil_once(monkeypatch):
@@ -1676,6 +1684,29 @@ def test_restriction_to_invariant_bases_solves_each_image():
     with pytest.raises(ValueError, match="d_1 leaves the subcomplex at degree 1"):
         list(cohomology_module._restricted_differentials(
             linear_poisson("aff_x_r"), 2, cohomology_module.new_invariant_vectors))
+
+
+def test_a_slope_off_the_subcomplex_is_caught_at_the_next_degree(monkeypatch):
+    # a vector's slope is read off the tops and mapped back at e + 1, once
+    # the target vectors new there exist: x dz, in no invariant vector,
+    # added to the slope of euclidean's constant 1 at (0, 0), lets degree 0
+    # through and stops degree 1
+    pi = linear_poisson("euclidean")
+    apply, off = OperatorCell.apply, GradedBasis(1, 1).position(2, (1, 0, 0))
+
+    def skewed(cell, vector):
+        image, slope = apply(cell, vector)
+        if cell.source is not None and (cell.source.q, cell.source.d) == (0, 0):
+            slope = {**slope, off: slope.get(off, 0) + 1}
+        return image, slope
+
+    monkeypatch.setattr(OperatorCell, "apply", skewed)
+    with holding_stencils(pi):
+        degrees = cohomology_module._restricted_differentials(
+            pi, 3, cohomology_module.new_invariant_vectors)
+        next(degrees)
+        with pytest.raises(ValueError, match="^d_0 leaves the subcomplex at degree 1$"):
+            next(degrees)
 
 
 def test_weights_with_d_z_not_0_read_the_full_complex():

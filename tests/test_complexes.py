@@ -360,6 +360,39 @@ def test_each_layout_of_a_cell_reads_the_same_matrix(seed):
                                    for name, value in zip(OperatorCell.__slots__, state))
 
 
+def test_apply_is_the_product_with_the_columns_and_its_slope_the_next_degrees():
+    # a cell applied to a sparse vector gives the product with its columns,
+    # and the slope that the same coordinates at degree d + 1 add to it (m_z
+    # and d raised together), with no column built; a position outside the
+    # source basis raises KeyError; a list cell's image is the product with
+    # its columns.  Every kind, in its registry basis and in a conjugated one
+    rng = random.Random(341)
+    pis = [linear_poisson(algebra) for algebra in ALGEBRAS]
+    pis += [linear_poisson(conjugated_constants(structure_constants(algebra), rng))
+            for algebra in ALGEBRAS]
+    moved = 0
+    for pi in pis:
+        with holding_stencils(pi):
+            for q in range(3):
+                for d in range(9):
+                    cell, above = differential_matrix(pi, q, d), differential_matrix(pi, q, d + 1)
+                    whole, n = cell.columns, len(cell)
+                    for value in (lambda: rng.randint(-5, 5),
+                                  lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4))):
+                        vector = {j: value() for j in rng.sample(range(n), rng.randint(0, min(n, 5)))}
+                        image, slope = cell.apply(vector)
+                        assert image == matvec(whole, vector), (pi, q, d)
+                        assert slope == matvec((matvec(above.columns, vector), image),
+                                               {0: 1, 1: -1}), (pi, q, d)
+                        moved += bool(slope)
+                        assert OperatorCell(None, None, whole, 1).apply(vector) == (image, None)
+                    for outside in (n, -1):
+                        for read in (cell, OperatorCell(None, None, whole, 1)):
+                            with pytest.raises(KeyError):
+                                read.apply({0: 1, outside: 2})
+    assert moved > 100  # the slope is exercised, not only 0
+
+
 def test_leads_pass_over_entries_that_vanish_or_are_zero_mod_p(monkeypatch):
     # the entry of a column that would reach the highest row can vanish (a
     # form c m_a at m_a = 0) or be 0 mod p: the lead is then a lower

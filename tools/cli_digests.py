@@ -42,7 +42,8 @@ TAUS = {"book": ("1", "1/3", "3/5", "-2/3", "-1"), "spiral": ("1", "5/2")}
 
 # the rotation-invariant kinds, as --algebra/--tau arguments
 INVARIANT = (["--algebra", "euclidean"], ["--algebra", "so3"],
-             ["--algebra", "heisenberg"], ["--algebra", "spiral", "--tau", "1"])
+             ["--algebra", "heisenberg"], ["--algebra", "spiral", "--tau", "1"],
+             ["--algebra", "abelian"], ["--algebra", "spiral", "--tau", "5/2"])
 
 # the constants c of the `resonances` commands
 RESONANCE_CS = ("1", "5/2")

@@ -21,12 +21,13 @@ complex and its subcomplexes alike, and builds only as it is read,
 keeping nothing (`OperatorCell`): a mod-p pass reads the columns' leads
 and builds one only where its lead collides, an exact reduction gets its
 rows straight from the stencil, a certified cell builds only the columns
-it kept (`columns_at`), in a walk from the lowest to the highest, and a
-subcomplex's restriction and a closedness test apply the stencil to each
-vector with no column built (`apply`), which also gives how the image
-moves with z.  A table holds its bivector's stencils while it is built
-(`holding_stencils`), so each q's is derived once; the hold is the one
-stencil cache, and a nested hold of one object shares the outermost's.
+it kept, each alone in closed form (`column`, the one writer of a
+stencil column), and a subcomplex's restriction and a closedness test
+apply the stencil to each vector with no column built (`apply`), which
+also gives how the image moves with z.  A table holds its bivector's
+stencils while it is built (`holding_stencils`), so each q's is derived
+once; the hold is the one stencil cache, and a nested hold of one object
+shares the outermost's.
 Every reference implementation the engine is checked against lives with
 the tests (`tests/helpers.py`): a Schouten bracket per column, the
 closed-form differential of a z-independent pi, the whole invariant
@@ -97,12 +98,16 @@ class GradedBasis:
 
         With r = position // binom(3, q) = T(s) + i, where T(s) = s(s + 1)/2
         and s = d - k, s is the largest integer with T(s) <= r.  Raises
-        KeyError for a position outside 0..len - 1.
+        KeyError for a position outside 0..len - 1: a negative one, or one
+        whose s is above d, as is every position from len = T(d + 1) *
+        binom(3, q) on.
         """
-        if not 0 <= position < len(self):
+        if position < 0:
             raise KeyError(position)
         r, idx = divmod(position, NCOMP[self.q])
         s = (isqrt(8 * r + 1) - 1) // 2
+        if s > self.d:
+            raise KeyError(position)
         i = r - s * (s + 1) // 2
         return idx, (i, s - i, self.d - s)
 
@@ -143,8 +148,8 @@ class OperatorCell:
 
     The matrix is columns / den, with int columns.  A cell read off the
     stencil of a linear operator builds only what is read, as its reader
-    reads it, and keeps nothing: all `columns`, one `column(j)`, only the
-    `columns_at(positions)`, and `apply(vector)`, `leads(skip, p)` or
+    reads it, and keeps nothing: all `columns` or one `column(j)`, each
+    written by `column`, and `apply(vector)`, `leads(skip, p)` or
     `rows(free, at)` with no column built.  Its stencil is
     `linear_stencil`'s list of each source component's entries, highest row
     first.  A cell made with a list of columns reads it the same ways; on
@@ -165,39 +170,39 @@ class OperatorCell:
     def columns(self):
         if self._stencil is None:
             return self._columns
-        return list(self._built(range(len(self))).values())
+        return [self.column(j) for j in range(len(self))]
 
     def column(self, j):
-        """Column j; a cell read off a stencil builds it alone (`_column`), from
-        the component and monomial of source element j."""
+        """Column j, the one writer of a stencil column: source element j is
+        x^m xi_idx, at position (T(s) + m_x) * binom(3, q) + idx with s = d -
+        m_z and T(s) = s(s + 1)/2, and the column holds a . m + b, if not 0,
+        for each stencil entry (t, shift, (a, b)) of idx, at x^(m + shift)
+        xi_t, row (T(s - shift_z) + m_x + shift_x) * binom(3, out_q) + t,
+        where the stencil was checked to keep it.  Raises KeyError for a
+        position outside the source basis."""
         if self._stencil is None:
+            if not 0 <= j < len(self._columns):
+                raise KeyError(j)
             return self._columns[j]
         idx, (mx, my, mz) = self.source.element(j)
-        return _column(self._stencil[idx], self.source.d - mz, mx, my, mz, NCOMP[self.target.q])
-
-    def columns_at(self, positions):
-        """{j: column j} for the positions in the set `positions`, by ascending
-        j; no other column is built.  A cell read off a stencil walks its
-        monomials only from the s block of the lowest position to the
-        highest (`_built`).  Raises KeyError for a position outside the
-        source basis."""
-        columns = ({j: col for j, col in enumerate(self._columns) if j in positions}
-                   if self._stencil is None else self._built(positions))
-        if len(columns) != len(positions):
-            raise KeyError(sorted(set(positions) - columns.keys()))
-        return columns
+        s, ncomp, col = self.source.d - mz, NCOMP[self.target.q], {}
+        for t, (sx, _, sz), (ax, ay, az, b) in self._stencil[idx]:
+            if c := ax * mx + ay * my + az * mz + b:
+                r = s - sz
+                col[(r * (r + 1) // 2 + mx + sx) * ncomp + t] = c
+        return col
 
     def apply(self, vector):
         """(image, slope) of the coordinate vector `vector` ({position:
         coefficient}): the image is the cell times the vector, and the slope
         how far the image moves when m_z and d rise together, which leaves
-        every row of `_column` in place and adds a_z to each value a . m + b.
+        every row of `column` in place and adds a_z to each value a . m + b.
         So the same coordinates at degree d + 1 map to image + slope, whose
         rows an entry that raises s puts in block d + 1.  Off a stencil each
         position is decoded in closed form, as in `GradedBasis.element`, and
-        its entries are added in; no column is built and no block walked.  A
-        list cell's image is `linalg.matvec` of its columns, and its slope
-        None.  Raises KeyError for a position outside the source basis."""
+        its entries are added in, with no column built.  A list cell's image
+        is `linalg.matvec` of its columns, and its slope None.  Raises
+        KeyError for a position outside the source basis."""
         if self._stencil is None:
             if outside := [j for j in vector if not 0 <= j < len(self._columns)]:
                 raise KeyError(outside)
@@ -230,7 +235,7 @@ class OperatorCell:
     def leads(self, skip, p):
         """(j, the highest row at which column j is nonzero mod p, or None)
         for each position j not in `skip`, last first.  Off a stencil no
-        column is built: the lead is `_column`'s row of the first entry (the
+        column is built: the lead is `column`'s row of the first entry (the
         stencil holds them highest row first) whose form a . m + b is
         nonzero mod p."""
         if self._stencil is None:
@@ -283,7 +288,7 @@ class OperatorCell:
         if not any(self._stencil):
             return [], []
         rows = {} if at is None else {i: {} for i in at}  # `at`: no row is added
-        # `_column`'s arithmetic in basis order, each entry written into its row
+        # `column`'s arithmetic in basis order, each entry written into its row
         d, ncomp, per = self.source.d, NCOMP[self.target.q], len(self._stencil)
         j = start * (start + 1) // 2 * per - 1
         for s in range(start, d + 1):
@@ -306,41 +311,6 @@ class OperatorCell:
         first = start * (start + 1) // 2 * ncomp  # the first row of target block `start`
         index = sorted(i for i, row in rows.items() if row and i >= first)
         return index, [rows[i] for i in index]
-
-    def _built(self, positions):
-        """{j: column j} for the source positions j in `positions`, by ascending j.
-
-        The walk starts at the s block of the lowest position, T(s) *
-        binom(3, q) with s read off it as in `GradedBasis.element`, and stops
-        after the monomial of the highest."""
-        if not positions:
-            return {}
-        d, ncomp, per, columns = self.source.d, NCOMP[self.target.q], len(self._stencil), {}
-        first, last = max(min(positions), 0), max(positions)
-        start = (isqrt(8 * (first // per) + 1) - 1) // 2
-        j = start * (start + 1) // 2 * per - 1
-        for s in range(start, d + 1):
-            for mx in range(s + 1):
-                for entries in self._stencil:
-                    j += 1
-                    if j in positions:
-                        columns[j] = _column(entries, s, mx, s - mx, d - s, ncomp)
-                if j >= last:
-                    return columns
-        return columns
-
-
-def _column(entries, s, mx, my, mz, ncomp):
-    """Column (T(s) + m_x) * binom(3, q) + idx, of x^m xi_idx, s = d - m_z and
-    T(s) = s(s + 1)/2: a . m + b, if not 0, for each stencil entry (t, shift,
-    (a, b)) of idx, at x^(m + shift) xi_t, row (T(s - shift_z) + m_x + shift_x)
-    * binom(3, out_q) + t, where the stencil was checked to keep it."""
-    col = {}
-    for t, (sx, _, sz), (ax, ay, az, b) in entries:
-        if c := ax * mx + ay * my + az * mz + b:
-            r = s - sz
-            col[(r * (r + 1) // 2 + mx + sx) * ncomp + t] = c
-    return col
 
 
 def linear_operator_matrix(operator, q, d):

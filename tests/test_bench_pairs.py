@@ -15,6 +15,11 @@ def _run(*args):
                           capture_output=True, text=True, timeout=120)
 
 
+def _source_lines():
+    """The repository's src/ line count, as the tool prints it last."""
+    return sum(len(path.read_text().splitlines()) for path in (ROOT / "src").rglob("*.py"))
+
+
 def _stand_in(tmp_path, worker, run_limit_s=None):
     """A checkout with the benchmark's perfbench/ and a stand-in worker."""
     perfbench = tmp_path / "perfbench"
@@ -43,10 +48,12 @@ def test_one_pair_of_the_checkout_against_itself():
              for algebra in ("euclidean", "heisenberg", "so3", "spiral --tau 1")]
     first = " ran first in every pair"
     assert [line[:-len(first)] if line.endswith(first) else line.split(" A ")[0]
-            for line in lines[7:]] == names
-    assert sum(line.endswith(first) for line in lines[7:]) == 1
+            for line in lines[7:-1]] == names
+    assert sum(line.endswith(first) for line in lines[7:-1]) == 1
     assert all("of 1 pairs" in line for line in lines[2:6] + [
-        line for line in lines[7:] if not line.endswith(first)])
+        line for line in lines[7:-1] if not line.endswith(first)])
+    # last, each checkout's src/ line count
+    assert lines[-1] == "src/ lines A %d B %d" % (_source_lines(), _source_lines())
 
 
 def test_metrics_are_the_benchmarks_reference_values(tmp_path):
@@ -62,9 +69,11 @@ def test_metrics_are_the_benchmarks_reference_values(tmp_path):
     assert "B 200 [200, 200]" in lines["cochains_per_s"]
     assert "B better in 0 of 1 pairs" in lines["cochains_per_s"]
     assert "B 0.25 [0.25, 0.25]" in lines["setup_s"]
-    # a request only one side ran gets no line of its own
+    # a request only one side ran gets no line of its own, and a checkout
+    # with no src/ counts 0 lines
     assert res.stdout.splitlines()[6:] == [
-        "per request, ref_seconds over the pairs in which it did not run first:"]
+        "per request, ref_seconds over the pairs in which it did not run first:",
+        "src/ lines A %d B 0" % (_source_lines(),)]
 
 
 def _seeded_worker(wall_ref_s, step):
@@ -136,7 +145,7 @@ def test_a_request_line_counts_only_the_pairs_in_which_it_did_not_run_first(tmp_
     for line, name in zip(lines[10:], "ab"):
         assert line == ("%-14s A 0.1 [0.1, 0.1]  B 0.09 [0.09, 0.09]  B better in 2 of 2 "
                         "pairs, median -10.0%%, gain claimable" % (name,))
-    assert len(lines) == 12
+    assert lines[12:] == ["src/ lines A 0 B 0"]
 
 
 def test_a_reported_problem_exits_1(tmp_path):

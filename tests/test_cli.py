@@ -249,10 +249,9 @@ def test_invariant_table_builds_each_basis_and_differential_once(capsys, monkeyp
     monkeypatch.setattr(cohomology_module, "differential_matrix", counting(
         lambda *args: cells.append(differential_matrix(*args)) or cells[-1],
         differentials, lambda pi, q, d: (q, d)))
-    restricted, applied, whole = {}, {}, []
-    monkeypatch.setattr(OperatorCell, "columns_at", counting(  # a list cell has no source
-        OperatorCell.columns_at, restricted,
-        lambda cell, support: cell.source and (cell.source.q, cell.source.d)))
+    read, applied, whole = {}, {}, []
+    monkeypatch.setattr(OperatorCell, "column", counting(  # a list cell has no source
+        OperatorCell.column, read, lambda cell, j: (cell.source, len(cell), j)))
     monkeypatch.setattr(OperatorCell, "apply", counting(
         OperatorCell.apply, applied,
         lambda cell, vector: cell.source and (cell.source.q, cell.source.d)))
@@ -264,8 +263,8 @@ def test_invariant_table_builds_each_basis_and_differential_once(capsys, monkeyp
     assert code == 0
     assert new == {(q, d): 1 for q in range(4) for d in range(5)}
     # no differential's columns are read, only two certified invariant cells'
-    # kept columns, one walk each
-    assert restricted == {None: 2}
+    # kept columns, each once: every column of a 1- and a 2-column cell
+    assert read == {(None, 1, 0): 1, (None, 2, 0): 1, (None, 2, 1): 1}
     # d_0..d_2 each built once and applied once to each vector new at its
     # degree; d_3 is 0 and not built
     assert differentials == {(q, d): 1 for q in range(3) for d in range(5)}

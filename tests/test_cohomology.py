@@ -236,16 +236,16 @@ def test_one_entry_rows_take_no_elimination_step(monkeypatch):
 
 def _count_cell_reads(monkeypatch):
     """Patch `complexes` to count the columns its cells build off a stencil,
-    all through `_column`, the vectors they are applied to with no column
-    built (`OperatorCell.apply`), and the row layouts they give; returns the
-    counts."""
+    all through `OperatorCell.column`, the vectors they are applied to with
+    no column built (`OperatorCell.apply`), and the row layouts they give;
+    returns the counts."""
     counts = {"columns": 0, "applied": 0, "rows": 0}
-    column, rows = complexes_module._column, complexes_module.OperatorCell.rows
+    column, rows = complexes_module.OperatorCell.column, complexes_module.OperatorCell.rows
     apply = complexes_module.OperatorCell.apply
 
-    def building(*args):
-        counts["columns"] += 1
-        return column(*args)
+    def building(self, j):
+        counts["columns"] += self._stencil is not None
+        return column(self, j)
 
     def applying(self, vector):
         counts["applied"] += 1
@@ -255,7 +255,7 @@ def _count_cell_reads(monkeypatch):
         counts["rows"] += 1
         return rows(self, free, at, start)
 
-    monkeypatch.setattr(complexes_module, "_column", building)
+    monkeypatch.setattr(complexes_module.OperatorCell, "column", building)
     monkeypatch.setattr(complexes_module.OperatorCell, "apply", applying)
     monkeypatch.setattr(complexes_module.OperatorCell, "rows", laying_out)
     return counts
@@ -1458,17 +1458,18 @@ def test_support_columns_are_the_full_build_at_the_support():
         with holding_stencils(pi):
             for d in range(13):
                 for q in range(3):
-                    full = differential_matrix(pi, q, d).columns
+                    cell = differential_matrix(pi, q, d)
+                    full = cell.columns
                     support = {j for vec in invariant_basis(q, d)[1] for j in vec}
                     some = set(rng.sample(range(len(full)), rng.randint(0, len(full))))
-                    for positions in (support, some):
-                        built = differential_matrix(pi, q, d).columns_at(positions)
-                        assert list(built) == sorted(positions)  # no other column is built
-                        assert built == {j: full[j] for j in positions}
-    with pytest.raises(KeyError):
-        differential_matrix(linear_poisson("so3"), 1, 2).columns_at({0, 18})
+                    for j in support | some:
+                        # `apply` writes the image of e_j with arithmetic of its own
+                        assert cell.column(j) == full[j] == cell.apply({j: 1})[0]
+    for j in (-1, 18):
+        with pytest.raises(KeyError):
+            differential_matrix(linear_poisson("so3"), 1, 2).column(j)
     with pytest.raises(ValueError, match="differential needs a bivector"):
-        differential_matrix(rotation_field(), 1, 2).columns_at({0})
+        differential_matrix(rotation_field(), 1, 2).column(0)
 
 
 def test_support_only_invariant_tables_match_the_full_build():
@@ -1924,27 +1925,27 @@ def _split_complex(rng, h, r):
 def test_the_degree_loop_reduces_hand_made_integer_complexes(monkeypatch, seed):
     # no bivector: `_degree_cells` gets list cells of a complex whose dim H
     # and ranks are known, and must find them on the certified, the exact
-    # and the certified-feeds-exact paths
-    calls = {"exact": 0, "kept": 0}
-    reduce, columns_at = linalg.kernel_and_image_of_rows, OperatorCell.columns_at
-    monkeypatch.setattr(linalg, "kernel_and_image_of_rows", lambda *args: calls.update(
-        exact=calls["exact"] + 1) or reduce(*args))
-    monkeypatch.setattr(OperatorCell, "columns_at", lambda cell, positions: calls.update(
-        kept=calls["kept"] + 1) or columns_at(cell, positions))
+    # and the certified-feeds-exact paths; each exact reduction runs one
+    # `rref`, and each certified-feeds-exact step one `echelon` of the kept
+    # columns besides the one inside `rref`
+    calls = _count_calls(monkeypatch, "kernel_and_image_of_rows", "rref", "echelon")
     rng = random.Random(seed)
     shapes = [((0, 2, 0, 1), (2, 3, 1))] + [
         (tuple(rng.randint(0, 2) for _ in range(4)), tuple(rng.randint(0, 3) for _ in range(3)))
         for _ in range(12)]
-    for h, r in shapes:
-        cells = _split_complex(rng, h, r)
-        for q, cell in enumerate(cohomology_module._degree_cells(0, cells)):
+    complexes = [_split_complex(rng, h, r) for h, r in shapes]
+    found = [cohomology_module._degree_cells(0, cells) for cells in complexes]
+    # certified-feeds-exact cells, other exact cells, and certified cells all
+    # ran, counted before the checks below run `rank`, which runs `echelon`
+    assert calls["rref"] == calls["kernel_and_image_of_rows"]
+    assert 0 < calls["echelon"] - calls["rref"] < calls["rref"] < 4 * len(shapes)
+    for (h, r), cells, degree_cells in zip(shapes, complexes, found):
+        for q, cell in enumerate(degree_cells):
             assert (cell.dim_h, cell.rank_out, cell.rank_in) == (h[q], (*r, 0)[q], (0, *r)[q])
             assert len(cell.representatives) == h[q]
             assert all(linalg.matvec(cells[q].columns, rep) == {} for rep in cell.representatives)
             image = cells[q - 1].columns if q else []
             assert rank(image + cell.representatives) == cell.rank_in + cell.dim_h
-    # certified-feeds-exact cells, other exact cells, and certified cells all ran
-    assert 0 < calls["kept"] < calls["exact"] < 4 * len(shapes)
 
 
 # ---------------------------------------------------------------- witnesses

@@ -107,11 +107,10 @@ def test_position_rejects_elements_outside_the_basis():
 
 
 def test_reconstruct_rejects_positions_outside_the_basis():
-    for q in range(4):
-        basis = GradedBasis(q, 1)
+    for basis in [GradedBasis(q, d) for q in range(4) for d in range(4)]:
         last = len(basis) - 1
         assert basis.decompose(basis.reconstruct({last: 1})) == {last: 1}
-        for position in (-1, len(basis)):
+        for position in (-1, len(basis), 10**9):
             with pytest.raises(KeyError):
                 basis.reconstruct({position: 1})
             with pytest.raises(KeyError):
@@ -304,8 +303,8 @@ def test_each_layout_of_a_cell_reads_the_same_matrix(seed):
     # than drop what the block below writes into it; its leads mod p, read last
     # first outside a skip, are the highest rows at which its columns are
     # nonzero mod p; each column built alone, from its component and monomial,
-    # is that column, and those at some positions are those columns by
-    # ascending position; reading every column leaves the cell as it was; so
+    # is that column, and a position outside the source basis, -1 or n,
+    # raises KeyError; reading every column leaves the cell as it was; so
     # for a cell that holds a list of columns
     rng = random.Random(seed)
     for algebra in _layout_algebras(rng):
@@ -349,11 +348,9 @@ def test_each_layout_of_a_cell_reads_the_same_matrix(seed):
                             assert [next(reader) for _ in first] == [(j, leads[j]) for j in first]
                             assert list(reader) == [(j, leads[j]) for j in read[len(first):]]
                         assert [cell.column(j) for j in range(n)] == whole
-                        some = set(rng.sample(range(n), rng.randint(0, n)))
-                        assert list(cell.columns_at(some).items()) == [
-                            (j, whole[j]) for j in sorted(some)]
-                        with pytest.raises(KeyError):
-                            cell.columns_at(some | {n})
+                        for outside in (-1, n):
+                            with pytest.raises(KeyError):
+                                cell.column(outside)
                         state = [getattr(cell, name) for name in OperatorCell.__slots__]
                         assert cell.columns == whole and len(cell) == n
                         assert all(getattr(cell, name) is value
@@ -398,8 +395,9 @@ def test_leads_pass_over_entries_that_vanish_or_are_zero_mod_p(monkeypatch):
     # form c m_a at m_a = 0) or be 0 mod p: the lead is then a lower
     # entry's row, or None for a column that is 0 mod p.  No column is built
     built = []
-    column = complexes._column
-    monkeypatch.setattr(complexes, "_column", lambda *args: built.append(args) or column(*args))
+    column = complexes.OperatorCell.column
+    monkeypatch.setattr(complexes.OperatorCell, "column",
+                        lambda cell, j: built.append(j) or column(cell, j))
     cases = dict.fromkeys(("vanishes", "zero mod p", "zero column"), 0)
     for algebra in ALGEBRAS:
         pi = linear_poisson(algebra)
@@ -433,16 +431,15 @@ def test_differentials_leave_the_basis_elements_unbuilt(monkeypatch):
     pi = linear_poisson("sl2")
     cells = [differential_matrix(pi, q, d) for q in range(4) for d in range(9)]
     cells += [linear_operator_matrix(rotation_field(), q, 5) for q in range(4)]
-    columns = [differential_matrix(pi, q, 5).columns_at({0, 7}) for q in range(3)]
-    for cell in cells:  # a cell builds only as it is read: read it all three ways
-        cell.rows(), list(cell.leads((), linalg.PRIME)), cell.column(0), cell.columns
+    for cell in cells:  # a cell builds only as it is read: read it every way
+        cell.rows(), list(cell.leads((), linalg.PRIME)), cell.columns
+        cell.column(0), cell.column(len(cell) - 1)
     assert listed == []
     for cell in cells:
         assert len(cell.columns) == len(cell.source)
         for basis in (cell.source, cell.target):
             assert _elements(basis) == [(idx, mono) for mono in complexes.monomials(basis.d)
                                         for idx in range(NCOMP[basis.q])]
-    assert [sorted(cols) for cols in columns] == [[0, 7]] * 3
     assert listed  # the patch is live: the element lists above came from it
 
 

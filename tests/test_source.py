@@ -296,29 +296,29 @@ def test_each_layout_and_the_mod_p_pass_have_their_named_callers():
     # stencil writes the same layout itself.  Only the degree loop runs the
     # mod-p pass, and only the pass reads leads.  A column is built alone
     # only where the pass's lead collides and where it reduces against a
-    # pivot for the first time, by its position; only the degree loop reads
-    # the columns a certified cell kept, in one walk, by `columns_at`.
+    # pivot for the first time, by its position, and where the degree loop
+    # reads the columns a certified cell kept.
     # `OperatorCell.apply` is the one writer of a cell applied to a vector,
     # with no column built: the restriction builder applies d_q to each
     # basis vector, and `OperatorCell.kills` runs a closedness test, the
     # degree loop's check of d_0 reduced on its pivot rows included.
-    # `_column` writes each column of a stencil, alone or in the walk of
-    # `columns` and `columns_at`
+    # `OperatorCell.column` is the one writer of a stencil column, and
+    # `columns` builds each through it: no block walk writes a second one
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     assert _callers(trees, "lay_out") == [("complexes.py", "OperatorCell.rows"),
                                           ("linalg.py", "kernel_and_image")]
     assert _callers(trees, "independent_columns_mod_p") == [("cohomology.py", "_degree_cells")]
     assert _callers(trees, "leads") == [("linalg.py", "independent_columns_mod_p")]
-    assert _callers(trees, "column") == [("linalg.py", "independent_columns_mod_p"),
+    assert _callers(trees, "column") == [("cohomology.py", "_degree_cells"),
+                                         ("complexes.py", "OperatorCell.columns"),
+                                         ("linalg.py", "independent_columns_mod_p"),
                                          ("linalg.py", "independent_columns_mod_p")]
     assert _callers(trees, "column_of") == []
-    assert _callers(trees, "columns_at") == [("cohomology.py", "_degree_cells")]
     assert _callers(trees, "apply") == [("cohomology.py", "_restricted_differentials"),
                                         ("complexes.py", "OperatorCell.kills")]
-    assert _callers(trees, "_column") == [("complexes.py", "OperatorCell._built"),
-                                          ("complexes.py", "OperatorCell.column")]
-    assert _callers(trees, "_built") == [("complexes.py", "OperatorCell.columns"),
-                                         ("complexes.py", "OperatorCell.columns_at")]
+    assert not [(module, node.name) for module, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name in ("_column", "_built", "columns_at")]
 
 
 def test_one_stencil_cache():

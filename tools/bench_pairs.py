@@ -21,6 +21,8 @@ only the pairs in which it ran first on neither side, by the worker's
 the others find done (the first argparse parser imports `locale` through
 gettext, 1.2-1.4 ms on a 2-core x86 host), which would read as a change
 of whichever request the seed puts first.
+The last line gives each checkout's src/ line count, the lines of its .py
+files, 0 where it has no src/.
 It exits 1 if a worker fails or times out or a request reports a problem
 (after printing each one to stderr), and 0 otherwise.
 """
@@ -47,6 +49,17 @@ def load_runner(checkout, name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def source_lines(checkout):
+    """Lines of the .py files under the checkout's src/, 0 where it has none."""
+    total = 0
+    for folder, _, names in os.walk(os.path.join(checkout, "src")):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), "rb") as handle:
+                    total += handle.read().count(b"\n")
+    return total
 
 
 def run_worker(runner, workload, seed):
@@ -124,6 +137,7 @@ def main(argv=None):
                                          for side in "AB"), False))
             else:
                 print("%-14s ran first in every pair" % (request,))
+        print("src/ lines A %d B %d" % (source_lines(args.a), source_lines(args.b)))
     for problem in problems:
         sys.stderr.write(problem + "\n")
     return 1 if problems else 0

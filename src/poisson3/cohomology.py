@@ -4,9 +4,10 @@ Each (q, d) cell is closed under the differential of a linear bivector, so
 its cohomology is kernel-modulo-image of two finite exact matrices.  One
 loop reduces a whole coefficient degree d from the four `OperatorCell`s of
 a complex it is handed, each reduced at most once
-(`linalg.kernel_and_image_of_rows`): one elimination gives a
-differential's rank, its kernel in reduced echelon form, and the pivots of
-its image's echelon, all the next cell needs of its image.  A builder
+(`linalg.kernel_and_image_of_rows`): one forward elimination gives a
+differential's rank and the pivots of its image's echelon, all the next
+cell needs of its image, and a back-solve of its rows the kernel vectors
+read, in reduced echelon form.  A builder
 picks the complex: the full one is `differential_matrix` at each q, built
 only as far as it is read; a subcomplex with a z-stable basis, the
 rotation-invariant one or one that carries H (below), restricts d_0..d_2

@@ -2,22 +2,23 @@
 
 Vectors are dicts {index: nonzero int}; matrices are lists of such column
 dicts (rational data enters scaled by a common denominator, which changes
-no rank, kernel or span).  Every exact result comes from one canonical
-routine, fraction-free elimination whose rows are primitive, positive at
-their pivot and zero at the other pivots: a form as unique as the reduced
-row echelon form, so ranks, kernels, and cohomology representatives
-downstream are deterministic, and the elimination does only the work it
-must (`rref`).  A map goes in as rows, column j keyed ~j = -1 - j, which
-sorts like n - 1 - j but does not move with n (`lay_out`), and
+no rank, kernel or span).  Every exact result comes from one routine,
+fraction-free forward elimination whose rows are primitive and positive at
+their pivot, their lowest index (`rref`), and the elimination does only
+the work it must.  A map goes in as rows, column j keyed ~j = -1 - j,
+which sorts like n - 1 - j but does not move with n (`lay_out`), and
 `kernel_and_image_of_rows` gets its rank, its reduced kernel and the pivots
-of its image's echelon from one such elimination, reading off only the
-kernel vectors its caller asks for; solves are read off that same routine.
+of its image's echelon from one such elimination.  It back-solves the
+forward rows for only the kernel vectors its caller asks for, each the
+unique one that is 1 at its free column and 0 at the others, so kernels
+and cohomology representatives downstream are as canonical as a reduced
+row echelon form would make them; solves are read off that same routine.
 An elimination can resume from the forward table an earlier one handed on
 for the same first rows, and insert only the rows after them.  `rref` is
-that insertion (`echelon`) and a back-substitution; callers that read only
-pivots or landed rows run `echelon` alone (`cohomology`'s certified image
-pivots, `verify`'s span check: a row lands exactly when it is independent
-of the rows before it), and no exact reduction runs outside the two.  Only
+that insertion (`echelon`); callers that read only pivots or landed rows
+run `echelon` alone (`cohomology`'s certified image pivots, `verify`'s
+span check: a row lands exactly when it is independent of the rows before
+it), and no exact reduction runs outside the two.  Only
 `solve_combination` returns Fractions.
 
 `independent_columns_mod_p` runs the same elimination in word-size
@@ -30,7 +31,7 @@ nonzero mod p is a nonzero integer), so the columns it keeps are
 independent over Q too: enough to certify a rank that cannot be larger.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from fractions import Fraction
 from itertools import islice
 from math import gcd, inf, lcm
@@ -138,35 +139,18 @@ def echelon(rows, landed=None, held=None, hand_at=None):
 
 
 def rref(rows, landed=None, held=None, hand_at=None):
-    """Integer reduced row echelon form of a list of sparse integer rows.
+    """The exact elimination of a list of sparse integer rows whose kernel
+    is read, the entry point of every such reduction.
 
-    Returns (pivots, echelon_rows) where pivots[r] is the leading index of
-    echelon_rows[r], in increasing order; each row is primitive, positive at
-    its pivot and zero at the other pivots.  Zero rows and zero entries
-    are dropped.  `echelon` inserts the rows, and takes `landed`, `held` and
-    `hand_at`.  Back-substitution runs from the last pivot down, passes over
-    the {pivot: 1} rows, which hold no other pivot, copies a held row before
-    its first step and makes each other row primitive once, after its last
-    step.  Such a form is unique, so no order of these steps changes it.
+    Returns (pivots, echelon_rows), the forward table `echelon` leaves, in
+    the order the rows landed: each row primitive, positive at its pivot,
+    its lowest index, and never written again.  No row is back-substituted:
+    `kernel_and_image_of_rows` reads each kernel vector it needs off these
+    rows by a sparse back-solve.  `landed`, `held` and `hand_at` go to
+    `echelon`.
     """
     table = echelon(rows, landed, held, hand_at)
-    shared = held[1] if held else ()
-    pivots = sorted(table)
-    reduced = []
-    for col in reversed(pivots):
-        row = table[col]
-        # a {col: 1} row holds no other pivot; the rows of the later pivots
-        # are already reduced, so clearing one of their pivots puts nothing
-        # back at another
-        if len(row) > 1 and (others := [i for i in row if i != col and i in table]):
-            if col in shared:
-                row = dict(row)
-            for other in others:
-                row = _eliminate(row, table[other], other)
-            table[col] = row = _primitive(row)
-        reduced.append(row)
-    reduced.reverse()
-    return pivots, reduced
+    return list(table), list(table.values())
 
 
 def lay_out(columns, free=()):
@@ -266,15 +250,22 @@ def kernel_and_image_of_rows(size, laid_out, skip=(), held=None, hand_at=None):
 
     This is where a kernel is read off an echelon.  `laid_out` is (index,
     rows) for a matrix of `size` columns, column j keyed ~j (`lay_out`,
-    `OperatorCell.rows`), so each echelon row leads at its highest original
-    column.  The kernel then comes out in the echelon form of `rref`: one
-    vector per free column j, led at j by the lcm of the pivot entries of
-    the rows that touch j, with the scaled and negated row entries at the
-    pivot columns, which all lie above j; a {pivot: 1} row touches no free
-    column, and a free column no row touches gives e_j, {j: 1}, with no
-    lcm or gcd.  Only the vectors led at free columns outside `skip` are
-    read off.  `held` and `hand_at` go to `rref`: the elimination may
-    resume from a forward table of the first rows, and hand one on.
+    `OperatorCell.rows`), so each row of the forward table leads at its
+    highest original column.  The kernel comes out in reduced echelon form:
+    one vector v_j per free column j, the unique kernel vector that is 1 at
+    j and 0 at the other free columns, as coprime ints positive at j and
+    keyed j first, then the pivot columns in descending order.  Only the
+    vectors at free columns outside `skip` are read off, each by a sparse
+    back-solve of the forward rows (Gilbert and Peierls 1988): the pivots
+    are visited in ascending column order from j, each reached through a
+    column its row holds off the pivot where v_j is already nonzero, and a
+    pivot whose row sums to 0 there is 0 in v_j and reaches nothing.  The
+    solve is fraction-free: v_j is rescaled only where a pivot's lead does
+    not divide its row's sum, and made primitive once, at the end.  A free
+    column that no row of several entries holds gives e_j, {j: 1}, with no
+    gcd.  A {pivot: 1} row holds nothing off its pivot, which is 0 in every
+    v_j.  `held` and `hand_at` go to `rref`: the elimination may resume
+    from a forward table of the first rows, and hand one on.
 
     The rows go in by ascending row index, so those that land on a new
     pivot are the pivots of the image's echelon as `rref` of the image
@@ -287,25 +278,56 @@ def kernel_and_image_of_rows(size, laid_out, skip=(), held=None, hand_at=None):
     """
     index, rows = laid_out
     landed = []
-    pivots, echelon = rref(rows, landed, held, hand_at)
+    pivots, forward = rref(rows, landed, held, hand_at)
     bound = {~p for p in pivots}
-    entries = {j: [] for j in range(size) if j not in bound and j not in skip}
-    for pivot, row in zip(pivots, echelon):
-        if len(row) == 1:  # {pivot: 1} touches no free column
-            continue
-        lead = row[pivot]
-        for k, c in row.items():
-            terms = entries.get(~k)  # None at the pivot itself
-            if terms is not None:
-                terms.append((~pivot, -c, lead))
+    free = [j for j in range(size) if j not in bound and j not in skip]
+    holders = {}  # column key -> [(pivot, row)] of the rows that hold it off their pivot
+    if free:
+        top = ~free[0]  # no vector read is nonzero at a key above it
+        for pivot, row in zip(pivots, forward):
+            if pivot < top and len(row) > 1:
+                for k in row:
+                    if pivot < k <= top:
+                        if k in holders:
+                            holders[k].append((pivot, row))
+                        else:
+                            holders[k] = [(pivot, row)]
     kernel = []
-    for j, terms in entries.items():
-        if not terms:  # no echelon row touches j: e_j
+    for j in free:
+        first = holders.get(~j)
+        if first is None:
             kernel.append({j: 1})
             continue
-        scale = lcm(*(lead for _, _, lead in terms))
-        kernel.append(_primitive({j: scale, **{i: c * (scale // lead) for i, c, lead in terms}}))
-    return len(pivots), list(entries), kernel, {index[k] for k in landed}
+        values = {~j: 1}  # v_j times a positive scale, keyed like the rows, nonzero only
+        reached = dict(first)
+        pending = sorted(reached)  # ascending keys: the next pivot, by column, is last
+        solved = []
+        while pending:
+            pivot = pending.pop()
+            row = reached[pivot]
+            total = 0
+            for k, c in row.items():
+                if k in values:
+                    total += c * values[k]
+            if not total:
+                continue
+            lead = row[pivot]
+            if total % lead:
+                g = gcd(lead, total)
+                for k in values:
+                    values[k] *= lead // g
+                lead = g
+            values[pivot] = -(total // lead)
+            solved.append(pivot)
+            for below, below_row in holders.get(pivot, ()):
+                if below not in reached:
+                    reached[below] = below_row
+                    insort(pending, below)
+        vec = {j: values[~j]}
+        for pivot in reversed(solved):
+            vec[~pivot] = values[pivot]
+        kernel.append(_primitive(vec))
+    return len(pivots), free, kernel, {index[k] for k in landed}
 
 
 def integer_normalize(vec):

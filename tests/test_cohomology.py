@@ -144,9 +144,10 @@ def test_one_reduction_gives_kernel_and_image_echelons(algebra):
             columns = differential_matrix(pi, q, d).columns
             rank_out, ker_pivots, ker_echelon, image = linalg.kernel_and_image(columns)
             assert rank_out == len(image)
-            assert (ker_pivots, ker_echelon) == linalg.rref(
-                kernel_basis(columns)[1])
-            assert image == set(linalg.rref(columns)[0])
+            scaled = [{i: Fraction(c, vec[j]) for i, c in vec.items()}
+                      for j, vec in zip(ker_pivots, ker_echelon)]
+            assert (ker_pivots, scaled) == reference_rref(kernel_basis(columns)[1])
+            assert image == set(reference_rref(columns)[0])
 
 
 def _count_calls(monkeypatch, *names):
@@ -168,8 +169,8 @@ def test_each_exact_cell_makes_one_rref_call_plus_one_echelon_after_a_certified_
         monkeypatch):
     # each differential reduced exactly is one rref, which inserts its rows
     # with one `echelon` and also gives the next cell its image's pivots;
-    # only a cell fed by a certified acyclic cell runs one more echelon, with
-    # no back-substitution, on the certified columns, for those pivots
+    # only a cell fed by a certified acyclic cell runs one more echelon, on
+    # the certified columns, for those pivots
     calls = _count_calls(monkeypatch, "rref", "echelon", "kernel_and_image_of_rows")
     cohomology_table(linear_poisson("heisenberg"), 3)  # no acyclic cell
     assert calls == {"rref": 16, "echelon": 16, "kernel_and_image_of_rows": 16}
@@ -187,18 +188,19 @@ def test_each_exact_cell_makes_one_rref_call_plus_one_echelon_after_a_certified_
 
 
 def test_each_stored_row_is_made_primitive_once(monkeypatch):
-    # one gcd when a row lands on a new pivot and one after its
-    # back-substitution, none per elimination step (the table makes 112
-    # steps), and one for each representative that is not a unit vector:
-    # 6 of the 10 are e_j at a free column no echelon row touches, with no
-    # gcd, and 4 take one (92 calls when each of the 10 took one).  The
-    # pivots of a certified cell's image take no back-substitution: with one
-    # the table took 112 gcds and 138 steps.  sl2's table reduces only the
-    # cochains every sigma_k keeps even, where it took 184 gcds and 250
-    # steps on the whole complex
+    # one gcd when a row lands on a new pivot, none per elimination step
+    # (the table makes 90 steps), and one for each representative that is
+    # not a unit vector, at the end of its back-solve: 6 of the 10 are e_j
+    # at a free column no forward row holds, with no gcd, and 4 take one (70
+    # calls when each of the 10 took one).  A full back-substitution of the
+    # forward rows took 86 gcds and 112 steps.  The pivots of a certified
+    # cell's image take no back-substitution: with one the table took 112
+    # gcds and 138 steps.  sl2's table reduces only the cochains every
+    # sigma_k keeps even, where it took 184 gcds and 250 steps on the whole
+    # complex
     calls = _count_calls(monkeypatch, "_primitive", "_eliminate")
     cohomology_table(linear_poisson("sl2"), 8)
-    assert calls == {"_primitive": 86, "_eliminate": 112}
+    assert calls == {"_primitive": 64, "_eliminate": 90}
 
 
 def test_one_entry_rows_take_no_elimination_step(monkeypatch):
@@ -212,22 +214,24 @@ def test_one_entry_rows_take_no_elimination_step(monkeypatch):
     # alone: sl2's table made 6,290 steps when its H^0 cells reduced all
     # their rows and 2,012 on the pass's pivot rows of the whole complex,
     # and 1,116 on those of the even block (1,168 gcds there went to 608);
-    # the pivots of a certified cell's image take no back-substitution, so
-    # it makes 968 steps and 460 gcds.  Book's table took 28 gcds where all
-    # of d_0's rows took 46; heisenberg's d_0 is reduced on every row.  A
-    # representative at a free column no echelon row touches is e_j, with
-    # no gcd: 566 of heisenberg's 1,006 are, all 18 of book's and 10 of
-    # sl2's 18 (4,276, 28 and 470 calls when each took one).  Heisenberg's
-    # z is a Casimir, and each degree resumes from the forward table the one
-    # before handed on: its rows that land there take no gcd again (3,710
-    # calls when every degree inserted every row); its 1,520 steps are all
-    # back-substitution, which each degree runs in full.  It runs 63 mod-p
-    # passes, none on d_0, which no pass could certify (84 with d_0's); the
-    # others run one per differential
+    # the pivots of a certified cell's image take no back-substitution,
+    # which left 968 steps and 460 gcds.  Book's table took 28 gcds where
+    # all of d_0's rows took 46; heisenberg's d_0 is reduced on every row.
+    # A representative at a free column no forward row of several entries
+    # holds is e_j, with no gcd: 566 of heisenberg's 1,006 are, all 18 of
+    # book's and 10 of sl2's 18 (4,276, 28 and 470 calls when each took
+    # one).  Heisenberg's z is a Casimir, and each degree resumes from the
+    # forward table the one before handed on: its rows that land there take
+    # no gcd again (3,710 calls when every degree inserted every row).  Each
+    # kernel vector is back-solved from the forward rows, with no
+    # back-substitution: that took heisenberg's 1,520 steps and 1,520 gcds,
+    # run by each degree over its whole held table, and 140 of sl2's steps
+    # and gcds.  It runs 63 mod-p passes, none on d_0, which no pass could
+    # certify (84 with d_0's); the others run one per differential
     calls = _count_calls(monkeypatch, "_eliminate", "_primitive", "independent_columns_mod_p")
-    for pi, dmax, expected in ((linear_poisson("heisenberg"), 20, (1520, 2570, 63)),
+    for pi, dmax, expected in ((linear_poisson("heisenberg"), 20, (0, 1050, 63)),
                                (linear_poisson(Algebra("book", Fraction(-2, 3))), 20, (0, 10, 84)),
-                               (linear_poisson("sl2"), 16, (968, 460, 68))):
+                               (linear_poisson("sl2"), 16, (828, 320, 68))):
         calls.update(_eliminate=0, _primitive=0, independent_columns_mod_p=0)
         cohomology_table(pi, dmax)
         assert (calls["_eliminate"], calls["_primitive"],
@@ -1567,6 +1571,33 @@ def test_differentials_are_the_chevalley_eilenberg_differential(algebra):
                     assert ce_coordinates(q + 1, d, {i: Fraction(c, cell.den)
                                                      for i, c in col.items()}) == {
                         i: sign * c for i, c in ce[key].items()}, (q, d, j)
+
+
+@pytest.mark.parametrize("algebra", CE_ALGEBRAS, ids=CE_IDS)
+def test_coboundary_witness_solves_each_chevalley_eilenberg_coboundary(algebra):
+    # d_CE of a random cochain at q <= 2, d <= 3, in engine coordinates, has
+    # a witness V with [pi, V] equal to it, in the registry basis and in a
+    # conjugated one; with a representative of a nonzero class added, it
+    # has none
+    rng = random.Random(241 + CE_ALGEBRAS.index(algebra))
+    for constants in _ce_bases(algebra):
+        pi = linear_poisson(constants)
+        table = cohomology_table(pi, 3)
+        for d in range(4):
+            for q in range(3):
+                ce, target_basis = ce_differential(constants, q, d), GradedBasis(q + 1, d)
+                engine = {}  # CE cochain key -> (position, sign) of the target basis
+                for position in range(len(target_basis)):
+                    ((key, sign),) = ce_coordinates(q + 1, d, {position: 1}).items()
+                    engine[key] = position, sign
+                cochain = {key: rng.randint(-3, 3) for key in ce if rng.random() < 0.6}
+                image = linalg.matvec(ce, cochain)
+                target = target_basis.reconstruct(
+                    {engine[key][0]: engine[key][1] * c for key, c in image.items()})
+                witness = coboundary_witness(pi, target)
+                assert witness is not None and schouten_bracket(pi, witness) == target, (q, d)
+                for rep in cell_multivectors(table.cell(q + 1, d)):
+                    assert coboundary_witness(pi, target + rep) is None, (q, d)
 
 
 def _ordered_fields(cell):

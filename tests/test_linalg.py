@@ -144,7 +144,17 @@ def test_integer_normalize():
     assert all(type(c) is int for c in integer_normalize(vec).values())
 
 
+def _assert_forward_table(pivots, echelon):
+    """Check the form of `rref`'s forward table: distinct pivots, each its
+    row's lowest index, where the row is positive, and each row primitive."""
+    assert len(pivots) == len(echelon) == len(set(pivots))
+    for p, row in zip(pivots, echelon):
+        assert min(row) == p and row[p] > 0 and gcd(*row.values()) == 1
+
+
 def test_rref_is_idempotent_and_canonical():
+    # fed back in, a forward table lands as it is, row by row; its reduced
+    # form, `reference_rref`'s, is the input's
     rng = random.Random(109)
     for _ in range(20):
         rows = [{j: Fraction(rng.randint(-3, 3)) for j in range(4)
@@ -153,15 +163,8 @@ def test_rref_is_idempotent_and_canonical():
         pivots, echelon = rref(rows)
         again_pivots, again = rref(echelon)
         assert again == echelon and again_pivots == pivots
-        assert len(pivots) == len(echelon)
-        # pivot columns are strictly increasing, pivot entries positive and
-        # each row primitive
-        assert pivots == sorted(set(pivots))
-        for p, row in zip(pivots, echelon):
-            assert row[p] > 0 and gcd(*row.values()) == 1
-            # pivot column cleared everywhere else
-            for other in echelon:
-                assert other is row or p not in other
+        _assert_forward_table(pivots, echelon)
+        assert reference_rref(echelon) == reference_rref(rows)
 
 
 def _random_rows(rng, nrows, ncols):
@@ -196,18 +199,18 @@ def test_rref_matches_reference_oracle():
 
 
 def _assert_rref_matches_oracle(rows):
-    """`rref` of the rows scaled to integers is `reference_rref` of the rows
-    up to the scale of each echelon row, and writes no input row."""
+    """`rref` of the rows scaled to integers is a forward table of integer
+    rows with `reference_rref`'s pivots, whose reduced form is the rows',
+    and writes no input row."""
     ints = integer_rows(rows)
     snapshot = [dict(row) for row in ints]
     pivots, echelon = rref(ints)
     assert ints == snapshot
     assert all(type(c) is int for row in echelon for c in row.values())
-    for p, row in zip(pivots, echelon):
-        assert row[p] > 0 and gcd(*row.values()) == 1
-    scaled = [{i: Fraction(c, row[p]) for i, c in row.items()}
-              for p, row in zip(pivots, echelon)]
-    assert (pivots, scaled) == reference_rref(rows)
+    _assert_forward_table(pivots, echelon)
+    reduced = reference_rref(rows)
+    assert sorted(pivots) == reduced[0]
+    assert reference_rref(echelon) == reduced
 
 
 def _sparse_rows(rng, nrows, ncols):
@@ -297,17 +300,17 @@ def _resume_cases(rng):
 
 def test_rref_resumes_from_the_table_held_after_its_first_rows():
     # an elimination that resumes from the forward table a call handed on
-    # after row n, and hands one on after row m, gives the pivots, echelon
-    # and landed rows of a fresh one, which are `reference_rref`'s; resumed
-    # twice from one held table, it gives them twice and writes neither the
-    # table nor its rows
+    # after row n, and hands one on after row m, gives the pivots, forward
+    # rows and landed rows of a fresh one, which reduce to `reference_rref`'s;
+    # resumed twice from one held table, it gives them twice and writes
+    # neither the table nor its rows
     rng = random.Random(227)
     for rows in _resume_cases(rng):
         landed = []
         fresh = rref(rows, landed)
         pivots, echelon = fresh
-        assert (pivots, [{i: Fraction(c, row[p]) for i, c in row.items()}
-                         for p, row in zip(pivots, echelon)]) == reference_rref(rows)
+        _assert_forward_table(pivots, echelon)
+        assert reference_rref(echelon) == reference_rref(rows)
         n = rng.randint(0, len(rows))
         m = rng.randint(n, len(rows))
         held = []
@@ -324,7 +327,8 @@ def test_rref_resumes_from_the_table_held_after_its_first_rows():
         rref(rows, None, cold, m)
         assert handed[0] == handed[1] == cold
         assert cold[0] == m and cold[2] == [k for k in landed if k < m]
-        assert sorted(cold[1]) == rref(rows[:m])[0] and len(cold[1]) == len(cold[2])
+        assert list(cold[1]) == rref(rows[:m])[0] and len(cold[1]) == len(cold[2])
+        assert sorted(cold[1]) == reference_rref(rows[:m])[0]
         assert rref(rows, None, cold) == fresh
 
 
@@ -369,6 +373,12 @@ def test_a_row_after_a_table_lands_exactly_when_it_lies_outside_its_span():
     assert lands[False] > 100 and lands[True] > 20
 
 
+def _scaled(pivots, rows):
+    """Echelon rows scaled to 1 at their pivots, as `reference_rref` gives them."""
+    return list(pivots), [{i: Fraction(c, row[p]) for i, c in row.items()}
+                          for p, row in zip(pivots, rows)]
+
+
 def test_kernel_and_image_agrees_with_separate_reductions():
     rng = random.Random(127)
     for _ in range(80):
@@ -378,9 +388,9 @@ def test_kernel_and_image_agrees_with_separate_reductions():
         columns = integer_matrix(columns)
         rk, ker_pivots, ker_echelon, image = kernel_and_image(columns)
         assert rk == rank(columns) == len(image)
-        assert (ker_pivots, ker_echelon) == rref(kernel_basis(columns)[1])
+        assert _scaled(ker_pivots, ker_echelon) == reference_rref(kernel_basis(columns)[1])
         # the image's pivots are those of the echelon of its columns
-        assert image == set(rref(columns)[0])
+        assert image == set(reference_rref(columns)[0])
 
 
 def test_kernel_and_image_reads_off_only_the_kernel_outside_skip():
@@ -417,7 +427,7 @@ def test_kernel_and_image_on_columns_of_mostly_one_entry():
         snapshot = copy.deepcopy(columns)
         rk, ker_pivots, ker_echelon, image = kernel_and_image(columns)
         assert columns == snapshot
-        assert (ker_pivots, ker_echelon) == rref(kernel_basis(columns)[1])
+        assert _scaled(ker_pivots, ker_echelon) == reference_rref(kernel_basis(columns)[1])
         assert kernel_basis(columns) == _reference_kernel(columns)
         assert rk == len(image)
         assert image == set(rref(columns)[0]) == set(reference_rref(columns)[0])
@@ -427,6 +437,103 @@ def test_kernel_and_image_on_columns_of_mostly_one_entry():
         assert (rk_skip, image_skip) == (rk, image)
         assert list(zip(pivots_skip, echelon_skip)) == [
             (p, vec) for p, vec in zip(ker_pivots, ker_echelon) if p not in skip]
+
+
+def _keyed_rows(rng, size):
+    """Integer rows of a matrix of `size` columns, column j keyed ~j: sparse
+    rows with entries up to 9, so leads above 1, with duplicate, negated and
+    scaled copies, zero and empty rows, and columns no row touches."""
+    untouched = {j for j in range(size) if rng.random() < 0.2}
+    rows = []
+    for _ in range(rng.randint(0, 9)):
+        columns = [j for j in range(size) if j not in untouched and rng.random() < 0.4]
+        rows.append({~j: rng.choice((-1, 1)) * rng.randint(1, 9) for j in columns})
+    for _ in range(rng.randint(0, 4)):
+        pick = rng.random()
+        if rows and pick < 0.5:
+            factor = rng.choice((1, -1, 2, -3))
+            rows.append({k: factor * c for k, c in rng.choice(rows).items()})
+        elif pick < 0.75:
+            rows.append({})
+        elif size > len(untouched):
+            rows.append({~rng.choice([j for j in range(size) if j not in untouched]): 0})
+    rng.shuffle(rows)
+    return rows
+
+
+def _read_off_reference(size, rows, skip):
+    """(rank, kernel pivots, kernel rows as item lists, image pivots) read off
+    `reference_rref`'s reduced rows: v_j is 1 at free column j and minus a
+    reduced row's entry there at its pivot, as coprime ints keyed j first,
+    then the pivot columns in descending order.  A row is an image pivot
+    when it raises the rank of the rows before it."""
+    pivots, reduced = reference_rref(rows)
+    kernel_pivots = [j for j in range(size) if ~j not in pivots and j not in skip]
+    kernel = []
+    for j in kernel_pivots:
+        vec = {j: Fraction(1)}
+        vec.update((~p, -row[~j]) for p, row in zip(pivots, reduced) if ~j in row)
+        scale = lcm(*(c.denominator for c in vec.values()))
+        ints = {i: int(c * scale) for i, c in vec.items()}
+        g = gcd(*ints.values())
+        kernel.append([(i, c // g) for i, c in ints.items()])
+    ranks = [len(reference_rref(rows[:k])[0]) for k in range(len(rows) + 1)]
+    image = {k for k in range(len(rows)) if ranks[k + 1] > ranks[k]}
+    return len(pivots), kernel_pivots, kernel, image
+
+
+def test_kernel_read_off_matches_the_reduced_rows_of_the_oracle():
+    # the sparse back-solve of the forward rows gives each kernel vector
+    # `reference_rref`'s reduced rows give, entry for entry and key for key,
+    # with any skip, and resumed from a table a call handed on
+    rng = random.Random(229)
+    skip_rng = random.Random(233)  # a stream of its own for the skips
+    for _ in range(300):
+        size = rng.randint(1, 8)
+        rows = _keyed_rows(rng, size)
+        skip = {j for j in range(size) if skip_rng.random() < 0.3}
+        expected = _read_off_reference(size, rows, skip)
+        n = rng.randint(0, len(rows))
+        held, again = [], []
+        for carried in ((), (held, n), (held,), (again, n), (again,)):
+            snapshot = copy.deepcopy(rows)
+            rk, kernel_pivots, kernel, image = linalg.kernel_and_image_of_rows(
+                size, (list(range(len(rows))), rows), skip, *carried)
+            assert rows == snapshot
+            assert (rk, kernel_pivots, [list(vec.items()) for vec in kernel], image) == expected
+            if carried and carried[0] is held:  # hand on after row n, then resume there
+                again[:] = copy.deepcopy(held)
+
+
+def _fraction_solve(columns, target):
+    """The combination of the columns that gives target, or None: nonzero
+    only at the columns independent of those before them, by Gauss-Jordan
+    over Fractions (`reference_rref`) on the rows of [basis | target]."""
+    basis = [j for j in range(len(columns)) if rank(columns[:j + 1]) > rank(columns[:j])]
+    last = len(basis)
+    rows = [{k: vec[i] for k, vec in enumerate([*(columns[j] for j in basis), target])
+             if vec.get(i)} for i in set().union(target, *columns)]
+    pivots, reduced = reference_rref(rows)
+    if last in pivots:
+        return None
+    return {basis[p]: row[last] for p, row in zip(pivots, reduced) if last in row}
+
+
+def test_solve_combination_matches_a_fraction_solve():
+    # consistent and inconsistent systems, with dependent columns
+    rng = random.Random(239)
+    solved = {False: 0, True: 0}
+    for _ in range(200):
+        columns = _dependent_columns(rng)
+        if rng.random() < 0.5:
+            target = matvec(columns, {j: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                      for j in range(len(columns))})
+        else:
+            target = _random_rows(rng, 1, 7)[0]
+        combo = _solve(columns, target)
+        assert combo == _fraction_solve(columns, target)
+        solved[combo is not None] += 1
+    assert solved[False] > 20 and solved[True] > 20
 
 
 def test_kernel_rows_come_out_canonical_and_led_at_their_free_column():

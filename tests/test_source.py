@@ -331,16 +331,16 @@ def test_one_stencil_cache():
 
 
 def test_one_reduction_loop_and_one_writer_of_basis_positions():
-    # `rref` is the one exact reduction, `echelon`'s insertion and a
-    # back-substitution: span and membership questions read the rows that
-    # land in `echelon`, and no other function eliminates against a pivot
-    # row.  A basis position is written by `GradedBasis.position`;
+    # `rref` is the one exact reduction, `echelon`'s insertion and nothing
+    # more: span and membership questions read the rows that land in
+    # `echelon`, and no other function eliminates against a pivot row.  A
+    # basis position is written by `GradedBasis.position`;
     # beside the stencil walks of `complexes`, which inline its formula, its
     # callers are the decomposition and the closed forms that place a
     # field's or a family's entries
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-    assert _callers(trees, "_eliminate") == [("linalg.py", "echelon"), ("linalg.py", "rref")]
-    # the readers of pivots or landed rows alone take no back-substitution
+    assert _callers(trees, "_eliminate") == [("linalg.py", "echelon")]
+    # the readers of pivots or landed rows alone call `echelon` straight
     assert _callers(trees, "echelon") == [("cohomology.py", "_degree_cells"),
                                           ("linalg.py", "rref"),
                                           ("verification.py", "_check_generators")]
@@ -428,16 +428,31 @@ def test_one_exact_reduction_per_differential():
     assert ("cohomology.py", "_degree_cells") in _callers(trees, "kills")
 
 
+def test_one_read_off_of_the_kernel_and_no_back_substitution():
+    # every exact reduction is an `rref` called by the one read-off, so the
+    # benchmark's `linalg.rref` counters see each of them; only `echelon`
+    # eliminates, and a row or a vector is made primitive only where it
+    # lands there, where the read-off ends a kernel vector's back-solve,
+    # and by `integer_normalize`: no second read-off and no
+    # back-substitution of the forward rows
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert _callers(trees, "rref") == [("linalg.py", "kernel_and_image_of_rows")]
+    assert _callers(trees, "_eliminate") == [("linalg.py", "echelon")]
+    assert _callers(trees, "_primitive") == [("linalg.py", "echelon"),
+                                             ("linalg.py", "integer_normalize"),
+                                             ("linalg.py", "kernel_and_image_of_rows")]
+
+
 def test_a_carried_degree_adds_no_route_and_no_public_name():
     # the carry between degrees rides on the one loop: `_complex` makes it,
     # reading X_z off `_fields`, `_full_cells`, the one caller of
     # `_degree_cells` for every full complex, passes it on, and
-    # `_degree_cells` hands it to its one reduction, inside which `rref` and
-    # its `echelon` alone eliminate; the invariant subcomplex hands
+    # `_degree_cells` hands it to its one reduction, inside which `rref`'s
+    # `echelon` alone eliminates; the invariant subcomplex hands
     # `_degree_cells` over uncalled (`partial`).  The stencil is still read
     # only through the hold's reader, and `cohomology` keeps its public names
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-    assert _callers(trees, "_eliminate") == [("linalg.py", "echelon"), ("linalg.py", "rref")]
+    assert _callers(trees, "_eliminate") == [("linalg.py", "echelon")]
     assert [caller for caller in _callers(trees, "kernel_and_image_of_rows")
             if caller[0] == "cohomology.py"] == [("cohomology.py", "_degree_cells")]
     assert _callers(trees, "_degree_cells") == [("cohomology.py", "_full_cells")]

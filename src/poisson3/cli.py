@@ -116,66 +116,38 @@ def _algebra(args):
     return Algebra(args.algebra, args.tau)
 
 
-def _tau_str(tau):
-    return None if tau is None else str(tau)
-
-
-def _table_document(algebra, table, q_filter):
-    doc_cells = []
-    for q in q_filter:
+def _printed_cells(table, qs):
+    """Each cell a table verb prints, by q in `qs` and then by d, with the
+    text of its representatives."""
+    for q in qs:
         for d in range(table.dmax + 1):
             cell = table.cell(q, d)
-            doc_cells.append({
-                "q": q,
-                "d": d,
-                "dim_cochains": cell.dim_cochains,
-                "rank_in": cell.rank_in,
-                "rank_out": cell.rank_out,
-                "dim_h": cell.dim_h,
-                "representatives": format_coordinates(GradedBasis(q, d), cell.kernel_rows),
-            })
-    return {
-        "algebra": algebra.name,
-        "tau": _tau_str(algebra.tau),
-        "dmax": table.dmax,
-        "cells": doc_cells,
-        "totals": {str(q): table.total(q) for q in range(4)},
-        "stable": table.stable,
-    }
+            yield cell, format_coordinates(GradedBasis(q, d), cell.kernel_rows)
 
 
-def _render_table_text(doc, invariant):
-    lines = []
-    lines.append("algebra: %s" % doc["algebra"])
-    lines.append("tau: %s" % ("none" if doc["tau"] is None else doc["tau"]))
-    lines.append("dmax: %d" % doc["dmax"])
+def _render_table_text(algebra, table, qs, invariant):
+    dmax = table.dmax
+    lines = ["algebra: %s" % algebra.name,
+             "tau: %s" % ("none" if algebra.tau is None else algebra.tau),
+             "dmax: %d" % dmax]
     if invariant:
         lines.append("subcomplex: rotation invariant")
-    qs = sorted({cell["q"] for cell in doc["cells"]})
-    dmax = doc["dmax"]
-    width = max(3, max(len(str(cell["dim_h"])) for cell in doc["cells"]))
+    width = max(3, max(len(str(table.dim_h(q, d))) for q in qs for d in range(dmax + 1)))
     header = " q\\d |" + "".join(str(d).rjust(width + 1) for d in range(dmax + 1))
-    lines.append(header)
-    lines.append("-" * len(header))
-    by_cell = {(cell["q"], cell["d"]): cell for cell in doc["cells"]}
+    lines += [header, "-" * len(header)]
     for q in qs:
-        row = "   %d |" % q
-        for d in range(dmax + 1):
-            row += str(by_cell[(q, d)]["dim_h"]).rjust(width + 1)
-        lines.append(row)
-    lines.append("totals: " + " ".join(
-        "H^%s=%d" % (q, doc["totals"][q]) for q in "0123"))
-    lines.append("stable: %s" % ("yes" if doc["stable"] else "no"))
+        lines.append("   %d |" % q + "".join(
+            str(table.dim_h(q, d)).rjust(width + 1) for d in range(dmax + 1)))
+    lines.append("totals: " + " ".join("H^%d=%d" % (q, table.total(q)) for q in range(4)))
+    lines.append("stable: %s" % ("yes" if table.stable else "no"))
     lines.append("representatives (nonzero cells):")
-    for cell in doc["cells"]:
-        if cell["dim_h"]:
-            for rep in cell["representatives"]:
-                lines.append("  q=%d d=%d: %s" % (cell["q"], cell["d"], rep))
+    for cell, reps in _printed_cells(table, qs):
+        lines += ["  q=%d d=%d: %s" % (cell.q, cell.d, rep) for rep in reps]
     return "\n".join(lines) + "\n"
 
 
 # the layout `json.dumps(doc, indent=2)` gives a table document and one cell
-_JSON_TABLE = ('{\n  "algebra": %s,\n  "tau": %s,\n  "dmax": %d,\n  "cells": %s,\n'
+_JSON_TABLE = ('{\n  "algebra": %s,\n  "tau": %s,\n  "dmax": %d,\n  "cells": [\n%s\n  ],\n'
                '  "totals": {\n    "0": %d,\n    "1": %d,\n    "2": %d,\n    "3": %d\n  },\n'
                '  "stable": %s\n}\n')
 _JSON_CELL = ('    {\n      "q": %d,\n      "d": %d,\n      "dim_cochains": %d,\n'
@@ -183,40 +155,37 @@ _JSON_CELL = ('    {\n      "q": %d,\n      "d": %d,\n      "dim_cochains": %d,\
               '      "representatives": %s\n    }')
 
 
-def _render_table_json(doc):
-    """The text of `json.dumps(doc, indent=2)` and a line break, in one pass.
+def _render_table_json(algebra, table, qs):
+    """The table as `json.dumps(doc, indent=2)` and a line break would write
+    it, in one pass.
 
-    With an indent, CPython's `json.dumps` runs its pure-Python encoder; here
-    the layout is fixed and only the strings go through json's C encoder.
+    The document holds the algebra's name, tau as a string or null, dmax,
+    one object per printed cell (q, d, dim_cochains, rank_in, rank_out,
+    dim_h and the representatives' text), the totals of all four q keyed
+    "0".."3", and `stable`.  With an indent, CPython's `json.dumps` runs its
+    pure-Python encoder; here the layout is fixed and only the strings go
+    through json's C encoder.
     """
-    cells = []
-    for cell in doc["cells"]:
-        reps = cell["representatives"]
-        cells.append(_JSON_CELL % (
-            cell["q"], cell["d"], cell["dim_cochains"], cell["rank_in"], cell["rank_out"],
-            cell["dim_h"],
-            "[\n        " + ",\n        ".join(map(_json_string, reps)) + "\n      ]"
-            if reps else "[]"))
+    cells = [_JSON_CELL % (
+        cell.q, cell.d, cell.dim_cochains, cell.rank_in, cell.rank_out, cell.dim_h,
+        "[\n        " + ",\n        ".join(map(_json_string, reps)) + "\n      ]"
+        if reps else "[]") for cell, reps in _printed_cells(table, qs)]
     return _JSON_TABLE % (
-        _json_string(doc["algebra"]),
-        "null" if doc["tau"] is None else _json_string(doc["tau"]),
-        doc["dmax"],
-        "[\n" + ",\n".join(cells) + "\n  ]" if cells else "[]",
-        *(doc["totals"][q] for q in "0123"),
-        "true" if doc["stable"] else "false")
+        _json_string(algebra.name),
+        "null" if algebra.tau is None else _json_string(str(algebra.tau)),
+        table.dmax,
+        ",\n".join(cells),
+        *map(table.total, range(4)),
+        "true" if table.stable else "false")
 
 
-def _render_table_csv(doc):
+def _render_table_csv(table, qs):
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["q", "d", "dim_cochains", "rank_in", "rank_out",
                      "dim_h", "representatives"])
-    for cell in doc["cells"]:
-        writer.writerow([
-            cell["q"], cell["d"], cell["dim_cochains"], cell["rank_in"],
-            cell["rank_out"], cell["dim_h"],
-            "; ".join(cell["representatives"]),
-        ])
+    writer.writerows([cell.q, cell.d, cell.dim_cochains, cell.rank_in, cell.rank_out,
+                      cell.dim_h, "; ".join(reps)] for cell, reps in _printed_cells(table, qs))
     return buffer.getvalue()
 
 
@@ -240,14 +209,11 @@ def _run_table(args, invariant):
     algebra = _algebra(args)
     _check_budget(args.dmax)
     table = cohomology_table(linear_poisson(algebra), args.dmax, invariant)
-    doc = _table_document(algebra, table, args.q)
     if args.format == "json":
-        text = _render_table_json(doc)
-    elif args.format == "csv":
-        text = _render_table_csv(doc)
-    else:
-        text = _render_table_text(doc, invariant)
-    return 0, text
+        return 0, _render_table_json(algebra, table, args.q)
+    if args.format == "csv":
+        return 0, _render_table_csv(table, args.q)
+    return 0, _render_table_text(algebra, table, args.q, invariant)
 
 
 def _run_verify(args):

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import runpy
 import subprocess
 import sys
@@ -15,8 +16,9 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from poisson3 import (FIXTURE_IDS, Algebra, OperatorCell, Report, cohomology_table,
-                      differential_matrix, linear_poisson)
+from poisson3 import (FIXTURE_IDS, Algebra, OperatorCell, Report, cell_multivectors,
+                      cohomology_table, differential_matrix, format_multivector,
+                      linear_poisson)
 from poisson3 import cli
 from poisson3 import cohomology as cohomology_module
 from poisson3.cli import main
@@ -177,8 +179,10 @@ def _digest_tool(monkeypatch):
 
 
 def test_the_json_writer_lays_out_a_table_as_json_dumps_does(monkeypatch):
-    # json.dumps is the oracle: every kind at the taus the digest tool pins,
-    # the rotation-invariant kinds also as invariant tables
+    # json.dumps is the oracle, of a document built here from the table's
+    # fields and each representative's multivector: every kind at the taus
+    # the digest tool pins, the rotation-invariant kinds also as invariant
+    # tables
     tool = _digest_tool(monkeypatch)
     tables = [(argv, False) for argv in tool["algebras"]()]
     tables += [(argv, True) for argv in tool["INVARIANT"]]
@@ -189,13 +193,58 @@ def test_the_json_writer_lays_out_a_table_as_json_dumps_does(monkeypatch):
         for dmax in (0, 6):
             table = cohomology_table(linear_poisson(algebra), dmax, invariant)
             for q_filter in ((1,), (2, 3), (0, 1, 2, 3)):
-                doc = cli._table_document(algebra, table, q_filter)
-                assert cli._render_table_json(doc) == json.dumps(doc, indent=2) + "\n"
+                cells = [table.cell(q, d) for q in q_filter for d in range(dmax + 1)]
+                doc = {
+                    "algebra": algebra.name,
+                    "tau": None if tau is None else str(tau),
+                    "dmax": dmax,
+                    "cells": [{
+                        "q": cell.q, "d": cell.d, "dim_cochains": cell.dim_cochains,
+                        "rank_in": cell.rank_in, "rank_out": cell.rank_out,
+                        "dim_h": cell.dim_h,
+                        "representatives": list(map(format_multivector,
+                                                    cell_multivectors(cell))),
+                    } for cell in cells],
+                    "totals": {str(q): table.total(q) for q in range(4)},
+                    "stable": table.stable,
+                }
+                assert cli._render_table_json(algebra, table, q_filter) == (
+                    json.dumps(doc, indent=2) + "\n")
                 checked += 1
     assert checked == (14 + 6) * 2 * 3
-    # strings that json escapes, and a document with no cell
-    doc["algebra"], doc["tau"], doc["cells"] = 'a"\\b\u00e9\n\x01', "-2/3", []
-    assert cli._render_table_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_text_csv_and_json_print_the_same_cells(capsys, monkeypatch):
+    # the three writers read the table apart: for every kind at the digest
+    # tool's taus, and for the invariant kinds' invariant tables, the text
+    # grid, the CSV rows and the JSON cells give the same (q, d, dim_h), CSV
+    # and JSON the same ranks and representatives, and the text's
+    # representative lines are the JSON's nonzero cells', in order
+    tool = _digest_tool(monkeypatch)
+    tables = [("cohomology", argv) for argv in tool["algebras"]()]
+    tables += [("invariant-cohomology", argv) for argv in tool["INVARIANT"]]
+    classes = 0
+    for verb, argv in tables:
+        out = {}
+        for fmt in ("text", "csv", "json"):
+            code, out[fmt], _ = run(capsys, verb, *argv, "--dmax", "6", "--format", fmt)
+            assert code == 0, (argv, fmt)
+        cells = json.loads(out["json"])["cells"]
+        header, *rows = csv.reader(io.StringIO(out["csv"]))
+        assert header == ["q", "d", "dim_cochains", "rank_in", "rank_out",
+                          "dim_h", "representatives"]
+        grid = [(int(row[1]), d, int(dim_h))
+                for row in re.finditer(r"^   (\d) \|(.*)$", out["text"], re.M)
+                for d, dim_h in enumerate(row[2].split())]
+        assert grid == [tuple(map(int, row[:2] + row[5:6])) for row in rows] == [
+            (cell["q"], cell["d"], cell["dim_h"]) for cell in cells], argv
+        assert rows == [[str(cell[key]) for key in header[:6]]
+                        + ["; ".join(cell["representatives"])] for cell in cells], argv
+        lines = re.findall(r"^  q=(\d+) d=(\d+): (.*)$", out["text"], re.M)
+        assert lines == [(str(cell["q"]), str(cell["d"]), rep) for cell in cells
+                         if cell["dim_h"] for rep in cell["representatives"]], argv
+        classes += len(lines)
+    assert classes > 0
 
 
 def test_cohomology_csv_rows(capsys):

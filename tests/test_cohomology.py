@@ -1518,9 +1518,15 @@ def test_conjugated_constants_keep_the_oracle_grid():
     assert moved >= len(KINDS) - 1  # the abelian bivector is 0 in every basis
 
 
+# last, seeded taus: a book tau of each sign with a denominator up to 15 and
+# a spiral tau, after the fixed ones so that those keep their `_ce_bases` seeds
+_ce_rng = random.Random(50)
 CE_ALGEBRAS = [Algebra(kind) for kind in KINDS if kind not in ("book", "spiral")] + [
     Algebra("book", Fraction(tau)) for tau in ("1", "1/3", "-2/3", "-1")] + [
-    Algebra("spiral", Fraction(tau)) for tau in ("1", "5/2")]
+    Algebra("spiral", Fraction(tau)) for tau in ("1", "5/2")] + [
+    Algebra("book", sign * Fraction(_ce_rng.randint(1, 9), _ce_rng.randint(9, 15)))
+    for sign in (1, -1)] + [
+    Algebra("spiral", Fraction(_ce_rng.randint(1, 15), _ce_rng.randint(1, 9)))]
 CE_IDS = [a.name if a.tau is None else "%s_%s" % (a.name, a.tau) for a in CE_ALGEBRAS]
 
 

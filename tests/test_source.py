@@ -532,6 +532,20 @@ def test_the_cli_writes_stdout_in_one_place():
     assert ("cli.py", "main") in _callers(cli, "_emit")
 
 
+def test_the_table_writers_read_the_table_by_one_path():
+    # `_run_table` picks a writer, each writer reads the table itself, and
+    # the representatives' text comes from one call: no document between
+    # the table and its bytes
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    for fmt in ("text", "json", "csv"):
+        assert _callers(trees, "_render_table_" + fmt) == [("cli.py", "_run_table")]
+    assert _callers({"cli.py": trees["cli.py"]}, "format_coordinates") == [
+        ("cli.py", "_printed_cells")]
+    assert "_table_document" not in {node.name for tree in trees.values()
+                                     for node in ast.walk(tree)
+                                     if isinstance(node, ast.FunctionDef)}
+
+
 def test_verify_checks_its_generators_with_no_bracket():
     # `verify` tests each generator's closedness on pi's held stencil
     # (`OperatorCell.kills`); only the deformation and modular checks, which

@@ -452,7 +452,7 @@ def _degree_cells(d, matrices, back=None, carry=None, out=None):
     certified acyclic, and the columns the pass kept, which are independent
     over Q and as many as the exact rank, span cell q + 1's image: each is
     built alone (`OperatorCell.column`), by ascending position, and their
-    `echelon` gives its pivots, only when cell q + 1 is reduced exactly.
+    `rref` gives its pivots, only when cell q + 1 is reduced exactly.
     After d_0 a pass stops once its dependent columns outnumber rank_in
     minus the columns it skips, as it can then certify nothing, and the next
     pass skips the exact image pivots in place of its pivot rows.  d_0's
@@ -518,7 +518,7 @@ def _degree_cells(d, matrices, back=None, carry=None, out=None):
             continue
         if pivots is None:  # d_{q-1} was certified: the columns it kept span its image
             incoming, kept = certified
-            pivots = set(linalg.echelon([incoming.column(j) for j in kept]))
+            pivots = set(linalg.rref([incoming.column(j) for j in kept])[0])
         at = None  # the rows of d_q that are reduced, None for all
         if q == 0 and carry is None:  # d_0's pass ran to the end, and d_1's pass runs now
             ahead = mod_p_pass(1, pass_pivots, len(independent))

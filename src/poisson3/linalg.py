@@ -4,22 +4,23 @@ Vectors are dicts {index: nonzero int}; matrices are lists of such column
 dicts (rational data enters scaled by a common denominator, which changes
 no rank, kernel or span).  Every exact result comes from one routine,
 fraction-free forward elimination whose rows are primitive and positive at
-their pivot, their lowest index (`rref`), and the elimination does only
-the work it must.  A map goes in as rows, column j keyed ~j = -1 - j,
-which sorts like n - 1 - j but does not move with n (`lay_out`), and
-`kernel_and_image_of_rows` gets its rank, its reduced kernel and the pivots
-of its image's echelon from one such elimination.  It back-solves the
-forward rows for only the kernel vectors its caller asks for, each the
-unique one that is 1 at its free column and 0 at the others, so kernels
-and cohomology representatives downstream are as canonical as a reduced
-row echelon form would make them; solves are read off that same routine.
-An elimination can resume from the forward table an earlier one handed on
-for the same first rows, and insert only the rows after them.  `rref` is
-that insertion (`echelon`); callers that read only pivots or landed rows
-run `echelon` alone (`cohomology`'s certified image pivots, `verify`'s
-span check: a row lands exactly when it is independent of the rows before
-it), and no exact reduction runs outside the two.  Only
-`solve_combination` returns Fractions.
+their pivot, their lowest index (`rref`, a forward table, not a reduced
+one: the name is kept for the benchmark's tracer, which hooks it), and the
+elimination does only the work it must.  A map goes in as rows, column j
+keyed ~j = -1 - j, which sorts like n - 1 - j but does not move with n
+(`lay_out`), and `kernel_and_image_of_rows` gets its rank, its reduced
+kernel and the pivots of its image's echelon from one such elimination.
+It back-solves the forward rows for only the kernel vectors its caller
+asks for, each the unique one that is 1 at its free column and 0 at the
+others, so kernels and cohomology representatives downstream are as
+canonical as a reduced row echelon form would make them; solves are read
+off that same routine.  An elimination can resume from the forward table
+an earlier one handed on for the same first rows, and insert only the
+rows after them.  Callers that read only pivots or landed rows call `rref`
+straight (`cohomology`'s certified image pivots, `verify`'s span check: a
+row lands exactly when it is independent of the rows before it), and no
+exact reduction runs outside it.  Only `solve_combination` returns
+Fractions.
 
 `independent_columns_mod_p` runs the same elimination in word-size
 arithmetic modulo `PRIME`, a constant rather than an option, on a cell of
@@ -76,17 +77,23 @@ def _eliminate(row, pivot_row, col):
     return row
 
 
-def echelon(rows, landed=None, held=None, hand_at=None):
-    """The forward table of a list of sparse integer rows, with no
-    back-substitution: {pivot: row} in the order the rows landed, each row
-    primitive and positive at its pivot, its lowest index.  A row with one
-    nonzero entry, at col, takes no loop: it is stored as {col: 1} when col
-    is a new pivot and dropped when col's pivot row is {col: 1}.  Any other
-    row is copied, just before its first write, and reduced against the
-    pivots already found, with no gcd until it lands on a new pivot: then
-    it is made primitive and positive there, and a row that lands with one
-    entry is stored as {pivot: 1}.  The input rows are never written, and
-    no table row is one of them.
+def rref(rows, landed=None, held=None, hand_at=None):
+    """The forward table of a list of sparse integer rows, the one routine
+    that inserts rows into one.  The name is kept from when the table was
+    reduced; the benchmark's tracer hooks it, so it counts every exact
+    elimination.
+
+    Returns (pivots, rows) as lists, in the order the rows landed: each row
+    primitive and positive at its pivot, its lowest index, and never
+    written again.  No row is back-substituted: `kernel_and_image_of_rows`
+    reads each kernel vector it needs off these rows by a sparse
+    back-solve.  A row with one nonzero entry, at col, takes no loop: it is
+    stored as {col: 1} when col is a new pivot and dropped when col's pivot
+    row is {col: 1}.  Any other row is copied, just before its first write,
+    and reduced against the pivots already found, with no gcd until it
+    lands on a new pivot: then it is made primitive and positive there, and
+    a row that lands with one entry is stored as {pivot: 1}.  The input
+    rows are never written, and no table row is one of them.
 
     The rows are inserted in the order given, and the table spans the rows
     inserted so far, so a row lands on a new pivot exactly when it is
@@ -94,10 +101,10 @@ def echelon(rows, landed=None, held=None, hand_at=None):
     position of each such row is appended to it, in order.
 
     `held` is a list: empty, or [n, table, landed] as an earlier call
-    handed it for the same rows[:n], their forward table and landed
-    positions; only rows n and later are then inserted.  With `hand_at` m
-    >= n, the table as it stood after row m and the positions below m
-    replace `held`'s items.  No row of a held table is written.
+    handed it for the same rows[:n], their forward table as {pivot: row}
+    and landed positions; only rows n and later are then inserted.  With
+    `hand_at` m >= n, the table as it stood after row m and the positions
+    below m replace `held`'s items.  No row of a held table is written.
     """
     landed = [] if landed is None else landed
     table, start = {}, 0
@@ -135,21 +142,6 @@ def echelon(rows, landed=None, held=None, hand_at=None):
     if hand_at is not None:  # the pivots in landing order: those of rows before m come first
         count = bisect_left(landed, hand_at)
         held[:] = hand_at, dict(islice(table.items(), count)), landed[:count]
-    return table
-
-
-def rref(rows, landed=None, held=None, hand_at=None):
-    """The exact elimination of a list of sparse integer rows whose kernel
-    is read, the entry point of every such reduction.
-
-    Returns (pivots, echelon_rows), the forward table `echelon` leaves, in
-    the order the rows landed: each row primitive, positive at its pivot,
-    its lowest index, and never written again.  No row is back-substituted:
-    `kernel_and_image_of_rows` reads each kernel vector it needs off these
-    rows by a sparse back-solve.  `landed`, `held` and `hand_at` go to
-    `echelon`.
-    """
-    table = echelon(rows, landed, held, hand_at)
     return list(table), list(table.values())
 
 
@@ -238,11 +230,6 @@ def independent_columns_mod_p(cell, skip=(), spare=inf):
             if spare < 0:
                 return sorted(kept.values()), None
     return sorted(kept.values()), set(kept)
-
-
-def kernel_and_image(columns, skip=()):
-    """`kernel_and_image_of_rows` of a list of columns, laid out by `lay_out`."""
-    return kernel_and_image_of_rows(len(columns), lay_out(columns), skip)
 
 
 def kernel_and_image_of_rows(size, laid_out, skip=(), held=None, hand_at=None):
@@ -362,15 +349,16 @@ def matvec(columns, vec):
 def solve_combination(columns, target):
     """Coefficients expressing target as a combination of columns, or None.
 
-    `kernel_and_image` of the target followed by the columns in reverse
-    order reduces the rows [columns | target]: the target lies in the span
-    exactly when its column is free, and the kernel vector led there,
-    negated and divided by its lead, holds the coefficients as Fractions
-    (zero at the free columns).  No other kernel vector is read off.  When
-    the columns are linearly independent the solution is unique.
+    `kernel_and_image_of_rows` of the target followed by the columns in
+    reverse order reduces the rows [columns | target]: the target lies in
+    the span exactly when its column is free, and the kernel vector led
+    there, negated and divided by its lead, holds the coefficients as
+    Fractions (zero at the free columns).  No other kernel vector is read
+    off.  When the columns are linearly independent the solution is unique.
     """
     last = len(columns)
-    _, kernel_pivots, kernel, _ = kernel_and_image([target, *columns[::-1]], range(1, last + 1))
+    _, kernel_pivots, kernel, _ = kernel_and_image_of_rows(
+        last + 1, lay_out([target, *columns[::-1]]), range(1, last + 1))
     if not kernel_pivots:
         return None  # inconsistent system
     lead = kernel[0][0]

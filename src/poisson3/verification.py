@@ -293,11 +293,11 @@ def _check_generators(pi, table, q, d, exprs, mismatches):
             % (q, d, len(coords), cell.dim_h))
         return
     image = list(differential_matrix(pi, q - 1, d).columns) if q > 0 else []
-    # a row lands exactly when it is independent of the rows before it, so
-    # the rows that land before the representatives count the rank of the
-    # exact terms and the generators
+    # `rref` lands a row exactly when it is independent of the rows before
+    # it, so the rows that land before the representatives count the rank
+    # of the exact terms and the generators; no kernel is read
     landed = []
-    linalg.echelon(image + coords + cell.kernel_rows, landed)
+    linalg.rref(image + coords + cell.kernel_rows, landed)
     spanned = len(image) + len(coords)
     if sum(k < spanned for k in landed) != cell.rank_in + len(coords):
         mismatches.append(

@@ -2,6 +2,7 @@
 reference implementations the engine is checked against."""
 
 import copy
+import functools
 import json
 import random
 import sys
@@ -18,7 +19,8 @@ from poisson3.complexes import linear_operator_matrix, new_invariant_vectors
 from poisson3 import linalg
 from poisson3.multivector import component_wedge
 from poisson3.linalg import (
-    independent_columns_mod_p, integer_normalize, kernel_and_image, matvec, rref)
+    independent_columns_mod_p, integer_normalize, kernel_and_image_of_rows, lay_out, matvec,
+    rref)
 
 
 def bracket_calls(call):
@@ -107,6 +109,11 @@ def rank(columns):
 def compose(outer_columns, inner_columns):
     """Columns of outer @ inner (columns of inner mapped through outer)."""
     return [matvec(outer_columns, col) for col in inner_columns]
+
+
+def kernel_and_image(columns, skip=()):
+    """`kernel_and_image_of_rows` of a list of columns, laid out by `lay_out`."""
+    return kernel_and_image_of_rows(len(columns), lay_out(columns), skip)
 
 
 def kernel_basis(columns):
@@ -360,28 +367,37 @@ def determinant(p):
                           - p[1][(j + 2) % 3] * p[2][(j + 1) % 3]) for j in range(3))
 
 
+def inverse_matrix(p):
+    """The inverse of an invertible 3x3 matrix, through its adjugate, as Fractions."""
+    det = determinant(p)
+    inverse = [[Fraction(p[(j + 1) % 3][(i + 1) % 3] * p[(j + 2) % 3][(i + 2) % 3]
+                         - p[(j + 1) % 3][(i + 2) % 3] * p[(j + 2) % 3][(i + 1) % 3], det)
+                for j in range(3)] for i in range(3)]
+    assert all(sum(p[i][k] * inverse[k][j] for k in range(3)) == (i == j)
+               for i in range(3) for j in range(3))
+    return inverse
+
+
+def constants_in_basis(constants, p):
+    """Constants of the same algebra in the basis f_a = sum_i P[i][a] e_i, P invertible."""
+    inverse = inverse_matrix(p)
+    entries = {}
+    for a in range(3):
+        for b in range(a + 1, 3):
+            for c in range(3):
+                entries[(a, b, c)] = sum(
+                    inverse[c][k] * (p[i][a] * p[j][b] - p[j][a] * p[i][b]) * value
+                    for (i, j, k), value in constants.c.items())
+    return StructureConstants(entries)
+
+
 def conjugated_constants(constants, rng):
     """Constants of the same algebra in the basis f_a = sum_i P[i][a] e_i.
 
     P is `unimodular_matrix(rng)`, in GL3(Z), so the new constants are
     integer combinations of the old.
     """
-    p = unimodular_matrix(rng)
-    det = determinant(p)
-    # inverse through the adjugate; det is +-1
-    inverse = [[Fraction(p[(j + 1) % 3][(i + 1) % 3] * p[(j + 2) % 3][(i + 2) % 3]
-                         - p[(j + 1) % 3][(i + 2) % 3] * p[(j + 2) % 3][(i + 1) % 3], det)
-                for j in range(3)] for i in range(3)]
-    assert all(sum(p[i][k] * inverse[k][j] for k in range(3)) == (i == j)
-               for i in range(3) for j in range(3))
-    entries = {}
-    for a in range(3):
-        for b in range(a + 1, 3):
-            for c in range(3):
-                entries[(a, b, c)] = sum(
-                    inverse[c][k] * p[i][a] * p[j][b] * constants.get(i, j, k)
-                    for i in range(3) for j in range(3) for k in range(3))
-    return StructureConstants(entries)
+    return constants_in_basis(constants, unimodular_matrix(rng))
 
 
 def full_build_invariant_table(pi, dmax):
@@ -444,6 +460,93 @@ def reference_rref(rows):
         echelon.append(row)
     order = sorted(range(len(pivots)), key=lambda r: pivots[r])
     return [pivots[r] for r in order], [echelon[r] for r in order]
+
+
+def hs_dimensions(constants, ideal, e, d):
+    """dim H^{q,d}, q = 0..3, of the linear Poisson structure of a solvable
+    g = Re + a, by the Hochschild-Serre spectral sequence; no engine code.
+
+    `ideal` is two coordinate vectors spanning a 2-dimensional abelian
+    ideal a of g, `e` a vector outside it, all in the basis of `constants`.
+    In the basis (a_1, a_2, e), with M = ad e on a, a acts on V = S^d g by
+    rho(a_i) = -(M a_i) d/de and e by the derivation a_i -> M a_i.  H(a; V)
+    is the Koszul cohomology of rho(a_1), rho(a_2), and g/a = Re has two
+    columns, so dim H^q(g; V) = k_q + k_(q-1), where k_n = dim ker(e on
+    H^n(a; V)).  Scaling e scales M and changes no kernel, so M is made
+    integral first.
+    """
+    frame = [[*(vector[i] for vector in ideal), e[i]] for i in range(3)]
+    c = constants_in_basis(constants, frame)
+    assert not any(c.get(0, 1, k) or c.get(i, 2, 2) for i in (0, 1) for k in range(3)), \
+        "not an abelian ideal"
+    m = [[c.get(2, i, j) for i in (0, 1)] for j in (0, 1)]  # [e, a_i] = sum_j m[j][i] a_j
+    scale = lcm(*(v.denominator for row in m for v in row))
+    k = _koszul_counts(tuple(tuple(int(v * scale) for v in row) for row in m), d)
+    return [k[0], k[1] + k[0], k[2] + k[1], k[2]]
+
+
+@functools.cache  # a table in another basis with the same frame constants asks again
+def _koszul_counts(m, d):
+    """(k_0, k_1, k_2) of `hs_dimensions` for M = m, an integer 2x2 matrix.
+
+    A class of H^n(a; V) that e kills is a cocycle z with e z = d c.  The
+    pairs (z, c) with d z = 0 and e z = d c, the kernel of (z, c) ->
+    (d z, e z - d c) on C^n + C^(n-1), map onto those z, with the pairs
+    (0, c), d c = 0, as kernel; so k_n = dim of those z - dim B^n is dim
+    C^n less the rank of that map, as dim Z^(n-1) + dim B^n = dim C^(n-1).
+    The rank is a Fraction rank through `reference_rref`.  rho(a_i) lowers
+    the power of e by one and e keeps it, so each power of e is counted on
+    its own.  A cochain of C^1 is (f_1, f_2), f_i its value at a_i, keyed
+    (i - 1, m).
+    """
+    trace = m[0][0] + m[1][1]
+
+    def moved(mono, source, target):
+        return tuple(n - (k == source) + (k == target) for k, n in enumerate(mono))
+
+    def rho(i, mono):  # -(M a_i) d/de
+        return {moved(mono, 2, j): -m[j][i] * mono[2] for j in (0, 1) if m[j][i] and mono[2]}
+
+    def rho_e(mono):  # sum_i (M a_i) d/da_i
+        out = {}
+        for i in (0, 1):
+            for j in (0, 1):
+                if m[j][i] and mono[i]:
+                    key = moved(mono, i, j)
+                    out[key] = out.get(key, 0) + m[j][i] * mono[i]
+        return out
+
+    def d_0(mono):
+        return {(i, key): v for i in (0, 1) for key, v in rho(i, mono).items()}
+
+    def d_1(slot_mono):  # (f_1, f_2) -> rho(a_1) f_2 - rho(a_2) f_1
+        slot, mono = slot_mono
+        return rho(0, mono) if slot else {key: -v for key, v in rho(1, mono).items()}
+
+    def e_1(slot_mono):  # (e w)(a_i) = e w(a_i) - w([e, a_i])
+        slot, mono = slot_mono
+        out = {(slot, key): v for key, v in rho_e(mono).items()}
+        for i in (0, 1):
+            out[i, mono] = out.get((i, mono), 0) - m[slot][i]
+        return out
+
+    def e_2(mono):  # (e w)(a_1, a_2) = e w(a_1, a_2) - tr(M) w(a_1, a_2)
+        out = rho_e(mono)
+        out[mono] = out.get(mono, 0) - trace
+        return out
+
+    steps = ((d_0, rho_e, None), (d_1, e_1, d_0), (lambda cochain: {}, e_2, d_1))
+    k = [0, 0, 0]
+    for power in range(d + 1):  # the cochains at e^power, and those at e^(power + 1)
+        monos, above = ([(i, d - p - i, p) for i in range(d - p + 1)] for p in (power, power + 1))
+        cochains = (monos, [(slot, mono) for slot in (0, 1) for mono in monos], monos)
+        before = ((), above, [(slot, mono) for slot in (0, 1) for mono in above])
+        for n, (d_n, e_n, d_before) in enumerate(steps):
+            vectors = [{**{(0, key): v for key, v in d_n(z).items()},
+                        **{(1, key): v for key, v in e_n(z).items()}} for z in cochains[n]]
+            vectors += [{(1, key): -v for key, v in d_before(c).items()} for c in before[n]]
+            k[n] += len(cochains[n]) - len(reference_rref(vectors)[0])
+    return tuple(k)
 
 
 def expression_corpus():

@@ -9,8 +9,9 @@ import pytest
 
 from helpers import (
     bracket_calls, ce_coordinates, ce_differential, conjugated_constants, determinant,
-    exact_columns, full_build_invariant_table, invariant_basis, invariant_multivectors,
-    kernel_basis, mod_p_pass, operator_matrix, rank, reference_rref, unimodular_matrix)
+    exact_columns, full_build_invariant_table, hs_dimensions, invariant_basis,
+    invariant_multivectors, inverse_matrix, kernel_and_image, kernel_basis, mod_p_pass,
+    operator_matrix, rank, reference_rref, unimodular_matrix)
 from poisson3 import (
     KINDS,
     Algebra,
@@ -142,7 +143,7 @@ def test_one_reduction_gives_kernel_and_image_echelons(algebra):
     for d in range(7):
         for q in range(4):
             columns = differential_matrix(pi, q, d).columns
-            rank_out, ker_pivots, ker_echelon, image = linalg.kernel_and_image(columns)
+            rank_out, ker_pivots, ker_echelon, image = kernel_and_image(columns)
             assert rank_out == len(image)
             scaled = [{i: Fraction(c, vec[j]) for i, c in vec.items()}
                       for j, vec in zip(ker_pivots, ker_echelon)]
@@ -165,26 +166,25 @@ def _count_calls(monkeypatch, *names):
     return calls
 
 
-def test_each_exact_cell_makes_one_rref_call_plus_one_echelon_after_a_certified_cell(
-        monkeypatch):
-    # each differential reduced exactly is one rref, which inserts its rows
-    # with one `echelon` and also gives the next cell its image's pivots;
-    # only a cell fed by a certified acyclic cell runs one more echelon, on
-    # the certified columns, for those pivots
-    calls = _count_calls(monkeypatch, "rref", "echelon", "kernel_and_image_of_rows")
+def test_each_exact_cell_makes_one_rref_call_plus_one_after_a_certified_cell(monkeypatch):
+    # each differential reduced exactly is one read-off, which inserts its
+    # rows with one `rref` and also gives the next cell its image's pivots;
+    # only a cell fed by a certified acyclic cell runs one more rref, on the
+    # certified columns, for those pivots
+    calls = _count_calls(monkeypatch, "rref", "kernel_and_image_of_rows")
     cohomology_table(linear_poisson("heisenberg"), 3)  # no acyclic cell
-    assert calls == {"rref": 16, "echelon": 16, "kernel_and_image_of_rows": 16}
+    assert calls == {"rref": 16, "kernel_and_image_of_rows": 16}
     # the invariant table restricts the same differentials: no elimination
     # of its own; two of its cells are fed by a certified one
-    calls.update(rref=0, echelon=0, kernel_and_image_of_rows=0)
+    calls.update(rref=0, kernel_and_image_of_rows=0)
     cohomology_table(linear_poisson("euclidean"), 3, invariant=True)
-    assert calls == {"rref": 14, "echelon": 16, "kernel_and_image_of_rows": 14}
+    assert calls == {"rref": 16, "kernel_and_image_of_rows": 14}
     # exact work only in q = 0, 3 of d = 0, 2, the Casimir classes; H^3 is fed
-    # by a certified cell, so its image pivots cost one echelon each
+    # by a certified cell, so its image pivots cost one rref each
     for kind in ("sl2", "so3"):
-        calls.update(rref=0, echelon=0, kernel_and_image_of_rows=0)
+        calls.update(rref=0, kernel_and_image_of_rows=0)
         cohomology_table(linear_poisson(kind), 3)
-        assert calls == {"rref": 4, "echelon": 6, "kernel_and_image_of_rows": 4}
+        assert calls == {"rref": 6, "kernel_and_image_of_rows": 4}
 
 
 def test_each_stored_row_is_made_primitive_once(monkeypatch):
@@ -506,7 +506,7 @@ def test_the_mod_p_pass_skips_the_pivot_rows_of_the_incoming_differential(monkey
                     if q == carried == 1:  # d_0 was reduced exactly, with no pass
                         incoming = (differential_matrix(pi, 0, d).columns, *[None] * 4)
                         after_d_0 += 1
-                    rank_in = linalg.kernel_and_image(
+                    rank_in = kernel_and_image(
                         _emptied(incoming[0], left_out(q - 1, d)))[0] if incoming else 0
                     if q == 1 and not carried:
                         rank_in = len(incoming[3])  # d_0's pass ran to the end
@@ -680,8 +680,8 @@ def test_the_incoming_pivot_columns_change_no_exact_reduction(monkeypatch, seed)
             assert skip == set(linalg.rref(incoming)[0]) | out
             assert skip - out <= _free_columns(whole)
             assert all(columns[j] == {} for j in skip)
-            expected = linalg.kernel_and_image(_emptied(whole, out), skip)
-            assert linalg.kernel_and_image(whole, skip)[1:3] == expected[1:3]
+            expected = kernel_and_image(_emptied(whole, out), skip)
+            assert kernel_and_image(whole, skip)[1:3] == expected[1:3]
             if at is None:
                 assert result == expected
             else:
@@ -1124,9 +1124,10 @@ def test_representatives_need_no_reduction_against_the_incoming_image(algebra, i
 @pytest.mark.parametrize("algebra", REGISTRY_ALGEBRAS,
                          ids=lambda a: a.name if a.tau is None else "%s_%s" % (a.name, a.tau))
 def test_representatives_are_the_canonical_kernel_rows_led_at_their_free_column(algebra):
-    # the engine publishes kernel rows as they come out of `kernel_and_image`,
-    # with no normalisation of its own: each is the kernel row led at its
-    # lowest index, a free column of d_q, and already primitive and positive there
+    # the engine publishes kernel rows as they come out of
+    # `kernel_and_image_of_rows`, with no normalisation of its own: each is
+    # the kernel row led at its lowest index, a free column of d_q, and
+    # already primitive and positive there
     pi = linear_poisson(algebra)
     table = cohomology_table(pi, 8)
     checked = 0
@@ -1134,7 +1135,7 @@ def test_representatives_are_the_canonical_kernel_rows_led_at_their_free_column(
         for d in range(9):
             for q in range(4):
                 columns = differential_matrix(pi, q, d).columns
-                _, pivots, echelon, _ = linalg.kernel_and_image(columns)
+                _, pivots, echelon, _ = kernel_and_image(columns)
                 kernel = dict(zip(pivots, echelon))
                 for rep in table.cell(q, d).representatives:
                     assert all(type(c) is Fraction and c.denominator == 1 for c in rep.values())
@@ -1606,6 +1607,44 @@ def test_coboundary_witness_solves_each_chevalley_eilenberg_coboundary(algebra):
                     assert coboundary_witness(pi, target + rep) is None, (q, d)
 
 
+# each solvable kind is g = Re + a, a a 2-dimensional abelian ideal: a and
+# e as registry basis indices, where they are not <e1, e2> and e3; then 16
+# seeded taus: 12 book taus with denominators up to 6, and so some resonant,
+# and 4 spiral taus, whose tables at d <= 8 are the same for every tau > 0
+HS_FRAMES = {"heisenberg": ((1, 2), 0), "aff_x_r": ((0, 2), 1)}
+_hs_rng, _hs_taus = random.Random(52), {"book": set(), "spiral": set()}
+while len(_hs_taus["book"]) < 12:
+    _den = _hs_rng.randint(1, 6)
+    _hs_taus["book"].add(Fraction(_hs_rng.choice((-1, 1)) * _hs_rng.randint(1, _den), _den))
+    _hs_taus["spiral"].add(Fraction(_hs_rng.randint(1, 12), _hs_rng.randint(1, 4)))
+HS_ALGEBRAS = [Algebra(kind) for kind in KINDS if kind not in ("book", "spiral", "sl2", "so3")] + [
+    Algebra(kind, tau) for kind, count in (("book", 12), ("spiral", 4))
+    for tau in sorted(_hs_taus[kind])[:count]]
+
+
+@pytest.mark.parametrize("algebra", HS_ALGEBRAS,
+                         ids=[a.name if a.tau is None else "%s_%s" % (a.name, a.tau)
+                              for a in HS_ALGEBRAS])
+def test_tables_match_the_hochschild_serre_dimensions_in_two_bases(algebra):
+    # dim H^(q, d) is k_q + k_(q-1), read off the Koszul cohomology of the
+    # ideal with no engine code (`hs_dimensions`), at d <= 8 in the registry
+    # basis and in a conjugated one, where a and e are mapped by the same
+    # matrix: old e_i is column i of its inverse in the new basis
+    dmax = 8
+    (i, j), k = HS_FRAMES.get(algebra.name, ((0, 1), 2))
+    frame = [tuple(int(n == m) for n in range(3)) for m in (i, j, k)]
+    seed = 300 + HS_ALGEBRAS.index(algebra)
+    inverse = inverse_matrix(unimodular_matrix(random.Random(seed)))
+    moved = [tuple(sum(inverse[a][b] * v[b] for b in range(3)) for a in range(3)) for v in frame]
+    constants = structure_constants(algebra)
+    for constants, (*ideal, e) in ((constants, frame),
+                                   (conjugated_constants(constants, random.Random(seed)), moved)):
+        table = cohomology_table(linear_poisson(constants), dmax)
+        for d in range(dmax + 1):
+            assert [table.cell(q, d).dim_h for q in range(4)] == hs_dimensions(
+                constants, ideal, e, d), (constants, d)
+
+
 def _ordered_fields(cell):
     """A cell's numbers and its kernel rows with their key order."""
     return (cell.q, cell.d, cell.dim_cochains, cell.rank_in, cell.rank_out,
@@ -1963,9 +2002,9 @@ def test_the_degree_loop_reduces_hand_made_integer_complexes(monkeypatch, seed):
     # no bivector: `_degree_cells` gets list cells of a complex whose dim H
     # and ranks are known, and must find them on the certified, the exact
     # and the certified-feeds-exact paths; each exact reduction runs one
-    # `rref`, and each certified-feeds-exact step one `echelon` of the kept
-    # columns besides the one inside `rref`
-    calls = _count_calls(monkeypatch, "kernel_and_image_of_rows", "rref", "echelon")
+    # `rref`, and each certified-feeds-exact step one more, of the kept
+    # columns, besides the one inside the read-off
+    calls = _count_calls(monkeypatch, "kernel_and_image_of_rows", "rref")
     rng = random.Random(seed)
     shapes = [((0, 2, 0, 1), (2, 3, 1))] + [
         (tuple(rng.randint(0, 2) for _ in range(4)), tuple(rng.randint(0, 3) for _ in range(3)))
@@ -1973,9 +2012,9 @@ def test_the_degree_loop_reduces_hand_made_integer_complexes(monkeypatch, seed):
     complexes = [_split_complex(rng, h, r) for h, r in shapes]
     found = [cohomology_module._degree_cells(0, cells) for cells in complexes]
     # certified-feeds-exact cells, other exact cells, and certified cells all
-    # ran, counted before the checks below run `rank`, which runs `echelon`
-    assert calls["rref"] == calls["kernel_and_image_of_rows"]
-    assert 0 < calls["echelon"] - calls["rref"] < calls["rref"] < 4 * len(shapes)
+    # ran, counted before the checks below run `rank`, which runs `rref`
+    exact = calls["kernel_and_image_of_rows"]
+    assert 0 < calls["rref"] - exact < exact < 4 * len(shapes)
     for (h, r), cells, degree_cells in zip(shapes, complexes, found):
         for q, cell in enumerate(degree_cells):
             assert (cell.dim_h, cell.rank_out, cell.rank_in) == (h[q], (*r, 0)[q], (0, *r)[q])

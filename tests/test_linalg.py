@@ -8,13 +8,13 @@ from math import gcd, lcm
 import pytest
 
 from helpers import (
-    cell_pass, compose, integer_matrix, integer_rows, kernel_basis, rank, reference_rref)
+    cell_pass, compose, integer_matrix, integer_rows, kernel_and_image, kernel_basis, rank,
+    reference_rref)
 
 from poisson3 import OperatorCell, linalg
 from poisson3.linalg import (
     independent_columns_mod_p,
     integer_normalize,
-    kernel_and_image,
     matvec,
     rref,
     solve_combination,

@@ -249,7 +249,8 @@ def test_reference_implementations_stay_out_of_the_package():
     # the package imports neither the tests nor a test-only dependency
     sources = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
     tests = [ast.parse(path.read_text(), str(path)) for path in TESTS]
-    references = {"closed_form_differential", "lie_bracket", "invariant_basis", "TABLE_SCHEMA"}
+    references = {"closed_form_differential", "lie_bracket", "invariant_basis", "hs_dimensions",
+                  "TABLE_SCHEMA"}
     assert references <= set().union(*map(_defined, tests))
     assert references & set().union(*map(_defined, sources)) == set()
     forbidden = {"jsonschema", "tests"} | {path.stem for path in TESTS}
@@ -292,7 +293,7 @@ def test_single_caller_rule_flags_a_second_caller():
 
 def test_each_layout_and_the_mod_p_pass_have_their_named_callers():
     # `lay_out` is the one writer of the row layout of a list of columns, for
-    # a cell that holds one and for `kernel_and_image`; a cell read off a
+    # a cell that holds one and for `solve_combination`; a cell read off a
     # stencil writes the same layout itself.  Only the degree loop runs the
     # mod-p pass, and only the pass reads leads.  A column is built alone
     # only where the pass's lead collides and where it reduces against a
@@ -306,7 +307,7 @@ def test_each_layout_and_the_mod_p_pass_have_their_named_callers():
     # `columns` builds each through it: no block walk writes a second one
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     assert _callers(trees, "lay_out") == [("complexes.py", "OperatorCell.rows"),
-                                          ("linalg.py", "kernel_and_image")]
+                                          ("linalg.py", "solve_combination")]
     assert _callers(trees, "independent_columns_mod_p") == [("cohomology.py", "_degree_cells")]
     assert _callers(trees, "leads") == [("linalg.py", "independent_columns_mod_p")]
     assert _callers(trees, "column") == [("cohomology.py", "_degree_cells"),
@@ -331,19 +332,19 @@ def test_one_stencil_cache():
 
 
 def test_one_reduction_loop_and_one_writer_of_basis_positions():
-    # `rref` is the one exact reduction, `echelon`'s insertion and nothing
-    # more: span and membership questions read the rows that land in
-    # `echelon`, and no other function eliminates against a pivot row.  A
+    # `rref` is the one exact reduction, the one insertion into a forward
+    # table: span and membership questions read the rows that land in it,
+    # and no other function eliminates against a pivot row.  A
     # basis position is written by `GradedBasis.position`;
     # beside the stencil walks of `complexes`, which inline its formula, its
     # callers are the decomposition and the closed forms that place a
     # field's or a family's entries
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-    assert _callers(trees, "_eliminate") == [("linalg.py", "echelon")]
-    # the readers of pivots or landed rows alone call `echelon` straight
-    assert _callers(trees, "echelon") == [("cohomology.py", "_degree_cells"),
-                                          ("linalg.py", "rref"),
-                                          ("verification.py", "_check_generators")]
+    assert _callers(trees, "_eliminate") == [("linalg.py", "rref")]
+    # no second entry point to the insertion is left
+    assert not [(module, node.name) for module, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name in ("echelon", "kernel_and_image")]
     assert _callers(trees, "position") == [
         ("cohomology.py", "_fields"), ("cohomology.py", "_fields"),
         ("cohomology.py", "_weight_zero"), ("complexes.py", "GradedBasis.decompose"),
@@ -424,35 +425,38 @@ def test_one_exact_reduction_per_differential():
     # second reduction on every row
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     assert _callers(trees, "kernel_and_image_of_rows") == [("cohomology.py", "_degree_cells"),
-                                                           ("linalg.py", "kernel_and_image")]
+                                                           ("linalg.py", "solve_combination")]
     assert ("cohomology.py", "_degree_cells") in _callers(trees, "kills")
 
 
 def test_one_read_off_of_the_kernel_and_no_back_substitution():
-    # every exact reduction is an `rref` called by the one read-off, so the
-    # benchmark's `linalg.rref` counters see each of them; only `echelon`
+    # every exact reduction is an `rref`, so the benchmark's `linalg.rref`
+    # counters see each of them: the read-off of a kernel, and the readers
+    # of pivots or landed rows alone, call it straight.  Only `rref`
     # eliminates, and a row or a vector is made primitive only where it
     # lands there, where the read-off ends a kernel vector's back-solve,
     # and by `integer_normalize`: no second read-off and no
     # back-substitution of the forward rows
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-    assert _callers(trees, "rref") == [("linalg.py", "kernel_and_image_of_rows")]
-    assert _callers(trees, "_eliminate") == [("linalg.py", "echelon")]
-    assert _callers(trees, "_primitive") == [("linalg.py", "echelon"),
-                                             ("linalg.py", "integer_normalize"),
-                                             ("linalg.py", "kernel_and_image_of_rows")]
+    assert _callers(trees, "rref") == [("cohomology.py", "_degree_cells"),
+                                       ("linalg.py", "kernel_and_image_of_rows"),
+                                       ("verification.py", "_check_generators")]
+    assert _callers(trees, "_eliminate") == [("linalg.py", "rref")]
+    assert _callers(trees, "_primitive") == [("linalg.py", "integer_normalize"),
+                                             ("linalg.py", "kernel_and_image_of_rows"),
+                                             ("linalg.py", "rref")]
 
 
 def test_a_carried_degree_adds_no_route_and_no_public_name():
     # the carry between degrees rides on the one loop: `_complex` makes it,
     # reading X_z off `_fields`, `_full_cells`, the one caller of
     # `_degree_cells` for every full complex, passes it on, and
-    # `_degree_cells` hands it to its one reduction, inside which `rref`'s
-    # `echelon` alone eliminates; the invariant subcomplex hands
+    # `_degree_cells` hands it to its one reduction, inside which `rref`
+    # alone eliminates; the invariant subcomplex hands
     # `_degree_cells` over uncalled (`partial`).  The stencil is still read
     # only through the hold's reader, and `cohomology` keeps its public names
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-    assert _callers(trees, "_eliminate") == [("linalg.py", "echelon")]
+    assert _callers(trees, "_eliminate") == [("linalg.py", "rref")]
     assert [caller for caller in _callers(trees, "kernel_and_image_of_rows")
             if caller[0] == "cohomology.py"] == [("cohomology.py", "_degree_cells")]
     assert _callers(trees, "_degree_cells") == [("cohomology.py", "_full_cells")]

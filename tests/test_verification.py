@@ -11,7 +11,7 @@ from importlib import resources
 import pytest
 
 from helpers import bracket_calls
-from poisson3 import complexes, verification
+from poisson3 import complexes, linalg, verification
 from poisson3.cohomology import class_table
 from poisson3.complexes import (
     GradedBasis, differential_matrix, holding_stencils, linear_operator_matrix)
@@ -22,6 +22,7 @@ from poisson3 import (
     KINDS,
     MultiVector,
     Polynomial,
+    coboundary_witness,
     cohomology_table,
     deformation_identity_check,
     expected_modular_field,
@@ -237,6 +238,46 @@ def test_verify_derives_each_stencil_once_while_its_bivector_is_held(monkeypatch
         calls.clear()
         verify(fixture_id, max(4, expected_table(fixture_id).dmax_min))
         assert sorted(calls) == [(0, True), (1, True), (2, True)], fixture_id
+
+
+def test_every_elimination_step_runs_inside_rref(monkeypatch):
+    # `rref` is the one insertion into a forward table, so the benchmark's
+    # `linalg.rref` counters see every exact elimination: on each route to
+    # an exact result (tables, invariant tables, verify's span checks,
+    # witnesses and the modular check) no `_eliminate` call runs outside it
+    depth, seen, outside = [0], [0], []
+    rref, eliminate = linalg.rref, linalg._eliminate
+
+    def inserting(*args):
+        depth[0] += 1
+        try:
+            return rref(*args)
+        finally:
+            depth[0] -= 1
+
+    def eliminating(row, pivot_row, col):
+        seen[0] += 1
+        if not depth[0]:
+            outside.append(sys._getframe(1).f_code.co_name)
+        return eliminate(row, pivot_row, col)
+
+    monkeypatch.setattr(linalg, "rref", inserting)
+    monkeypatch.setattr(linalg, "_eliminate", eliminating)
+    fixtures = [expected_table(fixture_id) for fixture_id in FIXTURE_IDS]
+    algebras = [Algebra(kind) for kind in KINDS if kind not in ("book", "spiral")]
+    algebras += [fixture.make_algebra() for fixture in fixtures if fixture.tau is not None]
+    for algebra in algebras:
+        cohomology_table(linear_poisson(algebra), 8)
+    for algebra in (Algebra("euclidean"), Algebra("so3"), Algebra("heisenberg"),
+                    Algebra("spiral", 1), Algebra("abelian"), Algebra("spiral", Fraction(5, 2))):
+        cohomology_table(linear_poisson(algebra), 8, invariant=True)
+    for fixture in fixtures:
+        assert verify(fixture.fixture_id, fixture.dmax_min).passed, fixture.fixture_id
+    pi = linear_poisson(Algebra("book", 1))
+    for _, _, text in expected_table("open_book_tau_1").exact_checks:
+        assert coboundary_witness(pi, parse_multivector(text)) is not None, text
+    assert modular_class_check("aff_x_r").is_exact is False
+    assert seen[0] and not outside, outside
 
 
 def test_verify_makes_no_bracket():
